@@ -2,18 +2,22 @@
 and the triangulations associated with 4- and 6-angulations.
 
 On an even polygon, odd vertices are black and even vertices white.  Every
-diagonal of a 4- or 6-angulation joins a black vertex to a white one, each
-quadrilateral face holds exactly one black-black chord, and each hexagonal
-face holds exactly three.
+diagonal of a 4- or 6-angulation joins a black vertex to a white one, so
+the corners of each face alternate in color.  One refinement triangulates
+every face by joining all its corners of one color: the black-black chords
+(one per quadrilateral, three per hexagon) give the associated
+triangulation, the white-white chords its opposite-color twin.  For a
+4-angulation the black-black chords are also the edges of its noncrossing
+tree.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
 from .polygon import (
     Dissection,
-    Face,
     Pair,
     crosses,
     faces,
@@ -61,7 +65,7 @@ class NoncrossingTree:
                 a, b = pair
             except (TypeError, ValueError) as exc:
                 raise InvalidTreeError(f"edge must be a vertex pair, got {pair!r}") from exc
-            if not (0 <= a < host_n and 0 <= b < host_n):
+            if not (type(a) is int and type(b) is int and 0 <= a < host_n and 0 <= b < host_n):
                 raise InvalidTreeError(f"edge {pair!r} leaves the vertex range")
             if a == b:
                 raise InvalidTreeError(f"edge {pair!r} is a loop")
@@ -124,10 +128,10 @@ class NoncrossingTree:
     def from_json(cls, data: dict) -> "NoncrossingTree":
         try:
             host_n = data["host_n"]
-            raw = data["edges"]
+            edges = [tuple(e) for e in data["edges"]]
         except (KeyError, TypeError) as exc:
             raise InvalidTreeError(f"malformed tree object: {data!r}") from exc
-        return cls(host_n, [tuple(e) for e in raw])
+        return cls(host_n, edges)
 
 
 class Triangulation(Dissection):
@@ -142,17 +146,13 @@ class Triangulation(Dissection):
                 raise NotTriangulationError(f"face {f} has {len(f)} vertices, expected 3")
 
 
-def _black_corners(face: Face) -> list[int]:
-    return [v for v in face if is_black(v)]
-
-
 def quad_to_tree(dissection: Dissection) -> NoncrossingTree:
     """The noncrossing tree of a 4-angulation: one black-black chord per face."""
     if not is_p_angulation(dissection, 4):
         raise NotPAngulationError(f"{dissection!r} is not a 4-angulation")
     edges = []
     for face in faces(dissection):
-        blacks = _black_corners(face)
+        blacks = [v for v in face if is_black(v)]
         assert len(blacks) == 2, "a quadrilateral face has exactly two black corners"
         edges.append(tuple(blacks))
     return NoncrossingTree(dissection.n, edges)
@@ -174,29 +174,36 @@ def tree_to_quad(tree: NoncrossingTree) -> Dissection:
     return quad
 
 
+def _refine(dissection: Dissection, p: int, black: bool = True) -> Triangulation:
+    """Triangulate each face of a p-angulation by joining its corners of one color.
+
+    Corners alternate in color around a face, so its p/2 corners of one
+    color are pairwise non-adjacent; for p ∈ {4, 6} the one or three chords
+    between them cut the face into triangles.
+    """
+    fs = faces(dissection)
+    if any(len(f) != p for f in fs):
+        raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
+    chords = set(dissection.diagonals)
+    for face in fs:
+        chords.update(combinations([v for v in face if is_black(v) == black], 2))
+    return Triangulation(dissection.n, chords)
+
+
 def associated_triangulation_p4(dissection: Dissection) -> Triangulation:
-    """Refine a 4-angulation into a triangulation by adding its tree chords."""
-    tree = quad_to_tree(dissection)
-    return Triangulation(dissection.n, dissection.diagonals | tree.edges)
+    """Refine a 4-angulation by the black-black chord of each face (its tree edges)."""
+    return _refine(dissection, 4)
 
 
 def associated_triangulation_p6(dissection: Dissection) -> Triangulation:
     """Refine a 6-angulation by the three black-black chords of each face."""
-    if not is_p_angulation(dissection, 6):
-        raise NotPAngulationError(f"{dissection!r} is not a 6-angulation")
-    chords = set()
-    for face in faces(dissection):
-        b0, b1, b2 = _black_corners(face)
-        chords.update([(b0, b1), (b1, b2), (b0, b2)])
-    return Triangulation(dissection.n, dissection.diagonals | chords)
+    return _refine(dissection, 6)
 
 
 def associated_triangulation(dissection: Dissection, p: int) -> Triangulation:
-    if p == 4:
-        return associated_triangulation_p4(dissection)
-    if p == 6:
-        return associated_triangulation_p6(dissection)
-    raise ValueError(f"associated triangulation is defined for p ∈ {{4, 6}}, got {p}")
+    if p not in (4, 6):
+        raise ValueError(f"associated triangulation is defined for p ∈ {{4, 6}}, got {p}")
+    return _refine(dissection, p)
 
 
 def triangle_counts(triangulation: Dissection) -> tuple[int, ...]:

@@ -36,7 +36,9 @@ class QuadNum:
 
     Instances are immutable; arithmetic returns new values.  ints and
     Fractions coerce into the operand's field, but two QuadNum with
-    different radicands never mix (RadicandMismatchError).
+    different radicands never mix (RadicandMismatchError).  Equality stays
+    transitive across fields: rational values (b = 0) compare by value
+    whatever their radicand, irrational ones only within one field.
     """
 
     __slots__ = ("_m", "_rat", "_rad")
@@ -149,9 +151,9 @@ class QuadNum:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadNum):
             return (
-                self._m == other._m
-                and self._rat == other._rat
+                self._rat == other._rat
                 and self._rad == other._rad
+                and (self._m == other._m or self._rad == 0)
             )
         if isinstance(other, (int, Fraction)):
             return self._rad == 0 and self._rat == other
@@ -234,7 +236,7 @@ class QuadNum:
     def from_json(cls, data: dict) -> "QuadNum":
         try:
             return cls(int(data["m"]), Fraction(data["rat"]), Fraction(data["rad"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed quadratic value: {data!r}") from exc
 
 

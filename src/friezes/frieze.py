@@ -11,10 +11,12 @@ the diamond at (r, k) reads
         south = e(r-1, k+1)
 
 and satisfies west·east - south·north = 1.  The quiddity row is row 2, with
-e(2, k) attached to polygon vertex k.  In a staggered rendering rows
-therefore drift horizontally, so a single row matches a reference sequence
-only up to cyclic rotation, while frieze-against-frieze comparisons are
-entrywise at equal (r, k).
+e(2, k) attached to polygon vertex k.  Every entry is a continuant of the
+quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), so building a
+frieze needs ring operations only, never a division.  In a staggered
+rendering rows drift horizontally, so a single row matches a reference
+sequence only up to cyclic rotation, while frieze-against-frieze
+comparisons are entrywise at equal (r, k).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class Frieze:
         try:
             width = int(data["width"])
             m = int(data["m"])
-            raw_rows = data["rows"]
+            raw_rows = [list(raw) for raw in data["rows"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise FriezeError(f"malformed frieze object: {exc}") from exc
         if width < 0:
@@ -115,10 +117,12 @@ class Frieze:
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     """Grow a frieze from its quiddity row, or reject the row.
 
-    Row 1 is ones; each later row follows from the diamond rule,
-    e(r+1, k) = (e(r, k)·e(r, k+1) - 1) / e(r-1, k+1).  The row is a frieze
-    quiddity only if every generated entry stays positive and row n+2 comes
-    out as all ones.
+    Row 1 is ones; each later row follows from the continuant recurrence
+    e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k).  The row is a frieze
+    quiddity only if rows 2..n+2 are positive and row n+2 comes out as all
+    ones; the first failure, in row-major order, is reported with its
+    (row, col).  Only ring operations are used, so rational quiddities
+    build as well as integral or radical ones.
     """
     quiddity = tuple(entries)
     if len(quiddity) < 3:
@@ -126,31 +130,20 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     m = quiddity[0].m
     if any(e.m != m for e in quiddity):
         raise RadicandMismatchError("quiddity row mixes radicands")
-    for k, e in enumerate(quiddity):
-        if e.sign() <= 0:
-            raise QuiddityPositivityError(
-                2, k, f"not a frieze quiddity: entry {e} at column {k} is not positive"
-            )
     period = len(quiddity)
     n = period - 3
     zeros = (QuadNum.zero(m),) * period
     ones = (QuadNum.one(m),) * period
     rows = [zeros, ones, quiddity]
     for r in range(2, n + 2):
-        prev, cur = rows[r - 1], rows[r]
-        nxt = tuple(
-            (cur[k] * cur[(k + 1) % period] - 1) / prev[(k + 1) % period]
-            for k in range(period)
-        )
-        for k, e in enumerate(nxt):
+        shifted = quiddity[r - 1 :] + quiddity[: r - 1]  # e(2, k+r-1) at index k
+        rows.append(tuple(q * e - below for q, e, below in zip(shifted, rows[r], rows[r - 1])))
+    for r in range(2, n + 3):
+        for k, e in enumerate(rows[r]):
             if e.sign() <= 0:
                 raise QuiddityPositivityError(
-                    r + 1,
-                    k,
-                    f"not a frieze quiddity: generated entry {e} at ({r + 1}, {k}) "
-                    "is not positive",
+                    r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
                 )
-        rows.append(nxt)
     for k, e in enumerate(rows[n + 2]):
         if e != 1:
             raise ClosureError(

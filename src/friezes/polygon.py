@@ -52,7 +52,7 @@ def _normalize_pair(n: int, pair: Sequence[int]) -> Pair:
         i, j = pair
     except (TypeError, ValueError) as exc:
         raise InvalidDissectionError(f"diagonal must be a vertex pair, got {pair!r}") from exc
-    if not (isinstance(i, int) and isinstance(j, int)):
+    if not (type(i) is int and type(j) is int):  # bools are ints too: reject them
         raise VertexRangeError(f"diagonal endpoints must be integers, got {pair!r}")
     if not (0 <= i < n and 0 <= j < n):
         raise VertexRangeError(f"diagonal {pair!r} leaves the vertex range 0..{n - 1}")
@@ -115,10 +115,10 @@ class Dissection:
     def from_json(cls, data: dict) -> "Dissection":
         try:
             n = data["n"]
-            raw = data["diagonals"]
+            diagonals = [tuple(p) for p in data["diagonals"]]
         except (KeyError, TypeError) as exc:
             raise InvalidDissectionError(f"malformed dissection object: {data!r}") from exc
-        return cls(n, [tuple(p) for p in raw])
+        return cls(n, diagonals)
 
 
 def faces(dissection: Dissection) -> list[Face]:

@@ -1,6 +1,10 @@
 """Exhaustive checks tying the two frieze constructions together.
 
-For a p-angulation D (p ∈ {4, 6}) with associated triangulation T:
+For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
+face of D cut along its black (odd) corners.  Both friezes grow from their
+quiddity rows by the same continuant recurrence, the radical one from the
+face counts of D times 2cos(π/p), the integer one from the triangle counts
+of T.  The checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -18,23 +22,23 @@ compared directly.
 
 sweep() runs all three over every p-angulation up to a face-count bound;
 deep_uniqueness() compares one radical frieze against the integer friezes
-of *all* triangulations of the same polygon.
+of *all* triangulations of the same polygon, and names the matches by the
+same refinement: the black-corner one is "associated", the white-corner
+one its "mirror".
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
-from .bijection import Triangulation, associated_triangulation, triangle_counts
+from .bijection import Triangulation, _refine, associated_triangulation, triangle_counts
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, cc_frieze, lambda_frieze
 from .polygon import (
     Dissection,
     enumerate_p_angulations,
-    faces,
     fuss_catalan,
     quiddity_counts,
     rotate,
@@ -225,24 +229,6 @@ def verify_dissection(d: Dissection, p: int) -> VerificationReport:
     )
 
 
-def _opposite_refinement(d: Dissection, p: int) -> Triangulation:
-    """Triangulate each face of a p-angulation along its white (even) corners.
-
-    The color-swapped counterpart of the associated triangulation: its
-    quiddity carries the p/2 factor at even instead of odd vertices, which
-    leaves every odd frieze row unchanged (odd rows are even-length
-    continuants of the quiddity, and each continuant monomial drops
-    adjacent index pairs — one of each parity — so the factor placement
-    cancels out).
-    """
-    chords = set(d.diagonals)
-    for face in faces(d):
-        whites = [v for v in face if v % 2 == 0]
-        assert len(whites) == p // 2, "an even-gon face has p/2 white corners"
-        chords.update(combinations(whites, 2))
-    return Triangulation(d.n, chords)
-
-
 @dataclass(frozen=True)
 class DeepUniquenessResult:
     """Which triangulations of the polygon reproduce the radical frieze's odd rows.
@@ -282,7 +268,12 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     """
     radical = lambda_frieze(d, p)
     expected = associated_triangulation(d, p)
-    mirror = _opposite_refinement(d, p)
+    # The white-corner refinement shares every odd row: its quiddity carries
+    # the p/2 factor at even instead of odd vertices, odd rows are
+    # even-length continuants of the quiddity, and each continuant monomial
+    # drops adjacent index pairs (one of each parity), so the factor
+    # placement cancels out.
+    mirror = _refine(d, p, black=False)
     stabilizer = [c for c in range(1, d.n) if rotate(d, c) == d]
     matches = []
     total = 0

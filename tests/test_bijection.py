@@ -77,6 +77,10 @@ def test_tree_json_round_trip():
     blob = tree.to_json()
     assert blob == {"host_n": 10, "edges": [[1, 3], [1, 9], [5, 7], [5, 9]]}
     assert NoncrossingTree.from_json(blob) == tree
+    with pytest.raises(InvalidTreeError):
+        NoncrossingTree.from_json({"host_n": 6, "edges": 5})
+    with pytest.raises(InvalidTreeError):
+        NoncrossingTree.from_json({"host_n": 6, "edges": [["1", "3"], [1, 5]]})
 
 
 # ---------------------------------------------------------------------------
@@ -177,3 +181,5 @@ def test_associated_triangulation_shape(s, p):
         t = associated_triangulation(d, p)
         assert len(t.diagonals) == d.n - 3
         assert d.diagonals <= t.diagonals
+        if p == 4:  # the refinement adds exactly the noncrossing tree's edges
+            assert t.diagonals == d.diagonals | quad_to_tree(d).edges

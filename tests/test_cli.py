@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import friezes
 from friezes import InternalAssertionError
 from friezes.cli import main
 
@@ -137,6 +140,17 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "gen", "--p", "4", "--input", "/no/such/file.json")
     assert code == 1
+    # malformed JSON shapes end in exit 1, not a traceback
+    code, _, err = run(capsys, "cc", "--input", '{"n": 6, "diagonals": 5}')
+    assert code == 1 and "malformed dissection" in err
+    code, _, err = run(capsys, "validate", "--input", '{"width": 1, "m": 1, "rows": 5}')
+    assert code == 1 and "malformed frieze" in err
+    zero_denominator = {"m": 1, "rat": "1/0", "rad": "0"}
+    rows = [[zero_denominator] * 3] * 4
+    code, _, err = run(
+        capsys, "validate", "--input", json.dumps({"width": 0, "m": 1, "rows": rows})
+    )
+    assert code == 1 and "malformed quadratic value" in err
 
 
 def test_internal_assertions_exit_3(capsys, monkeypatch):
@@ -149,10 +163,15 @@ def test_internal_assertions_exit_3(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, wherever it was found
+    src = str(Path(friezes.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "friezes.cli", "enumerate", "--p", "4", "--s", "2", "--count-only"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"

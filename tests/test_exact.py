@@ -89,6 +89,12 @@ def test_mixed_radicands_never_combine():
         QuadNum.sqrt(2) * QuadNum(3, 1)
     # equality across fields is simply False, not an error
     assert QuadNum.sqrt(2) != QuadNum.sqrt(3)
+    assert QuadNum(2, 1, 1) != QuadNum(3, 1, 1)
+    # rational values compare by value in any field, so equality stays transitive
+    assert QuadNum(2, 1) == 1 == QuadNum(3, 1)
+    assert QuadNum(2, 1) == QuadNum(3, 1) == QuadNum(1, 1)
+    assert QuadNum(2, Fraction(1, 2)) == QuadNum(3, Fraction(1, 2))
+    assert hash(QuadNum(2, 1)) == hash(QuadNum(3, 1))
 
 
 # ---------------------------------------------------------------------------

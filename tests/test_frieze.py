@@ -2,9 +2,9 @@
 
 The reference rows below are for the running 10-gon example (diagonals
 (1,4), (4,9), (5,8)).  They were frozen from the continuant oracle in
-oracle.py, which rebuilds every entry independently of the diamond rule:
-entry (r, k) is the continuant of r-1 successive quiddity values starting
-at column k.  The staggered display convention drifts the rows against the
+oracle.py, which rebuilds every entry on its own, on plain coefficient
+pairs rather than row by row: entry (r, k) is the continuant of r-1
+successive quiddity values starting at column k.  The staggered display convention drifts the rows against the
 anchored grid, so whole rows are compared cyclically and the anchoring is
 pinned separately by entrywise spot checks.
 """
@@ -117,6 +117,45 @@ def test_short_quiddity_rejected():
 def test_mixed_radicands_rejected():
     with pytest.raises(RadicandMismatchError):
         from_quiddity([QuadNum(2, 1), QuadNum(3, 1), QuadNum(2, 1), QuadNum(2, 1)])
+
+
+@pytest.mark.parametrize(
+    "values,error,position",
+    [
+        ((1, 1, 1, 1), QuiddityPositivityError, (3, 0)),
+        ((1, 2, 1, 0), QuiddityPositivityError, (2, 3)),
+        ((1, 2, 2, 1, 2, 2), QuiddityPositivityError, (4, 2)),
+        ((1, 2, 2, 2, 1, 3), QuiddityPositivityError, (5, 2)),
+        ((2, 2, 2, 2), ClosureError, (3, 0)),
+        ((1, 2, 3, 1, 3, 3), ClosureError, (5, 1)),
+    ],
+)
+def test_first_failure_position(values, error, position):
+    with pytest.raises(error) as info:
+        from_quiddity(int_quiddity(*values))
+    assert (info.value.row, info.value.col) == position
+
+
+def test_rational_quiddity_builds():
+    half = Fraction(1, 2)
+    f = from_quiddity(int_quiddity(half, 4, half, 4))
+    assert f.width == 1
+    assert validate(f).ok
+
+
+def test_builds_never_divide(monkeypatch):
+    from friezes import associated_triangulation, enumerate_p_angulations
+
+    def no_division(*args):
+        raise AssertionError("a frieze build divided")
+
+    monkeypatch.setattr(QuadNum, "__truediv__", no_division)
+    monkeypatch.setattr(QuadNum, "__rtruediv__", no_division)
+    for p in (4, 6):
+        for s in (1, 2, 3):
+            for d in enumerate_p_angulations(s, p):
+                assert validate(lambda_frieze(d, p)).ok
+                assert validate(cc_frieze(associated_triangulation(d, p))).ok
 
 
 def test_row_and_entry_indexing():

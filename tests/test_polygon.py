@@ -61,6 +61,8 @@ def test_rejections():
         Dissection(10, [(1, 4), (2, 6)])
     with pytest.raises(VertexRangeError):
         Dissection(10, [(1, 10)])
+    with pytest.raises(VertexRangeError):
+        Dissection(10, [(True, 3)])  # bools are not vertex labels
     with pytest.raises(DegenerateDiagonalError):
         Dissection(10, [(3, 3)])
     with pytest.raises(DegenerateDiagonalError):

@@ -9,6 +9,10 @@ every face by joining all its corners of one color: the black-black chords
 triangulation, the white-white chords its opposite-color twin.  For a
 4-angulation the black-black chords are also the edges of its noncrossing
 tree.
+
+Face sizes are never checked by walking faces: `polygon.is_p_angulation`
+decides them by counting diagonals and their spans.  Only the refinement
+and `quad_to_tree`, which need each face's corners, call `faces`.
 """
 
 from __future__ import annotations
@@ -135,15 +139,25 @@ class NoncrossingTree:
 
 
 class Triangulation(Dissection):
-    """A dissection whose faces are all triangles."""
+    """A dissection whose faces are all triangles: n - 3 noncrossing diagonals.
+
+    The face sizes are decided by counting (`is_p_angulation(·, 3)`), so
+    construction walks no faces.
+    """
 
     __slots__ = ()
 
     def __init__(self, n: int, diagonals: Iterable[Sequence[int]] = ()):
         super().__init__(n, diagonals)
-        for f in faces(self):
-            if len(f) != 3:
-                raise NotTriangulationError(f"face {f} has {len(f)} vertices, expected 3")
+        _require_triangulation(self)
+
+
+def _require_triangulation(dissection: Dissection) -> None:
+    if not is_p_angulation(dissection, 3):
+        raise NotTriangulationError(
+            f"{dissection!r} is not a triangulation: the {dissection.n}-gon "
+            f"needs {dissection.n - 3} diagonals, got {len(dissection.diagonals)}"
+        )
 
 
 def quad_to_tree(dissection: Dissection) -> NoncrossingTree:
@@ -181,11 +195,10 @@ def _refine(dissection: Dissection, p: int, black: bool = True) -> Triangulation
     color are pairwise non-adjacent; for p ∈ {4, 6} the one or three chords
     between them cut the face into triangles.
     """
-    fs = faces(dissection)
-    if any(len(f) != p for f in fs):
+    if not is_p_angulation(dissection, p):
         raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
     chords = set(dissection.diagonals)
-    for face in fs:
+    for face in faces(dissection):
         chords.update(combinations([v for v in face if is_black(v) == black], 2))
     return Triangulation(dissection.n, chords)
 
@@ -208,7 +221,5 @@ def associated_triangulation(dissection: Dissection, p: int) -> Triangulation:
 
 def triangle_counts(triangulation: Dissection) -> tuple[int, ...]:
     """Triangles incident to each vertex of a triangulation."""
-    for f in faces(triangulation):
-        if len(f) != 3:
-            raise NotTriangulationError(f"face {f} has {len(f)} vertices, expected 3")
+    _require_triangulation(triangulation)
     return quiddity_counts(triangulation)

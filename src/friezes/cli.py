@@ -52,12 +52,15 @@ def _positive(text: str) -> int:
 
 def _read_payload(source: str) -> dict:
     """Load JSON from a path, from '-' (stdin), or from an inline literal."""
-    if source == "-":
-        return json.load(sys.stdin)
-    if source.lstrip().startswith("{"):
-        return json.loads(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if source == "-":
+            return json.load(sys.stdin)
+        if source.lstrip().startswith("{"):
+            return json.loads(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError as exc:
+        raise ValueError("JSON input nests too deeply") from exc
 
 
 def _emit_frieze(frieze: Frieze, fmt: str) -> None:
@@ -94,13 +97,11 @@ def _cmd_associate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    found = sorted(
-        enumerate_p_angulations(args.s, args.p), key=lambda d: d.diagonals_sorted
-    )
+    found = enumerate_p_angulations(args.s, args.p)
     if args.count_only:
-        print(len(found))
+        print(sum(1 for _ in found))  # streamed: no dissection outlives its count
     else:
-        for dissection in found:
+        for dissection in sorted(found, key=lambda d: d.diagonals_sorted):
             print(json.dumps(dissection.to_json()))
     return 0
 

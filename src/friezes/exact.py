@@ -236,7 +236,7 @@ class QuadNum:
     def from_json(cls, data: dict) -> "QuadNum":
         try:
             return cls(int(data["m"]), Fraction(data["rat"]), Fraction(data["rad"]))
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed quadratic value: {data!r}") from exc
 
 

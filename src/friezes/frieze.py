@@ -97,7 +97,7 @@ class Frieze:
             width = int(data["width"])
             m = int(data["m"])
             raw_rows = [list(raw) for raw in data["rows"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FriezeError(f"malformed frieze object: {exc}") from exc
         if width < 0:
             raise FriezeError(f"width must be nonnegative, got {width}")

@@ -151,10 +151,21 @@ def _boundary_pairs(face: Face) -> list[Pair]:
 
 
 def is_p_angulation(dissection: Dissection, p: int) -> bool:
-    """True when every face has exactly p vertices."""
+    """True when every face has exactly p vertices, decided by counting.
+
+    A dissection D of the n-gon is a p-angulation exactly when
+    n = (p-2)(|D|+1) + 2 and every diagonal (a, b) has b - a ≡ 1 (mod p-2).
+    Then every side of a face spans ≡ 1 (mod p-2) vertices, so every face
+    size is ≡ 2 (mod p-2) and at least p; the |D|+1 face sizes sum to
+    n + 2|D| = p(|D|+1), so all of them equal p.  For p = 3 the test is
+    |D| = n - 3.  No face is walked: the cost is O(|D|).
+    """
     if p < 3:
         raise ValueError(f"face size must be at least 3, got {p}")
-    return all(len(f) == p for f in faces(dissection))
+    step = p - 2
+    if dissection.n != step * (len(dissection.diagonals) + 1) + 2:
+        return False
+    return all((b - a) % step == 1 % step for a, b in dissection.diagonals)
 
 
 def quiddity_counts(dissection: Dissection) -> tuple[int, ...]:

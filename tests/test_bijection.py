@@ -13,7 +13,10 @@ from friezes import (
     associated_triangulation_p4,
     associated_triangulation_p6,
     color,
+    cc_frieze,
     enumerate_p_angulations,
+    is_p_angulation,
+    lambda_frieze,
     quad_to_tree,
     tree_to_quad,
     triangle_counts,
@@ -173,6 +176,31 @@ def test_triangulation_type_validates():
         Triangulation(10, [(1, 4)])
     # a Triangulation is still a Dissection
     assert isinstance(Triangulation(4, [(1, 3)]), Dissection)
+
+
+def test_face_sizes_decided_without_walking_faces(monkeypatch, quad10):
+    def no_walk(dissection):
+        raise AssertionError("faces() walked to check face sizes")
+
+    monkeypatch.setattr("friezes.polygon.faces", no_walk)
+    monkeypatch.setattr("friezes.bijection.faces", no_walk)
+    assert is_p_angulation(quad10, 4) and not is_p_angulation(quad10, 6)
+    t = Triangulation(10, [(1, 3), (1, 4), (1, 9), (4, 9), (5, 7), (5, 8), (5, 9)])
+    counts = (1, 4, 1, 2, 3, 4, 1, 2, 2, 4)
+    assert triangle_counts(t) == counts
+    assert tuple(e.as_integer() for e in cc_frieze(t).row(2)) == counts
+    with pytest.raises(NotTriangulationError):
+        Triangulation(10, [(1, 4)])
+    with pytest.raises(NotTriangulationError):
+        triangle_counts(quad10)
+    with pytest.raises(NotTriangulationError):
+        cc_frieze(quad10)
+    with pytest.raises(NotPAngulationError):
+        associated_triangulation(Dissection(8, [(0, 4)]), 4)
+    with pytest.raises(NotPAngulationError):
+        quad_to_tree(Dissection(1_000_000))
+    with pytest.raises(NotPAngulationError):
+        lambda_frieze(Dissection(1_000_000), 4)
 
 
 @pytest.mark.parametrize("s,p", [(2, 4), (3, 4), (2, 6)])

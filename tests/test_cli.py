@@ -5,9 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import friezes
 from friezes import InternalAssertionError
@@ -83,6 +88,18 @@ def test_enumerate_count_only(capsys):
     assert code == 0 and out.strip() == "35"
 
 
+def test_enumerate_count_only_streams(capsys):
+    # counting holds no list of the 7752 dissections (about 10 MB when sorted)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "enumerate", "--p", "4", "--s", "7", "--count-only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.strip() == "7752"
+    assert peak < 4_000_000
+
+
 def test_verify_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--p", "4", "--max-s", "2")
     assert code == 0
@@ -151,6 +168,20 @@ def test_domain_errors_exit_1(capsys):
         capsys, "validate", "--input", json.dumps({"width": 0, "m": 1, "rows": rows})
     )
     assert code == 1 and "malformed quadratic value" in err
+    # non-finite numbers and runaway nesting end in exit 1 too
+    code, _, err = run(capsys, "validate", "--input", '{"width": Infinity, "m": 1, "rows": []}')
+    assert code == 1 and "malformed frieze" in err
+    code, _, err = run(capsys, "validate", "--input", '{"width": 1, "m": Infinity, "rows": []}')
+    assert code == 1 and "malformed frieze" in err
+    infinite = {"m": 1, "rat": float("inf"), "rad": "0"}
+    rows = [[infinite] * 3] * 4
+    code, _, err = run(
+        capsys, "validate", "--input", json.dumps({"width": 0, "m": 1, "rows": rows})
+    )
+    assert code == 1 and "malformed quadratic value" in err
+    deep = '{"n": 6, "diagonals": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    code, _, err = run(capsys, "gen", "--p", "4", "--input", deep)
+    assert code == 1 and "nests too deeply" in err
 
 
 def test_internal_assertions_exit_3(capsys, monkeypatch):
@@ -175,3 +206,64 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON boundary: every payload ends in a documented exit code
+
+DISSECTION_COMMANDS = [
+    ["gen", "--p", "4"],
+    ["gen", "--p", "6"],
+    ["cc"],
+    ["tree"],
+    ["associate", "--p", "4"],
+    ["associate", "--p", "6"],
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+odd = st.sampled_from([None, True, 1.5, float("nan"), float("inf"), float("-inf"), "4", [], {}])
+small_ints = st.integers(-2, 12)
+sizes = st.sampled_from([0, 1, 3, 4, 6, 10, 10**6]) | st.integers(-3, 10**6) | odd
+dissections = st.fixed_dictionaries(
+    {
+        "n": sizes | json_values,
+        "diagonals": st.lists(st.lists(small_ints | odd, max_size=3), max_size=5) | json_values,
+    }
+)
+quadnums = st.fixed_dictionaries(
+    {
+        "m": st.sampled_from([0, 1, 2, 3]) | odd,
+        "rat": st.sampled_from(["1", "-1/2", "1/0", "x", 2]) | odd,
+        "rad": st.sampled_from(["0", "1", 3]) | odd,
+    }
+)
+friezes_json = st.fixed_dictionaries(
+    {
+        "width": sizes | json_values,
+        "m": st.sampled_from([1, 2, 3]) | odd,
+        "rows": st.lists(st.lists(quadnums | odd, max_size=4), max_size=5) | json_values,
+    }
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.tuples(st.sampled_from(DISSECTION_COMMANDS), dissections | json_values)
+    | st.tuples(st.just(["validate"]), friezes_json | json_values)
+)
+def test_json_boundary_never_raises(case):
+    argv, payload = case
+    text = json.dumps(payload)
+    inline = text.lstrip().startswith("{")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--input", text if inline else "-"])
+    assert code in (0, 1, 2, 3)

@@ -98,10 +98,14 @@ def test_faces_examples(quad10):
 def test_faces_match_planar_walk(n):
     for size in range(n - 2):
         for subset in noncrossing_subsets(n, size):
-            got = faces(Dissection(n, subset))
-            assert set(got) == face_walk_faces(n, subset)
+            d = Dissection(n, subset)
+            got = faces(d)
+            walked = face_walk_faces(n, subset)
+            assert set(got) == walked
             assert len(got) == size + 1
             assert sum(len(f) for f in got) == n + 2 * size
+            for p in (3, 4, 5, 6):  # the counting test agrees with the walk
+                assert is_p_angulation(d, p) == all(len(f) == p for f in walked)
 
 
 def test_is_p_angulation(quad10):

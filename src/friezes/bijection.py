@@ -12,7 +12,8 @@ tree.
 
 Face sizes are never checked by walking faces: `polygon.is_p_angulation`
 decides them by counting diagonals and their spans.  Only the refinement
-and `quad_to_tree`, which need each face's corners, call `faces`.
+`_refine`, which needs each face's corners, calls `faces`; the noncrossing
+tree is read off the chords it adds.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterable, Literal, Sequence
 
 from .polygon import (
     Dissection,
+    InvalidDissectionError,
     Pair,
     crosses,
     faces,
@@ -56,31 +58,23 @@ def color(v: int, n: int) -> Literal["black", "white"]:
 
 
 class NoncrossingTree:
-    """A noncrossing spanning tree on the black vertices of an even polygon."""
+    """A noncrossing spanning tree on the black vertices of an even polygon.
+
+    `Dissection` validates the edges as noncrossing diagonals of the host.
+    """
 
     __slots__ = ("_host_n", "_edges")
 
     def __init__(self, host_n: int, edges: Iterable[Sequence[int]]):
         if not isinstance(host_n, int) or host_n < 4 or host_n % 2:
             raise InvalidTreeError(f"host polygon must be even with ≥ 4 vertices, got {host_n!r}")
-        normalized = set()
-        for pair in edges:
-            try:
-                a, b = pair
-            except (TypeError, ValueError) as exc:
-                raise InvalidTreeError(f"edge must be a vertex pair, got {pair!r}") from exc
-            if not (type(a) is int and type(b) is int and 0 <= a < host_n and 0 <= b < host_n):
-                raise InvalidTreeError(f"edge {pair!r} leaves the vertex range")
-            if a == b:
-                raise InvalidTreeError(f"edge {pair!r} is a loop")
+        try:
+            ordered = Dissection(host_n, edges).diagonals_sorted
+        except InvalidDissectionError as exc:
+            raise InvalidTreeError(f"invalid tree edges: {exc}") from exc
+        for a, b in ordered:
             if not (is_black(a) and is_black(b)):
-                raise InvalidTreeError(f"edge {pair!r} must join two black (odd) vertices")
-            normalized.add((min(a, b), max(a, b)))
-        ordered = sorted(normalized)
-        for i, d in enumerate(ordered):
-            for e in ordered[i + 1 :]:
-                if crosses(d, e):
-                    raise InvalidTreeError(f"edges {d} and {e} cross")
+                raise InvalidTreeError(f"edge {(a, b)!r} must join two black (odd) vertices")
         blacks = list(range(1, host_n, 2))
         if len(ordered) != len(blacks) - 1:
             raise InvalidTreeError(
@@ -161,15 +155,8 @@ def _require_triangulation(dissection: Dissection) -> None:
 
 
 def quad_to_tree(dissection: Dissection) -> NoncrossingTree:
-    """The noncrossing tree of a 4-angulation: one black-black chord per face."""
-    if not is_p_angulation(dissection, 4):
-        raise NotPAngulationError(f"{dissection!r} is not a 4-angulation")
-    edges = []
-    for face in faces(dissection):
-        blacks = [v for v in face if is_black(v)]
-        assert len(blacks) == 2, "a quadrilateral face has exactly two black corners"
-        edges.append(tuple(blacks))
-    return NoncrossingTree(dissection.n, edges)
+    """The noncrossing tree of a 4-angulation: the black-black chords its refinement adds."""
+    return NoncrossingTree(dissection.n, _refine(dissection, 4).diagonals - dissection.diagonals)
 
 
 def tree_to_quad(tree: NoncrossingTree) -> Dissection:

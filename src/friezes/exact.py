@@ -186,9 +186,6 @@ class QuadNum:
         # opposite signs: |a| vs |b|√m  decided by squares
         return sa * _sgn(a * a - b * b * m)
 
-    def is_positive(self) -> bool:
-        return self.sign() > 0
-
     # -- views ---------------------------------------------------------------
 
     def as_integer(self) -> int | None:
@@ -234,8 +231,14 @@ class QuadNum:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadNum":
+        # to_json never writes an exponent, and Fraction("1e10000000") would
+        # expand all ten million digits, so exponent strings are refused
         try:
-            return cls(int(data["m"]), Fraction(data["rat"]), Fraction(data["rad"]))
+            m, coefficients = data["m"], (data["rat"], data["rad"])
+            exponent = any(isinstance(c, str) and "e" in c.lower() for c in coefficients)
+            if type(m) is not int or exponent:
+                raise TypeError("the radicand must be an int and no coefficient an exponent string")
+            return cls(m, *map(Fraction, coefficients))
         except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed quadratic value: {data!r}") from exc
 

@@ -94,11 +94,12 @@ class Frieze:
         Arbitrary grids load fine so that `validate` can report on them.
         """
         try:
-            width = int(data["width"])
-            m = int(data["m"])
+            width, m = data["width"], data["m"]
             raw_rows = [list(raw) for raw in data["rows"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FriezeError(f"malformed frieze object: {exc}") from exc
+        if type(width) is not int or type(m) is not int:  # no floats, no bools
+            raise FriezeError("malformed frieze object: width and m must be integers")
         if width < 0:
             raise FriezeError(f"width must be nonnegative, got {width}")
         if len(raw_rows) != width + 4:

@@ -10,7 +10,6 @@ simply ascending order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -32,10 +31,6 @@ class DegenerateDiagonalError(InvalidDissectionError):
 
 class CrossingDiagonalError(InvalidDissectionError):
     """Two diagonals cross in the interior."""
-
-
-class NotAnEarError(ValueError):
-    """The face handed to cut_ear is not an ear of the dissection."""
 
 
 def crosses(d: Pair, e: Pair) -> bool:
@@ -145,11 +140,6 @@ def faces(dissection: Dissection) -> list[Face]:
     return sorted(out)
 
 
-def _boundary_pairs(face: Face) -> list[Pair]:
-    k = len(face)
-    return [tuple(sorted((face[i], face[(i + 1) % k]))) for i in range(k)]
-
-
 def is_p_angulation(dissection: Dissection, p: int) -> bool:
     """True when every face has exactly p vertices, decided by counting.
 
@@ -175,69 +165,6 @@ def quiddity_counts(dissection: Dissection) -> tuple[int, ...]:
         degree[a] += 1
         degree[b] += 1
     return tuple(d + 1 for d in degree)
-
-
-def ears(dissection: Dissection) -> list[Face]:
-    """Faces whose boundary contains exactly one diagonal, in face order.
-
-    A dissection without diagonals has no ears (the single face has no
-    diagonal on its boundary).
-    """
-    diags = dissection.diagonals
-    found = []
-    for face in faces(dissection):
-        if sum(p in diags for p in _boundary_pairs(face)) == 1:
-            found.append(face)
-    return found if dissection.diagonals else []
-
-
-def cut_ear(dissection: Dissection, ear: Sequence[int]) -> Dissection:
-    """Remove an ear and relabel the surviving vertices order-preservingly.
-
-    The ear's boundary-only vertices disappear and its single diagonal
-    becomes a boundary edge of the smaller polygon.
-    """
-    ear_face = tuple(sorted(ear))
-    if ear_face not in set(ears(dissection)):
-        raise NotAnEarError(f"{ear!r} is not an ear of {dissection!r}")
-    diag = next(p for p in _boundary_pairs(ear_face) if p in dissection.diagonals)
-    removed = set(ear_face) - set(diag)
-    relabel = {}
-    fresh = 0
-    for v in range(dissection.n):
-        if v not in removed:
-            relabel[v] = fresh
-            fresh += 1
-    kept = [
-        (relabel[a], relabel[b]) for a, b in dissection.diagonals_sorted if (a, b) != diag
-    ]
-    return Dissection(dissection.n - len(removed), kept)
-
-
-@dataclass(frozen=True)
-class DualTree:
-    """Tree with one node per face and one edge per shared diagonal."""
-
-    faces: tuple[Face, ...]
-    edges: frozenset[Pair]  # pairs of indices into `faces`
-
-    def degree(self, i: int) -> int:
-        return sum(i in e for e in self.edges)
-
-    def leaves(self) -> list[Face]:
-        return [f for i, f in enumerate(self.faces) if self.degree(i) == 1]
-
-
-def dual_tree(dissection: Dissection) -> DualTree:
-    fs = faces(dissection)
-    pair_sets = [set(_boundary_pairs(f)) for f in fs]
-    edges = set()
-    for diag in dissection.diagonals:
-        incident = [i for i, ps in enumerate(pair_sets) if diag in ps]
-        assert len(incident) == 2, "a diagonal borders exactly two faces"
-        edges.add((min(incident), max(incident)))
-    assert len(edges) == len(fs) - 1
-    return DualTree(tuple(fs), frozenset(edges))
 
 
 def rotate(dissection: Dissection, c: int) -> Dissection:

@@ -73,6 +73,10 @@ def test_tree_rejects_bad_hosts():
         NoncrossingTree(2, [])
     with pytest.raises(InvalidTreeError):
         NoncrossingTree(6, [(1, 1), (3, 5)])
+    # malformed edges reach the Dissection check and come back as InvalidTreeError
+    for bad in [(True, 3), (1, 3, 5), (1, 11), (0, 1)]:
+        with pytest.raises(InvalidTreeError):
+            NoncrossingTree(10, [bad, (3, 5), (5, 7), (7, 9)])
 
 
 def test_tree_json_round_trip():

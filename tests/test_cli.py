@@ -28,6 +28,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def width_0_frieze(m=1, width=0, radicand=1):
+    """The valid frieze of the triangle as JSON, with its integer fields replaceable."""
+    zero, one = ({"m": radicand, "rat": v, "rad": "0"} for v in ("0", "1"))
+    rows = [[zero] * 3, [one] * 3, [one] * 3, [zero] * 3]
+    return json.dumps({"width": width, "m": m, "rows": rows})
+
+
 def test_gen_ascii(capsys):
     code, out, _ = run(capsys, "gen", "--p", "4", "--input", QUAD10)
     assert code == 0
@@ -182,6 +189,23 @@ def test_domain_errors_exit_1(capsys):
     deep = '{"n": 6, "diagonals": ' + "[" * 100_000 + "]" * 100_000 + "}"
     code, _, err = run(capsys, "gen", "--p", "4", "--input", deep)
     assert code == 1 and "nests too deeply" in err
+    # integer fields must be JSON integers: floats and bools are not truncated
+    code, _, _ = run(capsys, "validate", "--input", width_0_frieze())
+    assert code == 0  # the grid itself is a valid frieze
+    for payload in [
+        width_0_frieze(width=0.9),
+        width_0_frieze(m=1.5),
+        width_0_frieze(m=True),
+        width_0_frieze(radicand=1.5),
+        width_0_frieze(radicand=True),
+    ]:
+        code, _, err = run(capsys, "validate", "--input", payload)
+        assert code == 1 and "malformed" in err
+    # exponent strings would make Fraction expand every digit
+    huge = {"m": 1, "rat": "1e100000", "rad": "0"}
+    payload = json.dumps({"width": 0, "m": 1, "rows": [[huge] * 3] * 4})
+    code, _, err = run(capsys, "validate", "--input", payload)
+    assert code == 1 and "malformed quadratic value" in err
 
 
 def test_internal_assertions_exit_3(capsys, monkeypatch):
@@ -241,7 +265,7 @@ dissections = st.fixed_dictionaries(
 quadnums = st.fixed_dictionaries(
     {
         "m": st.sampled_from([0, 1, 2, 3]) | odd,
-        "rat": st.sampled_from(["1", "-1/2", "1/0", "x", 2]) | odd,
+        "rat": st.sampled_from(["1", "-1/2", "1/0", "x", "1e100000", 2]) | odd,
         "rad": st.sampled_from(["0", "1", 3]) | odd,
     }
 )

@@ -1,4 +1,4 @@
-"""Dissections: validation, faces, quiddity, ears, dual trees, enumeration.
+"""Dissections: validation, faces, the p-angulation test, quiddity, rotation, enumeration.
 
 Face extraction and enumeration are cross-checked against the independent
 planar-walk / brute-force implementations in oracle.py.
@@ -11,12 +11,8 @@ from friezes import (
     DegenerateDiagonalError,
     Dissection,
     InvalidDissectionError,
-    NotAnEarError,
     VertexRangeError,
     crosses,
-    cut_ear,
-    dual_tree,
-    ears,
     enumerate_p_angulations,
     faces,
     fuss_catalan,
@@ -120,70 +116,6 @@ def test_quiddity_counts(quad10, hex18):
     assert quiddity_counts(quad10) == (1, 2, 1, 1, 3, 2, 1, 1, 2, 2)
     assert quiddity_counts(Dissection(4)) == (1, 1, 1, 1)
     assert quiddity_counts(hex18) == (1, 2, 1, 1, 1, 1, 3, 1, 2, 1, 1, 1, 1, 2, 1, 2, 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# ears and ear cutting
-
-
-def test_ears(quad10):
-    assert ears(quad10) == [(1, 2, 3, 4), (5, 6, 7, 8)]
-    pentagon = Dissection(5, [(0, 2)])
-    assert ears(pentagon) == faces(pentagon)
-    assert ears(Dissection(4)) == []
-
-
-def test_cut_ear(quad10):
-    smaller = cut_ear(quad10, (1, 2, 3, 4))
-    assert smaller == Dissection(8, [(2, 7), (3, 6)])
-    assert cut_ear(Dissection(5, [(0, 2)]), (0, 1, 2)) == Dissection(4)
-    with pytest.raises(NotAnEarError):
-        cut_ear(quad10, (0, 1, 4, 9))
-
-
-def test_cut_both_ears_commutes(quad10):
-    one_way = cut_ear(cut_ear(quad10, (1, 2, 3, 4)), (3, 4, 5, 6))
-    other_way = cut_ear(cut_ear(quad10, (5, 6, 7, 8)), (1, 2, 3, 4))
-    assert one_way == other_way == Dissection(6, [(2, 5)])
-
-
-def test_cut_ear_keeps_p_angulation():
-    for d in enumerate_p_angulations(3, 4):
-        for ear in ears(d):
-            smaller = cut_ear(d, ear)
-            assert is_p_angulation(smaller, 4)
-            assert len(smaller.diagonals) == len(d.diagonals) - 1
-
-
-# ---------------------------------------------------------------------------
-# dual tree
-
-
-def test_dual_tree_path(quad10):
-    tree = dual_tree(quad10)
-    assert tree.faces == tuple(faces(quad10))
-    assert tree.edges == frozenset({(0, 1), (0, 2), (2, 3)})
-    assert len(tree.edges) == len(tree.faces) - 1
-    assert sorted(tree.leaves()) == ears(quad10)
-
-
-def test_dual_tree_star():
-    center = Dissection(6, [(0, 2), (2, 4), (0, 4)])
-    tree = dual_tree(center)
-    degrees = [tree.degree(i) for i in range(len(tree.faces))]
-    assert sorted(degrees) == [1, 1, 1, 3]
-    assert tree.faces[degrees.index(3)] == (0, 2, 4)
-
-
-def test_dual_tree_single_node():
-    tree = dual_tree(Dissection(4))
-    assert len(tree.faces) == 1 and not tree.edges
-
-
-def test_leaves_are_ears_everywhere():
-    for s in (2, 3):
-        for d in enumerate_p_angulations(s, 4):
-            assert sorted(dual_tree(d).leaves()) == ears(d)
 
 
 # ---------------------------------------------------------------------------

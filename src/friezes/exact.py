@@ -44,11 +44,11 @@ class QuadNum:
     __slots__ = ("_m", "_rat", "_rad")
 
     def __init__(self, m: int, rat: RationalLike | str = 0, rad: RationalLike | str = 0):
-        if m not in VALID_RADICANDS:
+        if type(m) is not int or m not in VALID_RADICANDS:  # bools are ints too
             raise ValueError(f"radicand must be one of {VALID_RADICANDS}, got {m!r}")
         rat = Fraction(rat)
         rad = Fraction(rad)
-        if m == 1:
+        if m == 1 and rad:
             # √1 = 1, so the radical coefficient folds into the rational part.
             rat, rad = rat + rad, Fraction(0)
         self._m = m
@@ -231,15 +231,15 @@ class QuadNum:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadNum":
-        # to_json never writes an exponent, and Fraction("1e10000000") would
-        # expand all ten million digits, so exponent strings are refused
+        # a JSON float would load as its binary value, and Fraction("1e10000000")
+        # would expand all ten million digits: only ints and plain strings pass
         try:
             m, coefficients = data["m"], (data["rat"], data["rad"])
             exponent = any(isinstance(c, str) and "e" in c.lower() for c in coefficients)
-            if type(m) is not int or exponent:
-                raise TypeError("the radicand must be an int and no coefficient an exponent string")
+            if type(m) is not int or exponent or not {type(c) for c in coefficients} <= {int, str}:
+                raise TypeError("the radicand must be an int, each coefficient an int or a string")
             return cls(m, *map(Fraction, coefficients))
-        except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed quadratic value: {data!r}") from exc
 
 

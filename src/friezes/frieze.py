@@ -1,4 +1,4 @@
-"""Frieze grids over Q(√m): construction from a quiddity row, validation,
+"""Frieze grids in ℤ[√m]: construction from a quiddity row, validation,
 rendering and serialization.
 
 A frieze of width n is a grid of rows 0..n+3, each a cyclic sequence of
@@ -12,8 +12,8 @@ the diamond at (r, k) reads
 
 and satisfies west·east - south·north = 1.  The quiddity row is row 2, with
 e(2, k) attached to polygon vertex k.  Every entry is a continuant of the
-quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), so building a
-frieze needs ring operations only, never a division.  In a staggered
+quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
+√m on the even rows of a radical frieze), so builds run on plain ints.  In a staggered
 rendering rows drift horizontally, so a single row matches a reference
 sequence only up to cyclic rotation, while frieze-against-frieze
 comparisons are entrywise at equal (r, k).
@@ -56,7 +56,7 @@ class InternalAssertionError(RuntimeError):
 
 
 class IntegralityError(InternalAssertionError):
-    """A triangle-count frieze produced a non-integer interior entry."""
+    """A triangle-count frieze produced a non-integer entry (cc_frieze builds on ints: never)."""
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,13 @@ class Frieze:
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     """Grow a frieze from its quiddity row, or reject the row.
 
-    Row 1 is ones; each later row follows from the continuant recurrence
-    e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k).  The row is a frieze
-    quiddity only if rows 2..n+2 are positive and row n+2 comes out as all
-    ones; the first failure, in row-major order, is reported with its
-    (row, col).  Only ring operations are used, so rational quiddities
-    build as well as integral or radical ones.
+    The row holds integers c_k, or integer multiples c_k·√m (m ∈ {2, 3});
+    any other row raises FriezeError.  Entry e(r, k) is then an integer
+    C(r, k), times √m on the even rows of a radical row, grown on plain ints
+    by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k), where f_r = m on even r
+    of a radical row and 1 otherwise.  The row is a frieze quiddity only if
+    rows 2..n+2 are positive and row n+2 comes out as all ones; the first
+    failure, in row-major order, is reported with its (row, col).
     """
     quiddity = tuple(entries)
     if len(quiddity) < 3:
@@ -131,27 +132,38 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     m = quiddity[0].m
     if any(e.m != m for e in quiddity):
         raise RadicandMismatchError("quiddity row mixes radicands")
+    counts = [e.as_integer() for e in quiddity]
+    radical = None in counts
+    if radical:  # m = 1 folds √1 away, so only integers pass there
+        counts = [e.as_radical_multiple() for e in quiddity]
+        if None in counts:
+            raise FriezeError(f"quiddity entries must be integers or integer multiples of √{m}")
+
+    def entry(r: int, c: int) -> QuadNum:
+        return QuadNum(m, 0, c) if radical and r % 2 == 0 else QuadNum(m, c)
+
     period = len(quiddity)
     n = period - 3
-    zeros = (QuadNum.zero(m),) * period
-    ones = (QuadNum.one(m),) * period
-    rows = [zeros, ones, quiddity]
-    for r in range(2, n + 2):
-        shifted = quiddity[r - 1 :] + quiddity[: r - 1]  # e(2, k+r-1) at index k
-        rows.append(tuple(q * e - below for q, e, below in zip(shifted, rows[r], rows[r - 1])))
+    rows = [[0] * period, [1] * period]
+    for r in range(1, n + 2):
+        f = m if radical and r % 2 == 0 else 1
+        shifted = counts[r - 1 :] + counts[: r - 1]  # c_{k+r-1} at index k
+        rows.append([q * c * f - below for q, c, below in zip(shifted, rows[r], rows[r - 1])])
     for r in range(2, n + 3):
-        for k, e in enumerate(rows[r]):
-            if e.sign() <= 0:
+        for k, c in enumerate(rows[r]):
+            if c <= 0:
+                e = entry(r, c)
                 raise QuiddityPositivityError(
                     r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
                 )
-    for k, e in enumerate(rows[n + 2]):
+    rows.append(rows[0])
+    grid = tuple(tuple(entry(r, c) for c in row) for r, row in enumerate(rows))
+    for k, e in enumerate(grid[n + 2]):
         if e != 1:
             raise ClosureError(
                 n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
             )
-    rows.append(zeros)
-    return Frieze(m, n, tuple(rows))
+    return Frieze(m, n, grid)
 
 
 def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
@@ -170,28 +182,15 @@ def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
         ) from exc
 
 
-def cc_frieze(triangulation: Dissection, m: int = 1) -> Frieze:
-    """The integer frieze of a triangulation, from its triangle counts.
-
-    The optional radicand m only selects the ambient field (entries stay
-    rational), so the result can be compared entrywise against a radical
-    frieze over the same field.
-    """
+def cc_frieze(triangulation: Dissection) -> Frieze:
+    """The Conway–Coxeter frieze of a triangulation: integers grown from its triangle counts."""
     counts = triangle_counts(triangulation)  # validates the triangulation
-    quiddity = tuple(QuadNum(m, c) for c in counts)
     try:
-        built = from_quiddity(quiddity)
+        return from_quiddity(tuple(QuadNum(1, c) for c in counts))
     except FriezeError as exc:  # cannot happen for a genuine triangulation
         raise InternalAssertionError(
             f"frieze construction failed on a valid triangulation: {exc}"
         ) from exc
-    for r in range(2, built.width + 2):
-        for k, e in enumerate(built.row(r)):
-            if e.as_integer() is None:
-                raise IntegralityError(
-                    f"triangle-count frieze entry {e} at ({r}, {k}) is not an integer"
-                )
-    return built
 
 
 class Violation(NamedTuple):

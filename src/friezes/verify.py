@@ -2,9 +2,9 @@
 
 For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
 face of D cut along its black (odd) corners.  Both friezes grow from their
-quiddity rows by the same continuant recurrence, the radical one from the
-face counts of D times 2cos(π/p), the integer one from the triangle counts
-of T.  The checks are:
+quiddity rows by the same plain-int continuant loop, the radical one from
+the face counts of D times 2cos(π/p), the integer one from the triangle
+counts of T, so the checks compare integers across radicands.  The checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bijection import Triangulation, _refine, associated_triangulation, triangle_counts
-from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, cc_frieze, lambda_frieze
 from .polygon import (
     Dissection,
@@ -143,7 +142,7 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
 def _build(d: Dissection, p: int) -> tuple[Triangulation, Frieze, Frieze]:
     t = associated_triangulation(d, p)
     radical = lambda_frieze(d, p)
-    integral = cc_frieze(t, m=LAMBDA_RADICAND[p])
+    integral = cc_frieze(t)
     return t, radical, integral
 
 

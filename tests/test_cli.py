@@ -186,6 +186,14 @@ def test_domain_errors_exit_1(capsys):
         capsys, "validate", "--input", json.dumps({"width": 0, "m": 1, "rows": rows})
     )
     assert code == 1 and "malformed quadratic value" in err
+    # JSON floats are no coefficients: not even 1.0 in the triangle's frieze
+    zero = {"m": 1, "rat": "0", "rad": "0"}
+    for value in (1.0, 0.1):
+        one = {"m": 1, "rat": value, "rad": "0"}
+        rows = [[zero] * 3, [one] * 3, [one] * 3, [zero] * 3]
+        payload = json.dumps({"width": 0, "m": 1, "rows": rows})
+        code, _, err = run(capsys, "validate", "--input", payload)
+        assert code == 1 and "malformed quadratic value" in err
     deep = '{"n": 6, "diagonals": ' + "[" * 100_000 + "]" * 100_000 + "}"
     code, _, err = run(capsys, "gen", "--p", "4", "--input", deep)
     assert code == 1 and "nests too deeply" in err
@@ -265,7 +273,7 @@ dissections = st.fixed_dictionaries(
 quadnums = st.fixed_dictionaries(
     {
         "m": st.sampled_from([0, 1, 2, 3]) | odd,
-        "rat": st.sampled_from(["1", "-1/2", "1/0", "x", "1e100000", 2]) | odd,
+        "rat": st.sampled_from(["1", "-1/2", "1/0", "x", "1e100000", 2, 0.1]) | odd,
         "rad": st.sampled_from(["0", "1", 3]) | odd,
     }
 )

@@ -17,6 +17,8 @@ from oracle import decimal_value
 def test_radicand_must_be_supported():
     with pytest.raises(ValueError):
         QuadNum(5, 1, 1)
+    with pytest.raises(ValueError):
+        QuadNum(True, 1)
 
 
 def test_m1_folds_radical_into_rational():

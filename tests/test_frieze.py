@@ -31,6 +31,7 @@ from friezes import (
     lambda_frieze,
     render_ascii,
     render_csv,
+    triangle_counts,
     validate,
 )
 
@@ -119,43 +120,66 @@ def test_mixed_radicands_rejected():
         from_quiddity([QuadNum(2, 1), QuadNum(3, 1), QuadNum(2, 1), QuadNum(2, 1)])
 
 
+def rad_quiddity(m, *values):
+    return [QuadNum(m, 0, v) for v in values]
+
+
 @pytest.mark.parametrize(
     "values,error,position",
     [
-        ((1, 1, 1, 1), QuiddityPositivityError, (3, 0)),
-        ((1, 2, 1, 0), QuiddityPositivityError, (2, 3)),
-        ((1, 2, 2, 1, 2, 2), QuiddityPositivityError, (4, 2)),
-        ((1, 2, 2, 2, 1, 3), QuiddityPositivityError, (5, 2)),
-        ((2, 2, 2, 2), ClosureError, (3, 0)),
-        ((1, 2, 3, 1, 3, 3), ClosureError, (5, 1)),
+        (int_quiddity(1, 1, 1, 1), QuiddityPositivityError, (3, 0)),
+        (int_quiddity(1, 2, 1, 0), QuiddityPositivityError, (2, 3)),
+        (int_quiddity(1, 2, 2, 1, 2, 2), QuiddityPositivityError, (4, 2)),
+        (int_quiddity(1, 2, 2, 2, 1, 3), QuiddityPositivityError, (5, 2)),
+        (int_quiddity(2, 2, 2, 2), ClosureError, (3, 0)),
+        (int_quiddity(1, 2, 3, 1, 3, 3), ClosureError, (5, 1)),
+        (rad_quiddity(2, 1, 1, 1, 1, 1, 1), QuiddityPositivityError, (4, 0)),
+        (rad_quiddity(3, 1, 1, 1), ClosureError, (2, 0)),
+        (rad_quiddity(2, 2, 1, 2, 1), ClosureError, (3, 0)),
     ],
 )
 def test_first_failure_position(values, error, position):
     with pytest.raises(error) as info:
-        from_quiddity(int_quiddity(*values))
+        from_quiddity(values)
     assert (info.value.row, info.value.col) == position
 
 
-def test_rational_quiddity_builds():
+def test_failure_messages_render_the_entry():
+    with pytest.raises(ClosureError, match="row 2 holds √3 at column 0"):
+        from_quiddity(rad_quiddity(3, 1, 1, 1))
+    with pytest.raises(QuiddityPositivityError, match="entry -√2 at \\(2, 1\\)"):
+        from_quiddity(rad_quiddity(2, 1, -1, 1, 1))
+
+
+def test_non_integral_quiddities_rejected():
+    # rows are read as integers c_k or as integer multiples c_k·√m, nothing else
     half = Fraction(1, 2)
-    f = from_quiddity(int_quiddity(half, 4, half, 4))
-    assert f.width == 1
-    assert validate(f).ok
+    with pytest.raises(FriezeError, match="integer multiples"):
+        from_quiddity(int_quiddity(half, 4, half, 4))
+    with pytest.raises(FriezeError, match="integer multiples"):
+        from_quiddity([QuadNum(2, 1, 1)] * 4)
+    with pytest.raises(FriezeError, match="integer multiples"):
+        from_quiddity([QuadNum(2, 0, 1), QuadNum(2, 1), QuadNum(2, 0, 1), QuadNum(2, 1)])
 
 
 def test_builds_never_divide(monkeypatch):
+    # frieze builds grow on plain ints: no QuadNum arithmetic at all
     from friezes import associated_triangulation, enumerate_p_angulations
 
-    def no_division(*args):
-        raise AssertionError("a frieze build divided")
+    def no_arithmetic(*args):
+        raise AssertionError("a frieze build did QuadNum arithmetic")
 
-    monkeypatch.setattr(QuadNum, "__truediv__", no_division)
-    monkeypatch.setattr(QuadNum, "__rtruediv__", no_division)
+    ring = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "sign")
+    for op in ring + ("__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(QuadNum, op, no_arithmetic)
+    built = []
     for p in (4, 6):
         for s in (1, 2, 3):
             for d in enumerate_p_angulations(s, p):
-                assert validate(lambda_frieze(d, p)).ok
-                assert validate(cc_frieze(associated_triangulation(d, p))).ok
+                built.append(lambda_frieze(d, p))
+                built.append(cc_frieze(associated_triangulation(d, p)))
+    monkeypatch.undo()
+    assert all(validate(f).ok for f in built)
 
 
 def test_row_and_entry_indexing():
@@ -235,9 +259,10 @@ def test_integer_frieze_small_cases():
 
 
 def test_integer_frieze_ambient_field(quad10):
+    # an integer quiddity row builds the same grid over any radicand
     t = associated_triangulation_p4(quad10)
     plain = cc_frieze(t)
-    embedded = cc_frieze(t, m=2)
+    embedded = from_quiddity([QuadNum(2, c) for c in triangle_counts(t)])
     assert plain.m == 1 and embedded.m == 2
     for r in range(plain.width + 4):
         assert [e.as_integer() for e in plain.row(r)] == [

@@ -64,7 +64,7 @@ def test_even_scaling_accepts_the_other_offset():
     # the square's other triangulation scales the even rows with the factor
     # at even columns instead of odd ones; the per-row offset absorbs that
     radical = lambda_frieze(Dissection(4), 4)
-    flipped = cc_frieze(Dissection(4, [(0, 2)]), m=2)
+    flipped = cc_frieze(Dissection(4, [(0, 2)]))
     result = even_rows_scaled(radical, flipped, 4)
     assert result.ok and result.epsilons == (1,)
 
@@ -153,8 +153,8 @@ def test_deep_scan_json_shape():
 def test_mirror_match_shares_odd_rows_only():
     # the white-corner refinement of the square, checked by hand
     radical = lambda_frieze(Dissection(4), 4)
-    mirror = cc_frieze(Dissection(4, [(0, 2)]), m=2)
-    associated = cc_frieze(Dissection(4, [(1, 3)]), m=2)
+    mirror = cc_frieze(Dissection(4, [(0, 2)]))
+    associated = cc_frieze(Dissection(4, [(1, 3)]))
     assert odd_rows_coincide(radical, mirror).ok
     assert odd_rows_coincide(radical, associated).ok
     # the two integer friezes themselves differ (row 2 swaps 1s and 2s)

@@ -27,8 +27,24 @@ class RadicandMismatchError(ValueError):
     """Two values from different quadratic fields were combined."""
 
 
-def _sgn(x: Fraction) -> int:
+def _sgn(x: RationalLike) -> int:
     return (x > 0) - (x < 0)
+
+
+def quadratic_sign(a: RationalLike, b: RationalLike, m: int) -> int:
+    """Exact sign of a + b·√m for rational a, b: -1, 0 or +1, without floating point.
+
+    With mixed-sign coefficients the sign of a + b√m follows from
+    comparing a² against b²m (√m is irrational for m ∈ {2, 3}, so the
+    two squares are never equal unless both coefficients vanish).
+    """
+    sa, sb = _sgn(a), _sgn(b)
+    if sb == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    # opposite signs: |a| vs |b|√m  decided by squares
+    return sa * _sgn(a * a - b * b * m)
 
 
 class QuadNum:
@@ -171,20 +187,8 @@ class QuadNum:
         return not self.is_zero()
 
     def sign(self) -> int:
-        """Exact sign: -1, 0 or +1, decided without floating point.
-
-        With mixed-sign coefficients the sign of a + b√m follows from
-        comparing a² against b²m (√m is irrational for m ∈ {2, 3}, so the
-        two squares are never equal unless both coefficients vanish).
-        """
-        a, b, m = self._rat, self._rad, self._m
-        sa, sb = _sgn(a), _sgn(b)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # opposite signs: |a| vs |b|√m  decided by squares
-        return sa * _sgn(a * a - b * b * m)
+        """Exact sign: -1, 0 or +1, decided without floating point (quadratic_sign)."""
+        return quadratic_sign(self._rat, self._rad, self._m)
 
     # -- views ---------------------------------------------------------------
 

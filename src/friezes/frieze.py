@@ -22,10 +22,11 @@ comparisons are entrywise at equal (r, k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .bijection import NotPAngulationError, triangle_counts
-from .exact import LAMBDA_RADICAND, QuadNum, RadicandMismatchError
+from .exact import LAMBDA_RADICAND, QuadNum, RadicandMismatchError, quadratic_sign
 from .polygon import Dissection, is_p_angulation, quiddity_counts
 
 
@@ -53,10 +54,6 @@ class ClosureError(FriezeError):
 
 class InternalAssertionError(RuntimeError):
     """A mathematically guaranteed step failed; indicates a defect, not bad input."""
-
-
-class IntegralityError(InternalAssertionError):
-    """A triangle-count frieze produced a non-integer entry (cc_frieze builds on ints: never)."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,8 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k), where f_r = m on even r
     of a radical row and 1 otherwise.  The row is a frieze quiddity only if
     rows 2..n+2 are positive and row n+2 comes out as all ones; the first
-    failure, in row-major order, is reported with its (row, col).
+    failure, in row-major order, is reported with its (row, col).  Equal
+    entries of one grid share a single QuadNum.
     """
     quiddity = tuple(entries)
     if len(quiddity) < 3:
@@ -139,8 +137,14 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
         if None in counts:
             raise FriezeError(f"quiddity entries must be integers or integer multiples of √{m}")
 
+    wrapped: dict[tuple[int, bool], QuadNum] = {}  # QuadNum is immutable, so sharing is safe
+
     def entry(r: int, c: int) -> QuadNum:
-        return QuadNum(m, 0, c) if radical and r % 2 == 0 else QuadNum(m, c)
+        key = (c, radical and r % 2 == 0)
+        e = wrapped.get(key)
+        if e is None:
+            e = wrapped[key] = QuadNum(m, 0, c) if key[1] else QuadNum(m, c)
+        return e
 
     period = len(quiddity)
     n = period - 3
@@ -157,7 +161,10 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
                     r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
                 )
     rows.append(rows[0])
-    grid = tuple(tuple(entry(r, c) for c in row) for r, row in enumerate(rows))
+    # from lists, not generators: tuple(generator) grows by resizing, and the resized
+    # tuples pile up on the interpreter's per-size free lists (peak RSS) until a full
+    # garbage collection, which the few allocations here rarely trigger
+    grid = tuple([tuple([entry(r, c) for c in row]) for r, row in enumerate(rows)])
     for k, e in enumerate(grid[n + 2]):
         if e != 1:
             raise ClosureError(
@@ -173,7 +180,7 @@ def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
     if not is_p_angulation(dissection, p):
         raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
     m = LAMBDA_RADICAND[p]
-    quiddity = tuple(QuadNum(m, 0, c) for c in quiddity_counts(dissection))
+    quiddity = [QuadNum(m, 0, c) for c in quiddity_counts(dissection)]
     try:
         return from_quiddity(quiddity)
     except FriezeError as exc:  # cannot happen for a genuine p-angulation
@@ -186,7 +193,7 @@ def cc_frieze(triangulation: Dissection) -> Frieze:
     """The Conway–Coxeter frieze of a triangulation: integers grown from its triangle counts."""
     counts = triangle_counts(triangulation)  # validates the triangulation
     try:
-        return from_quiddity(tuple(QuadNum(1, c) for c in counts))
+        return from_quiddity([QuadNum(1, c) for c in counts])
     except FriezeError as exc:  # cannot happen for a genuine triangulation
         raise InternalAssertionError(
             f"frieze construction failed on a valid triangulation: {exc}"
@@ -218,40 +225,70 @@ class FriezeReport:
         }
 
 
+def _integral_parts(e: QuadNum) -> tuple[int, int, int]:
+    """(A, B, d) with d > 0 the entry's own denominator and e = (A + B√m)/d."""
+    a, b = e.rat, e.rad
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+
 def validate(frieze: Frieze) -> FriezeReport:
     """Check a grid against all frieze laws and report every violation.
 
     Checked: zero boundary rows, one rows, interior positivity, the diamond
     rule for rows 1..n+2, and the quiddity recurrence
     e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k) for rows 2..n+2.
+
+    Each entry is read once as integers (A, B, d), d > 0, with the entry
+    equal to (A + B√m)/d, and every law is decided in int arithmetic: the
+    diamond and the recurrence are cross-multiplied by the denominators of
+    the entries they involve.  Denominators stay per entry, not one lcm for
+    the whole grid: a grid whose entries have distinct large denominators
+    would otherwise carry their product through every check.  Generated
+    friezes have d = 1 throughout, so the checks cost what plain ints cost.
     """
     n = frieze.width
     period = frieze.period
     if len(frieze.rows) != n + 4 or any(len(row) != period for row in frieze.rows):
         raise FriezeError("grid shape does not match the declared width")
+    radicands = {e.m for row in frieze.rows for e in row}
+    if len(radicands) > 1:
+        raise RadicandMismatchError("grid mixes radicands")
+    (m,) = radicands
+    rows = [[_integral_parts(e) for e in row] for row in frieze.rows]
     bad: list[Violation] = []
     for r in (0, n + 3):
-        for k in range(period):
-            if frieze.entry(r, k) != 0:
-                bad.append(Violation("boundary", r, k))
+        bad += [Violation("boundary", r, k) for k, (a, b, _) in enumerate(rows[r]) if a or b]
     for r in (1, n + 2):
-        for k in range(period):
-            if frieze.entry(r, k) != 1:
-                bad.append(Violation("boundary", r, k))
+        bad += [
+            Violation("boundary", r, k) for k, (a, b, d) in enumerate(rows[r]) if a != d or b
+        ]
     for r in range(2, n + 2):
-        for k in range(period):
-            if frieze.entry(r, k).sign() <= 0:
-                bad.append(Violation("positivity", r, k))
+        bad += [
+            Violation("positivity", r, k)
+            for k, (a, b, _) in enumerate(rows[r])
+            if quadratic_sign(a, b, m) <= 0
+        ]
     for r in range(1, n + 3):
-        for k in range(period):
-            west, east = frieze.entry(r, k), frieze.entry(r, k + 1)
-            south, north = frieze.entry(r - 1, k + 1), frieze.entry(r + 1, k)
-            if west * east - south * north != 1:
+        row, below = rows[r], rows[r - 1]
+        diamonds = zip(row, row[1:] + row[:1], below[1:] + below[:1], rows[r + 1])
+        for k, ((aw, bw, dw), (ae, be, de), (as_, bs, ds), (an, bn, dn)) in enumerate(diamonds):
+            # west·east - south·north = 1, times dw·de·ds·dn
+            d_we, d_sn = dw * de, ds * dn
+            rat = (aw * ae + bw * be * m) * d_sn - (as_ * an + bs * bn * m) * d_we
+            rad = (aw * be + bw * ae) * d_sn - (as_ * bn + bs * an) * d_we
+            if rat != d_we * d_sn or rad:
                 bad.append(Violation("diamond", r, k))
+    quiddity = rows[2]
     for r in range(2, n + 3):
-        for k in range(period):
-            expected = frieze.entry(2, k + r - 1) * frieze.entry(r, k) - frieze.entry(r - 1, k)
-            if frieze.entry(r + 1, k) != expected:
+        shifted = quiddity[r - 1 :] + quiddity[: r - 1]  # e(2, k+r-1) at index k
+        recurrences = zip(shifted, rows[r], rows[r - 1], rows[r + 1])
+        for k, ((aq, bq, dq), (ac, bc, dc), (ab, bb, db), (at, bt, dt)) in enumerate(recurrences):
+            # e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), times dq·dc·db·dt
+            d_qc = dq * dc
+            rat = ((aq * ac + bq * bc * m) * db - ab * d_qc) * dt
+            rad = ((aq * bc + bq * ac) * db - bb * d_qc) * dt
+            if at * d_qc * db != rat or bt * d_qc * db != rad:
                 bad.append(Violation("recurrence", r, k))
     return FriezeReport(tuple(bad))
 

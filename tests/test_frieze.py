@@ -19,7 +19,6 @@ from friezes import (
     Dissection,
     Frieze,
     FriezeError,
-    IntegralityError,
     NotPAngulationError,
     QuadNum,
     QuiddityPositivityError,
@@ -310,6 +309,104 @@ def test_validate_flags_boundary(quad10):
 def test_validate_rejects_malformed_shape():
     with pytest.raises(FriezeError):
         validate(Frieze(1, 1, ((QuadNum(1, 0),),)))
+    good = from_quiddity(int_quiddity(1, 1, 1))
+    mixed = good.rows[:2] + (tuple(QuadNum(2, 1) for _ in range(3)),) + good.rows[3:]
+    with pytest.raises(RadicandMismatchError):
+        validate(Frieze(good.m, good.width, mixed))
+
+
+def test_validate_never_uses_quadnum_arithmetic(monkeypatch, quad10):
+    # validate reads each entry once into ints: no QuadNum arithmetic at all
+    radical = lambda_frieze(quad10, 4)
+    integral = cc_frieze(associated_triangulation_p4(quad10))
+    rows = [list(row) for row in integral.rows]
+    rows[4][2] = QuadNum(1, rows[4][2].as_integer() + 1)
+    perturbed = Frieze(integral.m, integral.width, tuple(tuple(r) for r in rows))
+
+    def no_arithmetic(*args):
+        raise AssertionError("validate did QuadNum arithmetic")
+
+    ring = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "sign")
+    for op in ring:
+        monkeypatch.setattr(QuadNum, op, no_arithmetic)
+    assert validate(radical).ok
+    assert validate(integral).ok
+    assert {(v.kind, v.row, v.col) for v in validate(perturbed).violations} == {
+        ("diamond", 4, 1), ("diamond", 4, 2), ("diamond", 5, 1), ("diamond", 3, 2),
+        ("recurrence", 3, 2), ("recurrence", 4, 2), ("recurrence", 5, 2),
+    }
+
+
+def reference_violations(frieze):
+    """The frieze laws checked entry by entry in QuadNum arithmetic."""
+    n, period, entry = frieze.width, frieze.period, frieze.entry
+    bad = []
+    for r in (0, n + 3):
+        bad += [("boundary", r, k) for k in range(period) if entry(r, k) != 0]
+    for r in (1, n + 2):
+        bad += [("boundary", r, k) for k in range(period) if entry(r, k) != 1]
+    for r in range(2, n + 2):
+        bad += [("positivity", r, k) for k in range(period) if entry(r, k).sign() <= 0]
+    for r in range(1, n + 3):
+        for k in range(period):
+            if entry(r, k) * entry(r, k + 1) - entry(r - 1, k + 1) * entry(r + 1, k) != 1:
+                bad.append(("diamond", r, k))
+    for r in range(2, n + 3):
+        for k in range(period):
+            if entry(r + 1, k) != entry(2, k + r - 1) * entry(r, k) - entry(r - 1, k):
+                bad.append(("recurrence", r, k))
+    return tuple(bad)
+
+
+def test_validate_matches_quadnum_reference():
+    import random
+
+    from friezes import associated_triangulation, enumerate_p_angulations
+
+    rng = random.Random(20181)
+
+    def coefficient():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3, 7)))
+
+    def value(m):
+        return QuadNum(m, coefficient(), coefficient() if rng.random() < 0.5 else 0)
+
+    def perturbed(f):
+        rows = [list(row) for row in f.rows]
+        for _ in range(rng.randint(1, 2)):
+            rows[rng.randrange(len(rows))][rng.randrange(f.period)] = value(f.m)
+        return Frieze(f.m, f.width, tuple(tuple(r) for r in rows))
+
+    grids = []
+    for _ in range(400):
+        width, m = rng.randint(0, 3), rng.choice((1, 2, 3))
+        rows = tuple(tuple(value(m) for _ in range(width + 3)) for _ in range(width + 4))
+        grids.append(Frieze(m, width, rows))
+    for p, s in ((4, 1), (4, 2), (4, 3), (6, 1), (6, 2)):
+        for d in enumerate_p_angulations(s, p):
+            for f in (lambda_frieze(d, p), cc_frieze(associated_triangulation(d, p))):
+                grids += [f, perturbed(f)]
+    # a rational frieze (quiddity 3/2, 4/3, ...) and a copy with pairwise distinct denominators
+    x = Fraction(3, 2)
+    rational = Frieze(1, 1, tuple(
+        tuple(QuadNum(1, v) for v in row)
+        for row in ((0,) * 4, (1,) * 4, (x, 2 / x, x, 2 / x), (1,) * 4, (0,) * 4)
+    ))
+    primes = iter((101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
+                   173, 179, 181, 191, 193, 197))
+    distinct = Frieze(2, 1, tuple(
+        tuple(QuadNum(2, e.rat + Fraction(1, next(primes)), 1) for e in row)
+        for row in rational.rows
+    ))
+    grids += [rational, distinct]
+    assert validate(rational).ok
+    assert len({e.rat.denominator for row in distinct.rows for e in row}) == 20
+    violated = 0
+    for f in grids:
+        got = validate(f).violations
+        assert tuple(tuple(v) for v in got) == reference_violations(f)
+        violated += bool(got)
+    assert 0 < violated < len(grids)
 
 
 def test_report_json(quad10):

@@ -16,6 +16,7 @@ found a counterexample, 3 an internal assertion failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -118,6 +119,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache  # built once per process: parse_args never mutates it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="friezes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,9 +1,13 @@
 """Exact arithmetic in the quadratic fields Q(√m) for m ∈ {1, 2, 3}.
 
 Every value is a + b·√m with exact rational coefficients, so grid entries
-like 3√2 or 5/2 never see floating point.  For m = 1 the radical collapses
-(√1 = 1) and the radical coefficient is folded into the rational part at
-construction; equality is then a plain componentwise comparison everywhere.
+like 3√2 or 5/2 never see floating point.  A coefficient is held as a plain
+int whenever it is integral and as a Fraction only when it is not: every
+entry of the paper's friezes lies in ℤ, ℤ[√2] or ℤ[√3], so building, printing
+and reading back those grids never constructs a Fraction.  For m = 1 the
+radical collapses (√1 = 1) and the radical coefficient is folded into the
+rational part at construction; equality is then a plain componentwise
+comparison everywhere.
 
 Only square-free radicands whose square root is a rational multiple of
 2cos(π/p) for the supported polygon face sizes are admitted: m = 1 (p = 3),
@@ -25,6 +29,35 @@ LAMBDA_RADICAND = {3: 1, 4: 2, 6: 3}
 
 class RadicandMismatchError(ValueError):
     """Two values from different quadratic fields were combined."""
+
+
+def _exact(x: RationalLike | str) -> RationalLike:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _is_coefficient(c: object) -> bool:
+    """An int, or a string without an exponent: the JSON coefficients read."""
+    return type(c) is int or (type(c) is str and "e" not in c.lower())
+
+
+def _parse_coefficient(c: int | str) -> RationalLike:
+    """A JSON coefficient (an int or a string Fraction accepts) read exactly."""
+    if type(c) is int:
+        return c
+    # int() reads every integral string Fraction() does, and as the same
+    # value, except digit-group underscores, which Fraction() refuses
+    # before Python 3.11
+    if "_" not in c:
+        try:
+            return int(c)
+        except ValueError:
+            pass
+    return Fraction(c)
 
 
 def _sgn(x: RationalLike) -> int:
@@ -50,6 +83,7 @@ def quadratic_sign(a: RationalLike, b: RationalLike, m: int) -> int:
 class QuadNum:
     """An element a + b·√m of Q(√m), held exactly.
 
+    Each coefficient is an int when it is integral, else a Fraction.
     Instances are immutable; arithmetic returns new values.  ints and
     Fractions coerce into the operand's field, but two QuadNum with
     different radicands never mix (RadicandMismatchError).  Equality stays
@@ -62,11 +96,11 @@ class QuadNum:
     def __init__(self, m: int, rat: RationalLike | str = 0, rad: RationalLike | str = 0):
         if type(m) is not int or m not in VALID_RADICANDS:  # bools are ints too
             raise ValueError(f"radicand must be one of {VALID_RADICANDS}, got {m!r}")
-        rat = Fraction(rat)
-        rad = Fraction(rad)
+        rat = _exact(rat)
+        rad = _exact(rad)
         if m == 1 and rad:
             # √1 = 1, so the radical coefficient folds into the rational part.
-            rat, rad = rat + rad, Fraction(0)
+            rat, rad = _exact(rat + rad), 0
         self._m = m
         self._rat = rat
         self._rad = rad
@@ -91,11 +125,13 @@ class QuadNum:
         return self._m
 
     @property
-    def rat(self) -> Fraction:
+    def rat(self) -> RationalLike:
+        """The rational coefficient a: an int when integral, else a Fraction."""
         return self._rat
 
     @property
-    def rad(self) -> Fraction:
+    def rad(self) -> RationalLike:
+        """The radical coefficient b: an int when integral, else a Fraction."""
         return self._rad
 
     # -- coercion ------------------------------------------------------------
@@ -154,7 +190,8 @@ class QuadNum:
         # Multiply by the conjugate c - d√m and divide by the norm c² - d²m.
         a, b, c, d, m = self._rat, self._rad, o._rat, o._rad, self._m
         norm = c * c - d * d * m
-        return QuadNum(m, (a * c - b * d * m) / norm, (b * c - a * d) / norm)
+        # Fraction(x, norm), not x / norm: int / int would be a float
+        return QuadNum(m, Fraction(a * c - b * d * m, norm), Fraction(b * c - a * d, norm))
 
     def __rtruediv__(self, other: object) -> "QuadNum":
         o = self._coerce(other)
@@ -194,8 +231,8 @@ class QuadNum:
 
     def as_integer(self) -> int | None:
         """The value as a plain int when it is one, else None."""
-        if self._rad == 0 and self._rat.denominator == 1:
-            return self._rat.numerator
+        if self._rad == 0 and type(self._rat) is int:
+            return self._rat
         return None
 
     def as_radical_multiple(self) -> int | None:
@@ -204,8 +241,8 @@ class QuadNum:
         Zero qualifies (c = 0).  For m = 1 nothing but zero ever qualifies,
         since the radical part is always folded away.
         """
-        if self._rat == 0 and self._rad.denominator == 1:
-            return self._rad.numerator
+        if self._rat == 0 and type(self._rad) is int:
+            return self._rad
         return None
 
     # -- presentation --------------------------------------------------------
@@ -238,11 +275,10 @@ class QuadNum:
         # a JSON float would load as its binary value, and Fraction("1e10000000")
         # would expand all ten million digits: only ints and plain strings pass
         try:
-            m, coefficients = data["m"], (data["rat"], data["rad"])
-            exponent = any(isinstance(c, str) and "e" in c.lower() for c in coefficients)
-            if type(m) is not int or exponent or not {type(c) for c in coefficients} <= {int, str}:
+            m, rat, rad = data["m"], data["rat"], data["rad"]
+            if type(m) is not int or not (_is_coefficient(rat) and _is_coefficient(rad)):
                 raise TypeError("the radicand must be an int, each coefficient an int or a string")
-            return cls(m, *map(Fraction, coefficients))
+            return cls(m, _parse_coefficient(rat), _parse_coefficient(rad))
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed quadratic value: {data!r}") from exc
 

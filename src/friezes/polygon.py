@@ -117,13 +117,14 @@ class Dissection:
 
 
 def faces(dissection: Dissection) -> list[Face]:
-    """All faces, split off recursively along diagonals, in sorted order."""
+    """All faces, split off along diagonals, in sorted order."""
     out: list[Face] = []
-
-    def split(verts: tuple[int, ...], diags: tuple[Pair, ...]) -> None:
+    stack = [(tuple(range(dissection.n)), dissection.diagonals_sorted)]
+    while stack:
+        verts, diags = stack.pop()
         if not diags:
             out.append(verts)
-            return
+            continue
         a, b = diags[0]
         ia, ib = verts.index(a), verts.index(b)
         inner = verts[ia : ib + 1]
@@ -133,10 +134,8 @@ def faces(dissection: Dissection) -> list[Face]:
         for d in diags[1:]:
             # noncrossing, so each remaining diagonal sits wholly on one side
             (d_in if d[0] in inner_set and d[1] in inner_set else d_out).append(d)
-        split(inner, tuple(d_in))
-        split(outer, tuple(d_out))
-
-    split(tuple(range(dissection.n)), dissection.diagonals_sorted)
+        stack.append((inner, tuple(d_in)))
+        stack.append((outer, tuple(d_out)))
     return sorted(out)
 
 
@@ -193,31 +192,32 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     if s < 1:
         raise ValueError("face count must be positive")
     n = (p - 2) * s + 2
-    step = p - 2
-
-    def segment(lo: int, hi: int) -> list[tuple[Pair, ...]]:
-        if hi - lo == 1:
-            return [()]
-        assert (hi - lo) % step == 1 % step
-        results = []
-        for mids in _pick(lo, p - 2, hi):
-            corners = (lo, *mids, hi)
-            gaps = list(zip(corners, corners[1:]))
-            own = tuple((a, b) for a, b in gaps if b - a >= 2)
-            subs = [segment(a, b) for a, b in gaps if b - a >= 2]
-            for combo in product(*subs):
-                results.append(own + tuple(d for sub in combo for d in sub))
-        return results
-
-    def _pick(prev: int, left: int, hi: int) -> Iterator[tuple[int, ...]]:
-        # choose `left` more face vertices above `prev`, keeping every gap
-        # length ≡ 1 (mod p-2) so the gaps stay p-angulable
-        if left == 0:
-            yield ()
-            return
-        for v in range(prev + 1, hi - left + 1, step):
-            for rest in _pick(v, left - 1, hi):
-                yield (v, *rest)
-
-    for diags in segment(0, n - 1):
+    for diags in _segment(0, n - 1, p - 2):
         yield Dissection(n, diags)
+
+
+def _segment(lo: int, hi: int, step: int) -> list[tuple[Pair, ...]]:
+    """Diagonal sets of every (step+2)-angulation of the sub-polygon lo..hi."""
+    if hi - lo == 1:
+        return [()]
+    assert (hi - lo) % step == 1 % step
+    results = []
+    for mids in _pick(lo, step, hi, step):
+        corners = (lo, *mids, hi)
+        gaps = list(zip(corners, corners[1:]))
+        own = tuple((a, b) for a, b in gaps if b - a >= 2)
+        subs = [_segment(a, b, step) for a, b in gaps if b - a >= 2]
+        for combo in product(*subs):
+            results.append(own + tuple(d for sub in combo for d in sub))
+    return results
+
+
+def _pick(prev: int, left: int, hi: int, step: int) -> Iterator[tuple[int, ...]]:
+    # choose `left` more face vertices above `prev`, keeping every gap
+    # length ≡ 1 (mod step) so the gaps stay (step+2)-angulable
+    if left == 0:
+        yield ()
+        return
+    for v in range(prev + 1, hi - left + 1, step):
+        for rest in _pick(v, left - 1, hi, step):
+            yield (v, *rest)

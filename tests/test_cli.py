@@ -1,5 +1,6 @@
 """Command line surface: every subcommand, every format, every exit code."""
 
+import gc
 import io
 import json
 import os
@@ -153,6 +154,39 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "gen", "--p", "4")[0] == 1  # missing --input
     assert run(capsys, "gen", "--p", "5", "--input", QUAD10)[0] == 1
     assert run(capsys, "enumerate", "--p", "4", "--s", "0")[0] == 1
+
+
+def test_usage_error_leaves_the_parser_intact(capsys):
+    # the parser is built once per process, so a failed parse must not
+    # change how the next command line reads
+    alone = run(capsys, "gen", "--p", "4", "--input", QUAD10)
+    assert run(capsys, "gen", "--p", "5", "--input", QUAD10)[0] == 1
+    assert run(capsys, "gen", "--p", "4")[0] == 1
+    assert run(capsys, "gen", "--p", "4", "--input", QUAD10) == alone
+
+
+def test_commands_leave_no_reference_cycles(capsys):
+    # no parser per call and no recursive closures: reference counting
+    # alone frees everything a command allocates
+    code, grid, _ = run(capsys, "gen", "--p", "4", "--input", QUAD10, "--format", "json")
+    assert code == 0
+    commands = [
+        ("gen", "--p", "4", "--input", QUAD10, "--format", "json"),
+        ("validate", "--input", grid),
+        ("associate", "--p", "4", "--input", QUAD10),
+        ("cc", "--input", T_QUAD10),
+        ("tree", "--input", QUAD10),
+        ("verify", "--p", "4", "--max-s", "3"),
+        ("enumerate", "--p", "6", "--s", "3"),
+    ]
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0
+            assert gc.collect() == 0, argv[0]
+    finally:
+        gc.enable()
 
 
 def test_domain_errors_exit_1(capsys):

@@ -25,6 +25,8 @@ def test_m1_folds_radical_into_rational():
     x = QuadNum(1, 2, 3)  # 2 + 3·√1
     assert x.rat == 5 and x.rad == 0
     assert x == 5
+    y = QuadNum(1, "1/2", Fraction(1, 2))  # an integral sum is held as an int
+    assert (y.rat, y.rad) == (1, 0) and type(y.rat) is int and type(y.rad) is int
 
 
 def test_string_fractions_accepted():
@@ -69,6 +71,17 @@ def test_div():
     x = QuadNum(2, 1, 1)
     assert x / x == 1
     assert QuadNum(3, 3) / QuadNum(3, 1) == 3
+
+
+def test_division_is_exact():
+    # int / int is a float in Python; division must stay in Fraction
+    assert QuadNum(2, 1) / 3 == Fraction(1, 3)
+    assert 2 / QuadNum(2, 3) == Fraction(2, 3)
+    x = QuadNum(2, 1, 1) / QuadNum(2, 3)
+    assert (x.rat, x.rad) == (Fraction(1, 3), Fraction(1, 3))
+    assert x == QuadNum(2, "1/3", "1/3")
+    y = QuadNum(2, 6, 3) / 3
+    assert (y.rat, y.rad) == (2, 1) and type(y.rat) is int and type(y.rad) is int
 
 
 def test_div_by_zero():
@@ -203,7 +216,55 @@ def test_json_round_trip_random(x):
     assert QuadNum.from_json(x.to_json()) == x
 
 
+def assert_exact_coefficients(x):
+    for c in (x.rat, x.rad):
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(x)
+
+
+@given(same_field_triples(), st.integers(-20, 20))
+def test_arithmetic_keeps_coefficients_exact(xyz, k):
+    x, y, _ = xyz
+    results = [x + y, x - y, x * y, x + k, k - x, k * x]
+    if y:
+        results += [x / y, k / y]
+        assert (x / y) * y == x and (k / y) * y == k
+    if k:
+        results.append(x / k)
+        assert (x / k) * k == x
+    for r in results:
+        assert_exact_coefficients(r)
+
+
+# digits, every other character Fraction's string form uses, an exponent
+# letter and a non-ASCII digit
+coefficient_strings = st.text(alphabet="0123456789+-/._ \teE\u0663", max_size=12)
+
+
+@given(coefficient_strings)
+def test_from_json_parses_strings_like_fraction(text):
+    data = {"m": 2, "rat": text, "rad": text}
+    if "e" in text.lower():
+        with pytest.raises(ValueError, match="malformed quadratic value"):
+            QuadNum.from_json(data)
+        return
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="malformed quadratic value"):
+            QuadNum.from_json(data)
+        return
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            QuadNum.from_json(data)
+        assert str(raised.value) == str(exc)
+        return
+    x = QuadNum.from_json(data)
+    assert x.rat == x.rad == expected
+    assert_exact_coefficients(x)
+
+
 @given(fractions, fractions, radicands)
 def test_construction_canonicalizes(a, b, m):
     scaled = QuadNum(m, Fraction(3 * a.numerator, 3 * a.denominator), b)
     assert scaled == QuadNum(m, a, b)
+    assert_exact_coefficients(scaled)

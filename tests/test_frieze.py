@@ -181,6 +181,34 @@ def test_builds_never_divide(monkeypatch):
     assert all(validate(f).ok for f in built)
 
 
+def ladder(p, n=42):
+    """The p-angulation of the n-gon whose diagonals are parallel chords."""
+    half = (p - 2) // 2
+    return Dissection(n, [(j * half, n - 1 - j * half) for j in range(1, (n - 2) // (p - 2))])
+
+
+def test_hot_paths_construct_no_fraction(monkeypatch, capsys):
+    # every entry is integral, so builds, JSON and validate need no Fraction
+    from friezes import associated_triangulation, exact
+    from friezes.cli import main
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was constructed")
+
+    monkeypatch.setattr(exact, "Fraction", NoFraction)
+    for p in (4, 6):
+        d = ladder(p)
+        for f in (lambda_frieze(d, p), cc_frieze(associated_triangulation(d, p))):
+            assert f.width == 39
+            assert all(type(e.rat) is int and type(e.rad) is int for row in f.rows for e in row)
+        dissection = json.dumps(d.to_json())
+        assert main(["gen", "--p", str(p), "--input", dissection, "--format", "json"]) == 0
+        grid = capsys.readouterr().out
+        assert main(["validate", "--input", grid]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
+
+
 def test_row_and_entry_indexing():
     f = from_quiddity(int_quiddity(1, 2, 1, 2))
     assert f.entry(2, 5) == f.entry(2, 1)  # wraps with period 4

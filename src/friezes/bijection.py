@@ -8,7 +8,7 @@ every face by joining all its corners of one color: the black-black chords
 (one per quadrilateral, three per hexagon) give the associated
 triangulation, the white-white chords its opposite-color twin.  For a
 4-angulation the black-black chords are also the edges of its noncrossing
-tree.
+tree, which like `Triangulation` is a validating `Dissection` subclass.
 
 Face sizes are never checked by walking faces: `polygon.is_p_angulation`
 decides them by counting diagonals and their spans.  Only the refinement
@@ -24,7 +24,6 @@ from typing import Iterable, Literal, Sequence
 from .polygon import (
     Dissection,
     InvalidDissectionError,
-    Pair,
     crosses,
     faces,
     is_p_angulation,
@@ -57,21 +56,24 @@ def color(v: int, n: int) -> Literal["black", "white"]:
     return "black" if is_black(v) else "white"
 
 
-class NoncrossingTree:
+class NoncrossingTree(Dissection):
     """A noncrossing spanning tree on the black vertices of an even polygon.
 
-    `Dissection` validates the edges as noncrossing diagonals of the host.
+    A `Dissection` of the host polygon whose diagonals are the tree edges:
+    it compares and hashes like `Dissection(host_n, edges)`.  Only its repr
+    and JSON keep the tree's own names.
     """
 
-    __slots__ = ("_host_n", "_edges")
+    __slots__ = ()
 
     def __init__(self, host_n: int, edges: Iterable[Sequence[int]]):
         if not isinstance(host_n, int) or host_n < 4 or host_n % 2:
             raise InvalidTreeError(f"host polygon must be even with ≥ 4 vertices, got {host_n!r}")
         try:
-            ordered = Dissection(host_n, edges).diagonals_sorted
+            super().__init__(host_n, edges)
         except InvalidDissectionError as exc:
             raise InvalidTreeError(f"invalid tree edges: {exc}") from exc
+        ordered = self.diagonals_sorted
         for a, b in ordered:
             if not (is_black(a) and is_black(b)):
                 raise InvalidTreeError(f"edge {(a, b)!r} must join two black (odd) vertices")
@@ -93,34 +95,16 @@ class NoncrossingTree:
                     stack.append(w)
         if seen != set(blacks):
             raise InvalidTreeError("edges do not connect all black vertices")
-        self._host_n = host_n
-        self._edges = frozenset(ordered)
 
-    @property
-    def host_n(self) -> int:
-        return self._host_n
-
-    @property
-    def edges(self) -> frozenset[Pair]:
-        return self._edges
-
-    @property
-    def edges_sorted(self) -> tuple[Pair, ...]:
-        return tuple(sorted(self._edges))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NoncrossingTree):
-            return self._host_n == other._host_n and self._edges == other._edges
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._host_n, self._edges))
+    host_n = Dissection.n
+    edges = Dissection.diagonals
+    edges_sorted = Dissection.diagonals_sorted
 
     def __repr__(self) -> str:
-        return f"NoncrossingTree(host_n={self._host_n}, edges={list(self.edges_sorted)!r})"
+        return f"NoncrossingTree(host_n={self.n}, edges={list(self.edges_sorted)!r})"
 
     def to_json(self) -> dict:
-        return {"host_n": self._host_n, "edges": [list(e) for e in self.edges_sorted]}
+        return {"host_n": self.n, "edges": [list(e) for e in self.edges_sorted]}
 
     @classmethod
     def from_json(cls, data: dict) -> "NoncrossingTree":

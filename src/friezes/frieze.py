@@ -13,10 +13,12 @@ the diamond at (r, k) reads
 and satisfies west·east - south·north = 1.  The quiddity row is row 2, with
 e(2, k) attached to polygon vertex k.  Every entry is a continuant of the
 quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
-√m on the even rows of a radical frieze), so builds run on plain ints.  In a staggered
-rendering rows drift horizontally, so a single row matches a reference
-sequence only up to cyclic rotation, while frieze-against-frieze
-comparisons are entrywise at equal (r, k).
+√m on the even rows of a radical frieze), so builds run on plain ints: one
+private kernel grows the grid from integer counts, which `lambda_frieze` and
+`cc_frieze` pass straight in and `from_quiddity` parses out of a QuadNum
+row.  In a staggered rendering rows drift horizontally, so a single row
+matches a reference sequence only up to cyclic rotation, while
+frieze-against-frieze comparisons are entrywise at equal (r, k).
 """
 
 from __future__ import annotations
@@ -113,16 +115,11 @@ class Frieze:
 
 
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
-    """Grow a frieze from its quiddity row, or reject the row.
+    """Parse a quiddity row and grow its frieze, or reject the row.
 
     The row holds integers c_k, or integer multiples c_k·√m (m ∈ {2, 3});
-    any other row raises FriezeError.  Entry e(r, k) is then an integer
-    C(r, k), times √m on the even rows of a radical row, grown on plain ints
-    by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k), where f_r = m on even r
-    of a radical row and 1 otherwise.  The row is a frieze quiddity only if
-    rows 2..n+2 are positive and row n+2 comes out as all ones; the first
-    failure, in row-major order, is reported with its (row, col).  Equal
-    entries of one grid share a single QuadNum.
+    any other row raises FriezeError.  The c_k go to the plain-int kernel
+    that `lambda_frieze` and `cc_frieze` feed with their counts directly.
     """
     quiddity = tuple(entries)
     if len(quiddity) < 3:
@@ -136,7 +133,19 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
         counts = [e.as_radical_multiple() for e in quiddity]
         if None in counts:
             raise FriezeError(f"quiddity entries must be integers or integer multiples of √{m}")
+    return _grow(counts, m, radical)
 
+
+def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> Frieze:
+    """The frieze of the quiddity row c_k (times √m when radical), or FriezeError.
+
+    Entry e(r, k) is an integer C(r, k), times √m on the even rows of a
+    radical row, grown by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k),
+    where f_r = m on even r of a radical row and 1 otherwise.  The row is a
+    frieze quiddity only if rows 2..n+2 are positive and row n+2 comes out
+    as all ones; the first failure, in row-major order, is reported with
+    its (row, col).  Equal entries of one grid share a single QuadNum.
+    """
     wrapped: dict[tuple[int, bool], QuadNum] = {}  # QuadNum is immutable, so sharing is safe
 
     def entry(r: int, c: int) -> QuadNum:
@@ -146,7 +155,7 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
             e = wrapped[key] = QuadNum(m, 0, c) if key[1] else QuadNum(m, c)
         return e
 
-    period = len(quiddity)
+    period = len(counts)
     n = period - 3
     rows = [[0] * period, [1] * period]
     for r in range(1, n + 2):
@@ -165,6 +174,7 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     # tuples pile up on the interpreter's per-size free lists (peak RSS) until a full
     # garbage collection, which the few allocations here rarely trigger
     grid = tuple([tuple([entry(r, c) for c in row]) for r, row in enumerate(rows)])
+    # on the wrapped row: an even radical row of ones holds √m, not 1
     for k, e in enumerate(grid[n + 2]):
         if e != 1:
             raise ClosureError(
@@ -179,10 +189,8 @@ def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
         raise ValueError(f"radical friezes are defined for p ∈ {{4, 6}}, got {p}")
     if not is_p_angulation(dissection, p):
         raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
-    m = LAMBDA_RADICAND[p]
-    quiddity = [QuadNum(m, 0, c) for c in quiddity_counts(dissection)]
     try:
-        return from_quiddity(quiddity)
+        return _grow(quiddity_counts(dissection), LAMBDA_RADICAND[p], True)
     except FriezeError as exc:  # cannot happen for a genuine p-angulation
         raise InternalAssertionError(
             f"frieze construction failed on a valid {p}-angulation: {exc}"
@@ -193,7 +201,7 @@ def cc_frieze(triangulation: Dissection) -> Frieze:
     """The Conway–Coxeter frieze of a triangulation: integers grown from its triangle counts."""
     counts = triangle_counts(triangulation)  # validates the triangulation
     try:
-        return from_quiddity([QuadNum(1, c) for c in counts])
+        return _grow(counts, 1, False)
     except FriezeError as exc:  # cannot happen for a genuine triangulation
         raise InternalAssertionError(
             f"frieze construction failed on a valid triangulation: {exc}"

@@ -163,7 +163,7 @@ def quiddity_counts(dissection: Dissection) -> tuple[int, ...]:
     for a, b in dissection.diagonals:
         degree[a] += 1
         degree[b] += 1
-    return tuple([d + 1 for d in degree])  # a list first: see frieze.from_quiddity
+    return tuple([d + 1 for d in degree])  # a list first: see frieze._grow
 
 
 def rotate(dissection: Dissection, c: int) -> Dissection:

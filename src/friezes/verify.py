@@ -18,7 +18,8 @@ counts of T, so the checks compare integers across radicands.  The checks are:
 The frieze-level comparisons behind the last two (odd_rows_coincide,
 even_rows_scaled) are public so arbitrary frieze pairs — e.g. a radical
 frieze against a deliberately corrupted triangulation's frieze — can be
-compared directly.
+compared directly.  They walk the two grids row by row at equal (r, k) and
+raise ValueError when the widths differ.
 
 sweep() runs all three over every p-angulation up to a face-count bound;
 deep_uniqueness() compares one radical frieze against the integer friezes
@@ -83,15 +84,16 @@ def _lemma_counts(d: Dissection, p: int, t: Triangulation) -> CheckResult:
 def odd_rows_coincide(radical: Frieze, integral: Frieze) -> CheckResult:
     """Do two same-width friezes agree entrywise on every odd row?
 
-    Entries are compared as integers (odd rows of both frieze families are
-    integral), so the two friezes may live over different radicands.
+    A cell agrees when both entries are the same integer (odd rows of both
+    frieze families are integral); `QuadNum` equality compares values, so
+    the friezes may live over different radicands.  Unequal widths raise
+    ValueError.
     """
-    assert radical.width == integral.width, "friezes must share a width"
+    if radical.width != integral.width:
+        raise ValueError("friezes must share a width")
     for r in range(1, radical.width + 3, 2):
-        for k in range(radical.period):
-            a = radical.entry(r, k).as_integer()
-            b = integral.entry(r, k).as_integer()
-            if a is None or b is None or a != b:
+        for k, (a, b) in enumerate(zip(radical.rows[r], integral.rows[r])):
+            if a != b or a.as_integer() is None:
                 return CheckResult(False, FirstViolation("odd_rows", r, k))
     return CheckResult(True, None)
 
@@ -101,39 +103,35 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
 
     Row 2j passes when the radical entries are positive integer multiples
     a_k of √m and the integral entries equal (p/2)^((k+ε_j) mod 2)·a_k for
-    some per-row offset ε_j ∈ {0, 1}; the chosen offsets are reported.
+    some per-row offset ε_j ∈ {0, 1}, tried 0 first; the chosen offsets are
+    reported, and a failing row is witnessed at the smallest column either
+    offset misses.  Unequal widths raise ValueError.
     """
+    if radical.width != integral.width:
+        raise ValueError("friezes must share a width")
     half = p // 2
     epsilons: list[int] = []
     for r in range(2, radical.width + 2, 2):
         coeffs = []
-        for k in range(radical.period):
-            c = radical.entry(r, k).as_radical_multiple()
+        for k, e in enumerate(radical.rows[r]):
+            c = e.as_radical_multiple()
             if c is None or c <= 0:
                 return EvenScalingResult(
                     False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
                 )
             coeffs.append(c)
-        chosen = None
-        first_bad = None
+        misses = []
         for eps in (0, 1):
-            bad = next(
-                (
-                    k
-                    for k in range(radical.period)
-                    if integral.entry(r, k) != coeffs[k] * half ** ((k + eps) % 2)
-                ),
-                None,
-            )
-            if bad is None:
-                chosen = eps
+            scaled = enumerate(zip(coeffs, integral.rows[r]))
+            miss = next((k for k, (c, e) in scaled if e != c * half ** ((k + eps) % 2)), None)
+            if miss is None:
+                epsilons.append(eps)
                 break
-            first_bad = bad if first_bad is None else min(first_bad, bad)
-        if chosen is None:
+            misses.append(miss)
+        else:
             return EvenScalingResult(
-                False, FirstViolation("even_scaling", r, first_bad), tuple(epsilons), False
+                False, FirstViolation("even_scaling", r, min(misses)), tuple(epsilons), False
             )
-        epsilons.append(chosen)
     eps = tuple(epsilons)
     alternates = len(eps) > 1 and all(a != b for a, b in zip(eps, eps[1:]))
     return EvenScalingResult(True, None, eps, alternates)

@@ -1,5 +1,7 @@
 """Coloring, the quadrangulation/noncrossing-tree maps, associated triangulations."""
 
+import re
+
 import pytest
 
 from friezes import (
@@ -39,43 +41,68 @@ def test_color():
 # NoncrossingTree validation
 
 
+def tree_error(message):
+    """Expect an InvalidTreeError with exactly this message."""
+    return pytest.raises(InvalidTreeError, match=f"^{re.escape(message)}$")
+
+
 def test_tree_accepts_the_running_example():
     tree = NoncrossingTree(10, [(1, 3), (1, 9), (5, 9), (5, 7)])
     assert tree.edges_sorted == ((1, 3), (1, 9), (5, 7), (5, 9))
     assert tree.host_n == 10
+    assert repr(tree) == "NoncrossingTree(host_n=10, edges=[(1, 3), (1, 9), (5, 7), (5, 9)])"
+    # like Triangulation, a validated Dissection: the edges are its diagonals,
+    # and it compares and hashes as the plain Dissection with those diagonals
+    plain = Dissection(10, [(1, 3), (1, 9), (5, 7), (5, 9)])
+    assert isinstance(tree, Dissection)
+    assert (tree.n, tree.diagonals) == (tree.host_n, tree.edges)
+    assert tree.diagonals_sorted == tree.edges_sorted
+    assert tree == plain and plain == tree and hash(tree) == hash(plain)
+    assert len({tree, plain, NoncrossingTree(10, plain.diagonals)}) == 1
+    assert tree != Dissection(10, [(1, 3), (1, 9), (5, 7)])
+    assert tree != NoncrossingTree(10, [(1, 3), (3, 5), (5, 7), (7, 9)])
 
 
 def test_tree_rejects_white_endpoints():
-    with pytest.raises(InvalidTreeError):
-        NoncrossingTree(6, [(1, 3), (2, 5)])
+    with tree_error("edge (3, 6) must join two black (odd) vertices"):
+        NoncrossingTree(8, [(1, 3), (3, 5), (3, 6)])
+    with tree_error("invalid tree edges: diagonals (1, 3) and (2, 5) cross"):
+        NoncrossingTree(6, [(1, 3), (2, 5)])  # the crossing is found first
 
 
 def test_tree_rejects_crossings():
-    with pytest.raises(InvalidTreeError):
+    with tree_error("invalid tree edges: diagonals (1, 5) and (3, 7) cross"):
         NoncrossingTree(8, [(1, 5), (3, 7), (5, 7)])
 
 
 def test_tree_rejects_wrong_edge_count():
-    with pytest.raises(InvalidTreeError):
-        NoncrossingTree(8, [(1, 3), (3, 5)])  # 4 black vertices need 3 edges
+    with tree_error("4 black vertices need 3 edges, got 2"):
+        NoncrossingTree(8, [(1, 3), (3, 5)])
 
 
 def test_tree_rejects_cycles():
     # right edge count, no crossings, but a 3-cycle leaving vertex 7 isolated
-    with pytest.raises(InvalidTreeError):
+    with tree_error("edges do not connect all black vertices"):
         NoncrossingTree(8, [(1, 3), (1, 5), (3, 5)])
 
 
 def test_tree_rejects_bad_hosts():
-    with pytest.raises(InvalidTreeError):
+    with tree_error("host polygon must be even with ≥ 4 vertices, got 7"):
         NoncrossingTree(7, [(1, 3), (3, 5)])
-    with pytest.raises(InvalidTreeError):
+    with tree_error("host polygon must be even with ≥ 4 vertices, got 2"):
         NoncrossingTree(2, [])
-    with pytest.raises(InvalidTreeError):
+    with tree_error("host polygon must be even with ≥ 4 vertices, got '8'"):
+        NoncrossingTree("8", [])
+    with tree_error("invalid tree edges: diagonal (1, 1) is a loop"):
         NoncrossingTree(6, [(1, 1), (3, 5)])
     # malformed edges reach the Dissection check and come back as InvalidTreeError
-    for bad in [(True, 3), (1, 3, 5), (1, 11), (0, 1)]:
-        with pytest.raises(InvalidTreeError):
+    for bad, reason in [
+        ((True, 3), "diagonal endpoints must be integers, got (True, 3)"),
+        ((1, 3, 5), "diagonal must be a vertex pair, got (1, 3, 5)"),
+        ((1, 11), "diagonal (1, 11) leaves the vertex range 0..9"),
+        ((0, 1), "(0, 1) joins adjacent vertices, not a diagonal"),
+    ]:
+        with tree_error(f"invalid tree edges: {reason}"):
             NoncrossingTree(10, [bad, (3, 5), (5, 7), (7, 9)])
 
 
@@ -83,10 +110,11 @@ def test_tree_json_round_trip():
     tree = NoncrossingTree(10, [(1, 3), (1, 9), (5, 9), (5, 7)])
     blob = tree.to_json()
     assert blob == {"host_n": 10, "edges": [[1, 3], [1, 9], [5, 7], [5, 9]]}
-    assert NoncrossingTree.from_json(blob) == tree
-    with pytest.raises(InvalidTreeError):
+    back = NoncrossingTree.from_json(blob)
+    assert back == tree and type(back) is NoncrossingTree
+    with tree_error("malformed tree object: {'host_n': 6, 'edges': 5}"):
         NoncrossingTree.from_json({"host_n": 6, "edges": 5})
-    with pytest.raises(InvalidTreeError):
+    with tree_error("invalid tree edges: diagonal endpoints must be integers, got ('1', '3')"):
         NoncrossingTree.from_json({"host_n": 6, "edges": [["1", "3"], [1, 5]]})
 
 

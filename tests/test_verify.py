@@ -1,9 +1,14 @@
 """The coincidence checks: counts, odd rows, even-row scaling, sweeps, deep scan."""
 
+from fractions import Fraction
+
 import pytest
 
 from friezes import (
     Dissection,
+    FirstViolation,
+    Frieze,
+    QuadNum,
     Triangulation,
     associated_triangulation_p4,
     cc_frieze,
@@ -48,6 +53,30 @@ def test_odd_rows_fail_on_corrupted_triangulation(quad10):
     assert result.witness.row % 2 == 1
 
 
+def test_odd_rows_compare_values_not_representations():
+    def width_one(m, row1, row3):
+        """A hand-built width-1 grid over √m; only its odd rows 1 and 3 vary."""
+        zero = (QuadNum(m, 0),) * 4
+        return Frieze(m, 1, (zero, tuple(row1), (QuadNum(m, 1),) * 4, tuple(row3), zero))
+
+    def over(m, *values):
+        return [QuadNum(m, v) for v in values]
+
+    ints = width_one(1, over(1, 1, 2, 3, 4), over(1, 5, 6, 7, 8))
+    # rational entries over √2 equal the same integers over m = 1
+    assert odd_rows_coincide(width_one(2, over(2, 1, 2, 3, 4), over(2, 5, 6, 7, 8)), ints).ok
+    # equal but non-integral entries do not count as agreeing
+    halves = width_one(1, over(1, 1, 2, 3, Fraction(1, 2)), over(1, 5, 6, 7, 8))
+    result = odd_rows_coincide(halves, halves)
+    assert not result.ok and result.witness == FirstViolation("odd_rows", 1, 3)
+    # 3√2 against 3 differs in value; the first miss is reported in row-major order
+    radical = width_one(2, over(2, 1, 2, 3, 4), over(2, 5, 6) + [QuadNum(2, 0, 3)] * 2)
+    three = width_one(1, over(1, 1, 2, 3, 4), over(1, 5, 6, 3, 3))
+    for a, b in [(radical, three), (three, radical)]:
+        result = odd_rows_coincide(a, b)
+        assert not result.ok and result.witness == FirstViolation("odd_rows", 3, 2)
+
+
 def test_even_scaling(quad10):
     result = check_even_scaling(quad10, 4)
     assert result.ok and result.witness is None
@@ -74,6 +103,16 @@ def test_even_scaling_rejects_wrong_grid(quad10):
     result = even_rows_scaled(radical, radical, 4)
     assert not result.ok
     assert result.witness.claim == "even_scaling"
+
+
+def test_comparisons_reject_width_mismatch():
+    wide = lambda_frieze(Dissection(6, [(1, 4)]), 4)  # width 3
+    narrow = cc_frieze(Dissection(4, [(1, 3)]))  # width 1
+    for a, b in [(wide, narrow), (narrow, wide)]:
+        with pytest.raises(ValueError, match="friezes must share a width"):
+            odd_rows_coincide(a, b)
+        with pytest.raises(ValueError, match="friezes must share a width"):
+            even_rows_scaled(a, b, 4)
 
 
 def test_verify_dissection_report(quad10):

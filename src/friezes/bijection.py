@@ -11,9 +11,19 @@ triangulation, the white-white chords its opposite-color twin.  For a
 tree, which like `Triangulation` is a validating `Dissection` subclass.
 
 Face sizes are never checked by walking faces: `polygon.is_p_angulation`
-decides them by counting diagonals and their spans.  Only the refinement
-`_refine`, which needs each face's corners, calls `faces`; the noncrossing
-tree is read off the chords it adds.
+decides them by counting diagonals and their spans.  `faces` is called
+where the corners are needed: by the refinement `_refine`, and on the
+tree side, which reads the tree's own faces.  Take k - 1 noncrossing
+black-black edges on the 2k-gon: as a dissection they cut it into k faces.
+No edge touches a white vertex, so each of the k whites lies in exactly one
+face.  A face with no white corner has only black corners, so its sides
+are all tree edges (a polygon side always joins a black and a white
+vertex): it is a cycle.  Conversely a cycle's inside is cut only into
+faces with black corners.  So the edges form a tree exactly when no face
+is all black, that is, when every face holds exactly one white vertex.  A
+4-angulation diagonal is a black-white chord crossing no tree edge, so it
+lies inside one tree face: `tree_to_quad` joins each white vertex to the
+black corners of its face, except its two neighbours on the polygon.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from typing import Iterable, Literal, Sequence
 
 from .polygon import (
     Dissection,
+    InternalAssertionError,
     InvalidDissectionError,
-    crosses,
     faces,
     is_p_angulation,
     quiddity_counts,
@@ -61,7 +71,8 @@ class NoncrossingTree(Dissection):
 
     A `Dissection` of the host polygon whose diagonals are the tree edges:
     it compares and hashes like `Dissection(host_n, edges)`.  Only its repr
-    and JSON keep the tree's own names.
+    and JSON keep the tree's own names.  With the edge count right, the
+    edges connect exactly when no face is all black (module docstring).
     """
 
     __slots__ = ()
@@ -77,23 +88,10 @@ class NoncrossingTree(Dissection):
         for a, b in ordered:
             if not (is_black(a) and is_black(b)):
                 raise InvalidTreeError(f"edge {(a, b)!r} must join two black (odd) vertices")
-        blacks = list(range(1, host_n, 2))
-        if len(ordered) != len(blacks) - 1:
-            raise InvalidTreeError(
-                f"{len(blacks)} black vertices need {len(blacks) - 1} edges, got {len(ordered)}"
-            )
-        adjacent: dict[int, list[int]] = {b: [] for b in blacks}
-        for a, b in ordered:
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-        seen = {blacks[0]}
-        stack = [blacks[0]]
-        while stack:
-            for w in adjacent[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != set(blacks):
+        k = host_n // 2  # black vertices
+        if len(ordered) != k - 1:
+            raise InvalidTreeError(f"{k} black vertices need {k - 1} edges, got {len(ordered)}")
+        if any(all(is_black(v) for v in face) for face in faces(self)):
             raise InvalidTreeError("edges do not connect all black vertices")
 
     host_n = Dissection.n
@@ -144,18 +142,21 @@ def quad_to_tree(dissection: Dissection) -> NoncrossingTree:
 
 
 def tree_to_quad(tree: NoncrossingTree) -> Dissection:
-    """Invert quad_to_tree: keep every black-white chord crossing no tree edge."""
+    """Invert quad_to_tree: join each white w to the black corners of its tree face but w ± 1."""
     n = tree.host_n
-    chords = []
-    for b in range(1, n, 2):
-        for w in range(0, n, 2):
-            if (b - w) % n in (1, n - 1):
-                continue  # a boundary edge, not a chord
-            chord = (min(b, w), max(b, w))
-            if not any(crosses(chord, e) for e in tree.edges):
-                chords.append(chord)
-    quad = Dissection(n, chords)
-    assert is_p_angulation(quad, 4), "a valid tree always yields a 4-angulation"
+    quad = Dissection(
+        n,
+        [
+            (w, b)
+            for face in faces(tree)
+            for w in face
+            if not is_black(w)
+            for b in face
+            if is_black(b) and (b - w) % n not in (1, n - 1)
+        ],
+    )
+    if not is_p_angulation(quad, 4):
+        raise InternalAssertionError(f"{tree!r} did not yield a 4-angulation: got {quad!r}")
     return quad
 
 

@@ -35,6 +35,14 @@ def _exact(x: RationalLike | str) -> RationalLike:
     """x as an int when it is integral, else as a Fraction."""
     if type(x) is int:
         return x
+    # int() reads every integral string Fraction() does, and as the same
+    # value, except digit-group underscores, which Fraction() refuses
+    # before Python 3.11
+    if type(x) is str and "_" not in x:
+        try:
+            return int(x)
+        except ValueError:
+            pass
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
@@ -43,21 +51,6 @@ def _exact(x: RationalLike | str) -> RationalLike:
 def _is_coefficient(c: object) -> bool:
     """An int, or a string without an exponent: the JSON coefficients read."""
     return type(c) is int or (type(c) is str and "e" not in c.lower())
-
-
-def _parse_coefficient(c: int | str) -> RationalLike:
-    """A JSON coefficient (an int or a string Fraction accepts) read exactly."""
-    if type(c) is int:
-        return c
-    # int() reads every integral string Fraction() does, and as the same
-    # value, except digit-group underscores, which Fraction() refuses
-    # before Python 3.11
-    if "_" not in c:
-        try:
-            return int(c)
-        except ValueError:
-            pass
-    return Fraction(c)
 
 
 def _sgn(x: RationalLike) -> int:
@@ -278,7 +271,7 @@ class QuadNum:
             m, rat, rad = data["m"], data["rat"], data["rad"]
             if type(m) is not int or not (_is_coefficient(rat) and _is_coefficient(rad)):
                 raise TypeError("the radicand must be an int, each coefficient an int or a string")
-            return cls(m, _parse_coefficient(rat), _parse_coefficient(rad))
+            return cls(m, _exact(rat), _exact(rad))  # both parsed before the radicand check
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed quadratic value: {data!r}") from exc
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .bijection import NotPAngulationError, triangle_counts
 from .exact import LAMBDA_RADICAND, QuadNum, RadicandMismatchError, quadratic_sign
-from .polygon import Dissection, is_p_angulation, quiddity_counts
+from .polygon import Dissection, InternalAssertionError, is_p_angulation, quiddity_counts
 
 
 class FriezeError(ValueError):
@@ -52,10 +52,6 @@ class ClosureError(FriezeError):
         super().__init__(message)
         self.row = row
         self.col = col
-
-
-class InternalAssertionError(RuntimeError):
-    """A mathematically guaranteed step failed; indicates a defect, not bad input."""
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,10 @@ class CrossingDiagonalError(InvalidDissectionError):
     """Two diagonals cross in the interior."""
 
 
+class InternalAssertionError(RuntimeError):
+    """A mathematically guaranteed step failed; indicates a defect, not bad input."""
+
+
 def crosses(d: Pair, e: Pair) -> bool:
     """Do two normalized diagonals cross in the polygon's interior?
 

@@ -1,11 +1,13 @@
 """Coloring, the quadrangulation/noncrossing-tree maps, associated triangulations."""
 
 import re
+from itertools import combinations
 
 import pytest
 
 from friezes import (
     Dissection,
+    InternalAssertionError,
     InvalidTreeError,
     NoncrossingTree,
     NotPAngulationError,
@@ -16,7 +18,9 @@ from friezes import (
     associated_triangulation_p6,
     color,
     cc_frieze,
+    crosses,
     enumerate_p_angulations,
+    faces,
     is_p_angulation,
     lambda_frieze,
     quad_to_tree,
@@ -106,6 +110,40 @@ def test_tree_rejects_bad_hosts():
             NoncrossingTree(10, [bad, (3, 5), (5, 7), (7, 9)])
 
 
+def _connected(k, edges):
+    """Reference check by depth-first search: do the edges join all k black vertices?"""
+    adjacent = {v: [] for v in range(1, 2 * k, 2)}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, stack = {1}, [1]
+    while stack:
+        for v in adjacent[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == k
+
+
+def test_tree_validation_matches_a_search_on_every_small_edge_set():
+    # every noncrossing set of k - 1 black-black diagonals with host n ≤ 12
+    total = rejected = 0
+    for n in range(4, 13, 2):
+        k = n // 2
+        for edges in combinations(combinations(range(1, n, 2), 2), k - 1):
+            if any(crosses(d, e) for d, e in combinations(edges, 2)):
+                continue
+            total += 1
+            if _connected(k, edges):
+                tree = NoncrossingTree(n, edges)
+                assert all(sum(not is_black(v) for v in face) == 1 for face in faces(tree))
+            else:
+                rejected += 1
+                with tree_error("edges do not connect all black vertices"):
+                    NoncrossingTree(n, edges)
+    assert (total, rejected) == (896, 552)
+
+
 def test_tree_json_round_trip():
     tree = NoncrossingTree(10, [(1, 3), (1, 9), (5, 9), (5, 7)])
     blob = tree.to_json()
@@ -136,12 +174,20 @@ def test_tree_to_quad(quad10):
     assert tree_to_quad(NoncrossingTree(6, [(1, 3), (1, 5)])) == Dissection(6, [(1, 4)])
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
 def test_round_trip_both_ways(s):
     for d in enumerate_p_angulations(s, 4):
         tree = quad_to_tree(d)
         assert tree_to_quad(tree) == d
         assert quad_to_tree(tree_to_quad(tree)) == tree
+
+
+def test_tree_to_quad_checks_its_result(monkeypatch):
+    # the face count is guaranteed by the math; a failure is a defect, even under python -O
+    tree = NoncrossingTree(10, [(1, 3), (1, 9), (5, 9), (5, 7)])
+    monkeypatch.setattr("friezes.bijection.is_p_angulation", lambda dissection, p: False)
+    with pytest.raises(InternalAssertionError, match="did not yield a 4-angulation"):
+        tree_to_quad(tree)
 
 
 def test_every_dissection_diagonal_is_black_white():

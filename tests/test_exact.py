@@ -32,6 +32,8 @@ def test_m1_folds_radical_into_rational():
 def test_string_fractions_accepted():
     assert QuadNum(2, "3/2") == Fraction(3, 2)
     assert QuadNum(2, "4/6") == QuadNum(2, Fraction(2, 3))
+    x = QuadNum(2, "7")  # an integral string is read as an int, as from_json reads it
+    assert x.rat == 7 and type(x.rat) is int
 
 
 def test_constructors():

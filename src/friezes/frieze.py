@@ -129,28 +129,27 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
         counts = [e.as_radical_multiple() for e in quiddity]
         if None in counts:
             raise FriezeError(f"quiddity entries must be integers or integer multiples of √{m}")
-    return _grow(counts, m, radical)
+    return _wrap(_grow(counts, m, radical), m, radical)
 
 
-def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> Frieze:
-    """The frieze of the quiddity row c_k (times √m when radical), or FriezeError.
+def _entry(m: int, c: int, surd: bool) -> QuadNum:
+    """The QuadNum of kernel value c: c·√m when surd, else c."""
+    return QuadNum(m, 0, c) if surd else QuadNum(m, c)
 
-    Entry e(r, k) is an integer C(r, k), times √m on the even rows of a
-    radical row, grown by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k),
-    where f_r = m on even r of a radical row and 1 otherwise.  The row is a
-    frieze quiddity only if rows 2..n+2 are positive and row n+2 comes out
-    as all ones; the first failure, in row-major order, is reported with
-    its (row, col).  Equal entries of one grid share a single QuadNum.
+
+def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
+    """The int rows C(r, k) of the frieze of the quiddity row c_k (times √m when
+    radical), or FriezeError.
+
+    Entry e(r, k) is C(r, k), times √m on the even rows of a radical row,
+    grown by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k), where f_r = m on
+    even r of a radical row and 1 otherwise.  The row is a frieze quiddity
+    only if rows 2..n+2 are positive and row n+2 comes out as all ones; an
+    even row of a radical row holds C·√m, never 1 (a radical row has
+    m ∈ {2, 3}).  The first failure, in row-major order, is reported with
+    its (row, col) and the entry rendered as a QuadNum.  The n + 4 rows
+    (row n+3 is row 0 again) are shared lists: callers must not mutate them.
     """
-    wrapped: dict[tuple[int, bool], QuadNum] = {}  # QuadNum is immutable, so sharing is safe
-
-    def entry(r: int, c: int) -> QuadNum:
-        key = (c, radical and r % 2 == 0)
-        e = wrapped.get(key)
-        if e is None:
-            e = wrapped[key] = QuadNum(m, 0, c) if key[1] else QuadNum(m, c)
-        return e
-
     period = len(counts)
     n = period - 3
     rows = [[0] * period, [1] * period]
@@ -159,28 +158,44 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> Frieze:
         shifted = counts[r - 1 :] + counts[: r - 1]  # c_{k+r-1} at index k
         rows.append([q * c * f - below for q, c, below in zip(shifted, rows[r], rows[r - 1])])
     for r in range(2, n + 3):
-        for k, c in enumerate(rows[r]):
-            if c <= 0:
-                e = entry(r, c)
-                raise QuiddityPositivityError(
-                    r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
-                )
+        if min(rows[r]) <= 0:
+            k, c = next((k, c) for k, c in enumerate(rows[r]) if c <= 0)
+            e = _entry(m, c, radical and r % 2 == 0)
+            raise QuiddityPositivityError(
+                r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
+            )
+    top = rows[n + 2]
+    surd = radical and n % 2 == 0
+    k = 0 if surd else next((k for k, c in enumerate(top) if c != 1), None)
+    if k is not None:
+        e = _entry(m, top[k], surd)
+        raise ClosureError(
+            n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
+        )
     rows.append(rows[0])
+    return rows
+
+
+def _wrap(rows: list[list[int]], m: int, radical: bool) -> Frieze:
+    """The Frieze of kernel rows; equal entries of one grid share a single QuadNum."""
+    wrapped: dict[tuple[int, bool], QuadNum] = {}  # QuadNum is immutable, so sharing is safe
+
+    def entry(r: int, c: int) -> QuadNum:
+        key = (c, radical and r % 2 == 0)
+        e = wrapped.get(key)
+        if e is None:
+            e = wrapped[key] = _entry(m, c, key[1])
+        return e
+
     # from lists, not generators: tuple(generator) grows by resizing, and the resized
     # tuples pile up on the interpreter's per-size free lists (peak RSS) until a full
     # garbage collection, which the few allocations here rarely trigger
     grid = tuple([tuple([entry(r, c) for c in row]) for r, row in enumerate(rows)])
-    # on the wrapped row: an even radical row of ones holds √m, not 1
-    for k, e in enumerate(grid[n + 2]):
-        if e != 1:
-            raise ClosureError(
-                n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
-            )
-    return Frieze(m, n, grid)
+    return Frieze(m, len(rows) - 4, grid)
 
 
-def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
-    """The frieze of a p-angulation: quiddity q_k·(2cos(π/p)), p ∈ {4, 6}."""
+def _lambda_rows(dissection: Dissection, p: int) -> list[list[int]]:
+    """Kernel rows of `lambda_frieze`: integers, times √m on the even rows."""
     if p not in (4, 6):
         raise ValueError(f"radical friezes are defined for p ∈ {{4, 6}}, got {p}")
     if not is_p_angulation(dissection, p):
@@ -193,8 +208,8 @@ def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
         ) from exc
 
 
-def cc_frieze(triangulation: Dissection) -> Frieze:
-    """The Conway–Coxeter frieze of a triangulation: integers grown from its triangle counts."""
+def _cc_rows(triangulation: Dissection) -> list[list[int]]:
+    """Kernel rows of `cc_frieze`."""
     counts = triangle_counts(triangulation)  # validates the triangulation
     try:
         return _grow(counts, 1, False)
@@ -202,6 +217,16 @@ def cc_frieze(triangulation: Dissection) -> Frieze:
         raise InternalAssertionError(
             f"frieze construction failed on a valid triangulation: {exc}"
         ) from exc
+
+
+def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
+    """The frieze of a p-angulation: quiddity q_k·(2cos(π/p)), p ∈ {4, 6}."""
+    return _wrap(_lambda_rows(dissection, p), LAMBDA_RADICAND[p], True)
+
+
+def cc_frieze(triangulation: Dissection) -> Frieze:
+    """The Conway–Coxeter frieze of a triangulation: integers grown from its triangle counts."""
+    return _wrap(_cc_rows(triangulation), 1, False)
 
 
 class Violation(NamedTuple):
@@ -232,6 +257,8 @@ class FriezeReport:
 def _integral_parts(e: QuadNum) -> tuple[int, int, int]:
     """(A, B, d) with d > 0 the entry's own denominator and e = (A + B√m)/d."""
     a, b = e.rat, e.rad
+    if type(a) is int and type(b) is int:  # every entry of a generated frieze
+        return a, b, 1
     d = lcm(a.denominator, b.denominator)
     return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 

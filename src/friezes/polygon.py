@@ -46,6 +46,39 @@ def crosses(d: Pair, e: Pair) -> bool:
     return a < c < b < f or c < a < f < b
 
 
+def _noncrossing(diagonals: Iterable[Pair]) -> bool:
+    """Are normalized diagonals pairwise noncrossing?  O(d log d).
+
+    Noncrossing chords nest like parentheses.  Taken by left end, longest
+    first, each chord must close inside every chord still open around it;
+    only the innermost one can be closed by it, so a stack of right ends
+    decides: a chord crosses exactly when it opens inside the top chord and
+    closes outside it.
+    """
+    ends: list[int] = []  # right ends of the open chords, innermost last
+    for a, b in sorted(diagonals, key=_open_order):
+        while ends and ends[-1] <= a:  # closed before a (sharing a is fine)
+            ends.pop()
+        if ends and b > ends[-1]:
+            return False
+        ends.append(b)
+    return True
+
+
+def _open_order(d: Pair) -> tuple[int, int]:
+    return d[0], -d[1]
+
+
+def _crossing_pair(diagonals: Iterable[Pair]) -> tuple[Pair, Pair] | None:
+    """The first crossing pair in sorted order, by the O(d²) pairwise scan."""
+    ordered = sorted(diagonals)
+    for idx, d in enumerate(ordered):
+        for e in ordered[idx + 1 :]:
+            if crosses(d, e):
+                return d, e
+    return None
+
+
 def _normalize_pair(n: int, pair: Sequence[int]) -> Pair:
     try:
         i, j = pair
@@ -76,13 +109,12 @@ class Dissection:
     def __init__(self, n: int, diagonals: Iterable[Sequence[int]] = ()):
         if not isinstance(n, int) or n < 3:
             raise InvalidDissectionError(f"a polygon needs at least 3 vertices, got {n!r}")
-        normalized = sorted({_normalize_pair(n, p) for p in diagonals})
-        for idx, d in enumerate(normalized):
-            for e in normalized[idx + 1 :]:
-                if crosses(d, e):
-                    raise CrossingDiagonalError(f"diagonals {d} and {e} cross")
+        normalized = frozenset([_normalize_pair(n, p) for p in diagonals])
+        if not _noncrossing(normalized):
+            d, e = _crossing_pair(normalized)
+            raise CrossingDiagonalError(f"diagonals {d} and {e} cross")
         self._n = n
-        self._diagonals = frozenset(normalized)
+        self._diagonals = normalized
 
     @property
     def n(self) -> int:
@@ -204,7 +236,8 @@ def _segment(lo: int, hi: int, step: int) -> list[tuple[Pair, ...]]:
     """Diagonal sets of every (step+2)-angulation of the sub-polygon lo..hi."""
     if hi - lo == 1:
         return [()]
-    assert (hi - lo) % step == 1 % step
+    if (hi - lo) % step != 1 % step:
+        raise InternalAssertionError(f"segment {lo}..{hi} is not ({step}+2)-angulable")
     results = []
     for mids in _pick(lo, step, hi, step):
         corners = (lo, *mids, hi)

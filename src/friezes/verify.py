@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .bijection import Triangulation, _refine, associated_triangulation, triangle_counts
-from .frieze import Frieze, InternalAssertionError, cc_frieze, lambda_frieze
+from .exact import QuadNum
+from .frieze import Frieze, InternalAssertionError, _cc_rows, _lambda_rows
 from .polygon import (
     Dissection,
     enumerate_p_angulations,
@@ -43,6 +44,10 @@ from .polygon import (
     quiddity_counts,
     rotate,
 )
+
+
+# A frieze grid as ints, indexed [r][k]; None marks an entry with no int reading.
+Rows = Sequence[Sequence["int | None"]]
 
 
 @dataclass(frozen=True)
@@ -81,49 +86,40 @@ def _lemma_counts(d: Dissection, p: int, t: Triangulation) -> CheckResult:
     return CheckResult(True, None)
 
 
-def odd_rows_coincide(radical: Frieze, integral: Frieze) -> CheckResult:
-    """Do two same-width friezes agree entrywise on every odd row?
-
-    A cell agrees when both entries are the same integer (odd rows of both
-    frieze families are integral); `QuadNum` equality compares values, so
-    the friezes may live over different radicands.  Unequal widths raise
-    ValueError.
-    """
-    if radical.width != integral.width:
-        raise ValueError("friezes must share a width")
-    for r in range(1, radical.width + 3, 2):
-        for k, (a, b) in enumerate(zip(radical.rows[r], integral.rows[r])):
-            if a != b or a.as_integer() is None:
-                return CheckResult(False, FirstViolation("odd_rows", r, k))
+def _odd_rows_match(radical: Rows, integral: Rows, width: int) -> CheckResult:
+    """Odd rows of two int grids, equal entrywise; None (not an integer) never matches."""
+    for r in range(1, width + 3, 2):
+        a_row, b_row = radical[r], integral[r]
+        if a_row == b_row and None not in a_row:
+            continue
+        pairs = enumerate(zip(a_row, b_row))
+        k = next((k for k, (a, b) in pairs if a is None or a != b), None)
+        if k is not None:
+            return CheckResult(False, FirstViolation("odd_rows", r, k))
     return CheckResult(True, None)
 
 
-def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingResult:
-    """Is each even integral row a (p/2)-dressed copy of the radical row?
+def _even_rows_match(coefficients: Rows, integral: Rows, width: int, p: int) -> EvenScalingResult:
+    """Even rows: integral entries equal to the radical coefficients dressed by (p/2).
 
-    Row 2j passes when the radical entries are positive integer multiples
-    a_k of √m and the integral entries equal (p/2)^((k+ε_j) mod 2)·a_k for
-    some per-row offset ε_j ∈ {0, 1}, tried 0 first; the chosen offsets are
-    reported, and a failing row is witnessed at the smallest column either
-    offset misses.  Unequal widths raise ValueError.
+    coefficients[r] holds the radical entries of row r as multiples a_k of
+    √m, integral[r] the integral entries; None (no such integer) never
+    matches.
     """
-    if radical.width != integral.width:
-        raise ValueError("friezes must share a width")
     half = p // 2
     epsilons: list[int] = []
-    for r in range(2, radical.width + 2, 2):
-        coeffs = []
-        for k, e in enumerate(radical.rows[r]):
-            c = e.as_radical_multiple()
-            if c is None or c <= 0:
-                return EvenScalingResult(
-                    False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
-                )
-            coeffs.append(c)
+    for r in range(2, width + 2, 2):
+        coeffs, row = coefficients[r], integral[r]
+        if None in coeffs or min(coeffs) <= 0:
+            k = next(k for k, c in enumerate(coeffs) if c is None or c <= 0)
+            return EvenScalingResult(
+                False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
+            )
         misses = []
         for eps in (0, 1):
-            scaled = enumerate(zip(coeffs, integral.rows[r]))
-            miss = next((k for k, (c, e) in scaled if e != c * half ** ((k + eps) % 2)), None)
+            scaled = [c * half if (k + eps) % 2 else c for k, c in enumerate(coeffs)]
+            pairs = enumerate(zip(scaled, row))
+            miss = None if row == scaled else next((k for k, (s, e) in pairs if e != s), None)
             if miss is None:
                 epsilons.append(eps)
                 break
@@ -137,11 +133,44 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
     return EvenScalingResult(True, None, eps, alternates)
 
 
-def _build(d: Dissection, p: int) -> tuple[Triangulation, Frieze, Frieze]:
+def odd_rows_coincide(radical: Frieze, integral: Frieze) -> CheckResult:
+    """Do two same-width friezes agree entrywise on every odd row?
+
+    A cell agrees when both entries are the same integer (odd rows of both
+    frieze families are integral); entries are read with `as_integer`, so
+    the friezes may live over different radicands.  Unequal widths raise
+    ValueError.
+    """
+    if radical.width != integral.width:
+        raise ValueError("friezes must share a width")
+    as_int = QuadNum.as_integer
+    return _odd_rows_match(_read(radical, as_int), _read(integral, as_int), radical.width)
+
+
+def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingResult:
+    """Is each even integral row a (p/2)-dressed copy of the radical row?
+
+    Row 2j passes when the radical entries are positive integer multiples
+    a_k of √m and the integral entries equal (p/2)^((k+ε_j) mod 2)·a_k for
+    some per-row offset ε_j ∈ {0, 1}, tried 0 first; the chosen offsets are
+    reported, and a failing row is witnessed at the smallest column either
+    offset misses.  Unequal widths raise ValueError.
+    """
+    if radical.width != integral.width:
+        raise ValueError("friezes must share a width")
+    coefficients = _read(radical, QuadNum.as_radical_multiple)
+    return _even_rows_match(coefficients, _read(integral, QuadNum.as_integer), radical.width, p)
+
+
+def _read(frieze: Frieze, accessor: Callable[[QuadNum], "int | None"]) -> Rows:
+    """The grid's entries as ints through a QuadNum accessor (None where it has none)."""
+    return [[accessor(e) for e in row] for row in frieze.rows]
+
+
+def _build(d: Dissection, p: int) -> tuple[Triangulation, Rows, Rows]:
+    """The associated triangulation and the kernel rows of both friezes."""
     t = associated_triangulation(d, p)
-    radical = lambda_frieze(d, p)
-    integral = cc_frieze(t)
-    return t, radical, integral
+    return t, _lambda_rows(d, p), _cc_rows(t)
 
 
 def check_lemma(d: Dissection, p: int) -> CheckResult:
@@ -152,13 +181,13 @@ def check_lemma(d: Dissection, p: int) -> CheckResult:
 def check_odd_rows(d: Dissection, p: int) -> CheckResult:
     """Entrywise agreement of the two friezes on every odd row."""
     _, radical, integral = _build(d, p)
-    return odd_rows_coincide(radical, integral)
+    return _odd_rows_match(radical, integral, d.n - 3)
 
 
 def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     """Even rows of the integer frieze as (p/2)-scaled radical-row coefficients."""
     _, radical, integral = _build(d, p)
-    return even_rows_scaled(radical, integral, p)
+    return _even_rows_match(radical, integral, d.n - 3, p)
 
 
 @dataclass(frozen=True)
@@ -203,8 +232,8 @@ def verify_dissection(d: Dissection, p: int) -> VerificationReport:
     t, radical, integral = _build(d, p)
     built = time.perf_counter()
     lemma = _lemma_counts(d, p, t)
-    odd = odd_rows_coincide(radical, integral)
-    even = even_rows_scaled(radical, integral, p)
+    odd = _odd_rows_match(radical, integral, d.n - 3)
+    even = _even_rows_match(radical, integral, d.n - 3, p)
     finished = time.perf_counter()
     first = next(
         (w for w in (lemma.witness, odd.witness, even.witness) if w is not None), None
@@ -263,7 +292,8 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     Exhaustive over Catalan-many candidates, so only sensible for small
     polygons.  See DeepUniquenessResult for how matches are reported.
     """
-    radical = lambda_frieze(d, p)
+    radical = _lambda_rows(d, p)
+    width = d.n - 3
     expected = associated_triangulation(d, p)
     # The white-corner refinement shares every odd row: its quiddity carries
     # the p/2 factor at even instead of odd vertices, odd rows are
@@ -276,7 +306,7 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     total = 0
     for candidate in enumerate_p_angulations(d.n - 2, 3):
         total += 1
-        if odd_rows_coincide(radical, cc_frieze(candidate)).ok:
+        if _odd_rows_match(radical, _cc_rows(candidate), width).ok:
             matches.append(candidate)
 
     def classify(m: Dissection) -> str:

@@ -239,6 +239,14 @@ def test_radical_frieze_of_quad10(quad10):
     assert_matches_continuant_oracle(f)
 
 
+def test_equal_entries_share_one_quadnum(quad10, hex18):
+    # a build wraps each distinct kernel value once (per parity of a radical row)
+    triangulation = Dissection(10, [(1, 3), (1, 4), (1, 9), (4, 9), (5, 7), (5, 8), (5, 9)])
+    for f in (lambda_frieze(quad10, 4), lambda_frieze(hex18, 6), cc_frieze(triangulation)):
+        entries = [e for row in f.rows for e in row]
+        assert len({id(e) for e in entries}) == len(set(entries))
+
+
 def test_radical_frieze_single_quad():
     f = lambda_frieze(Dissection(4), 4)
     assert f.width == 1

@@ -4,6 +4,8 @@ Face extraction and enumeration are cross-checked against the independent
 planar-walk / brute-force implementations in oracle.py.
 """
 
+import random
+
 import pytest
 
 from friezes import (
@@ -21,6 +23,7 @@ from friezes import (
     rotate,
 )
 
+from friezes.polygon import _noncrossing
 from oracle import brute_force_p_angulations, face_walk_faces, noncrossing_subsets
 
 
@@ -70,6 +73,31 @@ def test_rejections():
     # every rejection is a ValueError under one family
     assert issubclass(CrossingDiagonalError, InvalidDissectionError)
     assert issubclass(VertexRangeError, ValueError)
+
+
+def test_stack_crossing_test_matches_the_pairwise_scan():
+    # the constructor decides crossing by a sort-and-stack test; it must give
+    # the pairwise scan's verdict and name the pair that scan names first
+    rng = random.Random(11)
+    for trial in range(4000):
+        n = rng.randint(4, 16)
+        chords = set()
+        for _ in range(rng.randint(0, 2 + trial % 9)):
+            a, b = sorted(rng.sample(range(n), 2))
+            if b - a > 1 and not (a == 0 and b == n - 1):
+                chords.add((a, b))
+        ordered = sorted(chords)
+        first = next(
+            ((d, e) for i, d in enumerate(ordered) for e in ordered[i + 1 :] if crosses(d, e)),
+            None,
+        )
+        assert _noncrossing(chords) == (first is None), ordered
+        if first is None:
+            assert Dissection(n, chords).diagonals == chords
+        else:
+            with pytest.raises(CrossingDiagonalError) as info:
+                Dissection(n, rng.sample(ordered, len(ordered)))
+            assert str(info.value) == f"diagonals {first[0]} and {first[1]} cross"
 
 
 def test_json_round_trip(quad10):

@@ -10,12 +10,14 @@ from friezes import (
     Frieze,
     QuadNum,
     Triangulation,
+    associated_triangulation,
     associated_triangulation_p4,
     cc_frieze,
     check_even_scaling,
     check_lemma,
     check_odd_rows,
     deep_uniqueness,
+    enumerate_p_angulations,
     even_rows_scaled,
     lambda_frieze,
     odd_rows_coincide,
@@ -134,6 +136,35 @@ def test_verify_dissection_p6(hex18):
     assert report.epsilons == (0,) * 8
 
 
+def test_verify_dissection_matches_the_public_comparisons():
+    # verify_dissection compares the kernel's int rows; the public Frieze
+    # comparisons read the wrapped grids back: both give the same report
+    for p, s_max in ((4, 5), (6, 3)):
+        for s in range(1, s_max + 1):
+            for d in enumerate_p_angulations(s, p):
+                radical = lambda_frieze(d, p)
+                integral = cc_frieze(associated_triangulation(d, p))
+                lemma = check_lemma(d, p)
+                odd = odd_rows_coincide(radical, integral)
+                even = even_rows_scaled(radical, integral, p)
+                witnesses = (lemma.witness, odd.witness, even.witness)
+                first = next((w for w in witnesses if w is not None), None)
+                expected = {
+                    "p": p,
+                    "s": s,
+                    "dissection": d.to_json(),
+                    "lemma_ok": lemma.ok,
+                    "odd_rows_ok": odd.ok,
+                    "even_scaling_ok": even.ok,
+                    "epsilons": list(even.epsilons),
+                    "epsilon_alternates": even.alternates,
+                    "first_violation": None if first is None else first.to_json(),
+                }
+                blob = verify_dissection(d, p).to_json()
+                del blob["timings_ms"]
+                assert blob == expected
+
+
 def test_sweep_p4():
     summary = sweep(4, 3)
     assert summary.checked == 16
@@ -199,6 +230,25 @@ def test_mirror_match_shares_odd_rows_only():
     # the two integer friezes themselves differ (row 2 swaps 1s and 2s)
     assert [e.as_integer() for e in mirror.row(2)] == [2, 1, 2, 1]
     assert [e.as_integer() for e in associated.row(2)] == [1, 2, 1, 2]
+
+
+def test_deep_scan_wraps_no_candidate(monkeypatch, quad10):
+    # candidates are compared on the kernel's int rows: none of the 1430
+    # integer friezes is wrapped in QuadNum (wrapping them all built 15,644
+    # QuadNum values, about 11 per candidate after sharing)
+    built = []
+    init = QuadNum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadNum, "__init__", counting_init)
+    result = deep_uniqueness(quad10, 4)
+    monkeypatch.undo()
+    assert result.triangulations == 1430
+    assert result.match_kinds == ("associated", "mirror")
+    assert len(built) < 1430
 
 
 def test_deep_sweep_flags_every_dissection():

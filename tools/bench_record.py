@@ -1,7 +1,7 @@
 """Record a before/after benchmark comparison as BENCH_<short-sha>.json.
 
-    python3 tools/bench_record.py [--base REV] [--pairs 10] [--trace-pairs 3]
-                                  [--seconds 5] [--seed 101] [--parent-tree DIR]
+    python3 tools/bench_record.py [--base REV | --parent-tree DIR]
+                                  [--seconds 5] [--seed 101]
 
 The change is this checkout's working tree; the parent is revision --base
 (default HEAD~1), checked out with `git worktree add` into a temporary
@@ -9,16 +9,23 @@ directory and removed afterwards, or an existing checkout given by
 --parent-tree.  Each tree's own `bench/run.py` measures its own `src/`.
 
 For every workload in BENCHMARK.json, the two trees run alternately with
-the same seed and --seconds: --pairs pairs with `--trace 0` (seeds --seed,
---seed + 1, ...), then --trace-pairs pairs with `--trace 1`.  Odd pairs run
+the same seed and --seconds: PAIRS pairs with `--trace 0` (seeds --seed,
+--seed + 1, ...), then TRACE_PAIRS pairs with `--trace 1`.  Odd pairs run
 the change first, so neither side always runs second.
 
-The file records the interpreter, the CPU, both commits, every run's
-metrics, and per metric the median and quartiles of each side, the ratio
-of the medians and how many pairs the change won.  Per workload it names
-the layer that moved: the traced per-layer time metric (`*_s`) whose
-median changed most.  The exit status is 1 when any run was not `correct`
-or had `failed` > 0, and 2 when a run could not be started.
+The file (written next to this checkout's BENCHMARK.json) records the
+interpreter, the CPU, both commits, every run's metrics, and per metric
+the median and quartiles of each side, the ratio of the medians and how
+many pairs the change won.  Each end-to-end metric gets a verdict:
+"gain" when the change wins at least nine tenths of the pairs and the
+medians differ by more than the parent's interquartile range,
+"regression" when the change's median is worse than the parent's by more
+than the metric's bound, "unresolved" when the parent's own spread is
+wider than the bound (unless every change run beats every parent run),
+and "unchanged" otherwise.  Per workload it names the layer that moved:
+the traced per-layer time metric (`*_s`) whose median changed most.  The
+exit status is 1 when any run was not `correct` or had `failed` > 0, and
+2 when a run could not be started.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # untraced pairs per workload: enough to ask for nine wins in ten
+TRACE_PAIRS = 3  # traced pairs per workload; layer counts repeat exactly
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
@@ -82,23 +91,41 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per metric: both sides' spread, the median ratio and the change's wins."""
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: both sides' spread, the median ratio, the change's wins and,
+    where the metric has a bound, a verdict."""
     out = {}
-    for name, better in directions.items():
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
         parent = [r["parent"]["metrics"][name]["value"] for r in runs]
         change = [r["change"]["metrics"][name]["value"] for r in runs]
         before, after = spread(parent), spread(change)
-        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         out[name] = {
-            "better": better,
+            "better": metric["better"],
             "parent": before,
             "change": after,
             "ratio": after["median"] / before["median"] if before["median"] else None,
             "change_wins": wins,
             "pairs": len(runs),
         }
+        if "bound" in metric:
+            out[name]["verdict"] = verdict(parent, change, lower, metric["bound"], wins)
     return out
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float,
+            wins: int) -> str:
+    before, after = spread(parent), spread(change)
+    gain = (before["median"] - after["median"]) if lower else (after["median"] - before["median"])
+    if 10 * wins >= 9 * len(parent) and gain > before["q3"] - before["q1"]:
+        return "gain"
+    if -gain > bound * before["median"]:
+        return "regression"
+    beats_all = min(parent) > max(change) if lower else max(parent) < min(change)
+    if before["q3"] - before["q1"] > bound * before["median"] and not beats_all:
+        return "unresolved"
+    return "unchanged"
 
 
 def moved_layer(layers: dict) -> str | None:
@@ -110,28 +137,16 @@ def moved_layer(layers: dict) -> str | None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD~1", help="parent revision (default HEAD~1)")
-    parser.add_argument("--parent-tree", type=Path,
-                        help="measure this checkout of the parent instead of a new worktree")
-    parser.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload")
-    parser.add_argument("--trace-pairs", type=int, default=3, help="traced pairs per workload")
-    parser.add_argument("--seconds", type=int, default=5)
+    parent_group = parser.add_mutually_exclusive_group()
+    parent_group.add_argument("--base", default="HEAD~1", help="parent revision (default HEAD~1)")
+    parent_group.add_argument("--parent-tree", type=Path,
+                              help="measure this checkout of the parent instead of a new worktree")
+    parser.add_argument("--seconds", type=int, default=5, help="--seconds of every run")
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", help="limit to these workloads")
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory for the BENCH file")
     args = parser.parse_args()
-    if args.pairs < 1 or args.trace_pairs < 0 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be positive, --trace-pairs nonnegative")
-
+    if args.seconds < 1:
+        parser.error("--seconds must be positive")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = [w["name"] for w in spec["workloads"]]
-    if args.workload:
-        unknown = sorted(set(args.workload) - set(workloads))
-        if unknown:
-            parser.error(f"unknown workloads {unknown}")
-        workloads = [w for w in workloads if w in args.workload]
-    directions = {0: {m["name"]: m["better"] for m in spec["end_to_end"]},
-                  1: {m["name"]: m["better"] for m in spec["per_layer"]}}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         worktree = None
@@ -142,7 +157,7 @@ def main() -> int:
             git("worktree", "add", "--detach", str(worktree), git("rev-parse", args.base))
         try:
             parent = commit_of(parent_tree)
-            record, bad = measure(args, workloads, directions, parent_tree)
+            record, bad = measure(args, spec, parent_tree)
         except (RuntimeError, json.JSONDecodeError) as exc:
             print(f"bench_record: {exc}", file=sys.stderr)
             return 2
@@ -160,34 +175,35 @@ def main() -> int:
         },
         "parent": parent,
         "change": change,
-        "settings": {"seconds": args.seconds, "pairs": args.pairs,
-                     "trace_pairs": args.trace_pairs, "first_seed": args.seed,
+        "settings": {"seconds": args.seconds, "pairs": PAIRS,
+                     "trace_pairs": TRACE_PAIRS, "first_seed": args.seed,
                      "order": "alternating; odd pairs run the change first"},
         **record,
         "all_correct": not bad,
         "bad_runs": bad,
     }
-    path = args.out / f"BENCH_{change['sha'][:7]}.json"
+    path = ROOT / f"BENCH_{change['sha'][:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     for workload, result in record["workloads"].items():
         for name, s in result["end_to_end"].items():
             print(f"  {workload:15s} {name:12s} {s['parent']['median']:.6g} -> "
-                  f"{s['change']['median']:.6g}  (ratio {s['ratio']}, "
-                  f"change better in {s['change_wins']}/{s['pairs']})")
+                  f"{s['change']['median']:.6g}  (ratio {s['ratio']}, change better "
+                  f"in {s['change_wins']}/{s['pairs']}: {s['verdict']})")
         print(f"  {workload:15s} layer that moved: {result['moved_layer']}")
     for run in bad:
         print(f"  BAD RUN {run}", file=sys.stderr)
     return 1 if bad else 0
 
 
-def measure(args, workloads, directions, parent_tree: Path) -> tuple[dict, list]:
+def measure(args, spec: dict, parent_tree: Path) -> tuple[dict, list]:
     """Run every pair; return the per-workload record and the bad runs."""
+    workloads = [w["name"] for w in spec["workloads"]]
     trees = {"parent": parent_tree, "change": ROOT}
     runs: dict[int, dict[str, list]] = {0: {w: [] for w in workloads},
                                         1: {w: [] for w in workloads}}
     bad = []
-    for trace, pairs in ((0, args.pairs), (1, args.trace_pairs)):
+    for trace, pairs in ((0, PAIRS), (1, TRACE_PAIRS)):
         for i in range(pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -207,9 +223,9 @@ def measure(args, workloads, directions, parent_tree: Path) -> tuple[dict, list]
                       file=sys.stderr, flush=True)
     record = {}
     for workload in workloads:
-        layers = summarize(runs[1][workload], directions[1]) if args.trace_pairs else {}
+        layers = summarize(runs[1][workload], spec["per_layer"])
         record[workload] = {
-            "end_to_end": summarize(runs[0][workload], directions[0]),
+            "end_to_end": summarize(runs[0][workload], spec["end_to_end"]),
             "per_layer": layers,
             "moved_layer": moved_layer(layers),
             "runs": {"trace0": runs[0][workload], "trace1": runs[1][workload]},

@@ -14,11 +14,14 @@ and satisfies west·east - south·north = 1.  The quiddity row is row 2, with
 e(2, k) attached to polygon vertex k.  Every entry is a continuant of the
 quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
 √m on the even rows of a radical frieze), so builds run on plain ints: one
-private kernel grows the grid from integer counts, which `lambda_frieze` and
-`cc_frieze` pass straight in and `from_quiddity` parses out of a QuadNum
-row.  In a staggered rendering rows drift horizontally, so a single row
-matches a reference sequence only up to cyclic rotation, while
-frieze-against-frieze comparisons are entrywise at equal (r, k).
+private kernel grows the int rows from integer counts, which `lambda_frieze`
+and `cc_frieze` pass straight in and `from_quiddity` parses out of a QuadNum
+row, and checks positivity and closure on those ints.  The public builders
+wrap the rows into a `Frieze` of QuadNum entries; the checks in `verify`
+take the int rows as they are.  In a staggered rendering rows drift
+horizontally, so a single row matches a reference sequence only up to
+cyclic rotation, while frieze-against-frieze comparisons are entrywise at
+equal (r, k).
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
 face of D cut along its black (odd) corners.  Both friezes grow from their
-quiddity rows by the same plain-int continuant loop, the radical one from
+quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
-counts of T, so the checks compare integers across radicands.  The checks are:
+counts of T.  The checks take the kernel's int rows as they come, with no
+QuadNum in between: an odd row is compared as two int lists, and an even
+row of the radical frieze holds the coefficients a_k of a_k·√m.  The
+checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -18,8 +21,10 @@ counts of T, so the checks compare integers across radicands.  The checks are:
 The frieze-level comparisons behind the last two (odd_rows_coincide,
 even_rows_scaled) are public so arbitrary frieze pairs — e.g. a radical
 frieze against a deliberately corrupted triangulation's frieze — can be
-compared directly.  They walk the two grids row by row at equal (r, k) and
-raise ValueError when the widths differ.
+compared directly.  They read each grid's QuadNum entries as ints
+(`as_integer`, or `as_radical_multiple` for the radical even rows; an
+entry with no such reading never matches), hand them to the same int-row
+comparisons, and raise ValueError when the widths differ.
 
 sweep() runs all three over every p-angulation up to a face-count bound;
 deep_uniqueness() compares one radical frieze against the integer friezes

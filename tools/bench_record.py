@@ -147,6 +147,7 @@ def main() -> int:
     if args.seconds < 1:
         parser.error("--seconds must be positive")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    change = commit_of(ROOT)  # before the runs, which take a while
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         worktree = None
@@ -165,7 +166,6 @@ def main() -> int:
             if worktree is not None:
                 git("worktree", "remove", "--force", str(worktree))
 
-    change = commit_of(ROOT)
     record = {
         "environment": {
             "python": f"{platform.python_implementation()} {platform.python_version()}",

@@ -14,26 +14,24 @@ the same seed and --seconds: PAIRS pairs with `--trace 0` (seeds --seed,
 the change first, so neither side always runs second.
 
 The file (written next to this checkout's BENCHMARK.json) records the
-interpreter, the CPU, both commits, every run's metrics, and per metric
-the median and quartiles of each side, the ratio of the medians and how
-many pairs the change won.  Each end-to-end metric gets a verdict:
-"gain" when the change wins at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile range,
-"regression" when the change's median is worse than the parent's by more
-than the metric's bound, "unresolved" when the parent's own spread is
-wider than the bound (unless every change run beats every parent run),
-and "unchanged" otherwise.  Per workload it names the layer that moved:
-the traced per-layer time metric (`*_s`) whose median changed most.  The
-exit status is 1 when any run was not `correct` or had `failed` > 0, and
-2 when a run could not be started.
+interpreter, the CPU and both commits as `bench/run.py` reports them,
+every run's metrics, and per metric the median and quartiles of each
+side, the ratio of the medians and how many pairs the change won.  Each
+end-to-end metric gets a verdict: "gain" when the change wins at least
+nine tenths of the pairs and the medians differ by more than the parent's
+interquartile range, "regression" when the change's median is worse than
+the parent's by more than the metric's bound, "unresolved" when the
+parent's own spread is wider than the bound (unless every change run
+beats every parent run), and "unchanged" otherwise.  Per workload it names
+the layer that moved: the traced per-layer time metric (`*_s`) whose
+median changed most.  The exit status is 1 when any run was not `correct`
+or had `failed` > 0, and 2 when a run could not be completed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -45,41 +43,20 @@ PAIRS = 10  # untraced pairs per workload: enough to ask for nine wins in ten
 TRACE_PAIRS = 3  # traced pairs per workload; layer counts repeat exactly
 
 
-def git(*args: str, cwd: Path = ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
-def commit_of(tree: Path) -> dict:
-    """The commit a tree has checked out, and whether it has local changes."""
-    try:
-        sha = git("rev-parse", "HEAD", cwd=tree)
-        dirty = bool(git("status", "--porcelain", "--untracked-files=no", cwd=tree))
-    except (OSError, subprocess.CalledProcessError):
-        return {"sha": "unknown", "dirty": None}
-    return {"sha": sha, "dirty": dirty}
-
-
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
-def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One `bench/run.py` run in a tree: its final result line, parsed."""
+def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+    """One `bench/run.py` run in a tree: its report's environment and its result."""
     argv = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.splitlines()
-    if done.returncode != 0 or not lines:
+    if done.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-2])["report"]["environment"], json.loads(lines[-1])
 
 
 def spread(values: list[float]) -> dict:
@@ -89,6 +66,20 @@ def spread(values: list[float]) -> dict:
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float,
+            wins: int) -> str:
+    before, after = spread(parent), spread(change)
+    gain = (before["median"] - after["median"]) if lower else (after["median"] - before["median"])
+    if 10 * wins >= 9 * len(parent) and gain > before["q3"] - before["q1"]:
+        return "gain"
+    if -gain > bound * before["median"]:
+        return "regression"
+    beats_all = min(parent) > max(change) if lower else max(parent) < min(change)
+    if before["q3"] - before["q1"] > bound * before["median"] and not beats_all:
+        return "unresolved"
+    return "unchanged"
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -114,25 +105,59 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def verdict(parent: list[float], change: list[float], lower: bool, bound: float,
-            wins: int) -> str:
-    before, after = spread(parent), spread(change)
-    gain = (before["median"] - after["median"]) if lower else (after["median"] - before["median"])
-    if 10 * wins >= 9 * len(parent) and gain > before["q3"] - before["q1"]:
-        return "gain"
-    if -gain > bound * before["median"]:
-        return "regression"
-    beats_all = min(parent) > max(change) if lower else max(parent) < min(change)
-    if before["q3"] - before["q1"] > bound * before["median"] and not beats_all:
-        return "unresolved"
-    return "unchanged"
-
-
 def moved_layer(layers: dict) -> str | None:
     """The traced time-per-op metric whose median moved most (either way)."""
     timed = {name: abs(s["change"]["median"] - s["parent"]["median"])
              for name, s in layers.items() if name.endswith("_s")}
     return max(timed, key=timed.get) if timed and max(timed.values()) > 0 else None
+
+
+def measure(spec: dict, trees: dict[str, Path], seconds: int, first_seed: int) -> dict:
+    """Run every pair and summarize them per workload."""
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {trace: {w: [] for w in workloads} for trace in (0, 1)}
+    environments: dict[str, dict] = {}
+    bad = []
+    for trace, pairs in ((0, PAIRS), (1, TRACE_PAIRS)):
+        for i in range(pairs):
+            seed = first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                pair = {"seed": seed}
+                for side in order:
+                    env, result = run_once(trees[side], workload, seed, seconds, trace)
+                    environments.setdefault(side, env)
+                    pair[side] = {key: result[key]
+                                  for key in ("correct", "attempted", "failed", "metrics")}
+                    if result["correct"] is not True or result["failed"] > 0:
+                        bad.append({"side": side, "workload": workload, "seed": seed,
+                                    "trace": trace, "correct": result["correct"],
+                                    "failed": result["failed"]})
+                runs[trace][workload].append(pair)
+                print(f"trace {trace} pair {i + 1}/{pairs} {workload} done",
+                      file=sys.stderr, flush=True)
+    summary = {}
+    for workload in workloads:
+        layers = summarize(runs[1][workload], spec["per_layer"])
+        summary[workload] = {
+            "end_to_end": summarize(runs[0][workload], spec["end_to_end"]),
+            "per_layer": layers,
+            "moved_layer": moved_layer(layers),
+            "runs": {"trace0": runs[0][workload], "trace1": runs[1][workload]},
+        }
+    commit = ("commit", "dirty", "source_sha256")
+    env = environments["change"]
+    return {
+        "environment": {key: env[key] for key in ("python", "cpu", "nproc")},
+        "parent": {key: environments["parent"][key] for key in commit},
+        "change": {key: env[key] for key in commit},
+        "settings": {"seconds": seconds, "pairs": PAIRS, "trace_pairs": TRACE_PAIRS,
+                     "first_seed": first_seed,
+                     "order": "alternating; odd pairs run the change first"},
+        "workloads": summary,
+        "all_correct": not bad,
+        "bad_runs": bad,
+    }
 
 
 def main() -> int:
@@ -147,7 +172,6 @@ def main() -> int:
     if args.seconds < 1:
         parser.error("--seconds must be positive")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    change = commit_of(ROOT)  # before the runs, which take a while
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         worktree = None
@@ -157,32 +181,16 @@ def main() -> int:
             worktree = parent_tree = Path(tmp) / "parent"
             git("worktree", "add", "--detach", str(worktree), git("rev-parse", args.base))
         try:
-            parent = commit_of(parent_tree)
-            record, bad = measure(args, spec, parent_tree)
-        except (RuntimeError, json.JSONDecodeError) as exc:
+            record = measure(spec, {"parent": parent_tree, "change": ROOT},
+                             args.seconds, args.seed)
+        except (RuntimeError, json.JSONDecodeError, KeyError) as exc:
             print(f"bench_record: {exc}", file=sys.stderr)
             return 2
         finally:
             if worktree is not None:
                 git("worktree", "remove", "--force", str(worktree))
 
-    record = {
-        "environment": {
-            "python": f"{platform.python_implementation()} {platform.python_version()}",
-            "cpu": cpu_model(),
-            "nproc": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "parent": parent,
-        "change": change,
-        "settings": {"seconds": args.seconds, "pairs": PAIRS,
-                     "trace_pairs": TRACE_PAIRS, "first_seed": args.seed,
-                     "order": "alternating; odd pairs run the change first"},
-        **record,
-        "all_correct": not bad,
-        "bad_runs": bad,
-    }
-    path = ROOT / f"BENCH_{change['sha'][:7]}.json"
+    path = ROOT / f"BENCH_{record['change']['commit'][:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     for workload, result in record["workloads"].items():
@@ -191,46 +199,9 @@ def main() -> int:
                   f"{s['change']['median']:.6g}  (ratio {s['ratio']}, change better "
                   f"in {s['change_wins']}/{s['pairs']}: {s['verdict']})")
         print(f"  {workload:15s} layer that moved: {result['moved_layer']}")
-    for run in bad:
+    for run in record["bad_runs"]:
         print(f"  BAD RUN {run}", file=sys.stderr)
-    return 1 if bad else 0
-
-
-def measure(args, spec: dict, parent_tree: Path) -> tuple[dict, list]:
-    """Run every pair; return the per-workload record and the bad runs."""
-    workloads = [w["name"] for w in spec["workloads"]]
-    trees = {"parent": parent_tree, "change": ROOT}
-    runs: dict[int, dict[str, list]] = {0: {w: [] for w in workloads},
-                                        1: {w: [] for w in workloads}}
-    bad = []
-    for trace, pairs in ((0, PAIRS), (1, TRACE_PAIRS)):
-        for i in range(pairs):
-            seed = args.seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for workload in workloads:
-                pair = {"seed": seed}
-                for side in order:
-                    result = run_once(trees[side], workload, seed, args.seconds, trace)
-                    pair[side] = {"correct": result["correct"], "failed": result["failed"],
-                                  "attempted": result["attempted"],
-                                  "metrics": result["metrics"]}
-                    if result["correct"] is not True or result["failed"] > 0:
-                        bad.append({"side": side, "workload": workload, "seed": seed,
-                                    "trace": trace, "correct": result["correct"],
-                                    "failed": result["failed"]})
-                runs[trace][workload].append(pair)
-                print(f"trace {trace} pair {i + 1}/{pairs} {workload} done",
-                      file=sys.stderr, flush=True)
-    record = {}
-    for workload in workloads:
-        layers = summarize(runs[1][workload], spec["per_layer"])
-        record[workload] = {
-            "end_to_end": summarize(runs[0][workload], spec["end_to_end"]),
-            "per_layer": layers,
-            "moved_layer": moved_layer(layers),
-            "runs": {"trace0": runs[0][workload], "trace1": runs[1][workload]},
-        }
-    return {"workloads": record}, bad
+    return 1 if record["bad_runs"] else 0
 
 
 if __name__ == "__main__":

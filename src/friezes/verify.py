@@ -115,8 +115,8 @@ def _even_rows_match(coefficients: Rows, integral: Rows, width: int, p: int) -> 
     epsilons: list[int] = []
     for r in range(2, width + 2, 2):
         coeffs, row = coefficients[r], integral[r]
-        if None in coeffs or min(coeffs) <= 0:
-            k = next(k for k, c in enumerate(coeffs) if c is None or c <= 0)
+        k = next((k for k, c in enumerate(coeffs) if c is None or c <= 0), None)
+        if k is not None:
             return EvenScalingResult(
                 False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
             )

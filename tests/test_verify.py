@@ -107,6 +107,25 @@ def test_even_scaling_rejects_wrong_grid(quad10):
     assert result.witness.claim == "even_scaling"
 
 
+def test_even_scaling_cuts_ragged_rows_to_the_shorter():
+    def width_one(m, row2):
+        """A hand-built width-1 grid over √m; only its even row 2 varies."""
+        zero, one = (QuadNum(m, 0),) * 4, (QuadNum(m, 1),) * 4
+        return Frieze(m, 1, (zero, one, tuple(row2), one, zero))
+
+    radical = width_one(2, [QuadNum(2, 0, 1), QuadNum(2, 0, 3)])
+    integral = width_one(1, [QuadNum(1, v) for v in (1, 6, 7)])
+    assert even_rows_scaled(radical, integral, 4).epsilons == (0,)
+    # an empty even row on either side leaves nothing to compare
+    for a, b in [(width_one(2, []), integral), (radical, width_one(1, []))]:
+        result = even_rows_scaled(a, b, 4)
+        assert result.ok and result.epsilons == (0,)
+    # a miss inside the shorter row is still one (witnessed at the smaller
+    # of the two offsets' first misses: ε = 1 already misses column 0)
+    result = even_rows_scaled(radical, width_one(1, [QuadNum(1, 1), QuadNum(1, 5)]), 4)
+    assert not result.ok and result.witness == FirstViolation("even_scaling", 2, 0)
+
+
 def test_comparisons_reject_width_mismatch():
     wide = lambda_frieze(Dissection(6, [(1, 4)]), 4)  # width 3
     narrow = cc_frieze(Dissection(4, [(1, 3)]))  # width 1

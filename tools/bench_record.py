@@ -1,12 +1,12 @@
 """Record a before/after benchmark comparison as BENCH_<short-sha>.json.
 
-    python3 tools/bench_record.py [--base REV | --parent-tree DIR]
-                                  [--seconds 5] [--seed 101]
+    python3 tools/bench_record.py --base REV [--seconds 5] [--seed 101]
 
-The change is this checkout's working tree; the parent is revision --base
-(default HEAD~1), checked out with `git worktree add` into a temporary
-directory and removed afterwards, or an existing checkout given by
---parent-tree.  Each tree's own `bench/run.py` measures its own `src/`.
+The change is this checkout's working tree; the parent is revision --base,
+checked out with `git worktree add` into a temporary directory and removed
+afterwards.  --base has no default: a change of several commits has no
+revision that is always its parent, so it is named on purpose.  Each
+tree's own `bench/run.py` measures its own `src/`.
 
 For every workload in BENCHMARK.json, the two trees run alternately with
 the same seed and --seconds: PAIRS pairs with `--trace 0` (seeds --seed,
@@ -24,7 +24,10 @@ the parent's by more than the metric's bound, "unresolved" when the
 parent's own spread is wider than the bound (unless every change run
 beats every parent run), and "unchanged" otherwise.  Per workload it names
 the layer that moved: the traced per-layer time metric (`*_s`) whose
-median changed most.  The exit status is 1 when any run was not `correct`
+median changed most among the spans both trees pass through.  Spans the
+change no longer passes through (parent median above 0, change median 0)
+are listed apart as bypassed: their fall to 0 is time moved elsewhere,
+not a move of that layer.  The exit status is 1 when any run was not `correct`
 or had `failed` > 0, and 2 when a run could not be completed.
 """
 
@@ -105,10 +108,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def bypassed_layers(layers: dict) -> list[str]:
+    """Traced time-per-op metrics the parent spends time in and the change never enters."""
+    return [name for name, s in layers.items() if name.endswith("_s")
+            and s["parent"]["median"] > 0 and s["change"]["median"] == 0]
+
+
 def moved_layer(layers: dict) -> str | None:
-    """The traced time-per-op metric whose median moved most (either way)."""
+    """The traced time-per-op metric whose median moved most (either way),
+    among those the change does not bypass."""
+    bypassed = bypassed_layers(layers)
     timed = {name: abs(s["change"]["median"] - s["parent"]["median"])
-             for name, s in layers.items() if name.endswith("_s")}
+             for name, s in layers.items() if name.endswith("_s") and name not in bypassed}
     return max(timed, key=timed.get) if timed and max(timed.values()) > 0 else None
 
 
@@ -143,6 +154,7 @@ def measure(spec: dict, trees: dict[str, Path], seconds: int, first_seed: int) -
             "end_to_end": summarize(runs[0][workload], spec["end_to_end"]),
             "per_layer": layers,
             "moved_layer": moved_layer(layers),
+            "bypassed_layers": bypassed_layers(layers),
             "runs": {"trace0": runs[0][workload], "trace1": runs[1][workload]},
         }
     commit = ("commit", "dirty", "source_sha256")
@@ -162,10 +174,8 @@ def measure(spec: dict, trees: dict[str, Path], seconds: int, first_seed: int) -
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parent_group = parser.add_mutually_exclusive_group()
-    parent_group.add_argument("--base", default="HEAD~1", help="parent revision (default HEAD~1)")
-    parent_group.add_argument("--parent-tree", type=Path,
-                              help="measure this checkout of the parent instead of a new worktree")
+    parser.add_argument("--base", required=True,
+                        help="parent revision, checked out into a temporary worktree")
     parser.add_argument("--seconds", type=int, default=5, help="--seconds of every run")
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     args = parser.parse_args()
@@ -174,21 +184,16 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        worktree = None
-        if args.parent_tree is not None:
-            parent_tree = args.parent_tree.resolve()
-        else:
-            worktree = parent_tree = Path(tmp) / "parent"
-            git("worktree", "add", "--detach", str(worktree), git("rev-parse", args.base))
+        worktree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(worktree), git("rev-parse", args.base))
         try:
-            record = measure(spec, {"parent": parent_tree, "change": ROOT},
+            record = measure(spec, {"parent": worktree, "change": ROOT},
                              args.seconds, args.seed)
         except (RuntimeError, json.JSONDecodeError, KeyError) as exc:
             print(f"bench_record: {exc}", file=sys.stderr)
             return 2
         finally:
-            if worktree is not None:
-                git("worktree", "remove", "--force", str(worktree))
+            git("worktree", "remove", "--force", str(worktree))
 
     path = ROOT / f"BENCH_{record['change']['commit'][:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
@@ -198,7 +203,8 @@ def main() -> int:
             print(f"  {workload:15s} {name:12s} {s['parent']['median']:.6g} -> "
                   f"{s['change']['median']:.6g}  (ratio {s['ratio']}, change better "
                   f"in {s['change_wins']}/{s['pairs']}: {s['verdict']})")
-        print(f"  {workload:15s} layer that moved: {result['moved_layer']}")
+        print(f"  {workload:15s} layer that moved: {result['moved_layer']}; "
+              f"bypassed: {', '.join(result['bypassed_layers']) or 'none'}")
     for run in record["bad_runs"]:
         print(f"  BAD RUN {run}", file=sys.stderr)
     return 1 if record["bad_runs"] else 0

@@ -14,11 +14,12 @@ and satisfies west·east - south·north = 1.  The quiddity row is row 2, with
 e(2, k) attached to polygon vertex k.  Every entry is a continuant of the
 quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
 √m on the even rows of a radical frieze), so builds run on plain ints: one
-private kernel grows the int rows from integer counts, which `lambda_frieze`
-and `cc_frieze` pass straight in and `from_quiddity` parses out of a QuadNum
-row, and checks positivity and closure on those ints.  The public builders
-wrap the rows into a `Frieze` of QuadNum entries; the checks in `verify`
-take the int rows as they are.  In a staggered rendering rows drift
+private kernel grows the int rows from integer counts, which enter through
+`_rows` once the dissection is checked (by `lambda_frieze`, by `cc_frieze`'s
+triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
+QuadNum row, and checks positivity and closure on those ints.  The public
+builders wrap the rows into a `Frieze` of QuadNum entries; the checks in
+`verify` take the int rows as they are.  In a staggered rendering rows drift
 horizontally, so a single row matches a reference sequence only up to
 cyclic rotation, while frieze-against-frieze comparisons are entrywise at
 equal (r, k).
@@ -197,39 +198,29 @@ def _wrap(rows: list[list[int]], m: int, radical: bool) -> Frieze:
     return Frieze(m, len(rows) - 4, grid)
 
 
-def _lambda_rows(dissection: Dissection, p: int) -> list[list[int]]:
-    """Kernel rows of `lambda_frieze`: integers, times √m on the even rows."""
-    if p not in (4, 6):
-        raise ValueError(f"radical friezes are defined for p ∈ {{4, 6}}, got {p}")
-    if not is_p_angulation(dissection, p):
-        raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
+def _rows(counts: tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
+    """Kernel rows of a checked dissection's counts, where a kernel failure is a defect."""
     try:
-        return _grow(quiddity_counts(dissection), LAMBDA_RADICAND[p], True)
-    except FriezeError as exc:  # cannot happen for a genuine p-angulation
+        return _grow(counts, m, radical)
+    except FriezeError as exc:
         raise InternalAssertionError(
-            f"frieze construction failed on a valid {p}-angulation: {exc}"
-        ) from exc
-
-
-def _cc_rows(triangulation: Dissection) -> list[list[int]]:
-    """Kernel rows of `cc_frieze`."""
-    counts = triangle_counts(triangulation)  # validates the triangulation
-    try:
-        return _grow(counts, 1, False)
-    except FriezeError as exc:  # cannot happen for a genuine triangulation
-        raise InternalAssertionError(
-            f"frieze construction failed on a valid triangulation: {exc}"
+            f"frieze construction failed on the counts of a valid dissection: {exc}"
         ) from exc
 
 
 def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
     """The frieze of a p-angulation: quiddity q_k·(2cos(π/p)), p ∈ {4, 6}."""
-    return _wrap(_lambda_rows(dissection, p), LAMBDA_RADICAND[p], True)
+    if p not in (4, 6):
+        raise ValueError(f"radical friezes are defined for p ∈ {{4, 6}}, got {p}")
+    if not is_p_angulation(dissection, p):
+        raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
+    m = LAMBDA_RADICAND[p]
+    return _wrap(_rows(quiddity_counts(dissection), m, True), m, True)
 
 
 def cc_frieze(triangulation: Dissection) -> Frieze:
     """The Conway–Coxeter frieze of a triangulation: integers grown from its triangle counts."""
-    return _wrap(_cc_rows(triangulation), 1, False)
+    return _wrap(_rows(triangle_counts(triangulation), 1, False), 1, False)
 
 
 class Violation(NamedTuple):

@@ -199,7 +199,7 @@ def quiddity_counts(dissection: Dissection) -> tuple[int, ...]:
     for a, b in dissection.diagonals:
         degree[a] += 1
         degree[b] += 1
-    return tuple([d + 1 for d in degree])  # a list first: see frieze._grow
+    return tuple([d + 1 for d in degree])  # a list first: see frieze._wrap
 
 
 def rotate(dissection: Dissection, c: int) -> Dissection:
@@ -232,21 +232,21 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
         yield Dissection(n, diags)
 
 
-def _segment(lo: int, hi: int, step: int) -> list[tuple[Pair, ...]]:
-    """Diagonal sets of every (step+2)-angulation of the sub-polygon lo..hi."""
+def _segment(lo: int, hi: int, step: int) -> Iterator[tuple[Pair, ...]]:
+    """Diagonal sets of every (step+2)-angulation of the sub-polygon lo..hi, lazily
+    (`product` still holds each sub-segment's sets, not the whole polygon's)."""
     if hi - lo == 1:
-        return [()]
+        yield ()
+        return
     if (hi - lo) % step != 1 % step:
         raise InternalAssertionError(f"segment {lo}..{hi} is not ({step}+2)-angulable")
-    results = []
     for mids in _pick(lo, step, hi, step):
         corners = (lo, *mids, hi)
         gaps = list(zip(corners, corners[1:]))
         own = tuple((a, b) for a, b in gaps if b - a >= 2)
         subs = [_segment(a, b, step) for a, b in gaps if b - a >= 2]
         for combo in product(*subs):
-            results.append(own + tuple(d for sub in combo for d in sub))
-    return results
+            yield own + tuple(d for sub in combo for d in sub)
 
 
 def _pick(prev: int, left: int, hi: int, step: int) -> Iterator[tuple[int, ...]]:

@@ -4,9 +4,10 @@ For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
 face of D cut along its black (odd) corners.  Both friezes grow from their
 quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
-counts of T.  The checks take the kernel's int rows as they come, with no
-QuadNum in between: an odd row is compared as two int lists, and an even
-row of the radical frieze holds the coefficients a_k of a_k·√m.  The
+counts of T.  Building T is the one check of D, and the counts of D and T
+are read once each.  The checks take the kernel's int rows as they come,
+with no QuadNum in between: an odd row is compared as two int lists, and an
+even row of the radical frieze holds the coefficients a_k of a_k·√m.  The
 checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
@@ -39,9 +40,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .bijection import Triangulation, _refine, associated_triangulation, triangle_counts
-from .exact import QuadNum
-from .frieze import Frieze, InternalAssertionError, _cc_rows, _lambda_rows
+from .bijection import _refine, associated_triangulation
+from .exact import LAMBDA_RADICAND, QuadNum
+from .frieze import Frieze, InternalAssertionError, _rows
 from .polygon import (
     Dissection,
     enumerate_p_angulations,
@@ -80,13 +81,10 @@ class EvenScalingResult:
     alternates: bool
 
 
-def _lemma_counts(d: Dissection, p: int, t: Triangulation) -> CheckResult:
-    q = quiddity_counts(d)
-    tc = triangle_counts(t)
+def _lemma_counts(q: Sequence[int], tc: Sequence[int], p: int) -> CheckResult:
     half = p // 2
-    for alpha in range(d.n):
-        expected = q[alpha] if alpha % 2 == 0 else half * q[alpha]
-        if tc[alpha] != expected:
+    for alpha, (faces, triangles) in enumerate(zip(q, tc)):
+        if triangles != (faces if alpha % 2 == 0 else half * faces):
             return CheckResult(False, FirstViolation("lemma", None, alpha))
     return CheckResult(True, None)
 
@@ -172,26 +170,29 @@ def _read(frieze: Frieze, accessor: Callable[[QuadNum], "int | None"]) -> Rows:
     return [[accessor(e) for e in row] for row in frieze.rows]
 
 
-def _build(d: Dissection, p: int) -> tuple[Triangulation, Rows, Rows]:
-    """The associated triangulation and the kernel rows of both friezes."""
+def _build(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...], Rows, Rows]:
+    """D's face counts, its associated triangulation's triangle counts (building
+    the `Triangulation` is the one check of p and D) and both kernel rows."""
     t = associated_triangulation(d, p)
-    return t, _lambda_rows(d, p), _cc_rows(t)
+    q, tc = quiddity_counts(d), quiddity_counts(t)
+    return q, tc, _rows(q, LAMBDA_RADICAND[p], True), _rows(tc, 1, False)
 
 
 def check_lemma(d: Dissection, p: int) -> CheckResult:
     """Triangle counts of the associated triangulation against face counts of D."""
-    return _lemma_counts(d, p, associated_triangulation(d, p))
+    q, tc, _, _ = _build(d, p)
+    return _lemma_counts(q, tc, p)
 
 
 def check_odd_rows(d: Dissection, p: int) -> CheckResult:
     """Entrywise agreement of the two friezes on every odd row."""
-    _, radical, integral = _build(d, p)
+    _, _, radical, integral = _build(d, p)
     return _odd_rows_match(radical, integral, d.n - 3)
 
 
 def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     """Even rows of the integer frieze as (p/2)-scaled radical-row coefficients."""
-    _, radical, integral = _build(d, p)
+    _, _, radical, integral = _build(d, p)
     return _even_rows_match(radical, integral, d.n - 3, p)
 
 
@@ -234,9 +235,9 @@ class VerificationReport:
 def verify_dissection(d: Dissection, p: int) -> VerificationReport:
     """Run all three checks, building each frieze exactly once."""
     started = time.perf_counter()
-    t, radical, integral = _build(d, p)
+    q, tc, radical, integral = _build(d, p)
     built = time.perf_counter()
-    lemma = _lemma_counts(d, p, t)
+    lemma = _lemma_counts(q, tc, p)
     odd = _odd_rows_match(radical, integral, d.n - 3)
     even = _even_rows_match(radical, integral, d.n - 3, p)
     finished = time.perf_counter()
@@ -297,9 +298,9 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     Exhaustive over Catalan-many candidates, so only sensible for small
     polygons.  See DeepUniquenessResult for how matches are reported.
     """
-    radical = _lambda_rows(d, p)
+    expected = associated_triangulation(d, p)  # the one check of p and of D
+    radical = _rows(quiddity_counts(d), LAMBDA_RADICAND[p], True)
     width = d.n - 3
-    expected = associated_triangulation(d, p)
     # The white-corner refinement shares every odd row: its quiddity carries
     # the p/2 factor at even instead of odd vertices, odd rows are
     # even-length continuants of the quiddity, and each continuant monomial
@@ -309,9 +310,9 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     stabilizer = [c for c in range(1, d.n) if rotate(d, c) == d]
     matches = []
     total = 0
-    for candidate in enumerate_p_angulations(d.n - 2, 3):
+    for candidate in enumerate_p_angulations(d.n - 2, 3):  # triangulations: not re-checked
         total += 1
-        if _odd_rows_match(radical, _cc_rows(candidate), width).ok:
+        if _odd_rows_match(radical, _rows(quiddity_counts(candidate), 1, False), width).ok:
             matches.append(candidate)
 
     def classify(m: Dissection) -> str:

@@ -1,0 +1,76 @@
+"""The before/after summary of `tools/bench_record.py`: quartiles, verdicts and
+the layer that moved, on hand-made run values (no benchmark is run)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+RECORDER = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", RECORDER)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)  # stdlib imports only
+
+
+def test_spread_of_one_value_is_that_value():
+    assert bench_record.spread([4.0]) == {"median": 4.0, "q1": 4.0, "q3": 4.0}
+
+
+def test_spread_of_ten_values():
+    s = bench_record.spread([float(v) for v in range(10, 0, -1)])
+    assert s == {"median": 5.5, "q1": 3.25, "q3": 7.75}
+
+
+STEADY = [10.0] * 10  # a parent with no spread
+
+
+@pytest.mark.parametrize(
+    "parent,change,lower,wins,expected",
+    [
+        # nine of ten pairs won and a median move beyond the parent's spread
+        (STEADY, [8.0] * 10, True, 9, "gain"),
+        (STEADY, [12.0] * 10, False, 9, "gain"),
+        # eight wins are not enough, however far the medians move
+        (STEADY, [8.0] * 10, True, 8, "unchanged"),
+        # worse than the parent by more than the bound (0.2 of its median)
+        (STEADY, [12.5] * 10, True, 0, "regression"),
+        (STEADY, [7.5] * 10, False, 0, "regression"),
+        # worse, but within the bound
+        (STEADY, [11.5] * 10, True, 0, "unchanged"),
+        # the parent's own spread (10) is wider than the bound (0.2 · 15)
+        ([10.0] * 5 + [20.0] * 5, [11.0] * 10, True, 5, "unresolved"),
+        # ... unless every change run beats every parent run; the median move
+        # (6) is within that spread, so it is no gain either
+        ([10.0] * 5 + [20.0] * 5, [9.0] * 10, True, 10, "unchanged"),
+    ],
+)
+def test_verdict(parent, change, lower, wins, expected):
+    assert bench_record.verdict(parent, change, lower, 0.2, wins) == expected
+
+
+def layers(medians):
+    """Per-layer summaries from {metric: (parent median, change median)}."""
+    return {
+        name: {"parent": {"median": before}, "change": {"median": after}}
+        for name, (before, after) in medians.items()
+    }
+
+
+def test_a_span_that_falls_to_zero_is_bypassed_not_moved():
+    summary = layers({
+        "frieze.lambda_s": (0.004, 0.0),  # the change no longer enters this span
+        "verify.self_s": (0.001, 0.003),
+        "polygon.faces_s": (0.002, 0.002),
+        "frieze.lambda_calls": (50.0, 0.0),  # counts are not timed layers
+        "exact.s": (0.0, 0.0),
+    })
+    assert bench_record.bypassed_layers(summary) == ["frieze.lambda_s"]
+    assert bench_record.moved_layer(summary) == "verify.self_s"
+
+
+def test_nothing_moved():
+    still = {"polygon.faces_s": (0.002, 0.002), "exact.s": (0.0, 0.0)}
+    assert bench_record.moved_layer(layers(still)) is None
+    assert bench_record.bypassed_layers(layers(still)) == []
+    # a bypassed span alone is not a move
+    assert bench_record.moved_layer(layers({**still, "frieze.cc_s": (0.001, 0.0)})) is None

@@ -1,5 +1,6 @@
 """The coincidence checks: counts, odd rows, even-row scaling, sweeps, deep scan."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,37 @@ def test_verify_dissection_report(quad10):
     blob = report.to_json()
     assert blob["dissection"] == {"n": 10, "diagonals": [[1, 4], [4, 9], [5, 8]]}
     assert set(blob["timings_ms"]) == {"build", "checks"}
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of polygon functions at every friezes module that binds them."""
+    import friezes.polygon
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(friezes.polygon, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "friezes" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
+    # one p-angulation check of D (in the refinement), one triangulation check
+    # (in Triangulation), one quiddity_counts per dissection (was 5 and 4)
+    calls = count_calls(monkeypatch, "is_p_angulation", "quiddity_counts")
+    assert verify_dissection(quad10, 4).ok
+    assert calls == {"is_p_angulation": 2, "quiddity_counts": 2}
+    # the enumerated candidates are triangulations by construction: no
+    # candidate is re-checked (was 1,435 checks per query)
+    calls["is_p_angulation"] = 0
+    assert deep_uniqueness(quad10, 4).triangulations == 1430
+    assert calls["is_p_angulation"] <= 4
 
 
 def test_verify_dissection_p6(hex18):

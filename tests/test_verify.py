@@ -9,6 +9,7 @@ from friezes import (
     Dissection,
     FirstViolation,
     Frieze,
+    InternalAssertionError,
     QuadNum,
     Triangulation,
     associated_triangulation,
@@ -300,6 +301,70 @@ def test_deep_scan_wraps_no_candidate(monkeypatch, quad10):
     assert result.triangulations == 1430
     assert result.match_kinds == ("associated", "mirror")
     assert len(built) < 1430
+
+
+def test_deep_scan_grows_only_row_3_survivors(monkeypatch, quad10):
+    # one kernel grow for the radical frieze, one per candidate whose row 3
+    # (c_k·c_{k+1} − 1) agrees: only the two matches (was 1 + 1430)
+    import friezes.verify
+
+    grown = []
+    rows = friezes.verify._rows
+
+    def counted(*args):
+        grown.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(friezes.verify, "_rows", counted)
+    result = deep_uniqueness(quad10, 4)
+    assert result.triangulations == 1430
+    assert result.match_kinds == ("associated", "mirror")
+    assert len(grown) == 3
+
+
+def test_deep_scan_matches_full_growth_reference(quad10):
+    # the reference grows every candidate's whole frieze and compares it
+    # through the public comparison: the row-3 filter changes no result
+    cases = [(d, 4) for s in (1, 2, 3) for d in enumerate_p_angulations(s, 4)]
+    cases += [(d, 6) for s in (1, 2) for d in enumerate_p_angulations(s, 6)]
+    cases.append((quad10, 4))
+    candidates = {}
+    for d, p in cases:
+        if d.n not in candidates:
+            candidates[d.n] = [(t, cc_frieze(t)) for t in enumerate_p_angulations(d.n - 2, 3)]
+        radical = lambda_frieze(d, p)
+        expected = associated_triangulation(d, p)
+        matches = [t for t, f in candidates[d.n] if odd_rows_coincide(radical, f).ok]
+        blob = deep_uniqueness(d, p).to_json()
+        kinds = [match.pop("kind") for match in blob["matches"]]
+        assert blob == {
+            "ok": matches == [expected],
+            "triangulations": len(candidates[d.n]),
+            "expected": expected.to_json(),
+            "matches": [t.to_json() for t in matches],
+        }
+        assert "associated" in kinds and "mirror" in kinds and "other" not in kinds
+
+
+def test_deep_scan_counts_its_candidates(monkeypatch, capsys):
+    # most candidates are never grown, so a faulty enumeration shows only in
+    # the count: one triangulation dropped is an internal fault, exit 3
+    import friezes.verify
+    from friezes.cli import main
+
+    enumerate_all = friezes.verify.enumerate_p_angulations
+
+    def drop_one_triangulation(s, p):
+        found = enumerate_all(s, p)
+        if p == 3:
+            next(found)
+        return found
+
+    monkeypatch.setattr(friezes.verify, "enumerate_p_angulations", drop_one_triangulation)
+    with pytest.raises(InternalAssertionError, match="scanned 13 triangulations of the 6-gon, expected 14"):
+        deep_uniqueness(Dissection(6, [(1, 4)]), 4)
+    assert main(["verify", "--p", "4", "--max-s", "1", "--deep-uniqueness"]) == 3
+    assert "scanned 1 triangulations of the 4-gon, expected 2" in capsys.readouterr().err
 
 
 def test_deep_sweep_flags_every_dissection():

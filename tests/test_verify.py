@@ -361,7 +361,8 @@ def test_deep_scan_counts_its_candidates(monkeypatch, capsys):
         return found
 
     monkeypatch.setattr(friezes.verify, "enumerate_p_angulations", drop_one_triangulation)
-    with pytest.raises(InternalAssertionError, match="scanned 13 triangulations of the 6-gon, expected 14"):
+    message = "scanned 13 triangulations of the 6-gon, expected 14"
+    with pytest.raises(InternalAssertionError, match=message):
         deep_uniqueness(Dissection(6, [(1, 4)]), 4)
     assert main(["verify", "--p", "4", "--max-s", "1", "--deep-uniqueness"]) == 3
     assert "scanned 1 triangulations of the 4-gon, expected 2" in capsys.readouterr().err

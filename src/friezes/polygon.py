@@ -5,16 +5,24 @@ set of pairwise noncrossing diagonals; its faces are the sub-polygons the
 diagonals carve out.  Faces are stored as vertex tuples in cyclic order
 starting at their smallest label (which, for points in convex position, is
 simply ascending order).
+
+Enumeration is one in-place backtracking walk (`_walk`) over the faces on
+each sub-polygon's base edge.  At every leaf it yields the same diagonal
+list and per-vertex face-count list, both shared and mutated as the walk
+goes on: `enumerate_p_angulations` copies them into a validated
+`Dissection`, and the deep scan in `verify` reads the counts directly.
+Memory is the walk's stack and a per-call memo of face choices, not a list
+of sub-polygon dissections.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 Face = tuple[int, ...]
+_Choice = tuple[Face, tuple[Pair, ...], tuple[Pair, ...]]  # corners, diagonals, gaps
 
 
 class InvalidDissectionError(ValueError):
@@ -218,35 +226,80 @@ def fuss_catalan(s: int, p: int) -> int:
 def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     """All dissections of the ((p-2)s + 2)-gon into s faces of size p.
 
-    Enumeration fixes, for the sub-polygon on contiguous vertices lo..hi,
-    the unique face containing the base edge {lo, hi}; choosing that face's
-    other p-2 vertices and recursing on the gaps visits every p-angulation
-    exactly once.  The top-level base edge is {n-1, 0}.
+    One backtracking walk (`_walk`) visits every p-angulation exactly once
+    and yields each as a validated `Dissection`; only the diagonal list it
+    shares between leaves is read, and the constructor copies it.
     """
     if p < 3:
         raise ValueError(f"face size must be at least 3, got {p}")
     if s < 1:
         raise ValueError("face count must be positive")
     n = (p - 2) * s + 2
-    for diags in _segment(0, n - 1, p - 2):
+    for diags, _ in _walk(n, p - 2):
         yield Dissection(n, diags)
 
 
-def _segment(lo: int, hi: int, step: int) -> Iterator[tuple[Pair, ...]]:
-    """Diagonal sets of every (step+2)-angulation of the sub-polygon lo..hi, lazily
-    (`product` still holds each sub-segment's sets, not the whole polygon's)."""
-    if hi - lo == 1:
-        yield ()
-        return
-    if (hi - lo) % step != 1 % step:
-        raise InternalAssertionError(f"segment {lo}..{hi} is not ({step}+2)-angulable")
+def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
+    """Every (step+2)-angulation of the n-gon (n ≡ 2 mod step), by backtracking.
+
+    The sub-polygon on contiguous vertices lo..hi has a unique face on its
+    base edge {lo, hi}; choosing that face's other step vertices and filling
+    the gaps between its corners visits every dissection exactly once.  The
+    top-level base edge is {n-1, 0}, and the gaps are filled first to last.
+
+    At every leaf the walk yields the same two lists: the diagonals, and
+    the number of faces at each vertex.  Both are shared and mutated in
+    place as the walk goes on, so a caller reads or copies them before
+    asking for the next leaf.  An explicit stack replaces recursion: each
+    frame is one placed face, applied on the way down and undone on the way
+    back, and each sub-polygon's face choices are computed once per call.
+    """
+    diags: list[Pair] = []
+    counts = [0] * n
+    todo: list[Pair] = [(0, n - 1)]  # sub-polygons still to fill, next on top
+    # per placed face: its sub-polygon, the choices there, the one taken, and
+    # the height of `todo` below the gaps it pushed
+    frames: list[tuple[Pair, list[_Choice], int, int]] = []
+    memo: dict[Pair, list[_Choice]] = {}
+    while True:
+        if todo:  # descend: the next open sub-polygon takes its first face
+            seg = todo.pop()
+            mark = len(todo)
+            choices = memo.get(seg)
+            if choices is None:
+                choices = memo[seg] = _choices(*seg, step)
+            i = 0
+        else:
+            yield diags, counts
+            while frames:  # backtrack to the last face with a choice left
+                seg, choices, i, mark = frames.pop()
+                corners, own, _ = choices[i]
+                for v in corners:
+                    counts[v] -= 1
+                del diags[len(diags) - len(own) :]
+                del todo[mark:]
+                i += 1
+                if i < len(choices):
+                    break
+                todo.append(seg)
+            else:
+                return
+        corners, own, gaps = choices[i]  # place face i on the way down
+        frames.append((seg, choices, i, mark))
+        for v in corners:
+            counts[v] += 1
+        diags += own
+        todo += gaps
+
+
+def _choices(lo: int, hi: int, step: int) -> list[_Choice]:
+    """The faces on base edge {lo, hi}: corners, new diagonals, gaps to push (last first)."""
+    out = []
     for mids in _pick(lo, step, hi, step):
         corners = (lo, *mids, hi)
-        gaps = list(zip(corners, corners[1:]))
-        own = tuple((a, b) for a, b in gaps if b - a >= 2)
-        subs = [_segment(a, b, step) for a, b in gaps if b - a >= 2]
-        for combo in product(*subs):
-            yield own + tuple(d for sub in combo for d in sub)
+        own = tuple((a, b) for a, b in zip(corners, corners[1:]) if b - a >= 2)
+        out.append((corners, own, own[::-1]))
+    return out
 
 
 def _pick(prev: int, left: int, hi: int, step: int) -> Iterator[tuple[int, ...]]:

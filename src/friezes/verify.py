@@ -31,10 +31,12 @@ sweep() runs all three over every p-angulation up to a face-count bound;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
-one its "mirror".  Row 3 of both friezes comes straight from the counts
-(c_k·c_{k+1} − 1 and λ²·q_k·q_{k+1} − 1), so the scan compares it first
-and grows only the candidates that agree there; a candidate that misses
-row 3 misses an odd row, so the filter changes no result.
+one its "mirror".  The scan reads each triangulation's triangle counts
+straight off the enumeration walk, without building it.  Row 3 of both
+friezes comes straight from the counts (c_k·c_{k+1} − 1 and
+λ²·q_k·q_{k+1} − 1), so the scan compares it first and builds and grows
+only the candidates that agree there; a candidate that misses row 3
+misses an odd row, so the filter changes no result.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .exact import LAMBDA_RADICAND, QuadNum
 from .frieze import Frieze, InternalAssertionError, _rows
 from .polygon import (
     Dissection,
+    _walk,
     enumerate_p_angulations,
     fuss_catalan,
     quiddity_counts,
@@ -299,17 +302,20 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     """Scan all triangulations of the n-gon for odd-row agreement with D's frieze.
 
     Exhaustive over Catalan-many candidates, so only sensible for small
-    polygons.  Each candidate is first compared on row 3 alone, which both
-    friezes give straight from their counts: c_k·c_{k+1} − 1 for the
-    candidate's triangle counts c, λ²·q_k·q_{k+1} − 1 for the radical
-    frieze.  The filter is exact: row 3 is one of the odd rows compared,
-    so a candidate that misses it cannot match.  On every 4-angulation
-    with n ≤ 12 and every 6-angulation with n ≤ 10, only the matches pass
-    it.  Only the candidates that pass are grown by the kernel and compared
-    on every odd row.  Since most candidates are never grown, the number
-    scanned is checked against the Catalan number C_{n−2}; any other count
-    is an InternalAssertionError.  See DeepUniquenessResult for how matches
-    are reported.
+    polygons.  A candidate is a count vector: the enumeration walk keeps
+    each triangulation's triangles per vertex as it goes, and by
+    Conway–Coxeter these counts c are its quiddity.  Each candidate is
+    first compared on row 3 alone, which both friezes give straight from
+    their counts: c_k·c_{k+1} − 1 for the candidate, λ²·q_k·q_{k+1} − 1
+    for the radical frieze.  The filter is exact: row 3 is one of the odd
+    rows compared, so a candidate that misses it cannot match.  On every
+    4-angulation with n ≤ 12 and every 6-angulation with n ≤ 10, only the
+    matches pass it.  Only the candidates that pass become a (validated)
+    Dissection, are grown by the kernel and are compared on every odd row.
+    Since most candidates are never grown, the number scanned is checked
+    against the Catalan number C_{n−2}; any other count is an
+    InternalAssertionError.  See DeepUniquenessResult for how matches are
+    reported.
     """
     expected = associated_triangulation(d, p)  # the one check of p and of D
     radical = _rows(quiddity_counts(d), LAMBDA_RADICAND[p], True)
@@ -325,13 +331,12 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     catalan = fuss_catalan(d.n - 2, 3)
     matches = []
     total = 0
-    for candidate in enumerate_p_angulations(d.n - 2, 3):  # triangulations: not re-checked
+    for diags, c in _walk(d.n, 1):  # c: live triangle counts, the quiddity
         total += 1
-        c = quiddity_counts(candidate)
         if [a * b - 1 for a, b in zip(c, c[1:] + c[:1])] != row3:
             continue  # row 3 of its frieze, c_k·c_{k+1} − 1, already misses
-        if _odd_rows_match(radical, _rows(c, 1, False), width).ok:
-            matches.append(candidate)
+        if _odd_rows_match(radical, _rows(tuple(c), 1, False), width).ok:
+            matches.append(Dissection(d.n, diags))
     if total != catalan:
         raise InternalAssertionError(
             f"scanned {total} triangulations of the {d.n}-gon, expected {catalan}"

@@ -24,7 +24,7 @@ from friezes import (
     rotate,
 )
 
-from friezes.polygon import _noncrossing
+from friezes.polygon import _noncrossing, _walk
 from oracle import brute_force_p_angulations, face_walk_faces, noncrossing_subsets
 
 
@@ -210,3 +210,33 @@ def test_enumeration_yields_before_building_every_dissection():
         tracemalloc.stop()
     assert is_p_angulation(first, 4)
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize(
+    "s,p", [(s, 3) for s in range(1, 9)] + [(s, 4) for s in range(1, 5)] + [(1, 6), (2, 6), (3, 6)]
+)
+def test_walk_matches_brute_force_and_counts_faces(s, p):
+    # the walk shares one diagonal list and one count list between leaves;
+    # at each leaf they hold a p-angulation and its faces per vertex
+    n = (p - 2) * s + 2
+    seen = []
+    for diags, counts in _walk(n, p - 2):
+        d = Dissection(n, diags)
+        assert tuple(counts) == quiddity_counts(d)
+        seen.append(d.diagonals_sorted)
+    assert len(set(seen)) == len(seen), "no dissection may appear twice"
+    assert sorted(seen) == sorted(brute_force_p_angulations(s, p))
+
+
+def test_enumeration_count_holds_no_sub_polygon_lists():
+    # counting all 43,263 4-angulations with s = 8 holds the walk's stack and
+    # one dissection at a time (2.14 MB peak when `itertools.product` held
+    # every sub-polygon's diagonal sets)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_p_angulations(8, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == fuss_catalan(8, 4)
+    assert peak < 500_000

@@ -26,6 +26,7 @@ from friezes import (
     sweep,
     verify_dissection,
 )
+from oracle import brute_force_p_angulations
 
 
 def test_lemma_counts(quad10, hex18):
@@ -346,21 +347,56 @@ def test_deep_scan_matches_full_growth_reference(quad10):
         assert "associated" in kinds and "mirror" in kinds and "other" not in kinds
 
 
+def test_deep_scan_builds_only_row_3_survivors(monkeypatch, quad10):
+    # candidates are the walk's count vectors; a Dissection is built (and
+    # validated) for the two survivors, not for each of the 1,430 candidates
+    built = []
+    init = Dissection.__init__
+
+    def counting_init(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(Dissection, "__init__", counting_init)
+    result = deep_uniqueness(quad10, 4)
+    monkeypatch.undo()
+    assert result.triangulations == 1430
+    assert result.match_kinds == ("associated", "mirror")
+    assert len(built) < 30
+
+
+def test_deep_scan_matches_brute_force_candidates():
+    # every 4- and 6-angulation with n ≤ 8; the reference scans the oracle's
+    # triangulations, not the walk under test
+    cases = [(d, 4) for s in (1, 2, 3) for d in enumerate_p_angulations(s, 4)]
+    cases.append((Dissection(6), 6))
+    candidates = {}
+    for d, p in cases:
+        n = d.n
+        if n not in candidates:
+            found = brute_force_p_angulations(n - 2, 3)
+            candidates[n] = [(t, cc_frieze(Dissection(n, t))) for t in found]
+        radical = lambda_frieze(d, p)
+        expected = {t for t, f in candidates[n] if odd_rows_coincide(radical, f).ok}
+        result = deep_uniqueness(d, p)
+        assert result.triangulations == len(candidates[n])
+        assert {m.diagonals_sorted for m in result.matches} == expected
+
+
 def test_deep_scan_counts_its_candidates(monkeypatch, capsys):
     # most candidates are never grown, so a faulty enumeration shows only in
     # the count: one triangulation dropped is an internal fault, exit 3
     import friezes.verify
     from friezes.cli import main
 
-    enumerate_all = friezes.verify.enumerate_p_angulations
+    walk = friezes.verify._walk
 
-    def drop_one_triangulation(s, p):
-        found = enumerate_all(s, p)
-        if p == 3:
-            next(found)
+    def drop_one_triangulation(n, step):
+        found = walk(n, step)
+        next(found)
         return found
 
-    monkeypatch.setattr(friezes.verify, "enumerate_p_angulations", drop_one_triangulation)
+    monkeypatch.setattr(friezes.verify, "_walk", drop_one_triangulation)
     message = "scanned 13 triangulations of the 6-gon, expected 14"
     with pytest.raises(InternalAssertionError, match=message):
         deep_uniqueness(Dissection(6, [(1, 4)]), 4)

@@ -98,11 +98,11 @@ def _cmd_associate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    found = enumerate_p_angulations(args.s, args.p)
+    found = enumerate_p_angulations(args.s, args.p)  # sorted, streamed
     if args.count_only:
-        print(sum(1 for _ in found))  # streamed: no dissection outlives its count
+        print(sum(1 for _ in found))
     else:
-        for dissection in sorted(found, key=lambda d: d.diagonals_sorted):
+        for dissection in found:
             print(json.dumps(dissection.to_json()))
     return 0
 

@@ -6,13 +6,14 @@ diagonals carve out.  Faces are stored as vertex tuples in cyclic order
 starting at their smallest label (which, for points in convex position, is
 simply ascending order).
 
-Enumeration is one in-place backtracking walk (`_walk`) over the faces on
-each sub-polygon's base edge.  At every leaf it yields the same diagonal
-list and per-vertex face-count list, both shared and mutated as the walk
-goes on: `enumerate_p_angulations` copies them into a validated
-`Dissection`, and the deep scan in `verify` reads the counts directly.
-Memory is the walk's stack and a per-call memo of face choices, not a list
-of sub-polygon dissections.
+Enumeration is one in-place backtracking walk (`_walk`) that fixes each
+vertex's fan of diagonals in turn, so it yields in lexicographic order of
+`diagonals_sorted`.  At every leaf it yields the same diagonal list (sorted)
+and per-vertex face-count list, both shared and mutated as the walk goes
+on: `enumerate_p_angulations` copies them into a validated `Dissection`,
+and the deep scan in `verify` reads the counts directly.  Memory is the
+walk's stack and a per-call memo of fan choices, not a list of
+sub-polygon dissections, and a sorted listing holds nothing more.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 Face = tuple[int, ...]
-_Choice = tuple[Face, tuple[Pair, ...], tuple[Pair, ...]]  # corners, diagonals, gaps
+_Task = tuple[int, int, int]  # lo, hi, k: see _fans
+_Fan = tuple[tuple[Pair, ...], tuple[_Task, ...]]  # diagonals, sectors to push
 
 
 class InvalidDissectionError(ValueError):
@@ -227,8 +229,10 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     """All dissections of the ((p-2)s + 2)-gon into s faces of size p.
 
     One backtracking walk (`_walk`) visits every p-angulation exactly once
-    and yields each as a validated `Dissection`; only the diagonal list it
-    shares between leaves is read, and the constructor copies it.
+    and yields each as a validated `Dissection`, in lexicographic order of
+    `diagonals_sorted`, so a listing streams sorted with nothing held.
+    Only the diagonal list the walk shares between leaves is read, and the
+    constructor copies it.
     """
     if p < 3:
         raise ValueError(f"face size must be at least 3, got {p}")
@@ -242,72 +246,98 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
 def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     """Every (step+2)-angulation of the n-gon (n ≡ 2 mod step), by backtracking.
 
-    The sub-polygon on contiguous vertices lo..hi has a unique face on its
-    base edge {lo, hi}; choosing that face's other step vertices and filling
-    the gaps between its corners visits every dissection exactly once.  The
-    top-level base edge is {n-1, 0}, and the gaps are filled first to last.
+    Yields in lexicographic order of `diagonals_sorted`, and the diagonal
+    list is sorted at every leaf.  Of two dissections with the same number
+    of diagonals, the one holding the smallest diagonal of their symmetric
+    difference is the smaller, so the walk decides diagonals in ascending
+    order, taking each one before leaving it out.  A task is the run of
+    contiguous vertices lo..hi whose face through lo and hi has k vertices
+    outside the run (`_fans`).  The walk fixes the whole fan of lo, the
+    diagonals (lo, b), then fills the sectors between consecutive fan ends
+    first to last; every diagonal of a sector is smaller than every one of
+    the next.  The top-level task is 0..n-1 with k = 0.
 
     At every leaf the walk yields the same two lists: the diagonals, and
-    the number of faces at each vertex.  Both are shared and mutated in
-    place as the walk goes on, so a caller reads or copies them before
-    asking for the next leaf.  An explicit stack replaces recursion: each
-    frame is one placed face, applied on the way down and undone on the way
-    back, and each sub-polygon's face choices are computed once per call.
+    the number of faces at each vertex (1 plus its diagonals, the quiddity
+    of a triangulation).  Both are shared and mutated in place as the walk
+    goes on, so a caller reads or copies them before asking for the next
+    leaf.  An explicit stack replaces recursion: each frame is one fan
+    choice, applied on the way down and undone on the way back, and each
+    task's fan choices are computed once per call.
     """
     diags: list[Pair] = []
-    counts = [0] * n
-    todo: list[Pair] = [(0, n - 1)]  # sub-polygons still to fill, next on top
-    # per placed face: its sub-polygon, the choices there, the one taken, and
-    # the height of `todo` below the gaps it pushed
-    frames: list[tuple[Pair, list[_Choice], int, int]] = []
-    memo: dict[Pair, list[_Choice]] = {}
+    counts = [1] * n
+    todo: list[_Task] = [(0, n - 1, 0)]  # tasks still to fill, next on top
+    # per fan choice: its task, the choices there, the one taken, and the
+    # height of `todo` below the sectors it pushed
+    frames: list[tuple[_Task, list[_Fan], int, int]] = []
+    memo: dict[_Task, list[_Fan]] = {}
+    shared: dict = {}  # one copy of each pair and task across the memo
     while True:
-        if todo:  # descend: the next open sub-polygon takes its first face
-            seg = todo.pop()
+        if todo:  # descend: the next open task takes its first fan
+            task = todo.pop()
             mark = len(todo)
-            choices = memo.get(seg)
-            if choices is None:
-                choices = memo[seg] = _choices(*seg, step)
+            fans = memo.get(task)
+            if fans is None:
+                fans = memo[task] = _fans(*task, step, shared)
             i = 0
         else:
             yield diags, counts
-            while frames:  # backtrack to the last face with a choice left
-                seg, choices, i, mark = frames.pop()
-                corners, own, _ = choices[i]
-                for v in corners:
-                    counts[v] -= 1
+            while frames:  # backtrack to the last fan with a choice left
+                task, fans, i, mark = frames.pop()
+                own, _ = fans[i]
+                for a, b in own:
+                    counts[a] -= 1
+                    counts[b] -= 1
                 del diags[len(diags) - len(own) :]
                 del todo[mark:]
                 i += 1
-                if i < len(choices):
+                if i < len(fans):
                     break
-                todo.append(seg)
+                todo.append(task)
             else:
                 return
-        corners, own, gaps = choices[i]  # place face i on the way down
-        frames.append((seg, choices, i, mark))
-        for v in corners:
-            counts[v] += 1
+        own, sectors = fans[i]  # place fan i on the way down
+        frames.append((task, fans, i, mark))
+        for a, b in own:
+            counts[a] += 1
+            counts[b] += 1
         diags += own
-        todo += gaps
+        todo += sectors
 
 
-def _choices(lo: int, hi: int, step: int) -> list[_Choice]:
-    """The faces on base edge {lo, hi}: corners, new diagonals, gaps to push (last first)."""
+def _fans(lo: int, hi: int, k: int, step: int, shared: dict[tuple, tuple]) -> list[_Fan]:
+    """The fans of lo in task (lo, hi, k), in the order the walk takes them.
+
+    The face through lo and hi has k vertices outside the run lo..hi.
+    k = step marks a face closed by the chord (lo, hi): the chord is a
+    diagonal, placed right after the fan, and the run then holds a whole
+    face on it (k = 0 inside).  A fan end b keeps every sector
+    (step+2)-angulable exactly when b ≡ lo + 1 (mod step).  With
+    r_0 = lo + 1 and fan ends r_1 < ... < r_j, the sectors are the tasks
+    (r_{i-1}, r_i, 1) and (r_j, hi, k + 1), lo being the one more vertex
+    outside; a sector whose face is already whole is dropped.  Each fan
+    comes with its diagonals and its sectors to push, last first.  Subsets
+    of the possible ends come include-first: the bit masks counted down,
+    first end highest.
+    """
+    chord = (lo, hi) if k == step else None
+    inner = 0 if chord else k
+    ends = range(lo + 1 + step, hi, step)
+    rays = [shared.setdefault((lo, b), (lo, b)) for b in ends]
     out = []
-    for mids in _pick(lo, step, hi, step):
-        corners = (lo, *mids, hi)
-        own = tuple((a, b) for a, b in zip(corners, corners[1:]) if b - a >= 2)
-        out.append((corners, own, own[::-1]))
+    for mask in range((1 << len(ends)) - 1, -1, -1):
+        fan = [rays[j] for j in range(len(ends)) if mask >> (len(ends) - 1 - j) & 1]
+        sectors = []
+        a = lo + 1
+        for _, b in fan:
+            if b - a != step:  # otherwise the sector's face is whole
+                sectors.append(shared.setdefault((a, b, 1), (a, b, 1)))
+            a = b
+        if hi - a + inner != step:  # likewise for (a, hi, inner + 1)
+            t = (a, hi, inner + 1)
+            sectors.append(shared.setdefault(t, t))
+        if chord:
+            fan.append(shared.setdefault(chord, chord))
+        out.append((tuple(fan), tuple(sectors[::-1])))
     return out
-
-
-def _pick(prev: int, left: int, hi: int, step: int) -> Iterator[tuple[int, ...]]:
-    # choose `left` more face vertices above `prev`, keeping every gap
-    # length ≡ 1 (mod step) so the gaps stay (step+2)-angulable
-    if left == 0:
-        yield ()
-        return
-    for v in range(prev + 1, hi - left + 1, step):
-        for rest in _pick(v, left - 1, hi, step):
-            yield (v, *rest)

@@ -31,7 +31,8 @@ sweep() runs all three over every p-angulation up to a face-count bound;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
-one its "mirror".  The scan reads each triangulation's triangle counts
+one its "mirror", and they are listed in that order, ahead of any other
+match (those follow in enumeration order).  The scan reads each triangulation's triangle counts
 straight off the enumeration walk, without building it.  Row 3 of both
 friezes comes straight from the counts (c_k·c_{k+1} − 1 and
 λ²·q_k·q_{k+1} − 1), so the scan compares it first and builds and grows
@@ -277,7 +278,9 @@ class DeepUniquenessResult:
     differ, by where the p/2 factor sits) — and rotation-symmetric inputs
     add rotation images on top, so match_kinds labels every match as
     "associated", "mirror", "rotation" or "other" to keep the outcome
-    interpretable.
+    interpretable.  matches come in a fixed order: "associated" first,
+    then "mirror", then the rest in enumeration order (lexicographic in
+    `diagonals_sorted`).
     """
 
     ok: bool
@@ -352,6 +355,7 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
                 return "rotation"
         return "other"
 
+    matches.sort(key=lambda m: 0 if m == expected else 1 if m == mirror else 2)  # stable
     ok = len(matches) == 1 and matches[0] == expected
     return DeepUniquenessResult(
         ok, total, tuple(matches), expected, tuple(classify(m) for m in matches)

@@ -91,6 +91,20 @@ def test_enumerate_is_sorted(capsys):
     assert listed == [[[0, 3]], [[1, 4]], [[2, 5]]]
 
 
+def test_enumerate_listing_streams():
+    # the walk yields in sorted order, so the listing holds no list of the
+    # 43,263 dissections (their sorted list peaked near 80 MB of RSS)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            code = main(["enumerate", "--p", "4", "--s", "8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "--p", "6", "--s", "3", "--count-only")
     assert code == 0 and out.strip() == "35"

@@ -228,6 +228,23 @@ def test_walk_matches_brute_force_and_counts_faces(s, p):
     assert sorted(seen) == sorted(brute_force_p_angulations(s, p))
 
 
+@pytest.mark.parametrize(
+    "s,p", [(s, 3) for s in range(1, 8)] + [(s, 4) for s in range(1, 6)]
+    + [(s, 5) for s in range(1, 5)] + [(s, 6) for s in range(1, 5)]
+)
+def test_enumeration_is_strictly_increasing(s, p):
+    # lexicographic in diagonals_sorted, so a listing needs no sort
+    listed = [d.diagonals_sorted for d in enumerate_p_angulations(s, p)]
+    assert len(listed) == fuss_catalan(s, p)
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+
+
+@pytest.mark.parametrize("n,step", [(10, 1), (12, 2), (11, 3), (14, 4)])
+def test_walk_shares_a_sorted_diagonal_list(n, step):
+    for diags, _ in _walk(n, step):
+        assert diags == sorted(diags)
+
+
 def test_enumeration_count_holds_no_sub_polygon_lists():
     # counting all 43,263 4-angulations with s = 8 holds the walk's stack and
     # one dissection at a time (2.14 MB peak when `itertools.product` held

@@ -23,6 +23,7 @@ from friezes import (
     even_rows_scaled,
     lambda_frieze,
     odd_rows_coincide,
+    rotate,
     sweep,
     verify_dissection,
 )
@@ -325,7 +326,10 @@ def test_deep_scan_grows_only_row_3_survivors(monkeypatch, quad10):
 
 def test_deep_scan_matches_full_growth_reference(quad10):
     # the reference grows every candidate's whole frieze and compares it
-    # through the public comparison: the row-3 filter changes no result
+    # through the public comparison: the row-3 filter changes no result.
+    # Its matches are reordered as the scan reports them: associated, then
+    # the mirror (the associated triangulation of D turned by one vertex,
+    # turned back: the colours swap), then the rest in enumeration order
     cases = [(d, 4) for s in (1, 2, 3) for d in enumerate_p_angulations(s, 4)]
     cases += [(d, 6) for s in (1, 2) for d in enumerate_p_angulations(s, 6)]
     cases.append((quad10, 4))
@@ -335,7 +339,9 @@ def test_deep_scan_matches_full_growth_reference(quad10):
             candidates[d.n] = [(t, cc_frieze(t)) for t in enumerate_p_angulations(d.n - 2, 3)]
         radical = lambda_frieze(d, p)
         expected = associated_triangulation(d, p)
+        mirror = rotate(associated_triangulation(rotate(d, 1), p), d.n - 1)
         matches = [t for t, f in candidates[d.n] if odd_rows_coincide(radical, f).ok]
+        matches.sort(key=lambda t: 0 if t == expected else 1 if t == mirror else 2)
         blob = deep_uniqueness(d, p).to_json()
         kinds = [match.pop("kind") for match in blob["matches"]]
         assert blob == {
@@ -345,6 +351,16 @@ def test_deep_scan_matches_full_growth_reference(quad10):
             "matches": [t.to_json() for t in matches],
         }
         assert "associated" in kinds and "mirror" in kinds and "other" not in kinds
+
+
+@pytest.mark.parametrize("d", [Dissection(4), Dissection(10, [(1, 4), (4, 9), (5, 8)])])
+def test_deep_scan_lists_associated_first(d):
+    # the walk meets the mirror first on both; the scan still lists the
+    # associated triangulation first, then the mirror
+    result = deep_uniqueness(d, 4)
+    assert result.match_kinds == ("associated", "mirror")
+    assert result.matches[0] == associated_triangulation(d, 4)
+    assert result.to_json()["matches"][0]["kind"] == "associated"
 
 
 def test_deep_scan_builds_only_row_3_survivors(monkeypatch, quad10):

@@ -323,11 +323,11 @@ def _fans(lo: int, hi: int, k: int, step: int, shared: dict[tuple, tuple]) -> li
     """
     chord = (lo, hi) if k == step else None
     inner = 0 if chord else k
-    ends = range(lo + 1 + step, hi, step)
-    rays = [shared.setdefault((lo, b), (lo, b)) for b in ends]
+    rays = [shared.setdefault((lo, b), (lo, b)) for b in range(lo + 1 + step, hi, step)]
+    m = len(rays)
     out = []
-    for mask in range((1 << len(ends)) - 1, -1, -1):
-        fan = [rays[j] for j in range(len(ends)) if mask >> (len(ends) - 1 - j) & 1]
+    for mask in range((1 << m) - 1, -1, -1):
+        fan = [ray for j, ray in enumerate(rays) if mask >> (m - 1 - j) & 1]
         sectors = []
         a = lo + 1
         for _, b in fan:

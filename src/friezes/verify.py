@@ -31,13 +31,14 @@ sweep() runs all three over every p-angulation up to a face-count bound;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
-one its "mirror", and they are listed in that order, ahead of any other
-match (those follow in enumeration order).  The scan reads each triangulation's triangle counts
-straight off the enumeration walk, without building it.  Row 3 of both
-friezes comes straight from the counts (c_k·c_{k+1} − 1 and
-λ²·q_k·q_{k+1} − 1), so the scan compares it first and builds and grows
-only the candidates that agree there; a candidate that misses row 3
-misses an odd row, so the filter changes no result.
+one its "mirror", and it lists them in that order, ahead of any other
+match (those follow in enumeration order).  The scan reads each
+triangulation's triangle counts straight off the enumeration walk,
+without building it.  Row 3 of both friezes comes straight from the
+counts (c_k·c_{k+1} − 1 and λ²·q_k·q_{k+1} − 1), so the scan compares it
+first and builds and grows only the candidates that agree there; a
+candidate that misses row 3 misses an odd row, so the filter changes no
+result.
 """
 
 from __future__ import annotations
@@ -355,7 +356,8 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
                 return "rotation"
         return "other"
 
-    matches.sort(key=lambda m: 0 if m == expected else 1 if m == mirror else 2)  # stable
+    # stable: matches other than these two keep their enumeration order
+    matches.sort(key=lambda m: 0 if m == expected else 1 if m == mirror else 2)
     ok = len(matches) == 1 and matches[0] == expected
     return DeepUniquenessResult(
         ok, total, tuple(matches), expected, tuple(classify(m) for m in matches)

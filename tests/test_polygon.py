@@ -217,10 +217,11 @@ def test_enumeration_yields_before_building_every_dissection():
 )
 def test_walk_matches_brute_force_and_counts_faces(s, p):
     # the walk shares one diagonal list and one count list between leaves;
-    # at each leaf they hold a p-angulation and its faces per vertex
+    # at each leaf they hold a p-angulation, sorted, and its faces per vertex
     n = (p - 2) * s + 2
     seen = []
     for diags, counts in _walk(n, p - 2):
+        assert diags == sorted(diags)
         d = Dissection(n, diags)
         assert tuple(counts) == quiddity_counts(d)
         seen.append(d.diagonals_sorted)
@@ -237,12 +238,6 @@ def test_enumeration_is_strictly_increasing(s, p):
     listed = [d.diagonals_sorted for d in enumerate_p_angulations(s, p)]
     assert len(listed) == fuss_catalan(s, p)
     assert all(a < b for a, b in zip(listed, listed[1:]))
-
-
-@pytest.mark.parametrize("n,step", [(10, 1), (12, 2), (11, 3), (14, 4)])
-def test_walk_shares_a_sorted_diagonal_list(n, step):
-    for diags, _ in _walk(n, step):
-        assert diags == sorted(diags)
 
 
 def test_enumeration_count_holds_no_sub_polygon_lists():

@@ -9,8 +9,9 @@ Subcommands:
   verify     run the coincidence checks over a whole sweep
   validate   check a frieze grid against the frieze laws
 
-Exit codes: 0 success, 1 input or validation error, 2 a verification sweep
-found a counterexample, 3 an internal assertion failed.
+Exit codes: 0 success, 1 input or validation error (or, silently, a closed
+output pipe), 2 a verification sweep found a counterexample, 3 an internal
+assertion failed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -174,6 +176,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # stdout now writes to nowhere, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ValueError, OSError) as exc:  # covers JSON and all domain errors
         print(f"error: {exc}", file=sys.stderr)

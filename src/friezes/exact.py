@@ -271,7 +271,7 @@ class QuadNum:
             m, rat, rad = data["m"], data["rat"], data["rad"]
             if type(m) is not int or not (_is_coefficient(rat) and _is_coefficient(rad)):
                 raise TypeError("the radicand must be an int, each coefficient an int or a string")
-            return cls(m, _exact(rat), _exact(rad))  # both parsed before the radicand check
+            return cls(m, rat, rad)
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed quadratic value: {data!r}") from exc
 

@@ -32,13 +32,25 @@ deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
 one its "mirror", and it lists them in that order, ahead of any other
-match (those follow in enumeration order).  The scan reads each
-triangulation's triangle counts straight off the enumeration walk,
-without building it.  Row 3 of both friezes comes straight from the
-counts (c_k·c_{k+1} − 1 and λ²·q_k·q_{k+1} − 1), so the scan compares it
-first and builds and grows only the candidates that agree there; a
-candidate that misses row 3 misses an odd row, so the filter changes no
-result.
+match (those follow in enumeration order).  With h = p/2 = λ², two facts
+make that scan a comparison of row 3 alone, read off the counts:
+
+(A) Row 3 decides every odd row.  Row 3 of the two friezes is
+    c_k·c_{k+1} − 1 and h·q_k·q_{k+1} − 1.  If c_k·c_{k+1} = h·q_k·q_{k+1}
+    for every k of the even cycle, then c_k = λq_k·ρ^((−1)^k) for one ρ.
+    Every odd row is an even-length continuant of the quiddity, and each
+    of its monomials keeps as many even- as odd-indexed factors, so ρ
+    cancels: row 3 agrees exactly when every odd row agrees.  (Even rows
+    are odd-length continuants and scale by λ^(±1), which is why the
+    even-row offsets ε_j are all 0 for the associated triangulation and
+    all 1 for its mirror.)
+(B) Only the twins match.  A match has counts a·q_k at white and (h/a)·q_k
+    at black vertices.  The associated triangulation (a = 1) and its
+    mirror (a = h) both have 3(n − 2) corners, so q sums to the same over
+    white as over black vertices, which forces a + h/a = 1 + h, so
+    a ∈ {1, h}.  A quiddity fixes its triangulation, so the twins are the
+    only matches, also for a rotation-symmetric D: a rotation of D onto
+    itself maps each twin to a twin.
 """
 
 from __future__ import annotations
@@ -56,7 +68,6 @@ from .polygon import (
     enumerate_p_angulations,
     fuss_catalan,
     quiddity_counts,
-    rotate,
 )
 
 
@@ -276,12 +287,11 @@ class DeepUniquenessResult:
     ok is the strict reading: exactly one triangulation matched and it is
     the associated one.  The scan always finds a second witness — the
     opposite-color refinement shares every odd row (only the even rows
-    differ, by where the p/2 factor sits) — and rotation-symmetric inputs
-    add rotation images on top, so match_kinds labels every match as
-    "associated", "mirror", "rotation" or "other" to keep the outcome
-    interpretable.  matches come in a fixed order: "associated" first,
-    then "mirror", then the rest in enumeration order (lexicographic in
-    `diagonals_sorted`).
+    differ, by where the p/2 factor sits) — so match_kinds labels every
+    match as "associated", "mirror" or "other" to keep the outcome
+    interpretable (by (B) in the module docstring no "other" occurs).
+    matches come in a fixed order: "associated" first, then "mirror", then
+    the rest in enumeration order (lexicographic in `diagonals_sorted`).
     """
 
     ok: bool
@@ -308,60 +318,38 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     Exhaustive over Catalan-many candidates, so only sensible for small
     polygons.  A candidate is a count vector: the enumeration walk keeps
     each triangulation's triangles per vertex as it goes, and by
-    Conway–Coxeter these counts c are its quiddity.  Each candidate is
-    first compared on row 3 alone, which both friezes give straight from
-    their counts: c_k·c_{k+1} − 1 for the candidate, λ²·q_k·q_{k+1} − 1
-    for the radical frieze.  The filter is exact: row 3 is one of the odd
-    rows compared, so a candidate that misses it cannot match.  On every
-    4-angulation with n ≤ 12 and every 6-angulation with n ≤ 10, only the
-    matches pass it.  Only the candidates that pass become a (validated)
-    Dissection, are grown by the kernel and are compared on every odd row.
-    Since most candidates are never grown, the number scanned is checked
-    against the Catalan number C_{n−2}; any other count is an
-    InternalAssertionError.  See DeepUniquenessResult for how matches are
-    reported.
+    Conway–Coxeter these counts c are its quiddity.  By (A) in the module
+    docstring a candidate matches exactly when its row 3 does, that is
+    when c_k·c_{k+1} = (p/2)·q_k·q_{k+1} for every k, so no frieze is
+    grown.  Only a match becomes a (validated) Dissection.  The number
+    scanned is checked against the Catalan number C_{n−2}; any other count
+    is an InternalAssertionError.  See DeepUniquenessResult for how
+    matches are reported.
     """
     expected = associated_triangulation(d, p)  # the one check of p and of D
-    radical = _rows(quiddity_counts(d), LAMBDA_RADICAND[p], True)
-    width = d.n - 3
-    # The white-corner refinement shares every odd row: its quiddity carries
-    # the p/2 factor at even instead of odd vertices, odd rows are
-    # even-length continuants of the quiddity, and each continuant monomial
-    # drops adjacent index pairs (one of each parity), so the factor
-    # placement cancels out.
-    mirror = _refine(d, p, black=False)
-    stabilizer = [c for c in range(1, d.n) if rotate(d, c) == d]
-    row3 = radical[3]
+    mirror = _refine(d, p, black=False)  # shares every odd row, by (A)
+    q = quiddity_counts(d)
+    half = p // 2
+    products = [half * a * b for a, b in zip(q, q[1:] + q[:1])]
     catalan = fuss_catalan(d.n - 2, 3)
     matches = []
     total = 0
     for diags, c in _walk(d.n, 1):  # c: live triangle counts, the quiddity
         total += 1
-        if [a * b - 1 for a, b in zip(c, c[1:] + c[:1])] != row3:
-            continue  # row 3 of its frieze, c_k·c_{k+1} − 1, already misses
-        if _odd_rows_match(radical, _rows(tuple(c), 1, False), width).ok:
+        if [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
             matches.append(Dissection(d.n, diags))
     if total != catalan:
         raise InternalAssertionError(
             f"scanned {total} triangulations of the {d.n}-gon, expected {catalan}"
         )
 
-    def classify(m: Dissection) -> str:
-        if m == expected:
-            return "associated"
-        if m == mirror:
-            return "mirror"
-        for c in stabilizer:
-            if m == rotate(expected, c) or m == rotate(mirror, c):
-                return "rotation"
-        return "other"
+    def kind(m: Dissection) -> str:
+        return "associated" if m == expected else "mirror" if m == mirror else "other"
 
-    # stable: matches other than these two keep their enumeration order
-    matches.sort(key=lambda m: 0 if m == expected else 1 if m == mirror else 2)
+    # stable: matches other than the twins keep their enumeration order
+    matches.sort(key=lambda m: (m != expected, m != mirror))
     ok = len(matches) == 1 and matches[0] == expected
-    return DeepUniquenessResult(
-        ok, total, tuple(matches), expected, tuple(classify(m) for m in matches)
-    )
+    return DeepUniquenessResult(ok, total, tuple(matches), expected, tuple(map(kind, matches)))
 
 
 @dataclass(frozen=True)

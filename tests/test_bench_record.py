@@ -74,3 +74,19 @@ def test_nothing_moved():
     assert bench_record.bypassed_layers(layers(still)) == []
     # a bypassed span alone is not a move
     assert bench_record.moved_layer(layers({**still, "frieze.cc_s": (0.001, 0.0)})) is None
+
+
+@pytest.mark.parametrize(
+    "line,expected",
+    [
+        ("1 failed, 239 passed in 32.10s", {"failed": 1, "passed": 239}),
+        ("240 passed in 31.92s", {"passed": 240}),
+        ("1 failed, 238 passed, 3 warnings, 2 errors in 1:02:03",
+         {"failed": 1, "passed": 238, "warnings": 3, "errors": 2}),
+        ("==== 5 passed, 1 skipped in 0.12s ====", {"passed": 5, "skipped": 1}),
+        ("no tests ran in 0.01s", {}),
+        ("", {}),
+    ],
+)
+def test_outcome_counts_read_a_pytest_summary_line(line, expected):
+    assert bench_record.outcome_counts(line) == expected

@@ -273,19 +273,41 @@ def test_internal_assertions_exit_3(capsys, monkeypatch):
     assert code == 3 and "sentinel" in err
 
 
-def test_module_entry_point():
-    # the child imports the same package as this process, wherever it was found
+def child_env():
+    """The environment of a child that imports the same package as this process."""
     src = str(Path(friezes.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "friezes.cli", "enumerate", "--p", "4", "--s", "2", "--count-only"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_closed_output_pipe_exits_1_silently():
+    # as in `friezes enumerate --p 4 --s 9 | head -1`: the reader leaves after
+    # one line of the 246,675, which is no input error, so stderr stays empty
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "friezes.cli", "enumerate", "--p", "4", "--s", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert json.loads(first)["n"] == 20
+    assert err == b""
+    assert code == 1
 
 
 # ---------------------------------------------------------------------------

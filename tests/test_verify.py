@@ -242,6 +242,21 @@ def test_sweep_rejects_bad_bound():
         sweep(4, 0)
 
 
+def test_even_row_offsets_are_pinned():
+    # odd-length continuants scale by λ^(±1), so every even-row offset ε_j
+    # is 0 for the associated triangulation and 1 for its mirror (the
+    # associated triangulation of D turned by one vertex, turned back)
+    cases = [(d, 4) for s in range(1, 6) for d in enumerate_p_angulations(s, 4)]
+    cases += [(d, 6) for s in range(1, 4) for d in enumerate_p_angulations(s, 6)]
+    assert len(cases) == 385
+    for d, p in cases:
+        report = verify_dissection(d, p)
+        assert report.ok and set(report.epsilons) == {0}
+        mirror = rotate(associated_triangulation(rotate(d, 1), p), d.n - 1)
+        flipped = even_rows_scaled(lambda_frieze(d, p), cc_frieze(mirror), p)
+        assert flipped.ok and set(flipped.epsilons) == {1}
+
+
 # ---------------------------------------------------------------------------
 # the deep uniqueness scan
 #
@@ -305,9 +320,9 @@ def test_deep_scan_wraps_no_candidate(monkeypatch, quad10):
     assert len(built) < 1430
 
 
-def test_deep_scan_grows_only_row_3_survivors(monkeypatch, quad10):
-    # one kernel grow for the radical frieze, one per candidate whose row 3
-    # (c_k·c_{k+1} − 1) agrees: only the two matches (was 1 + 1430)
+def test_deep_scan_grows_no_frieze(monkeypatch, quad10):
+    # a candidate matches exactly when its row 3 does, and row 3 is read off
+    # the counts (c_k·c_{k+1} against (p/2)·q_k·q_{k+1}): no kernel grow
     import friezes.verify
 
     grown = []
@@ -321,7 +336,19 @@ def test_deep_scan_grows_only_row_3_survivors(monkeypatch, quad10):
     result = deep_uniqueness(quad10, 4)
     assert result.triangulations == 1430
     assert result.match_kinds == ("associated", "mirror")
-    assert len(grown) == 3
+    assert grown == []
+
+
+def test_deep_scan_on_symmetric_inputs_finds_only_the_twins():
+    # a rotation of D onto itself maps each twin to a twin, so symmetric
+    # inputs add no match: every rotation-symmetric 4- and 6-angulation
+    # with n ≤ 10
+    cases = [(d, 4) for s in (1, 2, 3, 4) for d in enumerate_p_angulations(s, 4)]
+    cases += [(d, 6) for s in (1, 2) for d in enumerate_p_angulations(s, 6)]
+    symmetric = [(d, p) for d, p in cases if any(rotate(d, c) == d for c in range(1, d.n))]
+    assert len(symmetric) == 29
+    for d, p in symmetric:
+        assert deep_uniqueness(d, p).match_kinds == ("associated", "mirror")
 
 
 def test_deep_scan_matches_full_growth_reference(quad10):

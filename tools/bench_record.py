@@ -27,7 +27,10 @@ the layer that moved: the traced per-layer time metric (`*_s`) whose
 median changed most among the spans both trees pass through.  Spans the
 change no longer passes through (parent median above 0, change median 0)
 are listed apart as bypassed: their fall to 0 is time moved elsewhere,
-not a move of that layer.  The exit status is 1 when any run was not `correct`
+not a move of that layer.  Before the pairs, each tree runs its Tier-1
+suite once (TIER1, from the tree's root with its `src/` first on
+PYTHONPATH); the file records its wall seconds and passed/failed counts
+under "tier1".  The exit status is 1 when any run was not `correct`
 or had `failed` > 0, and 2 when a run could not be completed.
 """
 
@@ -35,15 +38,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # untraced pairs per workload: enough to ask for nine wins in ten
 TRACE_PAIRS = 3  # traced pairs per workload; layer counts repeat exactly
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]  # ROADMAP.md's Tier-1
 
 
 def git(*args: str) -> str:
@@ -60,6 +67,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     if done.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
     return json.loads(lines[-2])["report"]["environment"], json.loads(lines[-1])
+
+
+def outcome_counts(line: str) -> dict[str, int]:
+    """The counts of a pytest summary line, e.g. "1 failed, 239 passed in 32.10s"."""
+    return {word: int(count) for count, word in re.findall(r"(\d+) ([a-z]+)", line)}
+
+
+def tier1(tree: Path) -> dict:
+    """One Tier-1 run in a tree: its wall seconds and passed/failed counts."""
+    paths = [str(tree / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    seconds = time.perf_counter() - started
+    lines = done.stdout.strip().splitlines()
+    counts = outcome_counts(lines[-1] if lines else "")
+    return {"seconds": round(seconds, 2), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0)}
 
 
 def spread(values: list[float]) -> dict:
@@ -124,7 +150,8 @@ def moved_layer(layers: dict) -> str | None:
 
 
 def measure(spec: dict, trees: dict[str, Path], seconds: int, first_seed: int) -> dict:
-    """Run every pair and summarize them per workload."""
+    """Time each tree's Tier-1 suite, run every pair and summarize them per workload."""
+    suites = {side: tier1(tree) for side, tree in trees.items()}
     workloads = [w["name"] for w in spec["workloads"]]
     runs = {trace: {w: [] for w in workloads} for trace in (0, 1)}
     environments: dict[str, dict] = {}
@@ -166,6 +193,7 @@ def measure(spec: dict, trees: dict[str, Path], seconds: int, first_seed: int) -
         "settings": {"seconds": seconds, "pairs": PAIRS, "trace_pairs": TRACE_PAIRS,
                      "first_seed": first_seed,
                      "order": "alternating; odd pairs run the change first"},
+        "tier1": suites,
         "workloads": summary,
         "all_correct": not bad,
         "bad_runs": bad,
@@ -198,6 +226,9 @@ def main() -> int:
     path = ROOT / f"BENCH_{record['change']['commit'][:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
+    for side, suite in record["tier1"].items():
+        print(f"  tier1 {side:6s} {suite['seconds']:.1f} s, {suite['passed']} passed, "
+              f"{suite['failed']} failed")
     for workload, result in record["workloads"].items():
         for name, s in result["end_to_end"].items():
             print(f"  {workload:15s} {name:12s} {s['parent']['median']:.6g} -> "

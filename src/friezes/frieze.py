@@ -18,21 +18,30 @@ private kernel grows the int rows from integer counts, which enter through
 `_rows` once the dissection is checked (by `lambda_frieze`, by `cc_frieze`'s
 triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
 QuadNum row, and checks positivity and closure on those ints.  The public
-builders wrap the rows into a `Frieze` of QuadNum entries; the checks in
-`verify` take the int rows as they are.  In a staggered rendering rows drift
-horizontally, so a single row matches a reference sequence only up to
-cyclic rotation, while frieze-against-frieze comparisons are entrywise at
-equal (r, k).
+builders hand the rows to a `Frieze` as int triples (A, B, d), the entry
+being (A + B√m)/d, which JSON and `validate` read as they are; a QuadNum
+entry is built only when a caller reads `.rows`, `.row` or `.entry`.  The
+checks in `verify` take the int rows as they are.  In a staggered
+rendering rows drift horizontally, so a single row matches a reference
+sequence only up to cyclic rotation, while frieze-against-frieze
+comparisons are entrywise at equal (r, k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
 from .bijection import NotPAngulationError, triangle_counts
-from .exact import LAMBDA_RADICAND, QuadNum, RadicandMismatchError, quadratic_sign
+from .exact import (
+    LAMBDA_RADICAND,
+    VALID_RADICANDS,
+    QuadNum,
+    RadicandMismatchError,
+    quadratic_sign,
+)
 from .polygon import Dissection, InternalAssertionError, is_p_angulation, quiddity_counts
 
 
@@ -58,13 +67,75 @@ class ClosureError(FriezeError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Frieze:
-    """An immutable frieze grid: radicand m, width n, rows 0..n+3."""
+# An entry (A + B√m)/d as ints, d > 0 and the least such: `_integral_parts`.
+Triple = tuple[int, int, int]
 
-    m: int
-    width: int
-    rows: tuple[tuple[QuadNum, ...], ...]
+
+class Frieze:
+    """An immutable frieze grid: radicand m, width n, rows 0..n+3.
+
+    `Frieze(m, width, rows)` keeps the QuadNum rows it is given.  A grid
+    the library builds or parses holds its entries as int triples
+    (A, B, d), the entry being (A + B√m)/d: `to_json`, `validate` and the
+    checks in `verify` read those, and `.rows` wraps them into QuadNum
+    entries only when read, once per grid, equal entries sharing one
+    QuadNum.  Grids compare and hash by (m, width, rows).
+    """
+
+    __slots__ = ("m", "width", "_rows", "_cells")
+
+    def __init__(self, m: int, width: int, rows: tuple[tuple[QuadNum, ...], ...]):
+        _set = object.__setattr__
+        _set(self, "m", m)
+        _set(self, "width", width)
+        _set(self, "_rows", rows)
+        _set(self, "_cells", None)
+
+    @classmethod
+    def _of_triples(cls, m: int, width: int, cells: tuple[tuple[Triple, ...], ...]) -> "Frieze":
+        """A grid of triples, every entry in Q(√m) and the shape checked by the caller."""
+        frieze = cls(m, width, None)
+        object.__setattr__(frieze, "_cells", cells)
+        return frieze
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.width, self.rows) == (other.m, other.width, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.width, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Frieze(m={self.m!r}, width={self.width!r}, rows={self.rows!r})"
+
+    def __reduce__(self) -> tuple:
+        return Frieze, (self.m, self.width, self.rows)
+
+    @property
+    def rows(self) -> tuple[tuple[QuadNum, ...], ...]:
+        rows = self._rows
+        if rows is None:
+            m, cells = self.m, self._cells
+            # QuadNum is immutable, so equal entries share one
+            wrapped = {t: _quadnum(m, t) for t in set().union(*cells)}
+            # from lists, not generators: see _wrap
+            rows = tuple([tuple([wrapped[t] for t in row]) for row in cells])
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def _triples(self) -> Sequence[Sequence[Triple]]:
+        """The entries as triples; those of QuadNum rows a caller built are read anew."""
+        cells = self._cells
+        if cells is None:
+            return [[_integral_parts(e) for e in row] for row in self._rows]
+        return cells
 
     @property
     def period(self) -> int:
@@ -80,17 +151,27 @@ class Frieze:
         return self.row(r)[k % self.period]
 
     def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "m": self.m,
-            "rows": [[e.to_json() for e in row] for row in self.rows],
-        }
+        cells = self._cells
+        if cells is None:  # QuadNum rows a caller built: each entry names its own radicand
+            rows = [[e.to_json() for e in row] for row in self._rows]
+        else:
+            m = self.m
+            written = {
+                (a, b, d): {"m": m, "rat": _coefficient(a, d), "rad": _coefficient(b, d)}
+                for a, b, d in set().union(*cells)
+            }
+            rows = [[written[t] for t in row] for row in cells]
+        return {"width": self.width, "m": self.m, "rows": rows}
 
     @staticmethod
     def from_json(data: dict) -> "Frieze":
         """Parse a frieze grid, checking shape but not the frieze laws.
 
         Arbitrary grids load fine so that `validate` can report on them.
+        An entry in the header's field whose coefficients are ints written
+        plainly (what `to_json` writes for every integral entry) is read
+        with `int`; any other goes through `QuadNum.from_json`, so both
+        accept and reject the same entries, with the same errors.
         """
         try:
             width, m = data["width"], data["m"]
@@ -103,15 +184,55 @@ class Frieze:
             raise FriezeError(f"width must be nonnegative, got {width}")
         if len(raw_rows) != width + 4:
             raise FriezeError(f"expected {width + 4} rows for width {width}, got {len(raw_rows)}")
-        rows = []
+        # a header m that is no radicand reads nothing plainly: QuadNum rejects its entries
+        plain: dict | None = {} if m in VALID_RADICANDS else None
+        cells = []
         for raw in raw_rows:
             if len(raw) != width + 3:
                 raise FriezeError(f"every row must have {width + 3} entries, got {len(raw)}")
-            row = tuple(QuadNum.from_json(e) for e in raw)
-            if any(e.m != m for e in row):
+            row = tuple([_parse_entry(e, m, plain) for e in raw])
+            if None in row:
                 raise FriezeError("rows mix radicands with the frieze header")
-            rows.append(row)
-        return Frieze(m, width, tuple(rows))
+            cells.append(row)
+        return Frieze._of_triples(m, width, tuple(cells))
+
+
+def _quadnum(m: int, t: Triple) -> QuadNum:
+    a, b, d = t
+    return QuadNum(m, a, b) if d == 1 else QuadNum(m, Fraction(a, d), Fraction(b, d))
+
+
+def _coefficient(a: int, d: int) -> str:
+    """The coefficient a/d as `QuadNum.to_json` writes it."""
+    return str(a) if d == 1 else str(Fraction(a, d))
+
+
+def _parse_entry(
+    data: object, m: int, plain: dict[tuple[str, str], Triple] | None
+) -> Triple | None:
+    """The triple of one JSON entry of a grid over Q(√m), None when the entry
+    names another radicand, or the error `QuadNum.from_json` raises.
+
+    plain holds the coefficient pairs read so far as plain ints, or is None
+    when m is no radicand at all.
+    """
+    if plain is not None and type(data) is dict:
+        em, rat, rad = data.get("m"), data.get("rat"), data.get("rad")
+        if type(em) is int and em == m and type(rat) is str and type(rad) is str:
+            t = plain.get((rat, rad))
+            if t is not None:
+                return t
+            try:
+                a, b = int(rat), int(rad)
+            except ValueError:  # a fraction, or a coefficient QuadNum rejects
+                a = b = None
+            # a coefficient that int() writes back unchanged is a plain int, read
+            # alike by QuadNum; QuadNum folds b into a when m = 1, so that goes there
+            if a is not None and str(a) == rat and str(b) == rad and not (b and m == 1):
+                t = plain[rat, rad] = (a, b, 1)
+                return t
+    e = QuadNum.from_json(data)
+    return _integral_parts(e) if e.m == m else None
 
 
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
@@ -181,21 +302,16 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
 
 
 def _wrap(rows: list[list[int]], m: int, radical: bool) -> Frieze:
-    """The Frieze of kernel rows; equal entries of one grid share a single QuadNum."""
-    wrapped: dict[tuple[int, bool], QuadNum] = {}  # QuadNum is immutable, so sharing is safe
-
-    def entry(r: int, c: int) -> QuadNum:
-        key = (c, radical and r % 2 == 0)
-        e = wrapped.get(key)
-        if e is None:
-            e = wrapped[key] = _entry(m, c, key[1])
-        return e
-
+    """The Frieze of kernel rows: C as the triple (C, 0, 1), or (0, C, 1) for C·√m
+    on the even rows of a radical frieze."""
     # from lists, not generators: tuple(generator) grows by resizing, and the resized
     # tuples pile up on the interpreter's per-size free lists (peak RSS) until a full
     # garbage collection, which the few allocations here rarely trigger
-    grid = tuple([tuple([entry(r, c) for c in row]) for r, row in enumerate(rows)])
-    return Frieze(m, len(rows) - 4, grid)
+    cells = tuple([
+        tuple([(0, c, 1) for c in row] if radical and r % 2 == 0 else [(c, 0, 1) for c in row])
+        for r, row in enumerate(rows)
+    ])
+    return Frieze._of_triples(m, len(rows) - 4, cells)
 
 
 def _rows(counts: tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
@@ -264,23 +380,26 @@ def validate(frieze: Frieze) -> FriezeReport:
     rule for rows 1..n+2, and the quiddity recurrence
     e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k) for rows 2..n+2.
 
-    Each entry is read once as integers (A, B, d), d > 0, with the entry
-    equal to (A + B√m)/d, and every law is decided in int arithmetic: the
-    diamond and the recurrence are cross-multiplied by the denominators of
-    the entries they involve.  Denominators stay per entry, not one lcm for
-    the whole grid: a grid whose entries have distinct large denominators
-    would otherwise carry their product through every check.  Generated
+    The laws read the grid's int triples (A, B, d), d > 0, the entry being
+    (A + B√m)/d: a built or parsed grid holds them, and QuadNum rows a
+    caller built are read into them once.  Every law is decided in int
+    arithmetic: the diamond and the recurrence are cross-multiplied by the
+    denominators of the entries they involve.  Denominators stay per entry,
+    not one lcm for the whole grid: a grid whose entries have distinct large
+    denominators would otherwise carry their product through every check.  Generated
     friezes have d = 1 throughout, so the checks cost what plain ints cost.
     """
     n = frieze.width
     period = frieze.period
-    if len(frieze.rows) != n + 4 or any(len(row) != period for row in frieze.rows):
-        raise FriezeError("grid shape does not match the declared width")
-    radicands = {e.m for row in frieze.rows for e in row}
-    if len(radicands) > 1:
-        raise RadicandMismatchError("grid mixes radicands")
-    (m,) = radicands
-    rows = [[_integral_parts(e) for e in row] for row in frieze.rows]
+    m = frieze.m  # a built or parsed grid: its shape and field are checked
+    if frieze._cells is None:  # QuadNum rows a caller built
+        if len(frieze.rows) != n + 4 or any(len(row) != period for row in frieze.rows):
+            raise FriezeError("grid shape does not match the declared width")
+        radicands = {e.m for row in frieze.rows for e in row}
+        if len(radicands) > 1:
+            raise RadicandMismatchError("grid mixes radicands")
+        (m,) = radicands
+    rows = frieze._triples()
     bad: list[Violation] = []
     for r in (0, n + 3):
         bad += [Violation("boundary", r, k) for k, (a, b, _) in enumerate(rows[r]) if a or b]

@@ -10,8 +10,9 @@ Enumeration is one in-place backtracking walk (`_walk`) that fixes each
 vertex's fan of diagonals in turn, so it yields in lexicographic order of
 `diagonals_sorted`.  At every leaf it yields the same diagonal list (sorted)
 and per-vertex face-count list, both shared and mutated as the walk goes
-on: `enumerate_p_angulations` copies them into a validated `Dissection`,
-and the deep scan in `verify` reads the counts directly.  Memory is the
+on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
+without checking them again (`_walked`), and the deep scan in `verify`
+reads the counts directly.  Memory is the
 walk's stack and a per-call memo of fan choices, not a list of
 sub-polygon dissections, and a sorted listing holds nothing more.
 """
@@ -162,6 +163,15 @@ class Dissection:
         return cls(n, diagonals)
 
 
+def _walked(n: int, diagonals: frozenset[Pair]) -> Dissection:
+    """A Dissection of diagonals the walk built: normalized, in range and
+    noncrossing by construction, so not checked again."""
+    d = object.__new__(Dissection)
+    d._n = n
+    d._diagonals = diagonals
+    return d
+
+
 def faces(dissection: Dissection) -> list[Face]:
     """All faces, split off along diagonals, in sorted order."""
     out: list[Face] = []
@@ -229,10 +239,11 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     """All dissections of the ((p-2)s + 2)-gon into s faces of size p.
 
     One backtracking walk (`_walk`) visits every p-angulation exactly once
-    and yields each as a validated `Dissection`, in lexicographic order of
+    and yields each as a `Dissection`, in lexicographic order of
     `diagonals_sorted`, so a listing streams sorted with nothing held.
-    Only the diagonal list the walk shares between leaves is read, and the
-    constructor copies it.
+    Only the diagonal list the walk shares between leaves is read, copied
+    into a frozenset; the walk builds valid p-angulations only, so the
+    leaves skip the constructor's checks.
     """
     if p < 3:
         raise ValueError(f"face size must be at least 3, got {p}")
@@ -240,7 +251,7 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
         raise ValueError("face count must be positive")
     n = (p - 2) * s + 2
     for diags, _ in _walk(n, p - 2):
-        yield Dissection(n, diags)
+        yield _walked(n, frozenset(diags))
 
 
 def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:

@@ -22,10 +22,11 @@ checks are:
 The frieze-level comparisons behind the last two (odd_rows_coincide,
 even_rows_scaled) are public so arbitrary frieze pairs — e.g. a radical
 frieze against a deliberately corrupted triangulation's frieze — can be
-compared directly.  They read each grid's QuadNum entries as ints
-(`as_integer`, or `as_radical_multiple` for the radical even rows; an
-entry with no such reading never matches), hand them to the same int-row
-comparisons, and raise ValueError when the widths differ.
+compared directly.  They read each grid's int triples as ints (an
+integer, or for the radical even rows an integer multiple of √m, as
+`as_integer` and `as_radical_multiple` would; an entry with no such
+reading never matches), hand them to the same int-row comparisons, and
+raise ValueError when the widths differ.
 
 sweep() runs all three over every p-angulation up to a face-count bound;
 deep_uniqueness() compares one radical frieze against the integer friezes
@@ -57,10 +58,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bijection import _refine, associated_triangulation
-from .exact import LAMBDA_RADICAND, QuadNum
+from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _rows
 from .polygon import (
     Dissection,
@@ -159,14 +160,13 @@ def odd_rows_coincide(radical: Frieze, integral: Frieze) -> CheckResult:
     """Do two same-width friezes agree entrywise on every odd row?
 
     A cell agrees when both entries are the same integer (odd rows of both
-    frieze families are integral); entries are read with `as_integer`, so
-    the friezes may live over different radicands.  Unequal widths raise
-    ValueError.
+    frieze families are integral); entries are read as integers whatever
+    their field, so the friezes may live over different radicands.  Unequal
+    widths raise ValueError.
     """
     if radical.width != integral.width:
         raise ValueError("friezes must share a width")
-    as_int = QuadNum.as_integer
-    return _odd_rows_match(_read(radical, as_int), _read(integral, as_int), radical.width)
+    return _odd_rows_match(_read(radical, False), _read(integral, False), radical.width)
 
 
 def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingResult:
@@ -180,13 +180,17 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
     """
     if radical.width != integral.width:
         raise ValueError("friezes must share a width")
-    coefficients = _read(radical, QuadNum.as_radical_multiple)
-    return _even_rows_match(coefficients, _read(integral, QuadNum.as_integer), radical.width, p)
+    coefficients = _read(radical, True)
+    return _even_rows_match(coefficients, _read(integral, False), radical.width, p)
 
 
-def _read(frieze: Frieze, accessor: Callable[[QuadNum], "int | None"]) -> Rows:
-    """The grid's entries as ints through a QuadNum accessor (None where it has none)."""
-    return [[accessor(e) for e in row] for row in frieze.rows]
+def _read(frieze: Frieze, surd: bool) -> Rows:
+    """The grid's entries as ints, read off its triples (A, B, d): A of an
+    integer (A, 0, 1), or with surd the c of c·√m, (0, c, 1); None where an
+    entry is not of that form."""
+    if surd:
+        return [[b if a == 0 and d == 1 else None for a, b, d in row] for row in frieze._triples()]
+    return [[a if b == 0 and d == 1 else None for a, b, d in row] for row in frieze._triples()]
 
 
 def _build(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...], Rows, Rows]:

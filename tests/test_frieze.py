@@ -10,6 +10,7 @@ pinned separately by entrywise spot checks.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,27 @@ def test_hot_paths_construct_no_fraction(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
 
 
+def test_json_edge_builds_no_quadnum(monkeypatch, capsys):
+    # gen, validate and cc carry int triples from the kernel to the JSON and
+    # back: not one QuadNum is built unless a caller reads .rows
+    from friezes.cli import main
+
+    def no_quadnum(*args, **kwargs):
+        raise AssertionError("a QuadNum was constructed")
+
+    monkeypatch.setattr(QuadNum, "__init__", no_quadnum)
+    for p in (4, 6):
+        dissection = json.dumps(ladder(p).to_json())
+        assert main(["gen", "--p", str(p), "--input", dissection, "--format", "json"]) == 0
+        grid = capsys.readouterr().out
+        assert main(["validate", "--input", grid]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
+        assert main(["associate", "--p", str(p), "--input", dissection]) == 0
+        triangulation = capsys.readouterr().out
+        assert main(["cc", "--input", triangulation, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["width"] == 39
+
+
 def test_row_and_entry_indexing():
     f = from_quiddity(int_quiddity(1, 2, 1, 2))
     assert f.entry(2, 5) == f.entry(2, 1)  # wraps with period 4
@@ -394,7 +416,11 @@ def reference_violations(frieze):
     return tuple(bad)
 
 
-def test_validate_matches_quadnum_reference():
+def seeded_grids():
+    """400 random grids of width 0..3 over m ∈ {1, 2, 3} with rational and
+    radical coefficients, the generated friezes of p = 4, s ≤ 3 and p = 6,
+    s ≤ 2 with a perturbed copy of each, a rational width-1 frieze and a
+    copy of it with 20 pairwise distinct denominators: a fixed seed."""
     import random
 
     from friezes import associated_triangulation, enumerate_p_angulations
@@ -434,7 +460,12 @@ def test_validate_matches_quadnum_reference():
         tuple(QuadNum(2, e.rat + Fraction(1, next(primes)), 1) for e in row)
         for row in rational.rows
     ))
-    grids += [rational, distinct]
+    return grids + [rational, distinct]
+
+
+def test_validate_matches_quadnum_reference():
+    grids = seeded_grids()
+    rational, distinct = grids[-2:]
     assert validate(rational).ok
     assert len({e.rat.denominator for row in distinct.rows for e in row}) == 20
     violated = 0
@@ -443,6 +474,108 @@ def test_validate_matches_quadnum_reference():
         assert tuple(tuple(v) for v in got) == reference_violations(f)
         violated += bool(got)
     assert 0 < violated < len(grids)
+
+
+def reference_from_json(data):
+    """Frieze.from_json read entry by entry with QuadNum.from_json, a row's
+    radicands checked once the whole row has parsed: QuadNum rows."""
+    try:
+        width, m = data["width"], data["m"]
+        raw_rows = [list(raw) for raw in data["rows"]]
+    except (KeyError, TypeError) as exc:
+        raise FriezeError(f"malformed frieze object: {exc}") from exc
+    if type(width) is not int or type(m) is not int:
+        raise FriezeError("malformed frieze object: width and m must be integers")
+    if width < 0:
+        raise FriezeError(f"width must be nonnegative, got {width}")
+    if len(raw_rows) != width + 4:
+        raise FriezeError(f"expected {width + 4} rows for width {width}, got {len(raw_rows)}")
+    rows = []
+    for raw in raw_rows:
+        if len(raw) != width + 3:
+            raise FriezeError(f"every row must have {width + 3} entries, got {len(raw)}")
+        row = tuple(QuadNum.from_json(e) for e in raw)
+        if any(e.m != m for e in row):
+            raise FriezeError("rows mix radicands with the frieze header")
+        rows.append(row)
+    return Frieze(m, width, tuple(rows))
+
+
+def reference_to_json(frieze):
+    return {
+        "width": frieze.width,
+        "m": frieze.m,
+        "rows": [[e.to_json() for e in row] for row in frieze.rows],
+    }
+
+
+def assert_parses_like_reference(data):
+    """Frieze.from_json against the reference: the same JSON back, the same
+    violations, or the same error class and message."""
+    try:
+        expected = reference_from_json(data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Frieze.from_json(data)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return None
+    parsed = Frieze.from_json(data)
+    assert parsed.to_json() == reference_to_json(expected)
+    assert parsed == expected
+    assert tuple(tuple(v) for v in validate(parsed).violations) == reference_violations(expected)
+    return parsed
+
+
+def test_json_edge_matches_quadnum_reference():
+    for f in seeded_grids():
+        assert_parses_like_reference(json.loads(json.dumps(reference_to_json(f))))
+    base = from_quiddity(int_quiddity(1, 2, 1, 2)).to_json()
+
+    def grid(*entries, m=1, row=2):
+        data = json.loads(json.dumps(base))
+        data["m"] = m
+        data["rows"] = [[dict(e, m=m) for e in r] for r in data["rows"]]
+        data["rows"][row][: len(entries)] = entries
+        return data
+
+    def parsed_entry(data, row=2):
+        got = assert_parses_like_reference(data)
+        return got.to_json()["rows"][row][0], got.entry(row, 0)
+
+    cases = [  # (rat, rad) read, in Q(√m), (rat, rad) written, the value
+        (("5/2", "0"), 1, ("5/2", "0"), QuadNum(1, Fraction(5, 2))),
+        (("0", "-1/3"), 2, ("0", "-1/3"), QuadNum(2, 0, Fraction(-1, 3))),
+        (("1", "1"), 1, ("2", "0"), QuadNum(1, 2)),  # √1 folds into the rational part
+        ((" 7", "0"), 1, ("7", "0"), QuadNum(1, 7)),
+        ((2, -1), 3, ("2", "-1"), QuadNum(3, 2, -1)),
+    ]
+    for (rat, rad), m, (a, b), value in cases:
+        written = {"m": m, "rat": a, "rad": b}
+        assert parsed_entry(grid({"m": m, "rat": rat, "rad": rad}, m=m)) == (written, value)
+    underscored = grid({"m": 1, "rat": "1_0", "rad": "0"})
+    if sys.version_info >= (3, 11):  # Fraction() reads digit-group underscores from 3.11 on
+        assert parsed_entry(underscored) == ({"m": 1, "rat": "10", "rad": "0"}, QuadNum(1, 10))
+    else:
+        assert_parses_like_reference(underscored)
+    failures = [
+        # an entry over another field than the header's
+        (grid({"m": 2, "rat": "1", "rad": "0"}), FriezeError,
+         "rows mix radicands with the frieze header"),
+        # a malformed coefficient later in the row that mixes radicands is reported first
+        (grid({"m": 2, "rat": "1", "rad": "0"}, {"m": 1, "rat": "1e5", "rad": "0"}), ValueError,
+         "malformed quadratic value: {'m': 1, 'rat': '1e5', 'rad': '0'}"),
+        (grid({"m": 2, "rat": "1", "rad": "0"}, {"m": 1, "rat": "abc", "rad": "0"}), ValueError,
+         "Invalid literal for Fraction: 'abc'"),
+        (grid({"m": 1, "rat": "1/0", "rad": "0"}), ValueError,
+         "malformed quadratic value: {'m': 1, 'rat': '1/0', 'rad': '0'}"),
+        (grid({"m": 5, "rat": "1", "rad": "0"}, m=5), ValueError,
+         "radicand must be one of (1, 2, 3), got 5"),
+    ]
+    for data, error, message in failures:
+        assert_parses_like_reference(data)
+        with pytest.raises(ValueError) as got:
+            Frieze.from_json(data)
+        assert (type(got.value), str(got.value)) == (error, message)
 
 
 def test_report_json(quad10):
@@ -460,6 +593,27 @@ def test_frieze_json_round_trip(quad10):
     again = Frieze.from_json(blob)
     assert again == f
     assert validate(again).ok
+
+
+def test_built_and_given_grids_behave_alike(quad10):
+    # a built grid holds int triples, Frieze(m, width, rows) the QuadNum rows
+    # it is given: both compare, hash, print, copy and refuse assignment alike
+    import copy
+    import dataclasses
+    import pickle
+
+    built = lambda_frieze(quad10, 4)
+    given = Frieze(2, 7, tuple(tuple(QuadNum(2, e.rat, e.rad) for e in row) for row in built.rows))
+    assert built == given and given == built and hash(built) == hash(given)
+    assert repr(built) == repr(given)
+    assert built.to_json() == given.to_json() and validate(built) == validate(given)
+    assert built != Frieze(3, 7, given.rows)
+    for f in (built, given):
+        assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.m = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del f.width
 
 
 def test_frieze_from_json_rejects_bad_shapes():

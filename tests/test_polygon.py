@@ -240,6 +240,20 @@ def test_enumeration_is_strictly_increasing(s, p):
     assert all(a < b for a, b in zip(listed, listed[1:]))
 
 
+@pytest.mark.parametrize(
+    "s,p", [(s, 3) for s in range(1, 7)] + [(s, 4) for s in range(1, 5)]
+    + [(s, 5) for s in range(1, 4)] + [(s, 6) for s in range(1, 4)]
+)
+def test_walked_leaves_equal_validated_dissections(s, p):
+    # leaves skip the constructor's checks: each must be the dissection the
+    # validating constructor builds from the same diagonals
+    for leaf in enumerate_p_angulations(s, p):
+        checked = Dissection(leaf.n, leaf.diagonals)
+        assert type(leaf) is Dissection
+        assert leaf == checked and hash(leaf) == hash(checked)
+        assert leaf.diagonals_sorted == checked.diagonals_sorted
+
+
 def test_enumeration_count_holds_no_sub_polygon_lists():
     # counting all 43,263 4-angulations with s = 8 holds the walk's stack and
     # one dissection at a time (2.14 MB peak when `itertools.product` held

@@ -17,14 +17,17 @@ quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
 private kernel grows the int rows from integer counts, which enter through
 `_rows` once the dissection is checked (by `lambda_frieze`, by `cc_frieze`'s
 triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
-QuadNum row, and checks positivity and closure on those ints.  The public
-builders hand the rows to a `Frieze` as int triples (A, B, d), the entry
-being (A + B√m)/d, which JSON and `validate` read as they are; a QuadNum
-entry is built only when a caller reads `.rows`, `.row` or `.entry`.  The
-checks in `verify` take the int rows as they are.  In a staggered
-rendering rows drift horizontally, so a single row matches a reference
-sequence only up to cyclic rotation, while frieze-against-frieze
-comparisons are entrywise at equal (r, k).
+QuadNum row, and checks positivity and closure on those ints.  A `Frieze`
+has one storage, int triples (A, B, d), the entry being (A + B√m)/d: the
+public builders hand the rows over as triples, `from_json` parses into
+them, and `Frieze(m, width, rows)` reads its QuadNum rows into them once,
+refusing an entry outside the header's field.  JSON, `validate` and
+equality read the triples as they are; a QuadNum entry is built only when
+a caller reads `.rows`, `.row` or `.entry`.  The checks in `verify` take
+the int rows as they are.  In a staggered rendering rows drift
+horizontally, so a single row matches a reference sequence only up to
+cyclic rotation, while frieze-against-frieze comparisons are entrywise at
+equal (r, k).
 """
 
 from __future__ import annotations
@@ -74,29 +77,40 @@ Triple = tuple[int, int, int]
 class Frieze:
     """An immutable frieze grid: radicand m, width n, rows 0..n+3.
 
-    `Frieze(m, width, rows)` keeps the QuadNum rows it is given.  A grid
-    the library builds or parses holds its entries as int triples
-    (A, B, d), the entry being (A + B√m)/d: `to_json`, `validate` and the
-    checks in `verify` read those, and `.rows` wraps them into QuadNum
-    entries only when read, once per grid, equal entries sharing one
-    QuadNum.  Grids compare and hash by (m, width, rows).
+    Every grid holds its entries as int triples (A, B, d), the entry being
+    (A + B√m)/d: `to_json`, `validate` and the checks in `verify` read
+    those.  `Frieze(m, width, rows)` reads the QuadNum rows it is given
+    into triples once, and raises RadicandMismatchError for an entry
+    outside Q(√m); the shape is checked by `validate`.  `.rows` wraps the
+    triples into QuadNum entries only when read, once per grid, equal
+    entries sharing one QuadNum (a grid built from rows keeps those).
+    Grids compare and hash by (m, width, triples): within one radicand
+    each value has one triple.
     """
 
     __slots__ = ("m", "width", "_rows", "_cells")
 
     def __init__(self, m: int, width: int, rows: tuple[tuple[QuadNum, ...], ...]):
+        rows = tuple([tuple(row) for row in rows])
+        if any(e.m != m for row in rows for e in row):
+            raise RadicandMismatchError("grid mixes radicands with the frieze header")
+        cells = tuple([tuple([_integral_parts(e) for e in row]) for row in rows])
+        self._fill(m, width, rows, cells)
+
+    @classmethod
+    def _of_cells(cls, m: int, width: int, cells: tuple[tuple[Triple, ...], ...]) -> "Frieze":
+        """A grid of triples, every entry in Q(√m) and the shape checked by the caller."""
+        frieze = cls.__new__(cls)
+        frieze._fill(m, width, None, cells)
+        return frieze
+
+    def _fill(self, m: int, width: int, rows: tuple | None, cells: tuple) -> None:
+        """Set the slots once: every later assignment raises."""
         _set = object.__setattr__
         _set(self, "m", m)
         _set(self, "width", width)
         _set(self, "_rows", rows)
-        _set(self, "_cells", None)
-
-    @classmethod
-    def _of_triples(cls, m: int, width: int, cells: tuple[tuple[Triple, ...], ...]) -> "Frieze":
-        """A grid of triples, every entry in Q(√m) and the shape checked by the caller."""
-        frieze = cls(m, width, None)
-        object.__setattr__(frieze, "_cells", cells)
-        return frieze
+        _set(self, "_cells", cells)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -107,16 +121,16 @@ class Frieze:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.m, self.width, self.rows) == (other.m, other.width, other.rows)
+        return (self.m, self.width, self._cells) == (other.m, other.width, other._cells)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.width, self.rows))
+        return hash((self.m, self.width, self._cells))
 
     def __repr__(self) -> str:
         return f"Frieze(m={self.m!r}, width={self.width!r}, rows={self.rows!r})"
 
     def __reduce__(self) -> tuple:
-        return Frieze, (self.m, self.width, self.rows)
+        return Frieze._of_cells, (self.m, self.width, self._cells)
 
     @property
     def rows(self) -> tuple[tuple[QuadNum, ...], ...]:
@@ -129,13 +143,6 @@ class Frieze:
             rows = tuple([tuple([wrapped[t] for t in row]) for row in cells])
             object.__setattr__(self, "_rows", rows)
         return rows
-
-    def _triples(self) -> Sequence[Sequence[Triple]]:
-        """The entries as triples; those of QuadNum rows a caller built are read anew."""
-        cells = self._cells
-        if cells is None:
-            return [[_integral_parts(e) for e in row] for row in self._rows]
-        return cells
 
     @property
     def period(self) -> int:
@@ -151,17 +158,13 @@ class Frieze:
         return self.row(r)[k % self.period]
 
     def to_json(self) -> dict:
-        cells = self._cells
-        if cells is None:  # QuadNum rows a caller built: each entry names its own radicand
-            rows = [[e.to_json() for e in row] for row in self._rows]
-        else:
-            m = self.m
-            written = {
-                (a, b, d): {"m": m, "rat": _coefficient(a, d), "rad": _coefficient(b, d)}
-                for a, b, d in set().union(*cells)
-            }
-            rows = [[written[t] for t in row] for row in cells]
-        return {"width": self.width, "m": self.m, "rows": rows}
+        m, cells = self.m, self._cells
+        written = {
+            (a, b, d): {"m": m, "rat": _coefficient(a, d), "rad": _coefficient(b, d)}
+            for a, b, d in set().union(*cells)
+        }
+        rows = [[written[t] for t in row] for row in cells]
+        return {"width": self.width, "m": m, "rows": rows}
 
     @staticmethod
     def from_json(data: dict) -> "Frieze":
@@ -194,7 +197,7 @@ class Frieze:
             if None in row:
                 raise FriezeError("rows mix radicands with the frieze header")
             cells.append(row)
-        return Frieze._of_triples(m, width, tuple(cells))
+        return Frieze._of_cells(m, width, tuple(cells))
 
 
 def _quadnum(m: int, t: Triple) -> QuadNum:
@@ -257,11 +260,6 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     return _wrap(_grow(counts, m, radical), m, radical)
 
 
-def _entry(m: int, c: int, surd: bool) -> QuadNum:
-    """The QuadNum of kernel value c: c·√m when surd, else c."""
-    return QuadNum(m, 0, c) if surd else QuadNum(m, c)
-
-
 def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
     """The int rows C(r, k) of the frieze of the quiddity row c_k (times √m when
     radical), or FriezeError.
@@ -285,7 +283,7 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     for r in range(2, n + 3):
         if min(rows[r]) <= 0:
             k, c = next((k, c) for k, c in enumerate(rows[r]) if c <= 0)
-            e = _entry(m, c, radical and r % 2 == 0)
+            e = _quadnum(m, (0, c, 1) if radical and r % 2 == 0 else (c, 0, 1))
             raise QuiddityPositivityError(
                 r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
             )
@@ -293,7 +291,7 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     surd = radical and n % 2 == 0
     k = 0 if surd else next((k for k, c in enumerate(top) if c != 1), None)
     if k is not None:
-        e = _entry(m, top[k], surd)
+        e = _quadnum(m, (0, top[k], 1) if surd else (top[k], 0, 1))
         raise ClosureError(
             n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
         )
@@ -311,7 +309,7 @@ def _wrap(rows: list[list[int]], m: int, radical: bool) -> Frieze:
         tuple([(0, c, 1) for c in row] if radical and r % 2 == 0 else [(c, 0, 1) for c in row])
         for r, row in enumerate(rows)
     ])
-    return Frieze._of_triples(m, len(rows) - 4, cells)
+    return Frieze._of_cells(m, len(rows) - 4, cells)
 
 
 def _rows(counts: tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
@@ -381,25 +379,21 @@ def validate(frieze: Frieze) -> FriezeReport:
     e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k) for rows 2..n+2.
 
     The laws read the grid's int triples (A, B, d), d > 0, the entry being
-    (A + B√m)/d: a built or parsed grid holds them, and QuadNum rows a
-    caller built are read into them once.  Every law is decided in int
+    (A + B√m)/d, which every grid holds, over the header's m (the
+    constructor refuses other radicands).  A grid whose rows do not match
+    its width raises FriezeError.  Every law is decided in int
     arithmetic: the diamond and the recurrence are cross-multiplied by the
     denominators of the entries they involve.  Denominators stay per entry,
     not one lcm for the whole grid: a grid whose entries have distinct large
-    denominators would otherwise carry their product through every check.  Generated
-    friezes have d = 1 throughout, so the checks cost what plain ints cost.
+    denominators would otherwise carry their product through every check.
+    Generated friezes have d = 1 throughout, so the checks cost what plain
+    ints cost.
     """
     n = frieze.width
     period = frieze.period
-    m = frieze.m  # a built or parsed grid: its shape and field are checked
-    if frieze._cells is None:  # QuadNum rows a caller built
-        if len(frieze.rows) != n + 4 or any(len(row) != period for row in frieze.rows):
-            raise FriezeError("grid shape does not match the declared width")
-        radicands = {e.m for row in frieze.rows for e in row}
-        if len(radicands) > 1:
-            raise RadicandMismatchError("grid mixes radicands")
-        (m,) = radicands
-    rows = frieze._triples()
+    m, rows = frieze.m, frieze._cells
+    if len(rows) != n + 4 or any(len(row) != period for row in rows):
+        raise FriezeError("grid shape does not match the declared width")
     bad: list[Violation] = []
     for r in (0, n + 3):
         bad += [Violation("boundary", r, k) for k, (a, b, _) in enumerate(rows[r]) if a or b]

@@ -189,8 +189,8 @@ def _read(frieze: Frieze, surd: bool) -> Rows:
     integer (A, 0, 1), or with surd the c of c·√m, (0, c, 1); None where an
     entry is not of that form."""
     if surd:
-        return [[b if a == 0 and d == 1 else None for a, b, d in row] for row in frieze._triples()]
-    return [[a if b == 0 and d == 1 else None for a, b, d in row] for row in frieze._triples()]
+        return [[b if a == 0 and d == 1 else None for a, b, d in row] for row in frieze._cells]
+    return [[a if b == 0 and d == 1 else None for a, b, d in row] for row in frieze._cells]
 
 
 def _build(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...], Rows, Rows]:

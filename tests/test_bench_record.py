@@ -3,6 +3,7 @@ the layer that moved, on hand-made run values (no benchmark is run)."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -83,6 +84,7 @@ def test_nothing_moved():
         ("240 passed in 31.92s", {"passed": 240}),
         ("1 failed, 238 passed, 3 warnings, 2 errors in 1:02:03",
          {"failed": 1, "passed": 238, "warnings": 3, "errors": 2}),
+        ("1 failed, 266 passed, 1 error in 28.46s", {"failed": 1, "passed": 266, "error": 1}),
         ("==== 5 passed, 1 skipped in 0.12s ====", {"passed": 5, "skipped": 1}),
         ("no tests ran in 0.01s", {}),
         ("", {}),
@@ -90,3 +92,19 @@ def test_nothing_moved():
 )
 def test_outcome_counts_read_a_pytest_summary_line(line, expected):
     assert bench_record.outcome_counts(line) == expected
+
+
+@pytest.mark.parametrize(
+    "line,errors",
+    [("1 failed, 266 passed, 1 error in 28.46s", 1), ("2 errors in 0.50s", 2),
+     ("267 passed in 28.00s", 0)],
+)
+def test_tier1_counts_collection_errors(monkeypatch, line, errors):
+    # a collection error under --continue-on-collection-errors is counted, not
+    # mistaken for a missing pass
+    ran = SimpleNamespace(stdout=f"....\n{line}\n")
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda *args, **kwargs: ran)
+    suite = bench_record.tier1(Path("tree"))
+    counts = bench_record.outcome_counts(line)
+    assert suite["errors"] == errors
+    assert (suite["passed"], suite["failed"]) == (counts.get("passed", 0), counts.get("failed", 0))

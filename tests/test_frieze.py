@@ -228,7 +228,13 @@ def test_json_edge_builds_no_quadnum(monkeypatch, capsys):
         assert main(["associate", "--p", str(p), "--input", dissection]) == 0
         triangulation = capsys.readouterr().out
         assert main(["cc", "--input", triangulation, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["width"] == 39
+        cc = capsys.readouterr().out
+        assert json.loads(cc)["width"] == 39
+        # grids compare and hash by their triples
+        built = lambda_frieze(ladder(p), p)
+        parsed = Frieze.from_json(json.loads(grid))
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built != Frieze.from_json(json.loads(cc))
 
 
 def test_row_and_entry_indexing():
@@ -596,8 +602,9 @@ def test_frieze_json_round_trip(quad10):
 
 
 def test_built_and_given_grids_behave_alike(quad10):
-    # a built grid holds int triples, Frieze(m, width, rows) the QuadNum rows
-    # it is given: both compare, hash, print, copy and refuse assignment alike
+    # a built grid holds int triples, and Frieze(m, width, rows) reads the QuadNum
+    # rows it is given into them: both compare, hash, print, copy and refuse
+    # assignment alike, and entries outside the header's field are refused
     import copy
     import dataclasses
     import pickle
@@ -607,7 +614,8 @@ def test_built_and_given_grids_behave_alike(quad10):
     assert built == given and given == built and hash(built) == hash(given)
     assert repr(built) == repr(given)
     assert built.to_json() == given.to_json() and validate(built) == validate(given)
-    assert built != Frieze(3, 7, given.rows)
+    with pytest.raises(RadicandMismatchError):
+        Frieze(3, 7, given.rows)
     for f in (built, given):
         assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -29,8 +29,8 @@ change no longer passes through (parent median above 0, change median 0)
 are listed apart as bypassed: their fall to 0 is time moved elsewhere,
 not a move of that layer.  Before the pairs, each tree runs its Tier-1
 suite once (TIER1, from the tree's root with its `src/` first on
-PYTHONPATH); the file records its wall seconds and passed/failed counts
-under "tier1".  The exit status is 1 when any run was not `correct`
+PYTHONPATH); the file records its wall seconds and its passed, failed and
+errors counts (collection errors included) under "tier1".  The exit status is 1 when any run was not `correct`
 or had `failed` > 0, and 2 when a run could not be completed.
 """
 
@@ -75,7 +75,8 @@ def outcome_counts(line: str) -> dict[str, int]:
 
 
 def tier1(tree: Path) -> dict:
-    """One Tier-1 run in a tree: its wall seconds and passed/failed counts."""
+    """One Tier-1 run in a tree: its wall seconds and passed, failed and errors
+    counts (pytest writes "1 error" but "2 errors")."""
     paths = [str(tree / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     started = time.perf_counter()
@@ -85,7 +86,8 @@ def tier1(tree: Path) -> dict:
     lines = done.stdout.strip().splitlines()
     counts = outcome_counts(lines[-1] if lines else "")
     return {"seconds": round(seconds, 2), "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0)}
+            "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0) + counts.get("errors", 0)}
 
 
 def spread(values: list[float]) -> dict:
@@ -228,7 +230,7 @@ def main() -> int:
     print(f"wrote {path}")
     for side, suite in record["tier1"].items():
         print(f"  tier1 {side:6s} {suite['seconds']:.1f} s, {suite['passed']} passed, "
-              f"{suite['failed']} failed")
+              f"{suite['failed']} failed, {suite['errors']} errors")
     for workload, result in record["workloads"].items():
         for name, s in result["end_to_end"].items():
             print(f"  {workload:15s} {name:12s} {s['parent']['median']:.6g} -> "

@@ -84,10 +84,11 @@ def test_nothing_moved():
         ("240 passed in 31.92s", {"passed": 240}),
         ("1 failed, 238 passed, 3 warnings, 2 errors in 1:02:03",
          {"failed": 1, "passed": 238, "warnings": 3, "errors": 2}),
-        ("1 failed, 266 passed, 1 error in 28.46s", {"failed": 1, "passed": 266, "error": 1}),
         ("==== 5 passed, 1 skipped in 0.12s ====", {"passed": 5, "skipped": 1}),
         ("no tests ran in 0.01s", {}),
         ("", {}),
+        # appended last so that the earlier cases keep their ids
+        ("1 failed, 266 passed, 1 error in 28.46s", {"failed": 1, "passed": 266, "error": 1}),
     ],
 )
 def test_outcome_counts_read_a_pytest_summary_line(line, expected):

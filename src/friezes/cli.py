@@ -183,7 +183,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, OSError) as exc:  # covers JSON and all domain errors
+    except (ValueError, OSError, OverflowError) as exc:  # JSON, domain errors, huge sizes
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalAssertionError as exc:

@@ -6,15 +6,15 @@ diagonals carve out.  Faces are stored as vertex tuples in cyclic order
 starting at their smallest label (which, for points in convex position, is
 simply ascending order).
 
-Enumeration is one in-place backtracking walk (`_walk`) that fixes each
-vertex's fan of diagonals in turn, so it yields in lexicographic order of
-`diagonals_sorted`.  At every leaf it yields the same diagonal list (sorted)
-and per-vertex face-count list, both shared and mutated as the walk goes
-on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
+Enumeration is one in-place backtracking walk (`_walk`) that decides each
+vertex's fan of diagonals one end at a time, so it yields in lexicographic
+order of `diagonals_sorted`.  At every leaf it yields the same diagonal list
+(sorted) and per-vertex face-count list, both reused and mutated as the walk
+goes on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
 without checking them again (`_walked`), and the deep scan in `verify`
-reads the counts directly.  Memory is the
-walk's stack and a per-call memo of fan choices, not a list of
-sub-polygon dissections, and a sorted listing holds nothing more.
+reads the counts directly.  The walk's stack of O(n) frames is all it
+keeps, so the first leaf comes at once and a sorted listing holds nothing
+more.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 Face = tuple[int, ...]
-_Task = tuple[int, int, int]  # lo, hi, k: see _fans
-_Fan = tuple[tuple[Pair, ...], tuple[_Task, ...]]  # diagonals, sectors to push
 
 
 class InvalidDissectionError(ValueError):
@@ -118,7 +116,9 @@ class Dissection:
     __slots__ = ("_n", "_diagonals")
 
     def __init__(self, n: int, diagonals: Iterable[Sequence[int]] = ()):
-        if not isinstance(n, int) or n < 3:
+        if type(n) is not int:  # bools are ints too: reject them
+            raise InvalidDissectionError(f"polygon size must be an integer, got {n!r}")
+        if n < 3:
             raise InvalidDissectionError(f"a polygon needs at least 3 vertices, got {n!r}")
         normalized = frozenset([_normalize_pair(n, p) for p in diagonals])
         if not _noncrossing(normalized):
@@ -261,94 +261,75 @@ def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     list is sorted at every leaf.  Of two dissections with the same number
     of diagonals, the one holding the smallest diagonal of their symmetric
     difference is the smaller, so the walk decides diagonals in ascending
-    order, taking each one before leaving it out.  A task is the run of
-    contiguous vertices lo..hi whose face through lo and hi has k vertices
-    outside the run (`_fans`).  The walk fixes the whole fan of lo, the
-    diagonals (lo, b), then fills the sectors between consecutive fan ends
-    first to last; every diagonal of a sector is smaller than every one of
-    the next.  The top-level task is 0..n-1 with k = 0.
+    order, taking each one before leaving it out.
+
+    A task (lo, a, hi, k, sectors) fills the run of contiguous vertices
+    lo..hi, whose face through lo and hi has k vertices outside the run.
+    k = step marks a face closed by the chord (lo, hi): the chord is a
+    diagonal, placed when lo's fan closes, and the run then holds a whole
+    face on it (k = 0 inside).  Each frame decides one end of lo's fan: a
+    is the last end so far (lo + 1 at first), and `sectors` are the tasks
+    the fan has cut off, newest first, as linked pairs (sector, rest), so a
+    frame adds O(1).  An end b keeps every sector (step+2)-angulable
+    exactly when b ≡ a (mod step).  So the choices, in walk order, are the
+    next ends b = a + step, a + 2·step, ... < hi, each placing (lo, b) and
+    cutting off the sector a..b with k = 1 (lo is outside it), and last the
+    close b = hi, which cuts off a..hi with k + 1 (1 under the chord) and
+    pushes the sectors so that the first is filled first; every diagonal of
+    a sector is smaller than every one of the next.  A sector whose face is
+    already whole is dropped.  The top-level task is 0..n-1 with k = 0.
 
     At every leaf the walk yields the same two lists: the diagonals, and
     the number of faces at each vertex (1 plus its diagonals, the quiddity
-    of a triangulation).  Both are shared and mutated in place as the walk
+    of a triangulation).  Both are reused and mutated in place as the walk
     goes on, so a caller reads or copies them before asking for the next
-    leaf.  An explicit stack replaces recursion: each frame is one fan
-    choice, applied on the way down and undone on the way back, and each
-    task's fan choices are computed once per call.
+    leaf.  An explicit stack replaces recursion: each frame is one choice,
+    applied on the way down and undone on the way back.  The stack holds
+    O(n) frames and nothing else is kept.
     """
     diags: list[Pair] = []
     counts = [1] * n
-    todo: list[_Task] = [(0, n - 1, 0)]  # tasks still to fill, next on top
-    # per fan choice: its task, the choices there, the one taken, and the
-    # height of `todo` below the sectors it pushed
-    frames: list[tuple[_Task, list[_Fan], int, int]] = []
-    memo: dict[_Task, list[_Fan]] = {}
-    shared: dict = {}  # one copy of each pair and task across the memo
+    todo: list[tuple] = [(0, 1, n - 1, 0, None)]  # tasks still to fill, next on top
+    # per choice: its task, the end b taken, and the height of `todo` below
+    # what it pushed
+    frames: list[tuple[tuple, int, int]] = []
     while True:
-        if todo:  # descend: the next open task takes its first fan
+        if todo:  # descend: the next open task takes its first choice
             task = todo.pop()
             mark = len(todo)
-            fans = memo.get(task)
-            if fans is None:
-                fans = memo[task] = _fans(*task, step, shared)
-            i = 0
+            lo, a, hi, k, sectors = task
+            b = a + step
         else:
             yield diags, counts
-            while frames:  # backtrack to the last fan with a choice left
-                task, fans, i, mark = frames.pop()
-                own, _ = fans[i]
-                for a, b in own:
-                    counts[a] -= 1
+            while frames:  # backtrack to the last task with a choice left
+                task, b, mark = frames.pop()
+                lo, a, hi, k, sectors = task
+                if b < hi or k == step:  # undo (lo, b), the chord when b = hi
+                    diags.pop()
+                    counts[lo] -= 1
                     counts[b] -= 1
-                del diags[len(diags) - len(own) :]
                 del todo[mark:]
-                i += 1
-                if i < len(fans):
+                if b < hi:
+                    b += step
                     break
                 todo.append(task)
             else:
                 return
-        own, sectors = fans[i]  # place fan i on the way down
-        frames.append((task, fans, i, mark))
-        for a, b in own:
-            counts[a] += 1
+        if b > hi:
+            b = hi
+        frames.append((task, b, mark))  # take end b on the way down
+        if b < hi or k == step:
+            diags.append((lo, b))
+            counts[lo] += 1
             counts[b] += 1
-        diags += own
-        todo += sectors
-
-
-def _fans(lo: int, hi: int, k: int, step: int, shared: dict[tuple, tuple]) -> list[_Fan]:
-    """The fans of lo in task (lo, hi, k), in the order the walk takes them.
-
-    The face through lo and hi has k vertices outside the run lo..hi.
-    k = step marks a face closed by the chord (lo, hi): the chord is a
-    diagonal, placed right after the fan, and the run then holds a whole
-    face on it (k = 0 inside).  A fan end b keeps every sector
-    (step+2)-angulable exactly when b ≡ lo + 1 (mod step).  With
-    r_0 = lo + 1 and fan ends r_1 < ... < r_j, the sectors are the tasks
-    (r_{i-1}, r_i, 1) and (r_j, hi, k + 1), lo being the one more vertex
-    outside; a sector whose face is already whole is dropped.  Each fan
-    comes with its diagonals and its sectors to push, last first.  Subsets
-    of the possible ends come include-first: the bit masks counted down,
-    first end highest.
-    """
-    chord = (lo, hi) if k == step else None
-    inner = 0 if chord else k
-    rays = [shared.setdefault((lo, b), (lo, b)) for b in range(lo + 1 + step, hi, step)]
-    m = len(rays)
-    out = []
-    for mask in range((1 << m) - 1, -1, -1):
-        fan = [ray for j, ray in enumerate(rays) if mask >> (m - 1 - j) & 1]
-        sectors = []
-        a = lo + 1
-        for _, b in fan:
+        if b < hi:
             if b - a != step:  # otherwise the sector's face is whole
-                sectors.append(shared.setdefault((a, b, 1), (a, b, 1)))
-            a = b
+                sectors = ((a, a + 1, b, 1, None), sectors)
+            todo.append((lo, b, hi, k, sectors))
+            continue
+        inner = 0 if k == step else k
         if hi - a + inner != step:  # likewise for (a, hi, inner + 1)
-            t = (a, hi, inner + 1)
-            sectors.append(shared.setdefault(t, t))
-        if chord:
-            fan.append(shared.setdefault(chord, chord))
-        out.append((tuple(fan), tuple(sectors[::-1])))
-    return out
+            todo.append((a, a + 1, hi, inner + 1, None))
+        while sectors:  # the first sector ends on top
+            sector, sectors = sectors
+            todo.append(sector)

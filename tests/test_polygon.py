@@ -71,6 +71,11 @@ def test_rejections():
         Dissection(10, [(0, 9)])  # wraps around: adjacent
     with pytest.raises(InvalidDissectionError):
         Dissection(2)
+    # a polygon size is an int: neither a float nor a bool
+    with pytest.raises(InvalidDissectionError, match="must be an integer, got 4.0"):
+        Dissection(4.0)
+    with pytest.raises(InvalidDissectionError, match="must be an integer, got True"):
+        Dissection.from_json({"n": True, "diagonals": []})
     # every rejection is a ValueError under one family
     assert issubclass(CrossingDiagonalError, InvalidDissectionError)
     assert issubclass(VertexRangeError, ValueError)
@@ -199,17 +204,19 @@ def test_enumeration_counts_and_shape(s, p):
     assert count == fuss_catalan(s, p)
 
 
-def test_enumeration_yields_before_building_every_dissection():
-    # the first of the 43,263 4-angulations with s = 8 comes out without the
-    # full list of diagonal sets behind it (8.7 MB peak when it was built first)
+@pytest.mark.parametrize("s,p", [(8, 4), (16, 4), (16, 3)])
+def test_enumeration_yields_before_building_every_dissection(s, p):
+    # the first p-angulation comes out with nothing built but the walk's
+    # O(n) stack: neither a list of diagonal sets nor a table of every
+    # subset of a task's fan ends, which grows about 4x per two faces
     tracemalloc.start()
     try:
-        first = next(enumerate_p_angulations(8, 4))
+        first = next(enumerate_p_angulations(s, p))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert is_p_angulation(first, 4)
-    assert peak < 4_000_000
+    assert is_p_angulation(first, p)
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize(

@@ -18,23 +18,22 @@ private kernel grows the int rows from integer counts, which enter through
 `_rows` once the dissection is checked (by `lambda_frieze`, by `cc_frieze`'s
 triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
 QuadNum row, and checks positivity and closure on those ints.  A `Frieze`
-has one storage, int triples (A, B, d), the entry being (A + B√m)/d: the
-public builders hand the rows over as triples, `from_json` parses into
-them, and `Frieze(m, width, rows)` reads its QuadNum rows into them once,
-refusing an entry outside the header's field.  JSON, `validate` and
-equality read the triples as they are; a QuadNum entry is built only when
-a caller reads `.rows`, `.row` or `.entry`.  The checks in `verify` take
-the int rows as they are.  In a staggered rendering rows drift
-horizontally, so a single row matches a reference sequence only up to
-cyclic rotation, while frieze-against-frieze comparisons are entrywise at
-equal (r, k).
+has one storage: each entry a + b√m is the coefficient pair (a, b) exactly
+as QuadNum holds it, an int where the coefficient is integral and an exact
+rational only where it is not.  The public builders hand the rows over as
+pairs of ints, `from_json` parses into pairs, and `Frieze(m, width, rows)`
+reads its QuadNum rows into them once, refusing an entry outside the
+header's field.  JSON, `validate` and equality read the pairs as they are;
+a QuadNum entry is built only when a caller reads `.rows`, `.row` or
+`.entry`.  The checks in `verify` take the int rows as they are.  In a
+staggered rendering rows drift horizontally, so a single row matches a
+reference sequence only up to cyclic rotation, while frieze-against-frieze
+comparisons are entrywise at equal (r, k).
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .bijection import NotPAngulationError, triangle_counts
@@ -70,22 +69,18 @@ class ClosureError(FriezeError):
         self.col = col
 
 
-# An entry (A + B√m)/d as ints, d > 0 and the least such: `_integral_parts`.
-Triple = tuple[int, int, int]
-
-
 class Frieze:
     """An immutable frieze grid: radicand m, width n, rows 0..n+3.
 
-    Every grid holds its entries as int triples (A, B, d), the entry being
-    (A + B√m)/d: `to_json`, `validate` and the checks in `verify` read
-    those.  `Frieze(m, width, rows)` reads the QuadNum rows it is given
-    into triples once, and raises RadicandMismatchError for an entry
-    outside Q(√m); the shape is checked by `validate`.  `.rows` wraps the
-    triples into QuadNum entries only when read, once per grid, equal
-    entries sharing one QuadNum (a grid built from rows keeps those).
-    Grids compare and hash by (m, width, triples): within one radicand
-    each value has one triple.
+    Every grid holds each entry a + b√m as the pair (a, b) of its QuadNum
+    coefficients, ints unless a coefficient is not integral: `to_json`,
+    `validate` and the checks in `verify` read those.  `Frieze(m, width,
+    rows)` reads the QuadNum rows it is given into pairs once, and raises
+    RadicandMismatchError for an entry outside Q(√m); the shape is checked
+    by `validate`.  `.rows` wraps the pairs into QuadNum entries only when
+    read, once per grid, equal entries sharing one QuadNum (a grid built
+    from rows keeps those).  Grids compare and hash by (m, width, pairs):
+    within one radicand each value has one pair.
     """
 
     __slots__ = ("m", "width", "_rows", "_cells")
@@ -94,12 +89,13 @@ class Frieze:
         rows = tuple([tuple(row) for row in rows])
         if any(e.m != m for row in rows for e in row):
             raise RadicandMismatchError("grid mixes radicands with the frieze header")
-        cells = tuple([tuple([_integral_parts(e) for e in row]) for row in rows])
+        cells = tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows])
         self._fill(m, width, rows, cells)
 
     @classmethod
-    def _of_cells(cls, m: int, width: int, cells: tuple[tuple[Triple, ...], ...]) -> "Frieze":
-        """A grid of triples, every entry in Q(√m) and the shape checked by the caller."""
+    def _of_cells(cls, m: int, width: int, cells: tuple[tuple[tuple, ...], ...]) -> "Frieze":
+        """A grid of coefficient pairs as QuadNum holds them, every entry in Q(√m)
+        and the shape checked by the caller."""
         frieze = cls.__new__(cls)
         frieze._fill(m, width, None, cells)
         return frieze
@@ -138,7 +134,7 @@ class Frieze:
         if rows is None:
             m, cells = self.m, self._cells
             # QuadNum is immutable, so equal entries share one
-            wrapped = {t: _quadnum(m, t) for t in set().union(*cells)}
+            wrapped = {t: QuadNum(m, *t) for t in set().union(*cells)}
             # from lists, not generators: see _wrap
             rows = tuple([tuple([wrapped[t] for t in row]) for row in cells])
             object.__setattr__(self, "_rows", rows)
@@ -159,10 +155,7 @@ class Frieze:
 
     def to_json(self) -> dict:
         m, cells = self.m, self._cells
-        written = {
-            (a, b, d): {"m": m, "rat": _coefficient(a, d), "rad": _coefficient(b, d)}
-            for a, b, d in set().union(*cells)
-        }
+        written = {(a, b): {"m": m, "rat": str(a), "rad": str(b)} for a, b in set().union(*cells)}
         rows = [[written[t] for t in row] for row in cells]
         return {"width": self.width, "m": m, "rows": rows}
 
@@ -200,21 +193,12 @@ class Frieze:
         return Frieze._of_cells(m, width, tuple(cells))
 
 
-def _quadnum(m: int, t: Triple) -> QuadNum:
-    a, b, d = t
-    return QuadNum(m, a, b) if d == 1 else QuadNum(m, Fraction(a, d), Fraction(b, d))
-
-
-def _coefficient(a: int, d: int) -> str:
-    """The coefficient a/d as `QuadNum.to_json` writes it."""
-    return str(a) if d == 1 else str(Fraction(a, d))
-
-
 def _parse_entry(
-    data: object, m: int, plain: dict[tuple[str, str], Triple] | None
-) -> Triple | None:
-    """The triple of one JSON entry of a grid over Q(√m), None when the entry
-    names another radicand, or the error `QuadNum.from_json` raises.
+    data: object, m: int, plain: dict[tuple[str, str], tuple] | None
+) -> tuple | None:
+    """The coefficient pair (a, b), as QuadNum holds it, of one JSON entry of a
+    grid over Q(√m), None when the entry names another radicand, or the error
+    `QuadNum.from_json` raises.
 
     plain holds the coefficient pairs read so far as plain ints, or is None
     when m is no radicand at all.
@@ -232,10 +216,10 @@ def _parse_entry(
             # a coefficient that int() writes back unchanged is a plain int, read
             # alike by QuadNum; QuadNum folds b into a when m = 1, so that goes there
             if a is not None and str(a) == rat and str(b) == rad and not (b and m == 1):
-                t = plain[rat, rad] = (a, b, 1)
+                t = plain[rat, rad] = (a, b)
                 return t
     e = QuadNum.from_json(data)
-    return _integral_parts(e) if e.m == m else None
+    return (e.rat, e.rad) if e.m == m else None
 
 
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
@@ -283,7 +267,7 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     for r in range(2, n + 3):
         if min(rows[r]) <= 0:
             k, c = next((k, c) for k, c in enumerate(rows[r]) if c <= 0)
-            e = _quadnum(m, (0, c, 1) if radical and r % 2 == 0 else (c, 0, 1))
+            e = QuadNum(m, 0, c) if radical and r % 2 == 0 else QuadNum(m, c)
             raise QuiddityPositivityError(
                 r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
             )
@@ -291,7 +275,7 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     surd = radical and n % 2 == 0
     k = 0 if surd else next((k for k, c in enumerate(top) if c != 1), None)
     if k is not None:
-        e = _quadnum(m, (0, top[k], 1) if surd else (top[k], 0, 1))
+        e = QuadNum(m, 0, top[k]) if surd else QuadNum(m, top[k])
         raise ClosureError(
             n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
         )
@@ -300,13 +284,13 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
 
 
 def _wrap(rows: list[list[int]], m: int, radical: bool) -> Frieze:
-    """The Frieze of kernel rows: C as the triple (C, 0, 1), or (0, C, 1) for C·√m
-    on the even rows of a radical frieze."""
+    """The Frieze of kernel rows: C as the pair (C, 0), or (0, C) for C·√m on the
+    even rows of a radical frieze."""
     # from lists, not generators: tuple(generator) grows by resizing, and the resized
     # tuples pile up on the interpreter's per-size free lists (peak RSS) until a full
     # garbage collection, which the few allocations here rarely trigger
     cells = tuple([
-        tuple([(0, c, 1) for c in row] if radical and r % 2 == 0 else [(c, 0, 1) for c in row])
+        tuple([(0, c) for c in row] if radical and r % 2 == 0 else [(c, 0) for c in row])
         for r, row in enumerate(rows)
     ])
     return Frieze._of_cells(m, len(rows) - 4, cells)
@@ -362,15 +346,6 @@ class FriezeReport:
         }
 
 
-def _integral_parts(e: QuadNum) -> tuple[int, int, int]:
-    """(A, B, d) with d > 0 the entry's own denominator and e = (A + B√m)/d."""
-    a, b = e.rat, e.rad
-    if type(a) is int and type(b) is int:  # every entry of a generated frieze
-        return a, b, 1
-    d = lcm(a.denominator, b.denominator)
-    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
-
-
 def validate(frieze: Frieze) -> FriezeReport:
     """Check a grid against all frieze laws and report every violation.
 
@@ -378,16 +353,13 @@ def validate(frieze: Frieze) -> FriezeReport:
     rule for rows 1..n+2, and the quiddity recurrence
     e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k) for rows 2..n+2.
 
-    The laws read the grid's int triples (A, B, d), d > 0, the entry being
-    (A + B√m)/d, which every grid holds, over the header's m (the
-    constructor refuses other radicands).  A grid whose rows do not match
-    its width raises FriezeError.  Every law is decided in int
-    arithmetic: the diamond and the recurrence are cross-multiplied by the
-    denominators of the entries they involve.  Denominators stay per entry,
-    not one lcm for the whole grid: a grid whose entries have distinct large
-    denominators would otherwise carry their product through every check.
-    Generated friezes have d = 1 throughout, so the checks cost what plain
-    ints cost.
+    The laws read the coefficient pairs (a, b) of the entries a + b√m, which
+    every grid holds, over the header's m (the constructor refuses other
+    radicands), and multiply them out in Q(√m) by hand.  A grid whose rows
+    do not match its width raises FriezeError.  Generated and plainly parsed
+    grids hold ints throughout, so the checks cost what plain ints cost; a
+    rational entry brings exact rational arithmetic, which reduces after
+    every operation, so no denominator common to the grid is ever formed.
     """
     n = frieze.width
     period = frieze.period
@@ -396,37 +368,32 @@ def validate(frieze: Frieze) -> FriezeReport:
         raise FriezeError("grid shape does not match the declared width")
     bad: list[Violation] = []
     for r in (0, n + 3):
-        bad += [Violation("boundary", r, k) for k, (a, b, _) in enumerate(rows[r]) if a or b]
+        bad += [Violation("boundary", r, k) for k, (a, b) in enumerate(rows[r]) if a or b]
     for r in (1, n + 2):
-        bad += [
-            Violation("boundary", r, k) for k, (a, b, d) in enumerate(rows[r]) if a != d or b
-        ]
+        bad += [Violation("boundary", r, k) for k, (a, b) in enumerate(rows[r]) if a != 1 or b]
     for r in range(2, n + 2):
         bad += [
             Violation("positivity", r, k)
-            for k, (a, b, _) in enumerate(rows[r])
+            for k, (a, b) in enumerate(rows[r])
             if quadratic_sign(a, b, m) <= 0
         ]
     for r in range(1, n + 3):
         row, below = rows[r], rows[r - 1]
         diamonds = zip(row, row[1:] + row[:1], below[1:] + below[:1], rows[r + 1])
-        for k, ((aw, bw, dw), (ae, be, de), (as_, bs, ds), (an, bn, dn)) in enumerate(diamonds):
-            # west·east - south·north = 1, times dw·de·ds·dn
-            d_we, d_sn = dw * de, ds * dn
-            rat = (aw * ae + bw * be * m) * d_sn - (as_ * an + bs * bn * m) * d_we
-            rad = (aw * be + bw * ae) * d_sn - (as_ * bn + bs * an) * d_we
-            if rat != d_we * d_sn or rad:
+        for k, ((aw, bw), (ae, be), (as_, bs), (an, bn)) in enumerate(diamonds):
+            # west·east - south·north = 1
+            if (
+                aw * ae + bw * be * m - as_ * an - bs * bn * m != 1
+                or aw * be + bw * ae - as_ * bn - bs * an
+            ):
                 bad.append(Violation("diamond", r, k))
     quiddity = rows[2]
     for r in range(2, n + 3):
         shifted = quiddity[r - 1 :] + quiddity[: r - 1]  # e(2, k+r-1) at index k
         recurrences = zip(shifted, rows[r], rows[r - 1], rows[r + 1])
-        for k, ((aq, bq, dq), (ac, bc, dc), (ab, bb, db), (at, bt, dt)) in enumerate(recurrences):
-            # e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), times dq·dc·db·dt
-            d_qc = dq * dc
-            rat = ((aq * ac + bq * bc * m) * db - ab * d_qc) * dt
-            rad = ((aq * bc + bq * ac) * db - bb * d_qc) * dt
-            if at * d_qc * db != rat or bt * d_qc * db != rad:
+        for k, ((aq, bq), (ac, bc), (ab, bb), (at, bt)) in enumerate(recurrences):
+            # e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k)
+            if aq * ac + bq * bc * m - ab != at or aq * bc + bq * ac - bb != bt:
                 bad.append(Violation("recurrence", r, k))
     return FriezeReport(tuple(bad))
 

@@ -285,10 +285,14 @@ def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     goes on, so a caller reads or copies them before asking for the next
     leaf.  An explicit stack replaces recursion: each frame is one choice,
     applied on the way down and undone on the way back.  The stack holds
-    O(n) frames and nothing else is kept.
+    O(n) frames and nothing else is kept.  An n whose count list cannot be
+    allocated at all raises ValueError naming the polygon.
     """
     diags: list[Pair] = []
-    counts = [1] * n
+    try:
+        counts = [1] * n
+    except (OverflowError, MemoryError):  # past the index range, or the address space
+        raise ValueError(f"the {n}-gon is too large to walk") from None
     todo: list[tuple] = [(0, 1, n - 1, 0, None)]  # tasks still to fill, next on top
     # per choice: its task, the end b taken, and the height of `todo` below
     # what it pushed

@@ -22,7 +22,7 @@ checks are:
 The frieze-level comparisons behind the last two (odd_rows_coincide,
 even_rows_scaled) are public so arbitrary frieze pairs — e.g. a radical
 frieze against a deliberately corrupted triangulation's frieze — can be
-compared directly.  They read each grid's int triples as ints (an
+compared directly.  They read each grid's coefficient pairs as ints (an
 integer, or for the radical even rows an integer multiple of √m, as
 `as_integer` and `as_radical_multiple` would; an entry with no such
 reading never matches), hand them to the same int-row comparisons, and
@@ -185,12 +185,13 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
 
 
 def _read(frieze: Frieze, surd: bool) -> Rows:
-    """The grid's entries as ints, read off its triples (A, B, d): A of an
-    integer (A, 0, 1), or with surd the c of c·√m, (0, c, 1); None where an
-    entry is not of that form."""
+    """The grid's entries as ints, read off their coefficient pairs (a, b): a of
+    an integer (a, 0), or with surd the c of c·√m, (0, c); None where an entry
+    is not of that form (a zero coefficient is always the int 0)."""
+    cells = frieze._cells
     if surd:
-        return [[b if a == 0 and d == 1 else None for a, b, d in row] for row in frieze._cells]
-    return [[a if b == 0 and d == 1 else None for a, b, d in row] for row in frieze._cells]
+        return [[b if a == 0 and type(b) is int else None for a, b in row] for row in cells]
+    return [[a if b == 0 and type(a) is int else None for a, b in row] for row in cells]
 
 
 def _build(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...], Rows, Rows]:

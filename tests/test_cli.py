@@ -262,10 +262,12 @@ def test_domain_errors_exit_1(capsys):
     payload = json.dumps({"width": 0, "m": 1, "rows": [[huge] * 3] * 4})
     code, _, err = run(capsys, "validate", "--input", payload)
     assert code == 1 and "malformed quadratic value" in err
-    # a polygon past the index range cannot be walked (sizes below it but
-    # above about 10**7 would allocate gigabytes, so none is tried here)
-    code, _, err = run(capsys, "enumerate", "--p", "4", "--s", str(10**20), "--count-only")
-    assert code == 1 and err.startswith("error: ")
+    # a polygon past the index range, or past any address space, cannot be
+    # walked (sizes between about 10**7 and 10**9 would really allocate
+    # gigabytes, so none is tried here)
+    for s in (10**20, 10**15):
+        code, _, err = run(capsys, "enumerate", "--p", "4", "--s", str(s), "--count-only")
+        assert code == 1 and err.startswith("error: ") and f"the {2 * s + 2}-gon" in err
 
 
 def test_internal_assertions_exit_3(capsys, monkeypatch):

@@ -211,7 +211,7 @@ def test_hot_paths_construct_no_fraction(monkeypatch, capsys):
 
 
 def test_json_edge_builds_no_quadnum(monkeypatch, capsys):
-    # gen, validate and cc carry int triples from the kernel to the JSON and
+    # gen, validate and cc carry coefficient pairs from the kernel to the JSON and
     # back: not one QuadNum is built unless a caller reads .rows
     from friezes.cli import main
 
@@ -230,7 +230,7 @@ def test_json_edge_builds_no_quadnum(monkeypatch, capsys):
         assert main(["cc", "--input", triangulation, "--format", "json"]) == 0
         cc = capsys.readouterr().out
         assert json.loads(cc)["width"] == 39
-        # grids compare and hash by their triples
+        # grids compare and hash by their coefficient pairs
         built = lambda_frieze(ladder(p), p)
         parsed = Frieze.from_json(json.loads(grid))
         assert built == parsed and hash(built) == hash(parsed)
@@ -602,7 +602,7 @@ def test_frieze_json_round_trip(quad10):
 
 
 def test_built_and_given_grids_behave_alike(quad10):
-    # a built grid holds int triples, and Frieze(m, width, rows) reads the QuadNum
+    # a built grid holds coefficient pairs, and Frieze(m, width, rows) reads the QuadNum
     # rows it is given into them: both compare, hash, print, copy and refuse
     # assignment alike, and entries outside the header's field are refused
     import copy

@@ -70,7 +70,7 @@ def _emit_frieze(frieze: Frieze, fmt: str) -> None:
     if fmt == "ascii":
         print(render_ascii(frieze))
     elif fmt == "json":
-        print(json.dumps(frieze.to_json()))
+        print(frieze._json_text())  # the bytes of json.dumps(frieze.to_json())
     else:
         print(render_csv(frieze))
 

@@ -23,9 +23,13 @@ as QuadNum holds it, an int where the coefficient is integral and an exact
 rational only where it is not.  The public builders hand the rows over as
 pairs of ints, `from_json` parses into pairs, and `Frieze(m, width, rows)`
 reads its QuadNum rows into them once, refusing an entry outside the
-header's field.  JSON, `validate` and equality read the pairs as they are;
-a QuadNum entry is built only when a caller reads `.rows`, `.row` or
-`.entry`.  The checks in `verify` take the int rows as they are.  In a
+header's field.  JSON, `validate` and equality read the pairs as they are:
+`to_json` returns the dict of them for library callers, and the CLI
+writes the same bytes as `json.dumps` of it with `_json_text`, which
+formats each distinct cell's text once; ASCII and CSV rendering likewise
+render each distinct cell once.  Otherwise a QuadNum entry is built only
+when a caller reads `.rows`, `.row` or `.entry`.  The checks in `verify`
+take the int rows as they are.  In a
 staggered rendering rows drift horizontally, so a single row matches a
 reference sequence only up to cyclic rotation, while frieze-against-frieze
 comparisons are entrywise at equal (r, k).
@@ -33,6 +37,7 @@ comparisons are entrywise at equal (r, k).
 
 from __future__ import annotations
 
+import json
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Sequence
 
@@ -158,6 +163,20 @@ class Frieze:
         written = {(a, b): {"m": m, "rat": str(a), "rad": str(b)} for a, b in set().union(*cells)}
         rows = [[written[t] for t in row] for row in cells]
         return {"width": self.width, "m": m, "rows": rows}
+
+    def _json_text(self) -> str:
+        """`json.dumps(self.to_json())`, each distinct cell's text written once.
+
+        A coefficient's `str` (an int, or n/d) needs no escaping, so a cell
+        is its text between quotes; the rows join with the separators
+        `json.dumps` writes by default.
+        """
+        m, cells = json.dumps(self.m), self._cells
+        written = {
+            (a, b): f'{{"m": {m}, "rat": "{a}", "rad": "{b}"}}' for a, b in set().union(*cells)
+        }
+        rows = ", ".join(["[" + ", ".join(map(written.__getitem__, row)) + "]" for row in cells])
+        return f'{{"width": {json.dumps(self.width)}, "m": {m}, "rows": [{rows}]}}'
 
     @staticmethod
     def from_json(data: dict) -> "Frieze":
@@ -372,10 +391,10 @@ def validate(frieze: Frieze) -> FriezeReport:
     for r in (1, n + 2):
         bad += [Violation("boundary", r, k) for k, (a, b) in enumerate(rows[r]) if a != 1 or b]
     for r in range(2, n + 2):
-        bad += [
+        bad += [  # a + b√m with a, b ≥ 0, not both 0, is positive without quadratic_sign
             Violation("positivity", r, k)
             for k, (a, b) in enumerate(rows[r])
-            if quadratic_sign(a, b, m) <= 0
+            if (a < 0 or b < 0 or not (a or b)) and quadratic_sign(a, b, m) <= 0
         ]
     for r in range(1, n + 3):
         row, below = rows[r], rows[r - 1]
@@ -398,9 +417,17 @@ def validate(frieze: Frieze) -> FriezeReport:
     return FriezeReport(tuple(bad))
 
 
+def _rendered(frieze: Frieze) -> list[list[str]]:
+    """Each row's entries as `QuadNum.render` writes them, each distinct cell
+    rendered once."""
+    m, cells = frieze.m, frieze._cells
+    text = {t: QuadNum(m, *t).render() for t in set().union(*cells)}
+    return [[text[t] for t in row] for row in cells]
+
+
 def render_ascii(frieze: Frieze) -> str:
     """Staggered plain-text grid, top row n+3 first, odd rows offset one column."""
-    cells = [[e.render() for e in row] for row in frieze.rows]
+    cells = _rendered(frieze)
     width = max(len(s) for row in cells for s in row)
     col = (width + 2) // 2  # half the horizontal stride of one entry
     lines = []
@@ -412,7 +439,4 @@ def render_ascii(frieze: Frieze) -> str:
 
 def render_csv(frieze: Frieze) -> str:
     """One line per row, bottom row first: row index, then rendered entries."""
-    lines = []
-    for r, row in enumerate(frieze.rows):
-        lines.append(",".join([str(r)] + [e.render() for e in row]))
-    return "\n".join(lines)
+    return "\n".join(",".join([str(r)] + row) for r, row in enumerate(_rendered(frieze)))

@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Sequence
 Pair = tuple[int, int]
 Face = tuple[int, ...]
 
+_MAX_WALK_N = 10**6  # the largest polygon `_walk` takes; see its docstring
+
 
 class InvalidDissectionError(ValueError):
     """A proposed dissection violates a structural rule."""
@@ -285,14 +287,14 @@ def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     goes on, so a caller reads or copies them before asking for the next
     leaf.  An explicit stack replaces recursion: each frame is one choice,
     applied on the way down and undone on the way back.  The stack holds
-    O(n) frames and nothing else is kept.  An n whose count list cannot be
-    allocated at all raises ValueError naming the polygon.
+    O(n) frames and nothing else is kept.  An n above _MAX_WALK_N (10**6
+    vertices, where the first leaf alone holds about n/step diagonals)
+    raises ValueError naming the polygon before anything is allocated.
     """
+    if n > _MAX_WALK_N:
+        raise ValueError(f"the {n}-gon is too large to walk")
     diags: list[Pair] = []
-    try:
-        counts = [1] * n
-    except (OverflowError, MemoryError):  # past the index range, or the address space
-        raise ValueError(f"the {n}-gon is too large to walk") from None
+    counts = [1] * n
     todo: list[tuple] = [(0, 1, n - 1, 0, None)]  # tasks still to fill, next on top
     # per choice: its task, the end b taken, and the height of `todo` below
     # what it pushed

@@ -263,11 +263,19 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "validate", "--input", payload)
     assert code == 1 and "malformed quadratic value" in err
     # a polygon past the index range, or past any address space, cannot be
-    # walked (sizes between about 10**7 and 10**9 would really allocate
-    # gigabytes, so none is tried here)
+    # walked
     for s in (10**20, 10**15):
         code, _, err = run(capsys, "enumerate", "--p", "4", "--s", str(s), "--count-only")
         assert code == 1 and err.startswith("error: ") and f"the {2 * s + 2}-gon" in err
+    # a size the address space would hold is refused before anything is allocated
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "enumerate", "--p", "4", "--s", str(10**7), "--count-only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and err == f"error: the {2 * 10**7 + 2}-gon is too large to walk\n"
+    assert peak < 1_000_000
 
 
 def test_internal_assertions_exit_3(capsys, monkeypatch):

@@ -686,6 +686,62 @@ def test_render_csv_radical_entries(quad10):
     assert text.split("\n")[2].startswith("2,√2,2√2,")
 
 
+def grids_to_write(quad10, hex18):
+    """Generated radical and integer friezes, parsed grids holding Fraction and
+    negative coefficients, an m = 1 rational frieze and a width-0 grid."""
+    from friezes import associated_triangulation
+
+    grids = []
+    for p, d in ((4, quad10), (4, ladder(4)), (6, hex18), (6, ladder(6))):
+        grids += [lambda_frieze(d, p), cc_frieze(associated_triangulation(d, p))]
+    for m in (1, 2, 3):
+        blob = from_quiddity(int_quiddity(1, 2, 1, 2)).to_json()
+        rows = [[dict(e, m=m) for e in row] for row in blob["rows"]]
+        rows[2][:3] = [
+            {"m": m, "rat": "-1/4", "rad": "3/2"},
+            {"m": m, "rat": "3/2", "rad": "-7"},
+            {"m": m, "rat": "-5", "rad": "0"},
+        ]
+        grids.append(Frieze.from_json(dict(blob, m=m, rows=rows)))
+    x = Fraction(3, 2)  # quiddity 3/2, 4/3, 3/2, 4/3
+    grids.append(Frieze(1, 1, tuple(
+        tuple(QuadNum(1, v) for v in row)
+        for row in ((0,) * 4, (1,) * 4, (x, 2 / x, x, 2 / x), (1,) * 4, (0,) * 4)
+    )))
+    grids.append(from_quiddity(int_quiddity(1, 1, 1)))
+    return grids
+
+
+def test_json_text_is_the_bytes_of_json_dumps(quad10, hex18):
+    grids = grids_to_write(quad10, hex18)
+    assert {f.width for f in grids} >= {0, 1, 39}
+    assert any(type(e.rat) is Fraction for f in grids for row in f.rows for e in row)
+    for f in grids:
+        assert f._json_text() == json.dumps(f.to_json())
+
+
+def test_renderers_match_each_entry_rendered(quad10, hex18):
+    # ASCII and CSV render each distinct cell once: the text of every entry's render()
+    def reference_ascii(frieze):
+        cells = [[e.render() for e in row] for row in frieze.rows]
+        width = max(len(s) for row in cells for s in row)
+        col = (width + 2) // 2
+        lines = []
+        for r in range(frieze.width + 3, -1, -1):
+            offset = " " * (col * (r % 2))
+            lines.append((offset + "".join(s.center(2 * col) for s in cells[r])).rstrip())
+        return "\n".join(lines)
+
+    def reference_csv(frieze):
+        return "\n".join(
+            ",".join([str(r)] + [e.render() for e in row]) for r, row in enumerate(frieze.rows)
+        )
+
+    for f in grids_to_write(quad10, hex18):
+        assert render_ascii(f) == reference_ascii(f)
+        assert render_csv(f) == reference_csv(f)
+
+
 # ---------------------------------------------------------------------------
 # cross-checks over whole enumerations
 

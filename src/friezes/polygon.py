@@ -287,9 +287,10 @@ def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     goes on, so a caller reads or copies them before asking for the next
     leaf.  An explicit stack replaces recursion: each frame is one choice,
     applied on the way down and undone on the way back.  The stack holds
-    O(n) frames and nothing else is kept.  An n above _MAX_WALK_N (10**6
-    vertices, where the first leaf alone holds about n/step diagonals)
-    raises ValueError naming the polygon before anything is allocated.
+    O(n) frames and nothing else is kept.  An n above _MAX_WALK_N = 10**6
+    vertices raises ValueError naming the polygon before anything is
+    allocated: no walk that large could finish, its first leaf alone
+    holding about n/step diagonals.
     """
     if n > _MAX_WALK_N:
         raise ValueError(f"the {n}-gon is too large to walk")

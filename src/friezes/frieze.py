@@ -51,6 +51,8 @@ from .exact import (
 )
 from .polygon import Dissection, InternalAssertionError, is_p_angulation, quiddity_counts
 
+_MAX_FRIEZE_N = 1000  # the largest polygon `_grow` takes; see its docstring
+
 
 class FriezeError(ValueError):
     """A frieze could not be built or parsed."""
@@ -245,8 +247,9 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     """Parse a quiddity row and grow its frieze, or reject the row.
 
     The row holds integers c_k, or integer multiples c_k·√m (m ∈ {2, 3});
-    any other row raises FriezeError.  The c_k go to the plain-int kernel
-    that `lambda_frieze` and `cc_frieze` feed with their counts directly.
+    any other row raises FriezeError, and a row longer than _MAX_FRIEZE_N
+    raises ValueError.  The c_k go to the plain-int kernel that
+    `lambda_frieze` and `cc_frieze` feed with their counts directly.
     """
     quiddity = tuple(entries)
     if len(quiddity) < 3:
@@ -275,8 +278,17 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     m ∈ {2, 3}).  The first failure, in row-major order, is reported with
     its (row, col) and the entry rendered as a QuadNum.  The n + 4 rows
     (row n+3 is row 0 again) are shared lists: callers must not mutate them.
+
+    The grid holds (n+3)² ints of up to hundreds of bits: a `lambda_frieze`
+    of the 1000-gon ladder of quadrilaterals peaks at about 150 MB of RSS
+    (634-bit entries).  A row longer than _MAX_FRIEZE_N = 1000 entries
+    raises ValueError naming the polygon before any row is allocated, not a
+    FriezeError, so a checked dissection that is too large is refused as
+    input rather than reported as a defect by `_rows`.
     """
     period = len(counts)
+    if period > _MAX_FRIEZE_N:
+        raise ValueError(f"the {period}-gon is too large for a frieze grid")
     n = period - 3
     rows = [[0] * period, [1] * period]
     for r in range(1, n + 2):

@@ -6,6 +6,12 @@ diagonals carve out.  Faces are stored as vertex tuples in cyclic order
 starting at their smallest label (which, for points in convex position, is
 simply ascending order).
 
+`faces` finds them all in one sweep over the vertices 0..n-1, with a stack
+of the vertices whose face is still open: each diagonal (a, v), met at v,
+closes the face of a, the open vertices after a, and v.  Sorting the
+diagonals into per-vertex buckets is the only superlinear step, so the cost
+is O(n + d log d) for d diagonals.
+
 Enumeration is one in-place backtracking walk (`_walk`) that decides each
 vertex's fan of diagonals one end at a time, so it yields in lexicographic
 order of `diagonals_sorted`.  At every leaf it yields the same diagonal list
@@ -20,6 +26,7 @@ more.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
@@ -175,25 +182,27 @@ def _walked(n: int, diagonals: frozenset[Pair]) -> Dissection:
 
 
 def faces(dissection: Dissection) -> list[Face]:
-    """All faces, split off along diagonals, in sorted order."""
+    """All faces, in sorted order, by one left-to-right sweep.  O(n + d log d).
+
+    The sweep keeps the vertices whose face is still open, ascending.  At
+    vertex v the diagonals (a, v) come innermost (largest a) first, and each
+    closes the face of a, the open vertices after a, and v; those between a
+    and v are then closed for good.  No diagonal closing earlier can have
+    taken a off the stack, for it would cross (a, v), so `bisect` finds a.
+    What stays open at the end is the face on the edge (n-1, 0).
+    """
+    ends: list[list[int]] = [[] for _ in range(dissection.n)]
+    for a, b in sorted(dissection.diagonals, reverse=True):
+        ends[b].append(a)  # a descending within each bucket
     out: list[Face] = []
-    stack = [(tuple(range(dissection.n)), dissection.diagonals_sorted)]
-    while stack:
-        verts, diags = stack.pop()
-        if not diags:
-            out.append(verts)
-            continue
-        a, b = diags[0]
-        ia, ib = verts.index(a), verts.index(b)
-        inner = verts[ia : ib + 1]
-        outer = tuple(sorted(verts[ib:] + verts[: ia + 1]))
-        inner_set = set(inner)
-        d_in, d_out = [], []
-        for d in diags[1:]:
-            # noncrossing, so each remaining diagonal sits wholly on one side
-            (d_in if d[0] in inner_set and d[1] in inner_set else d_out).append(d)
-        stack.append((inner, tuple(d_in)))
-        stack.append((outer, tuple(d_out)))
+    stack: list[int] = []
+    for v, starts in enumerate(ends):
+        for a in starts:
+            i = bisect_left(stack, a)
+            out.append((*stack[i:], v))
+            del stack[i + 1 :]
+        stack.append(v)
+    out.append(tuple(stack))
     return sorted(out)
 
 

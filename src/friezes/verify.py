@@ -194,18 +194,22 @@ def _read(frieze: Frieze, surd: bool) -> Rows:
     return [[a if b == 0 and type(a) is int else None for a, b in row] for row in cells]
 
 
+def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """D's face counts and its associated triangulation's triangle counts
+    (building the `Triangulation` is the one check of p and D)."""
+    return quiddity_counts(d), quiddity_counts(associated_triangulation(d, p))
+
+
 def _build(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...], Rows, Rows]:
-    """D's face counts, its associated triangulation's triangle counts (building
-    the `Triangulation` is the one check of p and D) and both kernel rows."""
-    t = associated_triangulation(d, p)
-    q, tc = quiddity_counts(d), quiddity_counts(t)
+    """`_counts` and the kernel rows grown from each."""
+    q, tc = _counts(d, p)
     return q, tc, _rows(q, LAMBDA_RADICAND[p], True), _rows(tc, 1, False)
 
 
 def check_lemma(d: Dissection, p: int) -> CheckResult:
-    """Triangle counts of the associated triangulation against face counts of D."""
-    q, tc, _, _ = _build(d, p)
-    return _lemma_counts(q, tc, p)
+    """Triangle counts of the associated triangulation against face counts of D;
+    no frieze is grown."""
+    return _lemma_counts(*_counts(d, p), p)
 
 
 def check_odd_rows(d: Dissection, p: int) -> CheckResult:

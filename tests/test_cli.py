@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import friezes
 from friezes import InternalAssertionError
 from friezes.cli import main
+from friezes.frieze import _MAX_FRIEZE_N
 
 QUAD10 = '{"n": 10, "diagonals": [[1, 4], [4, 9], [5, 8]]}'
 T_QUAD10 = '{"n": 10, "diagonals": [[1, 3], [1, 4], [1, 9], [4, 9], [5, 7], [5, 8], [5, 9]]}'
@@ -276,6 +277,24 @@ def test_domain_errors_exit_1(capsys):
         tracemalloc.stop()
     assert code == 1 and err == f"error: the {2 * 10**7 + 2}-gon is too large to walk\n"
     assert peak < 1_000_000
+
+
+def test_frieze_past_its_bound_exits_1(capsys):
+    # the grid of a 12,002-gon would ask for tens of GB; a polygon just past
+    # the bound is refused before any row is allocated
+    n = _MAX_FRIEZE_N + 2  # even, so the ladder is a 4-angulation
+    ladder = json.dumps({"n": n, "diagonals": [[a, n - 1 - a] for a in range(1, n // 2 - 1)]})
+    fan = json.dumps({"n": n, "diagonals": [[0, b] for b in range(2, n - 1)]})
+    for argv in (["gen", "--p", "4", "--input", ladder], ["cc", "--input", fan]):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == f"error: the {n}-gon is too large for a frieze grid\n"
+        assert peak < 1_000_000
 
 
 def test_internal_assertions_exit_3(capsys, monkeypatch):

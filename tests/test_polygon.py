@@ -138,6 +138,30 @@ def test_faces_match_planar_walk(n):
                 assert is_p_angulation(d, p) == all(len(f) == p for f in walked)
 
 
+def _glued(rng, p, s):
+    """A random p-angulation with s faces: p-gons glued one at a time onto
+    random boundary edges, then the boundary relabeled 0..n-1."""
+    boundary, diagonals = list(range(p)), []
+    for _ in range(s - 1):
+        i = rng.randrange(len(boundary))
+        diagonals.append((boundary[i], boundary[(i + 1) % len(boundary)]))
+        fresh = len(boundary)
+        boundary[i + 1 : i + 1] = range(fresh, fresh + p - 2)
+    position = {v: k for k, v in enumerate(boundary)}
+    return Dissection(len(boundary), [(position[a], position[b]) for a, b in diagonals])
+
+
+def test_faces_match_planar_walk_on_large_polygons():
+    rngs = [random.Random(seed) for seed in (1, 2, 3)]
+    # seeded 4- and 6-angulations of the 42-gon, then a fan and a ladder
+    large = [_glued(rng, p, s) for rng in rngs for _ in range(10) for p, s in ((4, 20), (6, 10))]
+    for n in (202, 302):
+        large.append(Dissection(n, [(0, b) for b in range(2, n - 1)]))
+        large.append(Dissection(n, [(a, n - 1 - a) for a in range(1, n // 2 - 1)]))
+    for d in large:
+        assert faces(d) == sorted(face_walk_faces(d.n, d.diagonals))
+
+
 def test_is_p_angulation(quad10):
     assert is_p_angulation(quad10, 4)
     assert not is_p_angulation(quad10, 3)

@@ -390,6 +390,16 @@ def test_deep_scan_lists_associated_first(d):
     assert result.to_json()["matches"][0]["kind"] == "associated"
 
 
+def test_check_lemma_grows_no_frieze(monkeypatch, quad10):
+    def boom(*args):
+        raise AssertionError("check_lemma grew a frieze")
+
+    monkeypatch.setattr("friezes.verify._rows", boom)
+    assert check_lemma(quad10, 4).ok
+    with pytest.raises(AssertionError):
+        check_odd_rows(quad10, 4)
+
+
 def test_deep_scan_builds_only_row_3_survivors(monkeypatch, quad10):
     # candidates are the walk's count vectors; a Dissection is built (and
     # validated) for the two survivors, not for each of the 1,430 candidates

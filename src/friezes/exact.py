@@ -48,6 +48,18 @@ def _exact(x: RationalLike | str) -> RationalLike:
     return x.numerator if x.denominator == 1 else x
 
 
+def _coefficients(m: int, rat: RationalLike | str, rad: RationalLike | str) -> tuple:
+    """(a, b) as QuadNum(m, rat, rad) holds them; ValueError for a radicand
+    outside VALID_RADICANDS."""
+    if type(m) is not int or m not in VALID_RADICANDS:  # bools are ints too
+        raise ValueError(f"radicand must be one of {VALID_RADICANDS}, got {m!r}")
+    rat, rad = _exact(rat), _exact(rad)
+    if m == 1 and rad:
+        # √1 = 1, so the radical coefficient folds into the rational part.
+        return _exact(rat + rad), 0
+    return rat, rad
+
+
 def _is_coefficient(c: object) -> bool:
     """An int, or a string without an exponent: the JSON coefficients read."""
     return type(c) is int or (type(c) is str and "e" not in c.lower())
@@ -87,16 +99,8 @@ class QuadNum:
     __slots__ = ("_m", "_rat", "_rad")
 
     def __init__(self, m: int, rat: RationalLike | str = 0, rad: RationalLike | str = 0):
-        if type(m) is not int or m not in VALID_RADICANDS:  # bools are ints too
-            raise ValueError(f"radicand must be one of {VALID_RADICANDS}, got {m!r}")
-        rat = _exact(rat)
-        rad = _exact(rad)
-        if m == 1 and rad:
-            # √1 = 1, so the radical coefficient folds into the rational part.
-            rat, rad = _exact(rat + rad), 0
+        self._rat, self._rad = _coefficients(m, rat, rad)
         self._m = m
-        self._rat = rat
-        self._rad = rad
 
     # -- construction helpers ------------------------------------------------
 
@@ -265,15 +269,21 @@ class QuadNum:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadNum":
-        # a JSON float would load as its binary value, and Fraction("1e10000000")
-        # would expand all ten million digits: only ints and plain strings pass
-        try:
-            m, rat, rad = data["m"], data["rat"], data["rad"]
-            if type(m) is not int or not (_is_coefficient(rat) and _is_coefficient(rad)):
-                raise TypeError("the radicand must be an int, each coefficient an int or a string")
-            return cls(m, rat, rad)
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed quadratic value: {data!r}") from exc
+        return cls(*coefficients_from_json(data))
+
+
+def coefficients_from_json(data: object) -> tuple[int, RationalLike, RationalLike]:
+    """(m, a, b) of a JSON value {"m", "rat", "rad"} that QuadNum(m, a, b) would
+    hold, or the ValueError `QuadNum.from_json` raises; builds no QuadNum."""
+    # a JSON float would load as its binary value, and Fraction("1e10000000")
+    # would expand all ten million digits: only ints and plain strings pass
+    try:
+        m, rat, rad = data["m"], data["rat"], data["rad"]
+        if type(m) is not int or not (_is_coefficient(rat) and _is_coefficient(rad)):
+            raise TypeError("the radicand must be an int, each coefficient an int or a string")
+        return (m, *_coefficients(m, rat, rad))
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed quadratic value: {data!r}") from exc
 
 
 def lambda_value(p: int) -> QuadNum:

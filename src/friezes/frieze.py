@@ -21,15 +21,14 @@ QuadNum row, and checks positivity and closure on those ints.  A `Frieze`
 has one storage: each entry a + b√m is the coefficient pair (a, b) exactly
 as QuadNum holds it, an int where the coefficient is integral and an exact
 rational only where it is not.  The public builders hand the rows over as
-pairs of ints, `from_json` parses into pairs, and `Frieze(m, width, rows)`
-reads its QuadNum rows into them once, refusing an entry outside the
-header's field.  JSON, `validate` and equality read the pairs as they are:
-`to_json` returns the dict of them for library callers, and the CLI
-writes the same bytes as `json.dumps` of it with `_json_text`, which
-formats each distinct cell's text once; ASCII and CSV rendering likewise
-render each distinct cell once.  Otherwise a QuadNum entry is built only
-when a caller reads `.rows`, `.row` or `.entry`.  The checks in `verify`
-take the int rows as they are.  In a
+pairs of ints, `from_json` reads entries with `QuadNum.from_json`'s reader,
+and `Frieze(m, width, rows)` reads its QuadNum rows into pairs once,
+refusing an entry outside the header's field.  JSON, `validate` and
+equality read the pairs as they are: one writer, `_json_text`, formats
+each distinct cell's text once, and `to_json` is `json.loads` of it.  `.rows`
+and ASCII and CSV rendering map each distinct cell once through the same
+helper, so a QuadNum entry is built only when a caller reads `.rows`,
+`.row` or `.entry`.  The checks in `verify` take the int rows as they are.  In a
 staggered rendering rows drift horizontally, so a single row matches a
 reference sequence only up to cyclic rotation, while frieze-against-frieze
 comparisons are entrywise at equal (r, k).
@@ -39,14 +38,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import FrozenInstanceError, dataclass
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bijection import NotPAngulationError, triangle_counts
 from .exact import (
     LAMBDA_RADICAND,
-    VALID_RADICANDS,
     QuadNum,
     RadicandMismatchError,
+    coefficients_from_json,
     quadratic_sign,
 )
 from .polygon import Dissection, InternalAssertionError, is_p_angulation, quiddity_counts
@@ -58,61 +58,60 @@ class FriezeError(ValueError):
     """A frieze could not be built or parsed."""
 
 
-class QuiddityPositivityError(FriezeError):
+class _GridPositionError(FriezeError):
+    """A kernel failure at grid position (row, col)."""
+
+    def __init__(self, row: int, col: int, message: str):
+        super().__init__(message)
+        self.row = row
+        self.col = col
+
+
+class QuiddityPositivityError(_GridPositionError):
     """Not a frieze quiddity: a generated interior entry is zero or negative."""
 
-    def __init__(self, row: int, col: int, message: str):
-        super().__init__(message)
-        self.row = row
-        self.col = col
 
-
-class ClosureError(FriezeError):
+class ClosureError(_GridPositionError):
     """The generated top row is positive but not all ones."""
-
-    def __init__(self, row: int, col: int, message: str):
-        super().__init__(message)
-        self.row = row
-        self.col = col
 
 
 class Frieze:
     """An immutable frieze grid: radicand m, width n, rows 0..n+3.
 
     Every grid holds each entry a + b√m as the pair (a, b) of its QuadNum
-    coefficients, ints unless a coefficient is not integral: `to_json`,
-    `validate` and the checks in `verify` read those.  `Frieze(m, width,
-    rows)` reads the QuadNum rows it is given into pairs once, and raises
-    RadicandMismatchError for an entry outside Q(√m); the shape is checked
-    by `validate`.  `.rows` wraps the pairs into QuadNum entries only when
-    read, once per grid, equal entries sharing one QuadNum (a grid built
-    from rows keeps those).  Grids compare and hash by (m, width, pairs):
+    coefficients, ints unless a coefficient is not integral: the JSON
+    writer, `validate` and the checks in `verify` read those.
+    `Frieze(m, width, rows)` reads the QuadNum rows it is given into pairs
+    once, keeping none, and raises RadicandMismatchError for an entry
+    outside Q(√m); the shape is checked by `validate`.  `.rows` wraps the
+    pairs into QuadNum entries only when read, once per grid, equal entries
+    sharing one QuadNum.  Grids compare and hash by (m, width, pairs):
     within one radicand each value has one pair.
     """
 
     __slots__ = ("m", "width", "_rows", "_cells")
 
-    def __init__(self, m: int, width: int, rows: tuple[tuple[QuadNum, ...], ...]):
-        rows = tuple([tuple(row) for row in rows])
-        if any(e.m != m for row in rows for e in row):
+    def __init__(self, m: int, width: int, rows: Iterable[Iterable[QuadNum]]):
+        rows = [tuple(row) for row in rows]
+        # a bool or float header equals an int radicand, but is none
+        if type(m) is not int or any(e.m != m for row in rows for e in row):
             raise RadicandMismatchError("grid mixes radicands with the frieze header")
-        cells = tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows])
-        self._fill(m, width, rows, cells)
+        self._fill(m, width, tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows]))
 
     @classmethod
     def _of_cells(cls, m: int, width: int, cells: tuple[tuple[tuple, ...], ...]) -> "Frieze":
         """A grid of coefficient pairs as QuadNum holds them, every entry in Q(√m)
         and the shape checked by the caller."""
         frieze = cls.__new__(cls)
-        frieze._fill(m, width, None, cells)
+        frieze._fill(m, width, cells)
         return frieze
 
-    def _fill(self, m: int, width: int, rows: tuple | None, cells: tuple) -> None:
+    def _fill(self, m: int, width: int, cells: tuple) -> None:
         """Set the slots once: every later assignment raises."""
         _set = object.__setattr__
         _set(self, "m", m)
         _set(self, "width", width)
-        _set(self, "_rows", rows)
+        _set(self, "_rows", None)
         _set(self, "_cells", cells)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -135,15 +134,18 @@ class Frieze:
     def __reduce__(self) -> tuple:
         return Frieze._of_cells, (self.m, self.width, self._cells)
 
+    def _each_cell(self, f: Callable) -> list[list]:
+        """The rows with each cell (a, b) as f(a, b), f called once per distinct cell."""
+        cells = self._cells
+        mapped = {t: f(*t) for t in set().union(*cells)}
+        return [[mapped[t] for t in row] for row in cells]
+
     @property
     def rows(self) -> tuple[tuple[QuadNum, ...], ...]:
         rows = self._rows
         if rows is None:
-            m, cells = self.m, self._cells
-            # QuadNum is immutable, so equal entries share one
-            wrapped = {t: QuadNum(m, *t) for t in set().union(*cells)}
-            # from lists, not generators: see _wrap
-            rows = tuple([tuple([wrapped[t] for t in row]) for row in cells])
+            # QuadNum is immutable, so equal entries share one; from lists: see _wrap
+            rows = tuple([tuple(row) for row in self._each_cell(partial(QuadNum, self.m))])
             object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -161,23 +163,19 @@ class Frieze:
         return self.row(r)[k % self.period]
 
     def to_json(self) -> dict:
-        m, cells = self.m, self._cells
-        written = {(a, b): {"m": m, "rat": str(a), "rad": str(b)} for a, b in set().union(*cells)}
-        rows = [[written[t] for t in row] for row in cells]
-        return {"width": self.width, "m": m, "rows": rows}
+        """The grid as `_json_text` writes it: every entry is its own dict."""
+        return json.loads(self._json_text())
 
     def _json_text(self) -> str:
-        """`json.dumps(self.to_json())`, each distinct cell's text written once.
+        """`json.dumps` of the grid, each distinct cell's text written once.
 
         A coefficient's `str` (an int, or n/d) needs no escaping, so a cell
         is its text between quotes; the rows join with the separators
         `json.dumps` writes by default.
         """
-        m, cells = json.dumps(self.m), self._cells
-        written = {
-            (a, b): f'{{"m": {m}, "rat": "{a}", "rad": "{b}"}}' for a, b in set().union(*cells)
-        }
-        rows = ", ".join(["[" + ", ".join(map(written.__getitem__, row)) + "]" for row in cells])
+        m = json.dumps(self.m)
+        cells = self._each_cell(lambda a, b: f'{{"m": {m}, "rat": "{a}", "rad": "{b}"}}')
+        rows = ", ".join(["[" + ", ".join(row) + "]" for row in cells])
         return f'{{"width": {json.dumps(self.width)}, "m": {m}, "rows": [{rows}]}}'
 
     @staticmethod
@@ -185,10 +183,9 @@ class Frieze:
         """Parse a frieze grid, checking shape but not the frieze laws.
 
         Arbitrary grids load fine so that `validate` can report on them.
-        An entry in the header's field whose coefficients are ints written
-        plainly (what `to_json` writes for every integral entry) is read
-        with `int`; any other goes through `QuadNum.from_json`, so both
-        accept and reject the same entries, with the same errors.
+        Every entry is read by `coefficients_from_json`, the reader of
+        `QuadNum.from_json`, so both accept and reject the same entries,
+        with the same errors.
         """
         try:
             width, m = data["width"], data["m"]
@@ -201,46 +198,35 @@ class Frieze:
             raise FriezeError(f"width must be nonnegative, got {width}")
         if len(raw_rows) != width + 4:
             raise FriezeError(f"expected {width + 4} rows for width {width}, got {len(raw_rows)}")
-        # a header m that is no radicand reads nothing plainly: QuadNum rejects its entries
-        plain: dict | None = {} if m in VALID_RADICANDS else None
+        seen: dict[tuple[str, str], tuple] = {}
         cells = []
         for raw in raw_rows:
             if len(raw) != width + 3:
                 raise FriezeError(f"every row must have {width + 3} entries, got {len(raw)}")
-            row = tuple([_parse_entry(e, m, plain) for e in raw])
+            row = tuple([_parse_entry(e, m, seen) for e in raw])
             if None in row:
                 raise FriezeError("rows mix radicands with the frieze header")
             cells.append(row)
         return Frieze._of_cells(m, width, tuple(cells))
 
 
-def _parse_entry(
-    data: object, m: int, plain: dict[tuple[str, str], tuple] | None
-) -> tuple | None:
+def _parse_entry(data: object, m: int, seen: dict[tuple[str, str], tuple]) -> tuple | None:
     """The coefficient pair (a, b), as QuadNum holds it, of one JSON entry of a
     grid over Q(√m), None when the entry names another radicand, or the error
-    `QuadNum.from_json` raises.
+    `coefficients_from_json` raises.
 
-    plain holds the coefficient pairs read so far as plain ints, or is None
-    when m is no radicand at all.
+    seen holds the pairs read so far from entries over Q(√m) with string
+    coefficients, keyed by those strings, so each distinct text is read once.
     """
-    if plain is not None and type(data) is dict:
+    if type(data) is dict:
         em, rat, rad = data.get("m"), data.get("rat"), data.get("rad")
         if type(em) is int and em == m and type(rat) is str and type(rad) is str:
-            t = plain.get((rat, rad))
-            if t is not None:
-                return t
-            try:
-                a, b = int(rat), int(rad)
-            except ValueError:  # a fraction, or a coefficient QuadNum rejects
-                a = b = None
-            # a coefficient that int() writes back unchanged is a plain int, read
-            # alike by QuadNum; QuadNum folds b into a when m = 1, so that goes there
-            if a is not None and str(a) == rat and str(b) == rad and not (b and m == 1):
-                t = plain[rat, rad] = (a, b)
-                return t
-    e = QuadNum.from_json(data)
-    return (e.rat, e.rad) if e.m == m else None
+            t = seen.get((rat, rad))
+            if t is None:
+                t = seen[rat, rad] = coefficients_from_json(data)[1:]
+            return t
+    em, a, b = coefficients_from_json(data)
+    return (a, b) if em == m else None
 
 
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
@@ -387,10 +373,11 @@ def validate(frieze: Frieze) -> FriezeReport:
     The laws read the coefficient pairs (a, b) of the entries a + b√m, which
     every grid holds, over the header's m (the constructor refuses other
     radicands), and multiply them out in Q(√m) by hand.  A grid whose rows
-    do not match its width raises FriezeError.  Generated and plainly parsed
-    grids hold ints throughout, so the checks cost what plain ints cost; a
-    rational entry brings exact rational arithmetic, which reduces after
-    every operation, so no denominator common to the grid is ever formed.
+    do not match its width raises FriezeError.  Generated grids, and parsed
+    grids of integral entries, hold ints throughout, so the checks cost
+    what plain ints cost; a rational entry brings exact rational
+    arithmetic, which reduces after every operation, so no denominator
+    common to the grid is ever formed.
     """
     n = frieze.width
     period = frieze.period
@@ -432,9 +419,8 @@ def validate(frieze: Frieze) -> FriezeReport:
 def _rendered(frieze: Frieze) -> list[list[str]]:
     """Each row's entries as `QuadNum.render` writes them, each distinct cell
     rendered once."""
-    m, cells = frieze.m, frieze._cells
-    text = {t: QuadNum(m, *t).render() for t in set().union(*cells)}
-    return [[text[t] for t in row] for row in cells]
+    m = frieze.m
+    return frieze._each_cell(lambda a, b: QuadNum(m, a, b).render())
 
 
 def render_ascii(frieze: Frieze) -> str:

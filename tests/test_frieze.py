@@ -576,12 +576,36 @@ def test_json_edge_matches_quadnum_reference():
          "malformed quadratic value: {'m': 1, 'rat': '1/0', 'rad': '0'}"),
         (grid({"m": 5, "rat": "1", "rad": "0"}, m=5), ValueError,
          "radicand must be one of (1, 2, 3), got 5"),
+        # a bool radicand equals 1, but is no int: it is not read as the valid entry before it
+        (grid({"m": 1, "rat": "1", "rad": "0"}, {"m": True, "rat": "1", "rad": "0"}), ValueError,
+         "malformed quadratic value: {'m': True, 'rat': '1', 'rad': '0'}"),
     ]
     for data, error, message in failures:
         assert_parses_like_reference(data)
         with pytest.raises(ValueError) as got:
             Frieze.from_json(data)
         assert (type(got.value), str(got.value)) == (error, message)
+
+
+def test_from_json_reads_each_distinct_pair_once(monkeypatch):
+    # entries over the header's field with string coefficients go through the shared
+    # reader once per distinct (rat, rad) text
+    from friezes import exact, frieze
+
+    calls = []
+
+    def counted(data):
+        calls.append((data["rat"], data["rad"]))
+        return exact.coefficients_from_json(data)
+
+    monkeypatch.setattr(frieze, "coefficients_from_json", counted)
+    for p in (4, 6):
+        f = lambda_frieze(ladder(p), p)
+        data = json.loads(json.dumps(reference_to_json(f)))
+        calls.clear()
+        assert Frieze.from_json(data) == f
+        distinct = {(e["rat"], e["rad"]) for row in data["rows"] for e in row}
+        assert f.width == 39 and sorted(calls) == sorted(distinct)
 
 
 def test_report_json(quad10):
@@ -601,6 +625,14 @@ def test_frieze_json_round_trip(quad10):
     assert validate(again).ok
 
 
+def test_to_json_gives_every_entry_its_own_dict():
+    rows = lambda_frieze(Dissection(6, [(0, 3)]), 4).to_json()["rows"]
+    before = [[dict(e) for e in row] for row in rows]
+    rows[2][0]["rat"] = "7"
+    changed = [(r, k) for r, row in enumerate(rows) for k, e in enumerate(row) if e != before[r][k]]
+    assert changed == [(2, 0)]
+
+
 def test_built_and_given_grids_behave_alike(quad10):
     # a built grid holds coefficient pairs, and Frieze(m, width, rows) reads the QuadNum
     # rows it is given into them: both compare, hash, print, copy and refuse
@@ -616,6 +648,8 @@ def test_built_and_given_grids_behave_alike(quad10):
     assert built.to_json() == given.to_json() and validate(built) == validate(given)
     with pytest.raises(RadicandMismatchError):
         Frieze(3, 7, given.rows)
+    with pytest.raises(RadicandMismatchError):  # equal to 2, but no radicand
+        Frieze(2.0, 7, given.rows)
     for f in (built, given):
         assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -713,11 +747,13 @@ def grids_to_write(quad10, hex18):
 
 
 def test_json_text_is_the_bytes_of_json_dumps(quad10, hex18):
+    # the writer against QuadNum.to_json of every entry
     grids = grids_to_write(quad10, hex18)
     assert {f.width for f in grids} >= {0, 1, 39}
     assert any(type(e.rat) is Fraction for f in grids for row in f.rows for e in row)
     for f in grids:
-        assert f._json_text() == json.dumps(f.to_json())
+        assert f._json_text() == json.dumps(reference_to_json(f))
+        assert f.to_json() == reference_to_json(f)
 
 
 def test_renderers_match_each_entry_rendered(quad10, hex18):

@@ -33,7 +33,7 @@ from .frieze import (
     render_csv,
     validate,
 )
-from .polygon import Dissection, enumerate_p_angulations
+from .polygon import Dissection, _listing, _p_angulation_walk
 from .verify import sweep
 
 
@@ -100,12 +100,13 @@ def _cmd_associate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    found = enumerate_p_angulations(args.s, args.p)  # sorted, streamed
     if args.count_only:
-        print(sum(1 for _ in found))
+        _, walk = _p_angulation_walk(args.s, args.p)
+        print(sum(1 for _ in walk))
     else:
-        for dissection in found:
-            print(json.dumps(dissection.to_json()))
+        write = sys.stdout.write
+        for line in _listing(args.s, args.p):  # sorted, streamed
+            write(line + "\n")
     return 0
 
 

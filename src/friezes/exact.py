@@ -62,7 +62,8 @@ def _coefficients(m: int, rat: RationalLike | str, rad: RationalLike | str) -> t
 
 def _is_coefficient(c: object) -> bool:
     """An int, or a string without an exponent: the JSON coefficients read."""
-    return type(c) is int or (type(c) is str and "e" not in c.lower())
+    # only "E" and "e" have a lowercase holding "e", so nothing is copied
+    return type(c) is int or (type(c) is str and "e" not in c and "E" not in c)
 
 
 def _sgn(x: RationalLike) -> int:

@@ -18,9 +18,12 @@ order of `diagonals_sorted`.  At every leaf it yields the same diagonal list
 (sorted) and per-vertex face-count list, both reused and mutated as the walk
 goes on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
 without checking them again (`_walked`), and the deep scan in `verify`
-reads the counts directly.  The walk's stack of O(n) frames is all it
-keeps, so the first leaf comes at once and a sorted listing holds nothing
-more.
+reads the counts directly.  `friezes enumerate` writes each line from the
+diagonal list itself (`_listing`): its text is the bytes `json.dumps` gives
+for that `Dissection`'s `to_json()`, with no frozenset, `Dissection` or
+dict built per leaf, and the CLI writes it with one `write` call.  The
+walk's stack of O(n) frames is all it keeps, so the first leaf comes at
+once and a sorted listing holds nothing more.
 """
 
 from __future__ import annotations
@@ -256,13 +259,32 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     into a frozenset; the walk builds valid p-angulations only, so the
     leaves skip the constructor's checks.
     """
+    n, walk = _p_angulation_walk(s, p)
+    for diags, _ in walk:
+        yield _walked(n, frozenset(diags))
+
+
+def _listing(s: int, p: int) -> Iterator[str]:
+    """The lines of `enumerate_p_angulations(s, p)` as JSON, in its order.
+
+    Each line is the text of `json.dumps(d.to_json())` for the matching
+    `Dissection` d, written straight from the walk's sorted diagonal list:
+    no frozenset, `Dissection` or dict is built per leaf.
+    """
+    n, walk = _p_angulation_walk(s, p)
+    head = f'{{"n": {n}, "diagonals": ['
+    for diags, _ in walk:
+        yield head + ", ".join([f"[{a}, {b}]" for a, b in diags]) + "]}"
+
+
+def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[tuple[list[Pair], list[int]]]]:
+    """The polygon size of s faces of size p, and the walk over its p-angulations."""
     if p < 3:
         raise ValueError(f"face size must be at least 3, got {p}")
     if s < 1:
         raise ValueError("face count must be positive")
     n = (p - 2) * s + 2
-    for diags, _ in _walk(n, p - 2):
-        yield _walked(n, frozenset(diags))
+    return n, _walk(n, p - 2)
 
 
 def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:

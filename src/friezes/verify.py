@@ -343,9 +343,11 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     catalan = fuss_catalan(d.n - 2, 3)
     matches = []
     total = 0
+    first = products[0]
     for diags, c in _walk(d.n, 1):  # c: live triangle counts, the quiddity
         total += 1
-        if [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
+        # the first term decides most candidates before the row is built
+        if c[0] * c[1] == first and [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
             matches.append(Dissection(d.n, diags))
     if total != catalan:
         raise InternalAssertionError(

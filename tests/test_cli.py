@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import friezes
-from friezes import InternalAssertionError
+from friezes import InternalAssertionError, enumerate_p_angulations, fuss_catalan
 from friezes.cli import main
 from friezes.frieze import _MAX_FRIEZE_N
 
@@ -121,6 +121,19 @@ def test_enumerate_count_only_streams(capsys):
         tracemalloc.stop()
     assert code == 0 and out.strip() == "7752"
     assert peak < 4_000_000
+
+
+def test_enumerate_writes_the_json_of_each_dissection(capsys):
+    code, out, _ = run(capsys, "enumerate", "--p", "6", "--s", "4")
+    expected = "".join(json.dumps(d.to_json()) + "\n" for d in enumerate_p_angulations(4, 6))
+    assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_enumerate_count_only_is_fuss_catalan(capsys, p):
+    for s in range(1, 7):
+        code, out, _ = run(capsys, "enumerate", "--p", str(p), "--s", str(s), "--count-only")
+        assert (code, out) == (0, f"{fuss_catalan(s, p)}\n")
 
 
 def test_verify_sweep(capsys):

@@ -1,11 +1,13 @@
 """Exact quadratic arithmetic: spot values, field laws, sign, serialization."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from friezes import LAMBDA_RADICAND, QuadNum, RadicandMismatchError, lambda_value
+from friezes.exact import _is_coefficient
 
 from oracle import decimal_value
 
@@ -157,6 +159,17 @@ def test_json_round_trip():
     assert QuadNum.from_json(x.to_json()) == x
     with pytest.raises(ValueError):
         QuadNum.from_json({"m": 2, "rat": "1"})
+
+
+def test_exponent_test_copies_no_string():
+    # a coefficient string with an exponent is refused; the test looks for
+    # "e" and "E" instead of lowercasing a copy, which is the same rule
+    # because no other code point lowercases to a string holding "e" (and a
+    # string lowercases one code point at a time, but for a final sigma)
+    chars = [chr(code) for code in range(sys.maxunicode + 1)]
+    with_e = [c for c in chars if "e" in c.lower()]
+    assert with_e == ["E", "e"]
+    assert [c for c in chars if not _is_coefficient(c)] == with_e
 
 
 def test_hashable_and_consistent_with_numbers():

@@ -4,6 +4,7 @@ Face extraction and enumeration are cross-checked against the independent
 planar-walk / brute-force implementations in oracle.py.
 """
 
+import json
 import random
 import tracemalloc
 
@@ -24,7 +25,7 @@ from friezes import (
     rotate,
 )
 
-from friezes.polygon import _noncrossing, _walk
+from friezes.polygon import _listing, _noncrossing, _walk
 from oracle import brute_force_p_angulations, face_walk_faces, noncrossing_subsets
 
 
@@ -283,6 +284,22 @@ def test_walked_leaves_equal_validated_dissections(s, p):
         assert type(leaf) is Dissection
         assert leaf == checked and hash(leaf) == hash(checked)
         assert leaf.diagonals_sorted == checked.diagonals_sorted
+
+
+@pytest.mark.parametrize("s,p", [(s, p) for p in (3, 4, 5, 6) for s in range(1, 6)])
+def test_listing_lines_are_the_bytes_of_json_dumps(s, p):
+    # `friezes enumerate` writes these lines; each must be json.dumps of the
+    # matching enumerate_p_angulations leaf
+    lines = list(_listing(s, p))
+    assert len(lines) == fuss_catalan(s, p)
+    for line, d in zip(lines, enumerate_p_angulations(s, p)):
+        assert line == json.dumps(d.to_json())
+
+
+def test_listing_first_line_of_a_listing_too_long_to_finish():
+    line = next(_listing(40, 4))
+    assert line == json.dumps({"n": 82, "diagonals": [[0, b] for b in range(3, 80, 2)]})
+    assert line == json.dumps(next(enumerate_p_angulations(40, 4)).to_json())
 
 
 def test_enumeration_count_holds_no_sub_polygon_lists():

@@ -21,20 +21,22 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bijection import Triangulation, associated_triangulation, quad_to_tree
 from .frieze import (
     Frieze,
     InternalAssertionError,
+    _ascii_rows,
     cc_frieze,
     lambda_frieze,
-    render_ascii,
     render_csv,
     validate,
 )
 from .polygon import Dissection, _listing, _p_angulation_walk
 from .verify import sweep
+
+_CHUNK = 64 * 1024  # characters per stdout write of a line stream
 
 
 class UsageError(Exception):
@@ -58,7 +60,7 @@ def _read_payload(source: str) -> dict:
     try:
         if source == "-":
             return json.load(sys.stdin)
-        if source.lstrip().startswith("{"):
+        if source.lstrip()[:1] in ("{", "["):  # an object, or an array to refuse
             return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -66,9 +68,34 @@ def _read_payload(source: str) -> dict:
         raise ValueError("JSON input nests too deeply") from exc
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, consecutive lines joined into
+    one `write` of at most _CHUNK characters; a longer line goes out alone.
+
+    Only one chunk is held at a time, so a stream of lines stays a stream.
+    """
+    write = sys.stdout.write
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        size += len(line) + 1
+        if size > _CHUNK:  # the line does not fit: write what came before it
+            if chunk:
+                write("\n".join(chunk) + "\n")
+                chunk = []
+            size = len(line) + 1
+            if size > _CHUNK:  # longer than a chunk: it goes out alone
+                write(line + "\n")
+                size = 0
+                continue
+        chunk.append(line)
+    if chunk:
+        write("\n".join(chunk) + "\n")
+
+
 def _emit_frieze(frieze: Frieze, fmt: str) -> None:
     if fmt == "ascii":
-        print(render_ascii(frieze))
+        _write_lines(_ascii_rows(frieze))  # the lines of render_ascii(frieze)
     elif fmt == "json":
         print(frieze._json_text())  # the bytes of json.dumps(frieze.to_json())
     else:
@@ -104,9 +131,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _, walk = _p_angulation_walk(args.s, args.p)
         print(sum(1 for _ in walk))
     else:
-        write = sys.stdout.write
-        for line in _listing(args.s, args.p):  # sorted, streamed
-            write(line + "\n")
+        _write_lines(_listing(args.s, args.p))  # sorted, streamed
     return 0
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bijection import NotPAngulationError, triangle_counts
 from .exact import (
@@ -425,14 +425,18 @@ def _rendered(frieze: Frieze) -> list[list[str]]:
 
 def render_ascii(frieze: Frieze) -> str:
     """Staggered plain-text grid, top row n+3 first, odd rows offset one column."""
+    return "\n".join(_ascii_rows(frieze))
+
+
+def _ascii_rows(frieze: Frieze) -> Iterator[str]:
+    """The lines of `render_ascii`, one row at a time, so a caller that
+    writes them as they come holds one padded row, not the whole text."""
     cells = _rendered(frieze)
     width = max(len(s) for row in cells for s in row)
     col = (width + 2) // 2  # half the horizontal stride of one entry
-    lines = []
     for r in range(frieze.width + 3, -1, -1):
         offset = " " * (col * (r % 2))
-        lines.append((offset + "".join(s.center(2 * col) for s in cells[r])).rstrip())
-    return "\n".join(lines)
+        yield (offset + "".join([s.center(2 * col) for s in cells[r]])).rstrip()
 
 
 def render_csv(frieze: Frieze) -> str:

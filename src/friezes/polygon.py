@@ -20,10 +20,12 @@ goes on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
 without checking them again (`_walked`), and the deep scan in `verify`
 reads the counts directly.  `friezes enumerate` writes each line from the
 diagonal list itself (`_listing`): its text is the bytes `json.dumps` gives
-for that `Dissection`'s `to_json()`, with no frozenset, `Dissection` or
-dict built per leaf, and the CLI writes it with one `write` call.  The
-walk's stack of O(n) frames is all it keeps, so the first leaf comes at
-once and a sorted listing holds nothing more.
+for that `Dissection`'s `to_json()`, put together from per-vertex tables of
+label text built once per listing, with no frozenset, `Dissection` or dict
+built per leaf; the CLI joins the lines into writes of up to 64 KiB.  The
+walk's stack of O(n) frames and the 2n label strings are all a listing
+keeps, so the first leaf comes at once and a sorted listing holds nothing
+more.
 """
 
 from __future__ import annotations
@@ -269,12 +271,17 @@ def _listing(s: int, p: int) -> Iterator[str]:
 
     Each line is the text of `json.dumps(d.to_json())` for the matching
     `Dissection` d, written straight from the walk's sorted diagonal list:
-    no frozenset, `Dissection` or dict is built per leaf.
+    no frozenset, `Dissection` or dict is built per leaf.  Each vertex
+    label's text is built once per listing, as `left[v]` = "[v, " and
+    `right[v]` = "v]", so a pair (a, b) is `left[a] + right[b]`: 2n strings,
+    the order of the walk's own count list, and no per-pair memo.
     """
-    n, walk = _p_angulation_walk(s, p)
+    n, walk = _p_angulation_walk(s, p)  # refuses a polygon too large to walk
     head = f'{{"n": {n}, "diagonals": ['
+    left = [f"[{v}, " for v in range(n)]
+    right = [f"{v}]" for v in range(n)]
     for diags, _ in walk:
-        yield head + ", ".join([f"[{a}, {b}]" for a, b in diags]) + "]}"
+        yield head + ", ".join([left[a] + right[b] for a, b in diags]) + "]}"
 
 
 def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[tuple[list[Pair], list[int]]]]:
@@ -319,12 +326,17 @@ def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     leaf.  An explicit stack replaces recursion: each frame is one choice,
     applied on the way down and undone on the way back.  The stack holds
     O(n) frames and nothing else is kept.  An n above _MAX_WALK_N = 10**6
-    vertices raises ValueError naming the polygon before anything is
-    allocated: no walk that large could finish, its first leaf alone
-    holding about n/step diagonals.
+    vertices raises ValueError naming the polygon at the call, before
+    anything is allocated: no walk that large could finish, its first leaf
+    alone holding about n/step diagonals.
     """
     if n > _MAX_WALK_N:
         raise ValueError(f"the {n}-gon is too large to walk")
+    return _leaves(n, step)
+
+
+def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
+    """The generator behind `_walk`, which checks n first."""
     diags: list[Pair] = []
     counts = [1] * n
     todo: list[tuple] = [(0, 1, n - 1, 0, None)]  # tasks still to fill, next on top

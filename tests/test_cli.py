@@ -16,8 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import friezes
-from friezes import InternalAssertionError, enumerate_p_angulations, fuss_catalan
-from friezes.cli import main
+from friezes import (
+    Dissection,
+    InternalAssertionError,
+    enumerate_p_angulations,
+    fuss_catalan,
+    lambda_frieze,
+    render_ascii,
+)
+from friezes.cli import _CHUNK, main
 from friezes.frieze import _MAX_FRIEZE_N
 
 QUAD10 = '{"n": 10, "diagonals": [[1, 4], [4, 9], [5, 8]]}'
@@ -127,6 +134,91 @@ def test_enumerate_writes_the_json_of_each_dissection(capsys):
     code, out, _ = run(capsys, "enumerate", "--p", "6", "--s", "4")
     expected = "".join(json.dumps(d.to_json()) + "\n" for d in enumerate_p_angulations(4, 6))
     assert code == 0 and out == expected
+
+
+class _Enough(Exception):
+    """Raised by a `WriteRecorder` once it has seen its last write."""
+
+
+class WriteRecorder:
+    """A text stream that keeps each write apart, and stops the writer with
+    `_Enough` after `limit` writes."""
+
+    def __init__(self, limit=None):
+        self.writes = []
+        self.limit = limit
+
+    def write(self, text):
+        self.writes.append(text)
+        if len(self.writes) == self.limit:
+            raise _Enough
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("p,s", [(4, 8), (6, 4)])
+def test_enumerate_writes_whole_lines_in_chunks(p, s):
+    recorder = WriteRecorder()
+    with redirect_stdout(recorder):
+        code = main(["enumerate", "--p", str(p), "--s", str(s)])
+    expected = [json.dumps(d.to_json()) + "\n" for d in enumerate_p_angulations(s, p)]
+    writes = recorder.writes
+    assert code == 0 and "".join(writes) == "".join(expected)
+    assert all(w.endswith("\n") for w in writes)
+    assert all(len(w) <= _CHUNK or w.count("\n") == 1 for w in writes)
+    # a chunk is written only when the next line would not fit in it
+    longest = max(len(line) for line in expected)
+    assert all(len(w) + longest > _CHUNK for w in writes[:-1])
+    assert len(writes) <= len(expected) // 100 + 1
+
+
+def test_enumerate_writes_a_line_longer_than_a_chunk_alone():
+    # vertex 0's fan of the 20,002-gon is about 120 KB of text: the first
+    # write is that line, written before the walk goes on
+    first = json.dumps(next(enumerate_p_angulations(10_000, 4)).to_json()) + "\n"
+    assert len(first) > _CHUNK
+    recorder = WriteRecorder(limit=1)
+    with redirect_stdout(recorder), pytest.raises(_Enough):
+        main(["enumerate", "--p", "4", "--s", "10000"])
+    assert recorder.writes == [first]
+
+
+def test_enumerate_refuses_a_huge_listing_before_allocating(capsys):
+    # the listing's label tables are built only for a polygon the walk takes:
+    # the 1,000,002-gon is just past it (its tables alone would take ~100 MB)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "enumerate", "--p", "4", "--s", "500000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: the 1000002-gon is too large to walk\n"
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "p,payload",
+    [
+        (4, QUAD10),
+        (4, json.dumps({"n": 42, "diagonals": [[a, 41 - a] for a in range(1, 20)]})),
+        (6, json.dumps({"n": 42, "diagonals": [[2 * j, 41 - 2 * j] for j in range(1, 10)]})),
+    ],
+)
+def test_gen_ascii_writes_the_text_of_render_ascii(capsys, p, payload):
+    code, out, _ = run(capsys, "gen", "--p", str(p), "--input", payload)
+    frieze = lambda_frieze(Dissection.from_json(json.loads(payload)), p)
+    assert code == 0 and out == render_ascii(frieze) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["gen", "--p", "4"], ["cc"], ["tree"]])
+def test_inline_json_array_is_refused_as_malformed(capsys, argv):
+    for payload in ("[1, 2]", " []"):
+        code, out, err = run(capsys, *argv, "--input", payload)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed ") and "No such file" not in err
 
 
 @pytest.mark.parametrize("p", [4, 6])

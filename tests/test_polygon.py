@@ -302,6 +302,14 @@ def test_listing_first_line_of_a_listing_too_long_to_finish():
     assert line == json.dumps(next(enumerate_p_angulations(40, 4)).to_json())
 
 
+@pytest.mark.parametrize("s", [600, 10_000])
+def test_listing_first_line_with_long_labels(s):
+    # 4- and 5-digit labels come from the same per-vertex tables
+    line = next(_listing(s, 4))
+    assert line == json.dumps(next(enumerate_p_angulations(s, 4)).to_json())
+    assert f"[0, {2 * s - 1}]" in line
+
+
 def test_enumeration_count_holds_no_sub_polygon_lists():
     # counting all 43,263 4-angulations with s = 8 holds the walk's stack and
     # one dissection at a time (2.14 MB peak when `itertools.product` held

@@ -28,9 +28,9 @@ from .frieze import (
     Frieze,
     InternalAssertionError,
     _ascii_rows,
+    _csv_rows,
     cc_frieze,
     lambda_frieze,
-    render_csv,
     validate,
 )
 from .polygon import Dissection, _listing, _p_angulation_walk
@@ -99,7 +99,7 @@ def _emit_frieze(frieze: Frieze, fmt: str) -> None:
     elif fmt == "json":
         print(frieze._json_text())  # the bytes of json.dumps(frieze.to_json())
     else:
-        print(render_csv(frieze))
+        _write_lines(_csv_rows(frieze))  # the lines of render_csv(frieze)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

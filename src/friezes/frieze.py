@@ -17,21 +17,24 @@ quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
 private kernel grows the int rows from integer counts, which enter through
 `_rows` once the dissection is checked (by `lambda_frieze`, by `cc_frieze`'s
 triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
-QuadNum row, and checks positivity and closure on those ints.  A `Frieze`
-has one storage: each entry a + b√m is the coefficient pair (a, b) exactly
-as QuadNum holds it, an int where the coefficient is integral and an exact
-rational only where it is not.  The public builders hand the rows over as
-pairs of ints, `from_json` reads entries with `QuadNum.from_json`'s reader,
-and `Frieze(m, width, rows)` reads its QuadNum rows into pairs once,
-refusing an entry outside the header's field.  JSON, `validate` and
-equality read the pairs as they are: one writer, `_json_text`, formats
-each distinct cell's text once, and `to_json` is `json.loads` of it.  `.rows`
-and ASCII and CSV rendering map each distinct cell once through the same
-helper, so a QuadNum entry is built only when a caller reads `.rows`,
-`.row` or `.entry`.  The checks in `verify` take the int rows as they are.  In a
-staggered rendering rows drift horizontally, so a single row matches a
-reference sequence only up to cyclic rotation, while frieze-against-frieze
-comparisons are entrywise at equal (r, k).
+QuadNum row, and checks positivity and closure on those ints.  A built
+`Frieze` keeps those int rows and whether it is radical; a parsed one
+(`from_json`, or `Frieze(m, width, rows)`, which reads its QuadNum rows
+once, refusing an entry outside the header's field) holds each entry
+a + b√m as the coefficient pair (a, b) exactly as QuadNum holds it, an int
+where the coefficient is integral and an exact rational only where it is
+not.  One row source, `Frieze._mapped`, feeds the JSON writer `_json_text`
+(`to_json` is `json.loads` of it), CSV and ASCII: each row's cells come from
+a memo per coefficient kind keyed by the int (or by the pair), so each
+distinct cell's text is made once.  A built grid derives the pairs once,
+only for equality, hashing, pickling, `validate` and the checks in
+`verify`; a QuadNum entry is built only when a caller reads `.rows`, `.row`
+or `.entry`.  `validate` checks the diamonds only when row 0, row 1 or the
+recurrence fails: otherwise every row is a continuant and every diamond
+holds (the proof is in its docstring).  In a staggered rendering rows drift
+horizontally, so a single row matches a reference sequence only up to
+cyclic rotation, while frieze-against-frieze comparisons are entrywise at
+equal (r, k).
 """
 
 from __future__ import annotations
@@ -75,44 +78,75 @@ class ClosureError(_GridPositionError):
     """The generated top row is positive but not all ones."""
 
 
+class _Memo(dict):
+    """f(key), computed on the first lookup of each key and kept, so
+    `map(memo.__getitem__, row)` calls f once per distinct entry."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable) -> None:
+        self.f = f
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.f(key)
+        return value
+
+
 class Frieze:
     """An immutable frieze grid: radicand m, width n, rows 0..n+3.
 
-    Every grid holds each entry a + b√m as the pair (a, b) of its QuadNum
-    coefficients, ints unless a coefficient is not integral: the JSON
-    writer, `validate` and the checks in `verify` read those.
+    A built grid (`lambda_frieze`, `cc_frieze`, `from_quiddity`) keeps the
+    kernel's int rows and whether it is radical: entry e(r, k) is the int C,
+    or C·√m on the even rows of a radical grid.  A parsed grid (`from_json`,
+    `Frieze(m, width, rows)`) holds each entry a + b√m as the pair (a, b) of
+    its QuadNum coefficients, ints unless a coefficient is not integral.
     `Frieze(m, width, rows)` reads the QuadNum rows it is given into pairs
     once, keeping none, and raises RadicandMismatchError for an entry
-    outside Q(√m); the shape is checked by `validate`.  `.rows` wraps the
-    pairs into QuadNum entries only when read, once per grid, equal entries
+    outside Q(√m); the shape is checked by `validate`.  A built grid derives
+    the pairs once, only when a caller needs them (equality, hashing,
+    pickling, `validate` and the checks in `verify`).  `.rows` wraps the
+    entries into QuadNums only when read, once per grid, equal entries
     sharing one QuadNum.  Grids compare and hash by (m, width, pairs):
     within one radicand each value has one pair.
     """
 
-    __slots__ = ("m", "width", "_rows", "_cells")
+    __slots__ = ("m", "width", "_ints", "_radical", "_cells", "_rows")
 
     def __init__(self, m: int, width: int, rows: Iterable[Iterable[QuadNum]]):
         rows = [tuple(row) for row in rows]
         # a bool or float header equals an int radicand, but is none
         if type(m) is not int or any(e.m != m for row in rows for e in row):
             raise RadicandMismatchError("grid mixes radicands with the frieze header")
-        self._fill(m, width, tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows]))
+        cells = tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows])
+        self._fill(m, width, None, False, cells)
 
     @classmethod
     def _of_cells(cls, m: int, width: int, cells: tuple[tuple[tuple, ...], ...]) -> "Frieze":
         """A grid of coefficient pairs as QuadNum holds them, every entry in Q(√m)
         and the shape checked by the caller."""
         frieze = cls.__new__(cls)
-        frieze._fill(m, width, cells)
+        frieze._fill(m, width, None, False, cells)
         return frieze
 
-    def _fill(self, m: int, width: int, cells: tuple) -> None:
-        """Set the slots once: every later assignment raises."""
+    @classmethod
+    def _of_ints(cls, m: int, radical: bool, ints: list[list[int]]) -> "Frieze":
+        """A built grid: `_grow`'s rows, kept as they are and never mutated."""
+        frieze = cls.__new__(cls)
+        frieze._fill(m, len(ints) - 4, ints, radical, None)
+        return frieze
+
+    def _fill(
+        self, m: int, width: int, ints: list | None, radical: bool, cells: tuple | None
+    ) -> None:
+        """Set the slots once: every later assignment raises, and only the
+        caches `_cells` (of a built grid) and `_rows` are filled later."""
         _set = object.__setattr__
         _set(self, "m", m)
         _set(self, "width", width)
-        _set(self, "_rows", None)
+        _set(self, "_ints", ints)
+        _set(self, "_radical", radical)
         _set(self, "_cells", cells)
+        _set(self, "_rows", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -123,29 +157,54 @@ class Frieze:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.m, self.width, self._cells) == (other.m, other.width, other._cells)
+        return (self.m, self.width, self._pairs()) == (other.m, other.width, other._pairs())
 
     def __hash__(self) -> int:
-        return hash((self.m, self.width, self._cells))
+        return hash((self.m, self.width, self._pairs()))
 
     def __repr__(self) -> str:
         return f"Frieze(m={self.m!r}, width={self.width!r}, rows={self.rows!r})"
 
     def __reduce__(self) -> tuple:
-        return Frieze._of_cells, (self.m, self.width, self._cells)
+        return Frieze._of_cells, (self.m, self.width, self._pairs())
 
-    def _each_cell(self, f: Callable) -> list[list]:
-        """The rows with each cell (a, b) as f(a, b), f called once per distinct cell."""
+    def _mapped(self, f: Callable) -> Iterator[list]:
+        """The rows, each as a list of f(a, b) over its entries a + b√m.
+
+        f is called once per distinct cell: per distinct pair of a parsed
+        grid, and per distinct int of each coefficient kind of a built one
+        (C as f(C, 0); C·√m, on the even rows of a radical grid, as f(0, C)).
+        """
+        ints = self._ints
+        if ints is None:
+            memo = _Memo(lambda pair: f(*pair))
+            for row in self._cells:
+                yield list(map(memo.__getitem__, row))
+            return
+        rat = _Memo(lambda c: f(c, 0))
+        even = _Memo(lambda c: f(0, c)) if self._radical else rat
+        for r, row in enumerate(ints):
+            yield list(map((rat if r % 2 else even).__getitem__, row))
+
+    def _pairs(self) -> tuple[tuple[tuple, ...], ...]:
+        """The entries as coefficient pairs (a, b), derived once from a built grid's
+        int rows, equal entries sharing one pair."""
         cells = self._cells
-        mapped = {t: f(*t) for t in set().union(*cells)}
-        return [[mapped[t] for t in row] for row in cells]
+        if cells is None:
+            # tuples from lists, not generators: tuple(generator) grows by resizing, and
+            # the resized tuples pile up on the interpreter's per-size free lists (peak
+            # RSS) until a full garbage collection, which the few allocations here rarely
+            # trigger
+            cells = tuple([tuple(row) for row in self._mapped(lambda a, b: (a, b))])
+            object.__setattr__(self, "_cells", cells)
+        return cells
 
     @property
     def rows(self) -> tuple[tuple[QuadNum, ...], ...]:
         rows = self._rows
         if rows is None:
-            # QuadNum is immutable, so equal entries share one; from lists: see _wrap
-            rows = tuple([tuple(row) for row in self._each_cell(partial(QuadNum, self.m))])
+            # QuadNum is immutable, so equal entries share one; from lists: see _pairs
+            rows = tuple([tuple(row) for row in self._mapped(partial(QuadNum, self.m))])
             object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -174,7 +233,7 @@ class Frieze:
         `json.dumps` writes by default.
         """
         m = json.dumps(self.m)
-        cells = self._each_cell(lambda a, b: f'{{"m": {m}, "rat": "{a}", "rad": "{b}"}}')
+        cells = self._mapped(lambda a, b: f'{{"m": {m}, "rat": "{a}", "rad": "{b}"}}')
         rows = ", ".join(["[" + ", ".join(row) + "]" for row in cells])
         return f'{{"width": {json.dumps(self.width)}, "m": {m}, "rows": [{rows}]}}'
 
@@ -249,7 +308,7 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
         counts = [e.as_radical_multiple() for e in quiddity]
         if None in counts:
             raise FriezeError(f"quiddity entries must be integers or integer multiples of √{m}")
-    return _wrap(_grow(counts, m, radical), m, radical)
+    return Frieze._of_ints(m, radical, _grow(counts, m, radical))
 
 
 def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
@@ -300,19 +359,6 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     return rows
 
 
-def _wrap(rows: list[list[int]], m: int, radical: bool) -> Frieze:
-    """The Frieze of kernel rows: C as the pair (C, 0), or (0, C) for C·√m on the
-    even rows of a radical frieze."""
-    # from lists, not generators: tuple(generator) grows by resizing, and the resized
-    # tuples pile up on the interpreter's per-size free lists (peak RSS) until a full
-    # garbage collection, which the few allocations here rarely trigger
-    cells = tuple([
-        tuple([(0, c) for c in row] if radical and r % 2 == 0 else [(c, 0) for c in row])
-        for r, row in enumerate(rows)
-    ])
-    return Frieze._of_cells(m, len(rows) - 4, cells)
-
-
 def _rows(counts: tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
     """Kernel rows of a checked dissection's counts, where a kernel failure is a defect."""
     try:
@@ -330,12 +376,12 @@ def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
     if not is_p_angulation(dissection, p):
         raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
     m = LAMBDA_RADICAND[p]
-    return _wrap(_rows(quiddity_counts(dissection), m, True), m, True)
+    return Frieze._of_ints(m, True, _rows(quiddity_counts(dissection), m, True))
 
 
 def cc_frieze(triangulation: Dissection) -> Frieze:
     """The Conway–Coxeter frieze of a triangulation: integers grown from its triangle counts."""
-    return _wrap(_rows(triangle_counts(triangulation), 1, False), 1, False)
+    return Frieze._of_ints(1, False, _rows(triangle_counts(triangulation), 1, False))
 
 
 class Violation(NamedTuple):
@@ -368,20 +414,34 @@ def validate(frieze: Frieze) -> FriezeReport:
 
     Checked: zero boundary rows, one rows, interior positivity, the diamond
     rule for rows 1..n+2, and the quiddity recurrence
-    e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k) for rows 2..n+2.
+    e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k) for rows 2..n+2; violations
+    are listed by law in that order (boundary, positivity, diamond,
+    recurrence), each row-major.
 
-    The laws read the coefficient pairs (a, b) of the entries a + b√m, which
-    every grid holds, over the header's m (the constructor refuses other
-    radicands), and multiply them out in Q(√m) by hand.  A grid whose rows
-    do not match its width raises FriezeError.  Generated grids, and parsed
-    grids of integral entries, hold ints throughout, so the checks cost
-    what plain ints cost; a rational entry brings exact rational
-    arithmetic, which reduces after every operation, so no denominator
-    common to the grid is ever formed.
+    The diamond pass runs only when row 0, row 1 or the recurrence failed,
+    since otherwise it cannot find anything.  Write c_j = e(2, j) (indices
+    mod n + 3) and K(i, j) for the continuant of c_i, ..., c_j, with
+    K(i, i-1) = 1 and K(i, i-2) = 0.  Rows 0 and 1 right and the recurrence
+    holding make every row a continuant, e(r, k) = K(k, k+r-2), by induction
+    on r.  The product of the matrices [[c_j, -1], [1, 0]] for j = i..l is
+    [[K(i, l), -K(i, l-1)], [K(i+1, l), -K(i+1, l-1)]], and its determinant
+    is 1 in any commutative ring; with i = k, l = k+r-1 that is
+    K(k, k+r-2)·K(k+1, k+r-1) - K(k+1, k+r-2)·K(k, k+r-1) = 1, the diamond
+    at (r, k).  Both laws are checked in the same ring, the pairs (a, b)
+    under (a, b)·(c, d) = (ac + bdm, ad + bc), so the report is the one the
+    full diamond pass gives.
+
+    The laws read the coefficient pairs (a, b) of the entries a + b√m
+    over the header's m (the constructor refuses other radicands), and
+    multiply them out by hand.  A grid whose rows do not match its width
+    raises FriezeError.  Generated grids, and parsed grids of integral
+    entries, hold ints throughout, so the checks cost what plain ints cost;
+    a rational entry brings exact rational arithmetic, which reduces after
+    every operation, so no denominator common to the grid is ever formed.
     """
     n = frieze.width
     period = frieze.period
-    m, rows = frieze.m, frieze._cells
+    m, rows = frieze.m, frieze._pairs()
     if len(rows) != n + 4 or any(len(row) != period for row in rows):
         raise FriezeError("grid shape does not match the declared width")
     bad: list[Violation] = []
@@ -389,22 +449,14 @@ def validate(frieze: Frieze) -> FriezeReport:
         bad += [Violation("boundary", r, k) for k, (a, b) in enumerate(rows[r]) if a or b]
     for r in (1, n + 2):
         bad += [Violation("boundary", r, k) for k, (a, b) in enumerate(rows[r]) if a != 1 or b]
+    grounded = not any(v.row < 2 for v in bad)  # rows 0 and 1 are right
     for r in range(2, n + 2):
         bad += [  # a + b√m with a, b ≥ 0, not both 0, is positive without quadratic_sign
             Violation("positivity", r, k)
             for k, (a, b) in enumerate(rows[r])
             if (a < 0 or b < 0 or not (a or b)) and quadratic_sign(a, b, m) <= 0
         ]
-    for r in range(1, n + 3):
-        row, below = rows[r], rows[r - 1]
-        diamonds = zip(row, row[1:] + row[:1], below[1:] + below[:1], rows[r + 1])
-        for k, ((aw, bw), (ae, be), (as_, bs), (an, bn)) in enumerate(diamonds):
-            # west·east - south·north = 1
-            if (
-                aw * ae + bw * be * m - as_ * an - bs * bn * m != 1
-                or aw * be + bw * ae - as_ * bn - bs * an
-            ):
-                bad.append(Violation("diamond", r, k))
+    recurrence: list[Violation] = []
     quiddity = rows[2]
     for r in range(2, n + 3):
         shifted = quiddity[r - 1 :] + quiddity[: r - 1]  # e(2, k+r-1) at index k
@@ -412,15 +464,26 @@ def validate(frieze: Frieze) -> FriezeReport:
         for k, ((aq, bq), (ac, bc), (ab, bb), (at, bt)) in enumerate(recurrences):
             # e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k)
             if aq * ac + bq * bc * m - ab != at or aq * bc + bq * ac - bb != bt:
-                bad.append(Violation("recurrence", r, k))
-    return FriezeReport(tuple(bad))
+                recurrence.append(Violation("recurrence", r, k))
+    if recurrence or not grounded:  # else every diamond holds: see the docstring
+        for r in range(1, n + 3):
+            row, below = rows[r], rows[r - 1]
+            diamonds = zip(row, row[1:] + row[:1], below[1:] + below[:1], rows[r + 1])
+            for k, ((aw, bw), (ae, be), (as_, bs), (an, bn)) in enumerate(diamonds):
+                # west·east - south·north = 1
+                if (
+                    aw * ae + bw * be * m - as_ * an - bs * bn * m != 1
+                    or aw * be + bw * ae - as_ * bn - bs * an
+                ):
+                    bad.append(Violation("diamond", r, k))
+    return FriezeReport(tuple(bad + recurrence))
 
 
-def _rendered(frieze: Frieze) -> list[list[str]]:
+def _rendered(frieze: Frieze) -> Iterator[list[str]]:
     """Each row's entries as `QuadNum.render` writes them, each distinct cell
     rendered once."""
     m = frieze.m
-    return frieze._each_cell(lambda a, b: QuadNum(m, a, b).render())
+    return frieze._mapped(lambda a, b: QuadNum(m, a, b).render())
 
 
 def render_ascii(frieze: Frieze) -> str:
@@ -431,7 +494,7 @@ def render_ascii(frieze: Frieze) -> str:
 def _ascii_rows(frieze: Frieze) -> Iterator[str]:
     """The lines of `render_ascii`, one row at a time, so a caller that
     writes them as they come holds one padded row, not the whole text."""
-    cells = _rendered(frieze)
+    cells = list(_rendered(frieze))
     width = max(len(s) for row in cells for s in row)
     col = (width + 2) // 2  # half the horizontal stride of one entry
     for r in range(frieze.width + 3, -1, -1):
@@ -441,4 +504,11 @@ def _ascii_rows(frieze: Frieze) -> Iterator[str]:
 
 def render_csv(frieze: Frieze) -> str:
     """One line per row, bottom row first: row index, then rendered entries."""
-    return "\n".join(",".join([str(r)] + row) for r, row in enumerate(_rendered(frieze)))
+    return "\n".join(_csv_rows(frieze))
+
+
+def _csv_rows(frieze: Frieze) -> Iterator[str]:
+    """The lines of `render_csv`, one row at a time, each row's entries
+    rendered as the row comes."""
+    for r, row in enumerate(_rendered(frieze)):
+        yield ",".join([str(r)] + row)

@@ -235,7 +235,7 @@ def quiddity_counts(dissection: Dissection) -> tuple[int, ...]:
     for a, b in dissection.diagonals:
         degree[a] += 1
         degree[b] += 1
-    return tuple([d + 1 for d in degree])  # a list first: see frieze._wrap
+    return tuple([d + 1 for d in degree])  # a list first: see frieze.Frieze._pairs
 
 
 def rotate(dissection: Dissection, c: int) -> Dissection:

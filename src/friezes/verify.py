@@ -188,7 +188,7 @@ def _read(frieze: Frieze, surd: bool) -> Rows:
     """The grid's entries as ints, read off their coefficient pairs (a, b): a of
     an integer (a, 0), or with surd the c of c·√m, (0, c); None where an entry
     is not of that form (a zero coefficient is always the int 0)."""
-    cells = frieze._cells
+    cells = frieze._pairs()
     if surd:
         return [[b if a == 0 and type(b) is int else None for a, b in row] for row in cells]
     return [[a if b == 0 and type(a) is int else None for a, b in row] for row in cells]

@@ -187,15 +187,19 @@ def test_enumerate_writes_a_line_longer_than_a_chunk_alone():
 
 def test_enumerate_refuses_a_huge_listing_before_allocating(capsys):
     # the listing's label tables are built only for a polygon the walk takes:
-    # the 1,000,002-gon is just past it (its tables alone would take ~100 MB)
+    # the 1,000,002-gon is just past it (its tables alone would take ~100 MB);
+    # stdout stops the command at its first write, so a listing that is not
+    # refused fails here instead of walking on
+    recorder = WriteRecorder(limit=1)
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "enumerate", "--p", "4", "--s", "500000")
+        with redirect_stdout(recorder):
+            code = main(["enumerate", "--p", "4", "--s", "500000"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out) == (1, "")
-    assert err == "error: the 1000002-gon is too large to walk\n"
+    assert (code, recorder.writes) == (1, [])
+    assert capsys.readouterr().err == "error: the 1000002-gon is too large to walk\n"
     assert peak < 1_000_000
 
 
@@ -211,6 +215,20 @@ def test_gen_ascii_writes_the_text_of_render_ascii(capsys, p, payload):
     code, out, _ = run(capsys, "gen", "--p", str(p), "--input", payload)
     frieze = lambda_frieze(Dissection.from_json(json.loads(payload)), p)
     assert code == 0 and out == render_ascii(frieze) + "\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "cc"])
+def test_csv_writes_the_text_of_render_csv(capsys, command):
+    from friezes import associated_triangulation, cc_frieze, render_csv
+
+    hexagons = Dissection(42, [(2 * j, 41 - 2 * j) for j in range(1, 10)])
+    triangulation = associated_triangulation(hexagons, 6)
+    argv, d, frieze = {
+        "gen": (["gen", "--p", "6"], hexagons, lambda_frieze(hexagons, 6)),
+        "cc": (["cc"], triangulation, cc_frieze(triangulation)),
+    }[command]
+    code, out, _ = run(capsys, *argv, "--input", json.dumps(d.to_json()), "--format", "csv")
+    assert code == 0 and out == render_csv(frieze) + "\n"
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["gen", "--p", "4"], ["cc"], ["tree"]])

@@ -482,6 +482,59 @@ def test_validate_matches_quadnum_reference():
     assert 0 < violated < len(grids)
 
 
+def continuant_grids():
+    """600 grids of width 0..4 over m ∈ {1, 2, 3}, each grown by the recurrence
+    from rows 0 and 1 and a random row 2 (ints, fractions, mixed a + b√m, zeros
+    and negatives) with no closure: some left as grown, some with row 0 or 1
+    corrupted before growing (the recurrence holds but diamonds fail), some
+    with one cell perturbed, or row 0 or 1 corrupted, after growing: a fixed
+    seed."""
+    import random
+
+    rng = random.Random(20182)
+
+    def coefficient():
+        return rng.choice((0, 0, 1, 2, 3, -1, -2, Fraction(rng.randint(-5, 5), rng.choice((2, 3)))))
+
+    def value(m):
+        return QuadNum(m, coefficient(), coefficient() if rng.random() < 0.5 else 0)
+
+    def corrupt(rows, m):
+        row = rows[rng.randrange(2)]
+        row[rng.randrange(len(row))] = value(m)
+
+    grids = []
+    for _ in range(600):
+        width, m, kind = rng.randint(0, 4), rng.choice((1, 2, 3)), rng.randrange(4)
+        period = width + 3
+        q = [value(m) for _ in range(period)]
+        rows = [[QuadNum(m, 0)] * period, [QuadNum(m, 1)] * period, q]
+        if kind == 1:
+            corrupt(rows, m)
+        for r in range(2, width + 3):
+            rows.append([q[(k + r - 1) % period] * rows[r][k] - rows[r - 1][k] for k in range(period)])
+        if kind == 2:
+            rows[rng.randrange(len(rows))][rng.randrange(period)] = value(m)
+        elif kind == 3:
+            corrupt(rows, m)
+        grids.append(Frieze(m, width, rows))
+    return grids
+
+
+def test_validate_skips_only_diamond_passes_that_find_nothing():
+    # rows 0 and 1 right and the recurrence holding make every diamond hold, so
+    # validate runs the diamond pass only otherwise: the reports stay the full ones
+    skipped = with_diamonds = 0
+    for f in continuant_grids():
+        got = tuple(tuple(v) for v in validate(f).violations)
+        assert got == reference_violations(f)
+        kinds = {v[0] for v in got}
+        grounded = not any(v[0] == "boundary" and v[1] < 2 for v in got)
+        skipped += grounded and "recurrence" not in kinds
+        with_diamonds += "diamond" in kinds
+    assert skipped > 150 and with_diamonds > 150
+
+
 def reference_from_json(data):
     """Frieze.from_json read entry by entry with QuadNum.from_json, a row's
     radicands checked once the whole row has parsed: QuadNum rows."""
@@ -656,6 +709,29 @@ def test_built_and_given_grids_behave_alike(quad10):
             f.m = 3
         with pytest.raises(dataclasses.FrozenInstanceError):
             del f.width
+
+
+def test_built_parsed_and_given_grids_are_one_value(quad10, hex18):
+    # a built grid keeps the kernel's int rows, a parsed or given one its coefficient
+    # pairs: the three copies of each grid compare and hash equal, pickle to equal
+    # grids, and grids of different values stay apart
+    import pickle
+
+    from friezes import associated_triangulation
+
+    built = [from_quiddity([QuadNum(2, c) for c in (1, 2, 1, 2)])]
+    for p, d in ((4, quad10), (6, hex18), (4, ladder(4)), (6, ladder(6))):
+        built += [lambda_frieze(d, p), cc_frieze(associated_triangulation(d, p))]
+    for f in built:
+        parsed = Frieze.from_json(json.loads(f._json_text()))
+        given = Frieze(f.m, f.width, f.rows)
+        for a in (f, parsed, given):
+            assert [a == b for b in (f, parsed, given)] == [True] * 3
+            assert hash(a) == hash(f) and a.rows == f.rows
+            again = pickle.loads(pickle.dumps(a))
+            assert again == f and hash(again) == hash(f)
+            assert again._json_text() == f._json_text()
+    assert len(set(built)) == len(built)
 
 
 def test_frieze_from_json_rejects_bad_shapes():

@@ -130,6 +130,41 @@ def test_even_scaling_cuts_ragged_rows_to_the_shorter():
     assert not result.ok and result.witness == FirstViolation("even_scaling", 2, 0)
 
 
+def test_even_scaling_refuses_a_zero_radical_entry():
+    # 0·√2 is no positive multiple of √2, even against an integral 0
+    zero, one = (QuadNum(2, 0),) * 4, (QuadNum(2, 1),) * 4
+    row2 = tuple(QuadNum(2, 0, c) for c in (1, 0, 1, 1))
+    radical = Frieze(2, 1, (zero, one, row2, one, zero))
+    integral = Frieze(1, 1, tuple(
+        tuple(QuadNum(1, v) for v in row)
+        for row in ((0,) * 4, (1,) * 4, (1, 0, 1, 2), (1,) * 4, (0,) * 4)
+    ))
+    result = even_rows_scaled(radical, integral, 4)
+    assert not result.ok and result.witness == FirstViolation("even_scaling", 2, 1)
+
+
+def test_one_even_row_does_not_alternate():
+    # the square's frieze has one even row: one offset alternates with nothing
+    blob = verify_dissection(Dissection(4), 4).to_json()
+    assert blob["epsilons"] == [0] and blob["epsilon_alternates"] is False
+
+
+def test_checks_read_built_and_parsed_grids_alike(quad10, hex18):
+    # built grids keep the kernel's int rows and parsed ones their coefficient
+    # pairs: the public checks give the same results on either copy
+    for p, d in ((4, quad10), (6, hex18), (4, Dissection(4)), (4, Dissection(6, [(0, 3)]))):
+        built = (lambda_frieze(d, p), cc_frieze(associated_triangulation(d, p)))
+        parsed = tuple(Frieze.from_json(f.to_json()) for f in built)
+        for pair in ((0, 1), (1, 0), (0, 0), (1, 1)):
+            results = set()
+            for copies in ((built, built), (built, parsed), (parsed, built), (parsed, parsed)):
+                a, b = (c[i] for c, i in zip(copies, pair))
+                results.add((odd_rows_coincide(a, b), even_rows_scaled(a, b, p)))
+            assert len(results) == 1
+        radical, integral = built
+        assert odd_rows_coincide(radical, integral).ok and even_rows_scaled(radical, integral, p).ok
+
+
 def test_comparisons_reject_width_mismatch():
     wide = lambda_frieze(Dissection(6, [(1, 4)]), 4)  # width 3
     narrow = cc_frieze(Dissection(4, [(1, 3)]))  # width 1

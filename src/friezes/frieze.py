@@ -325,7 +325,7 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     (row n+3 is row 0 again) are shared lists: callers must not mutate them.
 
     The grid holds (n+3)² ints of up to hundreds of bits: a `lambda_frieze`
-    of the 1000-gon ladder of quadrilaterals peaks at about 150 MB of RSS
+    of the 1000-gon ladder of quadrilaterals peaks at about 80 MB of RSS
     (634-bit entries).  A row longer than _MAX_FRIEZE_N = 1000 entries
     raises ValueError naming the polygon before any row is allocated, not a
     FriezeError, so a checked dissection that is too large is refused as

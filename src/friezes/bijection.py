@@ -171,7 +171,7 @@ def _refine(dissection: Dissection, p: int, black: bool = True) -> Triangulation
         raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
     chords = set(dissection.diagonals)
     for face in faces(dissection):
-        chords.update(combinations([v for v in face if is_black(v) == black], 2))
+        chords.update(combinations([v for v in face if v % 2 == black], 2))
     return Triangulation(dissection.n, chords)
 
 

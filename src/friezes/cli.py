@@ -36,7 +36,7 @@ from .frieze import (
 from .polygon import Dissection, _listing, _p_angulation_walk
 from .verify import sweep
 
-_CHUNK = 64 * 1024  # characters per stdout write of a line stream
+_CHUNK = 64 * 1024  # characters per stdout write of a line or text stream
 
 
 class UsageError(Exception):
@@ -93,11 +93,33 @@ def _write_lines(lines: Iterable[str]) -> None:
         write("\n".join(chunk) + "\n")
 
 
+def _write_text(pieces: Iterable[str]) -> None:
+    """Write the pieces' concatenation and a newline to stdout in writes of
+    _CHUNK characters, the last one shorter.
+
+    Only one chunk and the piece that fills it are held at a time, so a
+    stream of pieces stays a stream, however long a single piece is.
+    """
+    write = sys.stdout.write
+    held: list[str] = []
+    size = 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            text = "".join(held)
+            end = size - size % _CHUNK
+            for start in range(0, end, _CHUNK):
+                write(text[start : start + _CHUNK])
+            held, size = [text[end:]], size - end
+    write("".join(held) + "\n")
+
+
 def _emit_frieze(frieze: Frieze, fmt: str) -> None:
     if fmt == "ascii":
         _write_lines(_ascii_rows(frieze))  # the lines of render_ascii(frieze)
     elif fmt == "json":
-        print(frieze._json_text())  # the bytes of json.dumps(frieze.to_json())
+        _write_text(frieze._json_pieces())  # the bytes of json.dumps(frieze.to_json())
     else:
         _write_lines(_csv_rows(frieze))  # the lines of render_csv(frieze)
 

@@ -23,8 +23,9 @@ QuadNum row, and checks positivity and closure on those ints.  A built
 once, refusing an entry outside the header's field) holds each entry
 a + b√m as the coefficient pair (a, b) exactly as QuadNum holds it, an int
 where the coefficient is integral and an exact rational only where it is
-not.  One row source, `Frieze._mapped`, feeds the JSON writer `_json_text`
-(`to_json` is `json.loads` of it), CSV and ASCII: each row's cells come from
+not.  One row source, `Frieze._mapped`, feeds the JSON pieces
+`_json_pieces` (which the CLI writes in chunks and `_json_text` joins;
+`to_json` is `json.loads` of that), CSV and ASCII: each row's cells come from
 a memo per coefficient kind keyed by the int (or by the pair), so each
 distinct cell's text is made once.  A built grid derives the pairs once,
 only for equality, hashing, pickling, `validate` and the checks in
@@ -42,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bijection import NotPAngulationError, triangle_counts
@@ -226,16 +228,25 @@ class Frieze:
         return json.loads(self._json_text())
 
     def _json_text(self) -> str:
-        """`json.dumps` of the grid, each distinct cell's text written once.
+        """`json.dumps` of the grid: the pieces of `_json_pieces`, joined."""
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self) -> Iterator[str]:
+        """The text of `json.dumps` of the grid in pieces: the header, then one
+        piece per row, then the closing brackets, each distinct cell's text
+        written once.
 
         A coefficient's `str` (an int, or n/d) needs no escaping, so a cell
         is its text between quotes; the rows join with the separators
-        `json.dumps` writes by default.
+        `json.dumps` writes by default.  A caller that writes the pieces as
+        they come holds one row's text, not the whole grid's.
         """
         m = json.dumps(self.m)
         cells = self._mapped(lambda a, b: f'{{"m": {m}, "rat": "{a}", "rad": "{b}"}}')
-        rows = ", ".join(["[" + ", ".join(row) + "]" for row in cells])
-        return f'{{"width": {json.dumps(self.width)}, "m": {m}, "rows": [{rows}]}}'
+        yield f'{{"width": {json.dumps(self.width)}, "m": {m}, "rows": ['
+        for r, row in enumerate(cells):
+            yield (", [" if r else "[") + ", ".join(row) + "]"
+        yield "]}"
 
     @staticmethod
     def from_json(data: dict) -> "Frieze":
@@ -317,12 +328,18 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
 
     Entry e(r, k) is C(r, k), times √m on the even rows of a radical row,
     grown by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k), where f_r = m on
-    even r of a radical row and 1 otherwise.  The row is a frieze quiddity
-    only if rows 2..n+2 are positive and row n+2 comes out as all ones; an
-    even row of a radical row holds C·√m, never 1 (a radical row has
-    m ∈ {2, 3}).  The first failure, in row-major order, is reported with
-    its (row, col) and the entry rendered as a QuadNum.  The n + 4 rows
-    (row n+3 is row 0 again) are shared lists: callers must not mutate them.
+    even r of a radical row and 1 otherwise.  Each row is grown by C-level
+    maps over one slice of the doubled count list (c_{k+r-1} at index k),
+    the even rows of a radical row reading a copy of the counts times m, so
+    no row multiplies by 1.  The row is a frieze quiddity only if rows
+    2..n+2 are positive and row n+2 comes out as all ones; an even row of a
+    radical row holds C·√m, never 1 (a radical row has m ∈ {2, 3}).
+    Positivity is checked on each row as it is grown and growth stops at
+    the first failing row; closure is tested on the top row once all rows
+    are positive, so the first failure in row-major order is the one
+    reported, with its (row, col) and the entry rendered as a QuadNum.  The
+    n + 4 rows (row n+3 is row 0 again) are shared lists: callers must not
+    mutate them.
 
     The grid holds (n+3)² ints of up to hundreds of bits: a `lambda_frieze`
     of the 1000-gon ladder of quadrilaterals peaks at about 80 MB of RSS
@@ -335,22 +352,23 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
     if period > _MAX_FRIEZE_N:
         raise ValueError(f"the {period}-gon is too large for a frieze grid")
     n = period - 3
+    doubled = counts * 2  # a list or a tuple, as the caller gives the counts
+    scaled = [m * c for c in counts] * 2 if radical else doubled
     rows = [[0] * period, [1] * period]
     for r in range(1, n + 2):
-        f = m if radical and r % 2 == 0 else 1
-        shifted = counts[r - 1 :] + counts[: r - 1]  # c_{k+r-1} at index k
-        rows.append([q * c * f - below for q, c, below in zip(shifted, rows[r], rows[r - 1])])
-    for r in range(2, n + 3):
-        if min(rows[r]) <= 0:
-            k, c = next((k, c) for k, c in enumerate(rows[r]) if c <= 0)
-            e = QuadNum(m, 0, c) if radical and r % 2 == 0 else QuadNum(m, c)
+        shifted = (scaled if r % 2 == 0 else doubled)[r - 1 : r - 1 + period]
+        row = list(map(sub, map(mul, shifted, rows[r]), rows[r - 1]))
+        if min(row) <= 0:  # row r + 1: rows 2..n+2 must be positive
+            k, c = next((k, c) for k, c in enumerate(row) if c <= 0)
+            e = QuadNum(m, 0, c) if radical and r % 2 else QuadNum(m, c)
             raise QuiddityPositivityError(
-                r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
+                r + 1, k, f"not a frieze quiddity: entry {e} at ({r + 1}, {k}) is not positive"
             )
+        rows.append(row)
     top = rows[n + 2]
     surd = radical and n % 2 == 0
-    k = 0 if surd else next((k for k, c in enumerate(top) if c != 1), None)
-    if k is not None:
+    if surd or top.count(1) != period:
+        k = 0 if surd else next(k for k, c in enumerate(top) if c != 1)
         e = QuadNum(m, 0, top[k]) if surd else QuadNum(m, top[k])
         raise ClosureError(
             n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"

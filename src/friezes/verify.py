@@ -7,8 +7,11 @@ the face counts of D times 2cos(π/p), the integer one from the triangle
 counts of T.  Building T is the one check of D, and the counts of D and T
 are read once each.  The checks take the kernel's int rows as they come,
 with no QuadNum in between: an odd row is compared as two int lists, and an
-even row of the radical frieze holds the coefficients a_k of a_k·√m.  The
-checks are:
+even row of the radical frieze holds the coefficients a_k of a_k·√m.  A
+passing dissection is decided by C-level comparisons: whole odd rows, and
+stride slices (every other column) of the counts and of the even rows; only
+a failing row is walked entry by entry, to name its witness.  The checks
+are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import ne
 from typing import NamedTuple, Sequence
 
 from .bijection import _refine, associated_triangulation
@@ -102,7 +106,14 @@ class EvenScalingResult:
 
 
 def _lemma_counts(q: Sequence[int], tc: Sequence[int], p: int) -> CheckResult:
+    """Triangle counts against face counts: t_α = q_α at even α, (p/2)·q_α at odd α.
+
+    Counts that pass are decided by two stride comparisons; only a failing
+    pair is walked entry by entry, to name its first vertex.
+    """
     half = p // 2
+    if tc[::2] == q[::2] and tc[1::2] == tuple([half * faces for faces in q[1::2]]):
+        return CheckResult(True, None)
     for alpha, (faces, triangles) in enumerate(zip(q, tc)):
         if triangles != (faces if alpha % 2 == 0 else half * faces):
             return CheckResult(False, FirstViolation("lemma", None, alpha))
@@ -127,17 +138,31 @@ def _even_rows_match(coefficients: Rows, integral: Rows, width: int, p: int) -> 
 
     coefficients[r] holds the radical entries of row r as multiples a_k of
     √m, integral[r] the integral entries; None (no such integer) never
-    matches.
+    matches, nor does a coefficient that is not positive.  A row that
+    passes is decided at C speed: the coefficients are all positive by
+    `min`, and the integral row equals them on one stride of columns and
+    (p/2) times them on the other, ε = 0 (the factor at odd columns) tried
+    first.  Only a row that fails that test is compared entry by entry,
+    which names its witness, the smallest column either offset misses; that
+    comparison runs to the shorter of two ragged rows, so one of those may
+    still pass.
     """
     half = p // 2
     epsilons: list[int] = []
     for r in range(2, width + 2, 2):
         coeffs, row = coefficients[r], integral[r]
-        k = next((k for k, c in enumerate(coeffs) if c is None or c <= 0), None)
-        if k is not None:
+        if None in coeffs or (coeffs and min(coeffs) <= 0):
+            k = next(k for k, c in enumerate(coeffs) if c is None or c <= 0)
             return EvenScalingResult(
                 False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
             )
+        evens, odds = coeffs[::2], coeffs[1::2]
+        if row[::2] == evens and row[1::2] == [half * c for c in odds]:
+            epsilons.append(0)
+            continue
+        if row[1::2] == odds and row[::2] == [half * c for c in evens]:
+            epsilons.append(1)
+            continue
         misses = []
         for eps in (0, 1):
             scaled = [c * half if (k + eps) % 2 else c for k, c in enumerate(coeffs)]
@@ -152,7 +177,7 @@ def _even_rows_match(coefficients: Rows, integral: Rows, width: int, p: int) -> 
                 False, FirstViolation("even_scaling", r, min(misses)), tuple(epsilons), False
             )
     eps = tuple(epsilons)
-    alternates = len(eps) > 1 and all(a != b for a, b in zip(eps, eps[1:]))
+    alternates = len(eps) > 1 and all(map(ne, eps, eps[1:]))
     return EvenScalingResult(True, None, eps, alternates)
 
 
@@ -269,9 +294,7 @@ def verify_dissection(d: Dissection, p: int) -> VerificationReport:
     odd = _odd_rows_match(radical, integral, d.n - 3)
     even = _even_rows_match(radical, integral, d.n - 3, p)
     finished = time.perf_counter()
-    first = next(
-        (w for w in (lemma.witness, odd.witness, even.witness) if w is not None), None
-    )
+    first = lemma.witness or odd.witness or even.witness  # a witness is never falsy
     return VerificationReport(
         p=p,
         s=len(d.diagonals) + 1,

@@ -231,6 +231,62 @@ def test_csv_writes_the_text_of_render_csv(capsys, command):
     assert code == 0 and out == render_csv(frieze) + "\n"
 
 
+@pytest.mark.parametrize("command", ["gen", "cc"])
+def test_json_writes_the_text_of_json_text_in_chunks(command):
+    # the 102-gon ladder's grid is about 400 KB of JSON: every write but the
+    # last is one full chunk, and together they are the text of _json_text
+    from friezes import associated_triangulation, cc_frieze
+
+    n = 102
+    ladder = Dissection(n, [(a, n - 1 - a) for a in range(1, n // 2 - 1)])
+    triangulation = associated_triangulation(ladder, 4)
+    argv, d, frieze = {
+        "gen": (["gen", "--p", "4"], ladder, lambda_frieze(ladder, 4)),
+        "cc": (["cc"], triangulation, cc_frieze(triangulation)),
+    }[command]
+    recorder = WriteRecorder()
+    with redirect_stdout(recorder):
+        code = main([*argv, "--input", json.dumps(d.to_json()), "--format", "json"])
+    writes = recorder.writes
+    assert code == 0 and "".join(writes) == frieze._json_text() + "\n"
+    assert len(writes) > 4
+    assert all(len(w) == _CHUNK for w in writes[:-1]) and len(writes[-1]) <= _CHUNK
+
+
+def test_write_text_writes_each_chunk_once_it_fills():
+    # a chunk goes out as soon as the pieces fill it, before the next piece is
+    # made, counting what the last chunk left over, and a piece longer than a
+    # chunk goes out in full chunks
+    from friezes.cli import _write_text
+
+    events = []
+
+    class Recorder:
+        def write(self, text):
+            events.append(("write", len(text), text[:1]))
+            return len(text)
+
+    def pieces():
+        for letter, size in (("a", 40_000), ("b", 40_000), ("c", 60_000), ("d", 150_000), ("e", 10)):
+            events.append(("piece", letter))
+            yield letter * size
+
+    with redirect_stdout(Recorder()):
+        _write_text(pieces())
+    assert events == [
+        ("piece", "a"),
+        ("piece", "b"),
+        ("write", _CHUNK, "a"),
+        ("piece", "c"),
+        ("write", _CHUNK, "b"),
+        ("piece", "d"),
+        ("write", _CHUNK, "c"),
+        ("write", _CHUNK, "d"),
+        ("piece", "e"),
+        ("write", 290_011 - 4 * _CHUNK, "d"),
+    ]
+
+
 @pytest.mark.parametrize("argv", [["validate"], ["gen", "--p", "4"], ["cc"], ["tree"]])
 def test_inline_json_array_is_refused_as_malformed(capsys, argv):
     for payload in ("[1, 2]", " []"):

@@ -870,3 +870,92 @@ def test_generated_friezes_validate_and_match_oracle(s, p):
         assert validate(integral).ok
         assert_matches_continuant_oracle(radical)
         assert_matches_continuant_oracle(integral)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its per-entry predecessor
+
+
+def reference_grow(counts, m, radical):
+    """The kernel as it was before its rows were grown by C-level maps and checked
+    as they grow: every row built by one comprehension, positivity checked
+    after growth, closure by a scan of the top row.  Kept verbatim."""
+    from friezes.frieze import _MAX_FRIEZE_N
+
+    period = len(counts)
+    if period > _MAX_FRIEZE_N:
+        raise ValueError(f"the {period}-gon is too large for a frieze grid")
+    n = period - 3
+    rows = [[0] * period, [1] * period]
+    for r in range(1, n + 2):
+        f = m if radical and r % 2 == 0 else 1
+        shifted = counts[r - 1 :] + counts[: r - 1]  # c_{k+r-1} at index k
+        rows.append([q * c * f - below for q, c, below in zip(shifted, rows[r], rows[r - 1])])
+    for r in range(2, n + 3):
+        if min(rows[r]) <= 0:
+            k, c = next((k, c) for k, c in enumerate(rows[r]) if c <= 0)
+            e = QuadNum(m, 0, c) if radical and r % 2 == 0 else QuadNum(m, c)
+            raise QuiddityPositivityError(
+                r, k, f"not a frieze quiddity: entry {e} at ({r}, {k}) is not positive"
+            )
+    top = rows[n + 2]
+    surd = radical and n % 2 == 0
+    k = 0 if surd else next((k for k, c in enumerate(top) if c != 1), None)
+    if k is not None:
+        e = QuadNum(m, 0, top[k]) if surd else QuadNum(m, top[k])
+        raise ClosureError(
+            n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
+        )
+    rows.append(rows[0])
+    return rows
+
+
+def grow_outcome(grow, counts, m, radical):
+    """The rows a kernel returns, or the class, (row, col) and message of its failure."""
+    try:
+        return grow(counts, m, radical)
+    except FriezeError as exc:
+        return type(exc), exc.row, exc.col, str(exc)
+
+
+def test_kernel_matches_its_per_entry_predecessor():
+    # the same rows, or the same first failure, on the counts of every p-angulation
+    # of the sweep and of its associated triangulation, on each of their ±1
+    # perturbations, on seeded random rows and on the 1,000-gon ladder
+    import random
+
+    from friezes import associated_triangulation, enumerate_p_angulations, quiddity_counts
+    from friezes.exact import LAMBDA_RADICAND
+    from friezes.frieze import _grow
+
+    cases = []
+    for p, s_max in ((4, 5), (6, 3)):
+        for s in range(1, s_max + 1):
+            for d in enumerate_p_angulations(s, p):
+                cases.append((quiddity_counts(d), LAMBDA_RADICAND[p], True))
+                cases.append((quiddity_counts(associated_triangulation(d, p)), 1, False))
+    perturbed = [
+        (counts[:k] + (c + delta,) + counts[k + 1 :], m, radical)
+        for counts, m, radical in cases
+        for k, c in enumerate(counts)
+        for delta in (-1, 1)
+    ]
+    rng = random.Random("kernel equivalence")
+    drawn = [
+        ([rng.randint(-1, 4) for _ in range(rng.randint(3, 40))], m, radical)
+        for m in (1, 2, 3)
+        for radical in (False, True)
+        for _ in range(300)
+    ]
+    ladder_n = 1000
+    ladder_d = Dissection(ladder_n, [(a, ladder_n - 1 - a) for a in range(1, ladder_n // 2 - 1)])
+    ladders = [(list(quiddity_counts(ladder_d)), 2, True)]  # the largest grid the kernel takes
+    kinds = {}
+    for counts, m, radical in cases + perturbed + drawn + ladders:
+        got = grow_outcome(_grow, counts, m, radical)
+        assert got == grow_outcome(reference_grow, counts, m, radical), (counts, m, radical)
+        kind = got[0].__name__ if type(got) is tuple else "rows"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # every outcome occurs, so no comparison above is vacuous
+    assert set(kinds) == {"rows", "QuiddityPositivityError", "ClosureError"}, kinds
+    assert min(kinds.values()) >= 50, kinds

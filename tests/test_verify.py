@@ -27,6 +27,7 @@ from friezes import (
     sweep,
     verify_dissection,
 )
+from friezes.verify import CheckResult, EvenScalingResult
 from oracle import brute_force_p_angulations
 
 
@@ -186,6 +187,27 @@ def test_verify_dissection_report(quad10):
     blob = report.to_json()
     assert blob["dissection"] == {"n": 10, "diagonals": [[1, 4], [4, 9], [5, 8]]}
     assert set(blob["timings_ms"]) == {"build", "checks"}
+
+
+def test_first_violation_is_taken_in_check_order(monkeypatch, quad10):
+    # the lemma's witness comes first, then the odd rows', then the even rows'
+    import friezes.verify
+    from friezes import quiddity_counts
+
+    # a triangulation of the 10-gon other than the associated one (see
+    # test_odd_rows_fail_on_corrupted_triangulation): every check fails on it
+    corrupted = Triangulation(10, [(1, 4), (4, 9), (5, 8), (2, 4), (1, 9), (5, 9), (5, 7)])
+    q, tc, radical, integral = friezes.verify._build(quad10, 4)
+    wrong_tc = quiddity_counts(corrupted)
+    wrong_rows = friezes.verify._rows(wrong_tc, 1, False)
+    for counts, claim in ((wrong_tc, "lemma"), (tc, "odd_rows")):
+        monkeypatch.setattr(
+            friezes.verify, "_build", lambda d, p, counts=counts: (q, counts, radical, wrong_rows)
+        )
+        report = verify_dissection(quad10, 4)
+        assert not report.odd_rows_ok and not report.even_scaling_ok
+        assert report.lemma_ok is (claim != "lemma")
+        assert report.first_violation.claim == claim
 
 
 def count_calls(monkeypatch, *names):
@@ -497,3 +519,160 @@ def test_deep_sweep_flags_every_dissection():
     assert summary.deep_checked
     assert summary.deep_failures == (Dissection(4),)
     assert not summary.all_ok
+
+
+# ---------------------------------------------------------------------------
+# the stride comparisons against their per-entry predecessors
+
+
+def reference_lemma_counts(q, tc, p):
+    """`_lemma_counts` as a per-entry loop, as it was before its stride test."""
+    half = p // 2
+    for alpha, (faces, triangles) in enumerate(zip(q, tc)):
+        if triangles != (faces if alpha % 2 == 0 else half * faces):
+            return CheckResult(False, FirstViolation("lemma", None, alpha))
+    return CheckResult(True, None)
+
+
+def reference_even_rows_match(coefficients, integral, width, p):
+    """`_even_rows_match` as per-entry loops, as it was before its stride test."""
+    half = p // 2
+    epsilons = []
+    for r in range(2, width + 2, 2):
+        coeffs, row = coefficients[r], integral[r]
+        k = next((k for k, c in enumerate(coeffs) if c is None or c <= 0), None)
+        if k is not None:
+            return EvenScalingResult(
+                False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
+            )
+        misses = []
+        for eps in (0, 1):
+            scaled = [c * half if (k + eps) % 2 else c for k, c in enumerate(coeffs)]
+            pairs = enumerate(zip(scaled, row))
+            miss = None if row == scaled else next((k for k, (s, e) in pairs if e != s), None)
+            if miss is None:
+                epsilons.append(eps)
+                break
+            misses.append(miss)
+        else:
+            return EvenScalingResult(
+                False, FirstViolation("even_scaling", r, min(misses)), tuple(epsilons), False
+            )
+    eps = tuple(epsilons)
+    alternates = len(eps) > 1 and all(a != b for a, b in zip(eps, eps[1:]))
+    return EvenScalingResult(True, None, eps, alternates)
+
+
+def small_sweep_grids():
+    """(p, width, q, tc, radical rows, integral rows) of every p-angulation with
+    p = 4, s ≤ 4 and p = 6, s ≤ 2."""
+    from friezes.verify import _build
+
+    for p, s_max in ((4, 4), (6, 2)):
+        for s in range(1, s_max + 1):
+            for d in enumerate_p_angulations(s, p):
+                yield (p, d.n - 3, *_build(d, p))
+
+
+def flipped(coeffs, half, eps):
+    """An even integral row: the coefficients times half at columns k with k + eps odd."""
+    return [c * half if (k + eps) % 2 else c for k, c in enumerate(coeffs)]
+
+
+def even_row_variants(coeffs, row, half):
+    """(radical row, integral row) pairs around one passing even row: bad
+    coefficients, the other offset, no or every column scaled, misses at the
+    first and last columns, ragged and empty rows."""
+    last = len(coeffs) - 1
+    for k in sorted({0, last // 2, last}):
+        for bad in (None, 0, -coeffs[k], coeffs[k] + 1):
+            yield coeffs[:k] + [bad] + coeffs[k + 1 :], row
+        for delta in (-1, 1):
+            yield coeffs, row[:k] + [row[k] + delta] + row[k + 1 :]
+    yield coeffs, flipped(coeffs, half, 1)
+    yield coeffs, list(coeffs)  # the factor at no column: each offset passes on one stride
+    yield coeffs, [c * half for c in coeffs]  # the factor at every column
+    yield coeffs, row[:-1]
+    yield coeffs[:-1], row
+    yield coeffs, row + [1]
+    yield coeffs[:-1], row[:-2] + [row[-2] + 1, row[-1]]  # a miss inside the shorter row
+    yield coeffs[:1], row[:1]
+    yield coeffs, []
+    yield [], row
+    yield [], []
+
+
+def test_even_rows_stride_test_matches_the_per_entry_loops():
+    from friezes.verify import _even_rows_match
+
+    failures = offsets = ragged_passes = 0
+    for p, width, _, _, radical, integral in small_sweep_grids():
+        half = p // 2
+        grids = [(radical, integral)]
+        for r in range(2, width + 2, 2):
+            for coeffs, row in even_row_variants(radical[r], integral[r], half):
+                grids.append((
+                    radical[:r] + [coeffs] + radical[r + 1 :],
+                    integral[:r] + [row] + integral[r + 1 :],
+                ))
+        # every even row at ε = 1 (the mirror), and offsets mixed row by row
+        for pattern in ((1,), (0, 1), (1, 0), (1, 1, 0)):
+            mixed = [
+                flipped(radical[r], half, pattern[(r // 2) % len(pattern)]) if r % 2 == 0 else row
+                for r, row in enumerate(integral)
+            ]
+            grids.append((radical, mixed))
+        for coefficients, ints in grids:
+            got = _even_rows_match(coefficients, ints, width, p)
+            assert got == reference_even_rows_match(coefficients, ints, width, p)
+            failures += not got.ok
+            offsets += 1 in got.epsilons
+            ragged_passes += got.ok and any(
+                len(coefficients[r]) != len(ints[r]) for r in range(2, width + 2, 2)
+            )
+    # failing rows, rows passing at ε = 1 and passing ragged rows all occur
+    assert min(failures, offsets, ragged_passes) >= 50, (failures, offsets, ragged_passes)
+
+
+def test_lemma_stride_test_matches_the_per_entry_loop():
+    from friezes.verify import _lemma_counts
+
+    outcomes = set()
+    for p, _, q, tc, _, _ in small_sweep_grids():
+        half = p // 2
+        variants = [tc, list(tc), tc[:-1], tc + (1,), (), q, tuple(flipped(list(q), half, 1))]
+        variants += [tc[:k] + (t + delta,) + tc[k + 1 :] for k, t in enumerate(tc) for delta in (-1, 1)]
+        for counts in variants:
+            for faces in (q, list(q), q[:-1], ()):
+                got = _lemma_counts(faces, counts, p)
+                assert got == reference_lemma_counts(faces, counts, p)
+                outcomes.add(got.ok)
+    assert outcomes == {True, False}
+
+
+def test_passing_checks_walk_no_row_entry_by_entry(monkeypatch):
+    # a dissection that passes is decided by C-level row and stride
+    # comparisons, in the kernel and in the checks: no per-entry loop runs
+    import friezes.frieze
+    import friezes.verify
+    from friezes import quiddity_counts
+
+    def no_enumerate(*args):
+        raise AssertionError("a passing dissection was walked entry by entry")
+
+    # the mirror's even rows pass at ε = 1 (see test_even_row_offsets_are_pinned)
+    mirrors = []
+    for p, s_max in ((4, 4), (6, 2)):
+        for s in range(1, s_max + 1):
+            for d in enumerate_p_angulations(s, p):
+                mirror = rotate(associated_triangulation(rotate(d, 1), p), d.n - 1)
+                mirrors.append((p, d, quiddity_counts(mirror)))
+    for module in (friezes.frieze, friezes.verify):
+        monkeypatch.setattr(module, "enumerate", no_enumerate, raising=False)
+    for p, s_max in ((4, 4), (6, 2)):
+        assert sweep(p, s_max).all_ok
+    for p, d, counts in mirrors:
+        radical = friezes.verify._build(d, p)[2]
+        flipped_rows = friezes.frieze._rows(counts, 1, False)
+        result = friezes.verify._even_rows_match(radical, flipped_rows, d.n - 3, p)
+        assert result.ok and set(result.epsilons) == {1}

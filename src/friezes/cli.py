@@ -9,9 +9,13 @@ Subcommands:
   verify     run the coincidence checks over a whole sweep
   validate   check a frieze grid against the frieze laws
 
+Every streamed output (the `enumerate` listing and the `gen`/`cc` frieze in
+each format) leaves through one writer, `_write`, which joins consecutive
+pieces into writes of at most _CHUNK characters and holds one chunk at most.
+
 Exit codes: 0 success, 1 input or validation error (or, silently, a closed
-output pipe), 2 a verification sweep found a counterexample, 3 an internal
-assertion failed.
+output pipe, at any output size: stdout is flushed before `main` returns),
+2 a verification sweep found a counterexample, 3 an internal assertion failed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .bijection import Triangulation, associated_triangulation, quad_to_tree
@@ -36,7 +41,7 @@ from .frieze import (
 from .polygon import Dissection, _listing, _p_angulation_walk
 from .verify import sweep
 
-_CHUNK = 64 * 1024  # characters per stdout write of a line or text stream
+_CHUNK = 64 * 1024  # characters per stdout write of joined pieces
 
 
 class UsageError(Exception):
@@ -68,60 +73,37 @@ def _read_payload(source: str) -> dict:
         raise ValueError("JSON input nests too deeply") from exc
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line and a newline to stdout, consecutive lines joined into
-    one `write` of at most _CHUNK characters; a longer line goes out alone.
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout, consecutive pieces joined into one `write`
+    of at most _CHUNK characters; a longer piece goes out alone, as it comes.
 
-    Only one chunk is held at a time, so a stream of lines stays a stream.
-    """
-    write = sys.stdout.write
-    chunk: list[str] = []
-    size = 0
-    for line in lines:
-        size += len(line) + 1
-        if size > _CHUNK:  # the line does not fit: write what came before it
-            if chunk:
-                write("\n".join(chunk) + "\n")
-                chunk = []
-            size = len(line) + 1
-            if size > _CHUNK:  # longer than a chunk: it goes out alone
-                write(line + "\n")
-                size = 0
-                continue
-        chunk.append(line)
-    if chunk:
-        write("\n".join(chunk) + "\n")
-
-
-def _write_text(pieces: Iterable[str]) -> None:
-    """Write the pieces' concatenation and a newline to stdout in writes of
-    _CHUNK characters, the last one shorter.
-
-    Only one chunk and the piece that fills it are held at a time, so a
-    stream of pieces stays a stream, however long a single piece is.
+    Only one chunk is held at a time, so a stream of pieces stays a stream.
     """
     write = sys.stdout.write
     held: list[str] = []
     size = 0
     for piece in pieces:
-        held.append(piece)
         size += len(piece)
-        if size >= _CHUNK:
-            text = "".join(held)
-            end = size - size % _CHUNK
-            for start in range(0, end, _CHUNK):
-                write(text[start : start + _CHUNK])
-            held, size = [text[end:]], size - end
-    write("".join(held) + "\n")
+        if size > _CHUNK:  # the piece does not fit: write what came before it
+            if held:
+                write("".join(held))
+                held = []
+            size = len(piece)
+            if size > _CHUNK:  # longer than a chunk: it goes out alone
+                write(piece)
+                size = 0
+                continue
+        held.append(piece)
+    if held:
+        write("".join(held))
 
 
 def _emit_frieze(frieze: Frieze, fmt: str) -> None:
-    if fmt == "ascii":
-        _write_lines(_ascii_rows(frieze))  # the lines of render_ascii(frieze)
-    elif fmt == "json":
-        _write_text(frieze._json_pieces())  # the bytes of json.dumps(frieze.to_json())
-    else:
-        _write_lines(_csv_rows(frieze))  # the lines of render_csv(frieze)
+    if fmt == "json":  # the bytes of json.dumps(frieze.to_json())
+        _write(chain(frieze._json_pieces(), ("\n",)))
+    else:  # the lines of render_ascii(frieze) or render_csv(frieze)
+        rows = _ascii_rows if fmt == "ascii" else _csv_rows
+        _write(line + "\n" for line in rows(frieze))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -153,7 +135,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _, walk = _p_angulation_walk(args.s, args.p)
         print(sum(1 for _ in walk))
     else:
-        _write_lines(_listing(args.s, args.p))  # sorted, streamed
+        _write(line + "\n" for line in _listing(args.s, args.p))  # sorted, streamed
     return 0
 
 
@@ -221,7 +203,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, where the handler below sees it
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,10 +24,11 @@ once, refusing an entry outside the header's field) holds each entry
 a + b√m as the coefficient pair (a, b) exactly as QuadNum holds it, an int
 where the coefficient is integral and an exact rational only where it is
 not.  One row source, `Frieze._mapped`, feeds the JSON pieces
-`_json_pieces` (which the CLI writes in chunks and `_json_text` joins;
-`to_json` is `json.loads` of that), CSV and ASCII: each row's cells come from
-a memo per coefficient kind keyed by the int (or by the pair), so each
-distinct cell's text is made once.  A built grid derives the pairs once,
+`_json_pieces` (`_json_text` joins them; `to_json` is `json.loads` of that),
+the CSV and the ASCII rows, which the CLI's one writer joins into writes of
+up to 64 KiB as they come.  Each row's cells come from a memo per
+coefficient kind keyed by the int (or by the pair), so each distinct cell's
+text is made once.  A built grid derives the pairs once,
 only for equality, hashing, pickling, `validate` and the checks in
 `verify`; a QuadNum entry is built only when a caller reads `.rows`, `.row`
 or `.entry`.  `validate` checks the diamonds only when row 0, row 1 or the

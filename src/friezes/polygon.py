@@ -22,10 +22,10 @@ reads the counts directly.  `friezes enumerate` writes each line from the
 diagonal list itself (`_listing`): its text is the bytes `json.dumps` gives
 for that `Dissection`'s `to_json()`, put together from per-vertex tables of
 label text built once per listing, with no frozenset, `Dissection` or dict
-built per leaf; the CLI joins the lines into writes of up to 64 KiB.  The
-walk's stack of O(n) frames and the 2n label strings are all a listing
-keeps, so the first leaf comes at once and a sorted listing holds nothing
-more.
+built per leaf; the CLI's one writer joins the lines into writes of up to
+64 KiB.  The walk's stack of O(n) frames and the 2n label strings are all a
+listing keeps, so the first leaf comes at once and a sorted listing holds
+nothing more.
 """
 
 from __future__ import annotations

@@ -231,11 +231,33 @@ def test_csv_writes_the_text_of_render_csv(capsys, command):
     assert code == 0 and out == render_csv(frieze) + "\n"
 
 
+def assert_written_by_the_chunk_rule(writes, pieces):
+    """`writes` are `pieces` joined by `cli._write`'s rule: each write is whole
+    consecutive pieces, longer than _CHUNK only when it is one piece, and each
+    write but the last would overflow _CHUNK with the piece after it."""
+    assert "".join(writes) == "".join(pieces)
+    start = 0
+    for write in writes:
+        end, size = start, 0
+        while size < len(write):
+            size += len(pieces[end])
+            end += 1
+        assert end > start and write == "".join(pieces[start:end])
+        assert len(write) <= _CHUNK or end == start + 1
+        if end < len(pieces):
+            assert len(write) + len(pieces[end]) > _CHUNK
+        start = end
+    assert start == len(pieces)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "csv", "json"])
 @pytest.mark.parametrize("command", ["gen", "cc"])
-def test_json_writes_the_text_of_json_text_in_chunks(command):
-    # the 102-gon ladder's grid is about 400 KB of JSON: every write but the
-    # last is one full chunk, and together they are the text of _json_text
-    from friezes import associated_triangulation, cc_frieze
+def test_frieze_writes_its_text_in_chunks(command, fmt):
+    # the 102-gon ladder's grid is about 400 KB of JSON: its text is that of
+    # render_ascii, render_csv or _json_text, and its rows (or JSON pieces)
+    # are joined into writes by the one rule of `_write`
+    from friezes import associated_triangulation, cc_frieze, render_csv
+    from friezes.frieze import _ascii_rows, _csv_rows
 
     n = 102
     ladder = Dissection(n, [(a, n - 1 - a) for a in range(1, n // 2 - 1)])
@@ -244,47 +266,66 @@ def test_json_writes_the_text_of_json_text_in_chunks(command):
         "gen": (["gen", "--p", "4"], ladder, lambda_frieze(ladder, 4)),
         "cc": (["cc"], triangulation, cc_frieze(triangulation)),
     }[command]
+    text, pieces = {
+        "ascii": (render_ascii(frieze), [line + "\n" for line in _ascii_rows(frieze)]),
+        "csv": (render_csv(frieze), [line + "\n" for line in _csv_rows(frieze)]),
+        "json": (frieze._json_text(), [*frieze._json_pieces(), "\n"]),
+    }[fmt]
     recorder = WriteRecorder()
     with redirect_stdout(recorder):
-        code = main([*argv, "--input", json.dumps(d.to_json()), "--format", "json"])
+        code = main([*argv, "--input", json.dumps(d.to_json()), "--format", fmt])
     writes = recorder.writes
-    assert code == 0 and "".join(writes) == frieze._json_text() + "\n"
-    assert len(writes) > 4
-    assert all(len(w) == _CHUNK for w in writes[:-1]) and len(writes[-1]) <= _CHUNK
+    assert code == 0 and "".join(writes) == text + "\n"
+    assert len(writes) > 1
+    assert_written_by_the_chunk_rule(writes, pieces)
 
 
-def test_write_text_writes_each_chunk_once_it_fills():
-    # a chunk goes out as soon as the pieces fill it, before the next piece is
-    # made, counting what the last chunk left over, and a piece longer than a
-    # chunk goes out in full chunks
-    from friezes.cli import _write_text
+def test_write_writes_each_chunk_once_the_next_piece_overflows():
+    # a piece longer than a chunk goes out alone as soon as it comes; other
+    # pieces are held until the next one would overflow the chunk, so a piece
+    # or a run that fills the chunk exactly waits for the piece after it; the
+    # last chunk goes out at the end, and nothing when nothing is held
+    from friezes.cli import _write
 
-    events = []
+    events, written = [], []
 
     class Recorder:
         def write(self, text):
             events.append(("write", len(text), text[:1]))
+            written.append(text)
             return len(text)
 
+    sizes = [("a", 150_000), ("b", 40_000), ("c", 40_000), ("d", 60_000), ("x", _CHUNK)]
+    sizes += [("e", 30_000), ("f", 30_000), ("g", _CHUNK - 60_000), ("h", 10), ("i", 150_000)]
+
     def pieces():
-        for letter, size in (("a", 40_000), ("b", 40_000), ("c", 60_000), ("d", 150_000), ("e", 10)):
+        for letter, size in sizes:
             events.append(("piece", letter))
             yield letter * size
 
     with redirect_stdout(Recorder()):
-        _write_text(pieces())
+        _write(pieces())
     assert events == [
         ("piece", "a"),
+        ("write", 150_000, "a"),
         ("piece", "b"),
-        ("write", _CHUNK, "a"),
         ("piece", "c"),
-        ("write", _CHUNK, "b"),
+        ("write", 40_000, "b"),
         ("piece", "d"),
-        ("write", _CHUNK, "c"),
-        ("write", _CHUNK, "d"),
+        ("write", 40_000, "c"),
+        ("piece", "x"),
+        ("write", 60_000, "d"),
         ("piece", "e"),
-        ("write", 290_011 - 4 * _CHUNK, "d"),
+        ("write", _CHUNK, "x"),
+        ("piece", "f"),
+        ("piece", "g"),
+        ("piece", "h"),
+        ("write", _CHUNK, "e"),
+        ("piece", "i"),
+        ("write", 10, "h"),
+        ("write", 150_000, "i"),
     ]
+    assert "".join(written) == "".join(letter * size for letter, size in sizes)
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["gen", "--p", "4"], ["cc"], ["tree"]])
@@ -518,6 +559,66 @@ def test_closed_output_pipe_exits_1_silently():
     err = proc.stderr.read()
     proc.stderr.close()
     assert json.loads(first)["n"] == 20
+    assert err == b""
+    assert code == 1
+
+
+def buffered_child_env():
+    """`child_env` with stdout block-buffered, as it is when stdout is a pipe
+    and PYTHONUNBUFFERED is unset."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--p", "4", "--s", "2"],
+        ["enumerate", "--p", "4", "--s", "2", "--count-only"],
+        ["verify", "--p", "4", "--max-s", "2"],
+        ["gen", "--p", "4", "--input", '{"n": 6, "diagonals": [[0, 3]]}', "--format", "json"],
+    ],
+    ids=["enumerate", "count-only", "verify", "gen-json"],
+)
+def test_output_that_fits_the_buffer_into_a_closed_pipe_exits_1_silently(argv):
+    # the reader is gone before the command starts, and the whole output
+    # fits stdout's buffer, so the first write to the pipe is a flush: the
+    # one in `main` meets the closed pipe (the flush at exit would fail with
+    # exit 120 and "Exception ignored ... BrokenPipeError" on stderr)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "friezes.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=buffered_child_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "csv", "json"])
+def test_frieze_into_a_pipe_closed_after_100_bytes_exits_1_silently(fmt):
+    # the 402-gon ladder's frieze is megabytes of text in every format, so
+    # `_write` meets the closed pipe long before the frieze is written
+    n = 402
+    ladder = json.dumps({"n": n, "diagonals": [[a, n - 1 - a] for a in range(1, n // 2 - 1)]})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "friezes.cli", "gen", "--p", "4", "--format", fmt, "--input", ladder],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=buffered_child_env(),
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert len(head) == 100
     assert err == b""
     assert code == 1
 

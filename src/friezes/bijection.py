@@ -8,7 +8,8 @@ every face by joining all its corners of one color: the black-black chords
 (one per quadrilateral, three per hexagon) give the associated
 triangulation, the white-white chords its opposite-color twin.  For a
 4-angulation the black-black chords are also the edges of its noncrossing
-tree, which like `Triangulation` is a validating `Dissection` subclass.
+tree, which like `Triangulation` is a `Dissection` subclass whose
+constructor validates.
 
 Face sizes are never checked by walking faces: `polygon.is_p_angulation`
 decides them by counting diagonals and their spans.  `faces` is called
@@ -24,6 +25,21 @@ is all black, that is, when every face holds exactly one white vertex.  A
 4-angulation diagonal is a black-white chord crossing no tree edge, so it
 lies inside one tree face: `tree_to_quad` joins each white vertex to the
 black corners of its face, except its two neighbours on the polygon.
+
+The refinement and the tree are valid by construction, so `_refine` and
+`quad_to_tree` build them with `polygon._walked`, unchecked; only the
+p-angulation test of D in `_refine` is run.  `faces` gives each face's
+corners ascending, so the corner pairs are ascending: normalized.  A chord
+joins two corners of one face, so it crosses no diagonal of D nor a chord
+of another face, and the chords of one hexagon pairwise share an end.  Two
+corners of one color differ by an even number ≥ 2, and the side (0, n-1)
+of the even polygon joins two colors, so no chord is a polygon side; nor
+is it a diagonal of D, which joins two colors too.  With s faces on n = (p-2)s + 2 vertices, D's s - 1
+diagonals and s·(p-3) chords (one per quadrilateral, three per hexagon)
+make n - 3, a triangulation.  For p = 4 the s = k - 1 chords on the k
+black vertices are the tree edges; each triangle of the refinement has one
+white corner, and every tree face is a union of triangles, so no tree face
+is all black.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from .polygon import (
     Dissection,
     InternalAssertionError,
     InvalidDissectionError,
+    _walked,
     faces,
     is_p_angulation,
     quiddity_counts,
@@ -138,7 +155,8 @@ def _require_triangulation(dissection: Dissection) -> None:
 
 def quad_to_tree(dissection: Dissection) -> NoncrossingTree:
     """The noncrossing tree of a 4-angulation: the black-black chords its refinement adds."""
-    return NoncrossingTree(dissection.n, _refine(dissection, 4).diagonals - dissection.diagonals)
+    chords = _refine(dissection, 4).diagonals - dissection.diagonals
+    return _walked(NoncrossingTree, dissection.n, chords)
 
 
 def tree_to_quad(tree: NoncrossingTree) -> Dissection:
@@ -165,14 +183,16 @@ def _refine(dissection: Dissection, p: int, black: bool = True) -> Triangulation
 
     Corners alternate in color around a face, so its p/2 corners of one
     color are pairwise non-adjacent; for p ∈ {4, 6} the one or three chords
-    between them cut the face into triangles.
+    between them cut the face into triangles.  The p-angulation test is the
+    one check: the result is a triangulation by construction (module
+    docstring), so it is not checked again.
     """
     if not is_p_angulation(dissection, p):
         raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
     chords = set(dissection.diagonals)
     for face in faces(dissection):
         chords.update(combinations([v for v in face if v % 2 == black], 2))
-    return Triangulation(dissection.n, chords)
+    return _walked(Triangulation, dissection.n, frozenset(chords))
 
 
 def associated_triangulation_p4(dissection: Dissection) -> Triangulation:

@@ -135,7 +135,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _, walk = _p_angulation_walk(args.s, args.p)
         print(sum(1 for _ in walk))
     else:
-        _write(line + "\n" for line in _listing(args.s, args.p))  # sorted, streamed
+        _write(_listing(args.s, args.p))  # sorted, streamed
     return 0
 
 
@@ -202,8 +202,12 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help printed: argparse's status
+            code = exc.code
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, where the handler below sees it
         return code
     except UsageError as exc:

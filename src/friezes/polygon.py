@@ -17,8 +17,9 @@ vertex's fan of diagonals one end at a time, so it yields in lexicographic
 order of `diagonals_sorted`.  At every leaf it yields the same diagonal list
 (sorted) and per-vertex face-count list, both reused and mutated as the walk
 goes on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
-without checking them again (`_walked`), and the deep scan in `verify`
-reads the counts directly.  `friezes enumerate` writes each line from the
+without checking them again (`_walked`, which also builds every other
+dissection the library derives), and the deep scan in `verify` reads the
+counts directly.  `friezes enumerate` writes each line from the
 diagonal list itself (`_listing`): its text is the bytes `json.dumps` gives
 for that `Dissection`'s `to_json()`, put together from per-vertex tables of
 label text built once per listing, with no frozenset, `Dissection` or dict
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 Pair = tuple[int, int]
 Face = tuple[int, ...]
+_D = TypeVar("_D", bound="Dissection")
 
 _MAX_WALK_N = 10**6  # the largest polygon `_walk` takes; see its docstring
 
@@ -177,10 +179,13 @@ class Dissection:
         return cls(n, diagonals)
 
 
-def _walked(n: int, diagonals: frozenset[Pair]) -> Dissection:
-    """A Dissection of diagonals the walk built: normalized, in range and
-    noncrossing by construction, so not checked again."""
-    d = object.__new__(Dissection)
+def _walked(cls: type[_D], n: int, diagonals: frozenset[Pair]) -> _D:
+    """A `cls` (`Dissection` or a subclass) of diagonals the library derived
+    itself: the enumeration walk's leaves, a refinement and its tree, a deep
+    scan's matches.  Each is normalized, in range, noncrossing and of the
+    kind `cls` names by construction, so not checked again; the constructors
+    and `from_json` check what comes from outside."""
+    d = object.__new__(cls)
     d._n = n
     d._diagonals = diagonals
     return d
@@ -263,14 +268,15 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     """
     n, walk = _p_angulation_walk(s, p)
     for diags, _ in walk:
-        yield _walked(n, frozenset(diags))
+        yield _walked(Dissection, n, frozenset(diags))
 
 
 def _listing(s: int, p: int) -> Iterator[str]:
     """The lines of `enumerate_p_angulations(s, p)` as JSON, in its order.
 
     Each line is the text of `json.dumps(d.to_json())` for the matching
-    `Dissection` d, written straight from the walk's sorted diagonal list:
+    `Dissection` d, ended in a newline, written straight from the walk's
+    sorted diagonal list (the concatenation that builds the line ends it):
     no frozenset, `Dissection` or dict is built per leaf.  Each vertex
     label's text is built once per listing, as `left[v]` = "[v, " and
     `right[v]` = "v]", so a pair (a, b) is `left[a] + right[b]`: 2n strings,
@@ -281,7 +287,7 @@ def _listing(s: int, p: int) -> Iterator[str]:
     left = [f"[{v}, " for v in range(n)]
     right = [f"{v}]" for v in range(n)]
     for diags, _ in walk:
-        yield head + ", ".join([left[a] + right[b] for a, b in diags]) + "]}"
+        yield head + ", ".join([left[a] + right[b] for a, b in diags]) + "]}\n"
 
 
 def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[tuple[list[Pair], list[int]]]]:

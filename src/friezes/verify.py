@@ -4,10 +4,12 @@ For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
 face of D cut along its black (odd) corners.  Both friezes grow from their
 quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
-counts of T.  Building T is the one check of D, and the counts of D and T
-are read once each.  The checks take the kernel's int rows as they come,
-with no QuadNum in between: an odd row is compared as two int lists, and an
-even row of the radical frieze holds the coefficients a_k of a_k·√m.  A
+counts of T.  Building T tests that D is a p-angulation, the one check of
+D (T is a triangulation by construction and is not checked again), and the
+counts of D and T are read once each.  The checks take the kernel's int
+rows as they come, with no QuadNum in between: an odd row is compared as
+two int lists, and an even row of the radical frieze holds the
+coefficients a_k of a_k·√m.  A
 passing dissection is decided by C-level comparisons: whole odd rows, and
 stride slices (every other column) of the counts and of the even rows; only
 a failing row is walked entry by entry, to name its witness.  The checks
@@ -70,6 +72,7 @@ from .frieze import Frieze, InternalAssertionError, _rows
 from .polygon import (
     Dissection,
     _walk,
+    _walked,
     enumerate_p_angulations,
     fuss_catalan,
     quiddity_counts,
@@ -221,7 +224,8 @@ def _read(frieze: Frieze, surd: bool) -> Rows:
 
 def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """D's face counts and its associated triangulation's triangle counts
-    (building the `Triangulation` is the one check of p and D)."""
+    (building the `Triangulation` checks p and that D is a p-angulation,
+    the one check of D; the refinement is not checked again)."""
     return quiddity_counts(d), quiddity_counts(associated_triangulation(d, p))
 
 
@@ -353,10 +357,11 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     Conway–Coxeter these counts c are its quiddity.  By (A) in the module
     docstring a candidate matches exactly when its row 3 does, that is
     when c_k·c_{k+1} = (p/2)·q_k·q_{k+1} for every k, so no frieze is
-    grown.  Only a match becomes a (validated) Dissection.  The number
-    scanned is checked against the Catalan number C_{n−2}; any other count
-    is an InternalAssertionError.  See DeepUniquenessResult for how
-    matches are reported.
+    grown.  Only a match becomes a Dissection, built from the walk's
+    diagonals unchecked like the walk's other leaves (`polygon._walked`).
+    The number scanned is checked against the Catalan number C_{n−2}; any
+    other count is an InternalAssertionError.  See DeepUniquenessResult for
+    how matches are reported.
     """
     expected = associated_triangulation(d, p)  # the one check of p and of D
     mirror = _refine(d, p, black=False)  # shares every odd row, by (A)
@@ -371,7 +376,7 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
         total += 1
         # the first term decides most candidates before the row is built
         if c[0] * c[1] == first and [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
-            matches.append(Dissection(d.n, diags))
+            matches.append(_walked(Dissection, d.n, frozenset(diags)))
     if total != catalan:
         raise InternalAssertionError(
             f"scanned {total} triangulations of the {d.n}-gon, expected {catalan}"

@@ -19,6 +19,7 @@ from friezes import (
     color,
     cc_frieze,
     crosses,
+    deep_uniqueness,
     enumerate_p_angulations,
     faces,
     is_p_angulation,
@@ -26,8 +27,9 @@ from friezes import (
     quad_to_tree,
     tree_to_quad,
     triangle_counts,
+    verify_dissection,
 )
-from friezes.bijection import is_black
+from friezes.bijection import _refine, is_black
 
 
 def test_color():
@@ -289,3 +291,64 @@ def test_associated_triangulation_shape(s, p):
         assert d.diagonals <= t.diagonals
         if p == 4:  # the refinement adds exactly the noncrossing tree's edges
             assert t.diagonals == d.diagonals | quad_to_tree(d).edges
+
+
+# ---------------------------------------------------------------------------
+# derived dissections skip the validating constructors
+
+
+def validated_refinement(d, black):
+    """The refinement as the validating constructor builds it, its chords
+    found here independently: the corner pairs of one color in each face."""
+    chords = [
+        (a, b)
+        for face in faces(d)
+        for a, b in combinations(face, 2)
+        if a % 2 == b % 2 == black
+    ]
+    return Triangulation(d.n, [*d.diagonals, *chords])
+
+
+def assert_same(derived, checked):
+    assert type(derived) is type(checked)
+    assert derived == checked and hash(derived) == hash(checked)
+    assert derived.diagonals_sorted == checked.diagonals_sorted
+    assert repr(derived) == repr(checked)
+    assert derived.to_json() == checked.to_json()
+
+
+@pytest.mark.parametrize("s,p", [(s, 4) for s in range(1, 7)] + [(s, 6) for s in range(1, 5)])
+def test_derived_dissections_equal_validated_ones(s, p):
+    # refinements, trees and deep-scan matches are built unchecked: each must
+    # be what the validating constructor builds; the deep scan, Catalan-sized,
+    # runs up to the 10-gon
+    for d in enumerate_p_angulations(s, p):
+        black, white = validated_refinement(d, True), validated_refinement(d, False)
+        assert_same(_refine(d, p), black)
+        assert_same(_refine(d, p, black=False), white)
+        if p == 4:
+            assert_same(quad_to_tree(d), NoncrossingTree(d.n, black.diagonals - d.diagonals))
+        if d.n <= 10:
+            twins = (Dissection(d.n, black.diagonals), Dissection(d.n, white.diagonals))
+            matches = deep_uniqueness(d, p).matches
+            assert len(matches) == len(twins)
+            for match, twin in zip(matches, twins):
+                assert_same(match, twin)
+
+
+def test_derived_dissections_skip_the_constructors(monkeypatch):
+    # with every validating constructor refusing, walked dissections still
+    # get their refinement, tree, checks and deep scan: nothing the library
+    # derives goes through a constructor again
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ ran on derived data")
+
+    for cls in (Dissection, Triangulation, NoncrossingTree):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for s, p in [(3, 4), (2, 6)]:
+        for d in enumerate_p_angulations(s, p):
+            assert associated_triangulation(d, p).diagonals > d.diagonals
+            if p == 4:
+                assert len(quad_to_tree(d).edges) == s
+            assert verify_dissection(d, p).ok
+            assert deep_uniqueness(d, p).match_kinds == ("associated", "mirror")

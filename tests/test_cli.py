@@ -391,6 +391,14 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "enumerate", "--p", "4", "--s", "0")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+def test_help_returns_0(capsys, argv):
+    # argparse prints the help and would exit; `main` returns its status
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: friezes") and err == ""
+
+
 def test_usage_error_leaves_the_parser_intact(capsys):
     # the parser is built once per process, so a failed parse must not
     # change how the next command line reads
@@ -578,14 +586,17 @@ def buffered_child_env():
         ["enumerate", "--p", "4", "--s", "2", "--count-only"],
         ["verify", "--p", "4", "--max-s", "2"],
         ["gen", "--p", "4", "--input", '{"n": 6, "diagonals": [[0, 3]]}', "--format", "json"],
+        ["--help"],
+        ["gen", "--help"],
     ],
-    ids=["enumerate", "count-only", "verify", "gen-json"],
+    ids=["enumerate", "count-only", "verify", "gen-json", "help", "gen-help"],
 )
 def test_output_that_fits_the_buffer_into_a_closed_pipe_exits_1_silently(argv):
     # the reader is gone before the command starts, and the whole output
     # fits stdout's buffer, so the first write to the pipe is a flush: the
     # one in `main` meets the closed pipe (the flush at exit would fail with
-    # exit 120 and "Exception ignored ... BrokenPipeError" on stderr)
+    # exit 120 and "Exception ignored ... BrokenPipeError" on stderr); the
+    # help argparse prints is flushed there too
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -289,24 +289,24 @@ def test_walked_leaves_equal_validated_dissections(s, p):
 @pytest.mark.parametrize("s,p", [(s, p) for p in (3, 4, 5, 6) for s in range(1, 6)])
 def test_listing_lines_are_the_bytes_of_json_dumps(s, p):
     # `friezes enumerate` writes these lines; each must be json.dumps of the
-    # matching enumerate_p_angulations leaf
+    # matching enumerate_p_angulations leaf, ended in a newline
     lines = list(_listing(s, p))
     assert len(lines) == fuss_catalan(s, p)
     for line, d in zip(lines, enumerate_p_angulations(s, p)):
-        assert line == json.dumps(d.to_json())
+        assert line == json.dumps(d.to_json()) + "\n"
 
 
 def test_listing_first_line_of_a_listing_too_long_to_finish():
     line = next(_listing(40, 4))
-    assert line == json.dumps({"n": 82, "diagonals": [[0, b] for b in range(3, 80, 2)]})
-    assert line == json.dumps(next(enumerate_p_angulations(40, 4)).to_json())
+    assert line == json.dumps({"n": 82, "diagonals": [[0, b] for b in range(3, 80, 2)]}) + "\n"
+    assert line == json.dumps(next(enumerate_p_angulations(40, 4)).to_json()) + "\n"
 
 
 @pytest.mark.parametrize("s", [600, 10_000])
 def test_listing_first_line_with_long_labels(s):
     # 4- and 5-digit labels come from the same per-vertex tables
     line = next(_listing(s, 4))
-    assert line == json.dumps(next(enumerate_p_angulations(s, 4)).to_json())
+    assert line == json.dumps(next(enumerate_p_angulations(s, 4)).to_json()) + "\n"
     assert f"[0, {2 * s - 1}]" in line
 
 

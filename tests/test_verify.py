@@ -229,11 +229,12 @@ def count_calls(monkeypatch, *names):
 
 
 def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
-    # one p-angulation check of D (in the refinement), one triangulation check
-    # (in Triangulation), one quiddity_counts per dissection (was 5 and 4)
+    # one p-angulation check of D (in the refinement), none of the refinement,
+    # a triangulation by construction, and one quiddity_counts per dissection
+    # (was 5 and 4, then 2 and 2 while Triangulation checked the refinement)
     calls = count_calls(monkeypatch, "is_p_angulation", "quiddity_counts")
     assert verify_dissection(quad10, 4).ok
-    assert calls == {"is_p_angulation": 2, "quiddity_counts": 2}
+    assert calls == {"is_p_angulation": 1, "quiddity_counts": 2}
     # the enumerated candidates are triangulations by construction: no
     # candidate is re-checked (was 1,435 checks per query)
     calls["is_p_angulation"] = 0

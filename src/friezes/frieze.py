@@ -17,7 +17,11 @@ quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
 private kernel grows the int rows from integer counts, which enter through
 `_rows` once the dissection is checked (by `lambda_frieze`, by `cc_frieze`'s
 triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
-QuadNum row, and checks positivity and closure on those ints.  A built
+QuadNum row, and checks positivity and closure on those ints.  The kernel
+grows B quiddities of one period together, laid out column-major (entry k
+of quiddity d at index k·B + d), in one pass of C-level maps per row:
+`verify.sweep` grows its batches of 64 so, and every single-frieze caller
+grows a batch of one.  A built
 `Frieze` keeps those int rows and whether it is radical; a parsed one
 (`from_json`, or `Frieze(m, width, rows)`, which reads its QuadNum rows
 once, refusing an entry outside the header's field) holds each entry
@@ -323,44 +327,58 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     return Frieze._of_ints(m, radical, _grow(counts, m, radical))
 
 
-def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
+def _grow(
+    counts: list[int] | tuple[int, ...], m: int, radical: bool, batch: int = 1
+) -> list[list[int]]:
     """The int rows C(r, k) of the frieze of the quiddity row c_k (times √m when
-    radical), or FriezeError.
+    radical), or FriezeError; with batch = B > 1, the rows of B friezes of one
+    period grown together.
 
     Entry e(r, k) is C(r, k), times √m on the even rows of a radical row,
     grown by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k), where f_r = m on
     even r of a radical row and 1 otherwise.  Each row is grown by C-level
     maps over one slice of the doubled count list (c_{k+r-1} at index k),
     the even rows of a radical row reading a copy of the counts times m, so
-    no row multiplies by 1.  The row is a frieze quiddity only if rows
-    2..n+2 are positive and row n+2 comes out as all ones; an even row of a
-    radical row holds C·√m, never 1 (a radical row has m ∈ {2, 3}).
-    Positivity is checked on each row as it is grown and growth stops at
-    the first failing row; closure is tested on the top row once all rows
-    are positive, so the first failure in row-major order is the one
-    reported, with its (row, col) and the entry rendered as a QuadNum.  The
-    n + 4 rows (row n+3 is row 0 again) are shared lists: callers must not
-    mutate them.
+    no row multiplies by 1.  A batch lays its B quiddities out column-major:
+    entry k of quiddity d sits at index k·B + d of the counts and of every
+    row, so the slice for row r starts at (r-1)·B and the batch costs one
+    pass of maps per row.  `lambda_frieze`, `cc_frieze`, `from_quiddity` and
+    `verify_dissection` grow one frieze (B = 1); `verify.sweep` grows its
+    batches and re-runs a batch that fails one dissection at a time.
+
+    The row is a frieze quiddity only if rows 2..n+2 are positive and row
+    n+2 comes out as all ones; an even row of a radical row holds C·√m,
+    never 1 (a radical row has m ∈ {2, 3}).  Positivity is checked on each
+    row as it is grown and growth stops at the first failing row; closure
+    is tested on the top row once all rows are positive, so the first
+    failure in row-major order is the one reported, with its (row, col) and
+    the entry rendered as a QuadNum.  A batch fails when any of its
+    quiddities does, with the error of the first failing index k·B + d (the
+    col is k), which is quiddity d's own.  The n + 4 rows (row n+3 is row 0
+    again) are shared lists: callers must not mutate them.
 
     The grid holds (n+3)² ints of up to hundreds of bits: a `lambda_frieze`
     of the 1000-gon ladder of quadrilaterals peaks at about 80 MB of RSS
-    (634-bit entries).  A row longer than _MAX_FRIEZE_N = 1000 entries
+    (634-bit entries).  A period longer than _MAX_FRIEZE_N = 1000 entries
     raises ValueError naming the polygon before any row is allocated, not a
     FriezeError, so a checked dissection that is too large is refused as
     input rather than reported as a defect by `_rows`.
     """
-    period = len(counts)
+    size = len(counts)
+    period = size // batch
     if period > _MAX_FRIEZE_N:
         raise ValueError(f"the {period}-gon is too large for a frieze grid")
     n = period - 3
     doubled = counts * 2  # a list or a tuple, as the caller gives the counts
     scaled = [m * c for c in counts] * 2 if radical else doubled
-    rows = [[0] * period, [1] * period]
+    rows = [[0] * size, [1] * size]
     for r in range(1, n + 2):
-        shifted = (scaled if r % 2 == 0 else doubled)[r - 1 : r - 1 + period]
+        start = (r - 1) * batch
+        shifted = (scaled if r % 2 == 0 else doubled)[start : start + size]
         row = list(map(sub, map(mul, shifted, rows[r]), rows[r - 1]))
         if min(row) <= 0:  # row r + 1: rows 2..n+2 must be positive
-            k, c = next((k, c) for k, c in enumerate(row) if c <= 0)
+            i, c = next((i, c) for i, c in enumerate(row) if c <= 0)
+            k = i // batch
             e = QuadNum(m, 0, c) if radical and r % 2 else QuadNum(m, c)
             raise QuiddityPositivityError(
                 r + 1, k, f"not a frieze quiddity: entry {e} at ({r + 1}, {k}) is not positive"
@@ -368,9 +386,10 @@ def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[li
         rows.append(row)
     top = rows[n + 2]
     surd = radical and n % 2 == 0
-    if surd or top.count(1) != period:
-        k = 0 if surd else next(k for k, c in enumerate(top) if c != 1)
-        e = QuadNum(m, 0, top[k]) if surd else QuadNum(m, top[k])
+    if surd or top.count(1) != size:
+        i = 0 if surd else next(i for i, c in enumerate(top) if c != 1)
+        k = i // batch
+        e = QuadNum(m, 0, top[i]) if surd else QuadNum(m, top[i])
         raise ClosureError(
             n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
         )

@@ -12,8 +12,15 @@ two int lists, and an even row of the radical frieze holds the
 coefficients a_k of a_k·√m.  A
 passing dissection is decided by C-level comparisons: whole odd rows, and
 stride slices (every other column) of the counts and of the even rows; only
-a failing row is walked entry by entry, to name its witness.  The checks
-are:
+a failing row is walked entry by entry, to name its witness.  A sweep
+checks up to 64 dissections of one polygon at a time: their counts are
+interleaved column-major (count k of dissection d at index k·B + d), both
+frieze families are grown as one kernel batch each, and each check is one
+comparison per row against a multiplier list that puts p/2 on the odd
+columns, with no stride slice and no None scan.  That pass keeps only a
+yes or no; a batch that fails it, or whose kernel raises, is re-run one
+dissection at a time, so a report is always `verify_dissection`'s.  The
+checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -33,7 +40,8 @@ integer, or for the radical even rows an integer multiple of √m, as
 reading never matches), hand them to the same int-row comparisons, and
 raise ValueError when the widths differ.
 
-sweep() runs all three over every p-angulation up to a face-count bound;
+sweep() runs all three over every p-angulation up to a face-count bound,
+in batches as above;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
@@ -63,12 +71,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import ne
+from itertools import chain, islice
+from operator import mul, ne
 from typing import NamedTuple, Sequence
 
 from .bijection import _refine, associated_triangulation
 from .exact import LAMBDA_RADICAND
-from .frieze import Frieze, InternalAssertionError, _rows
+from .frieze import Frieze, InternalAssertionError, _grow, _rows
 from .polygon import (
     Dissection,
     _walk,
@@ -81,6 +90,8 @@ from .polygon import (
 
 # A frieze grid as ints, indexed [r][k]; None marks an entry with no int reading.
 Rows = Sequence[Sequence["int | None"]]
+
+_BATCH = 64  # dissections per batch of `sweep`; see `_batch_passes`
 
 
 @dataclass(frozen=True)
@@ -253,6 +264,40 @@ def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     return _even_rows_match(radical, integral, d.n - 3, p)
 
 
+def _batch_passes(batch: Sequence[Dissection], p: int) -> bool:
+    """Do all three checks pass, every ε_j = 0, on each dissection of a batch
+    of one polygon size?
+
+    The batch's face counts and triangle counts are interleaved column-major
+    (count k of dissection d at index k·B + d) and each family is grown as
+    one `_grow` batch, so every check is one C-level comparison per row.
+    The period is even, so the multiplier list ([1]·B + [p/2]·B)·(period/2)
+    carries the factor p/2 at the odd columns: the odd rows hold when the
+    two batches' rows are equal, and the even rows with ε = 0 when the
+    integral row is the radical coefficients times it.  Row 2 is the counts
+    themselves (the triangle counts, and the face counts as multiples of
+    √m), so its comparison is the lemma.  The kernel rows hold no None and
+    the kernel has checked them positive, so neither is scanned.  A kernel
+    failure is no pass: `sweep` then re-runs the batch one dissection at a
+    time, which reports or raises exactly what one dissection gives.
+    """
+    size = len(batch)
+    faces, triangles = zip(*[_counts(d, p) for d in batch])
+    q = list(chain.from_iterable(zip(*faces)))
+    tc = list(chain.from_iterable(zip(*triangles)))
+    try:
+        radical = _grow(q, LAMBDA_RADICAND[p], True, size)
+        integral = _grow(tc, 1, False, size)
+    except ValueError:  # a FriezeError, or a polygon past the kernel's bound
+        return False
+    period = len(q) // size
+    mult = ([1] * size + [p // 2] * size) * (period // 2)
+    return all(
+        integral[r] == (radical[r] if r % 2 else list(map(mul, radical[r], mult)))
+        for r in range(1, period)
+    )
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """All three checks for one dissection, with the first violation if any."""
@@ -423,8 +468,15 @@ class SweepSummary:
 def sweep(p: int, s_max: int, deep: bool = False) -> SweepSummary:
     """Verify every p-angulation with 1 ≤ s ≤ s_max faces.
 
-    With deep=True each dissection additionally runs deep_uniqueness —
-    exhaustive over all triangulations of its polygon, so keep s small.
+    Each level s is checked in batches of up to _BATCH = 64 dissections in
+    enumeration order (`_batch_passes`).  Only a batch that does not pass is
+    re-run one dissection at a time through `verify_dissection`, so every
+    counterexample report (witness, ε, timings) and every
+    InternalAssertionError is the one that dissection gives alone, in
+    enumeration order.  With deep=True each dissection additionally runs
+    deep_uniqueness, after its own check, in enumeration order — exhaustive
+    over all triangulations of its polygon, so keep s small.  The number
+    enumerated at each s is checked against the Fuss–Catalan number.
     """
     if s_max < 1:
         raise ValueError("face count bound must be positive")
@@ -434,13 +486,17 @@ def sweep(p: int, s_max: int, deep: bool = False) -> SweepSummary:
     checked = 0
     for s in range(1, s_max + 1):
         count = 0
-        for d in enumerate_p_angulations(s, p):
-            count += 1
-            report = verify_dissection(d, p)
-            if not report.ok:
-                counterexamples.append(report)
-            if deep and not deep_uniqueness(d, p).ok:
-                deep_failures.append(d)
+        dissections = enumerate_p_angulations(s, p)
+        while batch := list(islice(dissections, _BATCH)):
+            count += len(batch)
+            passed = _batch_passes(batch, p)
+            for d in batch:
+                if not passed:
+                    report = verify_dissection(d, p)
+                    if not report.ok:
+                        counterexamples.append(report)
+                if deep and not deep_uniqueness(d, p).ok:
+                    deep_failures.append(d)
         if count != fuss_catalan(s, p):
             raise InternalAssertionError(
                 f"enumerated {count} {p}-angulations with {s} faces, "

@@ -910,10 +910,10 @@ def reference_grow(counts, m, radical):
     return rows
 
 
-def grow_outcome(grow, counts, m, radical):
+def grow_outcome(grow, counts, m, radical, *batch):
     """The rows a kernel returns, or the class, (row, col) and message of its failure."""
     try:
-        return grow(counts, m, radical)
+        return grow(counts, m, radical, *batch)
     except FriezeError as exc:
         return type(exc), exc.row, exc.col, str(exc)
 
@@ -959,3 +959,70 @@ def test_kernel_matches_its_per_entry_predecessor():
     # every outcome occurs, so no comparison above is vacuous
     assert set(kinds) == {"rows", "QuiddityPositivityError", "ClosureError"}, kinds
     assert min(kinds.values()) >= 50, kinds
+
+
+def interleave(quiddities):
+    """Quiddities of one period laid out column-major, as a `_grow` batch takes
+    them: entry k of quiddity d at index k·B + d."""
+    return [c for column in zip(*quiddities) for c in column]
+
+
+def sweep_kernel_inputs():
+    """{(period, m, radical): [counts, ...]} of every p-angulation with p = 4,
+    s ≤ 5 and p = 6, s ≤ 3 (radical) and of its associated triangulation
+    (integral), in enumeration order."""
+    from friezes import associated_triangulation, enumerate_p_angulations, quiddity_counts
+    from friezes.exact import LAMBDA_RADICAND
+
+    groups = {}
+    for p, s_max in ((4, 5), (6, 3)):
+        for s in range(1, s_max + 1):
+            for d in enumerate_p_angulations(s, p):
+                groups.setdefault((d.n, LAMBDA_RADICAND[p], True), []).append(
+                    quiddity_counts(d)
+                )
+                groups.setdefault((d.n, 1, False), []).append(
+                    quiddity_counts(associated_triangulation(d, p))
+                )
+    return groups
+
+
+def test_kernel_batches_deinterleave_to_single_rows():
+    # batches of 1, 7 and 64 interleaved quiddities (and each last, partial
+    # batch) grow the rows the kernel grows for each quiddity alone
+    from friezes.frieze import _grow
+
+    sizes = set()
+    for (_, m, radical), quiddities in sweep_kernel_inputs().items():
+        singles = [_grow(counts, m, radical) for counts in quiddities]
+        for size in (1, 7, 64):
+            for start in range(0, len(quiddities), size):
+                chunk = quiddities[start : start + size]
+                rows = _grow(interleave(chunk), m, radical, len(chunk))
+                for d, single in enumerate(singles[start : start + size]):
+                    assert [row[d :: len(chunk)] for row in rows] == single
+                sizes.add(len(chunk))
+    assert {1, 7, 64} <= sizes and len(sizes) > 3, sizes
+
+
+def test_kernel_batch_holding_a_non_quiddity_fails():
+    # one perturbed quiddity fails the whole batch, with its own error at its
+    # own (row, col), which is the error its B = 1 run raises, as before batching
+    from friezes.frieze import _grow
+
+    kinds = set()
+    for (_, m, radical), quiddities in sweep_kernel_inputs().items():
+        chunk = quiddities[:64]
+        size = len(chunk)
+        for d in sorted({0, size // 2, size - 1}):
+            counts = chunk[d]
+            for k in sorted({0, len(counts) // 2}):
+                for delta in (-1, 1):
+                    bad = counts[:k] + (counts[k] + delta,) + counts[k + 1 :]
+                    alone = grow_outcome(_grow, bad, m, radical)
+                    assert type(alone) is tuple  # a FriezeError's outcome
+                    assert alone == grow_outcome(reference_grow, bad, m, radical)
+                    batch = interleave(chunk[:d] + [bad] + chunk[d + 1 :])
+                    assert grow_outcome(_grow, batch, m, radical, size) == alone
+                    kinds.add(alone[0].__name__)
+    assert kinds == {"QuiddityPositivityError", "ClosureError"}, kinds

@@ -240,6 +240,12 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
     calls["is_p_angulation"] = 0
     assert deep_uniqueness(quad10, 4).triangulations == 1430
     assert calls["is_p_angulation"] <= 4
+    # a sweep's batches check and count each dissection once too (p = 4,
+    # s ≤ 5 has 344 dissections, p = 6, s ≤ 3 has 41)
+    for p, s_max, checked in ((4, 5, 344), (6, 3, 41)):
+        calls.update(is_p_angulation=0, quiddity_counts=0)
+        assert sweep(p, s_max).checked == checked
+        assert calls == {"is_p_angulation": checked, "quiddity_counts": 2 * checked}
 
 
 def test_verify_dissection_p6(hex18):
@@ -298,6 +304,125 @@ def test_sweep_p6():
 def test_sweep_rejects_bad_bound():
     with pytest.raises(ValueError):
         sweep(4, 0)
+
+
+def corrupt_triangle_counts(monkeypatch, wrong):
+    """Patch `verify._counts` to give the triangle counts wrong[d] for the
+    dissections d in wrong, chosen by identity, and the true counts otherwise."""
+    import friezes.verify
+
+    counts = friezes.verify._counts
+
+    def corrupted(d, p):
+        q, tc = counts(d, p)
+        return q, wrong.get(d, tc)
+
+    monkeypatch.setattr(friezes.verify, "_counts", corrupted)
+
+
+def test_sweep_re_runs_only_failing_batches(monkeypatch):
+    # the 273 dissections of s = 5 come in batches of 64, 64, 64, 64 and 17:
+    # one corrupted in the second, full batch and one in the last, partial
+    # batch give the mirror's triangle counts (the lemma fails, every row
+    # passes, the even rows at ε = 1), and the sweep reports each as
+    # verify_dissection does under the same patch, in enumeration order
+    import friezes.verify
+    from friezes import quiddity_counts
+
+    called = []
+    original = friezes.verify.verify_dissection
+
+    def counted(d, p):
+        called.append(d)
+        return original(d, p)
+
+    monkeypatch.setattr(friezes.verify, "verify_dissection", counted)
+    assert sweep(4, 5).all_ok
+    assert called == []  # a passing sweep re-runs no dissection alone
+    level = list(enumerate_p_angulations(5, 4))
+    chosen = [level[100], level[270]]
+    corrupt_triangle_counts(monkeypatch, {
+        d: quiddity_counts(rotate(associated_triangulation(rotate(d, 1), 4), d.n - 1))
+        for d in chosen
+    })
+    summary = sweep(4, 5)
+    assert called == level[64:128] + level[256:]
+    expected = []
+    for d in chosen:
+        blob = verify_dissection(d, 4).to_json()
+        del blob["timings_ms"]
+        assert blob["first_violation"]["claim"] == "lemma" and set(blob["epsilons"]) == {1}
+        expected.append(blob)
+    got = [report.to_json() for report in summary.counterexamples]
+    for blob in got:
+        del blob["timings_ms"]
+    assert got == expected
+    assert summary.checked == 344 and not summary.all_ok
+
+
+def test_batch_pass_compares_every_row(monkeypatch):
+    # consistent counts make every row agree, so only a corrupted row shows
+    # that each row of both batches is compared: one entry of any row
+    # 1..n+2 of either family, moved by one, fails the batch
+    import friezes.verify
+    from friezes.verify import _batch_passes
+
+    batch = list(enumerate_p_angulations(4, 4))[:7]  # 10-gons: rows 1..9
+    assert _batch_passes(batch, 4)
+    grow = friezes.verify._grow
+    for r in range(1, 10):
+        for family in (True, False):
+
+            def bumped(counts, m, radical, size, r=r, family=family):
+                rows = grow(counts, m, radical, size)
+                if radical is family:
+                    rows = [list(row) for row in rows]
+                    rows[r][3 * size + 2] += 1  # column 3 of the batch's third dissection
+                return rows
+
+            monkeypatch.setattr(friezes.verify, "_grow", bumped)
+            assert not _batch_passes(batch, 4), (r, family)
+
+
+def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
+    # triangle counts that are no quiddity make the batch's kernel raise; the
+    # batch is re-run one dissection at a time, and the sweep raises the
+    # InternalAssertionError that dissection raises alone
+    from friezes.verify import _counts
+
+    d = list(enumerate_p_angulations(4, 4))[30]
+    tc = _counts(d, 4)[1]
+    corrupt_triangle_counts(monkeypatch, {d: (tc[0] + 1,) + tc[1:]})
+    with pytest.raises(InternalAssertionError) as alone:
+        verify_dissection(d, 4)
+    assert "frieze construction failed" in str(alone.value)
+    with pytest.raises(InternalAssertionError) as swept:
+        sweep(4, 4)
+    assert str(swept.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("short_s", [1, 3, 5])
+def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
+    # an enumeration one dissection short is an internal fault, whichever
+    # batch the missing one would have fallen in: exit 3 from the CLI
+    import friezes.verify
+    from friezes.cli import main
+
+    enumerate_ = friezes.verify.enumerate_p_angulations
+
+    def one_short(s, p):
+        found = enumerate_(s, p)
+        if s == short_s:
+            next(found)
+        return found
+
+    monkeypatch.setattr(friezes.verify, "enumerate_p_angulations", one_short)
+    expected = {1: 1, 3: 12, 5: 273}[short_s]
+    message = f"enumerated {expected - 1} 4-angulations with {short_s} faces, expected {expected}"
+    with pytest.raises(InternalAssertionError, match=message):
+        sweep(4, 5)
+    assert main(["verify", "--p", "4", "--max-s", str(short_s)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_even_row_offsets_are_pinned():

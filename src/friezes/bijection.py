@@ -14,7 +14,10 @@ constructor validates.
 Face sizes are never checked by walking faces: `polygon.is_p_angulation`
 decides them by counting diagonals and their spans.  `faces` is called
 where the corners are needed: by the refinement `_refine`, and on the
-tree side, which reads the tree's own faces.  Take k - 1 noncrossing
+tree side, which reads the tree's own faces.  `_refined_counts` reads the
+refinement's triangle counts off the same face pass over the sorted
+diagonals (`polygon._face_pass`, behind `faces`) without building the
+refinement, after the same counting test.  Take k - 1 noncrossing
 black-black edges on the 2k-gon: as a dissection they cut it into k faces.
 No edge touches a white vertex, so each of the k whites lies in exactly one
 face.  A face with no white corner has only black corners, so its sides
@@ -51,6 +54,9 @@ from .polygon import (
     Dissection,
     InternalAssertionError,
     InvalidDissectionError,
+    Pair,
+    _face_pass,
+    _is_p_angulation,
     _walked,
     faces,
     is_p_angulation,
@@ -188,11 +194,49 @@ def _refine(dissection: Dissection, p: int, black: bool = True) -> Triangulation
     docstring), so it is not checked again.
     """
     if not is_p_angulation(dissection, p):
-        raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
+        raise _not_p_angulation(dissection, p)
     chords = set(dissection.diagonals)
     for face in faces(dissection):
         chords.update(combinations([v for v in face if v % 2 == black], 2))
     return _walked(Triangulation, dissection.n, frozenset(chords))
+
+
+def _refined_counts(
+    n: int, diagonals: Sequence[Pair], counts: Sequence[int], p: int
+) -> list[int] | None:
+    """The triangle counts of the black-corner refinement of a p-angulation,
+    p ∈ {4, 6}, from its sorted diagonals and its face counts, or None when
+    it is not a p-angulation (the one test, `polygon._is_p_angulation`); a p
+    outside {4, 6} raises `associated_triangulation`'s ValueError.
+
+    A vertex's triangles are one more than its degree in the refinement,
+    and the refinement adds to the face counts only its chords: each black
+    corner of a face is joined to every other black corner of that face.
+    So one face pass (`polygon._face_pass`, behind `faces`) gives the
+    counts, with no chord or `Triangulation` built: each black corner of a
+    face gains (black corners of that face − 1).  `verify._counts` and
+    `verify.sweep` both count this way, the sweep straight from the
+    enumeration walk's leaves.
+    """
+    _require_p(p)
+    if not _is_p_angulation(n, diagonals, p):
+        return None
+    triangles = list(counts)
+    for face in _face_pass(n, diagonals):
+        blacks = [v for v in face if v & 1]
+        gain = len(blacks) - 1
+        for v in blacks:
+            triangles[v] += gain
+    return triangles
+
+
+def _not_p_angulation(dissection: Dissection, p: int) -> NotPAngulationError:
+    return NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
+
+
+def _require_p(p: int) -> None:
+    if p not in (4, 6):
+        raise ValueError(f"associated triangulation is defined for p ∈ {{4, 6}}, got {p}")
 
 
 def associated_triangulation_p4(dissection: Dissection) -> Triangulation:
@@ -206,8 +250,7 @@ def associated_triangulation_p6(dissection: Dissection) -> Triangulation:
 
 
 def associated_triangulation(dissection: Dissection, p: int) -> Triangulation:
-    if p not in (4, 6):
-        raise ValueError(f"associated triangulation is defined for p ∈ {{4, 6}}, got {p}")
+    _require_p(p)
     return _refine(dissection, p)
 
 

@@ -140,7 +140,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    summary = sweep(args.p, args.max_s, deep=args.deep_uniqueness)
+    summary = sweep(args.p, args.max_s, deep=args.deep_uniqueness, orbits=args.orbits)
     print(json.dumps(summary.to_json()))
     return 0 if summary.all_ok else 2
 
@@ -191,6 +191,11 @@ def _build_parser() -> _Parser:
         "--deep-uniqueness",
         action="store_true",
         help="also scan every triangulation of each polygon for odd-row matches",
+    )
+    verify.add_argument(
+        "--orbits",
+        action="store_true",
+        help="check one dissection per even-rotation orbit (reported as orbits_checked)",
     )
 
     val = add("validate", _cmd_validate, "check a frieze grid")

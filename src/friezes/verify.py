@@ -4,23 +4,26 @@ For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
 face of D cut along its black (odd) corners.  Both friezes grow from their
 quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
-counts of T.  Building T tests that D is a p-angulation, the one check of
-D (T is a triangulation by construction and is not checked again), and the
-counts of D and T are read once each.  The checks take the kernel's int
-rows as they come, with no QuadNum in between: an odd row is compared as
-two int lists, and an even row of the radical frieze holds the
-coefficients a_k of a_k·√m.  A
-passing dissection is decided by C-level comparisons: whole odd rows, and
-stride slices (every other column) of the counts and of the even rows; only
-a failing row is walked entry by entry, to name its witness.  A sweep
-checks up to 64 dissections of one polygon at a time: their counts are
-interleaved column-major (count k of dissection d at index k·B + d), both
-frieze families are grown as one kernel batch each, and each check is one
-comparison per row against a multiplier list that puts p/2 on the odd
-columns, with no stride slice and no None scan.  That pass keeps only a
-yes or no; a batch that fails it, or whose kernel raises, is re-run one
-dissection at a time, so a report is always `verify_dissection`'s.  The
-checks are:
+counts of T.  T is never built: its triangle counts are read off the
+faces of D in one face pass (`bijection._refined_counts`: each black corner
+of a face gains the face's other black corners as neighbours), after the
+counting test that D is a p-angulation, the one check of D; the counts of D
+and T are read once each.  The checks take the kernel's int rows as
+they come, with no QuadNum in between: an odd row is compared as two int
+lists, and an even row of the radical frieze holds the coefficients a_k of
+a_k·√m.  A passing dissection is decided by C-level comparisons: whole odd
+rows, and stride slices (every other column) of the counts and of the even
+rows; only a failing row is walked entry by entry, to name its witness.  A
+sweep reads its dissections straight off the enumeration walk, the face
+counts from the walk's own count list and the triangle counts from the
+walk's sorted diagonals, and checks up to 64 of one polygon at a time:
+their counts are interleaved column-major (count k of dissection d at
+index k·B + d), both frieze families are grown as one kernel batch each,
+and each check is one comparison per row against a multiplier list that
+puts p/2 on the odd columns, with no stride slice and no None scan.  That
+pass keeps only a yes or no; a batch that fails it, or whose kernel raises,
+is re-run one dissection at a time (only then is a `Dissection` built), so
+a report is always `verify_dissection`'s.  The checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -41,7 +44,8 @@ reading never matches), hand them to the same int-row comparisons, and
 raise ValueError when the widths differ.
 
 sweep() runs all three over every p-angulation up to a face-count bound,
-in batches as above;
+in batches as above, or with orbits=True over one p-angulation per
+even-rotation orbit, by (C) below;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
@@ -65,21 +69,50 @@ make that scan a comparison of row 3 alone, read off the counts:
     a ∈ {1, h}.  A quiddity fixes its triangulation, so the twins are the
     only matches, also for a rotation-symmetric D: a rotation of D onto
     itself maps each twin to a twin.
+
+A third fact lets a sweep check one p-angulation per orbit:
+
+(C) The checks commute with even rotations.  Let ρ be v ↦ v + c (mod n)
+    with c even.  For p ∈ {4, 6} n = (p − 2)s + 2 is even, so ρ keeps
+    every vertex's color.  ρ maps the faces of D onto the faces of ρD, so
+    the face counts move with it (q'_{v+c} = q_v), and, colors kept, the
+    black corners of each face onto the black corners of its image, so the
+    triangle counts of the black-corner refinement move the same way
+    (t'_{v+c} = t_v; an odd c swaps the colors and gives the mirror's
+    counts instead).  Entry (r, k) of a frieze is a continuant of the
+    quiddity entries k, k + 1, …, taken mod n, so shifting both quiddities
+    by c shifts every row of both friezes by c columns, and a kernel
+    failure moves with them.  Each check compares column k of one row with
+    column k of another, with the factor p/2 placed by the parity of k (or
+    of k + ε_j); c is even, so column k + c has the parity of k.  Hence
+    each check passes on ρD exactly when it passes on D, with the same
+    ε_j, and only the witness columns move.  Within an orbit of even
+    rotations, the p-angulation whose face counts are least in
+    lexicographic order has counts least among their own even rotations,
+    so `sweep(orbits=True)` checks it: every orbit is checked, and every
+    leaf it skips passes exactly when a checked one does.  The counts fix
+    the p-angulation (a run of p − 2 consecutive vertices of count 1 lies
+    in one face with its two neighbours, so it is an ear, which the counts
+    show; cutting it off leaves the counts of the rest), so exactly one
+    leaf per orbit is checked.  A failing batch re-runs its whole level one
+    dissection at a time, so the reports are those of the exhaustive sweep.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import mul, ne
 from typing import NamedTuple, Sequence
 
-from .bijection import _refine, associated_triangulation
+from .bijection import _not_p_angulation, _refine, _refined_counts, associated_triangulation
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _grow, _rows
 from .polygon import (
     Dissection,
+    Pair,
+    _p_angulation_walk,
     _walk,
     _walked,
     enumerate_p_angulations,
@@ -234,10 +267,14 @@ def _read(frieze: Frieze, surd: bool) -> Rows:
 
 
 def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """D's face counts and its associated triangulation's triangle counts
-    (building the `Triangulation` checks p and that D is a p-angulation,
-    the one check of D; the refinement is not checked again)."""
-    return quiddity_counts(d), quiddity_counts(associated_triangulation(d, p))
+    """D's face counts and its associated triangulation's triangle counts, read
+    off D's faces by `_refined_counts` as `sweep` reads them (its p-angulation
+    test is the one check of D; no triangulation is built)."""
+    q = quiddity_counts(d)
+    triangles = _refined_counts(d.n, d.diagonals_sorted, q, p)
+    if triangles is None:
+        raise _not_p_angulation(d, p)
+    return q, tuple(triangles)
 
 
 def _build(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...], Rows, Rows]:
@@ -264,9 +301,9 @@ def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     return _even_rows_match(radical, integral, d.n - 3, p)
 
 
-def _batch_passes(batch: Sequence[Dissection], p: int) -> bool:
+def _batch_passes(faces: Sequence[Sequence[int]], triangles: Sequence[Sequence[int]], p: int) -> bool:
     """Do all three checks pass, every ε_j = 0, on each dissection of a batch
-    of one polygon size?
+    of one polygon size, given by its face counts and triangle counts?
 
     The batch's face counts and triangle counts are interleaved column-major
     (count k of dissection d at index k·B + d) and each family is grown as
@@ -281,8 +318,7 @@ def _batch_passes(batch: Sequence[Dissection], p: int) -> bool:
     failure is no pass: `sweep` then re-runs the batch one dissection at a
     time, which reports or raises exactly what one dissection gives.
     """
-    size = len(batch)
-    faces, triangles = zip(*[_counts(d, p) for d in batch])
+    size = len(faces)
     q = list(chain.from_iterable(zip(*faces)))
     tc = list(chain.from_iterable(zip(*triangles)))
     try:
@@ -295,6 +331,19 @@ def _batch_passes(batch: Sequence[Dissection], p: int) -> bool:
     return all(
         integral[r] == (radical[r] if r % 2 else list(map(mul, radical[r], mult)))
         for r in range(1, period)
+    )
+
+
+def _least_rotation(counts: list[int]) -> bool:
+    """Are the counts lexicographically least among their even rotations?
+
+    A rotation by an even k starts at counts[k], so only the k where that
+    entry equals counts[0], the least of the even entries, can be smaller."""
+    first = counts[0]
+    if min(counts[::2]) < first:
+        return False
+    return all(
+        counts[k] != first or counts <= counts[k:] + counts[:k] for k in range(2, len(counts), 2)
     )
 
 
@@ -438,7 +487,11 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """Aggregate outcome of verifying every p-angulation with s ≤ s_max."""
+    """Aggregate outcome of verifying every p-angulation with s ≤ s_max.
+
+    orbits_checked is None for an exhaustive sweep; an orbit sweep sets it
+    to the number of leaves its batches checked, and only then does the
+    JSON carry it."""
 
     p: int
     s_max: int
@@ -447,16 +500,19 @@ class SweepSummary:
     counterexamples: tuple[VerificationReport, ...]
     deep_checked: bool
     deep_failures: tuple[Dissection, ...]
+    orbits_checked: int | None = None
 
     @property
     def all_ok(self) -> bool:
         return not self.counterexamples and not self.deep_failures
 
     def to_json(self) -> dict:
+        orbits = {} if self.orbits_checked is None else {"orbits_checked": self.orbits_checked}
         return {
             "p": self.p,
             "s_max": self.s_max,
             "checked": self.checked,
+            **orbits,
             "per_s": {str(s): c for s, c in sorted(self.per_s.items())},
             "all_ok": self.all_ok,
             "counterexamples": [r.to_json() for r in self.counterexamples],
@@ -465,51 +521,116 @@ class SweepSummary:
         }
 
 
-def sweep(p: int, s_max: int, deep: bool = False) -> SweepSummary:
+def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> SweepSummary:
     """Verify every p-angulation with 1 ≤ s ≤ s_max faces.
 
-    Each level s is checked in batches of up to _BATCH = 64 dissections in
-    enumeration order (`_batch_passes`).  Only a batch that does not pass is
-    re-run one dissection at a time through `verify_dissection`, so every
+    Each level s is read straight off the enumeration walk (`polygon._walk`):
+    a leaf's face counts are the walk's live count list and its triangle
+    counts come from one face pass over its sorted diagonals
+    (`_refined_counts`, which runs the leaf's one p-angulation test), so no
+    `Dissection` or refinement is built for a leaf that passes.  The leaves
+    are checked in batches of up to _BATCH = 64 in enumeration order
+    (`_batch_passes`).  Only a batch that does not pass is re-run one
+    dissection at a time through `verify_dissection`, so every
     counterexample report (witness, ε, timings) and every
     InternalAssertionError is the one that dissection gives alone, in
-    enumeration order.  With deep=True each dissection additionally runs
-    deep_uniqueness, after its own check, in enumeration order — exhaustive
-    over all triangulations of its polygon, so keep s small.  The number
-    enumerated at each s is checked against the Fuss–Catalan number.
+    enumeration order.
+
+    With orbits=True only the leaves whose counts are least among their
+    even rotations (`_least_rotation`) are batched: by (C) in the module
+    docstring each passes exactly when its whole orbit does.  A failing
+    batch then re-runs its whole level through `verify_dissection` once the
+    level is walked, so the counterexamples are the exhaustive sweep's.
+    `checked` and `per_s` still count every leaf; `orbits_checked` counts
+    the leaves batched.
+
+    With deep=True each dissection additionally runs deep_uniqueness, after
+    its batch's check, in enumeration order — exhaustive over all
+    triangulations of its polygon, so keep s small.  The number enumerated
+    at each s is checked against the Fuss–Catalan number.
     """
     if s_max < 1:
         raise ValueError("face count bound must be positive")
     per_s: dict[int, int] = {}
-    counterexamples = []
-    deep_failures = []
-    checked = 0
+    counterexamples: list[VerificationReport] = []
+    deep_failures: list[Dissection] = []
+    batched = 0
     for s in range(1, s_max + 1):
+        n, walk = _p_angulation_walk(s, p)
         count = 0
-        dissections = enumerate_p_angulations(s, p)
-        while batch := list(islice(dissections, _BATCH)):
-            count += len(batch)
-            passed = _batch_passes(batch, p)
-            for d in batch:
-                if not passed:
-                    report = verify_dissection(d, p)
-                    if not report.ok:
-                        counterexamples.append(report)
-                if deep and not deep_uniqueness(d, p).ok:
-                    deep_failures.append(d)
+        failed = False  # has a batch of this level failed?
+        leaves: list[tuple[Pair, ...]] = []  # to re-run or deep-scan, in walk order
+        faces: list[list[int]] = []
+        triangles: list[list[int]] = []
+        for diagonals, q in walk:
+            count += 1
+            if orbits and not _least_rotation(q):
+                if deep:
+                    leaves.append(tuple(diagonals))
+                continue
+            tc = _refined_counts(n, diagonals, q, p)
+            if tc is None:
+                raise _not_p_angulation(_walked(Dissection, n, frozenset(diagonals)), p)
+            leaves.append(tuple(diagonals))
+            faces.append(q[:])
+            triangles.append(tc)
+            if len(faces) == _BATCH:
+                failed |= not _check_batch(n, p, leaves, faces, triangles, deep, orbits,
+                                           counterexamples, deep_failures)
+                batched += len(faces)
+                leaves, faces, triangles = [], [], []
+        if faces or leaves:
+            failed |= not _check_batch(n, p, leaves, faces, triangles, deep, orbits,
+                                       counterexamples, deep_failures)
+            batched += len(faces)
         if count != fuss_catalan(s, p):
             raise InternalAssertionError(
                 f"enumerated {count} {p}-angulations with {s} faces, "
                 f"expected {fuss_catalan(s, p)}"
             )
+        if orbits and failed:  # re-run the level exhaustively, one dissection at a time
+            for d in enumerate_p_angulations(s, p):
+                report = verify_dissection(d, p)
+                if not report.ok:
+                    counterexamples.append(report)
         per_s[s] = count
-        checked += count
     return SweepSummary(
         p=p,
         s_max=s_max,
-        checked=checked,
+        checked=sum(per_s.values()),
         per_s=per_s,
         counterexamples=tuple(counterexamples),
         deep_checked=deep,
         deep_failures=tuple(deep_failures),
+        orbits_checked=batched if orbits else None,
     )
+
+
+def _check_batch(
+    n: int,
+    p: int,
+    leaves: list[tuple[Pair, ...]],
+    faces: list[list[int]],
+    triangles: list[list[int]],
+    deep: bool,
+    orbits: bool,
+    counterexamples: list[VerificationReport],
+    deep_failures: list[Dissection],
+) -> bool:
+    """Check one batch of `sweep`, and say whether it passed.
+
+    An exhaustive sweep re-runs a failing batch's leaves one at a time
+    through `verify_dissection` at once; an orbit sweep leaves that to its
+    level.  With deep each leaf is then deep-scanned, in walk order."""
+    passed = not faces or _batch_passes(faces, triangles, p)
+    if passed and not deep:
+        return True
+    for diagonals in leaves:
+        d = _walked(Dissection, n, frozenset(diagonals))
+        if not (passed or orbits):
+            report = verify_dissection(d, p)
+            if not report.ok:
+                counterexamples.append(report)
+        if deep and not deep_uniqueness(d, p).ok:
+            deep_failures.append(d)
+    return passed

@@ -351,6 +351,18 @@ def test_verify_sweep(capsys):
     assert blob["counterexamples"] == []
 
 
+def test_verify_orbits_adds_only_its_count(capsys):
+    # the orbit sweep checks one dissection per even-rotation orbit and
+    # reports the same summary as the exhaustive one, plus orbits_checked
+    code, out, _ = run(capsys, "verify", "--p", "4", "--max-s", "5")
+    code_orbits, out_orbits, _ = run(capsys, "verify", "--p", "4", "--max-s", "5", "--orbits")
+    assert code == code_orbits == 0
+    blob, orbit_blob = json.loads(out), json.loads(out_orbits)
+    assert "orbits_checked" not in blob
+    assert 0 < orbit_blob.pop("orbits_checked") < blob["checked"] == 344
+    assert orbit_blob == blob
+
+
 def test_verify_deep_uniqueness_reports_counterexamples(capsys):
     # the opposite-color refinement always reproduces the odd rows, so the
     # deep scan reports a second witness for every dissection: exit code 2
@@ -420,6 +432,7 @@ def test_commands_leave_no_reference_cycles(capsys):
         ("cc", "--input", T_QUAD10),
         ("tree", "--input", QUAD10),
         ("verify", "--p", "4", "--max-s", "3"),
+        ("verify", "--p", "6", "--max-s", "3", "--orbits"),
         ("enumerate", "--p", "6", "--s", "3"),
     ]
     gc.disable()

@@ -229,23 +229,32 @@ def count_calls(monkeypatch, *names):
 
 
 def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
-    # one p-angulation check of D (in the refinement), none of the refinement,
-    # a triangulation by construction, and one quiddity_counts per dissection
-    # (was 5 and 4, then 2 and 2 while Triangulation checked the refinement)
-    calls = count_calls(monkeypatch, "is_p_angulation", "quiddity_counts")
+    # one p-angulation test of D (`_is_p_angulation`, behind
+    # is_p_angulation), none of the refinement, which is not even built, one
+    # face pass and one quiddity_counts per dissection (was 5 and 4 calls
+    # of is_p_angulation and quiddity_counts, then 2 and 2 while
+    # Triangulation checked the refinement, then 1 and 2 while the
+    # refinement was built)
+    names = ("_is_p_angulation", "is_p_angulation", "quiddity_counts", "_face_pass")
+    calls = count_calls(monkeypatch, *names)
     assert verify_dissection(quad10, 4).ok
-    assert calls == {"is_p_angulation": 1, "quiddity_counts": 2}
+    assert calls == dict(zip(names, (1, 0, 1, 1)))
     # the enumerated candidates are triangulations by construction: no
-    # candidate is re-checked (was 1,435 checks per query)
-    calls["is_p_angulation"] = 0
+    # candidate is re-checked (was 1,435 checks per query); only the twins,
+    # the two refinements of D, are tested
+    calls.update(dict.fromkeys(names, 0))
     assert deep_uniqueness(quad10, 4).triangulations == 1430
-    assert calls["is_p_angulation"] <= 4
-    # a sweep's batches check and count each dissection once too (p = 4,
-    # s ≤ 5 has 344 dissections, p = 6, s ≤ 3 has 41)
+    assert calls["_is_p_angulation"] == calls["is_p_angulation"] == 2
+    # a sweep's batches test each dissection once, in one face pass, and
+    # read its face counts off the walk (p = 4, s ≤ 5 has 344 dissections,
+    # p = 6, s ≤ 3 has 41); an orbit sweep tests only the leaves it checks
     for p, s_max, checked in ((4, 5, 344), (6, 3, 41)):
-        calls.update(is_p_angulation=0, quiddity_counts=0)
-        assert sweep(p, s_max).checked == checked
-        assert calls == {"is_p_angulation": checked, "quiddity_counts": 2 * checked}
+        for orbits in (False, True):
+            calls.update(dict.fromkeys(names, 0))
+            summary = sweep(p, s_max, orbits=orbits)
+            assert summary.checked == checked
+            tested = summary.orbits_checked if orbits else checked
+            assert calls == dict(zip(names, (tested, 0, 0, tested)))
 
 
 def test_verify_dissection_p6(hex18):
@@ -307,17 +316,25 @@ def test_sweep_rejects_bad_bound():
 
 
 def corrupt_triangle_counts(monkeypatch, wrong):
-    """Patch `verify._counts` to give the triangle counts wrong[d] for the
-    dissections d in wrong, chosen by identity, and the true counts otherwise."""
+    """Patch the one counts function of `verify._counts` and `sweep`,
+    `_refined_counts`, to give the triangle counts wrong[diagonals] for the
+    dissections with those sorted diagonals, and the true counts otherwise."""
     import friezes.verify
 
-    counts = friezes.verify._counts
+    counts = friezes.verify._refined_counts
 
-    def corrupted(d, p):
-        q, tc = counts(d, p)
-        return q, wrong.get(d, tc)
+    def corrupted(n, diagonals, q, p):
+        tc = counts(n, diagonals, q, p)
+        return list(wrong.get(tuple(diagonals), tc))
 
-    monkeypatch.setattr(friezes.verify, "_counts", corrupted)
+    monkeypatch.setattr(friezes.verify, "_refined_counts", corrupted)
+
+
+def mirror_counts(d, p):
+    """The triangle counts of D's white-corner refinement, its mirror twin."""
+    from friezes import quiddity_counts
+
+    return quiddity_counts(rotate(associated_triangulation(rotate(d, 1), p), d.n - 1))
 
 
 def test_sweep_re_runs_only_failing_batches(monkeypatch):
@@ -327,7 +344,6 @@ def test_sweep_re_runs_only_failing_batches(monkeypatch):
     # passes, the even rows at ε = 1), and the sweep reports each as
     # verify_dissection does under the same patch, in enumeration order
     import friezes.verify
-    from friezes import quiddity_counts
 
     called = []
     original = friezes.verify.verify_dissection
@@ -341,10 +357,7 @@ def test_sweep_re_runs_only_failing_batches(monkeypatch):
     assert called == []  # a passing sweep re-runs no dissection alone
     level = list(enumerate_p_angulations(5, 4))
     chosen = [level[100], level[270]]
-    corrupt_triangle_counts(monkeypatch, {
-        d: quiddity_counts(rotate(associated_triangulation(rotate(d, 1), 4), d.n - 1))
-        for d in chosen
-    })
+    corrupt_triangle_counts(monkeypatch, {d.diagonals_sorted: mirror_counts(d, 4) for d in chosen})
     summary = sweep(4, 5)
     assert called == level[64:128] + level[256:]
     expected = []
@@ -365,10 +378,11 @@ def test_batch_pass_compares_every_row(monkeypatch):
     # that each row of both batches is compared: one entry of any row
     # 1..n+2 of either family, moved by one, fails the batch
     import friezes.verify
-    from friezes.verify import _batch_passes
+    from friezes.verify import _batch_passes, _counts
 
     batch = list(enumerate_p_angulations(4, 4))[:7]  # 10-gons: rows 1..9
-    assert _batch_passes(batch, 4)
+    faces, triangles = zip(*[_counts(d, 4) for d in batch])
+    assert _batch_passes(faces, triangles, 4)
     grow = friezes.verify._grow
     for r in range(1, 10):
         for family in (True, False):
@@ -381,7 +395,7 @@ def test_batch_pass_compares_every_row(monkeypatch):
                 return rows
 
             monkeypatch.setattr(friezes.verify, "_grow", bumped)
-            assert not _batch_passes(batch, 4), (r, family)
+            assert not _batch_passes(faces, triangles, 4), (r, family)
 
 
 def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
@@ -392,7 +406,7 @@ def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
 
     d = list(enumerate_p_angulations(4, 4))[30]
     tc = _counts(d, 4)[1]
-    corrupt_triangle_counts(monkeypatch, {d: (tc[0] + 1,) + tc[1:]})
+    corrupt_triangle_counts(monkeypatch, {d.diagonals_sorted: (tc[0] + 1,) + tc[1:]})
     with pytest.raises(InternalAssertionError) as alone:
         verify_dissection(d, 4)
     assert "frieze construction failed" in str(alone.value)
@@ -408,21 +422,218 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
     import friezes.verify
     from friezes.cli import main
 
-    enumerate_ = friezes.verify.enumerate_p_angulations
+    walk_of = friezes.verify._p_angulation_walk
 
     def one_short(s, p):
-        found = enumerate_(s, p)
+        n, walk = walk_of(s, p)
         if s == short_s:
-            next(found)
-        return found
+            next(walk)
+        return n, walk
 
-    monkeypatch.setattr(friezes.verify, "enumerate_p_angulations", one_short)
+    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", one_short)
     expected = {1: 1, 3: 12, 5: 273}[short_s]
     message = f"enumerated {expected - 1} 4-angulations with {short_s} faces, expected {expected}"
     with pytest.raises(InternalAssertionError, match=message):
         sweep(4, 5)
     assert main(["verify", "--p", "4", "--max-s", str(short_s)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orbits", [False, True])
+def test_sweep_checks_the_count_of_each_level_with_orbits_too(monkeypatch, orbits):
+    import friezes.verify
+
+    walk_of = friezes.verify._p_angulation_walk
+
+    def one_short(s, p):
+        n, walk = walk_of(s, p)
+        if s == 4:
+            next(walk)
+        return n, walk
+
+    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", one_short)
+    with pytest.raises(InternalAssertionError, match="enumerated 54 4-angulations with 4 faces"):
+        sweep(4, 5, orbits=orbits)
+
+
+# ---------------------------------------------------------------------------
+# counts read off the walk and the faces; the even-rotation orbit sweep
+
+
+def leaves(p, s_max):
+    """(dissection, walk's diagonals, walk's counts) of every leaf, s ≤ s_max."""
+    from friezes.polygon import _p_angulation_walk
+
+    for s in range(1, s_max + 1):
+        n, walk = _p_angulation_walk(s, p)
+        for diagonals, counts in walk:
+            yield Dissection(n, diagonals), list(diagonals), list(counts)
+
+
+def test_leaf_counts_equal_the_refinements_counts():
+    # the sweep's per-leaf counts (the walk's count list, and the triangle
+    # counts of one face pass) and `_counts` of the leaf's Dissection are
+    # the face counts of D and the triangle counts of the associated
+    # triangulation, built and validated here
+    from friezes import quiddity_counts
+    from friezes.bijection import _refined_counts
+    from friezes.verify import _counts
+
+    for p, s_max in ((4, 6), (6, 4)):
+        for d, diagonals, counts in leaves(p, s_max):
+            expected = (
+                quiddity_counts(d),
+                quiddity_counts(Triangulation(d.n, associated_triangulation(d, p).diagonals)),
+            )
+            assert (tuple(counts), tuple(_refined_counts(d.n, diagonals, counts, p))) == expected
+            assert _counts(d, p) == expected
+
+
+def test_counts_refuse_what_the_refinement_refused():
+    # the same error class and message as when the counts came from building
+    # the associated triangulation: p first, then the p-angulation test
+    from friezes import NoncrossingTree, NotPAngulationError
+    from friezes.bijection import _refined_counts
+
+    refused = [
+        (Dissection(10, [(1, 4)]), 4, NotPAngulationError,
+         "Dissection(n=10, diagonals=[(1, 4)]) is not a 4-angulation"),
+        (Triangulation(6, [(0, 2), (2, 4), (0, 4)]), 6, NotPAngulationError,
+         "Triangulation(n=6, diagonals=[(0, 2), (0, 4), (2, 4)]) is not a 6-angulation"),
+        (NoncrossingTree(8, [(1, 3), (3, 5), (5, 7)]), 4, NotPAngulationError,
+         "NoncrossingTree(host_n=8, edges=[(1, 3), (3, 5), (5, 7)]) is not a 4-angulation"),
+        (Dissection(10, [(1, 4)]), 5, ValueError,
+         "associated triangulation is defined for p ∈ {4, 6}, got 5"),
+        (Dissection(9), 3, ValueError,
+         "associated triangulation is defined for p ∈ {4, 6}, got 3"),
+    ]
+    for d, p, error, message in refused:
+        for check in (verify_dissection, check_lemma, associated_triangulation):
+            with pytest.raises(error) as raised:
+                check(d, p)
+            assert type(raised.value) is error and str(raised.value) == message
+        if error is NotPAngulationError:
+            assert _refined_counts(d.n, d.diagonals_sorted, [1] * d.n, p) is None
+    for p, message in ((2, "face size must be at least 3, got 2"),
+                       (3, "associated triangulation is defined for p ∈ {4, 6}, got 3"),
+                       (5, "associated triangulation is defined for p ∈ {4, 6}, got 5")):
+        for orbits in (False, True):
+            with pytest.raises(ValueError) as raised:
+                sweep(p, 2, orbits=orbits)
+            assert str(raised.value) == message
+
+
+def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
+    # a leaf that fails the p-angulation test gets `_refine`'s error,
+    # naming the leaf as a Dissection
+    import friezes.bijection
+    from friezes import NotPAngulationError
+
+    monkeypatch.setattr(friezes.bijection, "_is_p_angulation", lambda n, diagonals, p: False)
+    with pytest.raises(NotPAngulationError) as raised:
+        sweep(4, 2)
+    assert str(raised.value) == "Dissection(n=4, diagonals=[]) is not a 4-angulation"
+
+
+def test_faces_and_counts_commute_with_even_rotations():
+    # rotating D by an even c keeps every vertex's color, so its faces, its
+    # face counts and its refinement's triangle counts all move by c ((C) in
+    # the verify docstring); an odd c swaps the colors and gives the mirror's
+    from friezes import faces, quiddity_counts
+    from friezes.verify import _counts
+
+    for d, _, _ in leaves(4, 6):
+        n = d.n
+        q, tc = _counts(d, 4)
+        shapes = faces(d)
+        for c in range(n):
+            turned = rotate(d, c)
+            shift = lambda seq: tuple(seq[(v - c) % n] for v in range(n))
+            if c % 2:
+                if c == 1:
+                    assert _counts(turned, 4)[1] == shift(mirror_counts(d, 4))
+                continue
+            assert faces(turned) == sorted(tuple(sorted((v + c) % n for v in f)) for f in shapes)
+            assert quiddity_counts(turned) == shift(q)
+            assert _counts(turned, 4) == (shift(q), shift(tc))
+
+
+def test_least_rotation_picks_one_leaf_per_orbit():
+    # a p-angulation is fixed by its face counts, so exactly one leaf of
+    # each even-rotation orbit has counts least among their even rotations
+    from friezes import quiddity_counts
+    from friezes.verify import _least_rotation
+
+    for p, s_max in ((4, 6), (6, 4)):
+        for s in range(1, s_max + 1):
+            level = list(enumerate_p_angulations(s, p))
+            n = level[0].n
+            orbits = {
+                min(rotate(d, c).diagonals_sorted for c in range(0, n, 2)) for d in level
+            }
+            chosen = [d for d in level if _least_rotation(list(quiddity_counts(d)))]
+            assert len(chosen) == len(orbits)
+            assert {min(rotate(d, c).diagonals_sorted for c in range(0, n, 2)) for d in chosen} == orbits
+
+
+def test_least_rotation_against_every_rotation():
+    from itertools import product
+
+    from friezes.verify import _least_rotation
+
+    for n in (2, 4, 6):
+        for counts in product(range(1, 4), repeat=n):
+            counts = list(counts)
+            least = all(counts <= counts[k:] + counts[:k] for k in range(0, n, 2))
+            assert _least_rotation(counts) is least, counts
+
+
+@pytest.mark.parametrize("p, s_max, deep", [(4, 7, False), (6, 4, False), (4, 3, True), (6, 2, True)])
+def test_orbit_sweep_summary_is_the_exhaustive_one(p, s_max, deep):
+    exhaustive = sweep(p, s_max, deep=deep)
+    orbits = sweep(p, s_max, deep=deep, orbits=True)
+    assert exhaustive.orbits_checked is None
+    assert 0 < orbits.orbits_checked < orbits.checked or orbits.checked == 1
+    blob = orbits.to_json()
+    assert list(blob).index("orbits_checked") == list(blob).index("checked") + 1
+    del blob["orbits_checked"]
+    assert blob == exhaustive.to_json() and "orbits_checked" not in exhaustive.to_json()
+
+
+def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypatch):
+    # an orbit sweep checks only representatives: a corrupted one fails its
+    # batch, and the whole level is re-run one dissection at a time, so a
+    # corrupted leaf it never checked is reported too, in enumeration order
+    from friezes import quiddity_counts
+    from friezes.verify import _counts, _least_rotation
+
+    level = list(enumerate_p_angulations(5, 4))
+    represents = [_least_rotation(list(quiddity_counts(d))) for d in level]
+    chosen = [level[represents.index(False, 3)], level[represents.index(True, 150)]]
+    chosen.append(level[represents.index(False, 200)])
+    tc = list(_counts(chosen[1], 4)[1])
+    corrupt_triangle_counts(monkeypatch, {d.diagonals_sorted: mirror_counts(d, 4) for d in chosen})
+
+    def blobs(summary):
+        got = [report.to_json() for report in summary.counterexamples]
+        for blob in got:
+            del blob["timings_ms"]
+        return got
+
+    exhaustive = sweep(4, 6)
+    orbits = sweep(4, 6, orbits=True)
+    assert [r.dissection for r in exhaustive.counterexamples] == chosen
+    assert blobs(orbits) == blobs(exhaustive)
+    assert orbits.per_s == exhaustive.per_s and not orbits.all_ok
+    # a kernel that raises on a representative raises what it raises alone
+    tc[0] += 1
+    corrupt_triangle_counts(monkeypatch, {chosen[1].diagonals_sorted: tc})
+    with pytest.raises(InternalAssertionError) as swept:
+        sweep(4, 5)
+    with pytest.raises(InternalAssertionError) as orbit_swept:
+        sweep(4, 5, orbits=True)
+    assert "frieze construction failed" in str(swept.value)
+    assert str(orbit_swept.value) == str(swept.value)
 
 
 def test_even_row_offsets_are_pinned():

@@ -301,7 +301,9 @@ def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     return _even_rows_match(radical, integral, d.n - 3, p)
 
 
-def _batch_passes(faces: Sequence[Sequence[int]], triangles: Sequence[Sequence[int]], p: int) -> bool:
+def _batch_passes(
+    faces: Sequence[Sequence[int]], triangles: Sequence[Sequence[int]], p: int
+) -> bool:
     """Do all three checks pass, every ε_j = 0, on each dissection of a batch
     of one polygon size, given by its face counts and triangle counts?
 

@@ -418,7 +418,8 @@ def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
 @pytest.mark.parametrize("short_s", [1, 3, 5])
 def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
     # an enumeration one dissection short is an internal fault, whichever
-    # batch the missing one would have fallen in: exit 3 from the CLI
+    # batch the missing one would have fallen in, also in an orbit sweep:
+    # exit 3 from the CLI
     import friezes.verify
     from friezes.cli import main
 
@@ -433,27 +434,11 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
     monkeypatch.setattr(friezes.verify, "_p_angulation_walk", one_short)
     expected = {1: 1, 3: 12, 5: 273}[short_s]
     message = f"enumerated {expected - 1} 4-angulations with {short_s} faces, expected {expected}"
-    with pytest.raises(InternalAssertionError, match=message):
-        sweep(4, 5)
+    for orbits in (False, True):
+        with pytest.raises(InternalAssertionError, match=message):
+            sweep(4, 5, orbits=orbits)
     assert main(["verify", "--p", "4", "--max-s", str(short_s)]) == 3
     assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("orbits", [False, True])
-def test_sweep_checks_the_count_of_each_level_with_orbits_too(monkeypatch, orbits):
-    import friezes.verify
-
-    walk_of = friezes.verify._p_angulation_walk
-
-    def one_short(s, p):
-        n, walk = walk_of(s, p)
-        if s == 4:
-            next(walk)
-        return n, walk
-
-    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", one_short)
-    with pytest.raises(InternalAssertionError, match="enumerated 54 4-angulations with 4 faces"):
-        sweep(4, 5, orbits=orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +553,12 @@ def test_least_rotation_picks_one_leaf_per_orbit():
         for s in range(1, s_max + 1):
             level = list(enumerate_p_angulations(s, p))
             n = level[0].n
-            orbits = {
-                min(rotate(d, c).diagonals_sorted for c in range(0, n, 2)) for d in level
-            }
+            def orbit(d):
+                return min(rotate(d, c).diagonals_sorted for c in range(0, n, 2))
+
             chosen = [d for d in level if _least_rotation(list(quiddity_counts(d)))]
-            assert len(chosen) == len(orbits)
-            assert {min(rotate(d, c).diagonals_sorted for c in range(0, n, 2)) for d in chosen} == orbits
+            assert len(chosen) == len({orbit(d) for d in level})
+            assert {orbit(d) for d in chosen} == {orbit(d) for d in level}
 
 
 def test_least_rotation_against_every_rotation():
@@ -588,7 +573,9 @@ def test_least_rotation_against_every_rotation():
             assert _least_rotation(counts) is least, counts
 
 
-@pytest.mark.parametrize("p, s_max, deep", [(4, 7, False), (6, 4, False), (4, 3, True), (6, 2, True)])
+@pytest.mark.parametrize(
+    "p, s_max, deep", [(4, 7, False), (6, 4, False), (4, 3, True), (6, 2, True)]
+)
 def test_orbit_sweep_summary_is_the_exhaustive_one(p, s_max, deep):
     exhaustive = sweep(p, s_max, deep=deep)
     orbits = sweep(p, s_max, deep=deep, orbits=True)

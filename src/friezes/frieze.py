@@ -342,9 +342,9 @@ def _grow(
     no row multiplies by 1.  A batch lays its B quiddities out column-major:
     entry k of quiddity d sits at index k·B + d of the counts and of every
     row, so the slice for row r starts at (r-1)·B and the batch costs one
-    pass of maps per row.  `lambda_frieze`, `cc_frieze`, `from_quiddity` and
-    `verify_dissection` grow one frieze (B = 1); `verify.sweep` grows its
-    batches and re-runs a batch that fails one dissection at a time.
+    pass of maps per row.  `lambda_frieze`, `cc_frieze` and `from_quiddity`
+    grow one frieze (B = 1); `verify._batch_passes` grows the batches of
+    `verify.sweep`, and batches of one for `verify_dissection`.
 
     The row is a frieze quiddity only if rows 2..n+2 are positive and row
     n+2 comes out as all ones; an even row of a radical row holds C·√m,

@@ -11,19 +11,21 @@ counting test that D is a p-angulation, the one check of D; the counts of D
 and T are read once each.  The checks take the kernel's int rows as
 they come, with no QuadNum in between: an odd row is compared as two int
 lists, and an even row of the radical frieze holds the coefficients a_k of
-a_k·√m.  A passing dissection is decided by C-level comparisons: whole odd
-rows, and stride slices (every other column) of the counts and of the even
-rows; only a failing row is walked entry by entry, to name its witness.  A
-sweep reads its dissections straight off the enumeration walk, the face
-counts from the walk's own count list and the triangle counts from the
-walk's sorted diagonals, and checks up to 64 of one polygon at a time:
-their counts are interleaved column-major (count k of dissection d at
-index k·B + d), both frieze families are grown as one kernel batch each,
-and each check is one comparison per row against a multiplier list that
-puts p/2 on the odd columns, with no stride slice and no None scan.  That
-pass keeps only a yes or no; a batch that fails it, or whose kernel raises,
-is re-run one dissection at a time (only then is a `Dissection` built), so
-a report is always `verify_dissection`'s.  The checks are:
+a_k·√m.  One pass test, `_batch_passes`, decides every dissection: the
+counts of up to 64 dissections of one polygon are interleaved column-major
+(count k of dissection d at index k·B + d), both frieze families are grown
+as one kernel batch each, and each check is one comparison per row against
+a multiplier list that puts p/2 on the odd columns.  A pass is all three
+checks passing with every ε_j = 0, which (A) below proves for the
+associated triangulation; `verify_dissection` runs it on a batch of one.
+Only a dissection that does not pass has its own rows grown and
+walked entry by entry, to name its witness and its ε_j.  A sweep reads its
+dissections straight off the enumeration walk, the face counts from the
+walk's own count list and the triangle counts from the walk's sorted
+diagonals, and keeps only whether each batch passed; a level with a batch
+that fails, or whose kernel raises, is re-run one dissection at a time
+through `verify_dissection` (only then is a `Dissection` built), so a
+report is always `verify_dissection`'s.  The checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -45,7 +47,8 @@ raise ValueError when the widths differ.
 
 sweep() runs all three over every p-angulation up to a face-count bound,
 in batches as above, or with orbits=True over one p-angulation per
-even-rotation orbit, by (C) below;
+even-rotation orbit, by (C) below, re-running a failing level the same
+way in both modes;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
@@ -94,8 +97,9 @@ A third fact lets a sweep check one p-angulation per orbit:
     the p-angulation (a run of p − 2 consecutive vertices of count 1 lies
     in one face with its two neighbours, so it is an ear, which the counts
     show; cutting it off leaves the counts of the rest), so exactly one
-    leaf per orbit is checked.  A failing batch re-runs its whole level one
-    dissection at a time, so the reports are those of the exhaustive sweep.
+    leaf per orbit is checked.  A failing batch has its whole level re-run
+    one dissection at a time, as in the exhaustive sweep, so the reports
+    are the same.
 """
 
 from __future__ import annotations
@@ -111,7 +115,6 @@ from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _grow, _rows
 from .polygon import (
     Dissection,
-    Pair,
     _p_angulation_walk,
     _walk,
     _walked,
@@ -153,14 +156,9 @@ class EvenScalingResult:
 
 
 def _lemma_counts(q: Sequence[int], tc: Sequence[int], p: int) -> CheckResult:
-    """Triangle counts against face counts: t_α = q_α at even α, (p/2)·q_α at odd α.
-
-    Counts that pass are decided by two stride comparisons; only a failing
-    pair is walked entry by entry, to name its first vertex.
-    """
+    """Triangle counts against face counts: t_α = q_α at even α, (p/2)·q_α at odd α,
+    witnessed at the first vertex that differs."""
     half = p // 2
-    if tc[::2] == q[::2] and tc[1::2] == tuple([half * faces for faces in q[1::2]]):
-        return CheckResult(True, None)
     for alpha, (faces, triangles) in enumerate(zip(q, tc)):
         if triangles != (faces if alpha % 2 == 0 else half * faces):
             return CheckResult(False, FirstViolation("lemma", None, alpha))
@@ -170,10 +168,7 @@ def _lemma_counts(q: Sequence[int], tc: Sequence[int], p: int) -> CheckResult:
 def _odd_rows_match(radical: Rows, integral: Rows, width: int) -> CheckResult:
     """Odd rows of two int grids, equal entrywise; None (not an integer) never matches."""
     for r in range(1, width + 3, 2):
-        a_row, b_row = radical[r], integral[r]
-        if a_row == b_row and None not in a_row:
-            continue
-        pairs = enumerate(zip(a_row, b_row))
+        pairs = enumerate(zip(radical[r], integral[r]))
         k = next((k for k, (a, b) in pairs if a is None or a != b), None)
         if k is not None:
             return CheckResult(False, FirstViolation("odd_rows", r, k))
@@ -185,36 +180,27 @@ def _even_rows_match(coefficients: Rows, integral: Rows, width: int, p: int) -> 
 
     coefficients[r] holds the radical entries of row r as multiples a_k of
     √m, integral[r] the integral entries; None (no such integer) never
-    matches, nor does a coefficient that is not positive.  A row that
-    passes is decided at C speed: the coefficients are all positive by
-    `min`, and the integral row equals them on one stride of columns and
-    (p/2) times them on the other, ε = 0 (the factor at odd columns) tried
-    first.  Only a row that fails that test is compared entry by entry,
-    which names its witness, the smallest column either offset misses; that
-    comparison runs to the shorter of two ragged rows, so one of those may
-    still pass.
+    matches, nor does a coefficient that is not positive, witnessed at its
+    column.  Each row is compared entry by entry with the coefficients
+    times (p/2) at the columns k with k + ε odd, ε = 0 (the factor at odd
+    columns) tried first; a row that neither offset passes is witnessed at
+    the smallest column either misses.  The comparison runs to the shorter
+    of two ragged rows, so one of those may still pass.
     """
     half = p // 2
     epsilons: list[int] = []
     for r in range(2, width + 2, 2):
         coeffs, row = coefficients[r], integral[r]
-        if None in coeffs or (coeffs and min(coeffs) <= 0):
-            k = next(k for k, c in enumerate(coeffs) if c is None or c <= 0)
+        k = next((k for k, c in enumerate(coeffs) if c is None or c <= 0), None)
+        if k is not None:
             return EvenScalingResult(
                 False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
             )
-        evens, odds = coeffs[::2], coeffs[1::2]
-        if row[::2] == evens and row[1::2] == [half * c for c in odds]:
-            epsilons.append(0)
-            continue
-        if row[1::2] == odds and row[::2] == [half * c for c in evens]:
-            epsilons.append(1)
-            continue
         misses = []
         for eps in (0, 1):
             scaled = [c * half if (k + eps) % 2 else c for k, c in enumerate(coeffs)]
             pairs = enumerate(zip(scaled, row))
-            miss = None if row == scaled else next((k for k, (s, e) in pairs if e != s), None)
+            miss = next((k for k, (s, e) in pairs if e != s), None)
             if miss is None:
                 epsilons.append(eps)
                 break
@@ -277,10 +263,10 @@ def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return q, tuple(triangles)
 
 
-def _build(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...], Rows, Rows]:
-    """`_counts` and the kernel rows grown from each."""
-    q, tc = _counts(d, p)
-    return q, tc, _rows(q, LAMBDA_RADICAND[p], True), _rows(tc, 1, False)
+def _grids(q: Sequence[int], tc: Sequence[int], p: int) -> tuple[Rows, Rows]:
+    """The kernel rows of the radical frieze grown from the face counts q and of
+    the integral frieze grown from the triangle counts tc."""
+    return _rows(q, LAMBDA_RADICAND[p], True), _rows(tc, 1, False)
 
 
 def check_lemma(d: Dissection, p: int) -> CheckResult:
@@ -291,14 +277,12 @@ def check_lemma(d: Dissection, p: int) -> CheckResult:
 
 def check_odd_rows(d: Dissection, p: int) -> CheckResult:
     """Entrywise agreement of the two friezes on every odd row."""
-    _, _, radical, integral = _build(d, p)
-    return _odd_rows_match(radical, integral, d.n - 3)
+    return _odd_rows_match(*_grids(*_counts(d, p), p), d.n - 3)
 
 
 def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     """Even rows of the integer frieze as (p/2)-scaled radical-row coefficients."""
-    _, _, radical, integral = _build(d, p)
-    return _even_rows_match(radical, integral, d.n - 3, p)
+    return _even_rows_match(*_grids(*_counts(d, p), p), d.n - 3, p)
 
 
 def _batch_passes(
@@ -317,8 +301,9 @@ def _batch_passes(
     themselves (the triangle counts, and the face counts as multiples of
     √m), so its comparison is the lemma.  The kernel rows hold no None and
     the kernel has checked them positive, so neither is scanned.  A kernel
-    failure is no pass: `sweep` then re-runs the batch one dissection at a
-    time, which reports or raises exactly what one dissection gives.
+    failure is no pass: `verify_dissection` then grows the rows again by
+    `_rows`, which raises it, and `sweep` re-runs the level through
+    `verify_dissection`.
     """
     size = len(faces)
     q = list(chain.from_iterable(zip(*faces)))
@@ -386,13 +371,31 @@ class VerificationReport:
 
 
 def verify_dissection(d: Dissection, p: int) -> VerificationReport:
-    """Run all three checks, building each frieze exactly once."""
+    """Run all three checks on D's counts, read once.
+
+    The counts decide the result by `_batch_passes` on a batch of one: a
+    pass is every check passing with every ε_j = 0, as (A) in the module
+    docstring proves for the associated triangulation.  Only a dissection
+    that does not pass has its rows grown again from the same counts by
+    `_rows` (which raises InternalAssertionError if the kernel fails) and
+    walked entry by entry, which names the first violation, in check order,
+    and the ε_j.  timings_ms["build"] times reading the counts and the
+    pass test, which grows both friezes; timings_ms["checks"] times the
+    rest, next to nothing on a pass and on a failure the rows and the walks.
+    """
     started = time.perf_counter()
-    q, tc, radical, integral = _build(d, p)
+    q, tc = _counts(d, p)
+    passed = _batch_passes([q], [tc], p)
     built = time.perf_counter()
-    lemma = _lemma_counts(q, tc, p)
-    odd = _odd_rows_match(radical, integral, d.n - 3)
-    even = _even_rows_match(radical, integral, d.n - 3, p)
+    width = d.n - 3
+    if passed:
+        lemma = odd = CheckResult(True, None)
+        even = EvenScalingResult(True, None, (0,) * len(range(2, width + 2, 2)), False)
+    else:
+        radical, integral = _grids(q, tc, p)
+        lemma = _lemma_counts(q, tc, p)
+        odd = _odd_rows_match(radical, integral, width)
+        even = _even_rows_match(radical, integral, width, p)
     finished = time.perf_counter()
     first = lemma.witness or odd.witness or even.witness  # a witness is never falsy
     return VerificationReport(
@@ -532,24 +535,25 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     (`_refined_counts`, which runs the leaf's one p-angulation test), so no
     `Dissection` or refinement is built for a leaf that passes.  The leaves
     are checked in batches of up to _BATCH = 64 in enumeration order
-    (`_batch_passes`).  Only a batch that does not pass is re-run one
-    dissection at a time through `verify_dissection`, so every
-    counterexample report (witness, ε, timings) and every
-    InternalAssertionError is the one that dissection gives alone, in
-    enumeration order.
+    (`_batch_passes`), keeping only whether each batch passed.  A batch that
+    does not pass, or whose kernel raises, marks its level; once the level
+    is walked and its count checked, a marked level is re-run once, one
+    dissection at a time through `verify_dissection`, in enumeration order,
+    so every counterexample report (witness, ε, timings) and every
+    InternalAssertionError is the one that dissection gives alone.
 
     With orbits=True only the leaves whose counts are least among their
     even rotations (`_least_rotation`) are batched: by (C) in the module
-    docstring each passes exactly when its whole orbit does.  A failing
-    batch then re-runs its whole level through `verify_dissection` once the
-    level is walked, so the counterexamples are the exhaustive sweep's.
-    `checked` and `per_s` still count every leaf; `orbits_checked` counts
-    the leaves batched.
+    docstring each passes exactly when its whole orbit does, and a marked
+    level is re-run whole, so the counterexamples are the exhaustive
+    sweep's.  `checked` and `per_s` still count every leaf; `orbits_checked`
+    counts the leaves batched.
 
     With deep=True each dissection additionally runs deep_uniqueness, after
     its batch's check, in enumeration order — exhaustive over all
-    triangulations of its polygon, so keep s small.  The number enumerated
-    at each s is checked against the Fuss–Catalan number.
+    triangulations of its polygon, so keep s small; at most one batch's
+    leaves are held for it.  The number enumerated at each s is checked
+    against the Fuss–Catalan number.
     """
     if s_max < 1:
         raise ValueError("face count bound must be positive")
@@ -561,36 +565,35 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
         n, walk = _p_angulation_walk(s, p)
         count = 0
         failed = False  # has a batch of this level failed?
-        leaves: list[tuple[Pair, ...]] = []  # to re-run or deep-scan, in walk order
+        leaves: list[Dissection] = []  # with deep, the batch's leaves in walk order
         faces: list[list[int]] = []
         triangles: list[list[int]] = []
         for diagonals, q in walk:
             count += 1
+            if deep:
+                leaves.append(_walked(Dissection, n, frozenset(diagonals)))
             if orbits and not _least_rotation(q):
-                if deep:
-                    leaves.append(tuple(diagonals))
                 continue
             tc = _refined_counts(n, diagonals, q, p)
             if tc is None:
                 raise _not_p_angulation(_walked(Dissection, n, frozenset(diagonals)), p)
-            leaves.append(tuple(diagonals))
             faces.append(q[:])
             triangles.append(tc)
             if len(faces) == _BATCH:
-                failed |= not _check_batch(n, p, leaves, faces, triangles, deep, orbits,
-                                           counterexamples, deep_failures)
+                failed |= not _batch_passes(faces, triangles, p)
                 batched += len(faces)
+                deep_failures += [d for d in leaves if not deep_uniqueness(d, p).ok]
                 leaves, faces, triangles = [], [], []
-        if faces or leaves:
-            failed |= not _check_batch(n, p, leaves, faces, triangles, deep, orbits,
-                                       counterexamples, deep_failures)
+        if faces:
+            failed |= not _batch_passes(faces, triangles, p)
             batched += len(faces)
+        deep_failures += [d for d in leaves if not deep_uniqueness(d, p).ok]
         if count != fuss_catalan(s, p):
             raise InternalAssertionError(
                 f"enumerated {count} {p}-angulations with {s} faces, "
                 f"expected {fuss_catalan(s, p)}"
             )
-        if orbits and failed:  # re-run the level exhaustively, one dissection at a time
+        if failed:  # re-run the level once, one dissection at a time
             for d in enumerate_p_angulations(s, p):
                 report = verify_dissection(d, p)
                 if not report.ok:
@@ -606,33 +609,3 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
         deep_failures=tuple(deep_failures),
         orbits_checked=batched if orbits else None,
     )
-
-
-def _check_batch(
-    n: int,
-    p: int,
-    leaves: list[tuple[Pair, ...]],
-    faces: list[list[int]],
-    triangles: list[list[int]],
-    deep: bool,
-    orbits: bool,
-    counterexamples: list[VerificationReport],
-    deep_failures: list[Dissection],
-) -> bool:
-    """Check one batch of `sweep`, and say whether it passed.
-
-    An exhaustive sweep re-runs a failing batch's leaves one at a time
-    through `verify_dissection` at once; an orbit sweep leaves that to its
-    level.  With deep each leaf is then deep-scanned, in walk order."""
-    passed = not faces or _batch_passes(faces, triangles, p)
-    if passed and not deep:
-        return True
-    for diagonals in leaves:
-        d = _walked(Dissection, n, frozenset(diagonals))
-        if not (passed or orbits):
-            report = verify_dissection(d, p)
-            if not report.ok:
-                counterexamples.append(report)
-        if deep and not deep_uniqueness(d, p).ok:
-            deep_failures.append(d)
-    return passed

@@ -22,10 +22,9 @@ Only a dissection that does not pass has its own rows grown and
 walked entry by entry, to name its witness and its ε_j.  A sweep reads its
 dissections straight off the enumeration walk, the face counts from the
 walk's own count list and the triangle counts from the walk's sorted
-diagonals, and keeps only whether each batch passed; a level with a batch
-that fails, or whose kernel raises, is re-run one dissection at a time
-through `verify_dissection` (only then is a `Dissection` built), so a
-report is always `verify_dissection`'s.  The checks are:
+diagonals, and holds no leaves; a level with a leaf or batch that fails is
+re-run through `verify_dissection`, in the one pass that builds its
+`Dissection`s, so a report is always `verify_dissection`'s.  The checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -46,9 +45,8 @@ reading never matches), hand them to the same int-row comparisons, and
 raise ValueError when the widths differ.
 
 sweep() runs all three over every p-angulation up to a face-count bound,
-in batches as above, or with orbits=True over one p-angulation per
-even-rotation orbit, by (C) below, re-running a failing level the same
-way in both modes;
+as above, or with orbits=True over one p-angulation per even-rotation
+orbit, by (C) below;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
@@ -97,9 +95,8 @@ A third fact lets a sweep check one p-angulation per orbit:
     the p-angulation (a run of p − 2 consecutive vertices of count 1 lies
     in one face with its two neighbours, so it is an ear, which the counts
     show; cutting it off leaves the counts of the rest), so exactly one
-    leaf per orbit is checked.  A failing batch has its whole level re-run
-    one dissection at a time, as in the exhaustive sweep, so the reports
-    are the same.
+    leaf per orbit is checked.  A failing level is re-run whole, as in the
+    exhaustive sweep, so the reports are the same.
 """
 
 from __future__ import annotations
@@ -530,17 +527,16 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     """Verify every p-angulation with 1 ≤ s ≤ s_max faces.
 
     Each level s is read straight off the enumeration walk (`polygon._walk`):
-    a leaf's face counts are the walk's live count list and its triangle
-    counts come from one face pass over its sorted diagonals
-    (`_refined_counts`, which runs the leaf's one p-angulation test), so no
-    `Dissection` or refinement is built for a leaf that passes.  The leaves
-    are checked in batches of up to _BATCH = 64 in enumeration order
-    (`_batch_passes`), keeping only whether each batch passed.  A batch that
-    does not pass, or whose kernel raises, marks its level; once the level
-    is walked and its count checked, a marked level is re-run once, one
-    dissection at a time through `verify_dissection`, in enumeration order,
-    so every counterexample report (witness, ε, timings) and every
-    InternalAssertionError is the one that dissection gives alone.
+    a leaf's face counts are the walk's live count list, its triangle counts
+    come from one face pass (`_refined_counts`, which runs the leaf's one
+    p-angulation test), and the leaves are checked in batches of up to
+    _BATCH = 64 in enumeration order (`_batch_passes`); no leaves are held.
+    A leaf that is no p-angulation, or a batch that does not pass or whose
+    kernel raises, marks its level.  After the level's count is checked
+    against the Fuss–Catalan number, a marked level is re-run once through
+    `verify_dissection`, in enumeration order, so every report (witness, ε,
+    timings) and every error is the one that dissection gives alone; a
+    marked level with no counterexample is an InternalAssertionError.
 
     With orbits=True only the leaves whose counts are least among their
     even rotations (`_least_rotation`) are batched: by (C) in the module
@@ -549,11 +545,10 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     sweep's.  `checked` and `per_s` still count every leaf; `orbits_checked`
     counts the leaves batched.
 
-    With deep=True each dissection additionally runs deep_uniqueness, after
-    its batch's check, in enumeration order — exhaustive over all
-    triangulations of its polygon, so keep s small; at most one batch's
-    leaves are held for it.  The number enumerated at each s is checked
-    against the Fuss–Catalan number.
+    With deep=True each dissection also runs deep_uniqueness, exhaustive
+    over all triangulations of its polygon (so keep s small), after the
+    level's count check, in the same pass as the re-run: the one pass that
+    builds the level's `Dissection`s, in enumeration order.
     """
     if s_max < 1:
         raise ValueError("face count bound must be positive")
@@ -564,40 +559,44 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     for s in range(1, s_max + 1):
         n, walk = _p_angulation_walk(s, p)
         count = 0
-        failed = False  # has a batch of this level failed?
-        leaves: list[Dissection] = []  # with deep, the batch's leaves in walk order
+        failed = False  # has a leaf or a batch of this level failed?
         faces: list[list[int]] = []
         triangles: list[list[int]] = []
         for diagonals, q in walk:
             count += 1
-            if deep:
-                leaves.append(_walked(Dissection, n, frozenset(diagonals)))
             if orbits and not _least_rotation(q):
                 continue
             tc = _refined_counts(n, diagonals, q, p)
-            if tc is None:
-                raise _not_p_angulation(_walked(Dissection, n, frozenset(diagonals)), p)
+            if tc is None:  # no p-angulation: the re-run raises its error
+                failed = True
+                continue
             faces.append(q[:])
             triangles.append(tc)
             if len(faces) == _BATCH:
                 failed |= not _batch_passes(faces, triangles, p)
                 batched += len(faces)
-                deep_failures += [d for d in leaves if not deep_uniqueness(d, p).ok]
-                leaves, faces, triangles = [], [], []
+                faces, triangles = [], []
         if faces:
             failed |= not _batch_passes(faces, triangles, p)
             batched += len(faces)
-        deep_failures += [d for d in leaves if not deep_uniqueness(d, p).ok]
         if count != fuss_catalan(s, p):
             raise InternalAssertionError(
                 f"enumerated {count} {p}-angulations with {s} faces, "
                 f"expected {fuss_catalan(s, p)}"
             )
-        if failed:  # re-run the level once, one dissection at a time
+        if failed or deep:  # the level's one pass over Dissections
+            found = len(counterexamples)
             for d in enumerate_p_angulations(s, p):
-                report = verify_dissection(d, p)
-                if not report.ok:
-                    counterexamples.append(report)
+                if failed:
+                    report = verify_dissection(d, p)
+                    if not report.ok:
+                        counterexamples.append(report)
+                if deep and not deep_uniqueness(d, p).ok:
+                    deep_failures.append(d)
+            if failed and len(counterexamples) == found:
+                raise InternalAssertionError(
+                    f"a batch of {p}-angulations with {s} faces failed, but each passes alone"
+                )
         per_s[s] = count
     return SweepSummary(
         p=p,

@@ -216,7 +216,7 @@ def test_first_violation_is_taken_in_check_order(monkeypatch, quad10):
         friezes.verify, "_rows", lambda counts, m, is_radical: radical if is_radical else wrong_rows
     )
     for counts, claim in ((wrong_tc, "lemma"), (tc, "odd_rows")):
-        corrupt_triangle_counts(monkeypatch, {quad10.diagonals_sorted: counts})
+        corrupt_triangle_counts(monkeypatch, {(quad10.n, quad10.diagonals_sorted): counts})
         report = verify_dissection(quad10, 4)
         assert not report.odd_rows_ok and not report.even_scaling_ok
         assert report.lemma_ok is (claim != "lemma")
@@ -271,7 +271,7 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
     # a failing dissection (the mirror's triangle counts: the lemma fails)
     # grows its rows from the counts already read: still one of each
     mirror = mirror_counts(quad10, 4)
-    corrupt_triangle_counts(monkeypatch, {quad10.diagonals_sorted: mirror})
+    corrupt_triangle_counts(monkeypatch, {(quad10.n, quad10.diagonals_sorted): mirror})
     calls.update(dict.fromkeys(names, 0))
     report = verify_dissection(quad10, 4)
     assert not report.ok and report.first_violation.claim == "lemma"
@@ -288,40 +288,41 @@ def test_verify_dissection_matches_the_public_comparisons():
     # verify_dissection compares the kernel's int rows; the public Frieze
     # comparisons read the wrapped grids back: both give the same report,
     # on the associated triangulation's counts (a pass) and, in a second
-    # pass, on the mirror's (every even row at ε = 1, the lemma failing)
+    # pass, on the mirror's (every even row at ε = 1, the lemma failing),
+    # p = 4 and p = 6 under one patch
+    cases = [(d, p, s) for p, s_max in ((4, 5), (6, 3)) for s in range(1, s_max + 1)
+             for d in enumerate_p_angulations(s, p)]
     for mirrored in (False, True):
-        for p, s_max in ((4, 5), (6, 3)):
-            level = [(d, s) for s in range(1, s_max + 1) for d in enumerate_p_angulations(s, p)]
-            with pytest.MonkeyPatch.context() as patch:
-                if mirrored:  # keyed by diagonals, so one p at a time
-                    mirrors = {d.diagonals_sorted: mirror_counts(d, p) for d, _ in level}
-                    corrupt_triangle_counts(patch, mirrors)
-                for d, s in level:
-                    twin = rotate(associated_triangulation(rotate(d, 1), p), d.n - 1)
-                    radical = lambda_frieze(d, p)
-                    integral = cc_frieze(twin if mirrored else associated_triangulation(d, p))
-                    lemma = check_lemma(d, p)
-                    odd = odd_rows_coincide(radical, integral)
-                    even = even_rows_scaled(radical, integral, p)
-                    witnesses = (lemma.witness, odd.witness, even.witness)
-                    first = next((w for w in witnesses if w is not None), None)
-                    expected = {
-                        "p": p,
-                        "s": s,
-                        "dissection": d.to_json(),
-                        "lemma_ok": lemma.ok,
-                        "odd_rows_ok": odd.ok,
-                        "even_scaling_ok": even.ok,
-                        "epsilons": list(even.epsilons),
-                        "epsilon_alternates": even.alternates,
-                        "first_violation": None if first is None else first.to_json(),
-                    }
-                    blob = verify_dissection(d, p).to_json()
-                    del blob["timings_ms"]
-                    assert blob == expected
-                    assert set(blob["epsilons"]) == {int(mirrored)}
-                    if mirrored:
-                        assert blob["first_violation"]["claim"] == "lemma"
+        with pytest.MonkeyPatch.context() as patch:
+            if mirrored:
+                mirrors = {(d.n, d.diagonals_sorted): mirror_counts(d, p) for d, p, _ in cases}
+                corrupt_triangle_counts(patch, mirrors)
+            for d, p, s in cases:
+                twin = rotate(associated_triangulation(rotate(d, 1), p), d.n - 1)
+                radical = lambda_frieze(d, p)
+                integral = cc_frieze(twin if mirrored else associated_triangulation(d, p))
+                lemma = check_lemma(d, p)
+                odd = odd_rows_coincide(radical, integral)
+                even = even_rows_scaled(radical, integral, p)
+                witnesses = (lemma.witness, odd.witness, even.witness)
+                first = next((w for w in witnesses if w is not None), None)
+                expected = {
+                    "p": p,
+                    "s": s,
+                    "dissection": d.to_json(),
+                    "lemma_ok": lemma.ok,
+                    "odd_rows_ok": odd.ok,
+                    "even_scaling_ok": even.ok,
+                    "epsilons": list(even.epsilons),
+                    "epsilon_alternates": even.alternates,
+                    "first_violation": None if first is None else first.to_json(),
+                }
+                blob = verify_dissection(d, p).to_json()
+                del blob["timings_ms"]
+                assert blob == expected
+                assert set(blob["epsilons"]) == {int(mirrored)}
+                if mirrored:
+                    assert blob["first_violation"]["claim"] == "lemma"
 
 
 def test_sweep_p4():
@@ -349,15 +350,16 @@ def test_sweep_rejects_bad_bound():
 
 def corrupt_triangle_counts(monkeypatch, wrong):
     """Patch the one counts function of `verify._counts` and `sweep`,
-    `_refined_counts`, to give the triangle counts wrong[diagonals] for the
-    dissections with those sorted diagonals, and the true counts otherwise."""
+    `_refined_counts`, to give the triangle counts wrong[n, diagonals] for
+    the n-gon's dissection with those sorted diagonals, and the true counts
+    otherwise."""
     import friezes.verify
 
     counts = friezes.verify._refined_counts
 
     def corrupted(n, diagonals, q, p):
         tc = counts(n, diagonals, q, p)
-        return list(wrong.get(tuple(diagonals), tc))
+        return list(wrong.get((n, tuple(diagonals)), tc))
 
     monkeypatch.setattr(friezes.verify, "_refined_counts", corrupted)
 
@@ -391,7 +393,8 @@ def test_sweep_re_runs_only_failing_levels(monkeypatch):
     assert called == []  # a passing sweep re-runs no dissection alone
     level = list(enumerate_p_angulations(5, 4))
     chosen = [level[100], level[270]]
-    corrupt_triangle_counts(monkeypatch, {d.diagonals_sorted: mirror_counts(d, 4) for d in chosen})
+    mirrors = {(d.n, d.diagonals_sorted): mirror_counts(d, 4) for d in chosen}
+    corrupt_triangle_counts(monkeypatch, mirrors)
     expected = []
     for d in chosen:
         blob = original(d, 4).to_json()
@@ -407,6 +410,59 @@ def test_sweep_re_runs_only_failing_levels(monkeypatch):
             del blob["timings_ms"]
         assert got == expected
         assert summary.checked == 344 and not summary.all_ok
+
+
+def test_a_marked_level_whose_dissections_pass_alone_is_an_internal_fault(monkeypatch, capsys):
+    # a batch that fails while each of its dissections passes alone is a
+    # fault of the batched pass: the sweep raises, in both modes, and the
+    # CLI exits 3
+    import friezes.verify
+    from friezes.cli import main
+
+    batch_passes = friezes.verify._batch_passes
+
+    def fails_batches(faces, triangles, p):
+        return len(faces) == 1 and batch_passes(faces, triangles, p)
+
+    monkeypatch.setattr(friezes.verify, "_batch_passes", fails_batches)
+    for orbits, s in ((False, 2), (True, 3)):  # s = 2 is one orbit, checked alone
+        message = f"a batch of 4-angulations with {s} faces failed, but each passes alone"
+        with pytest.raises(InternalAssertionError, match=message):
+            sweep(4, 5, orbits=orbits)
+    assert main(["verify", "--p", "4", "--max-s", "5"]) == 3
+    assert "a batch of 4-angulations with 2 faces failed" in capsys.readouterr().err
+
+
+def test_sweep_builds_each_level_at_most_once(monkeypatch):
+    # a level's Dissections are built in one enumeration pass, and only when
+    # the level is marked or deep: the re-run and the deep scan share it
+    import friezes.verify
+
+    built = []
+    enumerate_of = friezes.verify.enumerate_p_angulations
+
+    def recorded(s, p):
+        built.append(s)
+        return enumerate_of(s, p)
+
+    monkeypatch.setattr(friezes.verify, "enumerate_p_angulations", recorded)
+    for orbits in (False, True):
+        assert sweep(4, 5, orbits=orbits).all_ok
+        assert sweep(6, 3, orbits=orbits).all_ok
+        assert built == []
+        summary = sweep(4, 3, deep=True, orbits=orbits)
+        assert built == [1, 2, 3] and len(summary.deep_failures) == 16
+        built.clear()
+    # a level that is both marked and deep: still one pass, which reports
+    # the counterexample and flags every dissection
+    d = list(enumerate_p_angulations(3, 4))[5]
+    corrupt_triangle_counts(monkeypatch, {(d.n, d.diagonals_sorted): mirror_counts(d, 4)})
+    summary = sweep(4, 3, deep=True)
+    assert built == [1, 2, 3]
+    assert [r.dissection for r in summary.counterexamples] == [d]
+    assert summary.deep_failures == tuple(e for s in (1, 2, 3) for e in enumerate_of(s, 4))
+    built.clear()
+    assert not sweep(4, 3).all_ok and built == [3]  # marked, not deep: only that level
 
 
 def test_batch_pass_compares_every_row(monkeypatch):
@@ -442,7 +498,7 @@ def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
 
     d = list(enumerate_p_angulations(4, 4))[30]
     tc = _counts(d, 4)[1]
-    corrupt_triangle_counts(monkeypatch, {d.diagonals_sorted: (tc[0] + 1,) + tc[1:]})
+    corrupt_triangle_counts(monkeypatch, {(d.n, d.diagonals_sorted): (tc[0] + 1,) + tc[1:]})
     with pytest.raises(InternalAssertionError) as alone:
         verify_dissection(d, 4)
     assert "frieze construction failed" in str(alone.value)
@@ -550,15 +606,20 @@ def test_counts_refuse_what_the_refinement_refused():
 
 
 def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
-    # a leaf that fails the p-angulation test gets `_refine`'s error,
-    # naming the leaf as a Dissection
+    # a leaf that fails the p-angulation test marks its level, whose re-run
+    # raises verify_dissection's error for it, naming the leaf as a
+    # Dissection, also in an orbit sweep
     import friezes.bijection
     from friezes import NotPAngulationError
 
     monkeypatch.setattr(friezes.bijection, "_is_p_angulation", lambda n, diagonals, p: False)
-    with pytest.raises(NotPAngulationError) as raised:
-        sweep(4, 2)
-    assert str(raised.value) == "Dissection(n=4, diagonals=[]) is not a 4-angulation"
+    with pytest.raises(NotPAngulationError) as alone:
+        verify_dissection(Dissection(4), 4)
+    assert str(alone.value) == "Dissection(n=4, diagonals=[]) is not a 4-angulation"
+    for orbits in (False, True):
+        with pytest.raises(NotPAngulationError) as raised:
+            sweep(4, 2, orbits=orbits)
+        assert str(raised.value) == str(alone.value)
 
 
 def test_faces_and_counts_commute_with_even_rotations():
@@ -641,7 +702,8 @@ def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypat
     chosen = [level[represents.index(False, 3)], level[represents.index(True, 150)]]
     chosen.append(level[represents.index(False, 200)])
     tc = list(_counts(chosen[1], 4)[1])
-    corrupt_triangle_counts(monkeypatch, {d.diagonals_sorted: mirror_counts(d, 4) for d in chosen})
+    mirrors = {(d.n, d.diagonals_sorted): mirror_counts(d, 4) for d in chosen}
+    corrupt_triangle_counts(monkeypatch, mirrors)
 
     def blobs(summary):
         got = [report.to_json() for report in summary.counterexamples]
@@ -656,7 +718,7 @@ def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypat
     assert orbits.per_s == exhaustive.per_s and not orbits.all_ok
     # a kernel that raises on a representative raises what it raises alone
     tc[0] += 1
-    corrupt_triangle_counts(monkeypatch, {chosen[1].diagonals_sorted: tc})
+    corrupt_triangle_counts(monkeypatch, {(chosen[1].n, chosen[1].diagonals_sorted): tc})
     with pytest.raises(InternalAssertionError) as swept:
         sweep(4, 5)
     with pytest.raises(InternalAssertionError) as orbit_swept:

@@ -24,9 +24,9 @@ diagonal list itself (`_listing`): its text is the bytes `json.dumps` gives
 for that `Dissection`'s `to_json()`, put together from per-vertex tables of
 label text built once per listing, with no frozenset, `Dissection` or dict
 built per leaf; the CLI's one writer joins the lines into writes of up to
-64 KiB.  The walk's stack of O(n) frames and the 2n label strings are all a
-listing keeps, so the first leaf comes at once and a sorted listing holds
-nothing more.
+64 KiB.  The walk's O(n) frames (at most one per diagonal on the path,
+see `_walk`) and the 2n label strings are all a listing keeps, so the first
+leaf comes at once and a sorted listing holds nothing more.
 """
 
 from __future__ import annotations
@@ -328,31 +328,38 @@ def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     lo..hi, whose face through lo and hi has k vertices outside the run.
     k = step marks a face closed by the chord (lo, hi): the chord is a
     diagonal, placed when lo's fan closes, and the run then holds a whole
-    face on it (k = 0 inside).  Each frame decides one end of lo's fan: a
+    face on it (k = 0 inside).  A task takes lo's fan one end at a time: a
     is the last end so far (lo + 1 at first), and `sectors` are the tasks
-    the fan has cut off, newest first, as linked pairs (sector, rest), so a
-    frame adds O(1).  An end b keeps every sector (step+2)-angulable
-    exactly when b ≡ a (mod step).  So the choices, in walk order, are the
-    next ends b = a + step, a + 2·step, ... < hi, each placing (lo, b) and
-    cutting off the sector a..b with k = 1 (lo is outside it), and last the
-    close b = hi, which cuts off a..hi with k + 1 (1 under the chord) and
-    pushes the sectors so that the first is filled first; every diagonal of
-    a sector is smaller than every one of the next.  A sector whose face is
+    the fan has cut off, newest first, as linked pairs (sector, rest), so an
+    end adds O(1).  An end b keeps every sector (step+2)-angulable exactly
+    when b ≡ a (mod step).  So the choices, in walk order, are the next ends
+    b = a + step, a + 2·step, ... < hi, each placing (lo, b) and cutting off
+    the sector a..b with k = 1 (lo is outside it), and last the close
+    b = hi, which cuts off a..hi with k + 1 (1 under the chord) and pushes
+    the sectors so that the first is filled first; every diagonal of a
+    sector is smaller than every one of the next.  A sector whose face is
     already whole is dropped.  The top-level task is 0..n-1 with k = 0.
 
     At every leaf the walk yields the same two lists: the diagonals, and
     the number of faces at each vertex (1 plus its diagonals, the quiddity
     of a triangulation).  Both are reused and mutated in place as the walk
     goes on, so a caller reads or copies them before asking for the next
-    leaf.  An explicit stack replaces recursion: each frame is one choice,
-    applied on the way down and undone on the way back.  The stack holds
-    O(n) frames and nothing else is kept.  An n above _MAX_WALK_N = 10**6
-    vertices raises ValueError naming the polygon at the call, before
+    leaf.  An explicit stack replaces recursion.  The open tasks form a
+    linked stack of (task, rest) pairs, and a frame is kept only for an end
+    b < hi, which leaves a later end to try: it holds the task, b, the open
+    tasks and the diagonal count before b, so backtracking restores the
+    tasks by one assignment, pops the diagonals back and tries b + step.
+    Frames never outnumber the diagonals on the path, so the walk keeps
+    O(n) and forms no reference cycle (tuples point only at older ones).
+    At the call, n must be at least step + 2 and ≡ 2 (mod step), and an n
+    above _MAX_WALK_N = 10**6 raises ValueError naming the polygon before
     anything is allocated: no walk that large could finish, its first leaf
     alone holding about n/step diagonals.
     """
     if n > _MAX_WALK_N:
         raise ValueError(f"the {n}-gon is too large to walk")
+    if n < step + 2 or (n - 2) % step:
+        raise ValueError(f"the {n}-gon has no {step + 2}-angulation")
     return _leaves(n, step)
 
 
@@ -360,47 +367,39 @@ def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     """The generator behind `_walk`, which checks n first."""
     diags: list[Pair] = []
     counts = [1] * n
-    todo: list[tuple] = [(0, 1, n - 1, 0, None)]  # tasks still to fill, next on top
-    # per choice: its task, the end b taken, and the height of `todo` below
-    # what it pushed
-    frames: list[tuple[tuple, int, int]] = []
+    todo: tuple | None = ((0, 1, n - 1, 0, None), None)  # tasks to fill: (next, rest)
+    # per end b < hi taken: its task, b, and `todo` and len(diags) before it
+    frames: list[tuple] = []
     while True:
-        if todo:  # descend: the next open task takes its first choice
-            task = todo.pop()
-            mark = len(todo)
-            lo, a, hi, k, sectors = task
+        if todo:  # descend: the next open task takes its first end
+            (lo, a, hi, k, sectors), todo = todo
             b = a + step
         else:
             yield diags, counts
-            while frames:  # backtrack to the last task with a choice left
-                task, b, mark = frames.pop()
-                lo, a, hi, k, sectors = task
-                if b < hi or k == step:  # undo (lo, b), the chord when b = hi
-                    diags.pop()
-                    counts[lo] -= 1
-                    counts[b] -= 1
-                del todo[mark:]
-                if b < hi:
-                    b += step
-                    break
-                todo.append(task)
-            else:
+            if not frames:
                 return
-        if b > hi:
-            b = hi
-        frames.append((task, b, mark))  # take end b on the way down
-        if b < hi or k == step:
+            lo, a, hi, k, sectors, b, todo, size = frames.pop()
+            while len(diags) > size:  # undo (lo, b) and everything after it
+                x, y = diags.pop()
+                counts[x] -= 1
+                counts[y] -= 1
+            b += step  # and leave it out
+        while b < hi:  # take end b of lo's fan, a later end left to try
+            frames.append((lo, a, hi, k, sectors, b, todo, len(diags)))
             diags.append((lo, b))
             counts[lo] += 1
             counts[b] += 1
-        if b < hi:
             if b - a != step:  # otherwise the sector's face is whole
                 sectors = ((a, a + 1, b, 1, None), sectors)
-            todo.append((lo, b, hi, k, sectors))
-            continue
-        inner = 0 if k == step else k
-        if hi - a + inner != step:  # likewise for (a, hi, inner + 1)
-            todo.append((a, a + 1, hi, inner + 1, None))
+            a = b
+            b += step
+        if k == step:  # the close places the chord (lo, hi)
+            diags.append((lo, hi))
+            counts[lo] += 1
+            counts[hi] += 1
+            k = 0
+        if hi - a + k != step:  # likewise for (a, hi, k + 1)
+            todo = ((a, a + 1, hi, k + 1, None), todo)
         while sectors:  # the first sector ends on top
             sector, sectors = sectors
-            todo.append(sector)
+            todo = (sector, todo)

@@ -434,13 +434,16 @@ def test_commands_leave_no_reference_cycles(capsys):
         ("verify", "--p", "4", "--max-s", "3"),
         ("verify", "--p", "6", "--max-s", "3", "--orbits"),
         ("enumerate", "--p", "6", "--s", "3"),
+        ("enumerate", "--p", "4", "--s", "3", "--count-only"),
+        ("verify", "--p", "4", "--max-s", "2", "--deep-uniqueness"),
     ]
     gc.disable()
     try:
         gc.collect()
         for argv in commands:
-            assert run(capsys, *argv)[0] == 0
-            assert gc.collect() == 0, argv[0]
+            expected = 2 if "--deep-uniqueness" in argv else 0  # the scan finds the twin
+            assert run(capsys, *argv)[0] == expected
+            assert gc.collect() == 0, argv
     finally:
         gc.enable()
 

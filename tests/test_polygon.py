@@ -4,6 +4,7 @@ Face extraction and enumeration are cross-checked against the independent
 planar-walk / brute-force implementations in oracle.py.
 """
 
+import gc
 import json
 import random
 import tracemalloc
@@ -245,11 +246,13 @@ def test_enumeration_yields_before_building_every_dissection(s, p):
 
 
 @pytest.mark.parametrize(
-    "s,p", [(s, 3) for s in range(1, 9)] + [(s, 4) for s in range(1, 5)] + [(1, 6), (2, 6), (3, 6)]
+    "s,p", [(s, 3) for s in range(1, 9)] + [(s, 4) for s in range(1, 5)]
+    + [(1, 5), (2, 5), (3, 5)] + [(1, 6), (2, 6), (3, 6)]
 )
 def test_walk_matches_brute_force_and_counts_faces(s, p):
     # the walk shares one diagonal list and one count list between leaves;
-    # at each leaf they hold a p-angulation, sorted, and its faces per vertex
+    # at each leaf they hold a p-angulation, sorted, and its faces per vertex,
+    # and the leaves come in lexicographic order
     n = (p - 2) * s + 2
     seen = []
     for diags, counts in _walk(n, p - 2):
@@ -258,7 +261,32 @@ def test_walk_matches_brute_force_and_counts_faces(s, p):
         assert tuple(counts) == quiddity_counts(d)
         seen.append(d.diagonals_sorted)
     assert len(set(seen)) == len(seen), "no dissection may appear twice"
-    assert sorted(seen) == sorted(brute_force_p_angulations(s, p))
+    assert seen == sorted(brute_force_p_angulations(s, p))
+
+
+@pytest.mark.parametrize("n,step", [(7, 2), (4, 4), (2, 1), (9, 3), (5, 2)])
+def test_walk_refuses_a_polygon_with_no_p_angulation_at_the_call(n, step):
+    with pytest.raises(ValueError, match=f"the {n}-gon has no {step + 2}-angulation"):
+        _walk(n, step)
+
+
+def test_abandoned_walk_leaves_no_reference_cycles():
+    # the open tasks and frames are tuples that point only at older tuples,
+    # so reference counting alone frees a walk dropped halfway
+    gc.disable()
+    try:
+        gc.collect()
+        lines = _listing(8, 4)
+        next(lines)
+        del lines
+        assert gc.collect() == 0
+        walk = _walk(18, 2)
+        for _ in zip(range(1000), walk):
+            pass
+        del walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

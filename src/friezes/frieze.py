@@ -21,7 +21,11 @@ QuadNum row, and checks positivity and closure on those ints.  The kernel
 grows B quiddities of one period together, laid out column-major (entry k
 of quiddity d at index k·B + d), in one pass of C-level maps per row:
 `verify.sweep` grows its batches of 64 so, and every single-frieze caller
-grows a batch of one.  A built
+grows a batch of one.  A frieze that closes is grown only to its middle
+row: there the kernel tests Coxeter's glide, e(r, k) = e(N - r, k + r)
+for period N, which holds exactly when the frieze closes, and takes every
+row above the middle as a lower row rotated, sharing its ints (the proof
+is in `_grow`'s docstring).  A built
 `Frieze` keeps those int rows and whether it is radical; a parsed one
 (`from_json`, or `Frieze(m, width, rows)`, which reads its QuadNum rows
 once, refusing an entry outside the header's field) holds each entry
@@ -341,34 +345,68 @@ def _grow(
     the even rows of a radical row reading a copy of the counts times m, so
     no row multiplies by 1.  A batch lays its B quiddities out column-major:
     entry k of quiddity d sits at index k·B + d of the counts and of every
-    row, so the slice for row r starts at (r-1)·B and the batch costs one
-    pass of maps per row.  `lambda_frieze`, `cc_frieze` and `from_quiddity`
-    grow one frieze (B = 1); `verify._batch_passes` grows the batches of
-    `verify.sweep`, and batches of one for `verify_dissection`.
+    row, so the slice for row r starts at (r-1)·B, a rotation by c columns
+    is a rotation by c·B entries, and the batch costs one pass of maps per
+    row.  `lambda_frieze`, `cc_frieze` and `from_quiddity` grow one frieze
+    (B = 1); `verify._batch_passes` grows the batches of `verify.sweep`, and
+    batches of one for `verify_dissection`.
+
+    Only the rows up to the middle are grown when the frieze closes.  With
+    period N and mid = N // 2, once row mid + 1 is grown the kernel tests
+    Coxeter's glide at the middle, e(r, k) = e(N - r, k + r) for r = mid and
+    mid + 1 and every column k.  If it holds, every quiddity of the batch
+    closes, and each row R = mid + 2 .. N - 1 is row N - R rotated by R
+    columns (the same int objects), row N is row 0.  Proof: write c_j for
+    e(2, j) (indices mod N) and K(i, j) for the continuant of c_i, ..., c_j,
+    with K(i, i-1) = 1 and K(i, i-2) = 0, so every grown entry is
+    e(r, k) = K(k, k+r-2).  Fix k; u_r = e(r, k) = K(k, k+r-2) and
+    v_r = K(k+r, k+N-2), which is e(N - r, k + r), for 0 ≤ r ≤ N.  u obeys
+    u_{r+1} = c_{k+r-1}·u_r - u_{r-1} by construction, and so does v:
+    extending a continuant on the left, K(i-1, j) = c_{i-1}·K(i, j) - K(i+1, j),
+    with i = k + r reads v_{r-1} = c_{k+r-1}·v_r - v_{r+1}.  A recurrence of
+    second order whose last coefficient -1 is a unit runs both ways, so the
+    two equal terms u_mid = v_mid and u_{mid+1} = v_{mid+1} make u_r = v_r
+    for every r.  So u_N = v_N = K(k+N, k+N-2) = 0 and
+    u_{N-1} = v_{N-1} = K(k+N-1, k+N-2) = 1: row N - 1 is all ones, and each
+    row R > mid + 1 equals the rotated row N - R ≤ mid - 1, which is already
+    grown and checked positive.  Conversely a closed frieze has
+    u_{N-1} = v_{N-1} = 1 and u_N = v_N = 0, so it passes the test, and a
+    failing test means some quiddity of the batch does not close.  The test
+    compares ints: for even N, rows r and N - r have the same parity, so
+    both hold C or both hold C·√m; for odd N the two rows differ in parity,
+    so a radical row of odd period, whose top row is a surd and never
+    closes, is not tested.  A test of row mid alone is not enough:
+    [1, 3, 1, 3] and [1, 2, 4, 1, 2, 4] pass it and do not close.
 
     The row is a frieze quiddity only if rows 2..n+2 are positive and row
     n+2 comes out as all ones; an even row of a radical row holds C·√m,
     never 1 (a radical row has m ∈ {2, 3}).  Positivity is checked on each
-    row as it is grown and growth stops at the first failing row; closure
-    is tested on the top row once all rows are positive, so the first
-    failure in row-major order is the one reported, with its (row, col) and
-    the entry rendered as a QuadNum.  A batch fails when any of its
-    quiddities does, with the error of the first failing index k·B + d (the
-    col is k), which is quiddity d's own.  The n + 4 rows (row n+3 is row 0
-    again) are shared lists: callers must not mutate them.
+    row as it is grown and growth stops at the first failing row.  When the
+    glide test fails, growth goes on to the top row and closure is tested
+    there once all rows are positive, so the first failure in row-major
+    order is the one reported, with its (row, col) and the entry rendered
+    as a QuadNum.  A batch fails when any of its quiddities does, with the
+    error of the first failing index k·B + d (the col is k), which is
+    quiddity d's own.  The n + 4 rows (row n+3 is row 0 again) are shared
+    lists: callers must not mutate them.
 
-    The grid holds (n+3)² ints of up to hundreds of bits: a `lambda_frieze`
-    of the 1000-gon ladder of quadrilaterals peaks at about 80 MB of RSS
-    (634-bit entries).  A period longer than _MAX_FRIEZE_N = 1000 entries
-    raises ValueError naming the polygon before any row is allocated, not a
-    FriezeError, so a checked dissection that is too large is refused as
-    input rather than reported as a defect by `_rows`.
+    The grid holds (n+3)² ints of up to hundreds of bits, but the rows above
+    the middle share the int objects of the rows below it, so only about
+    half of them are distinct: `friezes gen --p 4` of the 1000-gon ladder of
+    quadrilaterals (634-bit entries) peaks at about 54 MB of RSS in JSON or
+    CSV and 64 MB in ASCII (CPython 3.11, x86-64 Linux), against 82 and
+    92 MB with every row grown.  A period longer than _MAX_FRIEZE_N = 1000
+    entries raises ValueError naming the polygon before any row is
+    allocated, not a FriezeError, so a checked dissection that is too large
+    is refused as input rather than reported as a defect by `_rows`.
     """
     size = len(counts)
     period = size // batch
     if period > _MAX_FRIEZE_N:
         raise ValueError(f"the {period}-gon is too large for a frieze grid")
     n = period - 3
+    mid = period // 2
+    glides = not (radical and period % 2)  # a radical row of odd period never closes
     doubled = counts * 2  # a list or a tuple, as the caller gives the counts
     scaled = [m * c for c in counts] * 2 if radical else doubled
     rows = [[0] * size, [1] * size]
@@ -384,6 +422,12 @@ def _grow(
                 r + 1, k, f"not a frieze quiddity: entry {e} at ({r + 1}, {k}) is not positive"
             )
         rows.append(row)
+        if r == mid and glides and all(
+            rows[j] == _rotated(rows[period - j], j * batch) for j in (mid, mid + 1)
+        ):  # the frieze closes: see the docstring
+            rows += [_rotated(rows[period - j], j * batch) for j in range(mid + 2, period)]
+            rows.append(rows[0])
+            return rows
     top = rows[n + 2]
     surd = radical and n % 2 == 0
     if surd or top.count(1) != size:
@@ -395,6 +439,11 @@ def _grow(
         )
     rows.append(rows[0])
     return rows
+
+
+def _rotated(row: list[int], shift: int) -> list[int]:
+    """The row read from index `shift` on, cyclically."""
+    return row[shift:] + row[:shift]
 
 
 def _rows(counts: tuple[int, ...], m: int, radical: bool) -> list[list[int]]:

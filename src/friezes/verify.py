@@ -4,7 +4,8 @@ For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
 face of D cut along its black (odd) corners.  Both friezes grow from their
 quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
-counts of T.  T is never built: its triangle counts are read off the
+counts of T; a batch that closes is grown only to its middle row, the rows
+above it taken from Coxeter's glide symmetry (see `frieze._grow`).  T is never built: its triangle counts are read off the
 faces of D in one face pass (`bijection._refined_counts`: each black corner
 of a face gains the face's other black corners as neighbours), after the
 counting test that D is a p-angulation, the one check of D; the counts of D

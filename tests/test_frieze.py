@@ -10,6 +10,7 @@ pinned separately by entrywise spot checks.
 """
 
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -1026,3 +1027,60 @@ def test_kernel_batch_holding_a_non_quiddity_fails():
                     assert grow_outcome(_grow, batch, m, radical, size) == alone
                     kinds.add(alone[0].__name__)
     assert kinds == {"QuiddityPositivityError", "ClosureError"}, kinds
+
+
+def batch_outcome(outcomes):
+    """What a `_grow` batch of the quiddities with these single outcomes gives:
+    their rows interleaved when every one closes, else the first failure in
+    row-major order (a positivity failure is found as its row is grown, a
+    closure failure only on the top row), which is the failing quiddity's own."""
+    failures = [(o, d) for d, o in enumerate(outcomes) if type(o) is tuple]
+    if not failures:
+        return [interleave(rows) for rows in zip(*outcomes)]
+    first = min(failures, key=lambda fd: (fd[0][1], fd[0][0] is ClosureError, fd[0][2], fd[1]))
+    return first[0]
+
+
+def test_kernel_matches_its_predecessor_on_every_short_quiddity():
+    # every quiddity with entries 1..4 and period 3..6, for each m and both
+    # kinds of row: the same rows, or the same first failure, alone and in
+    # batches that mix closing and non-closing quiddities, so the test at the
+    # middle row takes its exit exactly when the full growth closes
+    from itertools import product
+
+    from friezes.frieze import _grow
+
+    kinds = {}
+    for period in range(3, 7):
+        quiddities = list(product(range(1, 5), repeat=period))
+        for m, radical in product((1, 2, 3), (False, True)):
+            outcomes = [grow_outcome(reference_grow, q, m, radical) for q in quiddities]
+            for q, expected in zip(quiddities, outcomes):
+                assert grow_outcome(_grow, q, m, radical) == expected, (q, m, radical)
+                kind = expected[0].__name__ if type(expected) is tuple else "rows"
+                kinds[kind] = kinds.get(kind, 0) + 1
+            closing = [d for d, o in enumerate(outcomes) if type(o) is not tuple]
+            failing = [d for d, o in enumerate(outcomes) if type(o) is tuple]
+            chunks = [closing] if closing else []
+            chunks += [closing[:2] + [d] + closing[2:4] for d in failing[:: len(failing) // 7]]
+            for chunk in chunks:
+                batch = interleave([quiddities[d] for d in chunk])
+                got = grow_outcome(_grow, batch, m, radical, len(chunk))
+                assert got == batch_outcome([outcomes[d] for d in chunk]), (chunk, m, radical)
+    assert set(kinds) == {"rows", "QuiddityPositivityError", "ClosureError"}, kinds
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_rows_above_the_middle_share_the_ints_below_it():
+    # on the 1,000-gon ladder of quadrilaterals each row R above the middle
+    # holds the very int objects of row N - R rotated by R columns: the rows
+    # were taken from the glide, not grown, and hold each big int once
+    n = 1000
+    ladder = Dissection(n, [(a, n - 1 - a) for a in range(1, n // 2 - 1)])
+    rows = lambda_frieze(ladder, 4)._ints
+    mid = n // 2
+    assert max(rows[mid]).bit_length() > 600  # far past the small-int cache
+    for r in range(mid + 2, n):
+        lower = rows[n - r][r:] + rows[n - r][:r]
+        assert len(rows[r]) == n and all(map(operator.is_, rows[r], lower)), r
+    assert rows[n] is rows[0]

@@ -36,15 +36,15 @@ not.  One row source, `Frieze._mapped`, feeds the JSON pieces
 the CSV and the ASCII rows, which the CLI's one writer joins into writes of
 up to 64 KiB as they come.  Each row's cells come from a memo per
 coefficient kind keyed by the int (or by the pair), so each distinct cell's
-text is made once.  A built grid derives the pairs once,
-only for equality, hashing, pickling, `validate` and the checks in
-`verify`; a QuadNum entry is built only when a caller reads `.rows`, `.row`
-or `.entry`.  `validate` checks the diamonds only when row 0, row 1 or the
-recurrence fails: otherwise every row is a continuant and every diamond
-holds (the proof is in its docstring).  In a staggered rendering rows drift
-horizontally, so a single row matches a reference sequence only up to
-cyclic rotation, while frieze-against-frieze comparisons are entrywise at
-equal (r, k).
+text is made once; the checks in `verify` read their int rows from it too.
+A built grid derives the pairs once, only for equality, hashing, pickling
+and `validate`; a QuadNum entry is built only when a caller reads `.rows`,
+`.row` or `.entry`.  `validate` checks the diamonds only when row 0, row 1
+or the recurrence fails: otherwise every row is a continuant and every
+diamond holds (the proof is in its docstring).  In a staggered rendering
+rows drift horizontally, so a single row matches a reference sequence only
+up to cyclic rotation, while frieze-against-frieze comparisons are
+entrywise at equal (r, k).
 """
 
 from __future__ import annotations
@@ -115,9 +115,8 @@ class Frieze:
     once, keeping none, and raises RadicandMismatchError for an entry
     outside Q(√m); the shape is checked by `validate`.  A built grid derives
     the pairs once, only when a caller needs them (equality, hashing,
-    pickling, `validate` and the checks in `verify`).  `.rows` wraps the
-    entries into QuadNums only when read, once per grid, equal entries
-    sharing one QuadNum.  Grids compare and hash by (m, width, pairs):
+    pickling and `validate`).  `.rows` wraps the entries into QuadNums
+    only when read, once per grid, equal entries sharing one QuadNum.  Grids compare and hash by (m, width, pairs):
     within one radicand each value has one pair.
     """
 
@@ -406,7 +405,7 @@ def _grow(
         raise ValueError(f"the {period}-gon is too large for a frieze grid")
     n = period - 3
     mid = period // 2
-    glides = not (radical and period % 2)  # a radical row of odd period never closes
+    surd = radical and period % 2 == 1  # the top row is a surd: it never closes
     doubled = counts * 2  # a list or a tuple, as the caller gives the counts
     scaled = [m * c for c in counts] * 2 if radical else doubled
     rows = [[0] * size, [1] * size]
@@ -422,14 +421,13 @@ def _grow(
                 r + 1, k, f"not a frieze quiddity: entry {e} at ({r + 1}, {k}) is not positive"
             )
         rows.append(row)
-        if r == mid and glides and all(
+        if r == mid and not surd and all(
             rows[j] == _rotated(rows[period - j], j * batch) for j in (mid, mid + 1)
         ):  # the frieze closes: see the docstring
             rows += [_rotated(rows[period - j], j * batch) for j in range(mid + 2, period)]
             rows.append(rows[0])
             return rows
     top = rows[n + 2]
-    surd = radical and n % 2 == 0
     if surd or top.count(1) != size:
         i = 0 if surd else next(i for i, c in enumerate(top) if c != 1)
         k = i // batch

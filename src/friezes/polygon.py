@@ -71,37 +71,29 @@ def crosses(d: Pair, e: Pair) -> bool:
     return a < c < b < f or c < a < f < b
 
 
-def _noncrossing(diagonals: Iterable[Pair]) -> bool:
-    """Are normalized diagonals pairwise noncrossing?  O(d log d).
+def _crossing(diagonals: Iterable[Pair]) -> tuple[Pair, Pair] | None:
+    """A crossing pair (d, e), d < e, of normalized diagonals, or None.  O(d log d).
 
     Noncrossing chords nest like parentheses.  Taken by left end, longest
     first, each chord must close inside every chord still open around it;
-    only the innermost one can be closed by it, so a stack of right ends
-    decides: a chord crosses exactly when it opens inside the top chord and
-    closes outside it.
+    only the innermost one can be closed by it, so a stack of the open
+    chords decides: a chord crosses exactly when it opens inside the top
+    chord and closes outside it.  The top opened first, and two chords with
+    one left end never cross, so (top, chord) is in sorted order.
     """
-    ends: list[int] = []  # right ends of the open chords, innermost last
-    for a, b in sorted(diagonals, key=_open_order):
-        while ends and ends[-1] <= a:  # closed before a (sharing a is fine)
-            ends.pop()
-        if ends and b > ends[-1]:
-            return False
-        ends.append(b)
-    return True
+    stack: list[Pair] = []  # the open chords, innermost last
+    for e in sorted(diagonals, key=_open_order):
+        a, b = e
+        while stack and stack[-1][1] <= a:  # closed before a (sharing a is fine)
+            stack.pop()
+        if stack and b > stack[-1][1]:
+            return stack[-1], e
+        stack.append(e)
+    return None
 
 
 def _open_order(d: Pair) -> tuple[int, int]:
     return d[0], -d[1]
-
-
-def _crossing_pair(diagonals: Iterable[Pair]) -> tuple[Pair, Pair] | None:
-    """The first crossing pair in sorted order, by the O(d²) pairwise scan."""
-    ordered = sorted(diagonals)
-    for idx, d in enumerate(ordered):
-        for e in ordered[idx + 1 :]:
-            if crosses(d, e):
-                return d, e
-    return None
 
 
 def _normalize_pair(n: int, pair: Sequence[int]) -> Pair:
@@ -125,8 +117,10 @@ class Dissection:
     """An n-gon together with a set of pairwise noncrossing diagonals.
 
     The constructor validates: endpoints in range, no loops or polygon
-    edges, no crossing pair.  Diagonals are stored normalized (smaller
-    vertex first) so dissections compare and hash by content.
+    edges, no crossing pair (one sort-and-stack pass, `_crossing`, which
+    names the first crossing pair it meets).  Diagonals are stored
+    normalized (smaller vertex first) so dissections compare and hash by
+    content.
     """
 
     __slots__ = ("_n", "_diagonals")
@@ -137,8 +131,8 @@ class Dissection:
         if n < 3:
             raise InvalidDissectionError(f"a polygon needs at least 3 vertices, got {n!r}")
         normalized = frozenset([_normalize_pair(n, p) for p in diagonals])
-        if not _noncrossing(normalized):
-            d, e = _crossing_pair(normalized)
+        if crossing := _crossing(normalized):
+            d, e = crossing
             raise CrossingDiagonalError(f"diagonals {d} and {e} cross")
         self._n = n
         self._diagonals = normalized

@@ -153,21 +153,29 @@ class EvenScalingResult:
     alternates: bool
 
 
+def _first_miss(coeffs: Sequence, row: Sequence, half: int, eps: int) -> int | None:
+    """The first column k where row[k] is not coeffs[k]·half^((k + eps) mod 2), or
+    None; a None coefficient never matches.  The scan stops at the end of the
+    shorter row, so one of two ragged rows may still match."""
+    for k, (c, e) in enumerate(zip(coeffs, row)):
+        if c is None or e != (c * half if (k + eps) % 2 else c):
+            return k
+    return None
+
+
 def _lemma_counts(q: Sequence[int], tc: Sequence[int], p: int) -> CheckResult:
     """Triangle counts against face counts: t_α = q_α at even α, (p/2)·q_α at odd α,
-    witnessed at the first vertex that differs."""
-    half = p // 2
-    for alpha, (faces, triangles) in enumerate(zip(q, tc)):
-        if triangles != (faces if alpha % 2 == 0 else half * faces):
-            return CheckResult(False, FirstViolation("lemma", None, alpha))
+    witnessed by `_first_miss` at the first vertex that differs."""
+    alpha = _first_miss(q, tc, p // 2, 0)
+    if alpha is not None:
+        return CheckResult(False, FirstViolation("lemma", None, alpha))
     return CheckResult(True, None)
 
 
 def _odd_rows_match(radical: Rows, integral: Rows, width: int) -> CheckResult:
-    """Odd rows of two int grids, equal entrywise; None (not an integer) never matches."""
+    """Odd rows of two int grids, equal entrywise by `_first_miss`; None never matches."""
     for r in range(1, width + 3, 2):
-        pairs = enumerate(zip(radical[r], integral[r]))
-        k = next((k for k, (a, b) in pairs if a is None or a != b), None)
+        k = _first_miss(radical[r], integral[r], 1, 0)
         if k is not None:
             return CheckResult(False, FirstViolation("odd_rows", r, k))
     return CheckResult(True, None)
@@ -179,11 +187,10 @@ def _even_rows_match(coefficients: Rows, integral: Rows, width: int, p: int) -> 
     coefficients[r] holds the radical entries of row r as multiples a_k of
     √m, integral[r] the integral entries; None (no such integer) never
     matches, nor does a coefficient that is not positive, witnessed at its
-    column.  Each row is compared entry by entry with the coefficients
+    column.  Each row is scanned by `_first_miss` against the coefficients
     times (p/2) at the columns k with k + ε odd, ε = 0 (the factor at odd
     columns) tried first; a row that neither offset passes is witnessed at
-    the smallest column either misses.  The comparison runs to the shorter
-    of two ragged rows, so one of those may still pass.
+    the smaller of the two misses.
     """
     half = p // 2
     epsilons: list[int] = []
@@ -194,19 +201,13 @@ def _even_rows_match(coefficients: Rows, integral: Rows, width: int, p: int) -> 
             return EvenScalingResult(
                 False, FirstViolation("even_scaling", r, k), tuple(epsilons), False
             )
-        misses = []
-        for eps in (0, 1):
-            scaled = [c * half if (k + eps) % 2 else c for k, c in enumerate(coeffs)]
-            pairs = enumerate(zip(scaled, row))
-            miss = next((k for k, (s, e) in pairs if e != s), None)
-            if miss is None:
-                epsilons.append(eps)
-                break
-            misses.append(miss)
-        else:
-            return EvenScalingResult(
-                False, FirstViolation("even_scaling", r, min(misses)), tuple(epsilons), False
-            )
+        miss = _first_miss(coeffs, row, half, 0)
+        if miss is not None:
+            other = _first_miss(coeffs, row, half, 1)
+            if other is not None:
+                witness = FirstViolation("even_scaling", r, min(miss, other))
+                return EvenScalingResult(False, witness, tuple(epsilons), False)
+        epsilons.append(0 if miss is None else 1)
     eps = tuple(epsilons)
     alternates = len(eps) > 1 and all(map(ne, eps, eps[1:]))
     return EvenScalingResult(True, None, eps, alternates)
@@ -241,13 +242,13 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
 
 
 def _read(frieze: Frieze, surd: bool) -> Rows:
-    """The grid's entries as ints, read off their coefficient pairs (a, b): a of
-    an integer (a, 0), or with surd the c of c·√m, (0, c); None where an entry
-    is not of that form (a zero coefficient is always the int 0)."""
-    cells = frieze._pairs()
+    """The grid's entries as ints, read off `Frieze._mapped`'s coefficient pairs
+    (a, b), no pair grid cached: a of an integer (a, 0), or with surd the c of
+    c·√m, (0, c); None where an entry is not of that form (a zero coefficient
+    is always the int 0)."""
     if surd:
-        return [[b if a == 0 and type(b) is int else None for a, b in row] for row in cells]
-    return [[a if b == 0 and type(a) is int else None for a, b in row] for row in cells]
+        return list(frieze._mapped(lambda a, b: b if a == 0 and type(b) is int else None))
+    return list(frieze._mapped(lambda a, b: a if b == 0 and type(a) is int else None))
 
 
 def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -7,6 +7,7 @@ planar-walk / brute-force implementations in oracle.py.
 import gc
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -26,7 +27,7 @@ from friezes import (
     rotate,
 )
 
-from friezes.polygon import _listing, _noncrossing, _walk
+from friezes.polygon import _crossing, _listing, _walk
 from oracle import brute_force_p_angulations, face_walk_faces, noncrossing_subsets
 
 
@@ -84,8 +85,9 @@ def test_rejections():
 
 
 def test_stack_crossing_test_matches_the_pairwise_scan():
-    # the constructor decides crossing by a sort-and-stack test; it must give
-    # the pairwise scan's verdict and name the pair that scan names first
+    # the constructor decides crossing by one sort-and-stack pass: it must give
+    # the pairwise scan's verdict, and on a crossing name two input diagonals
+    # d < e that cross, the same pair whatever order they are given in
     rng = random.Random(11)
     for trial in range(4000):
         n = rng.randint(4, 16)
@@ -99,13 +101,33 @@ def test_stack_crossing_test_matches_the_pairwise_scan():
             ((d, e) for i, d in enumerate(ordered) for e in ordered[i + 1 :] if crosses(d, e)),
             None,
         )
-        assert _noncrossing(chords) == (first is None), ordered
-        if first is None:
+        found = _crossing(chords)
+        assert (found is None) == (first is None), ordered
+        if found is None:
             assert Dissection(n, chords).diagonals == chords
-        else:
+            continue
+        d, e = found
+        assert d in chords and e in chords and d < e and crosses(d, e), (ordered, found)
+        shuffler = random.Random(trial)
+        for given in [rng.sample(ordered, len(ordered))] + [
+            shuffler.sample(ordered, len(ordered)) for _ in range(3)
+        ]:
             with pytest.raises(CrossingDiagonalError) as info:
-                Dissection(n, rng.sample(ordered, len(ordered)))
-            assert str(info.value) == f"diagonals {first[0]} and {first[1]} cross"
+                Dissection(n, given)
+            assert str(info.value) == f"diagonals {d} and {e} cross"
+
+
+def test_a_late_crossing_among_many_diagonals_is_rejected_at_once():
+    # a fan of n - 3 diagonals plus one crossing pair at its far end: the
+    # crossing is named by the one stack pass, with no pairwise rescan
+    # (which took about 24 s on this input)
+    n = 20_000
+    diagonals = [(0, b) for b in range(2, n - 1)] + [(n - 5, n - 2), (n - 4, n - 1)]
+    start = time.perf_counter()
+    with pytest.raises(CrossingDiagonalError) as info:
+        Dissection(n, diagonals)
+    assert str(info.value) == f"diagonals (0, {n - 4}) and ({n - 5}, {n - 2}) cross"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_json_round_trip(quad10):

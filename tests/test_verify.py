@@ -174,6 +174,16 @@ def test_checks_read_built_and_parsed_grids_alike(quad10, hex18):
         assert odd_rows_coincide(radical, integral).ok and even_rows_scaled(radical, integral, p).ok
 
 
+def test_comparisons_cache_no_pair_grid(quad10, hex18):
+    # the public checks read a built grid's rows as they come: neither grid
+    # derives and keeps the coefficient pairs that equality and hashing use
+    for p, d in ((4, quad10), (6, hex18)):
+        radical, integral = lambda_frieze(d, p), cc_frieze(associated_triangulation(d, p))
+        assert odd_rows_coincide(radical, integral).ok and even_rows_scaled(radical, integral, p).ok
+        assert not even_rows_scaled(integral, radical, p).ok
+        assert radical._cells is None and integral._cells is None
+
+
 def test_comparisons_reject_width_mismatch():
     wide = lambda_frieze(Dissection(6, [(1, 4)]), 4)  # width 3
     narrow = cc_frieze(Dissection(4, [(1, 3)]))  # width 1

@@ -21,30 +21,28 @@ QuadNum row, and checks positivity and closure on those ints.  The kernel
 grows B quiddities of one period together, laid out column-major (entry k
 of quiddity d at index k·B + d), in one pass of C-level maps per row:
 `verify.sweep` grows its batches of 64 so, and every single-frieze caller
-grows a batch of one.  A frieze that closes is grown only to its middle
-row: there the kernel tests Coxeter's glide, e(r, k) = e(N - r, k + r)
-for period N, which holds exactly when the frieze closes, and takes every
-row above the middle as a lower row rotated, sharing its ints (the proof
-is in `_grow`'s docstring).  A built
+grows a batch of one.  Closure is decided by Coxeter's glide alone,
+e(r, k) = e(N - r, k + r) for period N, tested at the middle row: a
+frieze that passes grows no further, each row above the middle a lower
+row rotated, sharing its ints; one that fails does not close, and grows on
+only to name its first failure (proofs in `_grow`'s docstring).  A built
 `Frieze` keeps those int rows and whether it is radical; a parsed one
 (`from_json`, or `Frieze(m, width, rows)`, which reads its QuadNum rows
-once, refusing an entry outside the header's field) holds each entry
-a + b√m as the coefficient pair (a, b) exactly as QuadNum holds it, an int
-where the coefficient is integral and an exact rational only where it is
-not.  One row source, `Frieze._mapped`, feeds the JSON pieces
+once, refusing a malformed shape or an entry outside the header's field)
+holds each entry a + b√m as the coefficient pair (a, b) exactly as QuadNum
+holds it, an int where the coefficient is integral and an exact rational
+only where it is not.  One row source, `Frieze._mapped`, feeds the JSON pieces
 `_json_pieces` (`_json_text` joins them; `to_json` is `json.loads` of that),
 the CSV and the ASCII rows, which the CLI's one writer joins into writes of
 up to 64 KiB as they come.  Each row's cells come from a memo per
 coefficient kind keyed by the int (or by the pair), so each distinct cell's
 text is made once; the checks in `verify` read their int rows from it too.
-A built grid derives the pairs once, only for equality, hashing, pickling
-and `validate`; a QuadNum entry is built only when a caller reads `.rows`,
-`.row` or `.entry`.  `validate` checks the diamonds only when row 0, row 1
-or the recurrence fails: otherwise every row is a continuant and every
-diamond holds (the proof is in its docstring).  In a staggered rendering
-rows drift horizontally, so a single row matches a reference sequence only
-up to cyclic rotation, while frieze-against-frieze comparisons are
-entrywise at equal (r, k).
+`validate` checks the diamonds only when row 0, row 1 or the recurrence
+fails: otherwise every row is a continuant and every diamond holds (the
+proof is in its docstring).  In a staggered rendering rows drift
+horizontally, so a single row matches a reference sequence only up to
+cyclic rotation, while frieze-against-frieze comparisons are entrywise at
+equal (r, k).
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ class QuiddityPositivityError(_GridPositionError):
 
 
 class ClosureError(_GridPositionError):
-    """The generated top row is positive but not all ones."""
+    """The frieze does not close: the glide fails and the top row is not all ones."""
 
 
 class _Memo(dict):
@@ -111,12 +109,13 @@ class Frieze:
     or C·√m on the even rows of a radical grid.  A parsed grid (`from_json`,
     `Frieze(m, width, rows)`) holds each entry a + b√m as the pair (a, b) of
     its QuadNum coefficients, ints unless a coefficient is not integral.
-    `Frieze(m, width, rows)` reads the QuadNum rows it is given into pairs
-    once, keeping none, and raises RadicandMismatchError for an entry
-    outside Q(√m); the shape is checked by `validate`.  A built grid derives
-    the pairs once, only when a caller needs them (equality, hashing,
-    pickling and `validate`).  `.rows` wraps the entries into QuadNums
-    only when read, once per grid, equal entries sharing one QuadNum.  Grids compare and hash by (m, width, pairs):
+    `Frieze(m, width, rows)` raises FriezeError unless width is an int ≥ 0
+    and rows are width + 4 rows of width + 3 entries, RadicandMismatchError
+    for an entry outside Q(√m), and reads the QuadNum rows into pairs once,
+    keeping none.  A built grid derives the pairs once, only when a caller
+    needs them (equality, hashing, pickling and `validate`).  `.rows` wraps
+    the entries into QuadNums only when read, once per grid, equal entries
+    sharing one QuadNum.  Grids compare and hash by (m, width, pairs):
     within one radicand each value has one pair.
     """
 
@@ -124,7 +123,10 @@ class Frieze:
 
     def __init__(self, m: int, width: int, rows: Iterable[Iterable[QuadNum]]):
         rows = [tuple(row) for row in rows]
-        # a bool or float header equals an int radicand, but is none
+        # a bool or float equals an int width or radicand, but is none
+        shaped = type(width) is int and width >= 0 and len(rows) == width + 4
+        if not shaped or any(len(row) != width + 3 for row in rows):
+            raise FriezeError("grid shape does not match the declared width")
         if type(m) is not int or any(e.m != m for row in rows for e in row):
             raise RadicandMismatchError("grid mixes radicands with the frieze header")
         cells = tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows])
@@ -346,9 +348,7 @@ def _grow(
     entry k of quiddity d sits at index k·B + d of the counts and of every
     row, so the slice for row r starts at (r-1)·B, a rotation by c columns
     is a rotation by c·B entries, and the batch costs one pass of maps per
-    row.  `lambda_frieze`, `cc_frieze` and `from_quiddity` grow one frieze
-    (B = 1); `verify._batch_passes` grows the batches of `verify.sweep`, and
-    batches of one for `verify_dissection`.
+    row.
 
     Only the rows up to the middle are grown when the frieze closes.  With
     period N and mid = N // 2, once row mid + 1 is grown the kernel tests
@@ -377,27 +377,28 @@ def _grow(
     closes, is not tested.  A test of row mid alone is not enough:
     [1, 3, 1, 3] and [1, 2, 4, 1, 2, 4] pass it and do not close.
 
-    The row is a frieze quiddity only if rows 2..n+2 are positive and row
-    n+2 comes out as all ones; an even row of a radical row holds C·√m,
-    never 1 (a radical row has m ∈ {2, 3}).  Positivity is checked on each
-    row as it is grown and growth stops at the first failing row.  When the
-    glide test fails, growth goes on to the top row and closure is tested
-    there once all rows are positive, so the first failure in row-major
-    order is the one reported, with its (row, col) and the entry rendered
-    as a QuadNum.  A batch fails when any of its quiddities does, with the
-    error of the first failing index k·B + d (the col is k), which is
-    quiddity d's own.  The n + 4 rows (row n+3 is row 0 again) are shared
-    lists: callers must not mutate them.
+    The glide exit is the kernel's only success.  Rows 2..n+2 are checked
+    positive as they are grown, and growth stops at the first failing row.
+    After a failed glide test (or none, for a surd top row) growth goes on
+    only to name the failure, a ClosureError at the first entry of row n+2
+    that is not 1 (column 0 of a surd top row).  There is one: were row
+    N - 1 all ones, the diamonds 1·1 - e(N-2, k+1)·e(N, k) = 1 with
+    e(N-2, k+1) > 0 would make row N zero, so the frieze would close and
+    pass the test.  The error is the first failure in row-major order, with
+    its (row, col) and the entry rendered as a QuadNum; a batch raises that
+    of its first failing index k·B + d (the col is k), quiddity d's own.
+    The n + 4 rows (row n+3 is row 0 again) are shared lists: callers must
+    not mutate them.
 
     The grid holds (n+3)² ints of up to hundreds of bits, but the rows above
     the middle share the int objects of the rows below it, so only about
     half of them are distinct: `friezes gen --p 4` of the 1000-gon ladder of
     quadrilaterals (634-bit entries) peaks at about 54 MB of RSS in JSON or
-    CSV and 64 MB in ASCII (CPython 3.11, x86-64 Linux), against 82 and
-    92 MB with every row grown.  A period longer than _MAX_FRIEZE_N = 1000
-    entries raises ValueError naming the polygon before any row is
-    allocated, not a FriezeError, so a checked dissection that is too large
-    is refused as input rather than reported as a defect by `_rows`.
+    CSV and 64 MB in ASCII (CPython 3.11, x86-64 Linux).  A period longer
+    than _MAX_FRIEZE_N = 1000 entries raises ValueError naming the polygon
+    before any row is allocated, not a FriezeError, so a checked dissection
+    that is too large is refused as input rather than reported as a defect
+    by `_rows`.
     """
     size = len(counts)
     period = size // batch
@@ -427,16 +428,13 @@ def _grow(
             rows += [_rotated(rows[period - j], j * batch) for j in range(mid + 2, period)]
             rows.append(rows[0])
             return rows
-    top = rows[n + 2]
-    if surd or top.count(1) != size:
-        i = 0 if surd else next(i for i, c in enumerate(top) if c != 1)
-        k = i // batch
-        e = QuadNum(m, 0, top[i]) if surd else QuadNum(m, top[i])
-        raise ClosureError(
-            n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
-        )
-    rows.append(rows[0])
-    return rows
+    top = rows[n + 2]  # not all ones, as the glide failed: see the docstring
+    i = 0 if surd else next(i for i, c in enumerate(top) if c != 1)
+    k = i // batch
+    e = QuadNum(m, 0, top[i]) if surd else QuadNum(m, top[i])
+    raise ClosureError(
+        n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
+    )
 
 
 def _rotated(row: list[int], shift: int) -> list[int]:
@@ -518,17 +516,14 @@ def validate(frieze: Frieze) -> FriezeReport:
 
     The laws read the coefficient pairs (a, b) of the entries a + b√m
     over the header's m (the constructor refuses other radicands), and
-    multiply them out by hand.  A grid whose rows do not match its width
-    raises FriezeError.  Generated grids, and parsed grids of integral
-    entries, hold ints throughout, so the checks cost what plain ints cost;
-    a rational entry brings exact rational arithmetic, which reduces after
-    every operation, so no denominator common to the grid is ever formed.
+    multiply them out by hand (the constructors have checked the shape).
+    Generated grids, and parsed grids of integral entries, hold ints
+    throughout, so the checks cost what plain ints cost; a rational entry
+    brings exact rational arithmetic, which reduces after every operation,
+    so no denominator common to the grid is ever formed.
     """
     n = frieze.width
-    period = frieze.period
     m, rows = frieze.m, frieze._pairs()
-    if len(rows) != n + 4 or any(len(row) != period for row in rows):
-        raise FriezeError("grid shape does not match the declared width")
     bad: list[Violation] = []
     for r in (0, n + 3):
         bad += [Violation("boundary", r, k) for k, (a, b) in enumerate(rows[r]) if a or b]

@@ -5,27 +5,28 @@ face of D cut along its black (odd) corners.  Both friezes grow from their
 quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
 counts of T; a batch that closes is grown only to its middle row, the rows
-above it taken from Coxeter's glide symmetry (see `frieze._grow`).  T is never built: its triangle counts are read off the
-faces of D in one face pass (`bijection._refined_counts`: each black corner
-of a face gains the face's other black corners as neighbours), after the
-counting test that D is a p-angulation, the one check of D; the counts of D
-and T are read once each.  The checks take the kernel's int rows as
-they come, with no QuadNum in between: an odd row is compared as two int
-lists, and an even row of the radical frieze holds the coefficients a_k of
-a_k·√m.  One pass test, `_batch_passes`, decides every dissection: the
-counts of up to 64 dissections of one polygon are interleaved column-major
-(count k of dissection d at index k·B + d), both frieze families are grown
-as one kernel batch each, and each check is one comparison per row against
-a multiplier list that puts p/2 on the odd columns.  A pass is all three
-checks passing with every ε_j = 0, which (A) below proves for the
+above it taken from Coxeter's glide symmetry (see `frieze._grow`).  T is
+never built: its triangle counts are read off the faces of D in one face
+pass (`bijection._refined_counts`: each black corner of a face gains the
+face's other black corners as neighbours), after the counting test that D is
+a p-angulation, the one check of D; the counts of D and T are read once
+each.  The checks take the kernel's int rows as they come, with no QuadNum
+in between: an odd row is compared as two int lists, and an even row of the
+radical frieze holds the coefficients a_k of a_k·√m.  One pass test,
+`_batch_passes`, decides every dissection: the counts of up to 64
+dissections of one polygon are interleaved column-major (count k of
+dissection d at index k·B + d), both frieze families are grown as one kernel
+batch each, and each check is one comparison per row up to the middle
+against a multiplier list that puts p/2 on the odd columns.  A pass is all
+three checks passing with every ε_j = 0, which (A) below proves for the
 associated triangulation; `verify_dissection` runs it on a batch of one.
-Only a dissection that does not pass has its own rows grown and
-walked entry by entry, to name its witness and its ε_j.  A sweep reads its
-dissections straight off the enumeration walk, the face counts from the
-walk's own count list and the triangle counts from the walk's sorted
-diagonals, and holds no leaves; a level with a leaf or batch that fails is
-re-run through `verify_dissection`, in the one pass that builds its
-`Dissection`s, so a report is always `verify_dissection`'s.  The checks are:
+Only a dissection that does not pass has its own rows grown and walked entry
+by entry, to name its witness and its ε_j.  A sweep reads its dissections
+straight off the enumeration walk, the face counts from the walk's own count
+list and the triangle counts from the walk's sorted diagonals, and holds no
+leaves; a level with a leaf or batch that fails is re-run through
+`verify_dissection`, in the one pass that builds its `Dissection`s, so a
+report is always `verify_dissection`'s.  The checks are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -155,8 +156,7 @@ class EvenScalingResult:
 
 def _first_miss(coeffs: Sequence, row: Sequence, half: int, eps: int) -> int | None:
     """The first column k where row[k] is not coeffs[k]·half^((k + eps) mod 2), or
-    None; a None coefficient never matches.  The scan stops at the end of the
-    shorter row, so one of two ragged rows may still match."""
+    None; a None coefficient never matches.  The rows have one length."""
     for k, (c, e) in enumerate(zip(coeffs, row)):
         if c is None or e != (c * half if (k + eps) % 2 else c):
             return k
@@ -290,19 +290,23 @@ def _batch_passes(
     """Do all three checks pass, every ε_j = 0, on each dissection of a batch
     of one polygon size, given by its face counts and triangle counts?
 
-    The batch's face counts and triangle counts are interleaved column-major
-    (count k of dissection d at index k·B + d) and each family is grown as
-    one `_grow` batch, so every check is one C-level comparison per row.
-    The period is even, so the multiplier list ([1]·B + [p/2]·B)·(period/2)
-    carries the factor p/2 at the odd columns: the odd rows hold when the
-    two batches' rows are equal, and the even rows with ε = 0 when the
-    integral row is the radical coefficients times it.  Row 2 is the counts
-    themselves (the triangle counts, and the face counts as multiples of
-    √m), so its comparison is the lemma.  The kernel rows hold no None and
-    the kernel has checked them positive, so neither is scanned.  A kernel
-    failure is no pass: `verify_dissection` then grows the rows again by
-    `_rows`, which raises it, and `sweep` re-runs the level through
-    `verify_dissection`.
+    The counts are interleaved column-major (count k of dissection d at
+    index k·B + d) and each family is grown as one `_grow` batch, so every
+    check is one C-level comparison per row.  The period N is even, so the
+    multiplier list ([1]·B + [p/2]·B)·(N/2) carries the factor p/2 at the
+    odd columns: the odd rows hold when the two batches' rows are equal,
+    and the even rows with ε = 0 when the integral row is the radical
+    coefficients times it.  Row 2 is the counts themselves (the triangle
+    counts, and the face counts as multiples of √m), so its comparison is
+    the lemma.  The kernel rows hold no None and the kernel has checked
+    them positive, so neither is scanned.  Only rows 2..N/2 are compared:
+    row 1 is [1]·B in both families, and `_grow` returns only through its
+    glide exit, so each row R > N/2 is row N - R rotated by R·B entries in
+    both (row N/2 + 1 by the glide test, the rows above by the exit's
+    copies); a rotation keeps two rows equal and, for an even R, the
+    multiplier list, of period 2B, in place.  A kernel failure is no pass:
+    `verify_dissection` then grows the rows again by `_rows`, which raises
+    it, and `sweep` re-runs the level through `verify_dissection`.
     """
     size = len(faces)
     q = list(chain.from_iterable(zip(*faces)))
@@ -316,7 +320,7 @@ def _batch_passes(
     mult = ([1] * size + [p // 2] * size) * (period // 2)
     return all(
         integral[r] == (radical[r] if r % 2 else list(map(mul, radical[r], mult)))
-        for r in range(1, period)
+        for r in range(2, period // 2 + 1)
     )
 
 

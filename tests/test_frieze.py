@@ -1075,6 +1075,9 @@ def test_rows_above_the_middle_share_the_ints_below_it():
     # on the 1,000-gon ladder of quadrilaterals each row R above the middle
     # holds the very int objects of row N - R rotated by R columns: the rows
     # were taken from the glide, not grown, and hold each big int once
+    from friezes import associated_triangulation, enumerate_p_angulations, quiddity_counts
+    from friezes.frieze import _grow
+
     n = 1000
     ladder = Dissection(n, [(a, n - 1 - a) for a in range(1, n // 2 - 1)])
     rows = lambda_frieze(ladder, 4)._ints
@@ -1084,3 +1087,21 @@ def test_rows_above_the_middle_share_the_ints_below_it():
         lower = rows[n - r][r:] + rows[n - r][:r]
         assert len(rows[r]) == n and all(map(operator.is_, rows[r], lower)), r
     assert rows[n] is rows[0]
+    # so in a batch of B quiddities of period N, as `verify._batch_passes`
+    # reads both families, each row R > N/2 is row N - R rotated by R·B
+    # entries (row N/2 + 1 by the glide test, the rows above it by the very
+    # ints): comparing the rows up to the middle compares these too
+    batch = list(enumerate_p_angulations(4, 4))[:7]  # 10-gons
+    size, n = len(batch), batch[0].n
+    families = (
+        ([quiddity_counts(d) for d in batch], 2, True),
+        ([quiddity_counts(associated_triangulation(d, 4)) for d in batch], 1, False),
+    )
+    for quiddities, m, radical in families:
+        rows = _grow(interleave(quiddities), m, radical, size)
+        for r in range(n // 2 + 1, n):
+            shift = r * size
+            lower = rows[n - r][shift:] + rows[n - r][:shift]
+            assert rows[r] == lower, (r, radical)
+            assert r == n // 2 + 1 or all(map(operator.is_, rows[r], lower)), (r, radical)
+        assert rows[n] is rows[0]

@@ -207,7 +207,7 @@ def _refined_counts(
     """The triangle counts of the black-corner refinement of a p-angulation,
     p ∈ {4, 6}, from its sorted diagonals and its face counts, or None when
     it is not a p-angulation (the one test, `polygon._is_p_angulation`); a p
-    outside {4, 6} raises `associated_triangulation`'s ValueError.
+    outside {4, 6} raises `_require_p`'s ValueError.
 
     A vertex's triangles are one more than its degree in the refinement,
     and the refinement adds to the face counts only its chords: each black
@@ -236,7 +236,7 @@ def _not_p_angulation(dissection: Dissection, p: int) -> NotPAngulationError:
 
 def _require_p(p: int) -> None:
     if p not in (4, 6):
-        raise ValueError(f"associated triangulation is defined for p ∈ {{4, 6}}, got {p}")
+        raise ValueError(f"face size p must be 4 or 6, got {p}")
 
 
 def associated_triangulation_p4(dissection: Dissection) -> Triangulation:

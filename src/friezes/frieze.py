@@ -28,7 +28,7 @@ row rotated, sharing its ints; one that fails does not close, and grows on
 only to name its first failure (proofs in `_grow`'s docstring).  A built
 `Frieze` keeps those int rows and whether it is radical; a parsed one
 (`from_json`, or `Frieze(m, width, rows)`, which reads its QuadNum rows
-once, refusing a malformed shape or an entry outside the header's field)
+once; both check the shape by `_check_shape` and refuse other radicands)
 holds each entry a + b√m as the coefficient pair (a, b) exactly as QuadNum
 holds it, an int where the coefficient is integral and an exact rational
 only where it is not.  One row source, `Frieze._mapped`, feeds the JSON pieces
@@ -53,7 +53,7 @@ from functools import partial
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .bijection import NotPAngulationError, triangle_counts
+from .bijection import _not_p_angulation, _require_p, triangle_counts
 from .exact import (
     LAMBDA_RADICAND,
     QuadNum,
@@ -123,10 +123,7 @@ class Frieze:
 
     def __init__(self, m: int, width: int, rows: Iterable[Iterable[QuadNum]]):
         rows = [tuple(row) for row in rows]
-        # a bool or float equals an int width or radicand, but is none
-        shaped = type(width) is int and width >= 0 and len(rows) == width + 4
-        if not shaped or any(len(row) != width + 3 for row in rows):
-            raise FriezeError("grid shape does not match the declared width")
+        _check_shape(width, rows)
         if type(m) is not int or any(e.m != m for row in rows for e in row):
             raise RadicandMismatchError("grid mixes radicands with the frieze header")
         cells = tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows])
@@ -263,31 +260,38 @@ class Frieze:
         """Parse a frieze grid, checking shape but not the frieze laws.
 
         Arbitrary grids load fine so that `validate` can report on them.
-        Every entry is read by `coefficients_from_json`, the reader of
-        `QuadNum.from_json`, so both accept and reject the same entries,
-        with the same errors.
+        `_check_shape` runs before any entry is read.  Every entry is read by
+        `coefficients_from_json`, the reader of `QuadNum.from_json`, so both
+        accept and reject the same entries, with the same errors.
         """
         try:
             width, m = data["width"], data["m"]
             raw_rows = [list(raw) for raw in data["rows"]]
         except (KeyError, TypeError) as exc:
             raise FriezeError(f"malformed frieze object: {exc}") from exc
-        if type(width) is not int or type(m) is not int:  # no floats, no bools
-            raise FriezeError("malformed frieze object: width and m must be integers")
-        if width < 0:
-            raise FriezeError(f"width must be nonnegative, got {width}")
-        if len(raw_rows) != width + 4:
-            raise FriezeError(f"expected {width + 4} rows for width {width}, got {len(raw_rows)}")
+        _check_shape(width, raw_rows, m)
         seen: dict[tuple[str, str], tuple] = {}
         cells = []
         for raw in raw_rows:
-            if len(raw) != width + 3:
-                raise FriezeError(f"every row must have {width + 3} entries, got {len(raw)}")
             row = tuple([_parse_entry(e, m, seen) for e in raw])
             if None in row:
                 raise FriezeError("rows mix radicands with the frieze header")
             cells.append(row)
         return Frieze._of_cells(m, width, tuple(cells))
+
+
+def _check_shape(width: object, rows: Sequence[Sequence], m: object = 0) -> None:
+    """The one shape check of `Frieze(m, width, rows)` and `from_json`, which
+    also passes its header's m (the constructor checks m with the radicands)."""
+    if type(width) is not int or type(m) is not int:  # no floats, no bools
+        raise FriezeError("malformed frieze object: width and m must be integers")
+    if width < 0:
+        raise FriezeError(f"width must be nonnegative, got {width}")
+    if len(rows) != width + 4:
+        raise FriezeError(f"expected {width + 4} rows for width {width}, got {len(rows)}")
+    for row in rows:
+        if len(row) != width + 3:
+            raise FriezeError(f"every row must have {width + 3} entries, got {len(row)}")
 
 
 def _parse_entry(data: object, m: int, seen: dict[tuple[str, str], tuple]) -> tuple | None:
@@ -454,10 +458,9 @@ def _rows(counts: tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
 
 def lambda_frieze(dissection: Dissection, p: int) -> Frieze:
     """The frieze of a p-angulation: quiddity q_k·(2cos(π/p)), p ∈ {4, 6}."""
-    if p not in (4, 6):
-        raise ValueError(f"radical friezes are defined for p ∈ {{4, 6}}, got {p}")
+    _require_p(p)
     if not is_p_angulation(dissection, p):
-        raise NotPAngulationError(f"{dissection!r} is not a {p}-angulation")
+        raise _not_p_angulation(dissection, p)
     m = LAMBDA_RADICAND[p]
     return Frieze._of_ints(m, True, _rows(quiddity_counts(dissection), m, True))
 

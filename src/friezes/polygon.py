@@ -12,7 +12,7 @@ closes the face of a, the open vertices after a, and v.  Sorting the
 diagonals into per-vertex buckets is the only superlinear step, so the cost
 is O(n + d log d) for d diagonals.
 
-Enumeration is one in-place backtracking walk (`_walk`) that decides each
+Enumeration is one in-place backtracking walk (`_leaves`) that decides each
 vertex's fan of diagonals one end at a time, so it yields in lexicographic
 order of `diagonals_sorted`.  At every leaf it yields the same diagonal list
 (sorted) and per-vertex face-count list, both reused and mutated as the walk
@@ -25,8 +25,9 @@ for that `Dissection`'s `to_json()`, put together from per-vertex tables of
 label text built once per listing, with no frozenset, `Dissection` or dict
 built per leaf; the CLI's one writer joins the lines into writes of up to
 64 KiB.  The walk's O(n) frames (at most one per diagonal on the path,
-see `_walk`) and the 2n label strings are all a listing keeps, so the first
-leaf comes at once and a sorted listing holds nothing more.
+see `_leaves`) and the 2n label strings are all a listing keeps, so the first
+leaf comes at once and a sorted listing holds nothing more.  Every caller
+enters the walk by one door, `_p_angulation_walk`, which checks s and p.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ Pair = tuple[int, int]
 Face = tuple[int, ...]
 _D = TypeVar("_D", bound="Dissection")
 
-_MAX_WALK_N = 10**6  # the largest polygon `_walk` takes; see its docstring
+_MAX_WALK_N = 10**6  # the largest polygon `_p_angulation_walk` takes; see its docstring
 
 
 class InvalidDissectionError(ValueError):
@@ -193,7 +194,7 @@ def faces(dissection: Dissection) -> list[Face]:
 
 def _face_pass(n: int, diagonals: Sequence[Pair]) -> list[Face]:
     """The faces of the n-gon cut by normalized diagonals sorted ascending (as
-    `diagonals_sorted` and `_walk` keep them), in the order the sweep closes
+    `diagonals_sorted` and `_leaves` keep them), in the order the sweep closes
     them: `faces` sorts them, and `bijection._refined_counts` reads them
     straight off an enumerated leaf's diagonal list.
 
@@ -235,11 +236,9 @@ def is_p_angulation(dissection: Dissection, p: int) -> bool:
 def _is_p_angulation(n: int, diagonals: Collection[Pair], p: int) -> bool:
     """`is_p_angulation` of the n-gon cut by these normalized diagonals, with
     no `Dissection` built: the sweep's test of each enumerated leaf."""
-    if p < 3:
-        raise ValueError(f"face size must be at least 3, got {p}")
-    step = p - 2
-    if n != step * (len(diagonals) + 1) + 2:
+    if n != _polygon_size(len(diagonals) + 1, p):
         return False
+    step = p - 2
     return all((b - a) % step == 1 % step for a, b in diagonals)
 
 
@@ -260,24 +259,32 @@ def rotate(dissection: Dissection, c: int) -> Dissection:
 
 def fuss_catalan(s: int, p: int) -> int:
     """Number of p-angulations of the ((p-2)s + 2)-gon with s faces."""
+    _polygon_size(s, p)  # refuses p < 3 and s < 1
+    return math.comb((p - 1) * s, s - 1) // s
+
+
+def _polygon_size(s: int, p: int) -> int:
+    """n = (p-2)s + 2, the polygon of s faces of size p: the one check of s and p."""
+    if p < 3:
+        raise ValueError(f"face size must be at least 3, got {p}")
     if s < 1:
         raise ValueError("face count must be positive")
-    return math.comb((p - 1) * s, s - 1) // s
+    return (p - 2) * s + 2
 
 
 def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     """All dissections of the ((p-2)s + 2)-gon into s faces of size p.
 
-    One backtracking walk (`_walk`) visits every p-angulation exactly once
+    One backtracking walk (`_leaves`) visits every p-angulation exactly once
     and yields each as a `Dissection`, in lexicographic order of
     `diagonals_sorted`, so a listing streams sorted with nothing held.
     Only the diagonal list the walk shares between leaves is read, copied
     into a frozenset; the walk builds valid p-angulations only, so the
-    leaves skip the constructor's checks.
+    leaves skip the constructor's checks.  `_p_angulation_walk` checks s
+    and p at the call, not at the first leaf.
     """
     n, walk = _p_angulation_walk(s, p)
-    for diags, _ in walk:
-        yield _walked(Dissection, n, frozenset(diags))
+    return (_walked(Dissection, n, frozenset(diags)) for diags, _ in walk)
 
 
 def _listing(s: int, p: int) -> Iterator[str]:
@@ -300,16 +307,16 @@ def _listing(s: int, p: int) -> Iterator[str]:
 
 
 def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[tuple[list[Pair], list[int]]]]:
-    """The polygon size of s faces of size p, and the walk over its p-angulations."""
-    if p < 3:
-        raise ValueError(f"face size must be at least 3, got {p}")
-    if s < 1:
-        raise ValueError("face count must be positive")
-    n = (p - 2) * s + 2
-    return n, _walk(n, p - 2)
+    """The one door to the walk: n for s faces of size p, and `_leaves(n, p - 2)`.
+    An n above _MAX_WALK_N = 10**6 raises ValueError naming the polygon before
+    anything is allocated: no walk that large could finish."""
+    n = _polygon_size(s, p)
+    if n > _MAX_WALK_N:
+        raise ValueError(f"the {n}-gon is too large to walk")
+    return n, _leaves(n, p - 2)
 
 
-def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
+def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     """Every (step+2)-angulation of the n-gon (n ≡ 2 mod step), by backtracking.
 
     Yields in lexicographic order of `diagonals_sorted`, and the diagonal
@@ -345,20 +352,7 @@ def _walk(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     tasks by one assignment, pops the diagonals back and tries b + step.
     Frames never outnumber the diagonals on the path, so the walk keeps
     O(n) and forms no reference cycle (tuples point only at older ones).
-    At the call, n must be at least step + 2 and ≡ 2 (mod step), and an n
-    above _MAX_WALK_N = 10**6 raises ValueError naming the polygon before
-    anything is allocated: no walk that large could finish, its first leaf
-    alone holding about n/step diagonals.
     """
-    if n > _MAX_WALK_N:
-        raise ValueError(f"the {n}-gon is too large to walk")
-    if n < step + 2 or (n - 2) % step:
-        raise ValueError(f"the {n}-gon has no {step + 2}-angulation")
-    return _leaves(n, step)
-
-
-def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
-    """The generator behind `_walk`, which checks n first."""
     diags: list[Pair] = []
     counts = [1] * n
     todo: tuple | None = ((0, 1, n - 1, 0, None), None)  # tasks to fill: (next, rest)

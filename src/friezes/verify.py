@@ -109,13 +109,13 @@ from itertools import chain
 from operator import mul, ne
 from typing import NamedTuple, Sequence
 
-from .bijection import _not_p_angulation, _refine, _refined_counts, associated_triangulation
+from .bijection import _not_p_angulation, _refine, _refined_counts, _require_p
+from .bijection import associated_triangulation
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _grow, _rows
 from .polygon import (
     Dissection,
     _p_angulation_walk,
-    _walk,
     _walked,
     enumerate_p_angulations,
     fuss_catalan,
@@ -233,8 +233,9 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
     a_k of √m and the integral entries equal (p/2)^((k+ε_j) mod 2)·a_k for
     some per-row offset ε_j ∈ {0, 1}, tried 0 first; the chosen offsets are
     reported, and a failing row is witnessed at the smallest column either
-    offset misses.  Unequal widths raise ValueError.
+    offset misses.  A p outside {4, 6}, then unequal widths, raise ValueError.
     """
+    _require_p(p)
     if radical.width != integral.width:
         raise ValueError("friezes must share a width")
     coefficients = _read(radical, True)
@@ -474,7 +475,8 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     matches = []
     total = 0
     first = products[0]
-    for diags, c in _walk(d.n, 1):  # c: live triangle counts, the quiddity
+    _, walk = _p_angulation_walk(d.n - 2, 3)  # the n-gon's triangulations
+    for diags, c in walk:  # c: live triangle counts, the quiddity
         total += 1
         # the first term decides most candidates before the row is built
         if c[0] * c[1] == first and [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
@@ -532,7 +534,7 @@ class SweepSummary:
 def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> SweepSummary:
     """Verify every p-angulation with 1 ≤ s ≤ s_max faces.
 
-    Each level s is read straight off the enumeration walk (`polygon._walk`):
+    Each level s is read straight off the walk (`polygon._p_angulation_walk`):
     a leaf's face counts are the walk's live count list, its triangle counts
     come from one face pass (`_refined_counts`, which runs the leaf's one
     p-angulation test), and the leaves are checked in batches of up to

@@ -101,6 +101,26 @@ def test_int_and_fraction_coercion():
     assert QuadNum(2, 1) + Fraction(1, 2) == Fraction(3, 2)
 
 
+def test_negation_and_foreign_operands():
+    # -x negates both coefficients; an operand that is no QuadNum, int or
+    # Fraction gets NotImplemented from every operator, so Python raises
+    # TypeError, and equality with it is False
+    import operator
+
+    assert -QuadNum(2, 1, 1) == QuadNum(2, -1, -1)
+    assert -QuadNum(3, Fraction(1, 2), -2) == QuadNum(3, Fraction(-1, 2), 2)
+    x = QuadNum(2, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((x, "a"), ("a", x), (x, 1.5), (1.5, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__eq__"):
+        assert getattr(x, name)("a") is NotImplemented
+    assert (x == "a") is False and (x != "a") is True and ("a" == x) is False
+    assert (x == 1.0) is False  # a float is no coefficient, though 1.0 == 1
+
+
 def test_mixed_radicands_never_combine():
     with pytest.raises(RadicandMismatchError):
         QuadNum.sqrt(2) + QuadNum.sqrt(3)

@@ -299,6 +299,27 @@ def test_radical_frieze_input_checks(quad10):
         lambda_frieze(Dissection(10, [(1, 4)]), 4)
 
 
+def test_radical_frieze_refuses_by_the_one_face_size_check(quad10):
+    # the face size and the p-angulation are refused with the messages of
+    # associated_triangulation, which checks them the same way
+    from friezes import associated_triangulation
+
+    for p in (2, 3, 5, 8):
+        with pytest.raises(ValueError) as raised:
+            lambda_frieze(quad10, p)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"face size p must be 4 or 6, got {p}"
+        with pytest.raises(ValueError) as associated:
+            associated_triangulation(quad10, p)
+        assert str(associated.value) == str(raised.value)
+    bad = Dissection(10, [(1, 4)])
+    with pytest.raises(NotPAngulationError) as raised:
+        lambda_frieze(bad, 4)
+    with pytest.raises(NotPAngulationError) as associated:
+        associated_triangulation(bad, 4)
+    assert str(raised.value) == str(associated.value) == f"{bad!r} is not a 4-angulation"
+
+
 # ---------------------------------------------------------------------------
 # the integer frieze of a triangulation
 
@@ -550,10 +571,11 @@ def reference_from_json(data):
         raise FriezeError(f"width must be nonnegative, got {width}")
     if len(raw_rows) != width + 4:
         raise FriezeError(f"expected {width + 4} rows for width {width}, got {len(raw_rows)}")
-    rows = []
-    for raw in raw_rows:
+    for raw in raw_rows:  # every row's length before any entry
         if len(raw) != width + 3:
             raise FriezeError(f"every row must have {width + 3} entries, got {len(raw)}")
+    rows = []
+    for raw in raw_rows:
         row = tuple(QuadNum.from_json(e) for e in raw)
         if any(e.m != m for e in row):
             raise FriezeError("rows mix radicands with the frieze header")
@@ -700,6 +722,9 @@ def test_built_and_given_grids_behave_alike(quad10):
     assert built == given and given == built and hash(built) == hash(given)
     assert repr(built) == repr(given)
     assert built.to_json() == given.to_json() and validate(built) == validate(given)
+    for f in (built, given):  # a foreign operand gets NotImplemented: never equal
+        assert f.__eq__(f.to_json()) is NotImplemented and f.__eq__(f.rows) is NotImplemented
+        assert (f == f.to_json()) is False and (f != "a") is True and ("a" == f) is False
     with pytest.raises(RadicandMismatchError):
         Frieze(3, 7, given.rows)
     with pytest.raises(RadicandMismatchError):  # equal to 2, but no radicand
@@ -749,6 +774,40 @@ def test_frieze_from_json_rejects_bad_shapes():
     mixed = dict(blob, m=2)
     with pytest.raises(FriezeError):
         Frieze.from_json(mixed)
+
+
+def test_both_doors_refuse_a_shape_fault_alike():
+    # Frieze(m, width, rows) and from_json decide a grid's shape by one check,
+    # so each fault gets one message at both doors, before any entry is read
+    f = from_quiddity(int_quiddity(1, 2, 1, 2))  # width 1: 5 rows of 4
+    rows, blob = f.rows, f.to_json()
+
+    def cut(grid, r, k):
+        return [row[:k] if i == r else row for i, row in enumerate(grid)]
+
+    faults = [
+        (1, rows[:-1], "expected 5 rows for width 1, got 4"),
+        (1, rows + rows[:1], "expected 5 rows for width 1, got 6"),
+        (1, (), "expected 5 rows for width 1, got 0"),
+        (2, rows, "expected 6 rows for width 2, got 5"),
+        (-1, rows[:3], "width must be nonnegative, got -1"),
+        (1.0, rows, "malformed frieze object: width and m must be integers"),
+        (True, rows, "malformed frieze object: width and m must be integers"),
+        (1, [row + row[:1] for row in rows], "every row must have 4 entries, got 5"),
+    ]
+    faults += [(1, cut(rows, r, k), f"every row must have 4 entries, got {k}")
+               for r in range(5) for k in (0, 3)]
+    for width, grid, message in faults:
+        data = dict(blob, width=width, rows=[[e.to_json() for e in row] for row in grid])
+        for door in (lambda: Frieze(1, width, grid), lambda: Frieze.from_json(data)):
+            with pytest.raises(FriezeError) as raised:
+                door()
+            assert type(raised.value) is FriezeError and str(raised.value) == message
+    # the shape comes before the entries: a bad entry in row 0 and a short row 3
+    data = dict(blob, rows=cut(blob["rows"], 3, 3))
+    data["rows"][0] = [{"m": 1, "rat": "abc", "rad": "0"}] + data["rows"][0][1:]
+    with pytest.raises(FriezeError, match="^every row must have 4 entries, got 3$"):
+        Frieze.from_json(data)
 
 
 def test_render_ascii_width_one():

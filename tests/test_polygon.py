@@ -27,7 +27,7 @@ from friezes import (
     rotate,
 )
 
-from friezes.polygon import _crossing, _listing, _walk
+from friezes.polygon import _crossing, _listing, _p_angulation_walk
 from oracle import brute_force_p_angulations, face_walk_faces, noncrossing_subsets
 
 
@@ -53,6 +53,9 @@ def test_pairs_normalize_and_dedupe():
     assert d.diagonals_sorted == ((1, 4), (4, 9))
     assert d == Dissection(10, [(1, 4), (4, 9)])
     assert hash(d) == hash(Dissection(10, [(4, 9), (1, 4)]))
+    # a foreign operand gets NotImplemented, so equality with it is False
+    assert d.__eq__(d.to_json()) is NotImplemented
+    assert (d == d.to_json()) is False and (d != "a") is True
 
 
 def test_empty_dissection_is_fine():
@@ -223,6 +226,36 @@ def test_fuss_catalan_values():
         fuss_catalan(0, 4)
 
 
+@pytest.mark.parametrize("s,p", [(1, 2), (2, 1), (2, 0), (0, 2), (3, -1)])
+def test_fuss_catalan_refuses_a_face_size_below_3(s, p):
+    # the walk's own refusal, not a count of 1 or 0 or math.comb's error
+    with pytest.raises(ValueError) as raised:
+        fuss_catalan(s, p)
+    assert str(raised.value) == f"face size must be at least 3, got {p}"
+    with pytest.raises(ValueError) as walked:
+        _p_angulation_walk(s, p)
+    assert str(walked.value) == str(raised.value)
+
+
+def test_enumeration_refuses_bad_arguments_at_the_call():
+    # checked when called, not at the first next(): a face count below 1, a
+    # face size below 3, and a polygon too large to walk, nothing allocated
+    for s, p, message in (
+        (0, 4, "face count must be positive"),
+        (3, 2, "face size must be at least 3, got 2"),
+        (10**7, 4, f"the {2 * 10**7 + 2}-gon is too large to walk"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as raised:
+                enumerate_p_angulations(s, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == message
+        assert peak < 100_000
+
+
 def test_enumerate_small_cases():
     assert sorted(d.diagonals_sorted for d in enumerate_p_angulations(2, 4)) == [
         ((0, 3),),
@@ -275,21 +308,15 @@ def test_walk_matches_brute_force_and_counts_faces(s, p):
     # the walk shares one diagonal list and one count list between leaves;
     # at each leaf they hold a p-angulation, sorted, and its faces per vertex,
     # and the leaves come in lexicographic order
-    n = (p - 2) * s + 2
+    n, walk = _p_angulation_walk(s, p)
     seen = []
-    for diags, counts in _walk(n, p - 2):
+    for diags, counts in walk:
         assert diags == sorted(diags)
         d = Dissection(n, diags)
         assert tuple(counts) == quiddity_counts(d)
         seen.append(d.diagonals_sorted)
     assert len(set(seen)) == len(seen), "no dissection may appear twice"
     assert seen == sorted(brute_force_p_angulations(s, p))
-
-
-@pytest.mark.parametrize("n,step", [(7, 2), (4, 4), (2, 1), (9, 3), (5, 2)])
-def test_walk_refuses_a_polygon_with_no_p_angulation_at_the_call(n, step):
-    with pytest.raises(ValueError, match=f"the {n}-gon has no {step + 2}-angulation"):
-        _walk(n, step)
 
 
 def test_abandoned_walk_leaves_no_reference_cycles():
@@ -302,7 +329,7 @@ def test_abandoned_walk_leaves_no_reference_cycles():
         next(lines)
         del lines
         assert gc.collect() == 0
-        walk = _walk(18, 2)
+        _, walk = _p_angulation_walk(8, 4)  # the 18-gon
         for _ in zip(range(1000), walk):
             pass
         del walk

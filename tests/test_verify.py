@@ -119,19 +119,23 @@ def test_even_scaling_reads_only_well_shaped_grids(quad10):
     # odd_rows_coincide; cut to 3 columns, it passed both comparisons)
     rows = lambda_frieze(quad10, 4).rows
     zero, one = (QuadNum(2, 0),) * 2, (QuadNum(2, 1),) * 2
+    not_ints = "malformed frieze object: width and m must be integers"
     malformed = [
-        (2, 7, rows[:5]),  # too few rows
-        (3, 7, rows[:5]),  # the shape is checked before the radicands
-        (2, 7, rows[:4] + (rows[4][:-1],) + rows[5:]),  # a short row
-        (2, 7, rows[:4] + ((),) + rows[5:]),  # an empty row
-        (2, 7, [row[:3] for row in rows]),  # every row short
-        (2, -1, (zero, one, zero)),  # width + 4 rows of width + 3, but width -1
-        (2, 7.0, rows),
-        (2, True, [row[:4] for row in rows[:5]]),  # True + 3 entries in True + 4 rows
+        (2, 7, rows[:5], "expected 11 rows for width 7, got 5"),  # too few rows
+        # the shape is checked before the radicands
+        (3, 7, rows[:5], "expected 11 rows for width 7, got 5"),
+        (2, 7, rows[:4] + (rows[4][:-1],) + rows[5:], "every row must have 10 entries, got 9"),
+        (2, 7, rows[:4] + ((),) + rows[5:], "every row must have 10 entries, got 0"),
+        (2, 7, [row[:3] for row in rows], "every row must have 10 entries, got 3"),
+        # width + 4 rows of width + 3, but width -1
+        (2, -1, (zero, one, zero), "width must be nonnegative, got -1"),
+        (2, 7.0, rows, not_ints),
+        (2, True, [row[:4] for row in rows[:5]], not_ints),  # True + 3 entries in True + 4 rows
     ]
-    for m, width, grid in malformed:
-        with pytest.raises(FriezeError, match="grid shape does not match the declared width"):
+    for m, width, grid, message in malformed:
+        with pytest.raises(FriezeError) as raised:
             Frieze(m, width, grid)
+        assert str(raised.value) == message
 
     def width_one(m, row2):
         """A hand-built width-1 grid over √m; only its even row 2 varies."""
@@ -144,6 +148,21 @@ def test_even_scaling_reads_only_well_shaped_grids(quad10):
     integral = width_one(1, [QuadNum(1, v) for v in (1, 5, 1, 6)])
     result = even_rows_scaled(radical, integral, 4)
     assert not result.ok and result.witness == FirstViolation("even_scaling", 2, 0)
+
+
+def test_even_scaling_refuses_a_face_size_outside_4_and_6(quad10):
+    # p = 5 halved to 2 passed a 4-angulation, and p = 8 scaled by 4: p is
+    # refused by the one face-size check, before the widths are compared
+    radical = lambda_frieze(quad10, 4)
+    integral = cc_frieze(associated_triangulation(quad10, 4))
+    narrow = lambda_frieze(Dissection(4), 4)
+    for p in (2, 3, 5, 8):
+        for other in (integral, narrow):
+            with pytest.raises(ValueError) as raised:
+                even_rows_scaled(radical, other, p)
+            assert str(raised.value) == f"face size p must be 4 or 6, got {p}"
+    with pytest.raises(ValueError, match="^friezes must share a width$"):
+        even_rows_scaled(radical, narrow, 4)
 
 
 def test_even_scaling_refuses_a_zero_radical_entry():
@@ -613,10 +632,8 @@ def test_counts_refuse_what_the_refinement_refused():
          "Triangulation(n=6, diagonals=[(0, 2), (0, 4), (2, 4)]) is not a 6-angulation"),
         (NoncrossingTree(8, [(1, 3), (3, 5), (5, 7)]), 4, NotPAngulationError,
          "NoncrossingTree(host_n=8, edges=[(1, 3), (3, 5), (5, 7)]) is not a 4-angulation"),
-        (Dissection(10, [(1, 4)]), 5, ValueError,
-         "associated triangulation is defined for p ∈ {4, 6}, got 5"),
-        (Dissection(9), 3, ValueError,
-         "associated triangulation is defined for p ∈ {4, 6}, got 3"),
+        (Dissection(10, [(1, 4)]), 5, ValueError, "face size p must be 4 or 6, got 5"),
+        (Dissection(9), 3, ValueError, "face size p must be 4 or 6, got 3"),
     ]
     for d, p, error, message in refused:
         for check in (verify_dissection, check_lemma, associated_triangulation):
@@ -626,8 +643,8 @@ def test_counts_refuse_what_the_refinement_refused():
         if error is NotPAngulationError:
             assert _refined_counts(d.n, d.diagonals_sorted, [1] * d.n, p) is None
     for p, message in ((2, "face size must be at least 3, got 2"),
-                       (3, "associated triangulation is defined for p ∈ {4, 6}, got 3"),
-                       (5, "associated triangulation is defined for p ∈ {4, 6}, got 5")):
+                       (3, "face size p must be 4 or 6, got 3"),
+                       (5, "face size p must be 4 or 6, got 5")):
         for orbits in (False, True):
             with pytest.raises(ValueError) as raised:
                 sweep(p, 2, orbits=orbits)
@@ -956,14 +973,15 @@ def test_deep_scan_counts_its_candidates(monkeypatch, capsys):
     import friezes.verify
     from friezes.cli import main
 
-    walk = friezes.verify._walk
+    walk_of = friezes.verify._p_angulation_walk
 
-    def drop_one_triangulation(n, step):
-        found = walk(n, step)
-        next(found)
-        return found
+    def drop_one_triangulation(s, p):
+        n, found = walk_of(s, p)
+        if p == 3:  # the deep scan's walk, not the sweep's
+            next(found)
+        return n, found
 
-    monkeypatch.setattr(friezes.verify, "_walk", drop_one_triangulation)
+    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", drop_one_triangulation)
     message = "scanned 13 triangulations of the 6-gon, expected 14"
     with pytest.raises(InternalAssertionError, match=message):
         deep_uniqueness(Dissection(6, [(1, 4)]), 4)

@@ -48,7 +48,6 @@ equal (r, k).
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -158,9 +157,11 @@ class Frieze:
         _set(self, "_rows", None)
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # only a misuse pays for the import
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError  # only a misuse pays for the import
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
@@ -476,8 +477,7 @@ class Violation(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class FriezeReport:
+class FriezeReport(NamedTuple):
     """Outcome of validate(): every rule violation, with its grid position."""
 
     violations: tuple[Violation, ...]

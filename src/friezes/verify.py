@@ -46,6 +46,10 @@ integer, or for the radical even rows an integer multiple of √m, as
 reading never matches), hand them to the same int-row comparisons, and
 raise ValueError when the widths differ.
 
+Every report here is a `NamedTuple` record: it iterates, indexes and
+compares equal to the plain tuple of its fields, and assigning a field
+raises AttributeError.
+
 sweep() runs all three over every p-angulation up to a face-count bound,
 as above, or with orbits=True over one p-angulation per even-rotation
 orbit, by (C) below;
@@ -104,7 +108,6 @@ A third fact lets a sweep check one p-angulation per orbit:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul, ne
 from typing import NamedTuple, Sequence
@@ -129,8 +132,7 @@ Rows = Sequence[Sequence["int | None"]]
 _BATCH = 64  # dissections per batch of `sweep`; see `_batch_passes`
 
 
-@dataclass(frozen=True)
-class FirstViolation:
+class FirstViolation(NamedTuple):
     """Where a check first failed: claim name, frieze row (if any), column/vertex."""
 
     claim: str
@@ -146,8 +148,7 @@ class CheckResult(NamedTuple):
     witness: FirstViolation | None
 
 
-@dataclass(frozen=True)
-class EvenScalingResult:
+class EvenScalingResult(NamedTuple):
     ok: bool
     witness: FirstViolation | None
     epsilons: tuple[int, ...]
@@ -221,9 +222,7 @@ def odd_rows_coincide(radical: Frieze, integral: Frieze) -> CheckResult:
     their field, so the friezes may live over different radicands.  Unequal
     widths raise ValueError.
     """
-    if radical.width != integral.width:
-        raise ValueError("friezes must share a width")
-    return _odd_rows_match(_read(radical, False), _read(integral, False), radical.width)
+    return _odd_rows_match(*_read(radical, integral, False), radical.width)
 
 
 def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingResult:
@@ -236,20 +235,19 @@ def even_rows_scaled(radical: Frieze, integral: Frieze, p: int) -> EvenScalingRe
     offset misses.  A p outside {4, 6}, then unequal widths, raise ValueError.
     """
     _require_p(p)
+    return _even_rows_match(*_read(radical, integral, True), radical.width, p)
+
+
+def _read(radical: Frieze, integral: Frieze, surd: bool) -> tuple[Rows, Rows]:
+    """Both grids' entries as ints, read off `Frieze._mapped`'s coefficient pairs
+    (a, b), no pair grid cached: a of an integer (a, 0), or for the radical grid
+    with surd the c of c·√m, (0, c); None where an entry is not of that form (a
+    zero coefficient is always the int 0).  Unequal widths raise ValueError."""
     if radical.width != integral.width:
         raise ValueError("friezes must share a width")
-    coefficients = _read(radical, True)
-    return _even_rows_match(coefficients, _read(integral, False), radical.width, p)
-
-
-def _read(frieze: Frieze, surd: bool) -> Rows:
-    """The grid's entries as ints, read off `Frieze._mapped`'s coefficient pairs
-    (a, b), no pair grid cached: a of an integer (a, 0), or with surd the c of
-    c·√m, (0, c); None where an entry is not of that form (a zero coefficient
-    is always the int 0)."""
-    if surd:
-        return list(frieze._mapped(lambda a, b: b if a == 0 and type(b) is int else None))
-    return list(frieze._mapped(lambda a, b: a if b == 0 and type(a) is int else None))
+    ints = lambda a, b: a if b == 0 and type(a) is int else None
+    surds = lambda a, b: b if a == 0 and type(b) is int else None
+    return list(radical._mapped(surds if surd else ints)), list(integral._mapped(ints))
 
 
 def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -338,8 +336,7 @@ def _least_rotation(counts: list[int]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """All three checks for one dissection, with the first violation if any."""
 
     p: int
@@ -419,8 +416,7 @@ def verify_dissection(d: Dissection, p: int) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class DeepUniquenessResult:
+class DeepUniquenessResult(NamedTuple):
     """Which triangulations of the polygon reproduce the radical frieze's odd rows.
 
     ok is the strict reading: exactly one triangulation matched and it is
@@ -495,8 +491,7 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     return DeepUniquenessResult(ok, total, tuple(matches), expected, tuple(map(kind, matches)))
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """Aggregate outcome of verifying every p-angulation with s ≤ s_max.
 
     orbits_checked is None for an exhaustive sweep; an orbit sweep sets it

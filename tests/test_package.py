@@ -1,10 +1,15 @@
 """The public surface: every exported name resolves, and so does every name
 the benchmark's span tracer patches (`bench/tracing.py`), so removing a
-function from the library cannot silently break a traced benchmark run.
+function from the library cannot silently break a traced benchmark run;
+and importing the package loads no module beyond its own and the standard
+modules it names.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import friezes
@@ -33,3 +38,29 @@ def test_traced_names_exist():
                 missing.append(f"{module_name}.{dotted}")
     missing += [f"QuadNum.{op}" for op in tracing.EXACT_OPS if not hasattr(friezes.QuadNum, op)]
     assert not missing
+
+
+# The standard modules the package's sources import.
+PACKAGE_STDLIB = (
+    "__future__", "argparse", "bisect", "fractions", "functools", "itertools", "json",
+    "math", "operator", "os", "sys", "time", "typing",
+)
+
+
+def test_import_loads_nothing_past_the_standard_modules_it_names():
+    # relative to what is loaded once those modules are, so a site hook that
+    # preloads modules cannot fail it; `dataclasses` alone would bring in
+    # inspect, ast, dis and copy
+    code = (
+        f"import {', '.join(PACKAGE_STDLIB)}\n"
+        "before = set(sys.modules)\n"
+        "import friezes, friezes.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(friezes.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = done.stdout.split()
+    assert "friezes.cli" in loaded
+    assert [name for name in loaded if name != "friezes" and not name.startswith("friezes.")] == []

@@ -1070,3 +1070,103 @@ def test_passing_checks_walk_no_row_entry_by_entry(monkeypatch):
         monkeypatch.setattr(friezes.verify, name, boom)
     for d, p in cases:
         assert verify_dissection(d, p).ok
+
+
+
+SWEEP_HEAD = {"p": 4, "s_max": 3, "checked": 16}
+SWEEP_TAIL = {
+    "per_s": {"1": 1, "2": 3, "3": 12},
+    "all_ok": True,
+    "counterexamples": [],
+    "deep_checked": False,
+    "deep_failures": [],
+}
+ASSOCIATED_10 = [[1, 3], [1, 4], [1, 9], [4, 9], [5, 7], [5, 8], [5, 9]]
+# each record's JSON as the dataclass records wrote it, key order included;
+# a report's timings vary, so only their keys are pinned
+RECORD_JSON = {
+    "verify_dissection": {
+        "p": 4,
+        "s": 4,
+        "dissection": {"n": 10, "diagonals": [[1, 4], [4, 9], [5, 8]]},
+        "lemma_ok": True,
+        "odd_rows_ok": True,
+        "even_scaling_ok": True,
+        "epsilons": [0, 0, 0, 0],
+        "epsilon_alternates": False,
+        "first_violation": None,
+        "timings_ms": ["build", "checks"],
+    },
+    "deep_uniqueness": {
+        "ok": False,
+        "triangulations": 1430,
+        "expected": {"n": 10, "diagonals": ASSOCIATED_10},
+        "matches": [
+            {"kind": "associated", "n": 10, "diagonals": ASSOCIATED_10},
+            {"kind": "mirror", "n": 10,
+             "diagonals": [[0, 4], [1, 4], [2, 4], [4, 8], [4, 9], [5, 8], [6, 8]]},
+        ],
+    },
+    "sweep": {**SWEEP_HEAD, **SWEEP_TAIL},
+    "sweep_orbits": {**SWEEP_HEAD, "orbits_checked": 6, **SWEEP_TAIL},
+    "validate": {"ok": True, "violations": []},
+    "witness": {"claim": "odd_rows", "row": 3, "index": 0},
+    "validate_bumped": {
+        "ok": False,
+        "violations": [
+            {"kind": "diamond", "row": 2, "col": 0},
+            {"kind": "diamond", "row": 2, "col": 1},
+            {"kind": "recurrence", "row": 2, "col": 0},
+            {"kind": "recurrence", "row": 2, "col": 1},
+            {"kind": "recurrence", "row": 3, "col": 1},
+            {"kind": "recurrence", "row": 3, "col": 3},
+        ],
+    },
+}
+
+
+def records(quad10):
+    """Every kind of report record, by name, passing and failing."""
+    from friezes import validate
+
+    corrupted = Triangulation(10, [(1, 4), (4, 9), (5, 8), (2, 4), (1, 9), (5, 9), (5, 7)])
+    radical = lambda_frieze(quad10, 4)
+    bumped = lambda_frieze(Dissection(4), 4).to_json()
+    bumped["rows"][2][1] = {"m": 2, "rat": "1", "rad": "1"}
+    return {
+        "verify_dissection": verify_dissection(quad10, 4),
+        "deep_uniqueness": deep_uniqueness(quad10, 4),
+        "sweep": sweep(4, 3),
+        "sweep_orbits": sweep(4, 3, orbits=True),
+        "validate": validate(lambda_frieze(quad10, 4)),
+        "witness": odd_rows_coincide(radical, cc_frieze(corrupted)).witness,
+        "even_scaling": even_rows_scaled(radical, radical, 4),
+        "validate_bumped": validate(Frieze.from_json(bumped)),
+    }
+
+
+def test_records_pickle_refuse_assignment_and_keep_their_json(quad10):
+    import pickle
+
+    for name, record in records(quad10).items():
+        assert pickle.loads(pickle.dumps(record)) == record, name
+        with pytest.raises(AttributeError):
+            record.ok = True  # a property on some records, a field on the rest
+        if name in RECORD_JSON:
+            blob = record.to_json()
+            if name == "verify_dissection":
+                blob["timings_ms"] = list(blob["timings_ms"])
+            assert blob == RECORD_JSON[name] and list(blob) == list(RECORD_JSON[name]), name
+
+
+def test_records_are_the_tuples_of_their_fields(quad10):
+    # NamedTuple records iterate, index and compare equal to plain tuples,
+    # and refuse assignment to every field
+    for name, record in records(quad10).items():
+        assert record == tuple(record) and len(record) == len(record._fields), name
+        assert [record[i] for i in range(len(record))] == [getattr(record, f) for f in record._fields]
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    even = records(quad10)["even_scaling"]
+    assert even == (False, ("even_scaling", 2, 0), (), False)

@@ -235,7 +235,7 @@ def _not_p_angulation(dissection: Dissection, p: int) -> NotPAngulationError:
 
 
 def _require_p(p: int) -> None:
-    if p not in (4, 6):
+    if type(p) is not int or p not in (4, 6):  # 4.0 == 4 and True == 1: refuse both
         raise ValueError(f"face size p must be 4 or 6, got {p}")
 
 

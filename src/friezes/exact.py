@@ -32,7 +32,7 @@ class RadicandMismatchError(ValueError):
 
 
 def _exact(x: RationalLike | str) -> RationalLike:
-    """x as an int when it is integral, else as a Fraction."""
+    """x as an int when it is integral, else as a Fraction; never from a float."""
     if type(x) is int:
         return x
     # int() reads every integral string Fraction() does, and as the same
@@ -43,6 +43,8 @@ def _exact(x: RationalLike | str) -> RationalLike:
             return int(x)
         except ValueError:
             pass
+    if isinstance(x, float):  # Fraction(0.1) is 3602879701896397/36028797018963968
+        raise TypeError(f"a coefficient must be exact, got the float {x!r}")
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
@@ -89,10 +91,10 @@ def quadratic_sign(a: RationalLike, b: RationalLike, m: int) -> int:
 class QuadNum:
     """An element a + b·√m of Q(√m), held exactly.
 
-    Each coefficient is an int when it is integral, else a Fraction.
-    Instances are immutable; arithmetic returns new values.  ints and
-    Fractions coerce into the operand's field, but two QuadNum with
-    different radicands never mix (RadicandMismatchError).  Equality stays
+    Each coefficient is an int when it is integral, else a Fraction (a
+    float raises TypeError).  Instances are immutable; arithmetic returns
+    new values.  ints and Fractions coerce into the operand's field, but two
+    QuadNum with different radicands never mix (RadicandMismatchError).  Equality stays
     transitive across fields: rational values (b = 0) compare by value
     whatever their radicand, irrational ones only within one field.
     """

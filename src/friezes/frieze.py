@@ -101,82 +101,75 @@ class _Memo(dict):
 
 
 class Frieze:
-    """An immutable frieze grid: radicand m, width n, rows 0..n+3.
+    """An immutable frieze grid: radicand m, width n, rows 0..n+3, held as
+    `Dissection` is, in private slots behind the read-only `m` and `width`.
 
     A built grid (`lambda_frieze`, `cc_frieze`, `from_quiddity`) keeps the
     kernel's int rows and whether it is radical: entry e(r, k) is the int C,
     or C·√m on the even rows of a radical grid.  A parsed grid (`from_json`,
     `Frieze(m, width, rows)`) holds each entry a + b√m as the pair (a, b) of
     its QuadNum coefficients, ints unless a coefficient is not integral.
-    `Frieze(m, width, rows)` raises FriezeError unless width is an int ≥ 0
-    and rows are width + 4 rows of width + 3 entries, RadicandMismatchError
-    for an entry outside Q(√m), and reads the QuadNum rows into pairs once,
-    keeping none.  A built grid derives the pairs once, only when a caller
-    needs them (equality, hashing, pickling and `validate`).  `.rows` wraps
-    the entries into QuadNums only when read, once per grid, equal entries
-    sharing one QuadNum.  Grids compare and hash by (m, width, pairs):
-    within one radicand each value has one pair.
+    `Frieze(m, width, rows)` raises FriezeError unless m and width are ints,
+    width ≥ 0, and rows are width + 4 rows of width + 3 entries (the check of
+    `from_json`, `_check_shape`), RadicandMismatchError for an entry outside
+    Q(√m), and reads the QuadNum rows into pairs once, keeping none.  A built
+    grid derives the pairs once, only when a caller needs them (equality,
+    hashing, pickling and `validate`).  `.rows` wraps the entries into
+    QuadNums only when read, once per grid, equal entries sharing one
+    QuadNum.  Grids compare and hash by (m, width, pairs): within one
+    radicand each value has one pair.
     """
 
-    __slots__ = ("m", "width", "_ints", "_radical", "_cells", "_rows")
+    __slots__ = ("_m", "_width", "_ints", "_radical", "_cells", "_rows")
 
     def __init__(self, m: int, width: int, rows: Iterable[Iterable[QuadNum]]):
         rows = [tuple(row) for row in rows]
-        _check_shape(width, rows)
-        if type(m) is not int or any(e.m != m for row in rows for e in row):
+        _check_shape(width, rows, m)
+        if any(e.m != m for row in rows for e in row):
             raise RadicandMismatchError("grid mixes radicands with the frieze header")
         cells = tuple([tuple([(e.rat, e.rad) for e in row]) for row in rows])
-        self._fill(m, width, None, False, cells)
+        self._hold(m, width, None, False, cells)
 
     @classmethod
     def _of_cells(cls, m: int, width: int, cells: tuple[tuple[tuple, ...], ...]) -> "Frieze":
         """A grid of coefficient pairs as QuadNum holds them, every entry in Q(√m)
         and the shape checked by the caller."""
         frieze = cls.__new__(cls)
-        frieze._fill(m, width, None, False, cells)
+        frieze._hold(m, width, None, False, cells)
         return frieze
 
     @classmethod
     def _of_ints(cls, m: int, radical: bool, ints: list[list[int]]) -> "Frieze":
         """A built grid: `_grow`'s rows, kept as they are and never mutated."""
         frieze = cls.__new__(cls)
-        frieze._fill(m, len(ints) - 4, ints, radical, None)
+        frieze._hold(m, len(ints) - 4, ints, radical, None)
         return frieze
 
-    def _fill(
-        self, m: int, width: int, ints: list | None, radical: bool, cells: tuple | None
-    ) -> None:
-        """Set the slots once: every later assignment raises, and only the
-        caches `_cells` (of a built grid) and `_rows` are filled later."""
-        _set = object.__setattr__
-        _set(self, "m", m)
-        _set(self, "width", width)
-        _set(self, "_ints", ints)
-        _set(self, "_radical", radical)
-        _set(self, "_cells", cells)
-        _set(self, "_rows", None)
+    def _hold(self, m: int, width: int, ints: list | None, radical: bool, cells: tuple | None):
+        self._m, self._width, self._ints, self._radical = m, width, ints, radical
+        self._cells, self._rows = cells, None  # the caches `_pairs` and `rows` fill
 
-    def __setattr__(self, name: str, value: object) -> None:
-        from dataclasses import FrozenInstanceError  # only a misuse pays for the import
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    @property
+    def m(self) -> int:
+        return self._m
 
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError  # only a misuse pays for the import
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    @property
+    def width(self) -> int:
+        return self._width
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.m, self.width, self._pairs()) == (other.m, other.width, other._pairs())
+        return (self._m, self._width, self._pairs()) == (other._m, other._width, other._pairs())
 
     def __hash__(self) -> int:
-        return hash((self.m, self.width, self._pairs()))
+        return hash((self._m, self._width, self._pairs()))
 
     def __repr__(self) -> str:
         return f"Frieze(m={self.m!r}, width={self.width!r}, rows={self.rows!r})"
 
     def __reduce__(self) -> tuple:
-        return Frieze._of_cells, (self.m, self.width, self._pairs())
+        return Frieze._of_cells, (self._m, self._width, self._pairs())
 
     def _mapped(self, f: Callable) -> Iterator[list]:
         """The rows, each as a list of f(a, b) over its entries a + b√m.
@@ -205,8 +198,7 @@ class Frieze:
             # the resized tuples pile up on the interpreter's per-size free lists (peak
             # RSS) until a full garbage collection, which the few allocations here rarely
             # trigger
-            cells = tuple([tuple(row) for row in self._mapped(lambda a, b: (a, b))])
-            object.__setattr__(self, "_cells", cells)
+            cells = self._cells = tuple([tuple(row) for row in self._mapped(lambda a, b: (a, b))])
         return cells
 
     @property
@@ -214,8 +206,8 @@ class Frieze:
         rows = self._rows
         if rows is None:
             # QuadNum is immutable, so equal entries share one; from lists: see _pairs
-            rows = tuple([tuple(row) for row in self._mapped(partial(QuadNum, self.m))])
-            object.__setattr__(self, "_rows", rows)
+            quad = partial(QuadNum, self._m)
+            rows = self._rows = tuple([tuple(row) for row in self._mapped(quad)])
         return rows
 
     @property
@@ -281,9 +273,9 @@ class Frieze:
         return Frieze._of_cells(m, width, tuple(cells))
 
 
-def _check_shape(width: object, rows: Sequence[Sequence], m: object = 0) -> None:
-    """The one shape check of `Frieze(m, width, rows)` and `from_json`, which
-    also passes its header's m (the constructor checks m with the radicands)."""
+def _check_shape(width: object, rows: Sequence[Sequence], m: object) -> None:
+    """The one check of a grid's header and shape, for `Frieze(m, width, rows)`
+    and `from_json` alike: the same fault raises the same FriezeError at both."""
     if type(width) is not int or type(m) is not int:  # no floats, no bools
         raise FriezeError("malformed frieze object: width and m must be integers")
     if width < 0:

@@ -259,12 +259,14 @@ def rotate(dissection: Dissection, c: int) -> Dissection:
 
 def fuss_catalan(s: int, p: int) -> int:
     """Number of p-angulations of the ((p-2)s + 2)-gon with s faces."""
-    _polygon_size(s, p)  # refuses p < 3 and s < 1
+    _polygon_size(s, p)  # refuses non-ints, p < 3 and s < 1
     return math.comb((p - 1) * s, s - 1) // s
 
 
 def _polygon_size(s: int, p: int) -> int:
     """n = (p-2)s + 2, the polygon of s faces of size p: the one check of s and p."""
+    if type(s) is not int or type(p) is not int:  # no floats, no bools
+        raise ValueError(f"face count and face size must be integers, got s={s!r}, p={p!r}")
     if p < 3:
         raise ValueError(f"face size must be at least 3, got {p}")
     if s < 1:

@@ -553,6 +553,8 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     level's count check, in the same pass as the re-run: the one pass that
     builds the level's `Dissection`s, in enumeration order.
     """
+    if type(s_max) is not int:  # no floats, no bools
+        raise ValueError(f"face count bound must be an integer, got {s_max!r}")
     if s_max < 1:
         raise ValueError("face count bound must be positive")
     per_s: dict[int, int] = {}

@@ -121,6 +121,17 @@ def test_negation_and_foreign_operands():
     assert (x == 1.0) is False  # a float is no coefficient, though 1.0 == 1
 
 
+def test_float_coefficients_are_refused_as_float_operands_are():
+    # a float's binary value is rarely the one written: QuadNum(2, 0.1) would hold
+    # 3602879701896397/36028797018963968, so every float coefficient raises
+    for rat, rad in ((0.1, 0), (0, 0.5), (1.0, 0), (0, -2.0), (float("inf"), 0)):
+        with pytest.raises(TypeError, match="^a coefficient must be exact, got the float"):
+            QuadNum(2, rat, rad)
+        with pytest.raises(ValueError, match="^malformed quadratic value"):
+            QuadNum.from_json({"m": 2, "rat": rat, "rad": rad})
+    assert QuadNum(2, "0.1") == QuadNum(2, Fraction(1, 10))  # the decimal text is exact
+
+
 def test_mixed_radicands_never_combine():
     with pytest.raises(RadicandMismatchError):
         QuadNum.sqrt(2) + QuadNum.sqrt(3)

@@ -304,7 +304,7 @@ def test_radical_frieze_refuses_by_the_one_face_size_check(quad10):
     # associated_triangulation, which checks them the same way
     from friezes import associated_triangulation
 
-    for p in (2, 3, 5, 8):
+    for p in (2, 3, 5, 8, 4.0, True):  # 4.0 == 4, but no face size
         with pytest.raises(ValueError) as raised:
             lambda_frieze(quad10, p)
         assert type(raised.value) is ValueError
@@ -711,10 +711,10 @@ def test_to_json_gives_every_entry_its_own_dict():
 
 def test_built_and_given_grids_behave_alike(quad10):
     # a built grid holds coefficient pairs, and Frieze(m, width, rows) reads the QuadNum
-    # rows it is given into them: both compare, hash, print, copy and refuse
-    # assignment alike, and entries outside the header's field are refused
+    # rows it is given into them: both compare, hash, print, copy (pickle at every
+    # protocol) and refuse assignment alike, and entries outside the header's field
+    # are refused
     import copy
-    import dataclasses
     import pickle
 
     built = lambda_frieze(quad10, 4)
@@ -727,14 +727,20 @@ def test_built_and_given_grids_behave_alike(quad10):
         assert (f == f.to_json()) is False and (f != "a") is True and ("a" == f) is False
     with pytest.raises(RadicandMismatchError):
         Frieze(3, 7, given.rows)
-    with pytest.raises(RadicandMismatchError):  # equal to 2, but no radicand
+    with pytest.raises(FriezeError):  # equal to 2, but no int: the header check refuses it
         Frieze(2.0, 7, given.rows)
     for f in (built, given):
-        assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            f.m = 3
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del f.width
+        text = f._json_text()
+        assert copy.deepcopy(f) == f
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(f, protocol))
+            assert again == f and again._json_text() == text
+        for name in ("m", "width"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert (f.m, f.width) == (2, 7) and f == built and f._json_text() == text
 
 
 def test_built_parsed_and_given_grids_are_one_value(quad10, hex18):
@@ -808,6 +814,19 @@ def test_both_doors_refuse_a_shape_fault_alike():
     data["rows"][0] = [{"m": 1, "rat": "abc", "rad": "0"}] + data["rows"][0][1:]
     with pytest.raises(FriezeError, match="^every row must have 4 entries, got 3$"):
         Frieze.from_json(data)
+
+
+def test_both_doors_refuse_a_header_radicand_that_is_no_int_alike(quad10):
+    # the header's m is checked with the width, by `_check_shape`, at both doors: a
+    # float, a bool, a string or None gets one FriezeError, not a radicand mismatch
+    f = lambda_frieze(quad10, 4)
+    blob = f.to_json()
+    for m in (2.0, True, "2", None):
+        for door in (lambda: Frieze(m, 7, f.rows), lambda: Frieze.from_json(dict(blob, m=m))):
+            with pytest.raises(FriezeError) as raised:
+                door()
+            assert type(raised.value) is FriezeError
+            assert str(raised.value) == "malformed frieze object: width and m must be integers"
 
 
 def test_render_ascii_width_one():

@@ -195,6 +195,8 @@ def test_is_p_angulation(quad10):
     assert is_p_angulation(Dissection(6, [(0, 2), (2, 4), (0, 4)]), 3)
     with pytest.raises(ValueError):
         is_p_angulation(quad10, 2)
+    with pytest.raises(ValueError, match="^face count and face size must be integers"):
+        is_p_angulation(quad10, 4.0)
 
 
 def test_quiddity_counts(quad10, hex18):
@@ -224,6 +226,8 @@ def test_fuss_catalan_values():
     assert [fuss_catalan(s, 3) for s in range(1, 8)] == [1, 2, 5, 14, 42, 132, 429]
     with pytest.raises(ValueError):
         fuss_catalan(0, 4)
+    with pytest.raises(ValueError, match="^face count and face size must be integers"):
+        fuss_catalan(True, 4)  # True == 1, but no count: not 1
 
 
 @pytest.mark.parametrize("s,p", [(1, 2), (2, 1), (2, 0), (0, 2), (3, -1)])
@@ -243,6 +247,7 @@ def test_enumeration_refuses_bad_arguments_at_the_call():
     for s, p, message in (
         (0, 4, "face count must be positive"),
         (3, 2, "face size must be at least 3, got 2"),
+        (2.0, 4, "face count and face size must be integers, got s=2.0, p=4"),
         (10**7, 4, f"the {2 * 10**7 + 2}-gon is too large to walk"),
     ):
         tracemalloc.start()

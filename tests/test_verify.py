@@ -391,6 +391,10 @@ def test_sweep_p6():
 def test_sweep_rejects_bad_bound():
     with pytest.raises(ValueError):
         sweep(4, 0)
+    for s_max in (2.0, True):  # 2.0 == 2 and True == 1, but neither is a count
+        with pytest.raises(ValueError) as raised:
+            sweep(4, s_max)
+        assert str(raised.value) == f"face count bound must be an integer, got {s_max}"
 
 
 def corrupt_triangle_counts(monkeypatch, wrong):
@@ -634,6 +638,8 @@ def test_counts_refuse_what_the_refinement_refused():
          "NoncrossingTree(host_n=8, edges=[(1, 3), (3, 5), (5, 7)]) is not a 4-angulation"),
         (Dissection(10, [(1, 4)]), 5, ValueError, "face size p must be 4 or 6, got 5"),
         (Dissection(9), 3, ValueError, "face size p must be 4 or 6, got 3"),
+        (Dissection(10, [(1, 4)]), 4.0, ValueError, "face size p must be 4 or 6, got 4.0"),
+        (Dissection(4), True, ValueError, "face size p must be 4 or 6, got True"),
     ]
     for d, p, error, message in refused:
         for check in (verify_dissection, check_lemma, associated_triangulation):
@@ -644,7 +650,8 @@ def test_counts_refuse_what_the_refinement_refused():
             assert _refined_counts(d.n, d.diagonals_sorted, [1] * d.n, p) is None
     for p, message in ((2, "face size must be at least 3, got 2"),
                        (3, "face size p must be 4 or 6, got 3"),
-                       (5, "face size p must be 4 or 6, got 5")):
+                       (5, "face size p must be 4 or 6, got 5"),
+                       (4.0, "face count and face size must be integers, got s=1, p=4.0")):
         for orbits in (False, True):
             with pytest.raises(ValueError) as raised:
                 sweep(p, 2, orbits=orbits)

@@ -215,8 +215,9 @@ def _refined_counts(
     So one face pass (`polygon._face_pass`, behind `faces`) gives the
     counts, with no chord or `Triangulation` built: each black corner of a
     face gains (black corners of that face − 1).  `verify._counts` and
-    `verify.sweep` both count this way, the sweep straight from the
-    enumeration walk's leaves.
+    the orbit sweep of `verify.sweep` both count this way, the sweep
+    straight from the enumeration walk's leaves; the exhaustive sweep
+    counts each ear's black corners the same way (`ears._faces`).
     """
     _require_p(p)
     if not _is_p_angulation(n, diagonals, p):

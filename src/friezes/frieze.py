@@ -20,8 +20,8 @@ triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
 QuadNum row, and checks positivity and closure on those ints.  The kernel
 grows B quiddities of one period together, laid out column-major (entry k
 of quiddity d at index k·B + d), in one pass of C-level maps per row:
-`verify.sweep` grows its batches of 64 so, and every single-frieze caller
-grows a batch of one.  Closure is decided by Coxeter's glide alone,
+the orbit sweep of `verify.sweep` grows its batches of 64 so, and every
+single-frieze caller grows a batch of one.  Closure is decided by Coxeter's glide alone,
 e(r, k) = e(N - r, k + r) for period N, tested at the middle row: a
 frieze that passes grows no further, each row above the middle a lower
 row rotated, sharing its ints; one that fails does not close, and grows on
@@ -255,7 +255,9 @@ class Frieze:
         Arbitrary grids load fine so that `validate` can report on them.
         `_check_shape` runs before any entry is read.  Every entry is read by
         `coefficients_from_json`, the reader of `QuadNum.from_json`, so both
-        accept and reject the same entries, with the same errors.
+        accept and reject the same entries, with the same errors; an entry
+        over another field than the header's raises the constructor's
+        RadicandMismatchError.
         """
         try:
             width, m = data["width"], data["m"]
@@ -268,7 +270,7 @@ class Frieze:
         for raw in raw_rows:
             row = tuple([_parse_entry(e, m, seen) for e in raw])
             if None in row:
-                raise FriezeError("rows mix radicands with the frieze header")
+                raise RadicandMismatchError("grid mixes radicands with the frieze header")
             cells.append(row)
         return Frieze._of_cells(m, width, tuple(cells))
 

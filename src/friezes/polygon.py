@@ -235,7 +235,7 @@ def is_p_angulation(dissection: Dissection, p: int) -> bool:
 
 def _is_p_angulation(n: int, diagonals: Collection[Pair], p: int) -> bool:
     """`is_p_angulation` of the n-gon cut by these normalized diagonals, with
-    no `Dissection` built: the sweep's test of each enumerated leaf."""
+    no `Dissection` built: the orbit sweep's test of each leaf it checks."""
     if n != _polygon_size(len(diagonals) + 1, p):
         return False
     step = p - 2

@@ -13,18 +13,21 @@ a p-angulation, the one check of D; the counts of D and T are read once
 each.  The checks take the kernel's int rows as they come, with no QuadNum
 in between: an odd row is compared as two int lists, and an even row of the
 radical frieze holds the coefficients a_k of a_k·√m.  One pass test,
-`_batch_passes`, decides every dissection: the counts of up to 64
-dissections of one polygon are interleaved column-major (count k of
-dissection d at index k·B + d), both frieze families are grown as one kernel
-batch each, and each check is one comparison per row up to the middle
-against a multiplier list that puts p/2 on the odd columns.  A pass is all
-three checks passing with every ε_j = 0, which (A) below proves for the
-associated triangulation; `verify_dissection` runs it on a batch of one.
+`_batch_passes`, decides a dissection for `verify_dissection` (a batch of
+one) and for the orbit sweep (up to 64 dissections of one polygon): their
+counts are interleaved column-major (count k of dissection d at index
+k·B + d), both frieze families are grown as one kernel batch each, and each
+check is one comparison per row up to the middle against a multiplier list
+that puts p/2 on the odd columns.  A pass is all three checks passing with
+every ε_j = 0, which (A) below proves for the associated triangulation.
 Only a dissection that does not pass has its own rows grown and walked entry
-by entry, to name its witness and its ε_j.  A sweep reads its dissections
-straight off the enumeration walk, the face counts from the walk's own count
-list and the triangle counts from the walk's sorted diagonals, and holds no
-leaves; a level with a leaf or batch that fails is re-run through
+by entry, to name its witness and its ε_j.  The exhaustive sweep grows no
+frieze of a whole dissection: it glues each p-angulation from its parent by
+one ear and computes and checks only the O(p·n) entries the ear adds, for
+all children of one parent at once ((E) below).  The orbit sweep reads its
+dissections off the enumeration walk, the face counts from the walk's own
+count list and the triangle counts from the walk's sorted diagonals, and
+holds no leaves.  A level with a batch that fails is re-run through
 `verify_dissection`, in the one pass that builds its `Dissection`s, so a
 report is always `verify_dissection`'s.  The checks are:
 
@@ -51,8 +54,8 @@ compares equal to the plain tuple of its fields, and assigning a field
 raises AttributeError.
 
 sweep() runs all three over every p-angulation up to a face-count bound,
-as above, or with orbits=True over one p-angulation per even-rotation
-orbit, by (C) below;
+by gluing ears ((E) below), or with orbits=True over one p-angulation per
+even-rotation orbit, by (C) below;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
@@ -103,6 +106,72 @@ A third fact lets a sweep check one p-angulation per orbit:
     show; cutting it off leaves the counts of the rest), so exactly one
     leaf per orbit is checked.  A failing level is re-run whole, as in the
     exhaustive sweep, so the reports are the same.
+
+The exhaustive sweep rests on a fourth:
+
+(E) A child's friezes are its parent's, extended by its ear.  An ear of D
+    is a face whose corners are a run a, a + 1, ..., b = a + p − 1 that
+    does not wrap past vertex 0.  With s ≥ 2 faces D has at least two ears
+    (the leaves of its dual tree), and only the face on the edge (n − 1, 0)
+    can wrap, so its canonical ear, the non-wrapping one with the least first
+    inner vertex e, is defined.  Cutting it off and numbering the rest
+    consecutively gives D's parent.  Conversely, gluing a p-gon on the edge
+    (a, a + 1) of a parent P (new corners a + 1..a + p − 2, P's vertices
+    above a moved up by p − 2) makes the new face the child's canonical ear
+    exactly when a ≤ e_P + p − 3: the face of P on the edge stops being an
+    ear, P's other ears keep their runs, and those are ahead of a + 1 only
+    if they end at or before a, which the canonical ear of P, starting at
+    e_P − 1, does exactly when a ≥ e_P + p − 2.  So every p-angulation
+    with s ≥ 2 is glued exactly once, from its canonical parent; the lone
+    p-gon is glued once, on the one edge of the 2-gon.  A child's e is
+    a + 1, so its own children glue on a' ≤ a + p − 2 ≤ n' − 2, reading
+    only its rows 0..a + p − 1.
+
+    The friezes come from plane vectors (`tests/geometry.py` builds them
+    exactly).  Give the corners of a face, in order, the unit vectors
+    v_t = (cos tπ/p, sin tπ/p), for which det(v_i, v_j)/sin(π/p) is
+    ℓ_{j−i} = sin((j−i)π/p)/sin(π/p) (1, √2, 1 for p = 4 and 1, √3, 2, √3,
+    1 for p = 6), and glue the ear onto the placed w_a and w_b by the one
+    linear map sending its v_0 and v_{p−1} there; it has determinant 1, as
+    det(v_0, v_{p−1}) = sin(π/p) = det(w_a, w_b), a and b being neighbours
+    in the parent (entry 1).  By Cramer's rule
+    v_t = ℓ_{p−1−t}·v_0 + ℓ_t·v_{p−1}, so the corner x = a + t gets
+    w_x = ℓ_{p−1−t}·w_a + ℓ_t·w_b, and with e(i, j) = det(w_i, w_j)/sin(π/p):
+    (E1) no old vector moves, so every old entry is kept;
+    (E2) e(x, j) = e(a, x)·e(b, j) + e(x, b)·e(a, j) for every old j, with
+         e(a, x) = ℓ_t and e(x, b) = ℓ_{p−1−t}; two corners of the ear t
+         apart have ℓ_t.
+    Induction on s: if the parent's entries are its frieze, the new entries
+    are positive (sums of positive products), the sides and the diagonal
+    (a, b) have 1, and the diamond rule at every position is the Plücker
+    relation det(w_i, w_k)·det(w_j, w_l) = det(w_i, w_j)·det(w_k, w_l) +
+    det(w_i, w_l)·det(w_j, w_k) of four vectors with two pairs of
+    neighbours: the grid is a frieze, which its row 2 fixes.  Row 2 is kept
+    away from the ear, is ℓ_2 = λ at the inner corners and is checked at a
+    and b, so the grid is the radical frieze of λ times the child's face
+    counts.  The integral family is the same with the ear refined along its
+    own black corners: unit triangles glued along T give its
+    Conway–Coxeter frieze, and the ear's own entries, the Conway–Coxeter
+    frieze of the refined p-gon, replace the ℓ's.  In C values (the C of
+    C·√m at an even distance of the radical frieze) a product of two surds
+    gains the factor m = λ².
+
+    So a batch computes, for every child a and family, the rows
+    α·(row a + 1) + β·(row a) of its new corners against the old vertices,
+    and checks them: positive, and the integral entry equal to the radical
+    one, times p/2 at an even distance from a white new corner (ε = 0).
+    Row 2 at a and at b must be the changed counts, q + 1 and the triangle
+    counts plus the ear's, so the comparison there is the lemma on them.
+    Each entry of D is checked once in the tree: a pair of two old vertices
+    is the parent's pair, a pair of a new corner and an old vertex is this
+    batch's, and a pair of two corners of the ear is one of the lone
+    p-gon's pairs with the same colours, checked once (`_faces_pass`), so
+    following D's canonical parents to the 2-gon meets each pair of D
+    exactly once.  An old pair keeps its check: gluing moves a vertex by 0
+    or p − 2, both even, so the distance of the pair and the colour of its
+    smaller vertex, which place the factor p/2, are kept with its value.
+    Conversely every descendant of a child holds the child's entries, so a
+    batch that fails marks its level and every level above it.
 """
 
 from __future__ import annotations
@@ -110,15 +179,17 @@ from __future__ import annotations
 import time
 from itertools import chain
 from operator import mul, ne
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bijection import _not_p_angulation, _refine, _refined_counts, _require_p
 from .bijection import associated_triangulation
+from .ears import _ear_batches, _ears_pass, _faces_pass
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _grow, _rows
 from .polygon import (
     Dissection,
     _p_angulation_walk,
+    _polygon_size,
     _walked,
     enumerate_p_angulations,
     fuss_catalan,
@@ -529,22 +600,29 @@ class SweepSummary(NamedTuple):
 def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> SweepSummary:
     """Verify every p-angulation with 1 ≤ s ≤ s_max faces.
 
-    Each level s is read straight off the walk (`polygon._p_angulation_walk`):
-    a leaf's face counts are the walk's live count list, its triangle counts
-    come from one face pass (`_refined_counts`, which runs the leaf's one
-    p-angulation test), and the leaves are checked in batches of up to
-    _BATCH = 64 in enumeration order (`_batch_passes`); no leaves are held.
-    A leaf that is no p-angulation, or a batch that does not pass or whose
-    kernel raises, marks its level.  After the level's count is checked
-    against the Fuss–Catalan number, a marked level is re-run once through
-    `verify_dissection`, in enumeration order, so every report (witness, ε,
-    timings) and every error is the one that dissection gives alone; a
-    marked level with no counterexample is an InternalAssertionError.
+    The exhaustive sweep glues ears (`_ear_batches`, (E) in the module
+    docstring): each p-angulation is built once, from its canonical parent,
+    and only the O(p·n) entries and counts its ear adds are computed and
+    checked, for all children of one parent at once (`_ears_pass`); the
+    entries between two corners of one ear are the lone p-gon's, checked
+    once (`_faces_pass`).  A failing batch marks its level and every level
+    above it, where its children's descendants lie.  After each level's
+    count is checked against the Fuss–Catalan number, in order of s, a
+    marked level is re-run once through `verify_dissection`, in enumeration
+    order, so every report (witness, ε, timings) and every error is the one
+    that dissection gives alone; a marked level with no counterexample is an
+    InternalAssertionError.
 
-    With orbits=True only the leaves whose counts are least among their
-    even rotations (`_least_rotation`) are batched: by (C) in the module
-    docstring each passes exactly when its whole orbit does, and a marked
-    level is re-run whole, so the counterexamples are the exhaustive
+    With orbits=True each level is read off the enumeration walk
+    (`polygon._p_angulation_walk`) instead, and only the leaves whose counts
+    are least among their even rotations (`_least_rotation`) are checked:
+    their triangle counts come from one face pass each (`_refined_counts`,
+    which runs the leaf's one p-angulation test), and they are checked in
+    batches of up to _BATCH = 64 in enumeration order (`_batch_passes`); no
+    leaves are held.  By (C) in the module docstring each passes exactly
+    when its whole orbit does.  A leaf that is no p-angulation, or a batch
+    that does not pass or whose kernel raises, marks its level, which is
+    re-run whole as above, so the counterexamples are the exhaustive
     sweep's.  `checked` and `per_s` still count every leaf; `orbits_checked`
     counts the leaves batched.
 
@@ -561,29 +639,9 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     counterexamples: list[VerificationReport] = []
     deep_failures: list[Dissection] = []
     batched = 0
-    for s in range(1, s_max + 1):
-        n, walk = _p_angulation_walk(s, p)
-        count = 0
-        failed = False  # has a leaf or a batch of this level failed?
-        faces: list[list[int]] = []
-        triangles: list[list[int]] = []
-        for diagonals, q in walk:
-            count += 1
-            if orbits and not _least_rotation(q):
-                continue
-            tc = _refined_counts(n, diagonals, q, p)
-            if tc is None:  # no p-angulation: the re-run raises its error
-                failed = True
-                continue
-            faces.append(q[:])
-            triangles.append(tc)
-            if len(faces) == _BATCH:
-                failed |= not _batch_passes(faces, triangles, p)
-                batched += len(faces)
-                faces, triangles = [], []
-        if faces:
-            failed |= not _batch_passes(faces, triangles, p)
-            batched += len(faces)
+    levels = _walked_levels(p, s_max) if orbits else _ear_levels(p, s_max)
+    for s, (count, failed, checked) in zip(range(1, s_max + 1), levels):
+        batched += checked
         if count != fuss_catalan(s, p):
             raise InternalAssertionError(
                 f"enumerated {count} {p}-angulations with {s} faces, "
@@ -613,3 +671,48 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
         deep_failures=tuple(deep_failures),
         orbits_checked=batched if orbits else None,
     )
+
+
+def _walked_levels(p: int, s_max: int) -> Iterator[tuple[int, bool, int]]:
+    """Per level s = 1..s_max of the orbit sweep, read off the walk: (leaves
+    walked, marked, leaves batched); see `sweep`."""
+    for s in range(1, s_max + 1):
+        n, walk = _p_angulation_walk(s, p)
+        count = batched = 0
+        failed = False  # has a leaf or a batch of this level failed?
+        faces: list[list[int]] = []
+        triangles: list[list[int]] = []
+        for diagonals, q in walk:
+            count += 1
+            if not _least_rotation(q):
+                continue
+            tc = _refined_counts(n, diagonals, q, p)
+            if tc is None:  # no p-angulation: the re-run raises its error
+                failed = True
+                continue
+            faces.append(q[:])
+            triangles.append(tc)
+            if len(faces) == _BATCH:
+                failed |= not _batch_passes(faces, triangles, p)
+                batched += len(faces)
+                faces, triangles = [], []
+        if faces:
+            failed |= not _batch_passes(faces, triangles, p)
+            batched += len(faces)
+        yield count, failed, batched
+
+
+def _ear_levels(p: int, s_max: int) -> list[tuple[int, bool, int]]:
+    """Per level s = 1..s_max of the exhaustive sweep: (p-angulations glued,
+    marked, 0).  p is checked first as the walk checks it, then by
+    `_require_p`.  A batch that fails marks its level and all above it: every
+    descendant of a failing child holds the entries that failed ((E))."""
+    _polygon_size(1, p)
+    _require_p(p)
+    glued = [0] * (s_max + 1)
+    first = 1 if not _faces_pass(p) else s_max + 1  # the least marked level
+    for s, last, counts, _, news in _ear_batches(p, s_max):
+        glued[s] += last + 1
+        if s < first and not _ears_pass(p, last, counts, news):
+            first = s
+    return [(glued[s], s >= first, 0) for s in range(1, s_max + 1)]

@@ -578,7 +578,7 @@ def reference_from_json(data):
     for raw in raw_rows:
         row = tuple(QuadNum.from_json(e) for e in raw)
         if any(e.m != m for e in row):
-            raise FriezeError("rows mix radicands with the frieze header")
+            raise RadicandMismatchError("grid mixes radicands with the frieze header")
         rows.append(row)
     return Frieze(m, width, tuple(rows))
 
@@ -641,8 +641,8 @@ def test_json_edge_matches_quadnum_reference():
         assert_parses_like_reference(underscored)
     failures = [
         # an entry over another field than the header's
-        (grid({"m": 2, "rat": "1", "rad": "0"}), FriezeError,
-         "rows mix radicands with the frieze header"),
+        (grid({"m": 2, "rat": "1", "rad": "0"}), RadicandMismatchError,
+         "grid mixes radicands with the frieze header"),
         # a malformed coefficient later in the row that mixes radicands is reported first
         (grid({"m": 2, "rat": "1", "rad": "0"}, {"m": 1, "rat": "1e5", "rad": "0"}), ValueError,
          "malformed quadratic value: {'m': 1, 'rat': '1e5', 'rad': '0'}"),
@@ -778,7 +778,7 @@ def test_frieze_from_json_rejects_bad_shapes():
     with pytest.raises(FriezeError):
         Frieze.from_json(dict(blob, width=-1))
     mixed = dict(blob, m=2)
-    with pytest.raises(FriezeError):
+    with pytest.raises(RadicandMismatchError):  # as `Frieze(2, 1, f.rows)` raises
         Frieze.from_json(mixed)
 
 
@@ -827,6 +827,20 @@ def test_both_doors_refuse_a_header_radicand_that_is_no_int_alike(quad10):
                 door()
             assert type(raised.value) is FriezeError
             assert str(raised.value) == "malformed frieze object: width and m must be integers"
+
+
+def test_both_doors_refuse_a_header_radicand_no_entry_shares_alike(quad10):
+    # an int header m that names another field than the entries' is refused
+    # by both doors with one class and one message (the JSON door raised
+    # FriezeError("rows mix radicands with the frieze header"))
+    f = lambda_frieze(quad10, 4)
+    blob = f.to_json()
+    for m in (1, 3, 5):
+        for door in (lambda: Frieze(m, 7, f.rows), lambda: Frieze.from_json(dict(blob, m=m))):
+            with pytest.raises(RadicandMismatchError) as raised:
+                door()
+            assert type(raised.value) is RadicandMismatchError
+            assert str(raised.value) == "grid mixes radicands with the frieze header"
 
 
 def test_render_ascii_width_one():

@@ -303,15 +303,17 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
     calls.update(dict.fromkeys(names, 0))
     assert deep_uniqueness(quad10, 4).triangulations == 1430
     assert calls["_is_p_angulation"] == calls["is_p_angulation"] == 2
-    # a sweep's batches test each dissection once, in one face pass, and
-    # read its face counts off the walk (p = 4, s ≤ 5 has 344 dissections,
-    # p = 6, s ≤ 3 has 41); an orbit sweep tests only the leaves it checks
+    # an orbit sweep's batches test each leaf they check once, in one face
+    # pass, and read its face counts off the walk (p = 4, s ≤ 5 has 344
+    # dissections, p = 6, s ≤ 3 has 41); the exhaustive sweep glues its
+    # p-angulations, so it tests none and walks no face (it tested and
+    # face-passed every leaf while it read them off the walk)
     for p, s_max, checked in ((4, 5, 344), (6, 3, 41)):
         for orbits in (False, True):
             calls.update(dict.fromkeys(names, 0))
             summary = sweep(p, s_max, orbits=orbits)
             assert summary.checked == checked
-            tested = summary.orbits_checked if orbits else checked
+            tested = summary.orbits_checked if orbits else 0
             assert calls == dict(zip(names, (tested, 0, 0, tested)))
     # a failing dissection (the mirror's triangle counts: the lemma fails)
     # grows its rows from the counts already read: still one of each
@@ -395,14 +397,25 @@ def test_sweep_rejects_bad_bound():
         with pytest.raises(ValueError) as raised:
             sweep(4, s_max)
         assert str(raised.value) == f"face count bound must be an integer, got {s_max}"
+    # the ear tree holds a node per depth: a polygon whose friezes the kernel
+    # refuses is refused before anything is glued (the walk would have run
+    # for ever on the levels below it)
+    from friezes.ears import _ear_batches
+
+    for p, s_max in ((4, 500), (6, 250)):
+        for run in (lambda: next(_ear_batches(p, s_max)), lambda: sweep(p, s_max)):
+            with pytest.raises(ValueError, match="^the 1002-gon is too large for a frieze grid$"):
+                run()
 
 
 def corrupt_triangle_counts(monkeypatch, wrong):
-    """Patch the one counts function of `verify._counts` and `sweep`,
-    `_refined_counts`, to give the triangle counts wrong[n, diagonals] for
-    the n-gon's dissection with those sorted diagonals, and the true counts
-    otherwise."""
+    """Patch the one counts function of `verify._counts` and the orbit
+    sweep, `_refined_counts`, to give the triangle counts wrong[n, diagonals]
+    for the n-gon's dissection with those sorted diagonals, and the true
+    counts otherwise; and corrupt those dissections for the exhaustive sweep,
+    which reads no triangle counts of a whole dissection, by `corrupt_ears`."""
     import friezes.verify
+    from friezes import quiddity_counts
 
     counts = friezes.verify._refined_counts
 
@@ -411,6 +424,53 @@ def corrupt_triangle_counts(monkeypatch, wrong):
         return list(wrong.get((n, tuple(diagonals)), tc))
 
     monkeypatch.setattr(friezes.verify, "_refined_counts", corrupted)
+    leaves = {quiddity_counts(Dissection(n, diagonals)) for n, diagonals in wrong}
+    corrupt_ears(monkeypatch, leaves, lambda batch, a: bump(batch, 1, 0, a))
+
+
+def ear_children(p, batch):
+    """(a, face counts) of each child of one batch of `verify._ear_batches`."""
+    from friezes.ears import _glued
+
+    s, last, counts, rows, news = batch
+    return [(a, tuple(_glued(counts[0], a, [1] * p))) for a in range(last + 1)]
+
+
+def corrupt_ears(monkeypatch, leaves, corrupt):
+    """Patch the exhaustive sweep's batches, `verify._ear_batches`: each batch
+    with a child whose face counts are in leaves is replaced by corrupt(batch,
+    a), a changed copy, for each such child a.  The batches the generator
+    keeps, from which it glues the children, stay as they are."""
+    import friezes.verify
+
+    batches = friezes.verify._ear_batches
+
+    def corrupted(p, s_max):
+        for batch in batches(p, s_max):
+            for a, q in ear_children(p, batch):
+                if q in leaves:
+                    batch = corrupt(batch, a)
+            yield batch
+
+    monkeypatch.setattr(friezes.verify, "_ear_batches", corrupted)
+
+
+def bump(batch, family, t, a, by=1):
+    """A copy of an ear batch with the first new entry of child a, between its
+    corner a + t + 1 and vertex 0, moved by `by` in the given family (0
+    radical, 1 integral)."""
+    s, last, counts, rows, news = batch
+    n = len(counts[0])
+    news = [[list(new) for new in family_news] for family_news in news]
+    news[family][t][a * n] += by
+    return s, last, counts, rows, news
+
+
+def zeroed(batch, a):
+    """A copy of an ear batch with that first new entry of child a (t = 0) 0 in
+    both families: still equal, but not positive."""
+    n = len(batch[2][0])
+    return bump(bump(batch, 0, 0, a, -batch[4][0][0][a * n]), 1, 0, a, -batch[4][1][0][a * n])
 
 
 def mirror_counts(d, p):
@@ -421,12 +481,14 @@ def mirror_counts(d, p):
 
 
 def test_sweep_re_runs_only_failing_levels(monkeypatch):
-    # the 273 dissections of s = 5 come in batches of 64, 64, 64, 64 and 17:
-    # one corrupted in the second, full batch and one in the last, partial
-    # batch (an orbit representative) give the mirror's triangle counts (the
-    # lemma fails, every row passes, the even rows at ε = 1); each sweep
-    # re-runs level 5 once, whole and in enumeration order, and no other
-    # level, and reports each as verify_dissection does under the same patch
+    # the 273 dissections of s = 5 come, in an orbit sweep, in batches of
+    # 64, 64, 64, 64 and 17: one corrupted in the second, full batch and one
+    # in the last, partial batch (an orbit representative) give the mirror's
+    # triangle counts (the lemma fails, every row passes, the even rows at
+    # ε = 1), and in the exhaustive sweep one wrong new entry each, in the
+    # ear batches of their parents; each sweep re-runs level 5 once, whole
+    # and in enumeration order, and no other level, and reports each as
+    # verify_dissection does under the same patch
     import friezes.verify
 
     called = []
@@ -463,17 +525,23 @@ def test_sweep_re_runs_only_failing_levels(monkeypatch):
 
 def test_a_marked_level_whose_dissections_pass_alone_is_an_internal_fault(monkeypatch, capsys):
     # a batch that fails while each of its dissections passes alone is a
-    # fault of the batched pass: the sweep raises, in both modes, and the
-    # CLI exits 3
+    # fault of the batched pass (the orbit sweep's `_batch_passes`, the
+    # exhaustive sweep's `_ears_pass`): the sweep raises, in both modes, and
+    # the CLI exits 3
     import friezes.verify
     from friezes.cli import main
 
     batch_passes = friezes.verify._batch_passes
+    ears_pass = friezes.verify._ears_pass
 
     def fails_batches(faces, triangles, p):
         return len(faces) == 1 and batch_passes(faces, triangles, p)
 
+    def fails_ears(p, last, counts, news):  # the lone p-gon is the 2-gon's only child
+        return last == 0 and ears_pass(p, last, counts, news)
+
     monkeypatch.setattr(friezes.verify, "_batch_passes", fails_batches)
+    monkeypatch.setattr(friezes.verify, "_ears_pass", fails_ears)
     for orbits, s in ((False, 2), (True, 3)):  # s = 2 is one orbit, checked alone
         message = f"a batch of 4-angulations with {s} faces failed, but each passes alone"
         with pytest.raises(InternalAssertionError, match=message):
@@ -543,7 +611,8 @@ def test_batch_pass_compares_the_rows_up_to_the_middle(monkeypatch):
 
 
 def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
-    # triangle counts that are no quiddity make the batch's kernel raise; the
+    # triangle counts that are no quiddity make the orbit batch's kernel
+    # raise (the exhaustive sweep sees a wrong entry of the dissection); the
     # level is re-run one dissection at a time, and the sweep raises the
     # InternalAssertionError that dissection raises alone
     from friezes.verify import _counts
@@ -562,12 +631,15 @@ def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
 @pytest.mark.parametrize("short_s", [1, 3, 5])
 def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
     # an enumeration one dissection short is an internal fault, whichever
-    # batch the missing one would have fallen in, also in an orbit sweep:
+    # batch the missing one would have fallen in: the walk of an orbit sweep
+    # one leaf short, or the ear batches of the exhaustive sweep one child
+    # short (at s = 1 the 2-gon's one child, the lone p-gon, is dropped):
     # exit 3 from the CLI
     import friezes.verify
     from friezes.cli import main
 
     walk_of = friezes.verify._p_angulation_walk
+    batches_of = friezes.verify._ear_batches
 
     def one_short(s, p):
         n, walk = walk_of(s, p)
@@ -575,7 +647,15 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
             next(walk)
         return n, walk
 
+    def one_child_short(p, s_max):
+        short = False
+        for s, last, *rest in batches_of(p, s_max):
+            if s == short_s and not short:
+                short, last = True, last - 1
+            yield (s, last, *rest)
+
     monkeypatch.setattr(friezes.verify, "_p_angulation_walk", one_short)
+    monkeypatch.setattr(friezes.verify, "_ear_batches", one_child_short)
     expected = {1: 1, 3: 12, 5: 273}[short_s]
     message = f"enumerated {expected - 1} 4-angulations with {short_s} faces, expected {expected}"
     for orbits in (False, True):
@@ -659,20 +739,35 @@ def test_counts_refuse_what_the_refinement_refused():
 
 
 def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
-    # a leaf that fails the p-angulation test marks its level, whose re-run
-    # raises verify_dissection's error for it, naming the leaf as a
-    # Dissection, also in an orbit sweep
+    # a leaf of the orbit sweep's walk that fails the p-angulation test marks
+    # its level, whose re-run raises verify_dissection's error for it, naming
+    # the leaf as a Dissection.  The exhaustive sweep glues p-angulations,
+    # each one by construction, and tests none: with the test refusing
+    # everything it still passes, and the p-angulations it glues are the
+    # walk's, each a p-angulation (a p-angulation is fixed by its counts)
     import friezes.bijection
-    from friezes import NotPAngulationError
+    from friezes import NotPAngulationError, is_p_angulation
+    from friezes.polygon import _p_angulation_walk
+    from friezes.ears import _ear_batches
 
     monkeypatch.setattr(friezes.bijection, "_is_p_angulation", lambda n, diagonals, p: False)
     with pytest.raises(NotPAngulationError) as alone:
         verify_dissection(Dissection(4), 4)
     assert str(alone.value) == "Dissection(n=4, diagonals=[]) is not a 4-angulation"
-    for orbits in (False, True):
-        with pytest.raises(NotPAngulationError) as raised:
-            sweep(4, 2, orbits=orbits)
-        assert str(raised.value) == str(alone.value)
+    with pytest.raises(NotPAngulationError) as raised:
+        sweep(4, 2, orbits=True)
+    assert str(raised.value) == str(alone.value)
+    assert sweep(4, 2).all_ok and sweep(4, 2).per_s == {1: 1, 2: 3}
+    monkeypatch.undo()
+    for p, s_max in ((4, 3), (6, 2)):
+        walked = {}
+        for s in range(1, s_max + 1):
+            n, walk = _p_angulation_walk(s, p)
+            for diagonals, counts in walk:
+                walked[tuple(counts)] = Dissection(n, diagonals)
+        glued = [q for batch in _ear_batches(p, s_max) for _, q in ear_children(p, batch)]
+        assert sorted(glued) == sorted(walked)
+        assert all(is_p_angulation(walked[q], p) for q in glued)
 
 
 def test_faces_and_counts_commute_with_even_rotations():
@@ -764,11 +859,18 @@ def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypat
             del blob["timings_ms"]
         return got
 
-    exhaustive = sweep(4, 6)
-    orbits = sweep(4, 6, orbits=True)
+    exhaustive = sweep(4, 5)
+    orbits = sweep(4, 5, orbits=True)
     assert [r.dissection for r in exhaustive.counterexamples] == chosen
     assert blobs(orbits) == blobs(exhaustive)
     assert orbits.per_s == exhaustive.per_s and not orbits.all_ok
+    assert blobs(sweep(4, 6, orbits=True)) == blobs(orbits)  # level 6 passes
+    # in the ear tree a failing child marks its level and every level
+    # above: its descendants hold the entries that failed ((E1)).  Here they
+    # pass alone, as only the chosen leaves are corrupted, so that is an
+    # internal fault
+    with pytest.raises(InternalAssertionError, match="with 6 faces failed, but each passes alone"):
+        sweep(4, 6)
     # a kernel that raises on a representative raises what it raises alone
     tc[0] += 1
     corrupt_triangle_counts(monkeypatch, {(chosen[1].n, chosen[1].diagonals_sorted): tc})
@@ -793,6 +895,154 @@ def test_even_row_offsets_are_pinned():
         mirror = rotate(associated_triangulation(rotate(d, 1), p), d.n - 1)
         flipped = even_rows_scaled(lambda_frieze(d, p), cc_frieze(mirror), p)
         assert flipped.ok and set(flipped.epsilons) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive sweep's ear tree: (E) in the verify docstring
+
+
+def glued_levels(p, s_max):
+    """Per level s: the sorted face counts of the children the ear batches glue."""
+    from friezes.ears import _ear_batches
+
+    levels = {s: [] for s in range(1, s_max + 1)}
+    for batch in _ear_batches(p, s_max):
+        levels[batch[0]] += [q for _, q in ear_children(p, batch)]
+    return {s: sorted(qs) for s, qs in levels.items()}
+
+
+def test_ear_tree_glues_each_of_the_walks_p_angulations_once():
+    # per level, the glued count vectors are the walk's, Fuss–Catalan many
+    # and none twice; a p-angulation is fixed by its counts, so the tree
+    # holds each p-angulation exactly once (a canonical bound one too high
+    # glues some twice)
+    from friezes import fuss_catalan
+    from friezes.polygon import _p_angulation_walk
+
+    for p, s_max in ((3, 8), (4, 7), (6, 5)):
+        glued = glued_levels(p, s_max)
+        for s in range(1, s_max + 1):
+            walked = sorted(tuple(counts) for _, counts in _p_angulation_walk(s, p)[1])
+            assert glued[s] == walked, (p, s)
+            assert len(set(walked)) == len(walked) == fuss_catalan(s, p)
+
+
+def pair_entry(rows, i, j):
+    """The entry between vertices i and j of an n-gon's frieze rows: e(r, k)
+    joins vertices k − 1 and k − 1 + r."""
+    n = len(rows) - 1
+    return rows[(j - i) % n][(i + 1) % n]
+
+
+def test_ear_rows_and_new_entries_are_the_kernels():
+    # both families: each node's rows 0..last + 1 (the rows its children
+    # read) and each child's new entries, between its new corner a + t and
+    # every old vertex, equal the entries of `_grow`'s rows grown from the
+    # p-angulation's own counts, and the node's counts are its `_counts`
+    from friezes.polygon import _p_angulation_walk
+    from friezes.ears import _ear_batches, _glued
+    from friezes.verify import _counts, _rows
+
+    for p, s_max in ((4, 6), (6, 4)):
+        m, k = {4: 2, 6: 3}[p], p - 2
+        walked = {}
+        for s in range(1, s_max + 1):
+            n, walk = _p_angulation_walk(s, p)
+            for diagonals, counts in walk:
+                walked[tuple(counts)] = Dissection(n, diagonals)
+
+        def grids(q):
+            q, tc = _counts(walked[tuple(q)], p)
+            return (q, tc), (_rows(q, m, True), _rows(tc, 1, False))
+
+        nodes = children = 0
+        for s, last, counts, rows, news in _ear_batches(p, s_max):
+            n = len(counts[0])
+            if s > 1:  # past the 2-gon
+                nodes += 1
+                node_counts, node_grids = grids(counts[0])
+                assert tuple(map(tuple, counts)) == node_counts
+                for flat, grid in zip(rows, node_grids):
+                    assert flat == [pair_entry(grid, u, j) for u in range(last + 2) for j in range(n)]
+            for a in range(last + 1):
+                children += 1
+                _, child_grids = grids(_glued(counts[0], a, [1] * p))
+                for new, grid in zip(news, child_grids):
+                    for t in range(1, k + 1):
+                        expected = [pair_entry(grid, a + t, j if j <= a else j + k) for j in range(n)]
+                        assert new[t - 1][a * n : a * n + n] == expected, (p, s, a, t)
+        assert (nodes, children) == {4: (344, 1772), 6: (41, 326)}[p]
+
+
+def test_ear_faces_are_the_unit_p_gon_and_its_refinement():
+    # ℓ_t = sin(tπ/p)/sin(π/p) between corners t apart: 1, √2, 1 for p = 4
+    # and 1, √3, 2, √3, 1 for p = 6, in C values (C·√m read as C); the
+    # integral face is the Conway–Coxeter frieze of the face cut along its
+    # own black corners, whichever colour its first corner has
+    from friezes.ears import _faces
+
+    pinned = {
+        4: ([0, 1, 1, 1], [[0, 1, 2, 1], [0, 1, 1, 1]], [[1, 2, 1, 2], [2, 1, 2, 1]]),
+        6: ([0, 1, 1, 2, 1, 1], [[0, 1, 3, 2, 3, 1], [0, 1, 1, 2, 1, 1]],
+            [[1, 3, 1, 3, 1, 3], [3, 1, 3, 1, 3, 1]]),
+    }
+    for p, (ell, integral, counts) in pinned.items():
+        faces = _faces(p)
+        assert [radical for (radical, _), _ in faces] == [radical for (radical, _), _ in faces[:1]] * 2
+        assert [radical[0] for (radical, _), _ in faces] == [ell, ell]
+        assert [ones for (_, ones), _ in faces] == [[1] * p] * 2
+        assert [face[0] for _, (face, _) in faces] == integral
+        assert [face_counts for _, (_, face_counts) in faces] == counts
+        for family in faces:  # symmetric, zero on the diagonal
+            for face, _ in family:
+                assert all(face[i][j] == face[j][i] for i in range(p) for j in range(p))
+                assert [face[i][i] for i in range(p)] == [0] * p
+
+
+def test_each_ear_check_refuses_its_own_fault(monkeypatch):
+    # every batch passes; one child's new entry moved in one family fails
+    # the entry comparison, a new entry that is 0 in both (equal, so only
+    # the positivity test sees it) fails too, as does a changed face or
+    # triangle count (row 2 of its family sees it); a face whose entries
+    # disagree fails `_faces_pass`, and the sweep then marks level 1
+    from friezes import quiddity_counts
+    from friezes.ears import _EARS, _ear_batches, _ears_pass, _faces_pass
+
+    def passes(batch, p=4):
+        s, last, counts, rows, news = batch
+        return _ears_pass(p, last, counts, news)
+
+    for p, s_max in ((4, 4), (6, 3)):
+        assert all(passes(batch, p) for batch in _ear_batches(p, s_max))
+        assert _faces_pass(p)
+    batch = list(_ear_batches(4, 3))[1]  # the square's children, the 6-gons
+    s, last, counts, rows, news = batch
+    assert (s, last) == (2, 2) and passes(batch)
+    for family in (0, 1):
+        for by in (1, -1):
+            assert not passes(bump(batch, family, 0, 1, by))
+    assert news[0][0][0] == news[1][0][0] == 1  # entry (1, 0) of the child a = 0
+    assert not passes(zeroed(batch, 0))
+    for family in (0, 1):  # a face count or a triangle count moved, at a or at b
+        for v in (0, last + 1):  # vertex last + 1 is only the last child's b
+            moved = [list(c) for c in counts]
+            moved[family][v] += 1
+            assert not passes((s, last, moved, rows, news))
+    radical, (integral, face_counts) = _EARS[4][0]
+    wrong = [list(row) for row in integral]
+    wrong[1][3] += 1
+    monkeypatch.setitem(_EARS, 4, [(radical, (wrong, face_counts)), _EARS[4][1]])
+    assert not _faces_pass(4)
+    with pytest.raises(InternalAssertionError, match="with 1 faces failed, but each passes alone"):
+        sweep(4, 2)
+    monkeypatch.undo()
+    # a new entry that is 0 in both families, on one leaf of level 3: the
+    # leaf passes alone, so the marked level is an internal fault
+    leaf = list(enumerate_p_angulations(3, 4))[7]
+    corrupt_ears(monkeypatch, {quiddity_counts(leaf)}, zeroed)
+    with pytest.raises(InternalAssertionError, match="with 3 faces failed, but each passes alone"):
+        sweep(4, 3)
+    assert verify_dissection(leaf, 4).ok
 
 
 # ---------------------------------------------------------------------------

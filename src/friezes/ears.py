@@ -14,6 +14,7 @@ from itertools import cycle
 from operator import add, mul
 from typing import Iterator, Sequence
 
+from .bijection import _require_p
 from .exact import LAMBDA_RADICAND
 from .frieze import _MAX_FRIEZE_N, _rows
 
@@ -139,20 +140,20 @@ def _glued_rows(
 
 
 def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
-    """Every p-angulation with 1 ≤ s ≤ s_max faces, glued ear by ear, depth
-    first, as one batch per node with children: (s, last, counts, rows, news).
+    """Every p-angulation with 1 ≤ s ≤ s_max faces, p ∈ {4, 6}, glued ear by
+    ear, depth first, as one batch per node with children: (s, last, counts,
+    rows, news).
 
     The node is the 2-gon (one edge, (0, 1)) or a p-angulation with s − 1
     faces; its children, with s faces, are glued on its edges (a, a + 1) for
-    a = 0..last.  counts are the node's face counts and, for p ∈ {4, 6}, its
-    triangle counts; rows are its radical and integral matrices, rows
-    0..last + 1 flat (entry (u, j) at u·n + j), in C values: the int C of an
-    entry C, or of C·√m at an even distance in a radical frieze.  news[f][t − 1]
-    holds, for every child a at a·n + j, the entry of family f between its new
-    corner x = a + t and the old vertex j, by (E2): α·(row a + 1) + β·(row a),
-    two offset slices of the node's rows, so each family and t costs three
-    C-level maps for all children.  For any other p only the face counts are
-    glued (rows and news are empty): the tree of p-angulations alone.
+    a = 0..last.  counts are the node's face and triangle counts; rows are
+    its radical and integral matrices, rows 0..last + 1 flat (entry (u, j) at
+    u·n + j), in C values: the int C of an entry C, or of C·√m at an even
+    distance in a radical frieze.  news[f][t − 1] holds, for every child a
+    at a·n + j, the entry of family f between its new corner x = a + t and
+    the old vertex j, by (E2): α·(row a + 1) + β·(row a), two offset slices
+    of the node's rows, so each family and t costs three C-level maps for
+    all children.
 
     A child's canonical ear is its new face, whose first inner vertex is
     a + 1, so its own children glue on a' ≤ a + p − 2; the lone p-gon is the
@@ -162,34 +163,28 @@ def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
     copies it to change it: the walk glues the children from it.
 
     The walk goes depth first, so it holds a node at every depth up to
-    s_max − 1 at once: for p ∈ {4, 6} a polygon of more than _MAX_FRIEZE_N
-    vertices, whose friezes `verify_dissection` could not grow either, is
-    refused with the kernel's ValueError before anything is allocated.
+    s_max − 1 at once: a polygon of more than _MAX_FRIEZE_N vertices, whose
+    friezes `verify_dissection` could not grow either, is refused with the
+    kernel's ValueError before anything is allocated.
     """
+    _require_p(p)
+    n = (p - 2) * s_max + 2
+    if n > _MAX_FRIEZE_N:
+        raise ValueError(f"the {n}-gon is too large for a frieze grid")
     # per family and colour of a: the ear's counts, and its entries among its inner corners
-    ears: list = [[[1] * p] * 2]
-    inner: list = []
-    rows: tuple = ()
-    if p in (4, 6):
-        n = (p - 2) * s_max + 2
-        if n > _MAX_FRIEZE_N:
-            raise ValueError(f"the {n}-gon is too large for a frieze grid")
-        faces = _faces(p)
-        ears = [[face[f][1] for face in faces] for f in (0, 1)]
-        inner = [[[r[1:-1] for r in face[f][0][1:-1]] for face in faces] for f in (0, 1)]
-        rows = ([0, 1, 1, 0], [0, 1, 1, 0])
-    node = (0, 0, tuple([0, 0] for _ in ears), rows)
+    faces = _faces(p)
+    ears = [[face[f][1] for face in faces] for f in (0, 1)]
+    inner = [[[r[1:-1] for r in face[f][0][1:-1]] for face in faces] for f in (0, 1)]
+    node = (0, 0, ([0, 0], [0, 0]), ([0, 1, 1, 0], [0, 1, 1, 0]))
     stack: list[list] = []  # per depth: [node, its news, the next child to enter]
     while True:
         s, last, counts, rows = node
         n = len(counts[0])
-        news: tuple = ()
-        if rows:
-            news = tuple(
-                [list(map(add, map(mul, cycle(alpha), flat[n:]), map(mul, cycle(beta), flat)))
-                 for alpha, beta in coefs]
-                for flat, coefs in zip(rows, _ear_table(p, n)[0])
-            )
+        news = tuple(
+            [list(map(add, map(mul, cycle(alpha), flat[n:]), map(mul, cycle(beta), flat)))
+             for alpha, beta in coefs]
+            for flat, coefs in zip(rows, _ear_table(p, n)[0])
+        )
         yield s + 1, last, counts, rows, news
         if s + 2 <= s_max:
             stack.append([node, news, 0])

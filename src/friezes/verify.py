@@ -170,8 +170,9 @@ The exhaustive sweep rests on a fourth:
     exactly once.  An old pair keeps its check: gluing moves a vertex by 0
     or p − 2, both even, so the distance of the pair and the colour of its
     smaller vertex, which place the factor p/2, are kept with its value.
-    Conversely every descendant of a child holds the child's entries, so a
-    batch that fails marks its level and every level above it.
+    Conversely every descendant of a child holds the child's entries, which
+    its own batch does not check again, so a batch that fails marks its
+    level, and every level above it is re-run too.
 """
 
 from __future__ import annotations
@@ -605,13 +606,14 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     and only the O(p·n) entries and counts its ear adds are computed and
     checked, for all children of one parent at once (`_ears_pass`); the
     entries between two corners of one ear are the lone p-gon's, checked
-    once (`_faces_pass`).  A failing batch marks its level and every level
-    above it, where its children's descendants lie.  After each level's
-    count is checked against the Fuss–Catalan number, in order of s, a
-    marked level is re-run once through `verify_dissection`, in enumeration
-    order, so every report (witness, ε, timings) and every error is the one
-    that dissection gives alone; a marked level with no counterexample is an
-    InternalAssertionError.
+    once (`_faces_pass`).  A failing batch marks its level; every level
+    above it, where its children's descendants lie, inherits the mark.
+    After each level's count is checked against the Fuss–Catalan number, in
+    order of s, a marked level is re-run once through `verify_dissection`,
+    in enumeration order, so every report (witness, ε, timings) and every
+    error is the one that dissection gives alone.  A level whose own batch
+    failed and whose re-run finds no counterexample is an
+    InternalAssertionError; a level that only inherited its mark may pass.
 
     With orbits=True each level is read off the enumeration walk
     (`polygon._p_angulation_walk`) instead, and only the leaves whose counts
@@ -640,17 +642,18 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     deep_failures: list[Dissection] = []
     batched = 0
     levels = _walked_levels(p, s_max) if orbits else _ear_levels(p, s_max)
-    for s, (count, failed, checked) in zip(range(1, s_max + 1), levels):
+    for s, (count, failed, inherited, checked) in zip(range(1, s_max + 1), levels):
         batched += checked
         if count != fuss_catalan(s, p):
             raise InternalAssertionError(
                 f"enumerated {count} {p}-angulations with {s} faces, "
                 f"expected {fuss_catalan(s, p)}"
             )
-        if failed or deep:  # the level's one pass over Dissections
+        marked = failed or inherited
+        if marked or deep:  # the level's one pass over Dissections
             found = len(counterexamples)
             for d in enumerate_p_angulations(s, p):
-                if failed:
+                if marked:
                     report = verify_dissection(d, p)
                     if not report.ok:
                         counterexamples.append(report)
@@ -673,9 +676,9 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     )
 
 
-def _walked_levels(p: int, s_max: int) -> Iterator[tuple[int, bool, int]]:
+def _walked_levels(p: int, s_max: int) -> Iterator[tuple[int, bool, bool, int]]:
     """Per level s = 1..s_max of the orbit sweep, read off the walk: (leaves
-    walked, marked, leaves batched); see `sweep`."""
+    walked, failed, False, leaves batched); see `sweep`."""
     for s in range(1, s_max + 1):
         n, walk = _p_angulation_walk(s, p)
         count = batched = 0
@@ -699,20 +702,23 @@ def _walked_levels(p: int, s_max: int) -> Iterator[tuple[int, bool, int]]:
         if faces:
             failed |= not _batch_passes(faces, triangles, p)
             batched += len(faces)
-        yield count, failed, batched
+        yield count, failed, False, batched
 
 
-def _ear_levels(p: int, s_max: int) -> list[tuple[int, bool, int]]:
+def _ear_levels(p: int, s_max: int) -> list[tuple[int, bool, bool, int]]:
     """Per level s = 1..s_max of the exhaustive sweep: (p-angulations glued,
-    marked, 0).  p is checked first as the walk checks it, then by
-    `_require_p`.  A batch that fails marks its level and all above it: every
-    descendant of a failing child holds the entries that failed ((E))."""
+    failed, inherited, 0).  p is checked first as the walk checks it, then by
+    `_require_p`.  A level has failed if one of its own batches failed; it
+    has inherited if a level below it failed, as every descendant of a
+    failing child holds the entries that failed ((E)), unchecked."""
     _polygon_size(1, p)
     _require_p(p)
     glued = [0] * (s_max + 1)
-    first = 1 if not _faces_pass(p) else s_max + 1  # the least marked level
+    failed = [False] * (s_max + 1)
+    failed[1] = not _faces_pass(p)
     for s, last, counts, _, news in _ear_batches(p, s_max):
         glued[s] += last + 1
-        if s < first and not _ears_pass(p, last, counts, news):
-            first = s
-    return [(glued[s], s >= first, 0) for s in range(1, s_max + 1)]
+        if not failed[s] and not _ears_pass(p, last, counts, news):
+            failed[s] = True
+    first = failed.index(True) if True in failed else s_max  # the least failed level
+    return [(glued[s], failed[s], s > first, 0) for s in range(1, s_max + 1)]

@@ -523,6 +523,31 @@ def test_sweep_re_runs_only_failing_levels(monkeypatch):
         assert summary.checked == 344 and not summary.all_ok
 
 
+def test_every_level_above_a_failing_one_is_re_run(monkeypatch):
+    # the descendants of a failing child hold the entries that failed, and
+    # their own batches do not check them again: every level above a failing
+    # one is re-run, though its own batches pass.  A leaf of level 5 whose
+    # counts are wrong only for verify_dissection stands for such a
+    # descendant: reported when level 4 fails, not otherwise
+    import friezes.verify
+
+    child = list(enumerate_p_angulations(4, 4))[30]
+    descendant = list(enumerate_p_angulations(5, 4))[100]
+    counts = friezes.verify._refined_counts
+
+    def wrong_alone(n, diagonals, q, p):
+        tc = counts(n, diagonals, q, p)
+        return mirror_counts(descendant, p) if (n, tuple(diagonals)) == (
+            descendant.n, descendant.diagonals_sorted) else tc
+
+    monkeypatch.setattr(friezes.verify, "_refined_counts", wrong_alone)
+    assert sweep(4, 5).all_ok
+    corrupt_triangle_counts(monkeypatch, {(child.n, child.diagonals_sorted): mirror_counts(child, 4)})
+    summary = sweep(4, 5)
+    assert [r.dissection for r in summary.counterexamples] == [child, descendant]
+    assert [r.first_violation.claim for r in summary.counterexamples] == ["lemma", "lemma"]
+
+
 def test_a_marked_level_whose_dissections_pass_alone_is_an_internal_fault(monkeypatch, capsys):
     # a batch that fails while each of its dissections passes alone is a
     # fault of the batched pass (the orbit sweep's `_batch_passes`, the
@@ -859,18 +884,14 @@ def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypat
             del blob["timings_ms"]
         return got
 
-    exhaustive = sweep(4, 5)
-    orbits = sweep(4, 5, orbits=True)
+    # in the ear tree a failing child marks its level, and level 6, which
+    # holds its descendants ((E1)), inherits the mark: re-run, it passes,
+    # as only the chosen leaves are corrupted, and that is no fault
+    exhaustive = sweep(4, 6)
+    orbits = sweep(4, 6, orbits=True)
     assert [r.dissection for r in exhaustive.counterexamples] == chosen
     assert blobs(orbits) == blobs(exhaustive)
     assert orbits.per_s == exhaustive.per_s and not orbits.all_ok
-    assert blobs(sweep(4, 6, orbits=True)) == blobs(orbits)  # level 6 passes
-    # in the ear tree a failing child marks its level and every level
-    # above: its descendants hold the entries that failed ((E1)).  Here they
-    # pass alone, as only the chosen leaves are corrupted, so that is an
-    # internal fault
-    with pytest.raises(InternalAssertionError, match="with 6 faces failed, but each passes alone"):
-        sweep(4, 6)
     # a kernel that raises on a representative raises what it raises alone
     tc[0] += 1
     corrupt_triangle_counts(monkeypatch, {(chosen[1].n, chosen[1].diagonals_sorted): tc})
@@ -915,11 +936,15 @@ def test_ear_tree_glues_each_of_the_walks_p_angulations_once():
     # per level, the glued count vectors are the walk's, Fuss–Catalan many
     # and none twice; a p-angulation is fixed by its counts, so the tree
     # holds each p-angulation exactly once (a canonical bound one too high
-    # glues some twice)
+    # glues some twice); the tree carries both friezes, so it glues only
+    # the face sizes they are built for
     from friezes import fuss_catalan
+    from friezes.ears import _ear_batches
     from friezes.polygon import _p_angulation_walk
 
-    for p, s_max in ((3, 8), (4, 7), (6, 5)):
+    with pytest.raises(ValueError, match="^face size p must be 4 or 6, got 3$"):
+        next(_ear_batches(3, 8))
+    for p, s_max in ((4, 7), (6, 5)):
         glued = glued_levels(p, s_max)
         for s in range(1, s_max + 1):
             walked = sorted(tuple(counts) for _, counts in _p_angulation_walk(s, p)[1])

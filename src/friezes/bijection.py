@@ -184,12 +184,12 @@ def tree_to_quad(tree: NoncrossingTree) -> Dissection:
     return quad
 
 
-def _refine(dissection: Dissection, p: int, black: bool = True) -> Triangulation:
-    """Triangulate each face of a p-angulation by joining its corners of one color.
+def _refine(dissection: Dissection, p: int) -> Triangulation:
+    """Triangulate each face of a p-angulation by joining its black corners.
 
-    Corners alternate in color around a face, so its p/2 corners of one
-    color are pairwise non-adjacent; for p ∈ {4, 6} the one or three chords
-    between them cut the face into triangles.  The p-angulation test is the
+    Corners alternate in color around a face, so its p/2 black corners are
+    pairwise non-adjacent; for p ∈ {4, 6} the one or three chords between
+    them cut the face into triangles.  The p-angulation test is the
     one check: the result is a triangulation by construction (module
     docstring), so it is not checked again.
     """
@@ -197,7 +197,7 @@ def _refine(dissection: Dissection, p: int, black: bool = True) -> Triangulation
         raise _not_p_angulation(dissection, p)
     chords = set(dissection.diagonals)
     for face in faces(dissection):
-        chords.update(combinations([v for v in face if v % 2 == black], 2))
+        chords.update(combinations([v for v in face if v & 1], 2))
     return _walked(Triangulation, dissection.n, frozenset(chords))
 
 
@@ -216,8 +216,8 @@ def _refined_counts(
     counts, with no chord or `Triangulation` built: each black corner of a
     face gains (black corners of that face − 1).  `verify._counts` and
     the orbit sweep of `verify.sweep` both count this way, the sweep
-    straight from the enumeration walk's leaves; the exhaustive sweep
-    counts each ear's black corners the same way (`ears._faces`).
+    straight from the enumeration walk's leaves, and `ears._faces` counts
+    the lone p-gon's, the exhaustive sweep's ears.
     """
     _require_p(p)
     if not _is_p_angulation(n, diagonals, p):

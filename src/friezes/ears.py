@@ -14,9 +14,9 @@ from itertools import cycle
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .bijection import _require_p
+from .bijection import _refined_counts, _require_p
 from .exact import LAMBDA_RADICAND
-from .frieze import _MAX_FRIEZE_N, _rows
+from .frieze import _require_grid, _rows
 
 _EARS: dict = {}  # p -> `_faces(p)`, (p, n) -> `_ear_table(p, n)`: each built once
 
@@ -30,19 +30,18 @@ def _faces(p: int) -> list[tuple[tuple[list[list[int]], list[int]], ...]]:
     The radical frieze is grown from the face counts, all 1: it is the unit
     regular p-gon's, with ℓ_t between corners t apart.  The integral one is
     grown from the triangle counts of the face cut along its own black
-    corners, counted as `bijection._refined_counts` counts them: each black
-    corner gains the face's other black corners.
+    corners: `bijection._refined_counts` of the lone p-gon for c = 0, and
+    their rotation by one for c = 1, whose corners have the other colours.
     """
     faces = _EARS.get(p)
     if faces is None:
         ones = [1] * p
         radical = (_matrix(_rows(tuple(ones), LAMBDA_RADICAND[p], True)), ones)
-        faces = _EARS[p] = []
-        for c in (0, 1):
-            corners = range(c, c + p)
-            blacks = len([v for v in corners if v & 1])
-            counts = [blacks if v & 1 else 1 for v in corners]
-            faces.append((radical, (_matrix(_rows(tuple(counts), 1, False)), counts)))
+        counts = _refined_counts(p, [], ones, p)
+        faces = _EARS[p] = [
+            (radical, (_matrix(_rows(tuple(c), 1, False)), c))
+            for c in (counts, counts[1:] + counts[:1])
+        ]
     return faces
 
 
@@ -157,58 +156,42 @@ def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
 
     A child's canonical ear is its new face, whose first inner vertex is
     a + 1, so its own children glue on a' ≤ a + p − 2; the lone p-gon is the
-    2-gon's one child.  A child with children of its own has its rows and
-    counts built (`_glued_rows`, `_glued`) when the walk enters it: the walk
-    holds one node per depth, with its news.  A caller reads a batch, or
-    copies it to change it: the walk glues the children from it.
-
-    The walk goes depth first, so it holds a node at every depth up to
-    s_max − 1 at once: a polygon of more than _MAX_FRIEZE_N vertices, whose
-    friezes `verify_dissection` could not grow either, is refused with the
-    kernel's ValueError before anything is allocated.
+    2-gon's one child.  `_subtree` yields a node's batch, then recurses into
+    each child, its rows and counts built (`_glued_rows`, `_glued`) as it is
+    entered: the recursion holds one node and its news per depth.  A caller
+    reads a batch, or copies it to change it: the children are glued from it.
+    A polygon whose friezes the kernel refuses (`_require_grid`) is refused
+    before anything is allocated.
     """
     _require_p(p)
-    n = (p - 2) * s_max + 2
-    if n > _MAX_FRIEZE_N:
-        raise ValueError(f"the {n}-gon is too large for a frieze grid")
+    _require_grid((p - 2) * s_max + 2)
     # per family and colour of a: the ear's counts, and its entries among its inner corners
     faces = _faces(p)
     ears = [[face[f][1] for face in faces] for f in (0, 1)]
     inner = [[[r[1:-1] for r in face[f][0][1:-1]] for face in faces] for f in (0, 1)]
-    node = (0, 0, ([0, 0], [0, 0]), ([0, 1, 1, 0], [0, 1, 1, 0]))
-    stack: list[list] = []  # per depth: [node, its news, the next child to enter]
-    while True:
-        s, last, counts, rows = node
-        n = len(counts[0])
-        news = tuple(
-            [list(map(add, map(mul, cycle(alpha), flat[n:]), map(mul, cycle(beta), flat)))
-             for alpha, beta in coefs]
-            for flat, coefs in zip(rows, _ear_table(p, n)[0])
-        )
-        yield s + 1, last, counts, rows, news
-        if s + 2 <= s_max:
-            stack.append([node, news, 0])
-        while stack:
-            top = stack[-1]
-            (s, last, counts, rows), news, a = top
-            if a > last:
-                stack.pop()
-                continue
-            top[2] = a + 1
-            n = len(counts[0])
+    root = (0, 0, ([0, 0], [0, 0]), ([0, 1, 1, 0], [0, 1, 1, 0]))  # the 2-gon
+    yield from _subtree(p, s_max, ears, inner, root)
+
+
+def _subtree(p: int, s_max: int, ears: list, inner: list, node: tuple) -> Iterator[tuple]:
+    """The batches of `_ear_batches` from node = (s, last, counts, rows) down."""
+    s, last, counts, rows = node
+    n = len(counts[0])
+    news = tuple(
+        [list(map(add, map(mul, cycle(alpha), flat[n:]), map(mul, cycle(beta), flat)))
+         for alpha, beta in coefs]
+        for flat, coefs in zip(rows, _ear_table(p, n)[0])
+    )
+    yield s + 1, last, counts, rows, news
+    if s + 2 <= s_max:
+        for a in range(last + 1):
             lo, c = a * n, a & 1
-            node = (
-                s + 1,
-                a + p - 2,
-                tuple(_glued(count, a, ear[c]) for count, ear in zip(counts, ears)),
-                tuple(
-                    _glued_rows(flat, n, a, [row[lo : lo + n] for row in new], block[c])
-                    for flat, new, block in zip(rows, news, inner)
-                ),
+            glued = tuple(_glued(count, a, ear[c]) for count, ear in zip(counts, ears))
+            child = tuple(
+                _glued_rows(flat, n, a, [row[lo : lo + n] for row in new], block[c])
+                for flat, new, block in zip(rows, news, inner)
             )
-            break
-        else:
-            return
+            yield from _subtree(p, s_max, ears, inner, (s + 1, a + p - 2, glued, child))
 
 
 def _ears_pass(p: int, last: int, counts: tuple, news: tuple) -> bool:

@@ -65,6 +65,12 @@ from .polygon import Dissection, InternalAssertionError, is_p_angulation, quiddi
 _MAX_FRIEZE_N = 1000  # the largest polygon `_grow` takes; see its docstring
 
 
+def _require_grid(n: int) -> None:
+    """Refuse a polygon whose friezes `_grow` would not grow: the one size check."""
+    if n > _MAX_FRIEZE_N:
+        raise ValueError(f"the {n}-gon is too large for a frieze grid")
+
+
 class FriezeError(ValueError):
     """A frieze could not be built or parsed."""
 
@@ -401,8 +407,7 @@ def _grow(
     """
     size = len(counts)
     period = size // batch
-    if period > _MAX_FRIEZE_N:
-        raise ValueError(f"the {period}-gon is too large for a frieze grid")
+    _require_grid(period)
     n = period - 3
     mid = period // 2
     surd = radical and period % 2 == 1  # the top row is a surd: it never closes

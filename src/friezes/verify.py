@@ -182,11 +182,11 @@ from itertools import chain
 from operator import mul, ne
 from typing import Iterator, NamedTuple, Sequence
 
-from .bijection import _not_p_angulation, _refine, _refined_counts, _require_p
+from .bijection import _not_p_angulation, _refined_counts, _require_p
 from .bijection import associated_triangulation
 from .ears import _ear_batches, _ears_pass, _faces_pass
 from .exact import LAMBDA_RADICAND
-from .frieze import Frieze, InternalAssertionError, _grow, _rows
+from .frieze import Frieze, InternalAssertionError, _grow, _require_grid, _rows
 from .polygon import (
     Dissection,
     _p_angulation_walk,
@@ -529,16 +529,20 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     docstring a candidate matches exactly when its row 3 does, that is
     when c_k·c_{k+1} = (p/2)·q_k·q_{k+1} for every k, so no frieze is
     grown.  Only a match becomes a Dissection, built from the walk's
-    diagonals unchecked like the walk's other leaves (`polygon._walked`).
+    diagonals unchecked like the walk's other leaves (`polygon._walked`),
+    and is labelled by its counts: "associated" for q at white and (p/2)·q
+    at black vertices, the black-corner refinement's, "mirror" for the
+    colours swapped ((B): a quiddity fixes its triangulation).
     The number scanned is checked against the Catalan number C_{n−2}; any
     other count is an InternalAssertionError.  See DeepUniquenessResult for
     how matches are reported.
     """
     expected = associated_triangulation(d, p)  # the one check of p and of D
-    mirror = _refine(d, p, black=False)  # shares every odd row, by (A)
     q = quiddity_counts(d)
     half = p // 2
     products = [half * a * b for a, b in zip(q, q[1:] + q[:1])]
+    associated = [half * c if v & 1 else c for v, c in enumerate(q)]
+    mirror = [c if v & 1 else half * c for v, c in enumerate(q)]
     catalan = fuss_catalan(d.n - 2, 3)
     matches = []
     total = 0
@@ -548,19 +552,17 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
         total += 1
         # the first term decides most candidates before the row is built
         if c[0] * c[1] == first and [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
-            matches.append(_walked(Dissection, d.n, frozenset(diags)))
+            kind = "associated" if c == associated else "mirror" if c == mirror else "other"
+            matches.append((kind, _walked(Dissection, d.n, frozenset(diags))))
     if total != catalan:
         raise InternalAssertionError(
             f"scanned {total} triangulations of the {d.n}-gon, expected {catalan}"
         )
-
-    def kind(m: Dissection) -> str:
-        return "associated" if m == expected else "mirror" if m == mirror else "other"
-
-    # stable: matches other than the twins keep their enumeration order
-    matches.sort(key=lambda m: (m != expected, m != mirror))
-    ok = len(matches) == 1 and matches[0] == expected
-    return DeepUniquenessResult(ok, total, tuple(matches), expected, tuple(map(kind, matches)))
+    # stable, and "associated" < "mirror" < "other": the rest keep their enumeration order
+    matches.sort(key=lambda match: match[0])
+    found = tuple(match for _, match in matches)
+    ok = len(found) == 1 and found[0] == expected
+    return DeepUniquenessResult(ok, total, found, expected, tuple(kind for kind, _ in matches))
 
 
 class SweepSummary(NamedTuple):
@@ -601,6 +603,10 @@ class SweepSummary(NamedTuple):
 def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> SweepSummary:
     """Verify every p-angulation with 1 ≤ s ≤ s_max faces.
 
+    One door checks the arguments of both modes before any level is read:
+    s_max, p (as the walk, then `_require_p`), then the largest polygon
+    against the kernel's bound (`frieze._require_grid`).
+
     The exhaustive sweep glues ears (`_ear_batches`, (E) in the module
     docstring): each p-angulation is built once, from its canonical parent,
     and only the O(p·n) entries and counts its ear adds are computed and
@@ -637,6 +643,9 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
         raise ValueError(f"face count bound must be an integer, got {s_max!r}")
     if s_max < 1:
         raise ValueError("face count bound must be positive")
+    _polygon_size(1, p)
+    _require_p(p)
+    _require_grid((p - 2) * s_max + 2)
     per_s: dict[int, int] = {}
     counterexamples: list[VerificationReport] = []
     deep_failures: list[Dissection] = []
@@ -707,12 +716,9 @@ def _walked_levels(p: int, s_max: int) -> Iterator[tuple[int, bool, bool, int]]:
 
 def _ear_levels(p: int, s_max: int) -> list[tuple[int, bool, bool, int]]:
     """Per level s = 1..s_max of the exhaustive sweep: (p-angulations glued,
-    failed, inherited, 0).  p is checked first as the walk checks it, then by
-    `_require_p`.  A level has failed if one of its own batches failed; it
-    has inherited if a level below it failed, as every descendant of a
-    failing child holds the entries that failed ((E)), unchecked."""
-    _polygon_size(1, p)
-    _require_p(p)
+    failed, inherited, 0).  A level has failed if one of its own batches
+    failed; it has inherited if a level below it failed, as every descendant
+    of a failing child holds the entries that failed ((E)), unchecked."""
     glued = [0] * (s_max + 1)
     failed = [False] * (s_max + 1)
     failed[1] = not _faces_pass(p)

@@ -325,7 +325,6 @@ def test_derived_dissections_equal_validated_ones(s, p):
     for d in enumerate_p_angulations(s, p):
         black, white = validated_refinement(d, True), validated_refinement(d, False)
         assert_same(_refine(d, p), black)
-        assert_same(_refine(d, p, black=False), white)
         if p == 4:
             assert_same(quad_to_tree(d), NoncrossingTree(d.n, black.diagonals - d.diagonals))
         if d.n <= 10:

@@ -298,17 +298,22 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
     assert verify_dissection(quad10, 4).ok
     assert calls == dict(zip(names, (1, 0, 1, 1)))
     # the enumerated candidates are triangulations by construction: no
-    # candidate is re-checked (was 1,435 checks per query); only the twins,
-    # the two refinements of D, are tested
+    # candidate is re-checked (was 1,435 checks per query); only D's
+    # refinement is tested, in one face pass, and the twins are named by
+    # their counts (was 2 of each while the mirror was refined too)
     calls.update(dict.fromkeys(names, 0))
     assert deep_uniqueness(quad10, 4).triangulations == 1430
-    assert calls["_is_p_angulation"] == calls["is_p_angulation"] == 2
+    assert calls["_is_p_angulation"] == calls["is_p_angulation"] == calls["_face_pass"] == 1
     # an orbit sweep's batches test each leaf they check once, in one face
     # pass, and read its face counts off the walk (p = 4, s ≤ 5 has 344
     # dissections, p = 6, s ≤ 3 has 41); the exhaustive sweep glues its
     # p-angulations, so it tests none and walks no face (it tested and
-    # face-passed every leaf while it read them off the walk)
+    # face-passed every leaf while it read them off the walk); its ears'
+    # counts are the lone p-gon's, read once per process, here beforehand
+    from friezes.ears import _faces
+
     for p, s_max, checked in ((4, 5, 344), (6, 3, 41)):
+        _faces(p)
         for orbits in (False, True):
             calls.update(dict.fromkeys(names, 0))
             summary = sweep(p, s_max, orbits=orbits)
@@ -390,7 +395,7 @@ def test_sweep_p6():
     assert summary.all_ok
 
 
-def test_sweep_rejects_bad_bound():
+def test_sweep_rejects_bad_bound(monkeypatch):
     with pytest.raises(ValueError):
         sweep(4, 0)
     for s_max in (2.0, True):  # 2.0 == 2 and True == 1, but neither is a count
@@ -406,6 +411,16 @@ def test_sweep_rejects_bad_bound():
         for run in (lambda: next(_ear_batches(p, s_max)), lambda: sweep(p, s_max)):
             with pytest.raises(ValueError, match="^the 1002-gon is too large for a frieze grid$"):
                 run()
+    # the orbit sweep passes the same door, before its walk starts
+    import friezes.verify
+
+    def no_walk(s, p):
+        raise AssertionError("the orbit sweep started its walk")
+
+    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", no_walk)
+    for p, s_max in ((4, 500), (6, 250)):
+        with pytest.raises(ValueError, match="^the 1002-gon is too large for a frieze grid$"):
+            sweep(p, s_max, orbits=True)
 
 
 def corrupt_triangle_counts(monkeypatch, wrong):

@@ -214,10 +214,9 @@ def _refined_counts(
     corner of a face is joined to every other black corner of that face.
     So one face pass (`polygon._face_pass`, behind `faces`) gives the
     counts, with no chord or `Triangulation` built: each black corner of a
-    face gains (black corners of that face − 1).  `verify._counts` and
-    the orbit sweep of `verify.sweep` both count this way, the sweep
-    straight from the enumeration walk's leaves, and `ears._faces` counts
-    the lone p-gon's, the exhaustive sweep's ears.
+    face gains (black corners of that face − 1).  `verify._counts` counts
+    a dissection this way, and `ears._faces` the lone p-gon, the sweep's
+    ears.
     """
     _require_p(p)
     if not _is_p_angulation(n, diagonals, p):

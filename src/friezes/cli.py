@@ -195,7 +195,8 @@ def _build_parser() -> _Parser:
     verify.add_argument(
         "--orbits",
         action="store_true",
-        help="check one dissection per even-rotation orbit (reported as orbits_checked)",
+        help="check the levels below --max-s in full and, on the top level, one dissection"
+        " per even-rotation orbit (orbit representatives reported as orbits_checked)",
     )
 
     val = add("validate", _cmd_validate, "check a frieze grid")

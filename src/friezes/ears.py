@@ -1,11 +1,13 @@
-"""The exhaustive sweep's ear tree: every p-angulation glued from its parent
-by one ear, with the entries of both friezes the ear adds and their checks.
+"""The sweep's ear tree: every p-angulation glued from its parent by one ear,
+with the entries of both friezes the ear adds and their checks.
 
-`verify.sweep` walks the tree (`_ear_batches`) and checks each batch of
-children (`_ears_pass`) and, once, the lone p-gon's entries (`_faces_pass`);
-(E) in the `verify` docstring proves why the entries the ear adds are all
-there is to compute and check.  Matrices hold C values: the int C of an
-entry C, or of C·√m at an even distance in a radical frieze.
+`verify.sweep` walks the tree (`_ear_batches`) and checks the children of a
+node, a contiguous run of them at a time (`_news`, `_ears_pass`): the whole
+batch, or in an orbit sweep's top level one representative; and, once, the
+lone p-gon's entries (`_faces_pass`).  (E) in the `verify` docstring proves
+why the entries the ear adds are all there is to compute and check.
+Matrices hold C values: the int C of an entry C, or of C·√m at an even
+distance in a radical frieze.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .bijection import _refined_counts, _require_p
 from .exact import LAMBDA_RADICAND
 from .frieze import _require_grid, _rows
 
-_EARS: dict = {}  # p -> `_faces(p)`, (p, n) -> `_ear_table(p, n)`: each built once
+_EARS: dict = {}  # p -> `_faces(p)`, (p, n, phase) -> `_ear_table(p, n, phase)`: each built once
 
 
 def _faces(p: int) -> list[tuple[tuple[list[list[int]], list[int]], ...]]:
@@ -65,27 +67,28 @@ def _faces_pass(p: int) -> bool:
     return True
 
 
-def _ear_table(p: int, n: int) -> tuple:
+def _ear_table(p: int, n: int, phase: int) -> tuple:
     """What the children a = 0..n − 2 of any n-gon node share, built once per
-    (p, n), as lists indexed by a, or by a·n + j for the old vertex j; those
-    depend only on the parities of a and j, so they hold the first 2n
-    entries, a period, for `cycle`:
+    (p, n, phase), as lists indexed by a, or by a·n + j for the old vertex j;
+    those depend only on the parities of a and j, so they hold 2n entries, a
+    period for `cycle`, read from a child of the phase's parity (the first
+    child of a run):
 
     * per family and inner corner t = 1..p − 2, the coefficients (α, β) of
       (E2) in C values: ℓ_t and ℓ_{p−1−t} of the face, times m where both
       factors of a radical product are surds;
     * per t, the dressing: p/2 where x = a + t is white and x − j even, else 1;
-    * the flat indices of the row-2 entries at the centres a and
-      b = a + p − 1 (between x = a + 1 and a − 1, between x = a + p − 2 and
-      the old a + 2);
+    * the flat indices, in the news of a run from child 0, of the row-2
+      entries at the centres a and b = a + p − 1 (between x = a + 1 and
+      a − 1, between x = a + p − 2 and the old a + 2);
     * per family, the counts the ear adds at a and at b.
     """
-    table = _EARS.get((p, n))
+    table = _EARS.get((p, n, phase))
     if table is None:
         m, h = LAMBDA_RADICAND[p], p // 2
         faces = _faces(p)
         children = range(n - 1)
-        pairs = [(a, j) for a in (0, 1) for j in range(n)]
+        pairs = [(a, j) for a in (phase, 1 - phase) for j in range(n)]
         inner = range(1, p - 1)
         coefs, gains = [], []
         for f, scale in ((0, m), (1, 1)):
@@ -99,7 +102,7 @@ def _ear_table(p: int, n: int) -> tuple:
                 coefs[f].append((alpha, beta))
             counts = [ear[a & 1][1] for a in children]
             gains.append(([c[0] for c in counts], [c[-1] for c in counts]))
-        table = _EARS[p, n] = (
+        table = _EARS[p, n, phase] = (
             coefs,
             [[h if (a + t) % 2 == 0 == (a + t - j) % 2 else 1 for a, j in pairs] for t in inner],
             [a * n + (a - 1) % n for a in children],
@@ -117,12 +120,14 @@ def _glued(counts: list[int], a: int, ear: Sequence[int]) -> list[int]:
 
 
 def _glued_rows(
-    rows: list[int], n: int, a: int, new: list[list[int]], inner: list[list[int]]
+    rows: list[int], n: int, a: int, news: list[list[int]], inner: list[list[int]]
 ) -> list[int]:
-    """Rows 0..a + p − 1 of the child's matrix, flat: the node's rows 0..a with
-    the new corners' entries inserted after column a ((E1)), the new rows (the
-    child's `new` entries around the entries among its inner corners), then
-    the node's row a + 1, now b's."""
+    """Rows 0..a + p − 1 of child a's matrix in one family, flat: the node's rows
+    0..a with the new corners' entries inserted after column a ((E1)), the
+    new rows (the child's entries in the batch's news around the entries
+    among its inner corners), then the node's row a + 1, now b's."""
+    lo = a * n
+    new = [row[lo : lo + n] for row in news]  # the child's, per new corner
     cols = list(zip(*new))  # per old vertex: its entries with the new corners
     out: list[int] = []
     for u in range(a + 2):
@@ -148,55 +153,69 @@ def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
     a = 0..last.  counts are the node's face and triangle counts; rows are
     its radical and integral matrices, rows 0..last + 1 flat (entry (u, j) at
     u·n + j), in C values: the int C of an entry C, or of C·√m at an even
-    distance in a radical frieze.  news[f][t − 1] holds, for every child a
-    at a·n + j, the entry of family f between its new corner x = a + t and
-    the old vertex j, by (E2): α·(row a + 1) + β·(row a), two offset slices
-    of the node's rows, so each family and t costs three C-level maps for
-    all children.
+    distance in a radical frieze.  news are `_news` of the whole batch, from
+    which the children are glued.  A node whose children are leaves (s =
+    s_max) glues none: its batch carries no news, and its rows unglued, as
+    an iterator read once by `tuple(rows)`, so a caller glues only the rows
+    it reads and computes what it checks by `_news`.
 
     A child's canonical ear is its new face, whose first inner vertex is
     a + 1, so its own children glue on a' ≤ a + p − 2; the lone p-gon is the
     2-gon's one child.  `_subtree` yields a node's batch, then recurses into
-    each child, its rows and counts built (`_glued_rows`, `_glued`) as it is
-    entered: the recursion holds one node and its news per depth.  A caller
-    reads a batch, or copies it to change it: the children are glued from it.
+    each child, its counts built (`_glued`) as it is entered, its rows
+    (`_glued_rows`) when read: the recursion holds one node and its news per
+    depth.  A caller reads a batch, or copies it to change it: the children
+    are glued from it.
     A polygon whose friezes the kernel refuses (`_require_grid`) is refused
     before anything is allocated.
     """
     _require_p(p)
     _require_grid((p - 2) * s_max + 2)
-    # per family and colour of a: the ear's counts, and its entries among its inner corners
+    # per colour of a and family: the ear's counts, and its entries among its inner corners
     faces = _faces(p)
-    ears = [[face[f][1] for face in faces] for f in (0, 1)]
-    inner = [[[r[1:-1] for r in face[f][0][1:-1]] for face in faces] for f in (0, 1)]
+    ears = [tuple(counts for _, counts in face) for face in faces]
+    inner = [tuple([r[1:-1] for r in matrix[1:-1]] for matrix, _ in face) for face in faces]
     root = (0, 0, ([0, 0], [0, 0]), ([0, 1, 1, 0], [0, 1, 1, 0]))  # the 2-gon
     yield from _subtree(p, s_max, ears, inner, root)
 
 
 def _subtree(p: int, s_max: int, ears: list, inner: list, node: tuple) -> Iterator[tuple]:
-    """The batches of `_ear_batches` from node = (s, last, counts, rows) down."""
+    """The batches of `_ear_batches` from node = (s, last, counts, rows) down;
+    rows may be an iterator not yet read."""
     s, last, counts, rows = node
-    n = len(counts[0])
-    news = tuple(
-        [list(map(add, map(mul, cycle(alpha), flat[n:]), map(mul, cycle(beta), flat)))
-         for alpha, beta in coefs]
-        for flat, coefs in zip(rows, _ear_table(p, n)[0])
-    )
+    if s + 2 > s_max:  # its children are leaves: nothing is glued from their entries
+        yield s + 1, last, counts, rows, None
+        return
+    rows, n = tuple(rows), len(counts[0])
+    news = _news(p, n, rows, 0, last)
     yield s + 1, last, counts, rows, news
-    if s + 2 <= s_max:
-        for a in range(last + 1):
-            lo, c = a * n, a & 1
-            glued = tuple(_glued(count, a, ear[c]) for count, ear in zip(counts, ears))
-            child = tuple(
-                _glued_rows(flat, n, a, [row[lo : lo + n] for row in new], block[c])
-                for flat, new, block in zip(rows, news, inner)
-            )
-            yield from _subtree(p, s_max, ears, inner, (s + 1, a + p - 2, glued, child))
+    for a in range(last + 1):
+        glued = tuple(map(_glued, counts, (a, a), ears[a & 1]))
+        child = map(_glued_rows, rows, (n, n), (a, a), news, inner[a & 1])  # glued when read
+        yield from _subtree(p, s_max, ears, inner, (s + 1, a + p - 2, glued, child))
 
 
-def _ears_pass(p: int, last: int, counts: tuple, news: tuple) -> bool:
+def _news(p: int, n: int, rows: tuple, first: int, last: int) -> tuple:
+    """What the ear adds to the children a = first..last of an n-gon node with
+    these rows: per family and inner corner t = 1..p − 2, one list holding,
+    for every child a at (a − first)·n + j, the entry between its new corner
+    x = a + t and the old vertex j by (E2), α·(row a + 1) + β·(row a).  That
+    is two offset slices of the rows and three C-level maps per family and t
+    for the whole run, its coefficients in the phase of first's parity; a
+    run from child 0 reads the rows in place."""
+    lo, hi = first * n, (last + 2) * n
+    return tuple(
+        [list(map(add, map(mul, cycle(alpha), flat[lo + n : hi]),
+                  map(mul, cycle(beta), flat[lo:hi] if lo else flat)))
+         for alpha, beta in coefs]
+        for flat, coefs in zip(rows, _ear_table(p, n, first & 1)[0])
+    )
+
+
+def _ears_pass(p: int, first: int, last: int, counts: tuple, news: tuple) -> bool:
     """Do all three checks pass, every ε = 0, on what the ear adds to each child
-    a = 0..last of one node ((E))?
+    a = first..last of one node ((E)), given the node's counts and the run's
+    `_news`?
 
     For each inner corner, the children's new entries are two lists, one per
     family: the radical list's least entry must be positive, and the integral
@@ -206,14 +225,22 @@ def _ears_pass(p: int, last: int, counts: tuple, news: tuple) -> bool:
     positive too).  The changed counts, at the centres a and b, must be row 2
     of their family's new entries, face counts radical and triangle counts
     integral; so the comparison at those entries is the lemma on them, as in
-    `_batch_passes`.
+    `verify._passes`.  A run of no children passes.
     """
-    (radical, integral), size = news, last + 1
-    _, dressed, at_a, at_b, gains = _ear_table(p, len(counts[0]))
-    at_a, at_b = at_a[:size], at_b[:size]
+    if first > last:
+        return True
+    (radical, integral), n = news, len(counts[0])
+    _, dressed, at_a, at_b, gains = _ear_table(p, n, first & 1)
+    size = last + 1
+    at_a, at_b = at_a[first:size], at_b[first:size]
+    if first:  # the run's news, and its gains, start at child first
+        lo = first * n
+        at_a, at_b = [i - lo for i in at_a], [i - lo for i in at_b]
+        gains = [(gain_a[first:], gain_b[first:]) for gain_a, gain_b in gains]
     return all(
-        list(map(new[0].__getitem__, at_a)) == list(map(add, count[:size], gain_a))
-        and list(map(new[-1].__getitem__, at_b)) == list(map(add, count[1 : size + 1], gain_b))
+        list(map(new[0].__getitem__, at_a)) == list(map(add, count[first:size], gain_a))
+        and list(map(new[-1].__getitem__, at_b))
+        == list(map(add, count[first + 1 : size + 1], gain_b))
         for count, new, (gain_a, gain_b) in zip(counts, news, gains)
     ) and all(
         min(rad) > 0 and ints == list(map(mul, rad, cycle(dressing)))

@@ -17,11 +17,8 @@ quiddity row: e(r+1, k) = e(2, k+r-1)·e(r, k) - e(r-1, k), an integer (times
 private kernel grows the int rows from integer counts, which enter through
 `_rows` once the dissection is checked (by `lambda_frieze`, by `cc_frieze`'s
 triangle counts, or by `verify`) or are parsed by `from_quiddity` out of a
-QuadNum row, and checks positivity and closure on those ints.  The kernel
-grows B quiddities of one period together, laid out column-major (entry k
-of quiddity d at index k·B + d), in one pass of C-level maps per row:
-the orbit sweep of `verify.sweep` grows its batches of 64 so, and every
-single-frieze caller grows a batch of one.  Closure is decided by Coxeter's glide alone,
+QuadNum row, and checks positivity and closure on those ints, in one pass
+of C-level maps per row.  Closure is decided by Coxeter's glide alone,
 e(r, k) = e(N - r, k + r) for period N, tested at the middle row: a
 frieze that passes grows no further, each row above the middle a lower
 row rotated, sharing its ints; one that fails does not close, and grows on
@@ -337,30 +334,23 @@ def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
     return Frieze._of_ints(m, radical, _grow(counts, m, radical))
 
 
-def _grow(
-    counts: list[int] | tuple[int, ...], m: int, radical: bool, batch: int = 1
-) -> list[list[int]]:
+def _grow(counts: list[int] | tuple[int, ...], m: int, radical: bool) -> list[list[int]]:
     """The int rows C(r, k) of the frieze of the quiddity row c_k (times √m when
-    radical), or FriezeError; with batch = B > 1, the rows of B friezes of one
-    period grown together.
+    radical), or FriezeError.
 
     Entry e(r, k) is C(r, k), times √m on the even rows of a radical row,
     grown by C(r+1, k) = c_{k+r-1}·C(r, k)·f_r - C(r-1, k), where f_r = m on
     even r of a radical row and 1 otherwise.  Each row is grown by C-level
     maps over one slice of the doubled count list (c_{k+r-1} at index k),
     the even rows of a radical row reading a copy of the counts times m, so
-    no row multiplies by 1.  A batch lays its B quiddities out column-major:
-    entry k of quiddity d sits at index k·B + d of the counts and of every
-    row, so the slice for row r starts at (r-1)·B, a rotation by c columns
-    is a rotation by c·B entries, and the batch costs one pass of maps per
-    row.
+    no row multiplies by 1.
 
     Only the rows up to the middle are grown when the frieze closes.  With
     period N and mid = N // 2, once row mid + 1 is grown the kernel tests
     Coxeter's glide at the middle, e(r, k) = e(N - r, k + r) for r = mid and
-    mid + 1 and every column k.  If it holds, every quiddity of the batch
-    closes, and each row R = mid + 2 .. N - 1 is row N - R rotated by R
-    columns (the same int objects), row N is row 0.  Proof: write c_j for
+    mid + 1 and every column k.  If it holds, the frieze closes, and each
+    row R = mid + 2 .. N - 1 is row N - R rotated by R columns (the same
+    int objects), row N is row 0.  Proof: write c_j for
     e(2, j) (indices mod N) and K(i, j) for the continuant of c_i, ..., c_j,
     with K(i, i-1) = 1 and K(i, i-2) = 0, so every grown entry is
     e(r, k) = K(k, k+r-2).  Fix k; u_r = e(r, k) = K(k, k+r-2) and
@@ -375,11 +365,11 @@ def _grow(
     row R > mid + 1 equals the rotated row N - R ≤ mid - 1, which is already
     grown and checked positive.  Conversely a closed frieze has
     u_{N-1} = v_{N-1} = 1 and u_N = v_N = 0, so it passes the test, and a
-    failing test means some quiddity of the batch does not close.  The test
-    compares ints: for even N, rows r and N - r have the same parity, so
-    both hold C or both hold C·√m; for odd N the two rows differ in parity,
-    so a radical row of odd period, whose top row is a surd and never
-    closes, is not tested.  A test of row mid alone is not enough:
+    failing test means the frieze does not close.  The test compares ints:
+    for even N, rows r and N - r have the same parity, so both hold C or
+    both hold C·√m; for odd N the two rows differ in parity, so a radical
+    row of odd period, whose top row is a surd and never closes, is not
+    tested.  A test of row mid alone is not enough:
     [1, 3, 1, 3] and [1, 2, 4, 1, 2, 4] pass it and do not close.
 
     The glide exit is the kernel's only success.  Rows 2..n+2 are checked
@@ -390,10 +380,8 @@ def _grow(
     N - 1 all ones, the diamonds 1·1 - e(N-2, k+1)·e(N, k) = 1 with
     e(N-2, k+1) > 0 would make row N zero, so the frieze would close and
     pass the test.  The error is the first failure in row-major order, with
-    its (row, col) and the entry rendered as a QuadNum; a batch raises that
-    of its first failing index k·B + d (the col is k), quiddity d's own.
-    The n + 4 rows (row n+3 is row 0 again) are shared lists: callers must
-    not mutate them.
+    its (row, col) and the entry rendered as a QuadNum.  The n + 4 rows (row
+    n+3 is row 0 again) are shared lists: callers must not mutate them.
 
     The grid holds (n+3)² ints of up to hundreds of bits, but the rows above
     the middle share the int objects of the rows below it, so only about
@@ -405,37 +393,33 @@ def _grow(
     that is too large is refused as input rather than reported as a defect
     by `_rows`.
     """
-    size = len(counts)
-    period = size // batch
+    period = len(counts)
     _require_grid(period)
     n = period - 3
     mid = period // 2
     surd = radical and period % 2 == 1  # the top row is a surd: it never closes
     doubled = counts * 2  # a list or a tuple, as the caller gives the counts
     scaled = [m * c for c in counts] * 2 if radical else doubled
-    rows = [[0] * size, [1] * size]
+    rows = [[0] * period, [1] * period]
     for r in range(1, n + 2):
-        start = (r - 1) * batch
-        shifted = (scaled if r % 2 == 0 else doubled)[start : start + size]
+        shifted = (scaled if r % 2 == 0 else doubled)[r - 1 : r - 1 + period]
         row = list(map(sub, map(mul, shifted, rows[r]), rows[r - 1]))
         if min(row) <= 0:  # row r + 1: rows 2..n+2 must be positive
-            i, c = next((i, c) for i, c in enumerate(row) if c <= 0)
-            k = i // batch
+            k, c = next((k, c) for k, c in enumerate(row) if c <= 0)
             e = QuadNum(m, 0, c) if radical and r % 2 else QuadNum(m, c)
             raise QuiddityPositivityError(
                 r + 1, k, f"not a frieze quiddity: entry {e} at ({r + 1}, {k}) is not positive"
             )
         rows.append(row)
         if r == mid and not surd and all(
-            rows[j] == _rotated(rows[period - j], j * batch) for j in (mid, mid + 1)
+            rows[j] == _rotated(rows[period - j], j) for j in (mid, mid + 1)
         ):  # the frieze closes: see the docstring
-            rows += [_rotated(rows[period - j], j * batch) for j in range(mid + 2, period)]
+            rows += [_rotated(rows[period - j], j) for j in range(mid + 2, period)]
             rows.append(rows[0])
             return rows
     top = rows[n + 2]  # not all ones, as the glide failed: see the docstring
-    i = 0 if surd else next(i for i, c in enumerate(top) if c != 1)
-    k = i // batch
-    e = QuadNum(m, 0, top[i]) if surd else QuadNum(m, top[i])
+    k = 0 if surd else next(k for k, c in enumerate(top) if c != 1)
+    e = QuadNum(m, 0, top[k]) if surd else QuadNum(m, top[k])
     raise ClosureError(
         n + 2, k, f"closure failure: row {n + 2} holds {e} at column {k}, expected 1"
     )

@@ -196,7 +196,7 @@ def _face_pass(n: int, diagonals: Sequence[Pair]) -> list[Face]:
     """The faces of the n-gon cut by normalized diagonals sorted ascending (as
     `diagonals_sorted` and `_leaves` keep them), in the order the sweep closes
     them: `faces` sorts them, and `bijection._refined_counts` reads them
-    straight off an enumerated leaf's diagonal list.
+    straight off a sorted diagonal list.
 
     The sweep keeps the vertices whose face is still open, ascending.  At
     vertex v the diagonals (a, v) come innermost (largest a) first, and each
@@ -235,7 +235,7 @@ def is_p_angulation(dissection: Dissection, p: int) -> bool:
 
 def _is_p_angulation(n: int, diagonals: Collection[Pair], p: int) -> bool:
     """`is_p_angulation` of the n-gon cut by these normalized diagonals, with
-    no `Dissection` built: the orbit sweep's test of each leaf it checks."""
+    no `Dissection` built: the test `bijection._refined_counts` runs."""
     if n != _polygon_size(len(diagonals) + 1, p):
         return False
     step = p - 2

@@ -4,7 +4,7 @@ For a p-angulation D (p ∈ {4, 6}), T is its associated triangulation: each
 face of D cut along its black (odd) corners.  Both friezes grow from their
 quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
-counts of T; a batch that closes is grown only to its middle row, the rows
+counts of T; a frieze that closes is grown only to its middle row, the rows
 above it taken from Coxeter's glide symmetry (see `frieze._grow`).  T is
 never built: its triangle counts are read off the faces of D in one face
 pass (`bijection._refined_counts`: each black corner of a face gains the
@@ -13,21 +13,17 @@ a p-angulation, the one check of D; the counts of D and T are read once
 each.  The checks take the kernel's int rows as they come, with no QuadNum
 in between: an odd row is compared as two int lists, and an even row of the
 radical frieze holds the coefficients a_k of a_k·√m.  One pass test,
-`_batch_passes`, decides a dissection for `verify_dissection` (a batch of
-one) and for the orbit sweep (up to 64 dissections of one polygon): their
-counts are interleaved column-major (count k of dissection d at index
-k·B + d), both frieze families are grown as one kernel batch each, and each
-check is one comparison per row up to the middle against a multiplier list
-that puts p/2 on the odd columns.  A pass is all three checks passing with
-every ε_j = 0, which (A) below proves for the associated triangulation.
-Only a dissection that does not pass has its own rows grown and walked entry
-by entry, to name its witness and its ε_j.  The exhaustive sweep grows no
-frieze of a whole dissection: it glues each p-angulation from its parent by
-one ear and computes and checks only the O(p·n) entries the ear adds, for
-all children of one parent at once ((E) below).  The orbit sweep reads its
-dissections off the enumeration walk, the face counts from the walk's own
-count list and the triangle counts from the walk's sorted diagonals, and
-holds no leaves.  A level with a batch that fails is re-run through
+`_passes`, decides a dissection for `verify_dissection`: both friezes are
+grown once, and each check is one comparison per row up to the middle
+against a multiplier list that puts p/2 on the odd columns.  A pass is all
+three checks passing with every ε_j = 0, which (A) below proves for the
+associated triangulation.  Only a dissection that does not pass has its own
+rows grown and walked entry by entry, to name its witness and its ε_j.  A
+sweep grows no frieze of a whole dissection: it glues each p-angulation
+from its parent by one ear and computes and checks only the O(p·n) entries
+the ear adds, for all children of one parent at once ((E) below), or, on
+the top level of an orbit sweep, for one representative at a time ((C)
+below).  A level with a check that fails is re-run through
 `verify_dissection`, in the one pass that builds its `Dissection`s, so a
 report is always `verify_dissection`'s.  The checks are:
 
@@ -55,7 +51,7 @@ raises AttributeError.
 
 sweep() runs all three over every p-angulation up to a face-count bound,
 by gluing ears ((E) below), or with orbits=True over one p-angulation per
-even-rotation orbit, by (C) below;
+even-rotation orbit of the top level, by (C) below;
 deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
@@ -99,15 +95,18 @@ A third fact lets a sweep check one p-angulation per orbit:
     ε_j, and only the witness columns move.  Within an orbit of even
     rotations, the p-angulation whose face counts are least in
     lexicographic order has counts least among their own even rotations,
-    so `sweep(orbits=True)` checks it: every orbit is checked, and every
-    leaf it skips passes exactly when a checked one does.  The counts fix
-    the p-angulation (a run of p − 2 consecutive vertices of count 1 lies
-    in one face with its two neighbours, so it is an ear, which the counts
+    so `sweep(orbits=True)` checks it on the top level (the levels below
+    are checked whole): every orbit is checked, and every p-angulation it
+    skips passes exactly when a checked one does.  The counts fix the
+    p-angulation (a run of p − 2 consecutive vertices of count 1 lies in
+    one face with its two neighbours, so it is an ear, which the counts
     show; cutting it off leaves the counts of the rest), so exactly one
-    leaf per orbit is checked.  A failing level is re-run whole, as in the
-    exhaustive sweep, so the reports are the same.
+    p-angulation per orbit is checked.  Its vertex 0 lies in one face: for
+    s ≥ 2 the p − 2 inner corners of an ear, each of count 1, hold an even
+    vertex.  A failing level is re-run whole, as in the exhaustive sweep, so
+    the reports are the same.
 
-The exhaustive sweep rests on a fourth:
+Both sweeps rest on a fourth:
 
 (E) A child's friezes are its parent's, extended by its ear.  An ear of D
     is a face whose corners are a run a, a + 1, ..., b = a + p − 1 that
@@ -178,13 +177,12 @@ The exhaustive sweep rests on a fourth:
 from __future__ import annotations
 
 import time
-from itertools import chain
 from operator import mul, ne
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bijection import _not_p_angulation, _refined_counts, _require_p
 from .bijection import associated_triangulation
-from .ears import _ear_batches, _ears_pass, _faces_pass
+from .ears import _ear_batches, _ears_pass, _faces_pass, _glued, _news
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _grow, _require_grid, _rows
 from .polygon import (
@@ -200,8 +198,6 @@ from .polygon import (
 
 # A frieze grid as ints, indexed [r][k]; None marks an entry with no int reading.
 Rows = Sequence[Sequence["int | None"]]
-
-_BATCH = 64  # dissections per batch of `sweep`; see `_batch_passes`
 
 
 class FirstViolation(NamedTuple):
@@ -324,8 +320,8 @@ def _read(radical: Frieze, integral: Frieze, surd: bool) -> tuple[Rows, Rows]:
 
 def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """D's face counts and its associated triangulation's triangle counts, read
-    off D's faces by `_refined_counts` as `sweep` reads them (its p-angulation
-    test is the one check of D; no triangulation is built)."""
+    off D's faces by `_refined_counts` (its p-angulation test is the one
+    check of D; no triangulation is built)."""
     q = quiddity_counts(d)
     triangles = _refined_counts(d.n, d.diagonals_sorted, q, p)
     if triangles is None:
@@ -355,40 +351,33 @@ def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     return _even_rows_match(*_grids(*_counts(d, p), p), d.n - 3, p)
 
 
-def _batch_passes(
-    faces: Sequence[Sequence[int]], triangles: Sequence[Sequence[int]], p: int
-) -> bool:
-    """Do all three checks pass, every ε_j = 0, on each dissection of a batch
-    of one polygon size, given by its face counts and triangle counts?
+def _passes(q: Sequence[int], tc: Sequence[int], p: int) -> bool:
+    """Do all three checks pass, every ε_j = 0, on the dissection with face
+    counts q and triangle counts tc?
 
-    The counts are interleaved column-major (count k of dissection d at
-    index k·B + d) and each family is grown as one `_grow` batch, so every
-    check is one C-level comparison per row.  The period N is even, so the
-    multiplier list ([1]·B + [p/2]·B)·(N/2) carries the factor p/2 at the
-    odd columns: the odd rows hold when the two batches' rows are equal,
-    and the even rows with ε = 0 when the integral row is the radical
-    coefficients times it.  Row 2 is the counts themselves (the triangle
-    counts, and the face counts as multiples of √m), so its comparison is
-    the lemma.  The kernel rows hold no None and the kernel has checked
-    them positive, so neither is scanned.  Only rows 2..N/2 are compared:
-    row 1 is [1]·B in both families, and `_grow` returns only through its
-    glide exit, so each row R > N/2 is row N - R rotated by R·B entries in
-    both (row N/2 + 1 by the glide test, the rows above by the exit's
-    copies); a rotation keeps two rows equal and, for an even R, the
-    multiplier list, of period 2B, in place.  A kernel failure is no pass:
-    `verify_dissection` then grows the rows again by `_rows`, which raises
-    it, and `sweep` re-runs the level through `verify_dissection`.
+    Each family is grown once by `_grow`, so every check is one C-level
+    comparison per row.  The period N is even, so the multiplier list
+    [1, p/2]·(N/2) carries the factor p/2 at the odd columns: the odd rows
+    hold when the two rows are equal, and the even rows with ε = 0 when the
+    integral row is the radical coefficients times it.  Row 2 is the counts
+    themselves (the triangle counts, and the face counts as multiples of
+    √m), so its comparison is the lemma.  The kernel rows hold no None and
+    the kernel has checked them positive, so neither is scanned.  Only rows
+    2..N/2 are compared: row 1 is all ones in both families, and `_grow`
+    returns only through its glide exit, so each row R > N/2 is row N - R
+    rotated by R columns in both (row N/2 + 1 by the glide test, the rows
+    above by the exit's copies); a rotation keeps two rows equal and, for an
+    even R, the multiplier list, of period 2, in place.  A kernel failure is
+    no pass: `verify_dissection` then grows the rows again by `_rows`, which
+    raises it.
     """
-    size = len(faces)
-    q = list(chain.from_iterable(zip(*faces)))
-    tc = list(chain.from_iterable(zip(*triangles)))
     try:
-        radical = _grow(q, LAMBDA_RADICAND[p], True, size)
-        integral = _grow(tc, 1, False, size)
+        radical = _grow(q, LAMBDA_RADICAND[p], True)
+        integral = _grow(tc, 1, False)
     except ValueError:  # a FriezeError, or a polygon past the kernel's bound
         return False
-    period = len(q) // size
-    mult = ([1] * size + [p // 2] * size) * (period // 2)
+    period = len(q)
+    mult = [1, p // 2] * (period // 2)
     return all(
         integral[r] == (radical[r] if r % 2 else list(map(mul, radical[r], mult)))
         for r in range(2, period // 2 + 1)
@@ -446,19 +435,19 @@ class VerificationReport(NamedTuple):
 def verify_dissection(d: Dissection, p: int) -> VerificationReport:
     """Run all three checks on D's counts, read once.
 
-    The counts decide the result by `_batch_passes` on a batch of one: a
-    pass is every check passing with every ε_j = 0, as (A) in the module
-    docstring proves for the associated triangulation.  Only a dissection
-    that does not pass has its rows grown again from the same counts by
-    `_rows` (which raises InternalAssertionError if the kernel fails) and
-    walked entry by entry, which names the first violation, in check order,
-    and the ε_j.  timings_ms["build"] times reading the counts and the
-    pass test, which grows both friezes; timings_ms["checks"] times the
-    rest, next to nothing on a pass and on a failure the rows and the walks.
+    The counts decide the result by `_passes`: a pass is every check
+    passing with every ε_j = 0, as (A) in the module docstring proves for
+    the associated triangulation.  Only a dissection that does not pass has
+    its rows grown again from the same counts by `_rows` (which raises
+    InternalAssertionError if the kernel fails) and walked entry by entry,
+    which names the first violation, in check order, and the ε_j.
+    timings_ms["build"] times reading the counts and the pass test, which
+    grows both friezes; timings_ms["checks"] times the rest, next to nothing
+    on a pass and on a failure the rows and the walks.
     """
     started = time.perf_counter()
     q, tc = _counts(d, p)
-    passed = _batch_passes([q], [tc], p)
+    passed = _passes(q, tc, p)
     built = time.perf_counter()
     width = d.n - 3
     if passed:
@@ -569,8 +558,9 @@ class SweepSummary(NamedTuple):
     """Aggregate outcome of verifying every p-angulation with s ≤ s_max.
 
     orbits_checked is None for an exhaustive sweep; an orbit sweep sets it
-    to the number of leaves its batches checked, and only then does the
-    JSON carry it."""
+    to the number of orbit representatives, one p-angulation per
+    even-rotation orbit of each level, and only then does the JSON carry
+    it."""
 
     p: int
     s_max: int
@@ -612,27 +602,22 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     and only the O(p·n) entries and counts its ear adds are computed and
     checked, for all children of one parent at once (`_ears_pass`); the
     entries between two corners of one ear are the lone p-gon's, checked
-    once (`_faces_pass`).  A failing batch marks its level; every level
+    once (`_faces_pass`).  A failing check marks its level; every level
     above it, where its children's descendants lie, inherits the mark.
     After each level's count is checked against the Fuss–Catalan number, in
     order of s, a marked level is re-run once through `verify_dissection`,
     in enumeration order, so every report (witness, ε, timings) and every
-    error is the one that dissection gives alone.  A level whose own batch
+    error is the one that dissection gives alone.  A level whose own check
     failed and whose re-run finds no counterexample is an
     InternalAssertionError; a level that only inherited its mark may pass.
 
-    With orbits=True each level is read off the enumeration walk
-    (`polygon._p_angulation_walk`) instead, and only the leaves whose counts
-    are least among their even rotations (`_least_rotation`) are checked:
-    their triangle counts come from one face pass each (`_refined_counts`,
-    which runs the leaf's one p-angulation test), and they are checked in
-    batches of up to _BATCH = 64 in enumeration order (`_batch_passes`); no
-    leaves are held.  By (C) in the module docstring each passes exactly
-    when its whole orbit does.  A leaf that is no p-angulation, or a batch
-    that does not pass or whose kernel raises, marks its level, which is
-    re-run whole as above, so the counterexamples are the exhaustive
-    sweep's.  `checked` and `per_s` still count every leaf; `orbits_checked`
-    counts the leaves batched.
+    With orbits=True the levels below s_max are checked as above, and on the
+    top level only the p-angulations whose face counts are least among their
+    even rotations (`_least_rotation`, one per orbit), each alone by the
+    same checks (`_news`, `_ears_pass` on a run of one); by (C) in the
+    module docstring each passes exactly when its orbit does.  A marked
+    level is re-run whole, as above; `checked` and `per_s` still count every
+    p-angulation, and `orbits_checked` the representatives of every level.
 
     With deep=True each dissection also runs deep_uniqueness, exhaustive
     over all triangulations of its polygon (so keep s small), after the
@@ -649,10 +634,10 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     per_s: dict[int, int] = {}
     counterexamples: list[VerificationReport] = []
     deep_failures: list[Dissection] = []
-    batched = 0
-    levels = _walked_levels(p, s_max) if orbits else _ear_levels(p, s_max)
-    for s, (count, failed, inherited, checked) in zip(range(1, s_max + 1), levels):
-        batched += checked
+    orbits_checked = 0
+    levels = _ear_levels(p, s_max, orbits)
+    for s, (count, failed, inherited, representatives) in zip(range(1, s_max + 1), levels):
+        orbits_checked += representatives
         if count != fuss_catalan(s, p):
             raise InternalAssertionError(
                 f"enumerated {count} {p}-angulations with {s} faces, "
@@ -681,50 +666,42 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
         counterexamples=tuple(counterexamples),
         deep_checked=deep,
         deep_failures=tuple(deep_failures),
-        orbits_checked=batched if orbits else None,
+        orbits_checked=orbits_checked if orbits else None,
     )
 
 
-def _walked_levels(p: int, s_max: int) -> Iterator[tuple[int, bool, bool, int]]:
-    """Per level s = 1..s_max of the orbit sweep, read off the walk: (leaves
-    walked, failed, False, leaves batched); see `sweep`."""
-    for s in range(1, s_max + 1):
-        n, walk = _p_angulation_walk(s, p)
-        count = batched = 0
-        failed = False  # has a leaf or a batch of this level failed?
-        faces: list[list[int]] = []
-        triangles: list[list[int]] = []
-        for diagonals, q in walk:
-            count += 1
-            if not _least_rotation(q):
-                continue
-            tc = _refined_counts(n, diagonals, q, p)
-            if tc is None:  # no p-angulation: the re-run raises its error
-                failed = True
-                continue
-            faces.append(q[:])
-            triangles.append(tc)
-            if len(faces) == _BATCH:
-                failed |= not _batch_passes(faces, triangles, p)
-                batched += len(faces)
-                faces, triangles = [], []
-        if faces:
-            failed |= not _batch_passes(faces, triangles, p)
-            batched += len(faces)
-        yield count, failed, False, batched
-
-
-def _ear_levels(p: int, s_max: int) -> list[tuple[int, bool, bool, int]]:
-    """Per level s = 1..s_max of the exhaustive sweep: (p-angulations glued,
-    failed, inherited, 0).  A level has failed if one of its own batches
-    failed; it has inherited if a level below it failed, as every descendant
-    of a failing child holds the entries that failed ((E)), unchecked."""
-    glued = [0] * (s_max + 1)
+def _ear_levels(p: int, s_max: int, orbits: bool) -> list[tuple[int, bool, bool, int]]:
+    """Per level s = 1..s_max of the ear tree: (p-angulations, failed,
+    inherited, orbit representatives), the last 0 without orbits.  A level
+    has failed if one of its own checks failed; it has inherited if a level
+    below it failed, as every descendant of a failing child holds the
+    entries that failed ((E)), unchecked.  Every batch is checked whole,
+    except on an orbit sweep's top level, where each representative
+    (`_least_rotation`) is checked alone.  Its vertex 0 lies in one face ((C)); a child glued at
+    a = 0 has one face more there than its node, one at a ≥ 1 as many, so
+    only the children a ≥ 1 of a node whose vertex 0 lies in one face, and
+    the 2-gon's one child, are glued, by their face counts alone.
+    """
+    counted = [0] * (s_max + 1)
     failed = [False] * (s_max + 1)
+    representatives = [0] * (s_max + 1)
     failed[1] = not _faces_pass(p)
-    for s, last, counts, _, news in _ear_batches(p, s_max):
-        glued[s] += last + 1
-        if not failed[s] and not _ears_pass(p, last, counts, news):
-            failed[s] = True
+    ones = [1] * p  # an ear's face counts
+    for s, last, counts, rows, news in _ear_batches(p, s_max):
+        counted[s] += last + 1
+        q, n = counts[0], len(counts[0])
+        if orbits and s > 1:  # the node, of level s − 1
+            representatives[s - 1] += _least_rotation(q)
+        if not orbits or s < s_max:
+            if not failed[s]:
+                news = news or _news(p, n, tuple(rows), 0, last)
+                failed[s] = not _ears_pass(p, 0, last, counts, news)
+        elif s == 1 or q[0] == 1:
+            for a in range(0 if s == 1 else 1, last + 1):
+                if _least_rotation(_glued(q, a, ones)):
+                    representatives[s] += 1
+                    if not failed[s]:
+                        rows = tuple(rows)
+                        failed[s] = not _ears_pass(p, a, a, counts, _news(p, n, rows, a, a))
     first = failed.index(True) if True in failed else s_max  # the least failed level
-    return [(glued[s], failed[s], s > first, 0) for s in range(1, s_max + 1)]
+    return [(counted[s], failed[s], s > first, representatives[s]) for s in range(1, s_max + 1)]

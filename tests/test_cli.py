@@ -352,8 +352,9 @@ def test_verify_sweep(capsys):
 
 
 def test_verify_orbits_adds_only_its_count(capsys):
-    # the orbit sweep checks one dissection per even-rotation orbit and
-    # reports the same summary as the exhaustive one, plus orbits_checked
+    # the orbit sweep checks one dissection per even-rotation orbit on the
+    # top level (the levels below in full) and reports the same summary as
+    # the exhaustive one, plus orbits_checked
     code, out, _ = run(capsys, "verify", "--p", "4", "--max-s", "5")
     code_orbits, out_orbits, _ = run(capsys, "verify", "--p", "4", "--max-s", "5", "--orbits")
     assert code == code_orbits == 0

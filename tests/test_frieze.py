@@ -1003,10 +1003,10 @@ def reference_grow(counts, m, radical):
     return rows
 
 
-def grow_outcome(grow, counts, m, radical, *batch):
+def grow_outcome(grow, counts, m, radical):
     """The rows a kernel returns, or the class, (row, col) and message of its failure."""
     try:
-        return grow(counts, m, radical, *batch)
+        return grow(counts, m, radical)
     except FriezeError as exc:
         return type(exc), exc.row, exc.col, str(exc)
 
@@ -1054,90 +1054,10 @@ def test_kernel_matches_its_per_entry_predecessor():
     assert min(kinds.values()) >= 50, kinds
 
 
-def interleave(quiddities):
-    """Quiddities of one period laid out column-major, as a `_grow` batch takes
-    them: entry k of quiddity d at index k·B + d."""
-    return [c for column in zip(*quiddities) for c in column]
-
-
-def sweep_kernel_inputs():
-    """{(period, m, radical): [counts, ...]} of every p-angulation with p = 4,
-    s ≤ 5 and p = 6, s ≤ 3 (radical) and of its associated triangulation
-    (integral), in enumeration order."""
-    from friezes import associated_triangulation, enumerate_p_angulations, quiddity_counts
-    from friezes.exact import LAMBDA_RADICAND
-
-    groups = {}
-    for p, s_max in ((4, 5), (6, 3)):
-        for s in range(1, s_max + 1):
-            for d in enumerate_p_angulations(s, p):
-                groups.setdefault((d.n, LAMBDA_RADICAND[p], True), []).append(
-                    quiddity_counts(d)
-                )
-                groups.setdefault((d.n, 1, False), []).append(
-                    quiddity_counts(associated_triangulation(d, p))
-                )
-    return groups
-
-
-def test_kernel_batches_deinterleave_to_single_rows():
-    # batches of 1, 7 and 64 interleaved quiddities (and each last, partial
-    # batch) grow the rows the kernel grows for each quiddity alone
-    from friezes.frieze import _grow
-
-    sizes = set()
-    for (_, m, radical), quiddities in sweep_kernel_inputs().items():
-        singles = [_grow(counts, m, radical) for counts in quiddities]
-        for size in (1, 7, 64):
-            for start in range(0, len(quiddities), size):
-                chunk = quiddities[start : start + size]
-                rows = _grow(interleave(chunk), m, radical, len(chunk))
-                for d, single in enumerate(singles[start : start + size]):
-                    assert [row[d :: len(chunk)] for row in rows] == single
-                sizes.add(len(chunk))
-    assert {1, 7, 64} <= sizes and len(sizes) > 3, sizes
-
-
-def test_kernel_batch_holding_a_non_quiddity_fails():
-    # one perturbed quiddity fails the whole batch, with its own error at its
-    # own (row, col), which is the error its B = 1 run raises, as before batching
-    from friezes.frieze import _grow
-
-    kinds = set()
-    for (_, m, radical), quiddities in sweep_kernel_inputs().items():
-        chunk = quiddities[:64]
-        size = len(chunk)
-        for d in sorted({0, size // 2, size - 1}):
-            counts = chunk[d]
-            for k in sorted({0, len(counts) // 2}):
-                for delta in (-1, 1):
-                    bad = counts[:k] + (counts[k] + delta,) + counts[k + 1 :]
-                    alone = grow_outcome(_grow, bad, m, radical)
-                    assert type(alone) is tuple  # a FriezeError's outcome
-                    assert alone == grow_outcome(reference_grow, bad, m, radical)
-                    batch = interleave(chunk[:d] + [bad] + chunk[d + 1 :])
-                    assert grow_outcome(_grow, batch, m, radical, size) == alone
-                    kinds.add(alone[0].__name__)
-    assert kinds == {"QuiddityPositivityError", "ClosureError"}, kinds
-
-
-def batch_outcome(outcomes):
-    """What a `_grow` batch of the quiddities with these single outcomes gives:
-    their rows interleaved when every one closes, else the first failure in
-    row-major order (a positivity failure is found as its row is grown, a
-    closure failure only on the top row), which is the failing quiddity's own."""
-    failures = [(o, d) for d, o in enumerate(outcomes) if type(o) is tuple]
-    if not failures:
-        return [interleave(rows) for rows in zip(*outcomes)]
-    first = min(failures, key=lambda fd: (fd[0][1], fd[0][0] is ClosureError, fd[0][2], fd[1]))
-    return first[0]
-
-
 def test_kernel_matches_its_predecessor_on_every_short_quiddity():
     # every quiddity with entries 1..4 and period 3..6, for each m and both
-    # kinds of row: the same rows, or the same first failure, alone and in
-    # batches that mix closing and non-closing quiddities, so the test at the
-    # middle row takes its exit exactly when the full growth closes
+    # kinds of row: the same rows, or the same first failure, so the test at
+    # the middle row takes its exit exactly when the full growth closes
     from itertools import product
 
     from friezes.frieze import _grow
@@ -1151,14 +1071,6 @@ def test_kernel_matches_its_predecessor_on_every_short_quiddity():
                 assert grow_outcome(_grow, q, m, radical) == expected, (q, m, radical)
                 kind = expected[0].__name__ if type(expected) is tuple else "rows"
                 kinds[kind] = kinds.get(kind, 0) + 1
-            closing = [d for d, o in enumerate(outcomes) if type(o) is not tuple]
-            failing = [d for d, o in enumerate(outcomes) if type(o) is tuple]
-            chunks = [closing] if closing else []
-            chunks += [closing[:2] + [d] + closing[2:4] for d in failing[:: len(failing) // 7]]
-            for chunk in chunks:
-                batch = interleave([quiddities[d] for d in chunk])
-                got = grow_outcome(_grow, batch, m, radical, len(chunk))
-                assert got == batch_outcome([outcomes[d] for d in chunk]), (chunk, m, radical)
     assert set(kinds) == {"rows", "QuiddityPositivityError", "ClosureError"}, kinds
     assert min(kinds.values()) >= 50, kinds
 
@@ -1179,21 +1091,20 @@ def test_rows_above_the_middle_share_the_ints_below_it():
         lower = rows[n - r][r:] + rows[n - r][:r]
         assert len(rows[r]) == n and all(map(operator.is_, rows[r], lower)), r
     assert rows[n] is rows[0]
-    # so in a batch of B quiddities of period N, as `verify._batch_passes`
-    # reads both families, each row R > N/2 is row N - R rotated by R·B
-    # entries (row N/2 + 1 by the glide test, the rows above it by the very
-    # ints): comparing the rows up to the middle compares these too
-    batch = list(enumerate_p_angulations(4, 4))[:7]  # 10-gons
-    size, n = len(batch), batch[0].n
-    families = (
-        ([quiddity_counts(d) for d in batch], 2, True),
-        ([quiddity_counts(associated_triangulation(d, 4)) for d in batch], 1, False),
-    )
-    for quiddities, m, radical in families:
-        rows = _grow(interleave(quiddities), m, radical, size)
-        for r in range(n // 2 + 1, n):
-            shift = r * size
-            lower = rows[n - r][shift:] + rows[n - r][:shift]
-            assert rows[r] == lower, (r, radical)
-            assert r == n // 2 + 1 or all(map(operator.is_, rows[r], lower)), (r, radical)
-        assert rows[n] is rows[0]
+    # so in both families of a dissection, as `verify._passes` reads them,
+    # each row R > N/2 is row N - R rotated by R columns (row N/2 + 1 by the
+    # glide test, the rows above it by the very ints): comparing the rows up
+    # to the middle compares these too
+    for d in list(enumerate_p_angulations(4, 4))[:7]:  # 10-gons
+        n = d.n
+        families = (
+            (quiddity_counts(d), 2, True),
+            (quiddity_counts(associated_triangulation(d, 4)), 1, False),
+        )
+        for counts, m, radical in families:
+            rows = _grow(counts, m, radical)
+            for r in range(n // 2 + 1, n):
+                lower = rows[n - r][r:] + rows[n - r][:r]
+                assert rows[r] == lower, (r, radical)
+                assert r == n // 2 + 1 or all(map(operator.is_, rows[r], lower)), (r, radical)
+            assert rows[n] is rows[0]

@@ -256,7 +256,7 @@ def test_first_violation_is_taken_in_check_order(monkeypatch, quad10):
     wrong_rows = friezes.verify._rows(wrong_tc, 1, False)
     # the pass test fails, and the rows walked are the radical frieze's and
     # the corrupted triangulation's, whichever triangle counts were read
-    monkeypatch.setattr(friezes.verify, "_batch_passes", lambda faces, triangles, p: False)
+    monkeypatch.setattr(friezes.verify, "_passes", lambda q, tc, p: False)
     monkeypatch.setattr(
         friezes.verify, "_rows", lambda counts, m, is_radical: radical if is_radical else wrong_rows
     )
@@ -304,12 +304,11 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
     calls.update(dict.fromkeys(names, 0))
     assert deep_uniqueness(quad10, 4).triangulations == 1430
     assert calls["_is_p_angulation"] == calls["is_p_angulation"] == calls["_face_pass"] == 1
-    # an orbit sweep's batches test each leaf they check once, in one face
-    # pass, and read its face counts off the walk (p = 4, s ≤ 5 has 344
-    # dissections, p = 6, s ≤ 3 has 41); the exhaustive sweep glues its
-    # p-angulations, so it tests none and walks no face (it tested and
-    # face-passed every leaf while it read them off the walk); its ears'
-    # counts are the lone p-gon's, read once per process, here beforehand
+    # both sweeps glue their p-angulations (p = 4, s ≤ 5 has 344
+    # dissections, p = 6, s ≤ 3 has 41), so they test none and walk no face
+    # (the orbit sweep tested and face-passed each leaf it checked while it
+    # read them off the walk); the ears' counts are the lone p-gon's, read
+    # once per process, here beforehand
     from friezes.ears import _faces
 
     for p, s_max, checked in ((4, 5, 344), (6, 3, 41)):
@@ -318,8 +317,7 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
             calls.update(dict.fromkeys(names, 0))
             summary = sweep(p, s_max, orbits=orbits)
             assert summary.checked == checked
-            tested = summary.orbits_checked if orbits else 0
-            assert calls == dict(zip(names, (tested, 0, 0, tested)))
+            assert calls == dict.fromkeys(names, 0)
     # a failing dissection (the mirror's triangle counts: the lemma fails)
     # grows its rows from the counts already read: still one of each
     mirror = mirror_counts(quad10, 4)
@@ -411,24 +409,24 @@ def test_sweep_rejects_bad_bound(monkeypatch):
         for run in (lambda: next(_ear_batches(p, s_max)), lambda: sweep(p, s_max)):
             with pytest.raises(ValueError, match="^the 1002-gon is too large for a frieze grid$"):
                 run()
-    # the orbit sweep passes the same door, before its walk starts
+    # the orbit sweep passes the same door, before its ear tree starts
     import friezes.verify
 
-    def no_walk(s, p):
-        raise AssertionError("the orbit sweep started its walk")
+    def no_tree(p, s_max):
+        raise AssertionError("the orbit sweep started its ear tree")
 
-    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", no_walk)
+    monkeypatch.setattr(friezes.verify, "_ear_batches", no_tree)
     for p, s_max in ((4, 500), (6, 250)):
         with pytest.raises(ValueError, match="^the 1002-gon is too large for a frieze grid$"):
             sweep(p, s_max, orbits=True)
 
 
 def corrupt_triangle_counts(monkeypatch, wrong):
-    """Patch the one counts function of `verify._counts` and the orbit
-    sweep, `_refined_counts`, to give the triangle counts wrong[n, diagonals]
-    for the n-gon's dissection with those sorted diagonals, and the true
-    counts otherwise; and corrupt those dissections for the exhaustive sweep,
-    which reads no triangle counts of a whole dissection, by `corrupt_ears`."""
+    """Patch the one counts function of `verify._counts`, `_refined_counts`,
+    to give the triangle counts wrong[n, diagonals] for the n-gon's
+    dissection with those sorted diagonals, and the true counts otherwise;
+    and corrupt those dissections for both sweeps, which read no triangle
+    counts of a whole dissection, by `corrupt_ears`."""
     import friezes.verify
     from friezes import quiddity_counts
 
@@ -440,52 +438,64 @@ def corrupt_triangle_counts(monkeypatch, wrong):
 
     monkeypatch.setattr(friezes.verify, "_refined_counts", corrupted)
     leaves = {quiddity_counts(Dissection(n, diagonals)) for n, diagonals in wrong}
-    corrupt_ears(monkeypatch, leaves, lambda batch, a: bump(batch, 1, 0, a))
+    corrupt_ears(monkeypatch, leaves, lambda run, a: bump(run, 1, 0, a))
 
 
-def ear_children(p, batch):
-    """(a, face counts) of each child of one batch of `verify._ear_batches`."""
+def ear_children(p, counts, first, last):
+    """(a, face counts) of the children a = first..last of the ear tree's node
+    with these counts."""
     from friezes.ears import _glued
 
+    return [(a, tuple(_glued(counts[0], a, [1] * p))) for a in range(first, last + 1)]
+
+
+def ear_run(p, batch):
+    """The arguments of `_ears_pass` that check a whole batch of
+    `_ear_batches`: (p, 0, last, counts, news), the news computed by `_news`
+    where the batch carries none."""
+    from friezes.ears import _news
+
     s, last, counts, rows, news = batch
-    return [(a, tuple(_glued(counts[0], a, [1] * p))) for a in range(last + 1)]
+    return p, 0, last, counts, news or _news(p, len(counts[0]), tuple(rows), 0, last)
 
 
 def corrupt_ears(monkeypatch, leaves, corrupt):
-    """Patch the exhaustive sweep's batches, `verify._ear_batches`: each batch
-    with a child whose face counts are in leaves is replaced by corrupt(batch,
-    a), a changed copy, for each such child a.  The batches the generator
-    keeps, from which it glues the children, stay as they are."""
+    """Patch the sweeps' ear checks, `verify._ears_pass`: a run of children
+    (p, first, last, counts, news) with a child a whose face counts are in
+    leaves is checked as corrupt(run, a), a changed copy, for each such
+    child.  The news the generator keeps, from which it glues the children,
+    stay as they are."""
     import friezes.verify
 
-    batches = friezes.verify._ear_batches
+    ears_pass = friezes.verify._ears_pass
 
-    def corrupted(p, s_max):
-        for batch in batches(p, s_max):
-            for a, q in ear_children(p, batch):
-                if q in leaves:
-                    batch = corrupt(batch, a)
-            yield batch
+    def corrupted(p, first, last, counts, news):
+        run = p, first, last, counts, news
+        for a, q in ear_children(p, counts, first, last):
+            if q in leaves:
+                run = corrupt(run, a)
+        return ears_pass(*run)
 
-    monkeypatch.setattr(friezes.verify, "_ear_batches", corrupted)
+    monkeypatch.setattr(friezes.verify, "_ears_pass", corrupted)
 
 
-def bump(batch, family, t, a, by=1):
-    """A copy of an ear batch with the first new entry of child a, between its
+def bump(run, family, t, a, by=1):
+    """A copy of a run of ear checks, `_ears_pass`'s arguments (p, first,
+    last, counts, news), with the first new entry of child a, between its
     corner a + t + 1 and vertex 0, moved by `by` in the given family (0
     radical, 1 integral)."""
-    s, last, counts, rows, news = batch
-    n = len(counts[0])
+    p, first, last, counts, news = run
     news = [[list(new) for new in family_news] for family_news in news]
-    news[family][t][a * n] += by
-    return s, last, counts, rows, news
+    news[family][t][(a - first) * len(counts[0])] += by
+    return p, first, last, counts, news
 
 
-def zeroed(batch, a):
-    """A copy of an ear batch with that first new entry of child a (t = 0) 0 in
-    both families: still equal, but not positive."""
-    n = len(batch[2][0])
-    return bump(bump(batch, 0, 0, a, -batch[4][0][0][a * n]), 1, 0, a, -batch[4][1][0][a * n])
+def zeroed(run, a):
+    """A copy of a run of ear checks with that first new entry of child a
+    (t = 0) 0 in both families: still equal, but not positive."""
+    p, first, last, counts, news = run
+    at = (a - first) * len(counts[0])
+    return bump(bump(run, 0, 0, a, -news[0][0][at]), 1, 0, a, -news[1][0][at])
 
 
 def mirror_counts(d, p):
@@ -496,13 +506,13 @@ def mirror_counts(d, p):
 
 
 def test_sweep_re_runs_only_failing_levels(monkeypatch):
-    # the 273 dissections of s = 5 come, in an orbit sweep, in batches of
-    # 64, 64, 64, 64 and 17: one corrupted in the second, full batch and one
-    # in the last, partial batch (an orbit representative) give the mirror's
-    # triangle counts (the lemma fails, every row passes, the even rows at
-    # ε = 1), and in the exhaustive sweep one wrong new entry each, in the
-    # ear batches of their parents; each sweep re-runs level 5 once, whole
-    # and in enumeration order, and no other level, and reports each as
+    # two of the 273 dissections of s = 5, the top level, the second an
+    # orbit representative, give the mirror's triangle counts alone (the
+    # lemma fails, every row passes, the even rows at ε = 1), and one wrong
+    # new entry each in the sweeps' ear checks: the exhaustive sweep's
+    # batches of their parents, the orbit sweep's check of the
+    # representative alone; each sweep re-runs level 5 once, whole and in
+    # enumeration order, and no other level, and reports each as
     # verify_dissection does under the same patch
     import friezes.verify
 
@@ -564,30 +574,32 @@ def test_every_level_above_a_failing_one_is_re_run(monkeypatch):
 
 
 def test_a_marked_level_whose_dissections_pass_alone_is_an_internal_fault(monkeypatch, capsys):
-    # a batch that fails while each of its dissections passes alone is a
-    # fault of the batched pass (the orbit sweep's `_batch_passes`, the
-    # exhaustive sweep's `_ears_pass`): the sweep raises, in both modes, and
-    # the CLI exits 3
+    # a check that fails while each of its dissections passes alone is a
+    # fault of the ear checks, `_ears_pass`: the sweep raises, in both modes,
+    # and the CLI exits 3.  Every run but the lone p-gon's fails level 2 in
+    # both sweeps; every check of one representative alone fails only the
+    # orbit sweep's top level
     import friezes.verify
     from friezes.cli import main
 
-    batch_passes = friezes.verify._batch_passes
     ears_pass = friezes.verify._ears_pass
 
-    def fails_batches(faces, triangles, p):
-        return len(faces) == 1 and batch_passes(faces, triangles, p)
+    def fails_runs(p, first, last, counts, news):  # the lone p-gon is the 2-gon's only child
+        return last == 0 and ears_pass(p, first, last, counts, news)
 
-    def fails_ears(p, last, counts, news):  # the lone p-gon is the 2-gon's only child
-        return last == 0 and ears_pass(p, last, counts, news)
+    def fails_representatives(p, first, last, counts, news):
+        return not 0 < first == last and ears_pass(p, first, last, counts, news)
 
-    monkeypatch.setattr(friezes.verify, "_batch_passes", fails_batches)
-    monkeypatch.setattr(friezes.verify, "_ears_pass", fails_ears)
-    for orbits, s in ((False, 2), (True, 3)):  # s = 2 is one orbit, checked alone
-        message = f"a batch of 4-angulations with {s} faces failed, but each passes alone"
-        with pytest.raises(InternalAssertionError, match=message):
+    monkeypatch.setattr(friezes.verify, "_ears_pass", fails_runs)
+    for orbits in (False, True):
+        with pytest.raises(InternalAssertionError, match="with 2 faces failed, but each passes"):
             sweep(4, 5, orbits=orbits)
     assert main(["verify", "--p", "4", "--max-s", "5"]) == 3
     assert "a batch of 4-angulations with 2 faces failed" in capsys.readouterr().err
+    monkeypatch.setattr(friezes.verify, "_ears_pass", fails_representatives)
+    assert sweep(4, 5).all_ok
+    with pytest.raises(InternalAssertionError, match="with 5 faces failed, but each passes alone"):
+        sweep(4, 5, orbits=True)
 
 
 def test_sweep_builds_each_level_at_most_once(monkeypatch):
@@ -624,36 +636,37 @@ def test_sweep_builds_each_level_at_most_once(monkeypatch):
 
 def test_batch_pass_compares_the_rows_up_to_the_middle(monkeypatch):
     # consistent counts make every row agree, so only a corrupted row shows
-    # which rows of both batches are compared: one entry of any row 2..N/2
-    # of either family, moved by one, fails the batch.  Row 1 is all ones in
-    # both, and each row above the middle is a lower row rotated in both
-    # (test_rows_above_the_middle_share_the_ints_below_it), so those rows
-    # agree when the rows up to the middle do, and are not read
+    # which rows of both friezes the pass test compares: one entry of any
+    # row 2..N/2 of either family, moved by one, fails the dissection.  Row 1
+    # is all ones in both, and each row above the middle is a lower row
+    # rotated in both (test_rows_above_the_middle_share_the_ints_below_it),
+    # so those rows agree when the rows up to the middle do, and are not read
     import friezes.verify
-    from friezes.verify import _batch_passes, _counts
+    from friezes.verify import _counts, _passes
 
-    batch = list(enumerate_p_angulations(4, 4))[:7]  # 10-gons: rows 2..5 are read
-    faces, triangles = zip(*[_counts(d, 4) for d in batch])
-    assert _batch_passes(faces, triangles, 4)
     grow = friezes.verify._grow
-    for r in range(1, 10):
-        for family in (True, False):
+    for d in list(enumerate_p_angulations(4, 4))[:7]:  # 10-gons: rows 2..5 are read
+        q, tc = _counts(d, 4)
+        monkeypatch.setattr(friezes.verify, "_grow", grow)
+        assert _passes(q, tc, 4)
+        for r in range(1, 10):
+            for family in (True, False):
 
-            def bumped(counts, m, radical, size, r=r, family=family):
-                rows = grow(counts, m, radical, size)
-                if radical is family:
-                    rows = [list(row) for row in rows]
-                    rows[r][3 * size + 2] += 1  # column 3 of the batch's third dissection
-                return rows
+                def bumped(counts, m, radical, r=r, family=family):
+                    rows = grow(counts, m, radical)
+                    if radical is family:
+                        rows = [list(row) for row in rows]
+                        rows[r][3] += 1  # column 3
+                    return rows
 
-            monkeypatch.setattr(friezes.verify, "_grow", bumped)
-            assert _batch_passes(faces, triangles, 4) is not (2 <= r <= 5), (r, family)
+                monkeypatch.setattr(friezes.verify, "_grow", bumped)
+                assert _passes(q, tc, 4) is not (2 <= r <= 5), (d, r, family)
 
 
 def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
-    # triangle counts that are no quiddity make the orbit batch's kernel
-    # raise (the exhaustive sweep sees a wrong entry of the dissection); the
-    # level is re-run one dissection at a time, and the sweep raises the
+    # triangle counts that are no quiddity make the kernel raise for the
+    # dissection alone (the sweep sees a wrong entry of it); the level is
+    # re-run one dissection at a time, and the sweep raises the
     # InternalAssertionError that dissection raises alone
     from friezes.verify import _counts
 
@@ -671,21 +684,14 @@ def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
 @pytest.mark.parametrize("short_s", [1, 3, 5])
 def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
     # an enumeration one dissection short is an internal fault, whichever
-    # batch the missing one would have fallen in: the walk of an orbit sweep
-    # one leaf short, or the ear batches of the exhaustive sweep one child
-    # short (at s = 1 the 2-gon's one child, the lone p-gon, is dropped):
-    # exit 3 from the CLI
+    # batch the missing one would have fallen in: the ear batches of either
+    # sweep one child short (at s = 1 the 2-gon's one child, the lone
+    # p-gon, is dropped; the top level of an orbit sweep counts the children
+    # it does not check): exit 3 from the CLI
     import friezes.verify
     from friezes.cli import main
 
-    walk_of = friezes.verify._p_angulation_walk
     batches_of = friezes.verify._ear_batches
-
-    def one_short(s, p):
-        n, walk = walk_of(s, p)
-        if s == short_s:
-            next(walk)
-        return n, walk
 
     def one_child_short(p, s_max):
         short = False
@@ -694,7 +700,6 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
                 short, last = True, last - 1
             yield (s, last, *rest)
 
-    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", one_short)
     monkeypatch.setattr(friezes.verify, "_ear_batches", one_child_short)
     expected = {1: 1, 3: 12, 5: 273}[short_s]
     message = f"enumerated {expected - 1} 4-angulations with {short_s} faces, expected {expected}"
@@ -725,9 +730,9 @@ def even_orbit(d):
 
 
 def test_leaf_counts_equal_the_refinements_counts():
-    # the sweep's per-leaf counts (the walk's count list, and the triangle
-    # counts of one face pass) and `_counts` of the leaf's Dissection are
-    # the face counts of D and the triangle counts of the associated
+    # the walk's count list with the triangle counts of one face pass over
+    # its sorted diagonals, and `_counts` of the leaf's Dissection, are the
+    # face counts of D and the triangle counts of the associated
     # triangulation, built and validated here
     from friezes import quiddity_counts
     from friezes.bijection import _refined_counts
@@ -779,12 +784,11 @@ def test_counts_refuse_what_the_refinement_refused():
 
 
 def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
-    # a leaf of the orbit sweep's walk that fails the p-angulation test marks
-    # its level, whose re-run raises verify_dissection's error for it, naming
-    # the leaf as a Dissection.  The exhaustive sweep glues p-angulations,
-    # each one by construction, and tests none: with the test refusing
-    # everything it still passes, and the p-angulations it glues are the
-    # walk's, each a p-angulation (a p-angulation is fixed by its counts)
+    # verify_dissection raises its error for a dissection that fails the
+    # p-angulation test, naming it.  Both sweeps glue p-angulations, each one
+    # by construction, and test none: with the test refusing everything they
+    # still pass, and the p-angulations they glue are the walk's, each a
+    # p-angulation (a p-angulation is fixed by its counts)
     import friezes.bijection
     from friezes import NotPAngulationError, is_p_angulation
     from friezes.polygon import _p_angulation_walk
@@ -794,10 +798,9 @@ def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
     with pytest.raises(NotPAngulationError) as alone:
         verify_dissection(Dissection(4), 4)
     assert str(alone.value) == "Dissection(n=4, diagonals=[]) is not a 4-angulation"
-    with pytest.raises(NotPAngulationError) as raised:
-        sweep(4, 2, orbits=True)
-    assert str(raised.value) == str(alone.value)
-    assert sweep(4, 2).all_ok and sweep(4, 2).per_s == {1: 1, 2: 3}
+    for orbits in (False, True):
+        summary = sweep(4, 2, orbits=orbits)
+        assert summary.all_ok and summary.per_s == {1: 1, 2: 3}
     monkeypatch.undo()
     for p, s_max in ((4, 3), (6, 2)):
         walked = {}
@@ -805,7 +808,8 @@ def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
             n, walk = _p_angulation_walk(s, p)
             for diagonals, counts in walk:
                 walked[tuple(counts)] = Dissection(n, diagonals)
-        glued = [q for batch in _ear_batches(p, s_max) for _, q in ear_children(p, batch)]
+        glued = [q for s, last, counts, _, _ in _ear_batches(p, s_max)
+                 for _, q in ear_children(p, counts, 0, last)]
         assert sorted(glued) == sorted(walked)
         assert all(is_p_angulation(walked[q], p) for q in glued)
 
@@ -879,9 +883,10 @@ def test_orbit_sweep_summary_is_the_exhaustive_one(p, s_max, deep):
 
 
 def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypatch):
-    # an orbit sweep checks only representatives: a corrupted one fails its
-    # batch, and the whole level is re-run one dissection at a time, so a
-    # corrupted leaf it never checked is reported too, in enumeration order
+    # an orbit sweep checks every level below the top whole: a corrupted
+    # representative there fails its batch, and the whole level is re-run
+    # one dissection at a time, so a corrupted leaf it would not check on
+    # the top level is reported too, in enumeration order
     from friezes import quiddity_counts
     from friezes.verify import _counts, _least_rotation
 
@@ -918,6 +923,83 @@ def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypat
     assert str(orbit_swept.value) == str(swept.value)
 
 
+def test_orbit_sweep_checks_every_level_below_the_top_whole(monkeypatch):
+    # an orbit sweep checks every p-angulation of the levels below s_max, so
+    # a corrupted one that represents no orbit is reported there (the orbit
+    # sweep fed by the walk checked only representatives, on every level,
+    # and missed it); on the top level it is left unchecked
+    from friezes import quiddity_counts
+
+    level = list(enumerate_p_angulations(5, 4))
+    d = next(d for d in level[100:] if quiddity_counts(d)[0] >= 2)  # vertex 0 in two faces
+    corrupt_triangle_counts(monkeypatch, {(d.n, d.diagonals_sorted): mirror_counts(d, 4)})
+    for s_max in (5, 6):
+        exhaustive = sweep(4, s_max)
+        orbits = sweep(4, s_max, orbits=True)
+        assert [r.dissection for r in exhaustive.counterexamples] == [d]
+        reported = [r.to_json() for r in orbits.counterexamples]
+        expected = [r.to_json() for r in exhaustive.counterexamples] if s_max == 6 else []
+        for blob in reported + expected:
+            del blob["timings_ms"]
+        assert reported == expected, s_max
+
+
+def test_orbit_top_level_checks_exactly_the_representatives(monkeypatch):
+    # below s_max an orbit sweep checks whole batches; on the top level it
+    # checks one child at a time, exactly the walk's leaves of that level
+    # whose counts are least among their even rotations, one per orbit
+    import friezes.verify
+    from friezes import fuss_catalan
+    from friezes.polygon import _p_angulation_walk
+    from friezes.verify import _least_rotation
+
+    ears_pass = friezes.verify._ears_pass
+    runs = []
+
+    def recorded(p, first, last, counts, news):
+        runs.append((first, last, [q for _, q in ear_children(p, counts, first, last)]))
+        return ears_pass(p, first, last, counts, news)
+
+    monkeypatch.setattr(friezes.verify, "_ears_pass", recorded)
+    for p, s_max in ((4, 1), (4, 2), (4, 6), (6, 1), (6, 4)):
+        runs.clear()
+        assert sweep(p, s_max, orbits=True).all_ok
+        n = (p - 2) * s_max + 2
+        top = [(first, last, children) for first, last, children in runs if len(children[0]) == n]
+        below = [(first, last) for first, last, children in runs if len(children[0]) < n]
+        assert all(first == last for first, last, _ in top)
+        assert all(first == 0 for first, _ in below)
+        # one whole batch per node below the top: the 2-gon, each p-angulation of s ≤ s_max − 2
+        assert len(below) == (s_max > 1) + sum(fuss_catalan(s, p) for s in range(1, s_max - 1))
+        walked = [tuple(c) for _, c in _p_angulation_walk(s_max, p)[1] if _least_rotation(list(c))]
+        assert sorted(q for _, _, children in top for q in children) == sorted(walked), (p, s_max)
+
+
+def test_a_run_of_children_computes_the_batchs_entries():
+    # `_news` of a run of one child, or of two, is that slice of the whole
+    # batch's news, a run from an odd child reading the coefficients from
+    # the period's second half, and `_ears_pass` passes each run of one:
+    # one code path serves the whole batch and the orbit sweep's single
+    # representatives (7,088 and 2,608 single-child lists compared)
+    from friezes.ears import _ear_batches, _ears_pass, _news
+
+    for p, s_max, lists in ((4, 6, 7088), (6, 4, 2608)):
+        compared = 0
+        for s, last, counts, rows, news in _ear_batches(p, s_max):
+            n, rows = len(counts[0]), tuple(rows)
+            whole = _news(p, n, rows, 0, last)
+            assert news is None or news == whole
+            for first in range(last + 1):
+                for end in range(first, min(first + 2, last + 1)):  # runs of one and of two
+                    run = _news(p, n, rows, first, end)
+                    for family_run, family_whole in zip(run, whole):
+                        for got, want in zip(family_run, family_whole):
+                            assert got == want[first * n : (end + 1) * n], (p, s, first, end)
+                            compared += first == end
+                    assert _ears_pass(p, first, end, counts, run), (p, s, first, end)
+        assert compared == lists
+
+
 def test_even_row_offsets_are_pinned():
     # odd-length continuants scale by λ^(±1), so every even-row offset ε_j
     # is 0 for the associated triangulation and 1 for its mirror (the
@@ -942,8 +1024,8 @@ def glued_levels(p, s_max):
     from friezes.ears import _ear_batches
 
     levels = {s: [] for s in range(1, s_max + 1)}
-    for batch in _ear_batches(p, s_max):
-        levels[batch[0]] += [q for _, q in ear_children(p, batch)]
+    for s, last, counts, _, _ in _ear_batches(p, s_max):
+        levels[s] += [q for _, q in ear_children(p, counts, 0, last)]
     return {s: sorted(qs) for s, qs in levels.items()}
 
 
@@ -978,9 +1060,11 @@ def test_ear_rows_and_new_entries_are_the_kernels():
     # both families: each node's rows 0..last + 1 (the rows its children
     # read) and each child's new entries, between its new corner a + t and
     # every old vertex, equal the entries of `_grow`'s rows grown from the
-    # p-angulation's own counts, and the node's counts are its `_counts`
+    # p-angulation's own counts, and the node's counts are its `_counts`; a
+    # node whose children are leaves carries its rows unglued and no news,
+    # which `_news` computes from the rows
     from friezes.polygon import _p_angulation_walk
-    from friezes.ears import _ear_batches, _glued
+    from friezes.ears import _ear_batches, _glued, _news
     from friezes.verify import _counts, _rows
 
     for p, s_max in ((4, 6), (6, 4)):
@@ -998,6 +1082,9 @@ def test_ear_rows_and_new_entries_are_the_kernels():
         nodes = children = 0
         for s, last, counts, rows, news in _ear_batches(p, s_max):
             n = len(counts[0])
+            assert (news is None) is (s == s_max)
+            rows = tuple(rows)
+            news = news or _news(p, n, rows, 0, last)
             if s > 1:  # past the 2-gon
                 nodes += 1
                 node_counts, node_grids = grids(counts[0])
@@ -1048,26 +1135,22 @@ def test_each_ear_check_refuses_its_own_fault(monkeypatch):
     from friezes import quiddity_counts
     from friezes.ears import _EARS, _ear_batches, _ears_pass, _faces_pass
 
-    def passes(batch, p=4):
-        s, last, counts, rows, news = batch
-        return _ears_pass(p, last, counts, news)
-
     for p, s_max in ((4, 4), (6, 3)):
-        assert all(passes(batch, p) for batch in _ear_batches(p, s_max))
+        assert all(_ears_pass(*ear_run(p, batch)) for batch in _ear_batches(p, s_max))
         assert _faces_pass(p)
-    batch = list(_ear_batches(4, 3))[1]  # the square's children, the 6-gons
-    s, last, counts, rows, news = batch
-    assert (s, last) == (2, 2) and passes(batch)
+    run = ear_run(4, list(_ear_batches(4, 3))[1])  # the square's children, the 6-gons
+    p, first, last, counts, news = run
+    assert (first, last) == (0, 2) and _ears_pass(*run)
     for family in (0, 1):
         for by in (1, -1):
-            assert not passes(bump(batch, family, 0, 1, by))
+            assert not _ears_pass(*bump(run, family, 0, 1, by))
     assert news[0][0][0] == news[1][0][0] == 1  # entry (1, 0) of the child a = 0
-    assert not passes(zeroed(batch, 0))
+    assert not _ears_pass(*zeroed(run, 0))
     for family in (0, 1):  # a face count or a triangle count moved, at a or at b
         for v in (0, last + 1):  # vertex last + 1 is only the last child's b
             moved = [list(c) for c in counts]
             moved[family][v] += 1
-            assert not passes((s, last, moved, rows, news))
+            assert not _ears_pass(p, first, last, moved, news)
     radical, (integral, face_counts) = _EARS[4][0]
     wrong = [list(row) for row in integral]
     wrong[1][3] += 1
@@ -1298,17 +1381,17 @@ def test_deep_sweep_flags_every_dissection():
 
 
 def test_batch_pass_is_the_per_entry_walks_at_epsilon_0():
-    # `_batch_passes` on a batch of one passes exactly when the per-entry
-    # walks on `_rows` pass with every ε_j = 0, and a kernel that raises is
-    # no pass: the true counts pass, the mirror's fail only the lemma (their
-    # even rows at ε = 1), and every entry moved by ±1 makes the kernel raise
+    # the pass test `_passes` passes exactly when the per-entry walks on
+    # `_rows` pass with every ε_j = 0, and a kernel that raises is no pass:
+    # the true counts pass, the mirror's fail only the lemma (their even rows
+    # at ε = 1), and every entry moved by ±1 makes the kernel raise
     from friezes.verify import (
-        _batch_passes,
         _counts,
         _even_rows_match,
         _grids,
         _lemma_counts,
         _odd_rows_match,
+        _passes,
     )
 
     def walks_pass(q, tc, p):
@@ -1336,7 +1419,7 @@ def test_batch_pass_is_the_per_entry_walks_at_epsilon_0():
                 ]
                 for counts in variants:
                     walked = walks_pass(q, counts, p)
-                    assert _batch_passes([q], [counts], p) is bool(walked), (d, counts)
+                    assert _passes(q, counts, p) is bool(walked), (d, counts)
                     outcomes[walked] += 1
     # 77 dissections: each passes on its counts and fails on its mirror's,
     # and 2n moved counts of an n-gon each raise

@@ -224,8 +224,8 @@ def _ears_pass(p: int, first: int, last: int, counts: tuple, news: tuple) -> boo
     scaled with ε = 0 on the even ones; the integral entries are then
     positive too).  The changed counts, at the centres a and b, must be row 2
     of their family's new entries, face counts radical and triangle counts
-    integral; so the comparison at those entries is the lemma on them, as in
-    `verify._passes`.  A run of no children passes.
+    integral; so the comparison at those entries is the lemma on them.  A run
+    of no children passes.
     """
     if first > last:
         return True

@@ -12,20 +12,16 @@ face's other black corners as neighbours), after the counting test that D is
 a p-angulation, the one check of D; the counts of D and T are read once
 each.  The checks take the kernel's int rows as they come, with no QuadNum
 in between: an odd row is compared as two int lists, and an even row of the
-radical frieze holds the coefficients a_k of a_k·√m.  One pass test,
-`_passes`, decides a dissection for `verify_dissection`: both friezes are
-grown once, and each check is one comparison per row up to the middle
-against a multiplier list that puts p/2 on the odd columns.  A pass is all
-three checks passing with every ε_j = 0, which (A) below proves for the
-associated triangulation.  Only a dissection that does not pass has its own
-rows grown and walked entry by entry, to name its witness and its ε_j.  A
-sweep grows no frieze of a whole dissection: it glues each p-angulation
-from its parent by one ear and computes and checks only the O(p·n) entries
-the ear adds, for all children of one parent at once ((E) below), or, on
-the top level of an orbit sweep, for one representative at a time ((C)
-below).  A level with a check that fails is re-run through
-`verify_dissection`, in the one pass that builds its `Dissection`s, so a
-report is always `verify_dissection`'s.  The checks are:
+radical frieze holds the coefficients a_k of a_k·√m.  `verify_dissection`
+grows both friezes once and walks them by the three checks below, which
+name the first witness and the ε_j.  A sweep grows no frieze of a whole
+dissection: it glues each p-angulation from its parent by one ear and
+computes and checks only the O(p·n) entries the ear adds, for all children
+of one parent at once ((E) below), or, on the top level of an orbit sweep,
+for one representative at a time ((C) below).  A level with a check that
+fails is re-run through `verify_dissection`, in the one pass that builds
+its `Dissection`s, so a report is always `verify_dissection`'s.  The checks
+are:
 
 * check_lemma        — triangle counts of T against face counts of D:
                        t_α = q_α at white (even) vertices and (p/2)·q_α at
@@ -177,14 +173,14 @@ Both sweeps rest on a fourth:
 from __future__ import annotations
 
 import time
-from operator import mul, ne
+from operator import ne
 from typing import NamedTuple, Sequence
 
 from .bijection import _not_p_angulation, _refined_counts, _require_p
 from .bijection import associated_triangulation
 from .ears import _ear_batches, _ears_pass, _faces_pass, _glued, _news
 from .exact import LAMBDA_RADICAND
-from .frieze import Frieze, InternalAssertionError, _grow, _require_grid, _rows
+from .frieze import Frieze, InternalAssertionError, _require_grid, _rows
 from .polygon import (
     Dissection,
     _p_angulation_walk,
@@ -351,39 +347,6 @@ def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     return _even_rows_match(*_grids(*_counts(d, p), p), d.n - 3, p)
 
 
-def _passes(q: Sequence[int], tc: Sequence[int], p: int) -> bool:
-    """Do all three checks pass, every ε_j = 0, on the dissection with face
-    counts q and triangle counts tc?
-
-    Each family is grown once by `_grow`, so every check is one C-level
-    comparison per row.  The period N is even, so the multiplier list
-    [1, p/2]·(N/2) carries the factor p/2 at the odd columns: the odd rows
-    hold when the two rows are equal, and the even rows with ε = 0 when the
-    integral row is the radical coefficients times it.  Row 2 is the counts
-    themselves (the triangle counts, and the face counts as multiples of
-    √m), so its comparison is the lemma.  The kernel rows hold no None and
-    the kernel has checked them positive, so neither is scanned.  Only rows
-    2..N/2 are compared: row 1 is all ones in both families, and `_grow`
-    returns only through its glide exit, so each row R > N/2 is row N - R
-    rotated by R columns in both (row N/2 + 1 by the glide test, the rows
-    above by the exit's copies); a rotation keeps two rows equal and, for an
-    even R, the multiplier list, of period 2, in place.  A kernel failure is
-    no pass: `verify_dissection` then grows the rows again by `_rows`, which
-    raises it.
-    """
-    try:
-        radical = _grow(q, LAMBDA_RADICAND[p], True)
-        integral = _grow(tc, 1, False)
-    except ValueError:  # a FriezeError, or a polygon past the kernel's bound
-        return False
-    period = len(q)
-    mult = [1, p // 2] * (period // 2)
-    return all(
-        integral[r] == (radical[r] if r % 2 else list(map(mul, radical[r], mult)))
-        for r in range(2, period // 2 + 1)
-    )
-
-
 def _least_rotation(counts: list[int]) -> bool:
     """Are the counts lexicographically least among their even rotations?
 
@@ -435,29 +398,20 @@ class VerificationReport(NamedTuple):
 def verify_dissection(d: Dissection, p: int) -> VerificationReport:
     """Run all three checks on D's counts, read once.
 
-    The counts decide the result by `_passes`: a pass is every check
-    passing with every ε_j = 0, as (A) in the module docstring proves for
-    the associated triangulation.  Only a dissection that does not pass has
-    its rows grown again from the same counts by `_rows` (which raises
+    Both friezes are grown once from the counts by `_rows` (which raises
     InternalAssertionError if the kernel fails) and walked entry by entry,
     which names the first violation, in check order, and the ε_j.
-    timings_ms["build"] times reading the counts and the pass test, which
-    grows both friezes; timings_ms["checks"] times the rest, next to nothing
-    on a pass and on a failure the rows and the walks.
+    timings_ms["build"] times reading the counts and growing both friezes;
+    timings_ms["checks"] times the three walks.
     """
     started = time.perf_counter()
     q, tc = _counts(d, p)
-    passed = _passes(q, tc, p)
+    radical, integral = _grids(q, tc, p)
     built = time.perf_counter()
     width = d.n - 3
-    if passed:
-        lemma = odd = CheckResult(True, None)
-        even = EvenScalingResult(True, None, (0,) * len(range(2, width + 2, 2)), False)
-    else:
-        radical, integral = _grids(q, tc, p)
-        lemma = _lemma_counts(q, tc, p)
-        odd = _odd_rows_match(radical, integral, width)
-        even = _even_rows_match(radical, integral, width, p)
+    lemma = _lemma_counts(q, tc, p)
+    odd = _odd_rows_match(radical, integral, width)
+    even = _even_rows_match(radical, integral, width, p)
     finished = time.perf_counter()
     first = lemma.witness or odd.witness or even.witness  # a witness is never falsy
     return VerificationReport(

@@ -1091,10 +1091,9 @@ def test_rows_above_the_middle_share_the_ints_below_it():
         lower = rows[n - r][r:] + rows[n - r][:r]
         assert len(rows[r]) == n and all(map(operator.is_, rows[r], lower)), r
     assert rows[n] is rows[0]
-    # so in both families of a dissection, as `verify._passes` reads them,
+    # so in both families of a dissection, as `verify_dissection` grows them,
     # each row R > N/2 is row N - R rotated by R columns (row N/2 + 1 by the
-    # glide test, the rows above it by the very ints): comparing the rows up
-    # to the middle compares these too
+    # glide test, the rows above it by the very ints)
     for d in list(enumerate_p_angulations(4, 4))[:7]:  # 10-gons
         n = d.n
         families = (

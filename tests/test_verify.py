@@ -254,9 +254,8 @@ def test_first_violation_is_taken_in_check_order(monkeypatch, quad10):
     radical = friezes.verify._rows(q, 2, True)
     wrong_tc = quiddity_counts(corrupted)
     wrong_rows = friezes.verify._rows(wrong_tc, 1, False)
-    # the pass test fails, and the rows walked are the radical frieze's and
-    # the corrupted triangulation's, whichever triangle counts were read
-    monkeypatch.setattr(friezes.verify, "_passes", lambda q, tc, p: False)
+    # the rows walked are the radical frieze's and the corrupted
+    # triangulation's, whichever triangle counts were read
     monkeypatch.setattr(
         friezes.verify, "_rows", lambda counts, m, is_radical: radical if is_radical else wrong_rows
     )
@@ -632,35 +631,6 @@ def test_sweep_builds_each_level_at_most_once(monkeypatch):
     assert summary.deep_failures == tuple(e for s in (1, 2, 3) for e in enumerate_of(s, 4))
     built.clear()
     assert not sweep(4, 3).all_ok and built == [3]  # marked, not deep: only that level
-
-
-def test_batch_pass_compares_the_rows_up_to_the_middle(monkeypatch):
-    # consistent counts make every row agree, so only a corrupted row shows
-    # which rows of both friezes the pass test compares: one entry of any
-    # row 2..N/2 of either family, moved by one, fails the dissection.  Row 1
-    # is all ones in both, and each row above the middle is a lower row
-    # rotated in both (test_rows_above_the_middle_share_the_ints_below_it),
-    # so those rows agree when the rows up to the middle do, and are not read
-    import friezes.verify
-    from friezes.verify import _counts, _passes
-
-    grow = friezes.verify._grow
-    for d in list(enumerate_p_angulations(4, 4))[:7]:  # 10-gons: rows 2..5 are read
-        q, tc = _counts(d, 4)
-        monkeypatch.setattr(friezes.verify, "_grow", grow)
-        assert _passes(q, tc, 4)
-        for r in range(1, 10):
-            for family in (True, False):
-
-                def bumped(counts, m, radical, r=r, family=family):
-                    rows = grow(counts, m, radical)
-                    if radical is family:
-                        rows = [list(row) for row in rows]
-                        rows[r][3] += 1  # column 3
-                    return rows
-
-                monkeypatch.setattr(friezes.verify, "_grow", bumped)
-                assert _passes(q, tc, 4) is not (2 <= r <= 5), (d, r, family)
 
 
 def test_sweep_raises_what_a_failing_kernel_raises_alone(monkeypatch):
@@ -1377,79 +1347,53 @@ def test_deep_sweep_flags_every_dissection():
 
 
 # ---------------------------------------------------------------------------
-# the one pass test against the per-entry walks
+# verify_dissection on true, mirror and moved triangle counts
 
 
-def test_batch_pass_is_the_per_entry_walks_at_epsilon_0():
-    # the pass test `_passes` passes exactly when the per-entry walks on
-    # `_rows` pass with every ε_j = 0, and a kernel that raises is no pass:
-    # the true counts pass, the mirror's fail only the lemma (their even rows
-    # at ε = 1), and every entry moved by ±1 makes the kernel raise
-    from friezes.verify import (
-        _counts,
-        _even_rows_match,
-        _grids,
-        _lemma_counts,
-        _odd_rows_match,
-        _passes,
-    )
+def test_true_counts_pass_the_mirrors_fail_the_lemma_and_moved_ones_raise(monkeypatch):
+    # on the 77 p-angulations of p = 4, s ≤ 4 and p = 6, s ≤ 2: the true
+    # triangle counts pass with every ε_j = 0, the mirror's fail only the
+    # lemma (every row agrees, the even rows at ε = 1), and each of the 2n
+    # counts of an n-gon moved by ±1 makes the kernel raise
+    from friezes.verify import _counts
 
-    def walks_pass(q, tc, p):
-        try:
-            radical, integral = _grids(q, tc, p)
-        except InternalAssertionError:
-            return None
-        width = len(q) - 3
-        even = _even_rows_match(radical, integral, width, p)
-        return (
-            _lemma_counts(q, tc, p).ok
-            and _odd_rows_match(radical, integral, width).ok
-            and even.ok
-            and set(even.epsilons) == {0}
-        )
-
-    outcomes = {True: 0, False: 0, None: 0}
+    wrong = {}  # read at each call: the loop sets each dissection's counts
+    corrupt_triangle_counts(monkeypatch, wrong)
+    outcomes = {"pass": 0, "lemma": 0, "raises": 0}
     for p, s_max in ((4, 4), (6, 2)):
         for s in range(1, s_max + 1):
             for d in enumerate_p_angulations(s, p):
-                q, tc = _counts(d, p)
-                variants = [tc, mirror_counts(d, p)]
-                variants += [
-                    tc[:k] + (t + delta,) + tc[k + 1 :] for k, t in enumerate(tc) for delta in (-1, 1)
-                ]
-                for counts in variants:
-                    walked = walks_pass(q, counts, p)
-                    assert _passes(q, counts, p) is bool(walked), (d, counts)
-                    outcomes[walked] += 1
-    # 77 dissections: each passes on its counts and fails on its mirror's,
-    # and 2n moved counts of an n-gon each raise
-    assert outcomes == {True: 77, False: 77, None: 1448}
+                key = (d.n, d.diagonals_sorted)
+                _, tc = _counts(d, p)
+                report = verify_dissection(d, p)
+                assert report.ok and set(report.epsilons) == {0}, d
+                outcomes["pass"] += 1
+                wrong[key] = mirror_counts(d, p)
+                report = verify_dissection(d, p)
+                assert not report.lemma_ok and report.odd_rows_ok and report.even_scaling_ok, d
+                assert set(report.epsilons) == {1} and report.first_violation.claim == "lemma", d
+                outcomes["lemma"] += 1
+                for k, t in enumerate(tc):
+                    for delta in (-1, 1):
+                        wrong[key] = tc[:k] + (t + delta,) + tc[k + 1 :]
+                        with pytest.raises(InternalAssertionError):
+                            verify_dissection(d, p)
+                        outcomes["raises"] += 1
+    assert outcomes == {"pass": 77, "lemma": 77, "raises": 1448}
 
 
 def test_passing_checks_walk_no_row_entry_by_entry(monkeypatch):
-    # a dissection that passes is decided by the one pass test: a sweep and
-    # verify_dissection run no per-entry loop, in the kernel or the checks,
-    # and verify_dissection grows no rows outside it and walks none
+    # a passing sweep runs no per-entry loop, in the kernel or the checks
     import friezes.frieze
     import friezes.verify
 
     def no_enumerate(*args):
         raise AssertionError("a passing dissection was walked entry by entry")
 
-    cases = [(d, p) for p, s_max in ((4, 4), (6, 2)) for s in range(1, s_max + 1)
-             for d in enumerate_p_angulations(s, p)]
     for module in (friezes.frieze, friezes.verify):
         monkeypatch.setattr(module, "enumerate", no_enumerate, raising=False)
     for p, s_max in ((4, 4), (6, 2)):
         assert sweep(p, s_max).all_ok
-    for name in ("_rows", "_lemma_counts", "_odd_rows_match", "_even_rows_match"):
-
-        def boom(*args, name=name):
-            raise AssertionError(f"a passing verify_dissection called {name}")
-
-        monkeypatch.setattr(friezes.verify, name, boom)
-    for d, p in cases:
-        assert verify_dissection(d, p).ok
 
 
 

@@ -12,7 +12,6 @@ distance in a radical frieze.
 
 from __future__ import annotations
 
-from itertools import cycle
 from operator import add, mul
 from typing import Iterator, Sequence
 
@@ -20,7 +19,8 @@ from .bijection import _refined_counts, _require_p
 from .exact import LAMBDA_RADICAND
 from .frieze import _require_grid, _rows
 
-_EARS: dict = {}  # p -> `_faces(p)`, (p, n, phase) -> `_ear_table(p, n, phase)`: each built once
+# p -> `_faces(p)`, built once; (p, n) -> `_ear_table(p, n, children)` for the longest run yet
+_EARS: dict = {}
 
 
 def _faces(p: int) -> list[tuple[tuple[list[list[int]], list[int]], ...]]:
@@ -67,28 +67,27 @@ def _faces_pass(p: int) -> bool:
     return True
 
 
-def _ear_table(p: int, n: int, phase: int) -> tuple:
-    """What the children a = 0..n − 2 of any n-gon node share, built once per
-    (p, n, phase), as lists indexed by a, or by a·n + j for the old vertex j;
-    those depend only on the parities of a and j, so they hold 2n entries, a
-    period for `cycle`, read from a child of the phase's parity (the first
-    child of a run):
+def _ear_table(p: int, n: int, children: int) -> tuple:
+    """What the children a = 0..children − 1 of any n-gon node share, built
+    once per (p, n) and rebuilt, longer, only for a run past its last child;
+    lists indexed by a, or by a·n + j for the old vertex j, which a run
+    first..last reads in place from child 0, or by one slice from child
+    first:
 
     * per family and inner corner t = 1..p − 2, the coefficients (α, β) of
       (E2) in C values: ℓ_t and ℓ_{p−1−t} of the face, times m where both
-      factors of a radical product are surds;
+      factors of a radical product are surds; a coefficient that is the same
+      for every entry is that int, and keeps no list (`_layout`);
     * per t, the dressing: p/2 where x = a + t is white and x − j even, else 1;
     * the flat indices, in the news of a run from child 0, of the row-2
       entries at the centres a and b = a + p − 1 (between x = a + 1 and
       a − 1, between x = a + p − 2 and the old a + 2);
     * per family, the counts the ear adds at a and at b.
     """
-    table = _EARS.get((p, n, phase))
-    if table is None:
+    table = _EARS.get((p, n))
+    if table is None or len(table[2]) < children:  # one at-a index per child
         m, h = LAMBDA_RADICAND[p], p // 2
         faces = _faces(p)
-        children = range(n - 1)
-        pairs = [(a, j) for a in (phase, 1 - phase) for j in range(n)]
         inner = range(1, p - 1)
         coefs, gains = [], []
         for f, scale in ((0, m), (1, 1)):
@@ -97,19 +96,32 @@ def _ear_table(p: int, n: int, phase: int) -> tuple:
             # two surds meet in ℓ_t·e(b, j) at an even t, else in ℓ_{p−1−t}·e(a, j)
             for t in inner:
                 at_b, at_a = (scale, 1) if t % 2 == 0 else (1, scale)
-                alpha = [ear[a][0][0][t] * (at_b if (a - j) % 2 else 1) for a, j in pairs]
-                beta = [ear[a][0][t][-1] * (at_a if (a - j) % 2 == 0 else 1) for a, j in pairs]
-                coefs[f].append((alpha, beta))
-            counts = [ear[a & 1][1] for a in children]
+                alpha = [[matrix[0][t] * at for at in (1, at_b)] for matrix, _ in ear]
+                beta = [[matrix[t][-1] * at for at in (at_a, 1)] for matrix, _ in ear]
+                coefs[f].append((_layout(alpha, n, children), _layout(beta, n, children)))
+            counts = [ear[a & 1][1] for a in range(children)]
             gains.append(([c[0] for c in counts], [c[-1] for c in counts]))
-        table = _EARS[p, n, phase] = (
+        table = _EARS[p, n] = (
             coefs,
-            [[h if (a + t) % 2 == 0 == (a + t - j) % 2 else 1 for a, j in pairs] for t in inner],
-            [a * n + (a - 1) % n for a in children],
-            [a * n + (a + 2) % n for a in children],
+            [_layout([[h if (a + t) % 2 == 0 == (d + t) % 2 else 1 for d in (0, 1)]
+                      for a in (0, 1)], n, children) for t in inner],
+            [a * n + (a - 1) % n for a in range(children)],
+            [a * n + (a + 2) % n for a in range(children)],
             gains,
         )
     return table
+
+
+def _layout(by_parity: list[list[int]], n: int, children: int) -> "int | list[int]":
+    """A coefficient given per parity of a and of a − j, [a & 1][(a − j) & 1],
+    laid out at a·n + j for the children a = 0..children − 1 of an n-gon node:
+    the one int where all four parities agree, else the list."""
+    (even_even, even_odd), (odd_even, odd_odd) = by_parity
+    if even_even == even_odd == odd_even == odd_odd:
+        return even_even
+    half = n // 2  # every node has an even number of vertices
+    two = [even_even, even_odd] * half + [odd_odd, odd_even] * half  # children 0 and 1
+    return (two * (children // 2 + 1))[: children * n]
 
 
 def _glued(counts: list[int], a: int, ear: Sequence[int]) -> list[int]:
@@ -200,16 +212,24 @@ def _news(p: int, n: int, rows: tuple, first: int, last: int) -> tuple:
     these rows: per family and inner corner t = 1..p − 2, one list holding,
     for every child a at (a − first)·n + j, the entry between its new corner
     x = a + t and the old vertex j by (E2), α·(row a + 1) + β·(row a).  That
-    is two offset slices of the rows and three C-level maps per family and t
-    for the whole run, its coefficients in the phase of first's parity; a
-    run from child 0 reads the rows in place."""
-    lo, hi = first * n, (last + 2) * n
+    is two offset slices of the rows and at most three C-level maps per
+    family and t for the whole run (`_scaled`); a run from child 0 reads the
+    rows and the coefficients in place."""
+    lo, hi = first * n, (last + 1) * n
     return tuple(
-        [list(map(add, map(mul, cycle(alpha), flat[lo + n : hi]),
-                  map(mul, cycle(beta), flat[lo:hi] if lo else flat)))
+        [list(map(add, _scaled(alpha, flat[lo + n : hi + n], lo, hi),
+                  _scaled(beta, flat[lo:hi] if lo else flat, lo, hi)))
          for alpha, beta in coefs]
-        for flat, coefs in zip(rows, _ear_table(p, n, first & 1)[0])
+        for flat, coefs in zip(rows, _ear_table(p, n, last + 1)[0])
     )
+
+
+def _scaled(coef: "int | list[int]", entries: list[int], lo: int, hi: int):
+    """The entries times a coefficient of `_ear_table`, its list read over
+    lo..hi: a constant 1 leaves them as they are."""
+    if type(coef) is int:
+        return entries if coef == 1 else map(coef.__mul__, entries)
+    return map(mul, coef[lo:hi] if lo else coef, entries)
 
 
 def _ears_pass(p: int, first: int, last: int, counts: tuple, news: tuple) -> bool:
@@ -225,24 +245,24 @@ def _ears_pass(p: int, first: int, last: int, counts: tuple, news: tuple) -> boo
     positive too).  The changed counts, at the centres a and b, must be row 2
     of their family's new entries, face counts radical and triangle counts
     integral; so the comparison at those entries is the lemma on them.  A run
-    of no children passes.
+    of no children passes; a run stops at its first failing list.
     """
     if first > last:
         return True
-    (radical, integral), n = news, len(counts[0])
-    _, dressed, at_a, at_b, gains = _ear_table(p, n, first & 1)
-    size = last + 1
+    n, size = len(counts[0]), last + 1
+    _, dressed, at_a, at_b, gains = _ear_table(p, n, size)
+    lo, hi = first * n, size * n
     at_a, at_b = at_a[first:size], at_b[first:size]
-    if first:  # the run's news, and its gains, start at child first
-        lo = first * n
+    if first:  # the run's news start at child first
         at_a, at_b = [i - lo for i in at_a], [i - lo for i in at_b]
-        gains = [(gain_a[first:], gain_b[first:]) for gain_a, gain_b in gains]
-    return all(
-        list(map(new[0].__getitem__, at_a)) == list(map(add, count[first:size], gain_a))
-        and list(map(new[-1].__getitem__, at_b))
-        == list(map(add, count[first + 1 : size + 1], gain_b))
-        for count, new, (gain_a, gain_b) in zip(counts, news, gains)
-    ) and all(
-        min(rad) > 0 and ints == list(map(mul, rad, cycle(dressing)))
-        for rad, ints, dressing in zip(radical, integral, dressed)
-    )
+    for count, new, (gain_a, gain_b) in zip(counts, news, gains):
+        if list(map(new[0].__getitem__, at_a)) != list(
+            map(add, count[first:size], gain_a[first:])
+        ) or list(map(new[-1].__getitem__, at_b)) != list(
+            map(add, count[first + 1 : size + 1], gain_b[first:])
+        ):
+            return False
+    for rad, ints, dressing in zip(*news, dressed):
+        if min(rad) <= 0 or ints != list(map(mul, rad, dressing[lo:hi] if lo else dressing)):
+            return False
+    return True

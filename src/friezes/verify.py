@@ -350,14 +350,18 @@ def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
 def _least_rotation(counts: list[int]) -> bool:
     """Are the counts lexicographically least among their even rotations?
 
-    A rotation by an even k starts at counts[k], so only the k where that
-    entry equals counts[0], the least of the even entries, can be smaller."""
-    first = counts[0]
+    A rotation by an even k starts at counts[k], counts[k + 1], so only the k
+    where counts[k] equals counts[0], the least of the even entries, can be
+    smaller: it is if counts[k + 1] < counts[1], and only a tie on both asks
+    for the rotated copy."""
+    first, second = counts[0], counts[1]
     if min(counts[::2]) < first:
         return False
-    return all(
-        counts[k] != first or counts <= counts[k:] + counts[:k] for k in range(2, len(counts), 2)
-    )
+    for k in range(2, len(counts), 2):
+        if counts[k] == first and counts[k + 1] <= second:
+            if counts[k + 1] < second or counts[k:] + counts[:k] < counts:
+                return False
+    return True
 
 
 class VerificationReport(NamedTuple):

@@ -822,15 +822,21 @@ def test_least_rotation_picks_one_leaf_per_orbit():
 
 
 def test_least_rotation_against_every_rotation():
+    # every vector of 1..3 of a short even length, and the face counts of
+    # every p-angulation the sweeps test for it (p = 4, s ≤ 7; p = 6, s ≤ 5)
     from itertools import product
 
+    from friezes.polygon import _p_angulation_walk
     from friezes.verify import _least_rotation
 
-    for n in (2, 4, 6):
-        for counts in product(range(1, 4), repeat=n):
-            counts = list(counts)
-            least = all(counts <= counts[k:] + counts[:k] for k in range(0, n, 2))
-            assert _least_rotation(counts) is least, counts
+    vectors = [list(c) for n in (2, 4, 6) for c in product(range(1, 4), repeat=n)]
+    for p, s_max in ((4, 7), (6, 5)):
+        vectors += [list(c) for s in range(1, s_max + 1) for _, c in _p_angulation_walk(s, p)[1]]
+    assert len(vectors) == 819 + 9524 + 2856
+    for counts in vectors:
+        n = len(counts)
+        least = all(counts <= counts[k:] + counts[:k] for k in range(0, n, 2))
+        assert _least_rotation(counts) is least, counts
 
 
 @pytest.mark.parametrize(
@@ -947,8 +953,8 @@ def test_orbit_top_level_checks_exactly_the_representatives(monkeypatch):
 
 def test_a_run_of_children_computes_the_batchs_entries():
     # `_news` of a run of one child, or of two, is that slice of the whole
-    # batch's news, a run from an odd child reading the coefficients from
-    # the period's second half, and `_ears_pass` passes each run of one:
+    # batch's news, a run from child first reading the coefficients from
+    # child first's place in the tables, and `_ears_pass` passes each run of one:
     # one code path serves the whole batch and the orbit sweep's single
     # representatives (7,088 and 2,608 single-child lists compared)
     from friezes.ears import _ear_batches, _ears_pass, _news
@@ -968,6 +974,56 @@ def test_a_run_of_children_computes_the_batchs_entries():
                             compared += first == end
                     assert _ears_pass(p, first, end, counts, run), (p, s, first, end)
         assert compared == lists
+
+
+def e2_news(p, n, rows, first, last):
+    """The news of the children a = first..last of a node with these rows,
+    worked out entry by entry by (E2): e(x, j) = e(a, x)·e(b, j) + e(x, b)·e(a, j)
+    for x = a + t, b the old a + 1, with the ear's entries e(a, x), e(x, b)
+    from the face of a's colour, and m where two surds of the radical
+    family meet (an even distance)."""
+    from friezes.ears import _faces
+
+    m = {4: 2, 6: 3}[p]
+    news = []
+    for f, flat in enumerate(rows):
+        news.append([])
+        for t in range(1, p - 1):
+            entries = []
+            for a in range(first, last + 1):
+                face = _faces(p)[a & 1][f][0]
+                for j in range(n):
+                    b_surds = f == 0 and t % 2 == 0 == (a + 1 - j) % 2
+                    a_surds = f == 0 and (p - 1 - t) % 2 == 0 == (a - j) % 2
+                    entries.append(face[0][t] * flat[(a + 1) * n + j] * (m if b_surds else 1)
+                                   + face[t][p - 1] * flat[a * n + j] * (m if a_surds else 1))
+            news[f].append(entries)
+    return news
+
+
+@pytest.mark.parametrize("p, s_max", [(4, 6), (6, 4)])
+def test_ear_tables_grow_for_longer_runs(monkeypatch, p, s_max):
+    # a node's news from a fresh table: a short run, then a longer one (the
+    # table regrows), then one from an odd child past both (it regrows
+    # again); each is its slice of the news built with the longest run
+    # first, and (E2) entry by entry
+    import friezes.ears
+    from friezes.ears import _ear_batches, _news
+
+    s, last, counts, rows, news = next(b for b in _ear_batches(p, s_max) if b[1] >= 5)
+    n, rows = len(counts[0]), tuple(rows)
+    monkeypatch.setattr(friezes.ears, "_EARS", {})
+    runs, got, tables = [(0, 1), (0, last - 2), (3, last)], [], []
+    for first, end in runs:
+        got.append(_news(p, n, rows, first, end))
+        tables.append(friezes.ears._EARS[p, n])
+    assert len(set(map(id, tables))) == 3  # built, then rebuilt for each longer run
+    monkeypatch.setattr(friezes.ears, "_EARS", {})
+    whole = _news(p, n, rows, 0, last)
+    assert [list(family) for family in whole] == e2_news(p, n, rows, 0, last)
+    for (first, end), run in zip(runs, got):
+        want = [[new[first * n : (end + 1) * n] for new in family] for family in whole]
+        assert [list(family) for family in run] == want == e2_news(p, n, rows, first, end), (first, end)
 
 
 def test_even_row_offsets_are_pinned():

@@ -13,7 +13,7 @@ distance in a radical frieze.
 from __future__ import annotations
 
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bijection import _refined_counts, _require_p
 from .exact import LAMBDA_RADICAND
@@ -224,7 +224,7 @@ def _news(p: int, n: int, rows: tuple, first: int, last: int) -> tuple:
     )
 
 
-def _scaled(coef: "int | list[int]", entries: list[int], lo: int, hi: int):
+def _scaled(coef: "int | list[int]", entries: list[int], lo: int, hi: int) -> Iterable[int]:
     """The entries times a coefficient of `_ear_table`, its list read over
     lo..hi: a constant 1 leaves them as they are."""
     if type(coef) is int:

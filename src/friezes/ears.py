@@ -19,7 +19,7 @@ from .bijection import _refined_counts, _require_p
 from .exact import LAMBDA_RADICAND
 from .frieze import _require_grid, _rows
 
-# p -> `_faces(p)`, built once; (p, n) -> `_ear_table(p, n, children)` for the longest run yet
+# (p, n) -> `_ear_table(p, n, children)` for the longest run yet
 _EARS: dict = {}
 
 
@@ -34,17 +34,12 @@ def _faces(p: int) -> list[tuple[tuple[list[list[int]], list[int]], ...]]:
     grown from the triangle counts of the face cut along its own black
     corners: `bijection._refined_counts` of the lone p-gon for c = 0, and
     their rotation by one for c = 1, whose corners have the other colours.
+    Built once, at import, as `_FACES[p]`.
     """
-    faces = _EARS.get(p)
-    if faces is None:
-        ones = [1] * p
-        radical = (_matrix(_rows(tuple(ones), LAMBDA_RADICAND[p], True)), ones)
-        counts = _refined_counts(p, [], ones, p)
-        faces = _EARS[p] = [
-            (radical, (_matrix(_rows(tuple(c), 1, False)), c))
-            for c in (counts, counts[1:] + counts[:1])
-        ]
-    return faces
+    ones = [1] * p
+    radical = (_matrix(_rows(tuple(ones), LAMBDA_RADICAND[p], True)), ones)
+    counts = _refined_counts(p, [], ones, p)
+    return [(radical, (_matrix(_rows(tuple(c), 1, False)), c)) for c in (counts, counts[1:] + counts[:1])]
 
 
 def _matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -54,12 +49,15 @@ def _matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[rows[(j - i) % n][(i + 1) % n] for j in range(n)] for i in range(n)]
 
 
+_FACES = {p: _faces(p) for p in (4, 6)}
+
+
 def _faces_pass(p: int) -> bool:
     """Do the two friezes of the lone p-gon agree entrywise by `_ears_pass`'s
     rule (p/2 between two white corners), for both colours of its first
     corner?  These are the entries between two corners of any ear ((E))."""
     h = p // 2
-    for c, ((radical, _), (integral, _)) in zip((0, 1), _faces(p)):
+    for c, ((radical, _), (integral, _)) in zip((0, 1), _FACES[p]):
         for i in range(p):
             dressing = [h if (c + i) % 2 == 0 == (i - j) % 2 else 1 for j in range(p)]
             if integral[i] != list(map(mul, radical[i], dressing)):
@@ -87,7 +85,7 @@ def _ear_table(p: int, n: int, children: int) -> tuple:
     table = _EARS.get((p, n))
     if table is None or len(table[2]) < children:  # one at-a index per child
         m, h = LAMBDA_RADICAND[p], p // 2
-        faces = _faces(p)
+        faces = _FACES[p]
         inner = range(1, p - 1)
         coefs, gains = [], []
         for f, scale in ((0, m), (1, 1)):
@@ -184,7 +182,7 @@ def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
     _require_p(p)
     _require_grid((p - 2) * s_max + 2)
     # per colour of a and family: the ear's counts, and its entries among its inner corners
-    faces = _faces(p)
+    faces = _FACES[p]
     ears = [tuple(counts for _, counts in face) for face in faces]
     inner = [tuple([r[1:-1] for r in matrix[1:-1]] for matrix, _ in face) for face in faces]
     root = (0, 0, ([0, 0], [0, 0]), ([0, 1, 1, 0], [0, 1, 1, 0]))  # the 2-gon

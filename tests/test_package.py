@@ -1,10 +1,12 @@
 """The public surface: every exported name resolves, and so does every name
 the benchmark's span tracer patches (`bench/tracing.py`), so removing a
 function from the library cannot silently break a traced benchmark run;
-and importing the package loads no module beyond its own and the standard
-modules it names.
+importing the package loads no module beyond its own and the standard
+modules it names; and no module under src/ holds an assert statement or
+imports `dataclasses`.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -15,6 +17,7 @@ from pathlib import Path
 import friezes
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src").rglob("*.py"))
 
 
 def test_all_names_resolve():
@@ -64,3 +67,29 @@ def test_import_loads_nothing_past_the_standard_modules_it_names():
     loaded = done.stdout.split()
     assert "friezes.cli" in loaded
     assert [name for name in loaded if name != "friezes" and not name.startswith("friezes.")] == []
+
+
+def parsed_nodes():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            yield path.name, node
+
+
+def test_no_assert_statements_in_src():
+    # `python -O` strips assert statements, so the library raises
+    # InternalAssertionError instead
+    assert SOURCES
+    assert [f"{name}:{node.lineno}" for name, node in parsed_nodes() if isinstance(node, ast.Assert)] == []
+
+
+def test_no_module_imports_dataclasses():
+    # an import inside a function runs only when the function does, which
+    # the import test above cannot see, so every import statement counts
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level else []
+
+    found = [f"{name}:{node.lineno}" for name, node in parsed_nodes()
+             if any(module.split(".")[0] == "dataclasses" for module in imported(node))]
+    assert found == []

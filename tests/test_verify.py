@@ -307,11 +307,8 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
     # dissections, p = 6, s ≤ 3 has 41), so they test none and walk no face
     # (the orbit sweep tested and face-passed each leaf it checked while it
     # read them off the walk); the ears' counts are the lone p-gon's, read
-    # once per process, here beforehand
-    from friezes.ears import _faces
-
+    # once, at import
     for p, s_max, checked in ((4, 5, 344), (6, 3, 41)):
-        _faces(p)
         for orbits in (False, True):
             calls.update(dict.fromkeys(names, 0))
             summary = sweep(p, s_max, orbits=orbits)
@@ -982,7 +979,7 @@ def e2_news(p, n, rows, first, last):
     for x = a + t, b the old a + 1, with the ear's entries e(a, x), e(x, b)
     from the face of a's colour, and m where two surds of the radical
     family meet (an even distance)."""
-    from friezes.ears import _faces
+    from friezes.ears import _FACES
 
     m = {4: 2, 6: 3}[p]
     news = []
@@ -991,7 +988,7 @@ def e2_news(p, n, rows, first, last):
         for t in range(1, p - 1):
             entries = []
             for a in range(first, last + 1):
-                face = _faces(p)[a & 1][f][0]
+                face = _FACES[p][a & 1][f][0]
                 for j in range(n):
                     b_surds = f == 0 and t % 2 == 0 == (a + 1 - j) % 2
                     a_surds = f == 0 and (p - 1 - t) % 2 == 0 == (a - j) % 2
@@ -1132,7 +1129,7 @@ def test_ear_faces_are_the_unit_p_gon_and_its_refinement():
     # and 1, √3, 2, √3, 1 for p = 6, in C values (C·√m read as C); the
     # integral face is the Conway–Coxeter frieze of the face cut along its
     # own black corners, whichever colour its first corner has
-    from friezes.ears import _faces
+    from friezes.ears import _FACES
 
     pinned = {
         4: ([0, 1, 1, 1], [[0, 1, 2, 1], [0, 1, 1, 1]], [[1, 2, 1, 2], [2, 1, 2, 1]]),
@@ -1140,7 +1137,7 @@ def test_ear_faces_are_the_unit_p_gon_and_its_refinement():
             [[1, 3, 1, 3, 1, 3], [3, 1, 3, 1, 3, 1]]),
     }
     for p, (ell, integral, counts) in pinned.items():
-        faces = _faces(p)
+        faces = _FACES[p]
         assert [radical for (radical, _), _ in faces] == [radical for (radical, _), _ in faces[:1]] * 2
         assert [radical[0] for (radical, _), _ in faces] == [ell, ell]
         assert [ones for (_, ones), _ in faces] == [[1] * p] * 2
@@ -1159,7 +1156,7 @@ def test_each_ear_check_refuses_its_own_fault(monkeypatch):
     # triangle count (row 2 of its family sees it); a face whose entries
     # disagree fails `_faces_pass`, and the sweep then marks level 1
     from friezes import quiddity_counts
-    from friezes.ears import _EARS, _ear_batches, _ears_pass, _faces_pass
+    from friezes.ears import _FACES, _ear_batches, _ears_pass, _faces_pass
 
     for p, s_max in ((4, 4), (6, 3)):
         assert all(_ears_pass(*ear_run(p, batch)) for batch in _ear_batches(p, s_max))
@@ -1177,10 +1174,10 @@ def test_each_ear_check_refuses_its_own_fault(monkeypatch):
             moved = [list(c) for c in counts]
             moved[family][v] += 1
             assert not _ears_pass(p, first, last, moved, news)
-    radical, (integral, face_counts) = _EARS[4][0]
+    radical, (integral, face_counts) = _FACES[4][0]
     wrong = [list(row) for row in integral]
     wrong[1][3] += 1
-    monkeypatch.setitem(_EARS, 4, [(radical, (wrong, face_counts)), _EARS[4][1]])
+    monkeypatch.setitem(_FACES, 4, [(radical, (wrong, face_counts)), _FACES[4][1]])
     assert not _faces_pass(4)
     with pytest.raises(InternalAssertionError, match="with 1 faces failed, but each passes alone"):
         sweep(4, 2)

@@ -2,16 +2,21 @@
 with the entries of both friezes the ear adds and their checks.
 
 `verify.sweep` walks the tree (`_ear_batches`) and checks the children of a
-node, a contiguous run of them at a time (`_news`, `_ears_pass`): the whole
-batch, or in an orbit sweep's top level one representative; and, once, the
-lone p-gon's entries (`_faces_pass`).  (E) in the `verify` docstring proves
-why the entries the ear adds are all there is to compute and check.
-Matrices hold C values: the int C of an entry C, or of C·√m at an even
-distance in a radical frieze.
+node, a contiguous run of them at a time: the whole batch, or in an orbit
+sweep's top level one representative; and, once, the lone p-gon's entries
+(`_faces_pass`).  One call, `_ears_pass`, computes a run's entries and
+checks them, for every run: the tree's own call for a node its children
+are glued from, the caller's for a node whose children are leaves.  A
+child's rows are one C-level gather from its node's rows and news by an
+index plan kept per shape (`_glued_rows`, `_glue_plan`).  (E) in the
+`verify` docstring proves why the entries the ear adds are all there is to
+compute and check.  Matrices hold C values: the int C of an entry C, or of
+C·√m at an even distance in a radical frieze.
 """
 
 from __future__ import annotations
 
+from array import array
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +26,8 @@ from .frieze import _require_grid, _rows
 
 # (p, n) -> `_ear_table(p, n, children)` for the longest run yet
 _EARS: dict = {}
+# (n, a, p − 2) -> `_glue_plan(n, a, p − 2)`
+_PLANS: dict = {}
 
 
 def _faces(p: int) -> list[tuple[tuple[list[list[int]], list[int]], ...]]:
@@ -122,6 +129,63 @@ def _layout(by_parity: list[list[int]], n: int, children: int) -> "int | list[in
     return (two * (children // 2 + 1))[: children * n]
 
 
+def _ears_pass(p: int, first: int, last: int, counts: tuple, rows: tuple) -> tuple[list, bool]:
+    """What the ear adds to the children a = first..last of an n-gon node with
+    these counts and rows, and whether all three checks pass on it, every
+    ε = 0 ((E)): (news, passed), computed and checked in this one call.
+
+    news holds, per family and inner corner t = 1..p − 2, one list with,
+    for every child a at (a − first)·n + j, the entry between its new corner
+    x = a + t and the old vertex j by (E2), α·(row a + 1) + β·(row a): one
+    slice of the rows a + 1 per family, and at most three C-level maps per
+    family and t for the whole run (`_scaled`); a run from child 0 reads the
+    rows a and the coefficients in place.  The news are whole whether the
+    run passes or not, as a node's children are glued from them.
+
+    The checks: the changed counts, at the centres a and b, must be row 2 of
+    their family's new entries, face counts radical and triangle counts
+    integral, one list comparison per family, so the comparison there is
+    the lemma on them; every radical entry must be positive, one `min` over
+    the lists; and each integral list must equal its radical one dressed by
+    p/2 where the new corner is white and the distance even, one comparison
+    for every child (equal on the odd rows, scaled with ε = 0 on the even
+    ones; the integral entries are then positive too).  The checks stop at
+    the first that fails; a run of no children passes.
+    """
+    n, size = len(counts[0]), last + 1
+    coefs, dressed, at_a, at_b, gains = _ear_table(p, n, size)
+    lo, hi = first * n, size * n
+    at_a, at_b = at_a[first:size], at_b[first:size]
+    if first:  # the run's news start at child first
+        at_a, at_b = [i - lo for i in at_a], [i - lo for i in at_b]
+    news, passed = [], True
+    for flat, family, count, (gain_a, gain_b) in zip(rows, coefs, counts, gains):
+        ahead, behind = flat[lo + n : hi + n], flat[lo:hi] if lo else flat  # rows a + 1, rows a
+        new = [list(map(add, _scaled(alpha, ahead, lo, hi), _scaled(beta, behind, lo, hi)))
+               for alpha, beta in family]
+        news.append(new)
+        if passed:
+            centres = list(map(new[0].__getitem__, at_a))
+            centres += map(new[-1].__getitem__, at_b)
+            changed = list(map(add, count[first:size], gain_a[first:]))
+            changed += map(add, count[first + 1 : size + 1], gain_b[first:])
+            passed = centres == changed
+    radical, integral = news
+    passed = passed and (first > last or min(map(min, radical)) > 0) and all(
+        ints == list(map(mul, rad, dressing[lo:hi] if lo else dressing))
+        for rad, ints, dressing in zip(radical, integral, dressed)
+    )
+    return news, passed
+
+
+def _scaled(coef: "int | list[int]", entries: list[int], lo: int, hi: int) -> Iterable[int]:
+    """The entries times a coefficient of `_ear_table`, its list read over
+    lo..hi: a constant 1 leaves them as they are."""
+    if type(coef) is int:
+        return entries if coef == 1 else map(coef.__mul__, entries)
+    return map(mul, coef[lo:hi] if lo else coef, entries)
+
+
 def _glued(counts: list[int], a: int, ear: Sequence[int]) -> list[int]:
     """The counts of the child glued on edge (a, a + 1): the ear's counts added
     at a and at a + 1 (which becomes b = a + p − 1), and its inner corners'
@@ -129,45 +193,64 @@ def _glued(counts: list[int], a: int, ear: Sequence[int]) -> list[int]:
     return counts[:a] + [counts[a] + ear[0], *ear[1:-1], counts[a + 1] + ear[-1]] + counts[a + 2 :]
 
 
-def _glued_rows(
-    rows: list[int], n: int, a: int, news: list[list[int]], inner: list[list[int]]
-) -> list[int]:
+def _glue_plan(n: int, a: int, k: int) -> array:
+    """Where `_glued_rows` reads each entry of child a's rows 0..a + k + 1 of an
+    n-gon node, k = p − 2 new corners, in its source: the node's rows 0..a + 1
+    (entry (u, j) at u·n + j), then the child's news per new corner t (entry
+    j at (a + 2 + t)·n + j), then the ear's k×k entries among its inner
+    corners.  Built on first use per (n, a, k) and kept in `_PLANS` as
+    4-byte unsigned ints: as lists of ints the plans of the level-499 walk
+    took about 34 MB more."""
+    plan = _PLANS.get((n, a, k))
+    if plan is None:
+        news, inner = (a + 2) * n, (a + 2 + k) * n
+        plan = _PLANS[n, a, k] = array("I")
+        for u in range(a + 2):
+            if u == a + 1:  # the new rows come before b's
+                for t in range(k):
+                    row = news + t * n
+                    plan.extend(range(row, row + a + 1))
+                    plan.extend(range(inner + t * k, inner + t * k + k))
+                    plan.extend(range(row + a + 1, row + n))
+            at = u * n
+            plan.extend(range(at, at + a + 1))
+            plan.extend(range(news + u, inner, n))  # its entries with the new corners
+            plan.extend(range(at + a + 1, at + n))
+    return plan
+
+
+def _glued_rows(rows: list[int], n: int, a: int, news: list[list[int]], inner: list[int]) -> list[int]:
     """Rows 0..a + p − 1 of child a's matrix in one family, flat: the node's rows
     0..a with the new corners' entries inserted after column a ((E1)), the
-    new rows (the child's entries in the batch's news around the entries
-    among its inner corners), then the node's row a + 1, now b's."""
+    new rows (the child's entries in the batch's news around the ear's
+    entries among its inner corners, inner, flat), then the node's row a + 1,
+    now b's.  One C-level gather by `_glue_plan` from the node's rows 0..a + 1,
+    the child's slices of the news and inner, laid end to end."""
     lo = a * n
-    new = [row[lo : lo + n] for row in news]  # the child's, per new corner
-    cols = list(zip(*new))  # per old vertex: its entries with the new corners
-    out: list[int] = []
-    for u in range(a + 2):
-        if u == a + 1:
-            for row, block in zip(new, inner):
-                out += row[: a + 1]
-                out += block
-                out += row[a + 1 :]
-        at = u * n
-        out += rows[at : at + a + 1]
-        out += cols[u]
-        out += rows[at + a + 1 : at + n]
-    return out
+    source = rows[: lo + 2 * n]
+    for new in news:
+        source += new[lo : lo + n]
+    source += inner
+    return list(map(source.__getitem__, _glue_plan(n, a, len(news))))
 
 
-def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
+def _ear_batches(p: int, s_max: int, ears_pass=_ears_pass) -> Iterator[tuple]:
     """Every p-angulation with 1 ≤ s ≤ s_max faces, p ∈ {4, 6}, glued ear by
     ear, depth first, as one batch per node with children: (s, last, counts,
-    rows, news).
+    rows, checked).
 
     The node is the 2-gon (one edge, (0, 1)) or a p-angulation with s − 1
     faces; its children, with s faces, are glued on its edges (a, a + 1) for
     a = 0..last.  counts are the node's face and triangle counts; rows are
     its radical and integral matrices, rows 0..last + 1 flat (entry (u, j) at
     u·n + j), in C values: the int C of an entry C, or of C·√m at an even
-    distance in a radical frieze.  news are `_news` of the whole batch, from
-    which the children are glued.  A node whose children are leaves (s =
-    s_max) glues none: its batch carries no news, and its rows unglued, as
-    an iterator read once by `tuple(rows)`, so a caller glues only the rows
-    it reads and computes what it checks by `_news`.
+    distance in a radical frieze.  checked is ears_pass(p, 0, last, counts,
+    rows) of the whole batch, by default `_ears_pass`'s (news, passed): the
+    children are glued from its news, computed and checked in that one
+    call.  A node whose children are leaves (s = s_max) glues none: its
+    batch is checked None, its rows unglued, as an iterator read once by
+    `tuple(rows)`, so a caller glues only the rows it reads and computes and
+    checks what it reads by the same `_ears_pass`.
 
     A child's canonical ear is its new face, whose first inner vertex is
     a + 1, so its own children glue on a' ≤ a + p − 2; the lone p-gon is the
@@ -181,15 +264,15 @@ def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
     """
     _require_p(p)
     _require_grid((p - 2) * s_max + 2)
-    # per colour of a and family: the ear's counts, and its entries among its inner corners
+    # per colour of a and family: the ear's counts, and its entries among its inner corners, flat
     faces = _FACES[p]
     ears = [tuple(counts for _, counts in face) for face in faces]
-    inner = [tuple([r[1:-1] for r in matrix[1:-1]] for matrix, _ in face) for face in faces]
+    inner = [tuple([e for r in matrix[1:-1] for e in r[1:-1]] for matrix, _ in face) for face in faces]
     root = (0, 0, ([0, 0], [0, 0]), ([0, 1, 1, 0], [0, 1, 1, 0]))  # the 2-gon
-    yield from _subtree(p, s_max, ears, inner, root)
+    yield from _subtree(p, s_max, ears, inner, ears_pass, root)
 
 
-def _subtree(p: int, s_max: int, ears: list, inner: list, node: tuple) -> Iterator[tuple]:
+def _subtree(p: int, s_max: int, ears: list, inner: list, ears_pass, node: tuple) -> Iterator[tuple]:
     """The batches of `_ear_batches` from node = (s, last, counts, rows) down;
     rows may be an iterator not yet read."""
     s, last, counts, rows = node
@@ -197,70 +280,10 @@ def _subtree(p: int, s_max: int, ears: list, inner: list, node: tuple) -> Iterat
         yield s + 1, last, counts, rows, None
         return
     rows, n = tuple(rows), len(counts[0])
-    news = _news(p, n, rows, 0, last)
-    yield s + 1, last, counts, rows, news
+    checked = ears_pass(p, 0, last, counts, rows)
+    yield s + 1, last, counts, rows, checked
+    news = checked[0]
     for a in range(last + 1):
         glued = tuple(map(_glued, counts, (a, a), ears[a & 1]))
         child = map(_glued_rows, rows, (n, n), (a, a), news, inner[a & 1])  # glued when read
-        yield from _subtree(p, s_max, ears, inner, (s + 1, a + p - 2, glued, child))
-
-
-def _news(p: int, n: int, rows: tuple, first: int, last: int) -> tuple:
-    """What the ear adds to the children a = first..last of an n-gon node with
-    these rows: per family and inner corner t = 1..p − 2, one list holding,
-    for every child a at (a − first)·n + j, the entry between its new corner
-    x = a + t and the old vertex j by (E2), α·(row a + 1) + β·(row a).  That
-    is two offset slices of the rows and at most three C-level maps per
-    family and t for the whole run (`_scaled`); a run from child 0 reads the
-    rows and the coefficients in place."""
-    lo, hi = first * n, (last + 1) * n
-    return tuple(
-        [list(map(add, _scaled(alpha, flat[lo + n : hi + n], lo, hi),
-                  _scaled(beta, flat[lo:hi] if lo else flat, lo, hi)))
-         for alpha, beta in coefs]
-        for flat, coefs in zip(rows, _ear_table(p, n, last + 1)[0])
-    )
-
-
-def _scaled(coef: "int | list[int]", entries: list[int], lo: int, hi: int) -> Iterable[int]:
-    """The entries times a coefficient of `_ear_table`, its list read over
-    lo..hi: a constant 1 leaves them as they are."""
-    if type(coef) is int:
-        return entries if coef == 1 else map(coef.__mul__, entries)
-    return map(mul, coef[lo:hi] if lo else coef, entries)
-
-
-def _ears_pass(p: int, first: int, last: int, counts: tuple, news: tuple) -> bool:
-    """Do all three checks pass, every ε = 0, on what the ear adds to each child
-    a = first..last of one node ((E)), given the node's counts and the run's
-    `_news`?
-
-    For each inner corner, the children's new entries are two lists, one per
-    family: the radical list's least entry must be positive, and the integral
-    list must equal it dressed by p/2 where the new corner is white and the
-    distance even, one comparison for every child (equal on the odd rows,
-    scaled with ε = 0 on the even ones; the integral entries are then
-    positive too).  The changed counts, at the centres a and b, must be row 2
-    of their family's new entries, face counts radical and triangle counts
-    integral; so the comparison at those entries is the lemma on them.  A run
-    of no children passes; a run stops at its first failing list.
-    """
-    if first > last:
-        return True
-    n, size = len(counts[0]), last + 1
-    _, dressed, at_a, at_b, gains = _ear_table(p, n, size)
-    lo, hi = first * n, size * n
-    at_a, at_b = at_a[first:size], at_b[first:size]
-    if first:  # the run's news start at child first
-        at_a, at_b = [i - lo for i in at_a], [i - lo for i in at_b]
-    for count, new, (gain_a, gain_b) in zip(counts, news, gains):
-        if list(map(new[0].__getitem__, at_a)) != list(
-            map(add, count[first:size], gain_a[first:])
-        ) or list(map(new[-1].__getitem__, at_b)) != list(
-            map(add, count[first + 1 : size + 1], gain_b[first:])
-        ):
-            return False
-    for rad, ints, dressing in zip(*news, dressed):
-        if min(rad) <= 0 or ints != list(map(mul, rad, dressing[lo:hi] if lo else dressing)):
-            return False
-    return True
+        yield from _subtree(p, s_max, ears, inner, ears_pass, (s + 1, a + p - 2, glued, child))

@@ -178,7 +178,7 @@ from typing import NamedTuple, Sequence
 
 from .bijection import _not_p_angulation, _refined_counts, _require_p
 from .bijection import associated_triangulation
-from .ears import _ear_batches, _ears_pass, _faces_pass, _glued, _news
+from .ears import _ear_batches, _ears_pass, _faces_pass, _glued
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _require_grid, _rows
 from .polygon import (
@@ -558,7 +558,8 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     The exhaustive sweep glues ears (`_ear_batches`, (E) in the module
     docstring): each p-angulation is built once, from its canonical parent,
     and only the O(p·n) entries and counts its ear adds are computed and
-    checked, for all children of one parent at once (`_ears_pass`); the
+    checked, for all children of one parent at once, in one call
+    (`_ears_pass`); the
     entries between two corners of one ear are the lone p-gon's, checked
     once (`_faces_pass`).  A failing check marks its level; every level
     above it, where its children's descendants lie, inherits the mark.
@@ -572,7 +573,7 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     With orbits=True the levels below s_max are checked as above, and on the
     top level only the p-angulations whose face counts are least among their
     even rotations (`_least_rotation`, one per orbit), each alone by the
-    same checks (`_news`, `_ears_pass` on a run of one); by (C) in the
+    same call (`_ears_pass` on a run of one); by (C) in the
     module docstring each passes exactly when its orbit does.  A marked
     level is re-run whole, as above; `checked` and `per_s` still count every
     p-angulation, and `orbits_checked` the representatives of every level.
@@ -633,33 +634,36 @@ def _ear_levels(p: int, s_max: int, orbits: bool) -> list[tuple[int, bool, bool,
     inherited, orbit representatives), the last 0 without orbits.  A level
     has failed if one of its own checks failed; it has inherited if a level
     below it failed, as every descendant of a failing child holds the
-    entries that failed ((E)), unchecked.  Every batch is checked whole,
-    except on an orbit sweep's top level, where each representative
-    (`_least_rotation`) is checked alone.  Its vertex 0 lies in one face ((C)); a child glued at
-    a = 0 has one face more there than its node, one at a ≥ 1 as many, so
-    only the children a ≥ 1 of a node whose vertex 0 lies in one face, and
-    the 2-gon's one child, are glued, by their face counts alone.
+    entries that failed ((E)), unchecked.  Every check is one call of
+    `_ears_pass`, which computes the entries it checks: the tree's own call
+    for a node with grandchildren, whose children are glued from its
+    entries, and one here for a node whose children are leaves.  Every
+    batch is checked whole, except on an orbit sweep's top level, where
+    each representative (`_least_rotation`) is checked alone.  Its vertex 0
+    lies in one face ((C)); a child glued at a = 0 has one face more there
+    than its node, one at a ≥ 1 as many, so only the children a ≥ 1 of a
+    node whose vertex 0 lies in one face, and the 2-gon's one child, are
+    glued, by their face counts alone.
     """
     counted = [0] * (s_max + 1)
     failed = [False] * (s_max + 1)
     representatives = [0] * (s_max + 1)
     failed[1] = not _faces_pass(p)
     ones = [1] * p  # an ear's face counts
-    for s, last, counts, rows, news in _ear_batches(p, s_max):
+    for s, last, counts, rows, checked in _ear_batches(p, s_max, _ears_pass):
         counted[s] += last + 1
-        q, n = counts[0], len(counts[0])
+        q = counts[0]
         if orbits and s > 1:  # the node, of level s − 1
             representatives[s - 1] += _least_rotation(q)
         if not orbits or s < s_max:
             if not failed[s]:
-                news = news or _news(p, n, tuple(rows), 0, last)
-                failed[s] = not _ears_pass(p, 0, last, counts, news)
+                failed[s] = not (checked or _ears_pass(p, 0, last, counts, tuple(rows)))[1]
         elif s == 1 or q[0] == 1:
             for a in range(0 if s == 1 else 1, last + 1):
                 if _least_rotation(_glued(q, a, ones)):
                     representatives[s] += 1
                     if not failed[s]:
                         rows = tuple(rows)
-                        failed[s] = not _ears_pass(p, a, a, counts, _news(p, n, rows, a, a))
+                        failed[s] = not _ears_pass(p, a, a, counts, rows)[1]
     first = failed.index(True) if True in failed else s_max  # the least failed level
     return [(counted[s], failed[s], s > first, representatives[s]) for s in range(1, s_max + 1)]

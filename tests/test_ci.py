@@ -1,12 +1,14 @@
 """Every CI check of `tools/ci.py` runs here at its smallest sizes, so a
 private name or signature a check uses that drifts fails Tier-1, not only CI;
 and its child helper reports each child's own peak RSS, kills a child past
-its time and reaps every child.
+its time and reaps every child; and the ear walk's comparison with the
+kernel sees a glue fault that the sweep's checks cannot.
 
 The checks run in a fresh interpreter: a child's peak RSS counts the
 address space of the process that started it, and this one's is large.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -67,3 +69,29 @@ def test_every_ci_step_runs_at_its_smallest_sizes(tmp_path):
     verdicts = [line for line in done.stdout.splitlines() if line.endswith(("as expected", "UNEXPECTED"))]
     assert verdicts and all(line.endswith("as expected") for line in verdicts), done.stdout
     assert done.stdout.endswith("every child reaped\n"), done.stdout[-2000:]
+
+
+def test_ear_walk_sees_a_glue_fault_both_families_share(monkeypatch):
+    # ROADMAP item 13's mutant: two entries of row 0 whose columns have one
+    # parity (3 and 5, away from the centres 2 and n − 1 of the children
+    # glued on that row) swapped in both families, in the rows of every
+    # child a = 0 with n ≥ 8.  (F) still holds between the families, so the
+    # sweep's checks pass it; the walk's comparison with the kernel reports
+    # the nodes it moved
+    import friezes.ears
+
+    spec = importlib.util.spec_from_file_location("ci", ROOT / "tools" / "ci.py")
+    ci = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ci)
+    assert ci.ear_tree(4, 5)[1:] == (71, [])
+    glued_rows = friezes.ears._glued_rows
+
+    def swapped(rows, n, a, news, inner):
+        out = glued_rows(rows, n, a, news, inner)
+        if a == 0 and n + len(news) >= 8:  # the child's n
+            out[3], out[5] = out[5], out[3]
+        return out
+
+    monkeypatch.setattr(friezes.ears, "_glued_rows", swapped)
+    glued, nodes, off = ci.ear_tree(4, 5)
+    assert nodes == 71 and off and all(len(counts) >= 8 and counts[0] >= 2 for counts in off)

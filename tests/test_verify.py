@@ -434,7 +434,7 @@ def corrupt_triangle_counts(monkeypatch, wrong):
 
     monkeypatch.setattr(friezes.verify, "_refined_counts", corrupted)
     leaves = {quiddity_counts(Dissection(n, diagonals)) for n, diagonals in wrong}
-    corrupt_ears(monkeypatch, leaves, lambda run, a: bump(run, 1, 0, a))
+    corrupt_ears(monkeypatch, leaves, lambda run, a: bump(run, 1, a))
 
 
 def ear_children(p, counts, first, last):
@@ -446,52 +446,55 @@ def ear_children(p, counts, first, last):
 
 
 def ear_run(p, batch):
-    """The arguments of `_ears_pass` that check a whole batch of
-    `_ear_batches`: (p, 0, last, counts, news), the news computed by `_news`
-    where the batch carries none."""
-    from friezes.ears import _news
-
-    s, last, counts, rows, news = batch
-    return p, 0, last, counts, news or _news(p, len(counts[0]), tuple(rows), 0, last)
+    """The arguments of `_ears_pass` that compute and check a whole batch of
+    `_ear_batches`: (p, 0, last, counts, rows)."""
+    s, last, counts, rows, _ = batch
+    return p, 0, last, counts, tuple(rows)
 
 
 def corrupt_ears(monkeypatch, leaves, corrupt):
-    """Patch the sweeps' ear checks, `verify._ears_pass`: a run of children
-    (p, first, last, counts, news) with a child a whose face counts are in
-    leaves is checked as corrupt(run, a), a changed copy, for each such
-    child.  The news the generator keeps, from which it glues the children,
-    stay as they are."""
+    """Patch the sweeps' ear checks, `verify._ears_pass`, which the ear tree
+    also calls for the batches it glues from: a run of children (p, first,
+    last, counts, rows) with a child a whose face counts are in leaves is
+    computed and checked as corrupt(run, a), a changed copy, for each such
+    child, so the fault is in the entries that call computes and checks.
+    The news returned, from which the tree glues the children, are the
+    true run's."""
     import friezes.verify
 
     ears_pass = friezes.verify._ears_pass
 
-    def corrupted(p, first, last, counts, news):
-        run = p, first, last, counts, news
+    def corrupted(p, first, last, counts, rows):
+        news, _ = ears_pass(p, first, last, counts, rows)
+        run = p, first, last, counts, rows
         for a, q in ear_children(p, counts, first, last):
             if q in leaves:
                 run = corrupt(run, a)
-        return ears_pass(*run)
+        return news, ears_pass(*run)[1]
 
     monkeypatch.setattr(friezes.verify, "_ears_pass", corrupted)
 
 
-def bump(run, family, t, a, by=1):
+def bump(run, family, a, by=1):
     """A copy of a run of ear checks, `_ears_pass`'s arguments (p, first,
-    last, counts, news), with the first new entry of child a, between its
-    corner a + t + 1 and vertex 0, moved by `by` in the given family (0
-    radical, 1 integral)."""
-    p, first, last, counts, news = run
-    news = [[list(new) for new in family_news] for family_news in news]
-    news[family][t][(a - first) * len(counts[0])] += by
-    return p, first, last, counts, news
+    last, counts, rows), with the node's side (a, a + 1), entry 1 in both
+    families, moved by `by` in the given family (0 radical, 1 integral).
+    Each entry child a computes between a new corner and b, the old a + 1,
+    is ℓ_{p−1−t} times that side, so it moves in that family alone; in a
+    run that holds child a − 1, so does its entry between a new corner and
+    vertex a + 1."""
+    p, first, last, counts, rows = run
+    rows = [list(flat) for flat in rows]
+    rows[family][a * len(counts[0]) + a + 1] += by
+    return p, first, last, counts, tuple(rows)
 
 
 def zeroed(run, a):
-    """A copy of a run of ear checks with that first new entry of child a
-    (t = 0) 0 in both families: still equal, but not positive."""
-    p, first, last, counts, news = run
-    at = (a - first) * len(counts[0])
-    return bump(bump(run, 0, 0, a, -news[0][0][at]), 1, 0, a, -news[1][0][at])
+    """A copy of a run of ear checks with the node's side (a, a + 1) 0 in both
+    families: child a's entries between its new corners and b are 0 in
+    both, still equal, but not positive.  In a run of child a alone no
+    other entry moves, so only the positivity test can see it."""
+    return bump(bump(run, 0, a, -1), 1, a, -1)
 
 
 def mirror_counts(d, p):
@@ -580,11 +583,13 @@ def test_a_marked_level_whose_dissections_pass_alone_is_an_internal_fault(monkey
 
     ears_pass = friezes.verify._ears_pass
 
-    def fails_runs(p, first, last, counts, news):  # the lone p-gon is the 2-gon's only child
-        return last == 0 and ears_pass(p, first, last, counts, news)
+    def fails_runs(p, first, last, counts, rows):  # the lone p-gon is the 2-gon's only child
+        news, passed = ears_pass(p, first, last, counts, rows)
+        return news, last == 0 and passed
 
-    def fails_representatives(p, first, last, counts, news):
-        return not 0 < first == last and ears_pass(p, first, last, counts, news)
+    def fails_representatives(p, first, last, counts, rows):
+        news, passed = ears_pass(p, first, last, counts, rows)
+        return news, not 0 < first == last and passed
 
     monkeypatch.setattr(friezes.verify, "_ears_pass", fails_runs)
     for orbits in (False, True):
@@ -660,9 +665,9 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
 
     batches_of = friezes.verify._ear_batches
 
-    def one_child_short(p, s_max):
+    def one_child_short(p, s_max, ears_pass):
         short = False
-        for s, last, *rest in batches_of(p, s_max):
+        for s, last, *rest in batches_of(p, s_max, ears_pass):
             if s == short_s and not short:
                 short, last = True, last - 1
             yield (s, last, *rest)
@@ -929,9 +934,9 @@ def test_orbit_top_level_checks_exactly_the_representatives(monkeypatch):
     ears_pass = friezes.verify._ears_pass
     runs = []
 
-    def recorded(p, first, last, counts, news):
+    def recorded(p, first, last, counts, rows):
         runs.append((first, last, [q for _, q in ear_children(p, counts, first, last)]))
-        return ears_pass(p, first, last, counts, news)
+        return ears_pass(p, first, last, counts, rows)
 
     monkeypatch.setattr(friezes.verify, "_ears_pass", recorded)
     for p, s_max in ((4, 1), (4, 2), (4, 6), (6, 1), (6, 4)):
@@ -949,27 +954,28 @@ def test_orbit_top_level_checks_exactly_the_representatives(monkeypatch):
 
 
 def test_a_run_of_children_computes_the_batchs_entries():
-    # `_news` of a run of one child, or of two, is that slice of the whole
-    # batch's news, a run from child first reading the coefficients from
-    # child first's place in the tables, and `_ears_pass` passes each run of one:
-    # one code path serves the whole batch and the orbit sweep's single
-    # representatives (7,088 and 2,608 single-child lists compared)
-    from friezes.ears import _ear_batches, _ears_pass, _news
+    # the news `_ears_pass` computes for a run of one child, or of two, are
+    # that slice of the whole batch's news, a run from child first reading
+    # the coefficients from child first's place in the tables, and each run
+    # passes: one call computes and checks the whole batch, inner or
+    # leaf-level, and the orbit sweep's single representatives (7,088 and
+    # 2,608 single-child lists compared)
+    from friezes.ears import _ear_batches, _ears_pass
 
     for p, s_max, lists in ((4, 6, 7088), (6, 4, 2608)):
         compared = 0
-        for s, last, counts, rows, news in _ear_batches(p, s_max):
+        for s, last, counts, rows, checked in _ear_batches(p, s_max):
             n, rows = len(counts[0]), tuple(rows)
-            whole = _news(p, n, rows, 0, last)
-            assert news is None or news == whole
+            whole, passed = _ears_pass(p, 0, last, counts, rows)
+            assert passed and checked in (None, (whole, True))
             for first in range(last + 1):
                 for end in range(first, min(first + 2, last + 1)):  # runs of one and of two
-                    run = _news(p, n, rows, first, end)
+                    run, passed = _ears_pass(p, first, end, counts, rows)
                     for family_run, family_whole in zip(run, whole):
                         for got, want in zip(family_run, family_whole):
                             assert got == want[first * n : (end + 1) * n], (p, s, first, end)
                             compared += first == end
-                    assert _ears_pass(p, first, end, counts, run), (p, s, first, end)
+                    assert passed, (p, s, first, end)
         assert compared == lists
 
 
@@ -1005,18 +1011,18 @@ def test_ear_tables_grow_for_longer_runs(monkeypatch, p, s_max):
     # again); each is its slice of the news built with the longest run
     # first, and (E2) entry by entry
     import friezes.ears
-    from friezes.ears import _ear_batches, _news
+    from friezes.ears import _ear_batches, _ears_pass
 
-    s, last, counts, rows, news = next(b for b in _ear_batches(p, s_max) if b[1] >= 5)
+    s, last, counts, rows, _ = next(b for b in _ear_batches(p, s_max) if b[1] >= 5)
     n, rows = len(counts[0]), tuple(rows)
     monkeypatch.setattr(friezes.ears, "_EARS", {})
     runs, got, tables = [(0, 1), (0, last - 2), (3, last)], [], []
     for first, end in runs:
-        got.append(_news(p, n, rows, first, end))
+        got.append(_ears_pass(p, first, end, counts, rows)[0])
         tables.append(friezes.ears._EARS[p, n])
     assert len(set(map(id, tables))) == 3  # built, then rebuilt for each longer run
     monkeypatch.setattr(friezes.ears, "_EARS", {})
-    whole = _news(p, n, rows, 0, last)
+    whole = _ears_pass(p, 0, last, counts, rows)[0]
     assert [list(family) for family in whole] == e2_news(p, n, rows, 0, last)
     for (first, end), run in zip(runs, got):
         want = [[new[first * n : (end + 1) * n] for new in family] for family in whole]
@@ -1085,9 +1091,9 @@ def test_ear_rows_and_new_entries_are_the_kernels():
     # every old vertex, equal the entries of `_grow`'s rows grown from the
     # p-angulation's own counts, and the node's counts are its `_counts`; a
     # node whose children are leaves carries its rows unglued and no news,
-    # which `_news` computes from the rows
+    # which `_ears_pass` computes from the rows
     from friezes.polygon import _p_angulation_walk
-    from friezes.ears import _ear_batches, _glued, _news
+    from friezes.ears import _ear_batches, _ears_pass, _glued
     from friezes.verify import _counts, _rows
 
     for p, s_max in ((4, 6), (6, 4)):
@@ -1103,11 +1109,11 @@ def test_ear_rows_and_new_entries_are_the_kernels():
             return (q, tc), (_rows(q, m, True), _rows(tc, 1, False))
 
         nodes = children = 0
-        for s, last, counts, rows, news in _ear_batches(p, s_max):
+        for s, last, counts, rows, checked in _ear_batches(p, s_max):
             n = len(counts[0])
-            assert (news is None) is (s == s_max)
+            assert (checked is None) is (s == s_max)
             rows = tuple(rows)
-            news = news or _news(p, n, rows, 0, last)
+            news = (checked or _ears_pass(p, 0, last, counts, rows))[0]
             if s > 1:  # past the 2-gon
                 nodes += 1
                 node_counts, node_grids = grids(counts[0])
@@ -1150,30 +1156,35 @@ def test_ear_faces_are_the_unit_p_gon_and_its_refinement():
 
 
 def test_each_ear_check_refuses_its_own_fault(monkeypatch):
-    # every batch passes; one child's new entry moved in one family fails
-    # the entry comparison, a new entry that is 0 in both (equal, so only
-    # the positivity test sees it) fails too, as does a changed face or
+    # every batch passes, and the tree's own check of each batch it glues
+    # from is the same; one child's new entries moved in one family fail
+    # the entry comparison, new entries that are 0 in both (equal, so only
+    # the positivity test sees them) fail too, as does a changed face or
     # triangle count (row 2 of its family sees it); a face whose entries
     # disagree fails `_faces_pass`, and the sweep then marks level 1
     from friezes import quiddity_counts
     from friezes.ears import _FACES, _ear_batches, _ears_pass, _faces_pass
 
     for p, s_max in ((4, 4), (6, 3)):
-        assert all(_ears_pass(*ear_run(p, batch)) for batch in _ear_batches(p, s_max))
+        for batch in _ear_batches(p, s_max):
+            checked = _ears_pass(*ear_run(p, batch))
+            assert checked[1] and batch[4] in (None, checked)
         assert _faces_pass(p)
     run = ear_run(4, list(_ear_batches(4, 3))[1])  # the square's children, the 6-gons
-    p, first, last, counts, news = run
-    assert (first, last) == (0, 2) and _ears_pass(*run)
+    p, first, last, counts, rows = run
+    assert (first, last) == (0, 2) and _ears_pass(*run)[1]
     for family in (0, 1):
         for by in (1, -1):
-            assert not _ears_pass(*bump(run, family, 0, 1, by))
-    assert news[0][0][0] == news[1][0][0] == 1  # entry (1, 0) of the child a = 0
-    assert not _ears_pass(*zeroed(run, 0))
+            assert not _ears_pass(*bump(run, family, 1, by))[1]
+    assert [flat[a * 4 + a + 1] for flat in rows for a in range(3)] == [1] * 6  # the sides (a, a + 1)
+    for a in range(last + 1):
+        alone = p, a, a, counts, rows
+        assert _ears_pass(*alone)[1] and not _ears_pass(*zeroed(alone, a))[1]
     for family in (0, 1):  # a face count or a triangle count moved, at a or at b
         for v in (0, last + 1):  # vertex last + 1 is only the last child's b
             moved = [list(c) for c in counts]
             moved[family][v] += 1
-            assert not _ears_pass(p, first, last, moved, news)
+            assert not _ears_pass(p, first, last, moved, rows)[1]
     radical, (integral, face_counts) = _FACES[4][0]
     wrong = [list(row) for row in integral]
     wrong[1][3] += 1

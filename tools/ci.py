@@ -21,6 +21,7 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -29,7 +30,7 @@ import threading
 import time
 import xml.etree.ElementTree as ET
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from friezes import (
@@ -43,12 +44,11 @@ from friezes import (
     faces,
     lambda_frieze,
     quad_to_tree,
-    render_ascii,
-    render_csv,
 )
 from friezes.bijection import _refine
-from friezes.ears import _ear_batches, _glued
-from friezes.frieze import _MAX_FRIEZE_N
+from friezes.ears import _ear_batches, _glued, _matrix
+from friezes.exact import LAMBDA_RADICAND
+from friezes.frieze import _MAX_FRIEZE_N, _ascii_rows, _csv_rows, _rows
 from friezes.polygon import _p_angulation_walk
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,10 +77,18 @@ def run(argv: list[str], stdin: bytes = b"", timeout: float | None = None, diges
 
 def sha256_of(stream) -> tuple[int, str]:
     """The length and SHA-256 of a stream's bytes, read a MiB at a time."""
+    return sha256_of_pieces(iter(lambda: stream.read(1 << 20), b""))
+
+
+def sha256_of_pieces(pieces) -> tuple[int, str]:
+    """The length and SHA-256 of bytes that come in pieces (text is hashed as
+    UTF-8), holding one piece at a time."""
     total, h = 0, hashlib.sha256()
-    for chunk in iter(lambda: stream.read(1 << 20), b""):
-        total += len(chunk)
-        h.update(chunk)
+    for piece in pieces:
+        if isinstance(piece, str):
+            piece = piece.encode()
+        total += len(piece)
+        h.update(piece)
     return total, h.hexdigest()
 
 
@@ -242,26 +250,55 @@ def sweeps(runs=SWEEPS) -> bool:
     return ok
 
 
+def ear_tree(p: int, s_max: int) -> tuple[dict, int, list]:
+    """One walk of the ear tree (`friezes.ears`) up to level s_max: per level s
+    the face counts of the children it glues; the number of nodes past the
+    2-gon; and the face counts of every node whose glued rows 0..last + 1,
+    in either family, are not the rows of `_matrix(_rows(...))` grown by the
+    kernel from the node's own counts.  The glued rows come from (E2) and
+    the gather plans, which the kernel shares nothing with, so a fault that
+    moves entries alike in both families, which every check of the sweep
+    passes (ROADMAP item 13), shows here."""
+    m = LAMBDA_RADICAND[p]
+    glued = {s: [] for s in range(1, s_max + 1)}
+    nodes, off = 0, []
+    for s, last, counts, rows, _ in _ear_batches(p, s_max):
+        glued[s] += [tuple(_glued(counts[0], a, [1] * p)) for a in range(last + 1)]
+        if s > 1:  # past the 2-gon
+            nodes += 1
+            kernel = [[e for row in _matrix(_rows(tuple(c), scale, radical))[: last + 2] for e in row]
+                      for c, scale, radical in zip(counts, (m, 1), (True, False))]
+            if list(rows) != kernel:
+                off.append(tuple(counts[0]))
+    return glued, nodes, off
+
+
 def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9)) -> bool:
     """Per level, the face counts of the p-angulations the ear tree glues
-    (`friezes.ears`) must be the enumeration walk's (a p-angulation is fixed
-    by its counts), compared as a SHA-256 of the sorted count vectors.  The
-    log also gives the wall time of the exhaustive `verify --p 4 --max-s 9`
-    (299,462 4-angulations), which must exit 0 having checked them all."""
+    must be the enumeration walk's (a p-angulation is fixed by its counts),
+    compared as a SHA-256 of the sorted count vectors, and every node's
+    glued rows, in both families, the kernel's (`ear_tree`): this guards the
+    gather plans past the sizes Tier-1 compares (p = 4, s ≤ 6; p = 6,
+    s ≤ 4).  The log also gives the wall time of the exhaustive
+    `verify --p 4 --max-s 9` (299,462 4-angulations), which must exit 0
+    having checked them all."""
 
     def digest(vectors):
         return hashlib.sha256(repr(sorted(vectors)).encode()).hexdigest()
 
     ok = True
     for p, s_max in levels:
-        glued = {s: [] for s in range(1, s_max + 1)}
-        for s, last, counts, _, _ in _ear_batches(p, s_max):
-            glued[s] += [tuple(_glued(counts[0], a, [1] * p)) for a in range(last + 1)]
+        start = time.monotonic()
+        glued, nodes, off = ear_tree(p, s_max)
+        seconds = time.monotonic() - start
         for s in range(1, s_max + 1):
             walked = [tuple(counts) for _, counts in _p_angulation_walk(s, p)[1]]
             same = digest(glued[s]) == digest(walked)
             ok &= report(f"p = {p}, s = {s}: {len(glued[s])} glued, {len(walked)} walked, ",
                          [] if same else ["DIFFERENT counts"], "same counts")
+        problems = [f"{len(off)} differ from the kernel's, the first of face counts {off[0]}"] if off else []
+        ok &= report(f"p = {p}, s <= {s_max}: {nodes} nodes' glued rows, {seconds:.2f} s, ", problems,
+                     "each the kernel's")
     p, max_s = exhaustive
     argv = cli("verify", "--p", p, "--max-s", max_s)
     child = run(argv)
@@ -285,8 +322,10 @@ def ear_depth(depth=499, limit_as=1 << 30, seconds=60) -> bool:
     """The ear tree is walked by a recursive generator, one frame per depth.
     Level 499 of p = 4 (the children of the 998-gon) is the deepest the
     1,000-vertex grid bound admits: a child must reach it under a 1 GiB
-    address-space limit within 60 s (0.57 s and 158.5 MB of peak RSS on a
-    2-vCPU x86-64 host, CPython 3.11)."""
+    address-space limit within 60 s (0.80–1.08 s and 165.8 MB of peak RSS
+    on a 2-vCPU x86-64 host, CPython 3.11: every node's batch is checked as
+    it is computed, and each glue's gather plan is built and kept on first
+    use; 0.63–0.96 s and 158.5 MB with neither)."""
     child = run([sys.executable, "-c", EAR_DEPTH.format(limit=limit_as, depth=depth)], timeout=seconds)
     problems = expect(child)
     if child.seconds >= seconds:
@@ -409,28 +448,35 @@ def frieze_ladders(bounds=LADDER_RSS_MB) -> bool:
     """`gen` writes the frieze's ASCII or CSV lines, or its JSON pieces (a
     piece per row), as they come, in stdout writes of up to 64 KiB, holding
     no joined copy of the text: on each ladder its stdout is byte for byte
-    render_ascii, render_csv or `_json_text`, each + "\\n", computed
-    in-process, and the child's peak RSS stays under the format's bound.
-    On the 402-gon, the whole text built and printed as one string peaked at
+    render_ascii, render_csv or `_json_text`, each + "\\n", and the child's
+    peak RSS stays under the format's bound.  The checker never builds
+    those texts either: it hashes the lines of `_ascii_rows` or `_csv_rows`,
+    each + "\\n", or the pieces of `_json_pieces` and "\\n", as they come
+    (building them whole took the checker to 841 MB on the 1,000-gon).  On
+    the 402-gon, the whole text built and printed as one string peaked at
     84 MB (ascii) and 49.9 MB (csv, json).  On the 1,000-gon, the largest
     grid the kernel takes, growing every row peaked at 91.8, 82.2 and
     82.0 MB; the rows above the middle, taken from the glide, share the
-    ints below it.  Every child runs before the checker builds a frieze."""
-    renders = {"ascii": ("render_ascii", render_ascii), "csv": ("render_csv", render_csv),
-               "json": ("_json_text", lambda frieze: frieze._json_text())}
+    ints below it.  Every child runs before the checker builds a frieze;
+    the log ends with the checker's own peak RSS."""
+    lines = lambda rows: (line + "\n" for line in rows)
+    renders = {"ascii": ("render_ascii", lambda frieze: lines(_ascii_rows(frieze))),
+               "csv": ("render_csv", lambda frieze: lines(_csv_rows(frieze))),
+               "json": ("_json_text", lambda frieze: chain(frieze._json_pieces(), ["\n"]))}
     children = {(n, fmt): run(cli("gen", "--p", 4, "--format", fmt, "--input", json.dumps(ladder(n))), digest=True)
                 for n, by_format in bounds.items() for fmt in by_format}
     ok = True
     for n, by_format in bounds.items():
         frieze = lambda_frieze(Dissection.from_json(ladder(n)), 4)
         for fmt, bound_mb in by_format.items():
-            name, render = renders[fmt]
+            name, pieces = renders[fmt]
             child = children[n, fmt]
             problems = expect(child, 0, bound_mb)
-            expected = (render(frieze) + "\n").encode()
-            if child.out != (len(expected), hashlib.sha256(expected).hexdigest()):
-                problems.append(f"{child.out[0]} bytes differ from {name}'s {len(expected)}")
+            expected = sha256_of_pieces(pieces(frieze))
+            if child.out != expected:
+                problems.append(f"{child.out[0]} bytes differ from {name}'s {expected[0]}")
             ok &= report(f"{fmt}, {n}-gon ladder, peak RSS {child.rss_mb:.1f} MB: ", problems, f"the bytes of {name}")
+    print(f"checker's own peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return ok
 
 

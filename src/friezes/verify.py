@@ -559,9 +559,8 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     docstring): each p-angulation is built once, from its canonical parent,
     and only the O(p·n) entries and counts its ear adds are computed and
     checked, for all children of one parent at once, in one call
-    (`_ears_pass`); the
-    entries between two corners of one ear are the lone p-gon's, checked
-    once (`_faces_pass`).  A failing check marks its level; every level
+    (`_ears_pass`); the entries between two corners of one ear are the lone
+    p-gon's, checked once (`_faces_pass`).  A failing check marks its level; every level
     above it, where its children's descendants lie, inherits the mark.
     After each level's count is checked against the Fuss–Catalan number, in
     order of s, a marked level is re-run once through `verify_dissection`,

@@ -81,12 +81,10 @@ def sha256_of(stream) -> tuple[int, str]:
 
 
 def sha256_of_pieces(pieces) -> tuple[int, str]:
-    """The length and SHA-256 of bytes that come in pieces (text is hashed as
-    UTF-8), holding one piece at a time."""
+    """The length and SHA-256 of bytes that come in pieces, holding one piece
+    at a time."""
     total, h = 0, hashlib.sha256()
     for piece in pieces:
-        if isinstance(piece, str):
-            piece = piece.encode()
         total += len(piece)
         h.update(piece)
     return total, h.hexdigest()
@@ -472,7 +470,7 @@ def frieze_ladders(bounds=LADDER_RSS_MB) -> bool:
             name, pieces = renders[fmt]
             child = children[n, fmt]
             problems = expect(child, 0, bound_mb)
-            expected = sha256_of_pieces(pieces(frieze))
+            expected = sha256_of_pieces(piece.encode() for piece in pieces(frieze))
             if child.out != expected:
                 problems.append(f"{child.out[0]} bytes differ from {name}'s {expected[0]}")
             ok &= report(f"{fmt}, {n}-gon ladder, peak RSS {child.rss_mb:.1f} MB: ", problems, f"the bytes of {name}")

@@ -560,8 +560,9 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     and only the O(p·n) entries and counts its ear adds are computed and
     checked, for all children of one parent at once, in one call
     (`_ears_pass`); the entries between two corners of one ear are the lone
-    p-gon's, checked once (`_faces_pass`).  A failing check marks its level; every level
-    above it, where its children's descendants lie, inherits the mark.
+    p-gon's, checked once (`_faces_pass`).  A failing check marks its level;
+    every level above it, where its children's descendants lie, inherits
+    the mark.
     After each level's count is checked against the Fuss–Catalan number, in
     order of s, a marked level is re-run once through `verify_dissection`,
     in enumeration order, so every report (witness, ε, timings) and every

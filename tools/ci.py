@@ -320,10 +320,10 @@ def ear_depth(depth=499, limit_as=1 << 30, seconds=60) -> bool:
     """The ear tree is walked by a recursive generator, one frame per depth.
     Level 499 of p = 4 (the children of the 998-gon) is the deepest the
     1,000-vertex grid bound admits: a child must reach it under a 1 GiB
-    address-space limit within 60 s (0.80–1.08 s and 165.8 MB of peak RSS
+    address-space limit within 60 s (0.68–0.71 s and 170.6 MB of peak RSS
     on a 2-vCPU x86-64 host, CPython 3.11: every node's batch is checked as
     it is computed, and each glue's gather plan is built and kept on first
-    use; 0.63–0.96 s and 158.5 MB with neither)."""
+    use; 0.58–0.59 s and 158.5 MB with neither)."""
     child = run([sys.executable, "-c", EAR_DEPTH.format(limit=limit_as, depth=depth)], timeout=seconds)
     problems = expect(child)
     if child.seconds >= seconds:

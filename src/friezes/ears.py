@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .bijection import _refined_counts, _require_p
 from .exact import LAMBDA_RADICAND
 from .frieze import _require_grid, _rows
+from .polygon import _glued
 
 # (p, n) -> `_ear_table(p, n, children)` for the longest run yet
 _EARS: dict = {}
@@ -187,13 +188,6 @@ def _scaled(coef: "int | list[int]", entries: list[int], lo: int, hi: int) -> It
     return map(mul, coef[lo:hi] if lo else coef, entries)
 
 
-def _glued(counts: list[int], a: int, ear: Sequence[int]) -> list[int]:
-    """The counts of the child glued on edge (a, a + 1): the ear's counts added
-    at a and at a + 1 (which becomes b = a + p − 1), and its inner corners'
-    counts inserted between them."""
-    return counts[:a] + [counts[a] + ear[0], *ear[1:-1], counts[a + 1] + ear[-1]] + counts[a + 2 :]
-
-
 def _glue_plan(n: int, a: int, k: int) -> itemgetter:
     """The gather that takes child a's rows 0..a + k + 1 of an n-gon node, k =
     p − 2 new corners, from `_glued_rows`' source: the node's rows 0..a + 1
@@ -263,7 +257,7 @@ def _ear_batches(p: int, s_max: int, ears_pass=_ears_pass) -> Iterator[tuple]:
     A child's canonical ear is its new face, whose first inner vertex is
     a + 1, so its own children glue on a' ≤ a + p − 2; the lone p-gon is the
     2-gon's one child.  `_subtree` yields a node's batch, then recurses into
-    each child, its counts built (`_glued`) as it is entered, its rows
+    each child, its counts built (`polygon._glued`) as it is entered, its rows
     (`_glued_rows`) when read: the recursion holds one node and its news per
     depth.  A caller reads a batch, or copies it to change it: the children
     are glued from it.

@@ -18,8 +18,7 @@ order of `diagonals_sorted`.  At every leaf it yields the same diagonal list
 (sorted) and per-vertex face-count list, both reused and mutated as the walk
 goes on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
 without checking them again (`_walked`, which also builds every other
-dissection the library derives), and the deep scan in `verify` reads the
-counts directly.  `friezes enumerate` writes each line from the
+dissection the library derives).  `friezes enumerate` writes each line from the
 diagonal list itself (`_listing`): its text is the bytes `json.dumps` gives
 for that `Dissection`'s `to_json()`, put together from per-vertex tables of
 label text built once per listing, with no frozenset, `Dissection` or dict
@@ -28,6 +27,13 @@ built per leaf; the CLI's one writer joins the lines into writes of up to
 see `_leaves`) and the 2n label strings are all a listing keeps, so the first
 leaf comes at once and a sorted listing holds nothing more.  Every caller
 enters the walk by one door, `_p_angulation_walk`, which checks s and p.
+
+The ear tree of face counts is a second enumeration, for any p ≥ 3: every
+p-angulation glued once from its canonical parent by one ear ((E) in the
+`verify` docstring), on counts alone.  `_glued` glues a child,
+`_canonical_parent` cuts it back, and `_ear_counts` yields a level's
+counts depth first; the deep scan in `verify` reads its triangulations'
+counts there, and `ears` glues the sweep's tree by the same `_glued`.
 """
 
 from __future__ import annotations
@@ -306,6 +312,70 @@ def _listing(s: int, p: int) -> Iterator[str]:
     right = [f"{v}]" for v in range(n)]
     for diags, _ in walk:
         yield head + ", ".join([left[a] + right[b] for a, b in diags]) + "]}\n"
+
+
+def _glued(counts: list[int], a: int, ear: Sequence[int]) -> list[int]:
+    """The counts of the child glued on edge (a, a + 1): the ear's counts put in
+    place of a and a + 1 (which becomes b = a + p − 1), its ends plus their
+    old counts."""
+    child = counts[:a]
+    child += ear
+    child[a] += counts[a]
+    child[-1] += counts[a + 1]
+    child += counts[a + 2 :]
+    return child
+
+
+def _canonical_parent(counts: list[int], p: int) -> tuple[list[int], int]:
+    """A p-angulation's face counts cut back to its canonical parent's: (parent
+    counts, a), the inverse of `_glued(parent, a, [1] * p)` on the ear tree.
+
+    The canonical ear ((E) in the `verify` docstring) is the non-wrapping run
+    of p − 2 vertices of count 1 with the least first vertex e: its corners
+    a = e − 1 .. b = e + p − 2 lie in 0..n − 1.  Cutting it drops the run and
+    takes 1 from a and from b; the lone p-gon cuts back to the 2-gon [0, 0].
+    Counts with no such run are no p-angulation's: ValueError."""
+    k, run = p - 2, 0
+    for v in range(1, len(counts) - 1):  # the inner corners lie in 1..n − 2
+        run = run + 1 if counts[v] == 1 else 0
+        if run == k:
+            a, b = v - k, v + 1
+            return counts[:a] + [counts[a] - 1, counts[b] - 1] + counts[b + 1 :], a
+    raise ValueError(f"no ear of {k} vertices of count 1 in {counts!r}")
+
+
+def _ear_counts(s: int, p: int) -> Iterator[list[int]]:
+    """The face counts of every p-angulation with s faces, each once, glued ear
+    by ear depth first from the 2-gon: the ear tree of `ears._ear_batches`
+    on counts alone, so for any p ≥ 3.
+
+    A node glues its children on the edges (a, a + 1), a ≤ last, and a child
+    glued on a has last = a + p − 2, as its canonical ear starts at a + 1
+    ((E)); the 2-gon's one edge gives the lone p-gon.  An explicit stack
+    holds one node per depth, with the edges it has left, and a child is
+    glued only when it is entered; the leaves, with s faces, are each a
+    fresh list.  s and p are checked at the call, and a polygon above
+    _MAX_WALK_N vertices is refused, as by `_p_angulation_walk`."""
+    n = _polygon_size(s, p)
+    if n > _MAX_WALK_N:
+        raise ValueError(f"the {n}-gon is too large to walk")
+    return _ear_leaves(s, p)
+
+
+def _ear_leaves(s: int, p: int) -> Iterator[list[int]]:
+    ear = [1] * p
+    stack = [(iter(range(1)), [0, 0])]  # per depth: a node's edges left, and its counts
+    while stack:
+        edges, counts = stack[-1]
+        for a in edges:
+            child = _glued(counts, a, ear)
+            if len(stack) == s:
+                yield child
+            else:
+                stack.append((iter(range(a + p - 1)), child))
+                break
+        else:
+            stack.pop()
 
 
 def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[tuple[list[Pair], list[int]]]]:

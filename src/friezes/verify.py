@@ -52,8 +52,10 @@ deep_uniqueness() compares one radical frieze against the integer friezes
 of *all* triangulations of the same polygon, and names the matches by the
 same refinement: the black-corner one is "associated", the white-corner
 one its "mirror", and it lists them in that order, ahead of any other
-match (those follow in enumeration order).  With h = p/2 = λ², two facts
-make that scan a comparison of row 3 alone, read off the counts:
+match (those follow in the order of `diagonals_sorted`).  Its candidates
+are the leaves of (E)'s tree for p = 3, glued as triangle counts alone.
+With h = p/2 = λ², two facts make that scan a comparison of row 3 alone,
+read off the counts:
 
 (A) Row 3 decides every odd row.  Row 3 of the two friezes is
     c_k·c_{k+1} − 1 and h·q_k·q_{k+1} − 1.  If c_k·c_{k+1} = h·q_k·q_{k+1}
@@ -120,7 +122,12 @@ Both sweeps rest on a fourth:
     with s ≥ 2 is glued exactly once, from its canonical parent; the lone
     p-gon is glued once, on the one edge of the 2-gon.  A child's e is
     a + 1, so its own children glue on a' ≤ a + p − 2 ≤ n' − 2, reading
-    only its rows 0..a + p − 1.
+    only its rows 0..a + p − 1.  This half holds for every p ≥ 3 and reads
+    the counts alone: the inner corners of an ear are the vertices of count
+    1, so the canonical ear is the first run of p − 2 ones from vertex 1
+    on, and cutting it takes 1 from a and from b (`polygon._canonical_parent`,
+    the inverse of the glue, `polygon._glued`).  `polygon._ear_counts` walks
+    the tree on counts; the deep scan reads its leaves for p = 3.
 
     The friezes come from plane vectors (`tests/geometry.py` builds them
     exactly).  Give the corners of a face, in order, the unit vectors
@@ -178,12 +185,14 @@ from typing import NamedTuple, Sequence
 
 from .bijection import _not_p_angulation, _refined_counts, _require_p
 from .bijection import associated_triangulation
-from .ears import _ear_batches, _ears_pass, _faces_pass, _glued
+from .ears import _ear_batches, _ears_pass, _faces_pass
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _require_grid, _rows
 from .polygon import (
     Dissection,
-    _p_angulation_walk,
+    _canonical_parent,
+    _ear_counts,
+    _glued,
     _polygon_size,
     _walked,
     enumerate_p_angulations,
@@ -445,7 +454,7 @@ class DeepUniquenessResult(NamedTuple):
     match as "associated", "mirror" or "other" to keep the outcome
     interpretable (by (B) in the module docstring no "other" occurs).
     matches come in a fixed order: "associated" first, then "mirror", then
-    the rest in enumeration order (lexicographic in `diagonals_sorted`).
+    the rest in lexicographic order of `diagonals_sorted`.
     """
 
     ok: bool
@@ -470,16 +479,17 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     """Scan all triangulations of the n-gon for odd-row agreement with D's frieze.
 
     Exhaustive over Catalan-many candidates, so only sensible for small
-    polygons.  A candidate is a count vector: the enumeration walk keeps
-    each triangulation's triangles per vertex as it goes, and by
-    Conway–Coxeter these counts c are its quiddity.  By (A) in the module
-    docstring a candidate matches exactly when its row 3 does, that is
-    when c_k·c_{k+1} = (p/2)·q_k·q_{k+1} for every k, so no frieze is
-    grown.  Only a match becomes a Dissection, built from the walk's
-    diagonals unchecked like the walk's other leaves (`polygon._walked`),
-    and is labelled by its counts: "associated" for q at white and (p/2)·q
-    at black vertices, the black-corner refinement's, "mirror" for the
-    colours swapped ((B): a quiddity fixes its triangulation).
+    polygons.  A candidate is a count vector: the ear tree of triangle
+    counts (`polygon._ear_counts` with p = 3) glues each triangulation's
+    counts from its canonical parent's, and by Conway–Coxeter these counts
+    c are its quiddity.  By (A) in the module docstring a candidate matches
+    exactly when its row 3 does, that is when c_k·c_{k+1} = (p/2)·q_k·q_{k+1}
+    for every k, so no frieze is grown.  A match is labelled by its counts:
+    "associated" for q at white and (p/2)·q at black vertices, the
+    black-corner refinement's, "mirror" for the colours swapped ((B): a
+    quiddity fixes its triangulation).  Only a match becomes a Dissection,
+    named by its counts (`_triangulation`) and built unchecked like the
+    library's other derived dissections (`polygon._walked`).
     The number scanned is checked against the Catalan number C_{n−2}; any
     other count is an InternalAssertionError.  See DeepUniquenessResult for
     how matches are reported.
@@ -494,22 +504,35 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     matches = []
     total = 0
     first = products[0]
-    _, walk = _p_angulation_walk(d.n - 2, 3)  # the n-gon's triangulations
-    for diags, c in walk:  # c: live triangle counts, the quiddity
+    for c in _ear_counts(d.n - 2, 3):  # the n-gon's triangulations, as quiddities
         total += 1
         # the first term decides most candidates before the row is built
         if c[0] * c[1] == first and [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
             kind = "associated" if c == associated else "mirror" if c == mirror else "other"
-            matches.append((kind, _walked(Dissection, d.n, frozenset(diags))))
+            matches.append((kind, _triangulation(c)))
     if total != catalan:
         raise InternalAssertionError(
             f"scanned {total} triangulations of the {d.n}-gon, expected {catalan}"
         )
-    # stable, and "associated" < "mirror" < "other": the rest keep their enumeration order
-    matches.sort(key=lambda match: match[0])
+    # "associated" < "mirror" < "other", and the rest in the order of their sorted diagonals
+    matches.sort(key=lambda match: (match[0], match[1].diagonals_sorted))
     found = tuple(match for _, match in matches)
     ok = len(found) == 1 and found[0] == expected
     return DeepUniquenessResult(ok, total, found, expected, tuple(kind for kind, _ in matches))
+
+
+def _triangulation(counts: list[int]) -> Dissection:
+    """The triangulation with these triangle counts: its canonical ears cut one
+    by one (`polygon._canonical_parent`) back to the lone triangle, each
+    cut's diagonal (a, a + 2) recorded in the original labels."""
+    n = len(counts)
+    labels = list(range(n))
+    diagonals = []
+    while len(counts) > 3:
+        counts, a = _canonical_parent(counts, 3)
+        diagonals.append((labels[a], labels[a + 2]))
+        del labels[a + 1]
+    return _walked(Dissection, n, frozenset(diagonals))
 
 
 class SweepSummary(NamedTuple):

@@ -32,7 +32,7 @@ steps = {
     "tier1_by_design": ((junit,), {}, True),
     "sweeps": ((), {"runs": ((4, 2, ("--deep-uniqueness",), 2, None), (6, 2, (), 0, None),
                             (4, 3, ("--orbits",), 0, 6))}, True),
-    "ear_walk": ((), {"levels": ((4, 3), (6, 2)), "exhaustive": (4, 2)}, True),
+    "ear_walk": ((), {"levels": ((4, 3), (6, 2)), "exhaustive": (4, 2), "counts_levels": ((3, 3), (5, 2))}, True),
     "ear_depth": ((), {"depth": 3}, True),
     "enumerate_sorted": ((), {"s": 3}, True),
     "enumerate_first_line": ((), {"s": 3}, True),
@@ -83,7 +83,7 @@ def test_ear_walk_sees_a_glue_fault_both_families_share(monkeypatch):
     spec = importlib.util.spec_from_file_location("ci", ROOT / "tools" / "ci.py")
     ci = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ci)
-    assert ci.ear_tree(4, 5)[1:] == (71, [])
+    assert ci.ear_tree(4, 5)[1:] == (71, [], [])
     glued_rows = friezes.ears._glued_rows
 
     def swapped(rows, n, a, news, inner):
@@ -93,5 +93,6 @@ def test_ear_walk_sees_a_glue_fault_both_families_share(monkeypatch):
         return out
 
     monkeypatch.setattr(friezes.ears, "_glued_rows", swapped)
-    glued, nodes, off = ci.ear_tree(4, 5)
+    glued, nodes, off, uncut = ci.ear_tree(4, 5)
     assert nodes == 71 and off and all(len(counts) >= 8 and counts[0] >= 2 for counts in off)
+    assert uncut == []  # the fault moves rows, not counts

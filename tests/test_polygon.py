@@ -7,6 +7,7 @@ planar-walk / brute-force implementations in oracle.py.
 import gc
 import json
 import random
+import sys
 import time
 import tracemalloc
 
@@ -27,7 +28,8 @@ from friezes import (
     rotate,
 )
 
-from friezes.polygon import _crossing, _listing, _p_angulation_walk
+from friezes.polygon import _canonical_parent, _crossing, _ear_counts, _listing, _p_angulation_walk
+from friezes.polygon import _glued as glued_counts  # `_glued` below glues seeded p-angulations
 from oracle import brute_force_p_angulations, face_walk_faces, noncrossing_subsets
 
 
@@ -404,3 +406,95 @@ def test_enumeration_count_holds_no_sub_polygon_lists():
         tracemalloc.stop()
     assert count == fuss_catalan(8, 4)
     assert peak < 500_000
+
+
+# ---------------------------------------------------------------------------
+# the ear tree of face counts
+
+
+@pytest.mark.parametrize(
+    "s,p", [(s, 3) for s in range(1, 11)] + [(s, 4) for s in range(1, 7)]
+    + [(s, 5) for s in range(1, 5)] + [(s, 6) for s in range(1, 5)]
+)
+def test_ear_counts_are_the_walks_counts(s, p):
+    # the tree glues every p-angulation once, so its leaves are the walk's
+    # count vectors, each once (a p-angulation is fixed by its counts), and
+    # each leaf is a list of its own
+    leaves = list(_ear_counts(s, p))
+    assert len({id(leaf) for leaf in leaves}) == len(leaves)
+    glued = sorted(map(tuple, leaves))
+    assert len(set(glued)) == len(glued) == fuss_catalan(s, p)
+    assert glued == sorted(tuple(counts) for _, counts in _p_angulation_walk(s, p)[1])
+
+
+@pytest.mark.parametrize("p,s_max", [(3, 8), (4, 6), (5, 4), (6, 4)])
+def test_canonical_parent_cuts_each_level_onto_the_tree_edges_below(p, s_max):
+    # cutting the canonical ear of every p-angulation with s faces gives a
+    # node one level down and an edge a ≤ last of that node (its own cut's
+    # a + p − 2), and gluing it back gives the counts: so the cuts are
+    # exactly the tree's edges, each met once
+    ear = [1] * p
+    below = {(0, 0): 0}  # the 2-gon and its last
+    for s in range(1, s_max + 1):
+        level, edges = {}, set()
+        for counts in _ear_counts(s, p):
+            parent, a = _canonical_parent(counts, p)
+            assert a <= below[tuple(parent)]
+            assert glued_counts(parent, a, ear) == counts
+            edges.add((tuple(parent), a))
+            level[tuple(counts)] = a + p - 2
+        assert len(edges) == len(level) == sum(last + 1 for last in below.values())
+        below = level
+
+
+@pytest.mark.parametrize("p,s_max", [(4, 6), (6, 4)])
+def test_canonical_parent_inverts_the_glue_on_every_ear_tree_edge(p, s_max):
+    # the sweep's tree (`ears._ear_batches`) glues child a of a node on
+    # a ≤ last; cutting the child's canonical ear gives back the node and a
+    from friezes.ears import _ear_batches
+
+    edges = 0
+    for s, last, counts, _, _ in _ear_batches(p, s_max):
+        for a in range(last + 1):
+            assert _canonical_parent(glued_counts(counts[0], a, [1] * p), p) == (counts[0], a)
+            edges += 1
+    assert edges == sum(fuss_catalan(s, p) for s in range(1, s_max + 1))
+
+
+def test_canonical_parent_refuses_counts_with_no_ear():
+    # a run of p − 2 ones that wraps past vertex 0 is no canonical ear
+    with pytest.raises(ValueError, match="no ear of 2 vertices of count 1"):
+        _canonical_parent([2, 2, 2, 2, 2, 2], 4)
+    with pytest.raises(ValueError, match="no ear of 1 vertices of count 1"):
+        _canonical_parent([1, 3, 3, 3, 3], 3)
+    assert _canonical_parent([1, 1, 1], 3) == ([0, 0], 0)
+
+
+def test_ear_counts_refuse_bad_arguments_at_the_call():
+    # as the walk: checked when called, with the walk's messages
+    for s, p in ((0, 4), (3, 2), (2.0, 4), (10**7, 4)):
+        with pytest.raises(ValueError) as walked:
+            _p_angulation_walk(s, p)
+        with pytest.raises(ValueError) as raised:
+            _ear_counts(s, p)
+        assert str(raised.value) == str(walked.value)
+
+
+def test_ear_counts_reach_the_1000_gon_without_recursion():
+    # an explicit stack of one node per depth: the first triangulation of the
+    # 1,000-gon comes under a recursion limit far below its 998 levels, and
+    # a tree dropped halfway leaves no reference cycle
+    limit = sys.getrecursionlimit()
+    gc.disable()
+    try:
+        gc.collect()
+        sys.setrecursionlimit(100)
+        leaves = _ear_counts(998, 3)
+        first = next(leaves)
+        sys.setrecursionlimit(limit)
+        del leaves
+        assert gc.collect() == 0
+    finally:
+        sys.setrecursionlimit(limit)
+        gc.enable()
+    assert len(first) == 1000 and sum(first) == 3 * 998

@@ -440,7 +440,7 @@ def corrupt_triangle_counts(monkeypatch, wrong):
 def ear_children(p, counts, first, last):
     """(a, face counts) of the children a = first..last of the ear tree's node
     with these counts."""
-    from friezes.ears import _glued
+    from friezes.polygon import _glued
 
     return [(a, tuple(_glued(counts[0], a, [1] * p))) for a in range(first, last + 1)]
 
@@ -1092,8 +1092,8 @@ def test_ear_rows_and_new_entries_are_the_kernels():
     # p-angulation's own counts, and the node's counts are its `_counts`; a
     # node whose children are leaves carries its rows unglued and no news,
     # which `_ears_pass` computes from the rows
-    from friezes.polygon import _p_angulation_walk
-    from friezes.ears import _ear_batches, _ears_pass, _glued
+    from friezes.ears import _ear_batches, _ears_pass
+    from friezes.polygon import _glued, _p_angulation_walk
     from friezes.verify import _counts, _rows
 
     for p, s_max in ((4, 6), (6, 4)):
@@ -1327,8 +1327,8 @@ def test_deep_scan_matches_full_growth_reference(quad10):
 
 @pytest.mark.parametrize("d", [Dissection(4), Dissection(10, [(1, 4), (4, 9), (5, 8)])])
 def test_deep_scan_lists_associated_first(d):
-    # the walk meets the mirror first on both; the scan still lists the
-    # associated triangulation first, then the mirror
+    # the count tree meets the mirror first on both; the scan still lists
+    # the associated triangulation first, then the mirror
     result = deep_uniqueness(d, 4)
     assert result.match_kinds == ("associated", "mirror")
     assert result.matches[0] == associated_triangulation(d, 4)
@@ -1346,8 +1346,8 @@ def test_check_lemma_grows_no_frieze(monkeypatch, quad10):
 
 
 def test_deep_scan_builds_only_row_3_survivors(monkeypatch, quad10):
-    # candidates are the walk's count vectors; a Dissection is built (and
-    # validated) for the two survivors, not for each of the 1,430 candidates
+    # candidates are the count tree's vectors; a Dissection is built for the
+    # two survivors, not for each of the 1,430 candidates
     built = []
     init = Dissection.__init__
 
@@ -1365,7 +1365,7 @@ def test_deep_scan_builds_only_row_3_survivors(monkeypatch, quad10):
 
 def test_deep_scan_matches_brute_force_candidates():
     # every 4- and 6-angulation with n ≤ 8; the reference scans the oracle's
-    # triangulations, not the walk under test
+    # triangulations, not the count tree under test
     cases = [(d, 4) for s in (1, 2, 3) for d in enumerate_p_angulations(s, 4)]
     cases.append((Dissection(6), 6))
     candidates = {}
@@ -1382,20 +1382,19 @@ def test_deep_scan_matches_brute_force_candidates():
 
 
 def test_deep_scan_counts_its_candidates(monkeypatch, capsys):
-    # most candidates are never grown, so a faulty enumeration shows only in
+    # most candidates are never grown, so a faulty count tree shows only in
     # the count: one triangulation dropped is an internal fault, exit 3
     import friezes.verify
     from friezes.cli import main
 
-    walk_of = friezes.verify._p_angulation_walk
+    counts_of = friezes.verify._ear_counts
 
     def drop_one_triangulation(s, p):
-        n, found = walk_of(s, p)
-        if p == 3:  # the deep scan's walk, not the sweep's
-            next(found)
-        return n, found
+        found = counts_of(s, p)
+        next(found)
+        return found
 
-    monkeypatch.setattr(friezes.verify, "_p_angulation_walk", drop_one_triangulation)
+    monkeypatch.setattr(friezes.verify, "_ear_counts", drop_one_triangulation)
     message = "scanned 13 triangulations of the 6-gon, expected 14"
     with pytest.raises(InternalAssertionError, match=message):
         deep_uniqueness(Dissection(6, [(1, 4)]), 4)

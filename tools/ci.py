@@ -46,10 +46,10 @@ from friezes import (
     quad_to_tree,
 )
 from friezes.bijection import _refine
-from friezes.ears import _ear_batches, _glued, _matrix
+from friezes.ears import _ear_batches, _matrix
 from friezes.exact import LAMBDA_RADICAND
 from friezes.frieze import _MAX_FRIEZE_N, _ascii_rows, _csv_rows, _rows
-from friezes.polygon import _p_angulation_walk
+from friezes.polygon import _canonical_parent, _ear_counts, _glued, _p_angulation_walk
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ["friezes"]
@@ -248,38 +248,65 @@ def sweeps(runs=SWEEPS) -> bool:
     return ok
 
 
-def ear_tree(p: int, s_max: int) -> tuple[dict, int, list]:
+def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
     """One walk of the ear tree (`friezes.ears`) up to level s_max: per level s
     the face counts of the children it glues; the number of nodes past the
-    2-gon; and the face counts of every node whose glued rows 0..last + 1,
+    2-gon; the face counts of every node whose glued rows 0..last + 1,
     in either family, are not the rows of `_matrix(_rows(...))` grown by the
-    kernel from the node's own counts.  The glued rows come from (E2) and
-    the gather plans, which the kernel shares nothing with, so a fault that
-    moves entries alike in both families, which every check of the sweep
-    passes (ROADMAP item 13), shows here."""
+    kernel from the node's own counts; and (child's face counts, a) of every
+    edge that `_canonical_parent` does not cut back to its node and a.  The
+    glued rows come from (E2) and the gather plans, which the kernel shares
+    nothing with, so a fault that moves entries alike in both families,
+    which every check of the sweep passes (ROADMAP item 13), shows here."""
     m = LAMBDA_RADICAND[p]
     glued = {s: [] for s in range(1, s_max + 1)}
-    nodes, off = 0, []
+    nodes, off, uncut = 0, [], []
     for s, last, counts, rows, _ in _ear_batches(p, s_max):
-        glued[s] += [tuple(_glued(counts[0], a, [1] * p)) for a in range(last + 1)]
+        for a in range(last + 1):
+            child = _glued(counts[0], a, [1] * p)
+            glued[s].append(tuple(child))
+            if _canonical_parent(child, p) != (counts[0], a):
+                uncut.append((tuple(child), a))
         if s > 1:  # past the 2-gon
             nodes += 1
             kernel = [[e for row in _matrix(_rows(tuple(c), scale, radical))[: last + 2] for e in row]
                       for c, scale, radical in zip(counts, (m, 1), (True, False))]
             if list(rows) != kernel:
                 off.append(tuple(counts[0]))
-    return glued, nodes, off
+    return glued, nodes, off, uncut
 
 
-def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9)) -> bool:
+def ear_counts(p: int, s: int) -> tuple[int, int, int, int, float, float]:
+    """The leaves of `_ear_counts(s, p)` against the walk's count vectors:
+    (walked, glued, glued but not walked or glued twice, walked but not
+    glued, seconds of the walk, seconds of the tree).  Only the walk's
+    vectors are held, as a set each glued leaf is taken out of."""
+    start = time.monotonic()
+    left = {tuple(counts) for _, counts in _p_angulation_walk(s, p)[1]}
+    walked, middle = len(left), time.monotonic()
+    glued = extra = 0
+    for counts in _ear_counts(s, p):
+        glued += 1
+        try:
+            left.remove(tuple(counts))
+        except KeyError:
+            extra += 1
+    return walked, glued, extra, len(left), middle - start, time.monotonic() - middle
+
+
+def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9), counts_levels=((3, 12), (5, 6))) -> bool:
     """Per level, the face counts of the p-angulations the ear tree glues
     must be the enumeration walk's (a p-angulation is fixed by its counts),
-    compared as a SHA-256 of the sorted count vectors, and every node's
-    glued rows, in both families, the kernel's (`ear_tree`): this guards the
-    gather plans past the sizes Tier-1 compares (p = 4, s ≤ 6; p = 6,
-    s ≤ 4).  The log also gives the wall time of the exhaustive
-    `verify --p 4 --max-s 9` (299,462 4-angulations), which must exit 0
-    having checked them all."""
+    compared as a SHA-256 of the sorted count vectors, every node's glued
+    rows, in both families, the kernel's, and every edge cut back to its
+    node by `_canonical_parent` (`ear_tree`): this guards the gather plans
+    past the sizes Tier-1 compares (p = 4, s ≤ 6; p = 6, s ≤ 4).  The count
+    tree the deep scan reads, `_ear_counts`, must yield each level's walked
+    count vectors, each once, at counts_levels, which reach p = 3 up to the
+    14-gon (208,012 triangulations on the top level) and p = 5, s ≤ 6
+    (`ear_counts`, timed against the walk).  The log also gives the wall
+    time of the exhaustive `verify --p 4 --max-s 9` (299,462
+    4-angulations), which must exit 0 having checked them all."""
 
     def digest(vectors):
         return hashlib.sha256(repr(sorted(vectors)).encode()).hexdigest()
@@ -287,7 +314,7 @@ def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9)) -> bool:
     ok = True
     for p, s_max in levels:
         start = time.monotonic()
-        glued, nodes, off = ear_tree(p, s_max)
+        glued, nodes, off, uncut = ear_tree(p, s_max)
         seconds = time.monotonic() - start
         for s in range(1, s_max + 1):
             walked = [tuple(counts) for _, counts in _p_angulation_walk(s, p)[1]]
@@ -295,8 +322,18 @@ def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9)) -> bool:
             ok &= report(f"p = {p}, s = {s}: {len(glued[s])} glued, {len(walked)} walked, ",
                          [] if same else ["DIFFERENT counts"], "same counts")
         problems = [f"{len(off)} differ from the kernel's, the first of face counts {off[0]}"] if off else []
-        ok &= report(f"p = {p}, s <= {s_max}: {nodes} nodes' glued rows, {seconds:.2f} s, ", problems,
-                     "each the kernel's")
+        if uncut:
+            problems.append(f"{len(uncut)} edges not cut back to their node, the first (counts, a) {uncut[0]}")
+        ok &= report(f"p = {p}, s <= {s_max}: {nodes} nodes' glued rows and their edges, {seconds:.2f} s, ",
+                     problems, "each row the kernel's, each edge cut back")
+    for p, s_max in counts_levels:
+        for s in range(1, s_max + 1):
+            walked, glued, extra, missing, walk_s, tree_s = ear_counts(p, s)
+            problems = [f"{extra} glued but not walked or glued twice"] if extra else []
+            if missing:
+                problems.append(f"{missing} walked but not glued")
+            ok &= report(f"p = {p}, s = {s}: {glued} glued in {tree_s:.2f} s, {walked} walked in {walk_s:.2f} s, ",
+                         problems, "the same counts, each once")
     p, max_s = exhaustive
     argv = cli("verify", "--p", p, "--max-s", max_s)
     child = run(argv)

@@ -46,7 +46,7 @@ Pair = tuple[int, int]
 Face = tuple[int, ...]
 _D = TypeVar("_D", bound="Dissection")
 
-_MAX_WALK_N = 10**6  # the largest polygon `_p_angulation_walk` takes; see its docstring
+_MAX_WALK_N = 10**6  # the largest polygon a walk takes; see `_walk_size`
 
 
 class InvalidDissectionError(ValueError):
@@ -354,15 +354,14 @@ def _ear_counts(s: int, p: int) -> Iterator[list[int]]:
     ((E)); the 2-gon's one edge gives the lone p-gon.  An explicit stack
     holds one node per depth, with the edges it has left, and a child is
     glued only when it is entered; the leaves, with s faces, are each a
-    fresh list.  s and p are checked at the call, and a polygon above
-    _MAX_WALK_N vertices is refused, as by `_p_angulation_walk`."""
-    n = _polygon_size(s, p)
-    if n > _MAX_WALK_N:
-        raise ValueError(f"the {n}-gon is too large to walk")
+    fresh list.  s and p are checked at the call, as by the walk's door
+    (`_walk_size`)."""
+    _walk_size(s, p)
     return _ear_leaves(s, p)
 
 
 def _ear_leaves(s: int, p: int) -> Iterator[list[int]]:
+    """The generator behind `_ear_counts`, its arguments checked."""
     ear = [1] * p
     stack = [(iter(range(1)), [0, 0])]  # per depth: a node's edges left, and its counts
     while stack:
@@ -379,13 +378,19 @@ def _ear_leaves(s: int, p: int) -> Iterator[list[int]]:
 
 
 def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[tuple[list[Pair], list[int]]]]:
-    """The one door to the walk: n for s faces of size p, and `_leaves(n, p - 2)`.
-    An n above _MAX_WALK_N = 10**6 raises ValueError naming the polygon before
-    anything is allocated: no walk that large could finish."""
+    """The one door to the walk: n for s faces of size p, and `_leaves(n, p - 2)`."""
+    n = _walk_size(s, p)
+    return n, _leaves(n, p - 2)
+
+
+def _walk_size(s: int, p: int) -> int:
+    """n = (p − 2)s + 2 for a walk of s faces of size p.  An n above
+    _MAX_WALK_N = 10**6 raises ValueError naming the polygon before anything
+    is allocated: no walk that large could finish."""
     n = _polygon_size(s, p)
     if n > _MAX_WALK_N:
         raise ValueError(f"the {n}-gon is too large to walk")
-    return n, _leaves(n, p - 2)
+    return n
 
 
 def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:

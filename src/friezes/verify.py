@@ -180,7 +180,7 @@ Both sweeps rest on a fourth:
 from __future__ import annotations
 
 import time
-from operator import ne
+from operator import mul, ne
 from typing import NamedTuple, Sequence
 
 from .bijection import _not_p_angulation, _refined_counts, _require_p
@@ -507,7 +507,7 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     for c in _ear_counts(d.n - 2, 3):  # the n-gon's triangulations, as quiddities
         total += 1
         # the first term decides most candidates before the row is built
-        if c[0] * c[1] == first and [a * b for a, b in zip(c, c[1:] + c[:1])] == products:
+        if c[0] * c[1] == first and list(map(mul, c, c[1:] + c[:1])) == products:
             kind = "associated" if c == associated else "mirror" if c == mirror else "other"
             matches.append((kind, _triangulation(c)))
     if total != catalan:

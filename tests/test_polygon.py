@@ -483,13 +483,16 @@ def test_ear_counts_refuse_bad_arguments_at_the_call():
 
 def test_ear_counts_reach_the_1000_gon_without_recursion():
     # an explicit stack of one node per depth: the first triangulation of the
-    # 1,000-gon comes under a recursion limit far below its 998 levels, and
-    # a tree dropped halfway leaves no reference cycle
-    limit = sys.getrecursionlimit()
+    # 1,000-gon comes under a recursion limit 50 frames above the test's own
+    # depth, far below its 998 levels, and a tree dropped halfway leaves no
+    # reference cycle
+    limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
     gc.disable()
     try:
         gc.collect()
-        sys.setrecursionlimit(100)
+        sys.setrecursionlimit(depth + 50)
         leaves = _ear_counts(998, 3)
         first = next(leaves)
         sys.setrecursionlimit(limit)

@@ -57,7 +57,7 @@ from .exact import (
     coefficients_from_json,
     quadratic_sign,
 )
-from .polygon import Dissection, InternalAssertionError, is_p_angulation, quiddity_counts
+from .polygon import Dissection, InternalAssertionError, _Memo, is_p_angulation, quiddity_counts
 
 _MAX_FRIEZE_N = 1000  # the largest polygon `_grow` takes; see its docstring
 
@@ -87,20 +87,6 @@ class QuiddityPositivityError(_GridPositionError):
 
 class ClosureError(_GridPositionError):
     """The frieze does not close: the glide fails and the top row is not all ones."""
-
-
-class _Memo(dict):
-    """f(key), computed on the first lookup of each key and kept, so
-    `map(memo.__getitem__, row)` calls f once per distinct entry."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable) -> None:
-        self.f = f
-
-    def __missing__(self, key: object) -> object:
-        value = self[key] = self.f(key)
-        return value
 
 
 class Frieze:

@@ -14,19 +14,19 @@ is O(n + d log d) for d diagonals.
 
 Enumeration is one in-place backtracking walk (`_leaves`) that decides each
 vertex's fan of diagonals one end at a time, so it yields in lexicographic
-order of `diagonals_sorted`.  At every leaf it yields the same diagonal list
-(sorted) and per-vertex face-count list, both reused and mutated as the walk
-goes on: `enumerate_p_angulations` copies the diagonals into a `Dissection`
-without checking them again (`_walked`, which also builds every other
-dissection the library derives).  `friezes enumerate` writes each line from the
-diagonal list itself (`_listing`): its text is the bytes `json.dumps` gives
-for that `Dissection`'s `to_json()`, put together from per-vertex tables of
-label text built once per listing, with no frozenset, `Dissection` or dict
-built per leaf; the CLI's one writer joins the lines into writes of up to
-64 KiB.  The walk's O(n) frames (at most one per diagonal on the path,
-see `_leaves`) and the 2n label strings are all a listing keeps, so the first
-leaf comes at once and a sorted listing holds nothing more.  Every caller
-enters the walk by one door, `_p_angulation_walk`, which checks s and p.
+order of `diagonals_sorted`.  At every leaf it yields the same diagonal list,
+sorted, reused and mutated as the walk goes on: `enumerate_p_angulations`
+copies it into a `Dissection` without checking it again (`_walked`, which
+also builds every other dissection the library derives).  `friezes
+enumerate` writes each line from the diagonal list itself (`_listing`): its
+text is the bytes `json.dumps` gives for that `Dissection`'s `to_json()`,
+joined from one text per diagonal, made the first time the walk places it,
+with no frozenset, `Dissection` or dict built per leaf; the CLI's one writer
+joins the lines into writes of up to 64 KiB.  The walk's O(n) frames (at
+most one per diagonal on the path, see `_leaves`) and the texts of the
+diagonals it has placed are all a listing keeps, so the first leaf comes at
+once and a sorted listing holds nothing more.  Every caller enters the walk
+by one door, `_p_angulation_walk`, which checks s and p.
 
 The ear tree of face counts is a second enumeration, for any p ≥ 3: every
 p-angulation glued once from its canonical parent by one ear ((E) in the
@@ -40,13 +40,27 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 Pair = tuple[int, int]
 Face = tuple[int, ...]
 _D = TypeVar("_D", bound="Dissection")
 
 _MAX_WALK_N = 10**6  # the largest polygon a walk takes; see `_walk_size`
+
+
+class _Memo(dict):
+    """f(key), computed on the first lookup of each key and kept, so
+    `map(memo.__getitem__, row)` calls f once per distinct entry."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable) -> None:
+        self.f = f
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.f(key)
+        return value
 
 
 class InvalidDissectionError(ValueError):
@@ -286,13 +300,13 @@ def enumerate_p_angulations(s: int, p: int) -> Iterator[Dissection]:
     One backtracking walk (`_leaves`) visits every p-angulation exactly once
     and yields each as a `Dissection`, in lexicographic order of
     `diagonals_sorted`, so a listing streams sorted with nothing held.
-    Only the diagonal list the walk shares between leaves is read, copied
-    into a frozenset; the walk builds valid p-angulations only, so the
-    leaves skip the constructor's checks.  `_p_angulation_walk` checks s
-    and p at the call, not at the first leaf.
+    The diagonal list the walk shares between leaves is copied into a
+    frozenset; the walk builds valid p-angulations only, so the leaves skip
+    the constructor's checks.  `_p_angulation_walk` checks s and p at the
+    call, not at the first leaf.
     """
     n, walk = _p_angulation_walk(s, p)
-    return (_walked(Dissection, n, frozenset(diags)) for diags, _ in walk)
+    return (_walked(Dissection, n, frozenset(diags)) for diags in walk)
 
 
 def _listing(s: int, p: int) -> Iterator[str]:
@@ -301,17 +315,17 @@ def _listing(s: int, p: int) -> Iterator[str]:
     Each line is the text of `json.dumps(d.to_json())` for the matching
     `Dissection` d, ended in a newline, written straight from the walk's
     sorted diagonal list (the concatenation that builds the line ends it):
-    no frozenset, `Dissection` or dict is built per leaf.  Each vertex
-    label's text is built once per listing, as `left[v]` = "[v, " and
-    `right[v]` = "v]", so a pair (a, b) is `left[a] + right[b]`: 2n strings,
-    the order of the walk's own count list, and no per-pair memo.
+    no frozenset, `Dissection` or dict is built per leaf.  A diagonal (a, b)
+    is the text "[a, b]" from a `_Memo`, made the first time the walk places
+    it, so the memo holds at most one text per distinct diagonal the walk
+    has placed: 63 for the whole p = 4, s = 8 listing, and O(n) for a first
+    line however large the polygon.
     """
     n, walk = _p_angulation_walk(s, p)  # refuses a polygon too large to walk
     head = f'{{"n": {n}, "diagonals": ['
-    left = [f"[{v}, " for v in range(n)]
-    right = [f"{v}]" for v in range(n)]
-    for diags, _ in walk:
-        yield head + ", ".join([left[a] + right[b] for a, b in diags]) + "]}\n"
+    text = _Memo("[%d, %d]".__mod__).__getitem__
+    for diags in walk:
+        yield head + ", ".join(map(text, diags)) + "]}\n"
 
 
 def _glued(counts: list[int], a: int, ear: Sequence[int]) -> list[int]:
@@ -377,7 +391,7 @@ def _ear_leaves(s: int, p: int) -> Iterator[list[int]]:
             stack.pop()
 
 
-def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[tuple[list[Pair], list[int]]]]:
+def _p_angulation_walk(s: int, p: int) -> tuple[int, Iterator[list[Pair]]]:
     """The one door to the walk: n for s faces of size p, and `_leaves(n, p - 2)`."""
     n = _walk_size(s, p)
     return n, _leaves(n, p - 2)
@@ -393,7 +407,7 @@ def _walk_size(s: int, p: int) -> int:
     return n
 
 
-def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
+def _leaves(n: int, step: int) -> Iterator[list[Pair]]:
     """Every (step+2)-angulation of the n-gon (n ≡ 2 mod step), by backtracking.
 
     Yields in lexicographic order of `diagonals_sorted`, and the diagonal
@@ -418,20 +432,18 @@ def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
     sector is smaller than every one of the next.  A sector whose face is
     already whole is dropped.  The top-level task is 0..n-1 with k = 0.
 
-    At every leaf the walk yields the same two lists: the diagonals, and
-    the number of faces at each vertex (1 plus its diagonals, the quiddity
-    of a triangulation).  Both are reused and mutated in place as the walk
-    goes on, so a caller reads or copies them before asking for the next
-    leaf.  An explicit stack replaces recursion.  The open tasks form a
-    linked stack of (task, rest) pairs, and a frame is kept only for an end
-    b < hi, which leaves a later end to try: it holds the task, b, the open
-    tasks and the diagonal count before b, so backtracking restores the
-    tasks by one assignment, pops the diagonals back and tries b + step.
-    Frames never outnumber the diagonals on the path, so the walk keeps
-    O(n) and forms no reference cycle (tuples point only at older ones).
+    At every leaf the walk yields the same diagonal list, reused and
+    mutated in place as the walk goes on, so a caller reads or copies it
+    before asking for the next leaf.  An explicit stack replaces recursion.
+    The open tasks form a linked stack of (task, rest) pairs, and a frame is
+    kept only for an end b < hi, which leaves a later end to try: it holds
+    the task, b, the open tasks and the diagonal count before b, so
+    backtracking restores the tasks by one assignment, cuts the diagonals
+    back to that count and tries b + step.  Frames never outnumber the
+    diagonals on the path, so the walk keeps O(n) and forms no reference
+    cycle (tuples point only at older ones).
     """
     diags: list[Pair] = []
-    counts = [1] * n
     todo: tuple | None = ((0, 1, n - 1, 0, None), None)  # tasks to fill: (next, rest)
     # per end b < hi taken: its task, b, and `todo` and len(diags) before it
     frames: list[tuple] = []
@@ -440,28 +452,21 @@ def _leaves(n: int, step: int) -> Iterator[tuple[list[Pair], list[int]]]:
             (lo, a, hi, k, sectors), todo = todo
             b = a + step
         else:
-            yield diags, counts
+            yield diags
             if not frames:
                 return
             lo, a, hi, k, sectors, b, todo, size = frames.pop()
-            while len(diags) > size:  # undo (lo, b) and everything after it
-                x, y = diags.pop()
-                counts[x] -= 1
-                counts[y] -= 1
+            del diags[size:]  # undo (lo, b) and everything after it
             b += step  # and leave it out
         while b < hi:  # take end b of lo's fan, a later end left to try
             frames.append((lo, a, hi, k, sectors, b, todo, len(diags)))
             diags.append((lo, b))
-            counts[lo] += 1
-            counts[b] += 1
             if b - a != step:  # otherwise the sector's face is whole
                 sectors = ((a, a + 1, b, 1, None), sectors)
             a = b
             b += step
         if k == step:  # the close places the chord (lo, hi)
             diags.append((lo, hi))
-            counts[lo] += 1
-            counts[hi] += 1
             k = 0
         if hi - a + k != step:  # likewise for (a, hi, k + 1)
             todo = ((a, a + 1, hi, k + 1, None), todo)

@@ -312,15 +312,13 @@ def test_enumeration_yields_before_building_every_dissection(s, p):
     + [(1, 5), (2, 5), (3, 5)] + [(1, 6), (2, 6), (3, 6)]
 )
 def test_walk_matches_brute_force_and_counts_faces(s, p):
-    # the walk shares one diagonal list and one count list between leaves;
-    # at each leaf they hold a p-angulation, sorted, and its faces per vertex,
-    # and the leaves come in lexicographic order
+    # the walk shares one diagonal list between leaves; at each leaf it holds
+    # a p-angulation, sorted, and the leaves come in lexicographic order
     n, walk = _p_angulation_walk(s, p)
     seen = []
-    for diags, counts in walk:
+    for diags in walk:
         assert diags == sorted(diags)
         d = Dissection(n, diags)
-        assert tuple(counts) == quiddity_counts(d)
         seen.append(d.diagonals_sorted)
     assert len(set(seen)) == len(seen), "no dissection may appear twice"
     assert seen == sorted(brute_force_p_angulations(s, p))
@@ -328,13 +326,16 @@ def test_walk_matches_brute_force_and_counts_faces(s, p):
 
 def test_abandoned_walk_leaves_no_reference_cycles():
     # the open tasks and frames are tuples that point only at older tuples,
-    # so reference counting alone frees a walk dropped halfway
+    # so reference counting alone frees a walk dropped halfway, and a
+    # listing's memo of pair texts forms no cycle either, dropped or drained
     gc.disable()
     try:
         gc.collect()
         lines = _listing(8, 4)
         next(lines)
         del lines
+        assert gc.collect() == 0
+        assert sum(1 for _ in _listing(6, 4)) == fuss_catalan(6, 4)
         assert gc.collect() == 0
         _, walk = _p_angulation_walk(8, 4)  # the 18-gon
         for _ in zip(range(1000), walk):
@@ -370,7 +371,7 @@ def test_walked_leaves_equal_validated_dissections(s, p):
         assert leaf.diagonals_sorted == checked.diagonals_sorted
 
 
-@pytest.mark.parametrize("s,p", [(s, p) for p in (3, 4, 5, 6) for s in range(1, 6)])
+@pytest.mark.parametrize("s,p", [(s, p) for p in (3, 4, 5, 6) for s in range(1, 6)] + [(6, 3), (7, 3)])
 def test_listing_lines_are_the_bytes_of_json_dumps(s, p):
     # `friezes enumerate` writes these lines; each must be json.dumps of the
     # matching enumerate_p_angulations leaf, ended in a newline
@@ -388,7 +389,7 @@ def test_listing_first_line_of_a_listing_too_long_to_finish():
 
 @pytest.mark.parametrize("s", [600, 10_000])
 def test_listing_first_line_with_long_labels(s):
-    # 4- and 5-digit labels come from the same per-vertex tables
+    # 4- and 5-digit labels come from the same pair texts
     line = next(_listing(s, 4))
     assert line == json.dumps(next(enumerate_p_angulations(s, 4)).to_json()) + "\n"
     assert f"[0, {2 * s - 1}]" in line
@@ -417,14 +418,15 @@ def test_enumeration_count_holds_no_sub_polygon_lists():
     + [(s, 5) for s in range(1, 5)] + [(s, 6) for s in range(1, 5)]
 )
 def test_ear_counts_are_the_walks_counts(s, p):
-    # the tree glues every p-angulation once, so its leaves are the walk's
-    # count vectors, each once (a p-angulation is fixed by its counts), and
-    # each leaf is a list of its own
+    # the tree glues every p-angulation once, so its leaves are the face
+    # counts of the walk's leaves, each once (a p-angulation is fixed by its
+    # counts), and each leaf is a list of its own
     leaves = list(_ear_counts(s, p))
     assert len({id(leaf) for leaf in leaves}) == len(leaves)
     glued = sorted(map(tuple, leaves))
     assert len(set(glued)) == len(glued) == fuss_catalan(s, p)
-    assert glued == sorted(tuple(counts) for _, counts in _p_angulation_walk(s, p)[1])
+    n, walk = _p_angulation_walk(s, p)
+    assert glued == sorted(quiddity_counts(Dissection(n, diags)) for diags in walk)
 
 
 @pytest.mark.parametrize("p,s_max", [(3, 8), (5, 4)])

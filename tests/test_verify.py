@@ -683,17 +683,19 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
 
 
 # ---------------------------------------------------------------------------
-# counts read off the walk and the faces; the even-rotation orbit sweep
+# counts read off the walk's leaves and their faces; the even-rotation orbit sweep
 
 
 def leaves(p, s_max):
-    """(dissection, walk's diagonals, walk's counts) of every leaf, s ≤ s_max."""
+    """(dissection, walk's diagonals, its face counts) of every leaf, s ≤ s_max."""
+    from friezes import quiddity_counts
     from friezes.polygon import _p_angulation_walk
 
     for s in range(1, s_max + 1):
         n, walk = _p_angulation_walk(s, p)
-        for diagonals, counts in walk:
-            yield Dissection(n, diagonals), list(diagonals), list(counts)
+        for diagonals in walk:
+            d = Dissection(n, diagonals)
+            yield d, list(diagonals), list(quiddity_counts(d))
 
 
 def even_orbit(d):
@@ -702,7 +704,7 @@ def even_orbit(d):
 
 
 def test_leaf_counts_equal_the_refinements_counts():
-    # the walk's count list with the triangle counts of one face pass over
+    # a leaf's face counts with the triangle counts of one face pass over
     # its sorted diagonals, and `_counts` of the leaf's Dissection, are the
     # face counts of D and the triangle counts of the associated
     # triangulation, built and validated here
@@ -762,7 +764,7 @@ def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
     # still pass, and the p-angulations they glue are the walk's, each a
     # p-angulation (a p-angulation is fixed by its counts)
     import friezes.bijection
-    from friezes import NotPAngulationError, is_p_angulation
+    from friezes import NotPAngulationError, is_p_angulation, quiddity_counts
     from friezes.polygon import _p_angulation_walk
     from friezes.ears import _ear_batches
 
@@ -778,8 +780,9 @@ def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
         walked = {}
         for s in range(1, s_max + 1):
             n, walk = _p_angulation_walk(s, p)
-            for diagonals, counts in walk:
-                walked[tuple(counts)] = Dissection(n, diagonals)
+            for diagonals in walk:
+                d = Dissection(n, diagonals)
+                walked[quiddity_counts(d)] = d
         glued = [q for s, last, counts, _, _ in _ear_batches(p, s_max)
                  for _, q in ear_children(p, counts, 0, last)]
         assert sorted(glued) == sorted(walked)
@@ -828,12 +831,15 @@ def test_least_rotation_against_every_rotation():
     # every p-angulation the sweeps test for it (p = 4, s ≤ 7; p = 6, s ≤ 5)
     from itertools import product
 
+    from friezes import quiddity_counts
     from friezes.polygon import _p_angulation_walk
     from friezes.verify import _least_rotation
 
     vectors = [list(c) for n in (2, 4, 6) for c in product(range(1, 4), repeat=n)]
     for p, s_max in ((4, 7), (6, 5)):
-        vectors += [list(c) for s in range(1, s_max + 1) for _, c in _p_angulation_walk(s, p)[1]]
+        for s in range(1, s_max + 1):
+            n, walk = _p_angulation_walk(s, p)
+            vectors += [list(quiddity_counts(Dissection(n, diags))) for diags in walk]
     assert len(vectors) == 819 + 9524 + 2856
     for counts in vectors:
         n = len(counts)
@@ -927,7 +933,7 @@ def test_orbit_top_level_checks_exactly_the_representatives(monkeypatch):
     # checks one child at a time, exactly the walk's leaves of that level
     # whose counts are least among their even rotations, one per orbit
     import friezes.verify
-    from friezes import fuss_catalan
+    from friezes import fuss_catalan, quiddity_counts
     from friezes.polygon import _p_angulation_walk
     from friezes.verify import _least_rotation
 
@@ -949,7 +955,9 @@ def test_orbit_top_level_checks_exactly_the_representatives(monkeypatch):
         assert all(first == 0 for first, _ in below)
         # one whole batch per node below the top: the 2-gon, each p-angulation of s ≤ s_max − 2
         assert len(below) == (s_max > 1) + sum(fuss_catalan(s, p) for s in range(1, s_max - 1))
-        walked = [tuple(c) for _, c in _p_angulation_walk(s_max, p)[1] if _least_rotation(list(c))]
+        n, walk = _p_angulation_walk(s_max, p)
+        walked = [q for q in (quiddity_counts(Dissection(n, diags)) for diags in walk)
+                  if _least_rotation(list(q))]
         assert sorted(q for _, _, children in top for q in children) == sorted(walked), (p, s_max)
 
 
@@ -1059,12 +1067,12 @@ def glued_levels(p, s_max):
 
 
 def test_ear_tree_glues_each_of_the_walks_p_angulations_once():
-    # per level, the glued count vectors are the walk's, Fuss–Catalan many
-    # and none twice; a p-angulation is fixed by its counts, so the tree
-    # holds each p-angulation exactly once (a canonical bound one too high
-    # glues some twice); the tree carries both friezes, so it glues only
-    # the face sizes they are built for
-    from friezes import fuss_catalan
+    # per level, the glued count vectors are those of the walk's leaves,
+    # Fuss–Catalan many and none twice; a p-angulation is fixed by its
+    # counts, so the tree holds each p-angulation exactly once (a canonical
+    # bound one too high glues some twice); the tree carries both friezes,
+    # so it glues only the face sizes they are built for
+    from friezes import fuss_catalan, quiddity_counts
     from friezes.ears import _ear_batches
     from friezes.polygon import _p_angulation_walk
 
@@ -1073,7 +1081,8 @@ def test_ear_tree_glues_each_of_the_walks_p_angulations_once():
     for p, s_max in ((4, 7), (6, 5)):
         glued = glued_levels(p, s_max)
         for s in range(1, s_max + 1):
-            walked = sorted(tuple(counts) for _, counts in _p_angulation_walk(s, p)[1])
+            n, walk = _p_angulation_walk(s, p)
+            walked = sorted(quiddity_counts(Dissection(n, diags)) for diags in walk)
             assert glued[s] == walked, (p, s)
             assert len(set(walked)) == len(walked) == fuss_catalan(s, p)
 
@@ -1092,6 +1101,7 @@ def test_ear_rows_and_new_entries_are_the_kernels():
     # p-angulation's own counts, and the node's counts are its `_counts`; a
     # node whose children are leaves carries its rows unglued and no news,
     # which `_ears_pass` computes from the rows
+    from friezes import quiddity_counts
     from friezes.ears import _ear_batches, _ears_pass
     from friezes.polygon import _glued, _p_angulation_walk
     from friezes.verify import _counts, _rows
@@ -1101,8 +1111,9 @@ def test_ear_rows_and_new_entries_are_the_kernels():
         walked = {}
         for s in range(1, s_max + 1):
             n, walk = _p_angulation_walk(s, p)
-            for diagonals, counts in walk:
-                walked[tuple(counts)] = Dissection(n, diagonals)
+            for diagonals in walk:
+                d = Dissection(n, diagonals)
+                walked[quiddity_counts(d)] = d
 
         def grids(q):
             q, tc = _counts(walked[tuple(q)], p)

@@ -44,12 +44,13 @@ from friezes import (
     faces,
     lambda_frieze,
     quad_to_tree,
+    quiddity_counts,
 )
 from friezes.bijection import _refine
 from friezes.ears import _ear_batches, _matrix
 from friezes.exact import LAMBDA_RADICAND
 from friezes.frieze import _MAX_FRIEZE_N, _ascii_rows, _csv_rows, _rows
-from friezes.polygon import _canonical_parent, _ear_counts, _glued, _p_angulation_walk
+from friezes.polygon import _canonical_parent, _ear_counts, _glued
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ["friezes"]
@@ -277,12 +278,13 @@ def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
 
 
 def ear_counts(p: int, s: int) -> tuple[int, int, int, int, float, float]:
-    """The leaves of `_ear_counts(s, p)` against the walk's count vectors:
-    (walked, glued, glued but not walked or glued twice, walked but not
-    glued, seconds of the walk, seconds of the tree).  Only the walk's
-    vectors are held, as a set each glued leaf is taken out of."""
+    """The leaves of `_ear_counts(s, p)` against the face counts of the walk's
+    leaves, each vertex's 1 plus its degree (`quiddity_counts`): (walked,
+    glued, glued but not walked or glued twice, walked but not glued,
+    seconds of the walk, seconds of the tree).  Only the walked vectors are
+    held, as a set each glued leaf is taken out of."""
     start = time.monotonic()
-    left = {tuple(counts) for _, counts in _p_angulation_walk(s, p)[1]}
+    left = set(map(quiddity_counts, enumerate_p_angulations(s, p)))
     walked, middle = len(left), time.monotonic()
     glued = extra = 0
     for counts in _ear_counts(s, p):
@@ -296,7 +298,8 @@ def ear_counts(p: int, s: int) -> tuple[int, int, int, int, float, float]:
 
 def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9), counts_levels=((3, 12), (5, 6))) -> bool:
     """Per level, the face counts of the p-angulations the ear tree glues
-    must be the enumeration walk's (a p-angulation is fixed by its counts),
+    must be those of the enumeration walk's leaves, derived from their
+    diagonals (`quiddity_counts`; a p-angulation is fixed by its counts),
     compared as a SHA-256 of the sorted count vectors, every node's glued
     rows, in both families, the kernel's, and every edge cut back to its
     node by `_canonical_parent` (`ear_tree`): this guards the gather plans
@@ -317,7 +320,7 @@ def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9), counts_levels=((3, 12),
         glued, nodes, off, uncut = ear_tree(p, s_max)
         seconds = time.monotonic() - start
         for s in range(1, s_max + 1):
-            walked = [tuple(counts) for _, counts in _p_angulation_walk(s, p)[1]]
+            walked = list(map(quiddity_counts, enumerate_p_angulations(s, p)))
             same = digest(glued[s]) == digest(walked)
             ok &= report(f"p = {p}, s = {s}: {len(glued[s])} glued, {len(walked)} walked, ",
                          [] if same else ["DIFFERENT counts"], "same counts")

@@ -186,10 +186,9 @@ def test_enumerate_writes_a_line_longer_than_a_chunk_alone():
 
 
 def test_enumerate_refuses_a_huge_listing_before_allocating(capsys):
-    # the listing's label tables are built only for a polygon the walk takes:
-    # the 1,000,002-gon is just past it (its tables alone would take ~100 MB);
-    # stdout stops the command at its first write, so a listing that is not
-    # refused fails here instead of walking on
+    # nothing of the listing is built for a polygon the walk refuses: the
+    # 1,000,002-gon is just past it; stdout stops the command at its first
+    # write, so a listing that is not refused fails here instead of walking on
     recorder = WriteRecorder(limit=1)
     tracemalloc.start()
     try:

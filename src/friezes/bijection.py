@@ -13,21 +13,20 @@ constructor validates.
 
 Face sizes are never checked by walking faces: `polygon.is_p_angulation`
 decides them by counting diagonals and their spans.  `faces` is called
-where the corners are needed: by the refinement `_refine`, and on the
-tree side, which reads the tree's own faces.  `_refined_counts` reads the
-refinement's triangle counts off the same face pass over the sorted
-diagonals (`polygon._face_pass`, behind `faces`) without building the
-refinement, after the same counting test.  Take k - 1 noncrossing
-black-black edges on the 2k-gon: as a dissection they cut it into k faces.
-No edge touches a white vertex, so each of the k whites lies in exactly one
-face.  A face with no white corner has only black corners, so its sides
-are all tree edges (a polygon side always joins a black and a white
-vertex): it is a cycle.  Conversely a cycle's inside is cut only into
-faces with black corners.  So the edges form a tree exactly when no face
-is all black, that is, when every face holds exactly one white vertex.  A
-4-angulation diagonal is a black-white chord crossing no tree edge, so it
-lies inside one tree face: `tree_to_quad` joins each white vertex to the
-black corners of its face, except its two neighbours on the polygon.
+where the corners are needed: by the refinement `_refine`, the one
+construction of the associated triangulation (its triangle counts are its
+`quiddity_counts`), and on the tree side, which reads the tree's own
+faces.  Take k - 1 noncrossing black-black edges on the 2k-gon: as a
+dissection they cut it into k faces.  No edge touches a white vertex, so
+each of the k whites lies in exactly one face.  A face with no white
+corner has only black corners, so its sides are all tree edges (a polygon
+side always joins a black and a white vertex): it is a cycle.  Conversely
+a cycle's inside is cut only into faces with black corners.  So the edges
+form a tree exactly when no face is all black, that is, when every face
+holds exactly one white vertex.  A 4-angulation diagonal is a black-white
+chord crossing no tree edge, so it lies inside one tree face:
+`tree_to_quad` joins each white vertex to the black corners of its face,
+except its two neighbours on the polygon.
 
 The refinement and the tree are valid by construction, so `_refine` and
 `quad_to_tree` build them with `polygon._walked`, unchecked; only the
@@ -54,9 +53,6 @@ from .polygon import (
     Dissection,
     InternalAssertionError,
     InvalidDissectionError,
-    Pair,
-    _face_pass,
-    _is_p_angulation,
     _walked,
     faces,
     is_p_angulation,
@@ -199,35 +195,6 @@ def _refine(dissection: Dissection, p: int) -> Triangulation:
     for face in faces(dissection):
         chords.update(combinations([v for v in face if v & 1], 2))
     return _walked(Triangulation, dissection.n, frozenset(chords))
-
-
-def _refined_counts(
-    n: int, diagonals: Sequence[Pair], counts: Sequence[int], p: int
-) -> list[int] | None:
-    """The triangle counts of the black-corner refinement of a p-angulation,
-    p ∈ {4, 6}, from its sorted diagonals and its face counts, or None when
-    it is not a p-angulation (the one test, `polygon._is_p_angulation`); a p
-    outside {4, 6} raises `_require_p`'s ValueError.
-
-    A vertex's triangles are one more than its degree in the refinement,
-    and the refinement adds to the face counts only its chords: each black
-    corner of a face is joined to every other black corner of that face.
-    So one face pass (`polygon._face_pass`, behind `faces`) gives the
-    counts, with no chord or `Triangulation` built: each black corner of a
-    face gains (black corners of that face − 1).  `verify._counts` counts
-    a dissection this way, and `ears._faces` the lone p-gon, the sweep's
-    ears.
-    """
-    _require_p(p)
-    if not _is_p_angulation(n, diagonals, p):
-        return None
-    triangles = list(counts)
-    for face in _face_pass(n, diagonals):
-        blacks = [v for v in face if v & 1]
-        gain = len(blacks) - 1
-        for v in blacks:
-            triangles[v] += gain
-    return triangles
 
 
 def _not_p_angulation(dissection: Dissection, p: int) -> NotPAngulationError:

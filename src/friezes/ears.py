@@ -19,10 +19,10 @@ from __future__ import annotations
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from .bijection import _refined_counts, _require_p
+from .bijection import _require_p, associated_triangulation
 from .exact import LAMBDA_RADICAND
 from .frieze import _require_grid, _rows
-from .polygon import _glued
+from .polygon import Dissection, _glued, quiddity_counts
 
 # (p, n) -> `_ear_table(p, n, children)` for the longest run yet
 _EARS: dict = {}
@@ -41,13 +41,14 @@ def _faces(p: int) -> list[tuple[tuple[list[list[int]], list[int]], ...]]:
     The radical frieze is grown from the face counts, all 1: it is the unit
     regular p-gon's, with ℓ_t between corners t apart.  The integral one is
     grown from the triangle counts of the face cut along its own black
-    corners: `bijection._refined_counts` of the lone p-gon for c = 0, and
-    their rotation by one for c = 1, whose corners have the other colours.
+    corners: those of `associated_triangulation` of the lone p-gon for
+    c = 0, and their rotation by one for c = 1, whose corners have the other
+    colours.
     Built once, at import, as `_FACES[p]`.
     """
     ones = [1] * p
     radical = (_matrix(_rows(tuple(ones), LAMBDA_RADICAND[p], True)), ones)
-    counts = _refined_counts(p, [], ones, p)
+    counts = list(quiddity_counts(associated_triangulation(Dissection(p), p)))
     return [(radical, (_matrix(_rows(tuple(c), 1, False)), c)) for c in (counts, counts[1:] + counts[:1])]
 
 

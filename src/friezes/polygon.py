@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 Pair = tuple[int, int]
 Face = tuple[int, ...]
@@ -207,16 +207,7 @@ def _walked(cls: type[_D], n: int, diagonals: frozenset[Pair]) -> _D:
 
 
 def faces(dissection: Dissection) -> list[Face]:
-    """All faces, in sorted order, by one left-to-right sweep (`_face_pass`).
-    O(n + d log d)."""
-    return sorted(_face_pass(dissection.n, sorted(dissection.diagonals)))
-
-
-def _face_pass(n: int, diagonals: Sequence[Pair]) -> list[Face]:
-    """The faces of the n-gon cut by normalized diagonals sorted ascending (as
-    `diagonals_sorted` and `_leaves` keep them), in the order the sweep closes
-    them: `faces` sorts them, and `bijection._refined_counts` reads them
-    straight off a sorted diagonal list.
+    """All faces, in sorted order, by one left-to-right sweep.  O(n + d log d).
 
     The sweep keeps the vertices whose face is still open, ascending.  At
     vertex v the diagonals (a, v) come innermost (largest a) first, and each
@@ -225,8 +216,8 @@ def _face_pass(n: int, diagonals: Sequence[Pair]) -> list[Face]:
     taken a off the stack, for it would cross (a, v), so `bisect` finds a.
     What stays open at the end is the face on the edge (n-1, 0).
     """
-    ends: list[list[int]] = [[] for _ in range(n)]
-    for a, b in reversed(diagonals):
+    ends: list[list[int]] = [[] for _ in range(dissection.n)]
+    for a, b in sorted(dissection.diagonals, reverse=True):
         ends[b].append(a)  # a descending within each bucket
     out: list[Face] = []
     stack: list[int] = []
@@ -237,7 +228,7 @@ def _face_pass(n: int, diagonals: Sequence[Pair]) -> list[Face]:
             del stack[i + 1 :]
         stack.append(v)
     out.append(tuple(stack))
-    return out
+    return sorted(out)
 
 
 def is_p_angulation(dissection: Dissection, p: int) -> bool:
@@ -250,13 +241,8 @@ def is_p_angulation(dissection: Dissection, p: int) -> bool:
     n + 2|D| = p(|D|+1), so all of them equal p.  For p = 3 the test is
     |D| = n - 3.  No face is walked: the cost is O(|D|).
     """
-    return _is_p_angulation(dissection.n, dissection.diagonals, p)
-
-
-def _is_p_angulation(n: int, diagonals: Collection[Pair], p: int) -> bool:
-    """`is_p_angulation` of the n-gon cut by these normalized diagonals, with
-    no `Dissection` built: the test `bijection._refined_counts` runs."""
-    if n != _polygon_size(len(diagonals) + 1, p):
+    diagonals = dissection.diagonals
+    if dissection.n != _polygon_size(len(diagonals) + 1, p):
         return False
     step = p - 2
     return all((b - a) % step == 1 % step for a, b in diagonals)

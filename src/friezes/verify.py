@@ -6,19 +6,20 @@ quiddity rows by the same plain-int continuant kernel, the radical one from
 the face counts of D times 2cos(π/p), the integer one from the triangle
 counts of T; a frieze that closes is grown only to its middle row, the rows
 above it taken from Coxeter's glide symmetry (see `frieze._grow`).  T is
-never built: its triangle counts are read off the faces of D in one face
-pass (`bijection._refined_counts`: each black corner of a face gains the
-face's other black corners as neighbours), after the counting test that D is
-a p-angulation, the one check of D; the counts of D and T are read once
-each.  The checks take the kernel's int rows as they come, with no QuadNum
-in between: an odd row is compared as two int lists, and an even row of the
-radical frieze holds the coefficients a_k of a_k·√m.  `verify_dissection`
-grows both friezes once and walks them by the three checks below, which
-name the first witness and the ε_j.  A sweep grows no frieze of a whole
-dissection: it glues each p-angulation from its parent by one ear and
-computes and checks only the O(p·n) entries the ear adds, for all children
-of one parent at once ((E) below), or, on the top level of an orbit sweep,
-for one representative at a time ((C) below).  A level with a check that
+built once per checked dissection, by the one refinement
+(`bijection._refine`: the counting test that D is a p-angulation, the one
+check of D, then one face pass adding the chords between the black corners
+of each face), unchecked, as it is a triangulation by construction; the
+counts of D and T are read once each.  The checks take the kernel's int
+rows as they come, with no QuadNum in between: an odd row is compared as
+two int lists, and an even row of the radical frieze holds the
+coefficients a_k of a_k·√m.  `verify_dissection` grows both friezes once
+and walks them by the three checks below, which name the first witness
+and the ε_j.  A sweep grows no frieze of a whole dissection: it glues
+each p-angulation from its parent by one ear and computes and checks only
+the O(p·n) entries the ear adds, for all children of one parent at once
+((E) below), or, on the top level of an orbit sweep, for one
+representative at a time ((C) below).  A level with a check that
 fails is re-run through `verify_dissection`, in the one pass that builds
 its `Dissection`s, so a report is always `verify_dissection`'s.  The checks
 are:
@@ -183,8 +184,7 @@ import time
 from operator import mul, ne
 from typing import NamedTuple, Sequence
 
-from .bijection import _not_p_angulation, _refined_counts, _require_p
-from .bijection import associated_triangulation
+from .bijection import _require_p, associated_triangulation
 from .ears import _ear_batches, _ears_pass, _faces_pass
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _require_grid, _rows
@@ -324,14 +324,10 @@ def _read(radical: Frieze, integral: Frieze, surd: bool) -> tuple[Rows, Rows]:
 
 
 def _counts(d: Dissection, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """D's face counts and its associated triangulation's triangle counts, read
-    off D's faces by `_refined_counts` (its p-angulation test is the one
-    check of D; no triangulation is built)."""
-    q = quiddity_counts(d)
-    triangles = _refined_counts(d.n, d.diagonals_sorted, q, p)
-    if triangles is None:
-        raise _not_p_angulation(d, p)
-    return q, tuple(triangles)
+    """D's face counts and the triangle counts of its associated triangulation,
+    built unchecked by `associated_triangulation` (p, then its p-angulation
+    test, the one check of D)."""
+    return quiddity_counts(d), quiddity_counts(associated_triangulation(d, p))
 
 
 def _grids(q: Sequence[int], tc: Sequence[int], p: int) -> tuple[Rows, Rows]:
@@ -485,9 +481,10 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     c are its quiddity.  By (A) in the module docstring a candidate matches
     exactly when its row 3 does, that is when c_k·c_{k+1} = (p/2)·q_k·q_{k+1}
     for every k, so no frieze is grown.  A match is labelled by its counts:
-    "associated" for q at white and (p/2)·q at black vertices, the
-    black-corner refinement's, "mirror" for the colours swapped ((B): a
-    quiddity fixes its triangulation).  Only a match becomes a Dissection,
+    "associated" for those of `expected`, the black-corner refinement, which
+    is built, "mirror" for q at black and (p/2)·q at white vertices, the
+    white-corner refinement's, which is not ((B): a quiddity fixes its
+    triangulation).  Only a match becomes a Dissection,
     named by its counts (`_triangulation`) and built unchecked like the
     library's other derived dissections (`polygon._walked`).
     The number scanned is checked against the Catalan number C_{n−2}; any
@@ -498,7 +495,7 @@ def deep_uniqueness(d: Dissection, p: int) -> DeepUniquenessResult:
     q = quiddity_counts(d)
     half = p // 2
     products = [half * a * b for a, b in zip(q, q[1:] + q[:1])]
-    associated = [half * c if v & 1 else c for v, c in enumerate(q)]
+    associated = list(quiddity_counts(expected))
     mirror = [c if v & 1 else half * c for v, c in enumerate(q)]
     catalan = fuss_catalan(d.n - 2, 3)
     matches = []

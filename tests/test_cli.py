@@ -1,6 +1,7 @@
 """Command line surface: every subcommand, every format, every exit code."""
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -158,6 +159,19 @@ class WriteRecorder:
         pass
 
 
+def assert_same_listing(text, expected):
+    """The text must be the expected lines joined, compared by line count and
+    SHA-256, so a wrong listing of megabytes fails at once, naming its first
+    differing line, and is not diffed whole."""
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    if (text.count("\n"), digest(text)) == (len(expected), digest("".join(expected))):
+        return
+    got = text.splitlines(keepends=True)
+    k = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+    pytest.fail(f"{len(got)} lines for {len(expected)}; first difference at line {k}: "
+                f"{got[k] if k < len(got) else None!r} for {expected[k] if k < len(expected) else None!r}")
+
+
 @pytest.mark.parametrize("p,s", [(4, 8), (6, 4)])
 def test_enumerate_writes_whole_lines_in_chunks(p, s):
     recorder = WriteRecorder()
@@ -165,7 +179,8 @@ def test_enumerate_writes_whole_lines_in_chunks(p, s):
         code = main(["enumerate", "--p", str(p), "--s", str(s)])
     expected = [json.dumps(d.to_json()) + "\n" for d in enumerate_p_angulations(s, p)]
     writes = recorder.writes
-    assert code == 0 and "".join(writes) == "".join(expected)
+    assert code == 0
+    assert_same_listing("".join(writes), expected)
     assert all(w.endswith("\n") for w in writes)
     assert all(len(w) <= _CHUNK or w.count("\n") == 1 for w in writes)
     # a chunk is written only when the next line would not fit in it

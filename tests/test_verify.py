@@ -286,23 +286,20 @@ def count_calls(monkeypatch, *names):
 
 
 def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
-    # one p-angulation test of D (`_is_p_angulation`, behind
-    # is_p_angulation), none of the refinement, which is not even built, one
-    # face pass and one quiddity_counts per dissection (was 5 and 4 calls
-    # of is_p_angulation and quiddity_counts, then 2 and 2 while
-    # Triangulation checked the refinement, then 1 and 2 while the
-    # refinement was built)
-    names = ("_is_p_angulation", "is_p_angulation", "quiddity_counts", "_face_pass")
+    # one p-angulation test of D and none of the refinement, which is built
+    # once, unchecked, from one face pass over D; one quiddity_counts of D
+    # and one of the refinement
+    names = ("is_p_angulation", "quiddity_counts", "faces")
     calls = count_calls(monkeypatch, *names)
     assert verify_dissection(quad10, 4).ok
-    assert calls == dict(zip(names, (1, 0, 1, 1)))
+    assert calls == dict(zip(names, (1, 2, 1)))
     # the enumerated candidates are triangulations by construction: no
     # candidate is re-checked (was 1,435 checks per query); only D's
-    # refinement is tested, in one face pass, and the twins are named by
+    # refinement is built, in one face pass, and the twins are named by
     # their counts (was 2 of each while the mirror was refined too)
     calls.update(dict.fromkeys(names, 0))
     assert deep_uniqueness(quad10, 4).triangulations == 1430
-    assert calls["_is_p_angulation"] == calls["is_p_angulation"] == calls["_face_pass"] == 1
+    assert calls["is_p_angulation"] == calls["faces"] == 1
     # both sweeps glue their p-angulations (p = 4, s ≤ 5 has 344
     # dissections, p = 6, s ≤ 3 has 41), so they test none and walk no face
     # (the orbit sweep tested and face-passed each leaf it checked while it
@@ -321,7 +318,7 @@ def test_each_dissection_is_checked_and_counted_once(monkeypatch, quad10):
     calls.update(dict.fromkeys(names, 0))
     report = verify_dissection(quad10, 4)
     assert not report.ok and report.first_violation.claim == "lemma"
-    assert calls == dict(zip(names, (1, 0, 1, 1)))
+    assert calls == dict(zip(names, (1, 2, 1)))
 
 
 def test_verify_dissection_p6(hex18):
@@ -418,21 +415,20 @@ def test_sweep_rejects_bad_bound(monkeypatch):
 
 
 def corrupt_triangle_counts(monkeypatch, wrong):
-    """Patch the one counts function of `verify._counts`, `_refined_counts`,
-    to give the triangle counts wrong[n, diagonals] for the n-gon's
-    dissection with those sorted diagonals, and the true counts otherwise;
-    and corrupt those dissections for both sweeps, which read no triangle
-    counts of a whole dissection, by `corrupt_ears`."""
+    """Patch `verify._counts` to give the triangle counts wrong[n, diagonals]
+    for the n-gon's dissection with those sorted diagonals, and the true
+    counts otherwise; and corrupt those dissections for both sweeps, which
+    read no triangle counts of a whole dissection, by `corrupt_ears`."""
     import friezes.verify
     from friezes import quiddity_counts
 
-    counts = friezes.verify._refined_counts
+    counts = friezes.verify._counts
 
-    def corrupted(n, diagonals, q, p):
-        tc = counts(n, diagonals, q, p)
-        return list(wrong.get((n, tuple(diagonals)), tc))
+    def corrupted(d, p):
+        q, tc = counts(d, p)
+        return q, tuple(wrong.get((d.n, d.diagonals_sorted), tc))
 
-    monkeypatch.setattr(friezes.verify, "_refined_counts", corrupted)
+    monkeypatch.setattr(friezes.verify, "_counts", corrupted)
     leaves = {quiddity_counts(Dissection(n, diagonals)) for n, diagonals in wrong}
     corrupt_ears(monkeypatch, leaves, lambda run, a: bump(run, 1, a))
 
@@ -557,14 +553,14 @@ def test_every_level_above_a_failing_one_is_re_run(monkeypatch):
 
     child = list(enumerate_p_angulations(4, 4))[30]
     descendant = list(enumerate_p_angulations(5, 4))[100]
-    counts = friezes.verify._refined_counts
+    counts = friezes.verify._counts
 
-    def wrong_alone(n, diagonals, q, p):
-        tc = counts(n, diagonals, q, p)
-        return mirror_counts(descendant, p) if (n, tuple(diagonals)) == (
+    def wrong_alone(d, p):
+        q, tc = counts(d, p)
+        return q, tuple(mirror_counts(descendant, p)) if (d.n, d.diagonals_sorted) == (
             descendant.n, descendant.diagonals_sorted) else tc
 
-    monkeypatch.setattr(friezes.verify, "_refined_counts", wrong_alone)
+    monkeypatch.setattr(friezes.verify, "_counts", wrong_alone)
     assert sweep(4, 5).all_ok
     corrupt_triangle_counts(monkeypatch, {(child.n, child.diagonals_sorted): mirror_counts(child, 4)})
     summary = sweep(4, 5)
@@ -687,15 +683,13 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
 
 
 def leaves(p, s_max):
-    """(dissection, walk's diagonals, its face counts) of every leaf, s ≤ s_max."""
-    from friezes import quiddity_counts
+    """Every leaf of the walk with s ≤ s_max, as a validated Dissection."""
     from friezes.polygon import _p_angulation_walk
 
     for s in range(1, s_max + 1):
         n, walk = _p_angulation_walk(s, p)
         for diagonals in walk:
-            d = Dissection(n, diagonals)
-            yield d, list(diagonals), list(quiddity_counts(d))
+            yield Dissection(n, diagonals)
 
 
 def even_orbit(d):
@@ -704,21 +698,18 @@ def even_orbit(d):
 
 
 def test_leaf_counts_equal_the_refinements_counts():
-    # a leaf's face counts with the triangle counts of one face pass over
-    # its sorted diagonals, and `_counts` of the leaf's Dissection, are the
-    # face counts of D and the triangle counts of the associated
-    # triangulation, built and validated here
+    # `_counts` of a leaf's Dissection are the face counts of D and the
+    # triangle counts of the associated triangulation, built and validated
+    # here
     from friezes import quiddity_counts
-    from friezes.bijection import _refined_counts
     from friezes.verify import _counts
 
     for p, s_max in ((4, 6), (6, 4)):
-        for d, diagonals, counts in leaves(p, s_max):
+        for d in leaves(p, s_max):
             expected = (
                 quiddity_counts(d),
                 quiddity_counts(Triangulation(d.n, associated_triangulation(d, p).diagonals)),
             )
-            assert (tuple(counts), tuple(_refined_counts(d.n, diagonals, counts, p))) == expected
             assert _counts(d, p) == expected
 
 
@@ -726,7 +717,6 @@ def test_counts_refuse_what_the_refinement_refused():
     # the same error class and message as when the counts came from building
     # the associated triangulation: p first, then the p-angulation test
     from friezes import NoncrossingTree, NotPAngulationError
-    from friezes.bijection import _refined_counts
 
     refused = [
         (Dissection(10, [(1, 4)]), 4, NotPAngulationError,
@@ -745,8 +735,6 @@ def test_counts_refuse_what_the_refinement_refused():
             with pytest.raises(error) as raised:
                 check(d, p)
             assert type(raised.value) is error and str(raised.value) == message
-        if error is NotPAngulationError:
-            assert _refined_counts(d.n, d.diagonals_sorted, [1] * d.n, p) is None
     for p, message in ((2, "face size must be at least 3, got 2"),
                        (3, "face size p must be 4 or 6, got 3"),
                        (5, "face size p must be 4 or 6, got 5"),
@@ -768,7 +756,7 @@ def test_sweep_raises_what_a_leaf_that_is_no_p_angulation_raises(monkeypatch):
     from friezes.polygon import _p_angulation_walk
     from friezes.ears import _ear_batches
 
-    monkeypatch.setattr(friezes.bijection, "_is_p_angulation", lambda n, diagonals, p: False)
+    monkeypatch.setattr(friezes.bijection, "is_p_angulation", lambda dissection, p: False)
     with pytest.raises(NotPAngulationError) as alone:
         verify_dissection(Dissection(4), 4)
     assert str(alone.value) == "Dissection(n=4, diagonals=[]) is not a 4-angulation"
@@ -796,7 +784,7 @@ def test_faces_and_counts_commute_with_even_rotations():
     from friezes import faces, quiddity_counts
     from friezes.verify import _counts
 
-    for d, _, _ in leaves(4, 6):
+    for d in leaves(4, 6):
         n = d.n
         q, tc = _counts(d, 4)
         shapes = faces(d)

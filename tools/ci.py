@@ -47,10 +47,11 @@ from friezes import (
     quiddity_counts,
 )
 from friezes.bijection import _refine
-from friezes.ears import _ear_batches, _matrix
+from friezes.ears import _FACES, _ear_batches, _matrix
 from friezes.exact import LAMBDA_RADICAND
 from friezes.frieze import _MAX_FRIEZE_N, _ascii_rows, _csv_rows, _rows
 from friezes.polygon import _canonical_parent, _ear_counts, _glued
+from friezes.verify import _counts
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ["friezes"]
@@ -440,8 +441,12 @@ def derived(levels=((4, 8), (6, 5)), deep_n=12) -> bool:
     """Refinements, trees and deep-scan matches are built unchecked
     (`polygon._walked`), so each must equal what the validating constructor
     builds from diagonals found here independently: in type, equality, hash,
-    sorted diagonals, repr and JSON.  The deep scan is Catalan-sized, so it
-    runs up to the deep_n-gon."""
+    sorted diagonals, repr and JSON.  The counts the checks read off the
+    unchecked refinement must be those of the validated one: `verify._counts`
+    of every p-angulation at the levels, and the triangle counts of the
+    sweep's ears, `ears._FACES[p]`, the lone p-gon's for the colour c = 0
+    and their rotation by one for c = 1.  The deep scan is Catalan-sized, so
+    it runs up to the deep_n-gon."""
 
     def validated_refinement(d, black):
         chords = [(a, b) for face in faces(d) for a, b in combinations(face, 2) if a % 2 == b % 2 == black]
@@ -453,10 +458,17 @@ def derived(levels=((4, 8), (6, 5)), deep_n=12) -> bool:
                 and repr(derived) == repr(checked) and derived.to_json() == checked.to_json())
 
     for p, s_max in levels:
+        counts = quiddity_counts(validated_refinement(Dissection(p), True))
+        ears = [integral[1] for _, integral in _FACES[p]]
+        if ears != [list(counts), list(counts[1:] + counts[:1])]:
+            return report(f"p={p}: ", [f"ear triangle counts {ears!r}, expected {counts!r} and its rotation"], "")
         checked = 0
         for s in range(1, s_max + 1):
             for d in enumerate_p_angulations(s, p):
                 black, white = validated_refinement(d, True), validated_refinement(d, False)
+                read = _counts(d, p)
+                if read != (quiddity_counts(d), quiddity_counts(black)):
+                    return report(f"p={p} s={s} {d!r}: ", [f"counts {read!r}, expected those of {black!r}"], "")
                 pairs = [("refinement", _refine(d, p), black)]
                 if p == 4:
                     pairs.append(("tree", quad_to_tree(d), NoncrossingTree(d.n, black.diagonals - d.diagonals)))
@@ -470,7 +482,8 @@ def derived(levels=((4, 8), (6, 5)), deep_n=12) -> bool:
                     if not same(got, expected):
                         return report(f"p={p} s={s} {d!r}: ", [f"{name} {got!r}, expected {expected!r}"], "")
                 checked += 1
-        print(f"p={p} s<={s_max}: {checked} dissections, each derived one equal to its validated construction")
+        print(f"p={p} s<={s_max}: {checked} dissections, each derived one and its counts, and the ears' "
+              "counts, equal to its validated construction's")
     return True
 
 

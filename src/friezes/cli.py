@@ -34,6 +34,7 @@ from .frieze import (
     InternalAssertionError,
     _ascii_rows,
     _csv_rows,
+    _grid_from_text,
     cc_frieze,
     lambda_frieze,
     validate,
@@ -60,17 +61,27 @@ def _positive(text: str) -> int:
     return value
 
 
-def _read_payload(source: str) -> dict:
-    """Load JSON from a path, from '-' (stdin), or from an inline literal."""
+def _read_text(source: str) -> str:
+    """The text of a path, of '-' (stdin), or of an inline literal."""
+    if source == "-":
+        return sys.stdin.read()
+    if source.lstrip()[:1] in ("{", "["):  # an object, or an array to refuse
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _loads(text: str) -> dict:
+    """`json.loads` of the text, a nesting too deep for it a ValueError."""
     try:
-        if source == "-":
-            return json.load(sys.stdin)
-        if source.lstrip()[:1] in ("{", "["):  # an object, or an array to refuse
-            return json.loads(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(text)
     except RecursionError as exc:
         raise ValueError("JSON input nests too deeply") from exc
+
+
+def _read_payload(source: str) -> dict:
+    """Load JSON from a path, from '-' (stdin), or from an inline literal."""
+    return _loads(_read_text(source))
 
 
 def _write(pieces: Iterable[str]) -> None:
@@ -146,7 +157,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate(Frieze.from_json(_read_payload(args.input)))
+    """Check a grid against the frieze laws: exit 0 with its report when it
+    holds them all, else 1.  The text `gen` and `cc` write is read directly,
+    by `frieze._grid_from_text`; any other JSON goes through `json.loads` and
+    `Frieze.from_json`, whose errors are the only ones reported."""
+    text = _read_text(args.input)
+    report = validate(_grid_from_text(text) or Frieze.from_json(_loads(text)))
     print(json.dumps(report.to_json()))
     return 0 if report.ok else 1
 

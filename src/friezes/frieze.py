@@ -34,6 +34,9 @@ the CSV and the ASCII rows, which the CLI's one writer joins into writes of
 up to 64 KiB as they come.  Each row's cells come from a memo per
 coefficient kind keyed by the int (or by the pair), so each distinct cell's
 text is made once; the checks in `verify` read their int rows from it too.
+`friezes validate` reads the writer's own text back directly, by
+`_grid_from_text`, to the pairs `from_json` would hold, without building an
+entry dict; any other JSON goes through `json.loads` and `from_json`.
 `validate` checks the diamonds only when row 0, row 1 or the recurrence
 fails: otherwise every row is a continuant and every diamond holds (the
 proof is in its docstring).  In a staggered rendering rows drift
@@ -45,6 +48,7 @@ equal (r, k).
 from __future__ import annotations
 
 import json
+import re
 from functools import partial
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -246,7 +250,9 @@ class Frieze:
         `coefficients_from_json`, the reader of `QuadNum.from_json`, so both
         accept and reject the same entries, with the same errors; an entry
         over another field than the header's raises the constructor's
-        RadicandMismatchError.
+        RadicandMismatchError.  `friezes validate` calls it on every text but
+        the JSON writer's own, which `_grid_from_text` reads directly to the
+        same grid, so every error a grid's reading reports comes from here.
         """
         try:
             width, m = data["width"], data["m"]
@@ -295,6 +301,66 @@ def _parse_entry(data: object, m: int, seen: dict[tuple[str, str], tuple]) -> tu
             return t
     em, a, b = coefficients_from_json(data)
     return (a, b) if em == m else None
+
+
+# the pieces of `_json_pieces`' text around and between the cells
+_GRID_HEAD = re.compile(r'\{"width": (0|[1-9][0-9]*), "m": ([123]), "rows": \[\[\{')
+_GRID_CELL = re.compile(r'"m": ([123]), "rat": "([-0-9/]*)", "rad": "([-0-9/]*)"')
+_ROW_SEP, _CELL_SEP, _GRID_TAIL = "}], [{", "}, {", "}]]}"
+
+
+def _grid_from_text(text: str) -> Frieze | None:
+    """The grid of a text `_json_pieces` writes, read without `json.loads`, or
+    None for any other text.
+
+    The text must be exactly the writer's: the header
+    `{"width": W, "m": M, "rows": [`, rows joined by ", ", each row's cells
+    joined by ", ", each cell `{"m": D, "rat": "S", "rad": "S"}` with D the
+    digit M and each S made of digits, "-" and "/" only, then "]}" and at most
+    one "\n".  No separator can occur inside such a cell, so the rows are
+    found by `str.find` and each row's cells by one `str.split`, one row at a
+    time.  Each distinct cell text is read once, by `coefficients_from_json`
+    on the dict `json.loads` would build from it, so the pairs, ints or
+    Fractions, are those `from_json` holds.  Any deviation (another
+    spelling, a wrong row count or row length, a cell over another radicand,
+    or an error of `coefficients_from_json`) gives None, and the caller reads
+    the text by `json.loads` and `from_json`, whose errors are the only ones
+    reported.
+    """
+    head = _GRID_HEAD.match(text)
+    end = len(text) - text.endswith("\n") - len(_GRID_TAIL)
+    if head is None or not text.startswith(_GRID_TAIL, end):
+        return None
+    m = int(head[2])
+    cell = _Memo(partial(_grid_cell, m)).__getitem__
+    rows: list[tuple] = []
+    start = head.end()
+    try:
+        width = int(head[1])  # a ValueError past int's digit limit
+        while len(rows) <= width + 4:  # one row too many is enough to refuse
+            stop = text.find(_ROW_SEP, start, end)
+            row = tuple(map(cell, text[start : end if stop < 0 else stop].split(_CELL_SEP)))
+            if len(row) != width + 3:
+                return None
+            rows.append(row)
+            if stop < 0:
+                break
+            start = stop + len(_ROW_SEP)
+    except ValueError:
+        return None
+    return Frieze._of_cells(m, width, tuple(rows)) if len(rows) == width + 4 else None
+
+
+def _grid_cell(m: int, text: str) -> tuple:
+    """The pair (a, b) of one cell's text between its braces, or ValueError
+    unless it is the writer's cell over Q(√m)."""
+    cell = _GRID_CELL.fullmatch(text)
+    if cell is None:
+        raise ValueError("not a cell as the grid writer spells it")
+    em, a, b = coefficients_from_json({"m": int(cell[1]), "rat": cell[2], "rad": cell[3]})
+    if em != m:
+        raise ValueError("a cell over another radicand")
+    return a, b
 
 
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:

@@ -39,6 +39,7 @@ steps = {
     "enumerate_bytes": ((), {"sizes": ((4, 3), (6, 2))}, True),
     "derived": ((), {"levels": ((4, 3), (6, 2)), "deep_n": 10}, True),
     "frieze_ladders": ((), {"bounds": {10: {"ascii": 60, "csv": 40, "json": 40}}}, True),
+    "validate_ladder": ((), {"n": 10}, True),
     "json_edge": ((), {"n": 10}, True),
     "crossing": ((), {"n": 16}, True),
 }

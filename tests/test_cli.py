@@ -400,6 +400,78 @@ def test_validate_flags_bad_grid(capsys):
     assert report["ok"] is False and report["violations"]
 
 
+def validate_outcomes(capsys, monkeypatch, text):
+    """`validate`'s (exit code, stdout, stderr) on the text from stdin and, for
+    an inline object, from the command line."""
+    outcomes = []
+    for source in ["-"] + ([text] if text.lstrip()[:1] == "{" else []):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        outcomes.append(run(capsys, "validate", "--input", source))
+    return outcomes
+
+
+def test_validate_reads_every_other_text_as_the_json_path_does(capsys, monkeypatch):
+    # validate reads the text gen and cc write directly; every other text goes
+    # through json.loads + Frieze.from_json, and its outcome, errors included,
+    # must be the one that path gives when forced
+    from friezes.frieze import _grid_from_text
+
+    grid = run(capsys, "gen", "--p", "4", "--input", QUAD10, "--format", "json")[1]
+    blob = json.loads(grid)
+    head, body = grid.split('"rows": ')
+    written = lambda rows: head + '"rows": ' + json.dumps(rows) + "}\n"  # noqa: E731 the writer's spelling
+
+    def changed(r, k, **fields):
+        rows = json.loads(json.dumps(blob["rows"]))
+        rows[r][k].update(fields)
+        return written(rows)
+
+    short = json.loads(json.dumps(blob["rows"]))
+    short[3].pop()
+    ones = {"m": 1, "rat": "1", "rad": "0"}
+    rational = [[{**ones, "rat": "0"}] * 4, [ones] * 4, [{**ones, "rat": v} for v in ("3/2", "4/3") * 2], [ones] * 4,
+                [{**ones, "rat": "0"}] * 4]
+    read = {  # texts the reader takes
+        "gen": grid,
+        "cc": run(capsys, "cc", "--input", T_QUAD10, "--format", "json")[1],
+        "no newline": grid.rstrip("\n"),
+        "rational width 1": json.dumps({"width": 1, "m": 1, "rows": rational}),
+        "a wrong entry": changed(4, 2, rat="100"),
+    }
+    refused = {  # texts it refuses
+        "indent=1": json.dumps(blob, indent=1),
+        "reordered keys": json.dumps({"m": blob["m"], "width": blob["width"], "rows": blob["rows"]}),
+        "trailing space": grid.rstrip("\n") + " ",
+        "two newlines": grid + "\n",
+        "BOM": "\ufeff" + grid,
+        "int coefficients": written([[{**e, "rat": int(e["rat"]), "rad": int(e["rad"])} for e in row]
+                                     for row in blob["rows"]]),
+        "m 2.0": grid.replace('"m": 2,', '"m": 2.0,', 1),
+        "m true": grid.replace('"m": 2,', '"m": true,', 1),
+        "cell m true": changed(0, 0, m=True),
+        "width with a leading zero": grid.replace('"width": 7', '"width": 07', 1),
+        "1/0": changed(2, 1, rat="1/0"),
+        "1e5": changed(2, 1, rat="1e5"),
+        "a cell over another radicand": changed(3, 1, m=3),
+        "a row one cell short": written(short),
+        "a row too many": written(blob["rows"] + blob["rows"][:1]),
+        "an extra key": json.dumps({**blob, "note": "x"}),
+        "an extra key in a cell": written([[{**e, "x": 1} if (r, k) == (2, 0) else e for k, e in enumerate(row)]
+                                           for r, row in enumerate(blob["rows"])]),
+        "an array": json.dumps(blob["rows"]),
+        "empty": "",
+        "cut short": grid[: len(grid) // 2],
+    }
+    for name, text in {**read, **refused}.items():
+        assert (_grid_from_text(text) is None) is (name in refused), name
+        direct = validate_outcomes(capsys, monkeypatch, text)
+        with monkeypatch.context() as patched:
+            patched.setattr(friezes.cli, "_grid_from_text", lambda text: None)
+            assert validate_outcomes(capsys, monkeypatch, text) == direct, name
+    assert validate_outcomes(capsys, monkeypatch, read["gen"])[0] == (0, '{"ok": true, "violations": []}\n', "")
+    assert validate_outcomes(capsys, monkeypatch, refused["a row one cell short"])[0][0] == 1
+
+
 def test_input_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d.json"
     path.write_text(QUAD10, encoding="utf-8")
@@ -443,6 +515,7 @@ def test_commands_leave_no_reference_cycles(capsys):
     commands = [
         ("gen", "--p", "4", "--input", QUAD10, "--format", "json"),
         ("validate", "--input", grid),
+        ("validate", "--input", json.dumps(json.loads(grid), indent=1)),  # through json.loads
         ("associate", "--p", "4", "--input", QUAD10),
         ("cc", "--input", T_QUAD10),
         ("tree", "--input", QUAD10),

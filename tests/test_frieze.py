@@ -684,6 +684,74 @@ def test_from_json_reads_each_distinct_pair_once(monkeypatch):
         assert f.width == 39 and sorted(calls) == sorted(distinct)
 
 
+def written_grids():
+    """The texts `gen` and `cc` write (the pieces of `_json_pieces` and "\\n"):
+    both grids of every p-angulation of p = 4, s ≤ 5 and p = 6, s ≤ 3, and of
+    the seeded 42-gons of the benchmark's `frieze_request` (seed 1)."""
+    import importlib.util
+    from pathlib import Path
+
+    from friezes import associated_triangulation, enumerate_p_angulations
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seeded = [(r["p"], Dissection.from_json(r["dissection"])) for r in workloads.FriezeRequest().requests(1)]
+    swept = [(p, d) for p, s_max in ((4, 5), (6, 3)) for s in range(1, s_max + 1) for d in enumerate_p_angulations(s, p)]
+    for p, d in swept + seeded:
+        for f in (lambda_frieze(d, p), cc_frieze(associated_triangulation(d, p))):
+            yield "".join(f._json_pieces()) + "\n"
+
+
+def pairs_and_types(frieze):
+    return frieze._pairs(), [type(c) for row in frieze._pairs() for pair in row for c in pair]
+
+
+def test_grid_from_text_reads_what_the_writer_writes():
+    # the reader of the writer's own text against json.loads + from_json, to
+    # the coefficient types: ints, and Fractions where the writer wrote n/d
+    from friezes.frieze import _grid_from_text
+
+    entry = lambda v: {"m": 1, "rat": v, "rad": "0"}  # noqa: E731
+    zeros, ones = [entry("0")] * 4, [entry("1")] * 4
+    quiddity = [entry(v) for v in ("3/2", "4/3", "3/2", "4/3")]
+    rational = json.dumps({"width": 1, "m": 1, "rows": [zeros, ones, quiddity, ones, zeros]})
+    texts = [*written_grids(), rational, rational + "\n"]
+    assert len(texts) == 770 + 128 + 2
+    for text in texts:
+        read, expected = _grid_from_text(text), Frieze.from_json(json.loads(text))
+        assert read is not None and read == expected, text[:200]
+        assert pairs_and_types(read) == pairs_and_types(expected)
+    assert Fraction in pairs_and_types(_grid_from_text(rational))[1]
+
+
+def test_grid_from_text_refuses_every_other_text_or_reads_it_alike():
+    # single-character changes of a written grid: the reader gives None, or
+    # the grid json.loads + from_json give; it never reads a text json.loads
+    # refuses
+    import random
+
+    from friezes.frieze import _grid_from_text
+
+    text = "".join(lambda_frieze(Dissection(6, [(0, 3)]), 4)._json_pieces()) + "\n"
+    rng = random.Random(51)
+    alphabet = '0123456789-/ ,:{}[]"\nmratdwhios'
+    read = refused = 0
+    for _ in range(4000):
+        k = rng.randrange(len(text) + 1)
+        c = rng.choice(alphabet)
+        mutant = rng.choice((text[:k] + c + text[k + 1 :], text[:k] + text[k + 1 :], text[:k] + c + text[k:]))
+        got = _grid_from_text(mutant)
+        if got is None:
+            refused += 1
+            continue
+        read += 1
+        expected = Frieze.from_json(json.loads(mutant))  # raises if the reader took a text it must not
+        assert pairs_and_types(got) == pairs_and_types(expected) and got == expected, mutant
+    assert read > 100 and refused > 1000
+
+
 def test_report_json(quad10):
     report = validate(lambda_frieze(quad10, 4))
     assert report.to_json() == {"ok": True, "violations": []}

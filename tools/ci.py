@@ -9,9 +9,10 @@ else 1 (`tier1` exits 1 whenever pytest fails).  Each step's keyword defaults
 are the sizes, bounds and time limits the workflow runs, and
 `tests/test_ci.py` runs every step at its smallest sizes.  The steps
 `sweeps`, `ear_walk`, `enumerate_sorted`, `enumerate_first_line`,
-`enumerate_bytes`, `frieze_ladders`, `json_edge` and `crossing` start the
-`friezes` console script (`CLI`).  Every peak RSS is the one child's,
-read by `os.wait4` as it is reaped (see `reap`).  Linux only (`os.waitid`).
+`enumerate_bytes`, `frieze_ladders`, `validate_ladder`, `json_edge` and
+`crossing` start the `friezes` console script (`CLI`).  Every peak RSS is
+the one child's, read by `os.wait4` as it is reaped (see `reap`).  Linux
+only (`os.waitid`).
 """
 
 from __future__ import annotations
@@ -531,6 +532,32 @@ def frieze_ladders(bounds=LADDER_RSS_MB) -> bool:
     return ok
 
 
+def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
+    """`validate` reads the text `gen` writes directly (`frieze._grid_from_text`),
+    not through `json.loads` and `Frieze.from_json`: on the n-gon ladder's
+    radical frieze (97 MB of JSON at the 1,000-gon) it must exit 0 with the
+    report of a frieze, within seconds and under rss_mb of peak RSS.  `gen`
+    writes to a temporary file that `validate --input PATH` reads, so the
+    checker never holds the text when it starts the child (see `reap`).  On
+    the 1,000-gon, on a 2-vCPU x86-64 host with CPython 3.11, the reader took
+    0.85–0.95 s and 201 MB, most of it reading the file (its bytes and its
+    text at once); the JSON path took 1.65–1.80 s and 415 MB, past the bound."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        with open(path, "wb") as fh:
+            code, _ = reap(subprocess.Popen(cli("gen", "--p", 4, "--format", "json", "--input", json.dumps(ladder(n))),
+                                            stdout=fh))
+        size = os.path.getsize(path)
+        child = run(cli("validate", "--input", path), timeout=10 * seconds)
+    problems = [f"gen exit {code}"] if code else expect(child, 0, rss_mb)
+    if not problems and child.out != b'{"ok": true, "violations": []}\n':
+        problems.append(f"report {child.out[:200]!r}")
+    if child.seconds >= seconds:
+        problems.append(f"{child.seconds:.2f} s, expected under {seconds} s")
+    line = f"validate the {n}-gon ladder's grid ({size:,} bytes), {child.seconds:.2f} s, peak RSS {child.rss_mb:.1f} MB: "
+    return report(line, problems, "a frieze")
+
+
 def width_one(quiddity: tuple[str, ...]) -> dict:
     """The width-1 grid of this rational quiddity, between rows of zeros and ones."""
     def entry(v):
@@ -605,7 +632,7 @@ def crossing(n=16000, seconds=5) -> bool:
 
 STEPS = {step.__name__: step for step in (
     import_footprint, tier1, tier1_by_design, sweeps, ear_walk, ear_depth, enumerate_sorted,
-    enumerate_first_line, enumerate_bytes, derived, frieze_ladders, json_edge, crossing,
+    enumerate_first_line, enumerate_bytes, derived, frieze_ladders, validate_ladder, json_edge, crossing,
 )}
 
 if __name__ == "__main__":

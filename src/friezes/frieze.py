@@ -317,7 +317,7 @@ def _grid_from_text(text: str) -> Frieze | None:
     `{"width": W, "m": M, "rows": [`, rows joined by ", ", each row's cells
     joined by ", ", each cell `{"m": D, "rat": "S", "rad": "S"}` with D the
     digit M and each S made of digits, "-" and "/" only, then "]}" and at most
-    one "\n".  No separator can occur inside such a cell, so the rows are
+    one "\\n".  No separator can occur inside such a cell, so the rows are
     found by `str.find` and each row's cells by one `str.split`, one row at a
     time.  Each distinct cell text is read once, by `coefficients_from_json`
     on the dict `json.loads` would build from it, so the pairs, ints or

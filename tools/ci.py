@@ -540,8 +540,8 @@ def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
     writes to a temporary file that `validate --input PATH` reads, so the
     checker never holds the text when it starts the child (see `reap`).  On
     the 1,000-gon, on a 2-vCPU x86-64 host with CPython 3.11, the reader took
-    0.85–0.95 s and 201 MB, most of it reading the file (its bytes and its
-    text at once); the JSON path took 1.65–1.80 s and 415 MB, past the bound."""
+    0.79–1.03 s and 201 MB, most of it reading the file (its bytes and its
+    text at once); the JSON path took 1.65–1.83 s and 415 MB, past the bound."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "grid.json")
         with open(path, "wb") as fh:

@@ -62,12 +62,14 @@ def _positive(text: str) -> int:
 
 
 def _read_text(source: str) -> str:
-    """The text of a path, of '-' (stdin), or of an inline literal."""
+    """The text of a path, of '-' (stdin), or of an inline literal, as it is
+    but for one leading byte-order mark of a path's or stdin's text, which
+    RFC 8259 §8.1 lets a parser drop."""
     if source == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     if source.lstrip()[:1] in ("{", "["):  # an object, or an array to refuse
         return source
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

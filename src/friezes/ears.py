@@ -1,17 +1,13 @@
-"""The sweep's ear tree: every p-angulation glued from its parent by one ear,
-with the entries of both friezes the ear adds and their checks.
-
-`verify.sweep` walks the tree (`_ear_batches`) and checks the children of a
-node, a contiguous run of them at a time: the whole batch, or in an orbit
-sweep's top level one representative; and, once, the lone p-gon's entries
-(`_faces_pass`).  One call, `_ears_pass`, computes a run's entries and
-checks them, for every run: the tree's own call for a node its children
-are glued from, the caller's for a node whose children are leaves.  A
-child's rows are one C-level gather from its node's rows and news, by an
-`itemgetter` kept per shape (`_glued_rows`, `_glue_plan`).  (E) in the
-`verify` docstring proves why the entries the ear adds are all there is to
-compute and check.  Matrices hold C values: the int C of an entry C, or of
-C·√m at an even distance in a radical frieze.
+"""The sweep's ear tree: every p-angulation glued from its parent by one ear
+(`_ear_batches`, a child at a time by `_child`), the entries of both friezes
+the ear adds, computed and checked for a run of a node's children in one
+call (`_ears_pass`), and their outcome per level (`_ear_levels`), which is
+all `verify.sweep` reads: this module alone decides which runs are checked,
+and by which call.  A child's rows are one C-level gather from its node's
+rows and news, by an `itemgetter` kept per shape (`_glued_rows`,
+`_glue_plan`).  (E) in the `verify` docstring proves why the entries the ear
+adds are all there is to compute and check.  Matrices hold C values: the
+int C of an entry C, or of C·√m at an even distance in a radical frieze.
 """
 
 from __future__ import annotations
@@ -60,6 +56,9 @@ def _matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 _FACES = {p: _faces(p) for p in (4, 6)}
+# per p and colour of a, per family: the ear's counts, and its entries among its inner corners, flat
+_EAR_PIECES = {p: [(tuple(c for _, c in face), tuple([e for r in m[1:-1] for e in r[1:-1]] for m, _ in face))
+                   for face in faces] for p, faces in _FACES.items()}
 
 
 def _faces_pass(p: int) -> bool:
@@ -237,7 +236,7 @@ def _glued_rows(rows: list[int], n: int, a: int, news: list[list[int]], inner: l
     return list(_glue_plan(n, a, len(news))(source))
 
 
-def _ear_batches(p: int, s_max: int, ears_pass=_ears_pass) -> Iterator[tuple]:
+def _ear_batches(p: int, s_max: int) -> Iterator[tuple]:
     """Every p-angulation with 1 ≤ s ≤ s_max faces, p ∈ {4, 6}, glued ear by
     ear, depth first, as one batch per node with children: (s, last, counts,
     rows, checked).
@@ -247,46 +246,104 @@ def _ear_batches(p: int, s_max: int, ears_pass=_ears_pass) -> Iterator[tuple]:
     a = 0..last.  counts are the node's face and triangle counts; rows are
     its radical and integral matrices, rows 0..last + 1 flat (entry (u, j) at
     u·n + j), in C values: the int C of an entry C, or of C·√m at an even
-    distance in a radical frieze.  checked is ears_pass(p, 0, last, counts,
-    rows) of the whole batch, by default `_ears_pass`'s (news, passed): the
-    children are glued from its news, computed and checked in that one
-    call.  A node whose children are leaves (s = s_max) glues none: its
-    batch is checked None, its rows unglued, as an iterator read once by
-    `tuple(rows)`, so a caller glues only the rows it reads and computes and
-    checks what it reads by the same `_ears_pass`.
+    distance in a radical frieze.  checked is `_ears_pass(p, 0, last, counts,
+    rows)`, (news, passed): the children are glued from its news.  A node
+    whose children are leaves (s = s_max) glues none: its batch is checked
+    None, its rows an iterator read once by `tuple(rows)`, so `_ear_levels`
+    glues only the rows it reads, and checks them by the same `_ears_pass`.
 
     A child's canonical ear is its new face, whose first inner vertex is
     a + 1, so its own children glue on a' ≤ a + p − 2; the lone p-gon is the
     2-gon's one child.  `_subtree` yields a node's batch, then recurses into
-    each child, its counts built (`polygon._glued`) as it is entered, its rows
-    (`_glued_rows`) when read: the recursion holds one node and its news per
-    depth.  A caller reads a batch, or copies it to change it: the children
-    are glued from it.
+    each child (`_child`), its counts glued as it is entered, its rows when
+    read: the recursion holds one node and its news per depth.  A caller
+    reads a batch, or copies it to change it: the children are glued from it.
     A polygon whose friezes the kernel refuses (`_require_grid`) is refused
     before anything is allocated.
     """
     _require_p(p)
     _require_grid((p - 2) * s_max + 2)
-    # per colour of a and family: the ear's counts, and its entries among its inner corners, flat
-    faces = _FACES[p]
-    ears = [tuple(counts for _, counts in face) for face in faces]
-    inner = [tuple([e for r in matrix[1:-1] for e in r[1:-1]] for matrix, _ in face) for face in faces]
     root = (0, 0, ([0, 0], [0, 0]), ([0, 1, 1, 0], [0, 1, 1, 0]))  # the 2-gon
-    yield from _subtree(p, s_max, ears, inner, ears_pass, root)
+    yield from _subtree(p, s_max, root)
 
 
-def _subtree(p: int, s_max: int, ears: list, inner: list, ears_pass, node: tuple) -> Iterator[tuple]:
+def _subtree(p: int, s_max: int, node: tuple) -> Iterator[tuple]:
     """The batches of `_ear_batches` from node = (s, last, counts, rows) down;
     rows may be an iterator not yet read."""
     s, last, counts, rows = node
     if s + 2 > s_max:  # its children are leaves: nothing is glued from their entries
         yield s + 1, last, counts, rows, None
         return
-    rows, n = tuple(rows), len(counts[0])
-    checked = ears_pass(p, 0, last, counts, rows)
+    rows = tuple(rows)
+    checked = _ears_pass(p, 0, last, counts, rows)
     yield s + 1, last, counts, rows, checked
-    news = checked[0]
+    node, news = (s, last, counts, rows), checked[0]
     for a in range(last + 1):
-        glued = tuple(map(_glued, counts, (a, a), ears[a & 1]))
-        child = map(_glued_rows, rows, (n, n), (a, a), news, inner[a & 1])  # glued when read
-        yield from _subtree(p, s_max, ears, inner, ears_pass, (s + 1, a + p - 2, glued, child))
+        yield from _subtree(p, s_max, _child(p, node, news, a))
+
+
+def _child(p: int, node: tuple, news: list, a: int) -> tuple:
+    """Child a of node = (s, last, counts, rows) by its batch's news: (s + 1,
+    a + p − 2, counts glued now, rows an iterator glued when read)."""
+    s, _, counts, rows = node
+    n = len(counts[0])
+    ears, inner = _EAR_PIECES[p][a & 1]
+    glued = tuple(map(_glued, counts, (a, a), ears))
+    return s + 1, a + p - 2, glued, map(_glued_rows, rows, (n, n), (a, a), news, inner)
+
+
+def _ear_levels(p: int, s_max: int, orbits: bool) -> list[tuple[int, bool, bool, int]]:
+    """Per level s = 1..s_max of the ear tree: (p-angulations, failed,
+    inherited, orbit representatives), the last 0 without orbits.  A level
+    has failed if one of its own checks failed; it has inherited if a level
+    below it failed, as every descendant of a failing child holds the
+    entries that failed ((E)), unchecked.  Every check is one call of
+    `_ears_pass`, which computes the entries it checks: the tree's own call
+    for a node with grandchildren, whose children are glued from its
+    entries, and one here for a node whose children are leaves.  Every
+    batch is checked whole, except on an orbit sweep's top level, where
+    each representative (`_least_rotation`) is checked alone.  Its vertex 0
+    lies in one face ((C)); a child glued at a = 0 has one face more there
+    than its node, one at a ≥ 1 as many, so only the children a ≥ 1 of a
+    node whose vertex 0 lies in one face, and the 2-gon's one child, are
+    glued, by their face counts alone.
+    """
+    counted = [0] * (s_max + 1)
+    failed = [False] * (s_max + 1)
+    representatives = [0] * (s_max + 1)
+    failed[1] = not _faces_pass(p)
+    ones = [1] * p  # an ear's face counts
+    for s, last, counts, rows, checked in _ear_batches(p, s_max):
+        counted[s] += last + 1
+        q = counts[0]
+        if orbits and s > 1:  # the node, of level s − 1
+            representatives[s - 1] += _least_rotation(q)
+        if not orbits or s < s_max:
+            if not failed[s]:
+                failed[s] = not (checked or _ears_pass(p, 0, last, counts, tuple(rows)))[1]
+        elif s == 1 or q[0] == 1:
+            for a in range(0 if s == 1 else 1, last + 1):
+                if _least_rotation(_glued(q, a, ones)):
+                    representatives[s] += 1
+                    if not failed[s]:
+                        rows = tuple(rows)
+                        failed[s] = not _ears_pass(p, a, a, counts, rows)[1]
+    first = failed.index(True) if True in failed else s_max  # the least failed level
+    return [(counted[s], failed[s], s > first, representatives[s]) for s in range(1, s_max + 1)]
+
+
+def _least_rotation(counts: list[int]) -> bool:
+    """Are the counts lexicographically least among their even rotations?
+
+    A rotation by an even k starts at counts[k], counts[k + 1], so only the k
+    where counts[k] equals counts[0], the least of the even entries, can be
+    smaller: it is if counts[k + 1] < counts[1], and only a tie on both asks
+    for the rotated copy."""
+    first, second = counts[0], counts[1]
+    if min(counts[::2]) < first:
+        return False
+    for k in range(2, len(counts), 2):
+        if counts[k] == first and counts[k + 1] <= second:
+            if counts[k + 1] < second or counts[k:] + counts[:k] < counts:
+                return False
+    return True

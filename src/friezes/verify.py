@@ -168,7 +168,7 @@ Both sweeps rest on a fourth:
     Each entry of D is checked once in the tree: a pair of two old vertices
     is the parent's pair, a pair of a new corner and an old vertex is this
     batch's, and a pair of two corners of the ear is one of the lone
-    p-gon's pairs with the same colours, checked once (`_faces_pass`), so
+    p-gon's pairs with the same colours, checked once (`ears._faces_pass`), so
     following D's canonical parents to the 2-gon meets each pair of D
     exactly once.  An old pair keeps its check: gluing moves a vertex by 0
     or p − 2, both even, so the distance of the pair and the colour of its
@@ -185,14 +185,13 @@ from operator import mul, ne
 from typing import NamedTuple, Sequence
 
 from .bijection import _require_p, associated_triangulation
-from .ears import _ear_batches, _ears_pass, _faces_pass
+from .ears import _ear_levels
 from .exact import LAMBDA_RADICAND
 from .frieze import Frieze, InternalAssertionError, _require_grid, _rows
 from .polygon import (
     Dissection,
     _canonical_parent,
     _ear_counts,
-    _glued,
     _polygon_size,
     _walked,
     enumerate_p_angulations,
@@ -350,23 +349,6 @@ def check_odd_rows(d: Dissection, p: int) -> CheckResult:
 def check_even_scaling(d: Dissection, p: int) -> EvenScalingResult:
     """Even rows of the integer frieze as (p/2)-scaled radical-row coefficients."""
     return _even_rows_match(*_grids(*_counts(d, p), p), d.n - 3, p)
-
-
-def _least_rotation(counts: list[int]) -> bool:
-    """Are the counts lexicographically least among their even rotations?
-
-    A rotation by an even k starts at counts[k], counts[k + 1], so only the k
-    where counts[k] equals counts[0], the least of the even entries, can be
-    smaller: it is if counts[k + 1] < counts[1], and only a tie on both asks
-    for the rotated copy."""
-    first, second = counts[0], counts[1]
-    if min(counts[::2]) < first:
-        return False
-    for k in range(2, len(counts), 2):
-        if counts[k] == first and counts[k + 1] <= second:
-            if counts[k + 1] < second or counts[k:] + counts[:k] < counts:
-                return False
-    return True
 
 
 class VerificationReport(NamedTuple):
@@ -575,14 +557,11 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
     s_max, p (as the walk, then `_require_p`), then the largest polygon
     against the kernel's bound (`frieze._require_grid`).
 
-    The exhaustive sweep glues ears (`_ear_batches`, (E) in the module
-    docstring): each p-angulation is built once, from its canonical parent,
-    and only the O(p·n) entries and counts its ear adds are computed and
-    checked, for all children of one parent at once, in one call
-    (`_ears_pass`); the entries between two corners of one ear are the lone
-    p-gon's, checked once (`_faces_pass`).  A failing check marks its level;
-    every level above it, where its children's descendants lie, inherits
-    the mark.
+    The exhaustive sweep reads the per-level outcomes of the ear tree
+    (`ears._ear_levels`, (E) in the module docstring): each p-angulation is
+    glued once, from its canonical parent, and only the entries its ear adds
+    are computed and checked.  A failing check marks its level; every level
+    above it, where its children's descendants lie, inherits the mark.
     After each level's count is checked against the Fuss–Catalan number, in
     order of s, a marked level is re-run once through `verify_dissection`,
     in enumeration order, so every report (witness, ε, timings) and every
@@ -592,9 +571,8 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
 
     With orbits=True the levels below s_max are checked as above, and on the
     top level only the p-angulations whose face counts are least among their
-    even rotations (`_least_rotation`, one per orbit), each alone by the
-    same call (`_ears_pass` on a run of one); by (C) in the
-    module docstring each passes exactly when its orbit does.  A marked
+    even rotations, one per orbit, each alone; by (C) in the module
+    docstring each passes exactly when its orbit does.  A marked
     level is re-run whole, as above; `checked` and `per_s` still count every
     p-angulation, and `orbits_checked` the representatives of every level.
 
@@ -647,43 +625,3 @@ def sweep(p: int, s_max: int, deep: bool = False, orbits: bool = False) -> Sweep
         deep_failures=tuple(deep_failures),
         orbits_checked=orbits_checked if orbits else None,
     )
-
-
-def _ear_levels(p: int, s_max: int, orbits: bool) -> list[tuple[int, bool, bool, int]]:
-    """Per level s = 1..s_max of the ear tree: (p-angulations, failed,
-    inherited, orbit representatives), the last 0 without orbits.  A level
-    has failed if one of its own checks failed; it has inherited if a level
-    below it failed, as every descendant of a failing child holds the
-    entries that failed ((E)), unchecked.  Every check is one call of
-    `_ears_pass`, which computes the entries it checks: the tree's own call
-    for a node with grandchildren, whose children are glued from its
-    entries, and one here for a node whose children are leaves.  Every
-    batch is checked whole, except on an orbit sweep's top level, where
-    each representative (`_least_rotation`) is checked alone.  Its vertex 0
-    lies in one face ((C)); a child glued at a = 0 has one face more there
-    than its node, one at a ≥ 1 as many, so only the children a ≥ 1 of a
-    node whose vertex 0 lies in one face, and the 2-gon's one child, are
-    glued, by their face counts alone.
-    """
-    counted = [0] * (s_max + 1)
-    failed = [False] * (s_max + 1)
-    representatives = [0] * (s_max + 1)
-    failed[1] = not _faces_pass(p)
-    ones = [1] * p  # an ear's face counts
-    for s, last, counts, rows, checked in _ear_batches(p, s_max, _ears_pass):
-        counted[s] += last + 1
-        q = counts[0]
-        if orbits and s > 1:  # the node, of level s − 1
-            representatives[s - 1] += _least_rotation(q)
-        if not orbits or s < s_max:
-            if not failed[s]:
-                failed[s] = not (checked or _ears_pass(p, 0, last, counts, tuple(rows)))[1]
-        elif s == 1 or q[0] == 1:
-            for a in range(0 if s == 1 else 1, last + 1):
-                if _least_rotation(_glued(q, a, ones)):
-                    representatives[s] += 1
-                    if not failed[s]:
-                        rows = tuple(rows)
-                        failed[s] = not _ears_pass(p, a, a, counts, rows)[1]
-    first = failed.index(True) if True in failed else s_max  # the least failed level
-    return [(counted[s], failed[s], s > first, representatives[s]) for s in range(1, s_max + 1)]

@@ -1,8 +1,9 @@
 """Every CI check of `tools/ci.py` runs here at its smallest sizes, so a
 private name or signature a check uses that drifts fails Tier-1, not only CI;
 and its child helper reports each child's own peak RSS, kills a child past
-its time and reaps every child; and the ear walk's comparison with the
-kernel sees a glue fault that the sweep's checks cannot.
+its time and reaps every child; and the ear walk's and the deep paths'
+comparisons with the kernel see a glue fault that the sweep's checks
+cannot.
 
 The checks run in a fresh interpreter: a child's peak RSS counts the
 address space of the process that started it, and this one's is large.
@@ -33,7 +34,7 @@ steps = {
     "sweeps": ((), {"runs": ((4, 2, ("--deep-uniqueness",), 2, None), (6, 2, (), 0, None),
                             (4, 3, ("--orbits",), 0, 6))}, True),
     "ear_walk": ((), {"levels": ((4, 3), (6, 2)), "exhaustive": (4, 2), "counts_levels": ((3, 3), (5, 2))}, True),
-    "ear_depth": ((), {"depth": 3}, True),
+    "ear_depth": ((), {"depths": ((4, 6, 2), (6, 4, 2))}, True),
     "enumerate_sorted": ((), {"s": 3}, True),
     "enumerate_first_line": ((), {"s": 3}, True),
     "enumerate_bytes": ((), {"sizes": ((4, 3), (6, 2))}, True),
@@ -72,19 +73,21 @@ def test_every_ci_step_runs_at_its_smallest_sizes(tmp_path):
     assert done.stdout.endswith("every child reaped\n"), done.stdout[-2000:]
 
 
-def test_ear_walk_sees_a_glue_fault_both_families_share(monkeypatch):
-    # ROADMAP item 13's mutant: two entries of row 0 whose columns have one
-    # parity (3 and 5, away from the centres 2 and n − 1 of the children
-    # glued on that row) swapped in both families, in the rows of every
-    # child a = 0 with n ≥ 8.  (F) still holds between the families, so the
-    # sweep's checks pass it; the walk's comparison with the kernel reports
-    # the nodes it moved
-    import friezes.ears
-
+def load_ci():
     spec = importlib.util.spec_from_file_location("ci", ROOT / "tools" / "ci.py")
     ci = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ci)
-    assert ci.ear_tree(4, 5)[1:] == (71, [], [])
+    return ci
+
+
+def swap_row_0(monkeypatch):
+    """ROADMAP item 13's mutant: two entries of row 0 whose columns have one
+    parity (3 and 5, away from the centres 2 and n − 1 of the children
+    glued on that row) swapped in both families, in the rows of every child
+    a = 0 with n ≥ 8.  (F) still holds between the families, so the
+    sweep's checks pass it."""
+    import friezes.ears
+
     glued_rows = friezes.ears._glued_rows
 
     def swapped(rows, n, a, news, inner):
@@ -94,6 +97,34 @@ def test_ear_walk_sees_a_glue_fault_both_families_share(monkeypatch):
         return out
 
     monkeypatch.setattr(friezes.ears, "_glued_rows", swapped)
+
+
+def test_ear_walk_sees_a_glue_fault_both_families_share(monkeypatch):
+    # the walk's comparison with the kernel reports the nodes the mutant moved
+    ci = load_ci()
+    assert ci.ear_tree(4, 5)[1:] == (71, [], [])
+    swap_row_0(monkeypatch)
     glued, nodes, off, uncut = ci.ear_tree(4, 5)
     assert nodes == 71 and off and all(len(counts) >= 8 and counts[0] >= 2 for counts in off)
     assert uncut == []  # the fault moves rows, not counts
+
+
+def test_ear_paths_see_a_glue_fault_both_families_share(monkeypatch):
+    # ear_depth's paths compare sampled nodes with the kernel, at its
+    # smallest sizes: every path passes, and under the mutant each p has a
+    # path that names the first compared node it moved, while every batch
+    # still passes.  The p = 4 spine is a fan at vertex 0, where the swapped
+    # entries e(0, 3) and e(0, 5) are both 1, so it cannot see the mutant;
+    # the path of seed 1 does
+    ci = load_ci()
+    sizes = ((4, 6, 2), (6, 4, 2))
+    for p, depth, every in sizes:
+        for seed in (None, 1, 2):
+            assert ci.ear_path(p, depth, every, seed) == (depth, depth // every, None), (p, seed)
+    swap_row_0(monkeypatch)
+    differ = "glued rows differ from the kernel's"
+    faults = [[ci.ear_path(p, depth, every, seed) for seed in (None, 1, 2)] for p, depth, every in sizes]
+    assert faults == [
+        [(6, 3, None), (4, 2, f"level 4, the 10-gon: {differ}"), (6, 3, None)],
+        [(2, 1, f"level 2, the 10-gon: {differ}"), (4, 2, None), (2, 1, f"level 2, the 10-gon: {differ}")],
+    ]

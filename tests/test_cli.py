@@ -483,6 +483,37 @@ def test_input_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_one_leading_byte_order_mark_is_dropped_from_files_and_stdin(tmp_path, capsys, monkeypatch):
+    # RFC 8259 §8.1 lets a parser ignore a leading U+FEFF: a file's or
+    # stdin's text gives what the same text without it gives, for a command
+    # that passes and for one that refuses its input; a second mark is still
+    # refused, and an inline literal is taken as it is
+    grid = run(capsys, "gen", "--p", "4", "--input", QUAD10, "--format", "json")[1]
+    wrong = grid.replace('"rat": "1"', '"rat": "2"', 1)
+    crossing = '{"n": 10, "diagonals": [[1, 4], [2, 6]]}'
+    cases = [("gen", "--p", "4"), ("associate", "--p", "4"), ("validate",)]
+    inputs = {"gen": (QUAD10, crossing), "associate": (QUAD10, crossing), "validate": (grid, wrong)}
+    path = tmp_path / "input.json"
+
+    def outcome(argv, text, source):
+        if source == "-":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        else:
+            path.write_bytes(text.encode("utf-8"))
+        return run(capsys, *argv, "--input", source)
+
+    for argv in cases:
+        passing, refused = (outcome(argv, text, "-") for text in inputs[argv[0]])
+        assert passing[0] == 0 and refused[0] == 1, argv
+        for text in inputs[argv[0]]:
+            for source in ("-", str(path)):
+                plain = outcome(argv, text, source)
+                assert outcome(argv, "\ufeff" + text, source) == plain, (argv, source)
+                assert outcome(argv, "\ufeff\ufeff" + text, source)[0] == 1, (argv, source)
+    code, out, err = run(capsys, "gen", "--p", "4", "--input", "\ufeff" + QUAD10)
+    assert (code, out) == (1, "") and "No such file" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "gen", "--p", "4")[0] == 1  # missing --input

@@ -403,12 +403,12 @@ def test_sweep_rejects_bad_bound(monkeypatch):
             with pytest.raises(ValueError, match="^the 1002-gon is too large for a frieze grid$"):
                 run()
     # the orbit sweep passes the same door, before its ear tree starts
-    import friezes.verify
+    import friezes.ears
 
     def no_tree(p, s_max):
         raise AssertionError("the orbit sweep started its ear tree")
 
-    monkeypatch.setattr(friezes.verify, "_ear_batches", no_tree)
+    monkeypatch.setattr(friezes.ears, "_ear_batches", no_tree)
     for p, s_max in ((4, 500), (6, 250)):
         with pytest.raises(ValueError, match="^the 1002-gon is too large for a frieze grid$"):
             sweep(p, s_max, orbits=True)
@@ -449,16 +449,16 @@ def ear_run(p, batch):
 
 
 def corrupt_ears(monkeypatch, leaves, corrupt):
-    """Patch the sweeps' ear checks, `verify._ears_pass`, which the ear tree
-    also calls for the batches it glues from: a run of children (p, first,
-    last, counts, rows) with a child a whose face counts are in leaves is
-    computed and checked as corrupt(run, a), a changed copy, for each such
-    child, so the fault is in the entries that call computes and checks.
-    The news returned, from which the tree glues the children, are the
-    true run's."""
-    import friezes.verify
+    """Patch the sweeps' ear checks, `ears._ears_pass`, which the ear tree
+    calls for the batches it glues from and its level tally,
+    `ears._ear_levels`, for the rest: a run of children (p, first, last,
+    counts, rows) with a child a whose face counts are in leaves is computed
+    and checked as corrupt(run, a), a changed copy, for each such child, so
+    the fault is in the entries that call computes and checks.  The news
+    returned, from which the tree glues the children, are the true run's."""
+    import friezes.ears
 
-    ears_pass = friezes.verify._ears_pass
+    ears_pass = friezes.ears._ears_pass
 
     def corrupted(p, first, last, counts, rows):
         news, _ = ears_pass(p, first, last, counts, rows)
@@ -468,7 +468,7 @@ def corrupt_ears(monkeypatch, leaves, corrupt):
                 run = corrupt(run, a)
         return news, ears_pass(*run)[1]
 
-    monkeypatch.setattr(friezes.verify, "_ears_pass", corrupted)
+    monkeypatch.setattr(friezes.ears, "_ears_pass", corrupted)
 
 
 def bump(run, family, a, by=1):
@@ -574,10 +574,10 @@ def test_a_marked_level_whose_dissections_pass_alone_is_an_internal_fault(monkey
     # and the CLI exits 3.  Every run but the lone p-gon's fails level 2 in
     # both sweeps; every check of one representative alone fails only the
     # orbit sweep's top level
-    import friezes.verify
+    import friezes.ears
     from friezes.cli import main
 
-    ears_pass = friezes.verify._ears_pass
+    ears_pass = friezes.ears._ears_pass
 
     def fails_runs(p, first, last, counts, rows):  # the lone p-gon is the 2-gon's only child
         news, passed = ears_pass(p, first, last, counts, rows)
@@ -587,13 +587,13 @@ def test_a_marked_level_whose_dissections_pass_alone_is_an_internal_fault(monkey
         news, passed = ears_pass(p, first, last, counts, rows)
         return news, not 0 < first == last and passed
 
-    monkeypatch.setattr(friezes.verify, "_ears_pass", fails_runs)
+    monkeypatch.setattr(friezes.ears, "_ears_pass", fails_runs)
     for orbits in (False, True):
         with pytest.raises(InternalAssertionError, match="with 2 faces failed, but each passes"):
             sweep(4, 5, orbits=orbits)
     assert main(["verify", "--p", "4", "--max-s", "5"]) == 3
     assert "a batch of 4-angulations with 2 faces failed" in capsys.readouterr().err
-    monkeypatch.setattr(friezes.verify, "_ears_pass", fails_representatives)
+    monkeypatch.setattr(friezes.ears, "_ears_pass", fails_representatives)
     assert sweep(4, 5).all_ok
     with pytest.raises(InternalAssertionError, match="with 5 faces failed, but each passes alone"):
         sweep(4, 5, orbits=True)
@@ -656,19 +656,19 @@ def test_sweep_checks_the_count_of_each_level(monkeypatch, capsys, short_s):
     # sweep one child short (at s = 1 the 2-gon's one child, the lone
     # p-gon, is dropped; the top level of an orbit sweep counts the children
     # it does not check): exit 3 from the CLI
-    import friezes.verify
+    import friezes.ears
     from friezes.cli import main
 
-    batches_of = friezes.verify._ear_batches
+    batches_of = friezes.ears._ear_batches
 
-    def one_child_short(p, s_max, ears_pass):
+    def one_child_short(p, s_max):
         short = False
-        for s, last, *rest in batches_of(p, s_max, ears_pass):
+        for s, last, *rest in batches_of(p, s_max):
             if s == short_s and not short:
                 short, last = True, last - 1
             yield (s, last, *rest)
 
-    monkeypatch.setattr(friezes.verify, "_ear_batches", one_child_short)
+    monkeypatch.setattr(friezes.ears, "_ear_batches", one_child_short)
     expected = {1: 1, 3: 12, 5: 273}[short_s]
     message = f"enumerated {expected - 1} 4-angulations with {short_s} faces, expected {expected}"
     for orbits in (False, True):
@@ -804,7 +804,7 @@ def test_least_rotation_picks_one_leaf_per_orbit():
     # a p-angulation is fixed by its face counts, so exactly one leaf of
     # each even-rotation orbit has counts least among their even rotations
     from friezes import quiddity_counts
-    from friezes.verify import _least_rotation
+    from friezes.ears import _least_rotation
 
     for p, s_max in ((4, 6), (6, 4)):
         for s in range(1, s_max + 1):
@@ -821,7 +821,7 @@ def test_least_rotation_against_every_rotation():
 
     from friezes import quiddity_counts
     from friezes.polygon import _p_angulation_walk
-    from friezes.verify import _least_rotation
+    from friezes.ears import _least_rotation
 
     vectors = [list(c) for n in (2, 4, 6) for c in product(range(1, 4), repeat=n)]
     for p, s_max in ((4, 7), (6, 5)):
@@ -860,7 +860,8 @@ def test_corrupted_representative_gives_the_exhaustive_counterexamples(monkeypat
     # one dissection at a time, so a corrupted leaf it would not check on
     # the top level is reported too, in enumeration order
     from friezes import quiddity_counts
-    from friezes.verify import _counts, _least_rotation
+    from friezes.ears import _least_rotation
+    from friezes.verify import _counts
 
     level = list(enumerate_p_angulations(5, 4))
     represents = [_least_rotation(list(quiddity_counts(d))) for d in level]
@@ -920,19 +921,19 @@ def test_orbit_top_level_checks_exactly_the_representatives(monkeypatch):
     # below s_max an orbit sweep checks whole batches; on the top level it
     # checks one child at a time, exactly the walk's leaves of that level
     # whose counts are least among their even rotations, one per orbit
-    import friezes.verify
+    import friezes.ears
     from friezes import fuss_catalan, quiddity_counts
+    from friezes.ears import _least_rotation
     from friezes.polygon import _p_angulation_walk
-    from friezes.verify import _least_rotation
 
-    ears_pass = friezes.verify._ears_pass
+    ears_pass = friezes.ears._ears_pass
     runs = []
 
     def recorded(p, first, last, counts, rows):
         runs.append((first, last, [q for _, q in ear_children(p, counts, first, last)]))
         return ears_pass(p, first, last, counts, rows)
 
-    monkeypatch.setattr(friezes.verify, "_ears_pass", recorded)
+    monkeypatch.setattr(friezes.ears, "_ears_pass", recorded)
     for p, s_max in ((4, 1), (4, 2), (4, 6), (6, 1), (6, 4)):
         runs.clear()
         assert sweep(p, s_max, orbits=True).all_ok

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import resource
 import signal
@@ -48,7 +49,7 @@ from friezes import (
     quiddity_counts,
 )
 from friezes.bijection import _refine
-from friezes.ears import _FACES, _ear_batches, _matrix
+from friezes.ears import _FACES, _child, _ear_batches, _ears_pass, _matrix
 from friezes.exact import LAMBDA_RADICAND
 from friezes.frieze import _MAX_FRIEZE_N, _ascii_rows, _csv_rows, _rows
 from friezes.polygon import _canonical_parent, _ear_counts, _glued
@@ -251,6 +252,14 @@ def sweeps(runs=SWEEPS) -> bool:
     return ok
 
 
+def kernel_rows(p: int, counts: tuple, last: int) -> list[list[int]]:
+    """A node's rows 0..last + 1 of both families, flat, as the ear tree holds
+    them, grown by the kernel from its own counts: `_matrix(_rows(...))`."""
+    m = LAMBDA_RADICAND[p]
+    return [[e for row in _matrix(_rows(tuple(c), scale, radical))[: last + 2] for e in row]
+            for c, scale, radical in zip(counts, (m, 1), (True, False))]
+
+
 def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
     """One walk of the ear tree (`friezes.ears`) up to level s_max: per level s
     the face counts of the children it glues; the number of nodes past the
@@ -261,7 +270,6 @@ def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
     glued rows come from (E2) and the gather plans, which the kernel shares
     nothing with, so a fault that moves entries alike in both families,
     which every check of the sweep passes (ROADMAP item 13), shows here."""
-    m = LAMBDA_RADICAND[p]
     glued = {s: [] for s in range(1, s_max + 1)}
     nodes, off, uncut = 0, [], []
     for s, last, counts, rows, _ in _ear_batches(p, s_max):
@@ -272,9 +280,7 @@ def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
                 uncut.append((tuple(child), a))
         if s > 1:  # past the 2-gon
             nodes += 1
-            kernel = [[e for row in _matrix(_rows(tuple(c), scale, radical))[: last + 2] for e in row]
-                      for c, scale, radical in zip(counts, (m, 1), (True, False))]
-            if list(rows) != kernel:
+            if list(rows) != kernel_rows(p, counts, last):
                 off.append(tuple(counts[0]))
     return glued, nodes, off, uncut
 
@@ -347,33 +353,91 @@ def ear_walk(levels=((4, 8), (6, 5)), exhaustive=(4, 9), counts_levels=((3, 12),
     return report(f"{' '.join(argv[len(CLI):])}: {child.seconds:.2f} s wall, ", problems, "exit 0") and ok
 
 
+def ear_path(p: int, depth: int, every: int, seed: int | None = None) -> tuple[int, int, str | None]:
+    """One root-to-leaf path of the ear tree to level depth, each child glued
+    from its node by the sweep's own `ears._child`: the a = 0 spine, or with
+    a seed, each edge a drawn uniformly from 0..last by `random.Random(seed)`.
+    Every node's batch on the path is computed and checked by `_ears_pass`,
+    as the sweep checks it, and the glued rows of both families of every
+    node at a level divisible by every, and of the leaf, are compared with
+    `kernel_rows` of the node's own counts: the sizes the kernel's
+    memos and tables reach (`_PLANS`, `_INDICES`, `_EARS`, `_layout`'s lanes)
+    are compared at every depth, where `ear_walk` stops at the 22-gon.
+    Returns (batches checked, nodes compared, the first fault or None), the
+    fault naming its node by level and size."""
+    rng = random.Random(seed)
+    s, last, counts, rows, _ = next(_ear_batches(p, depth))  # the 2-gon's batch
+    node, checked, compared = (s - 1, last, counts, tuple(rows)), 0, 0
+    while True:
+        s, last, counts, rows = node
+        n = len(counts[0])
+        if s and (s % every == 0 or s == depth):
+            compared += 1
+            if list(rows) != kernel_rows(p, counts, last):
+                return checked, compared, f"level {s}, the {n}-gon: glued rows differ from the kernel's"
+        if s == depth:
+            return checked, compared, None
+        news, passed = _ears_pass(p, 0, last, counts, rows)
+        checked += 1
+        if not passed:
+            return checked, compared, f"level {s}, the {n}-gon: its batch fails `_ears_pass`"
+        a = 0 if seed is None else rng.randrange(last + 1)
+        s, last, counts, rows = _child(p, node, news, a)
+        node = s, last, counts, tuple(rows)
+
+
 EAR_DEPTH = """
-import resource
+import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
-from friezes.ears import _ear_batches
-for s, _, counts, _, _ in _ear_batches(4, {depth}):
+sys.path.insert(0, {tools!r})
+from ci import _ear_batches, ear_path
+for s, _, counts, _, _ in _ear_batches({p}, {depth}):
     if s == {depth}:
         break
-print(s, len(counts[0]))
+print(json.dumps([s, len(counts[0])]))
+for seed in (None, *{seeds}):
+    print(json.dumps([seed, *ear_path({p}, {depth}, {every}, seed)]), flush=True)
 """
 
 
-def ear_depth(depth=499, limit_as=1 << 30, seconds=60) -> bool:
+def ear_depth(depths=((4, 499, 50), (6, 249, 25)), seeds=(1, 2), limit_as=1 << 30, seconds=60) -> bool:
     """The ear tree is walked by a recursive generator, one frame per depth.
-    Level 499 of p = 4 (the children of the 998-gon) is the deepest the
-    1,000-vertex grid bound admits: a child must reach it under a 1 GiB
-    address-space limit within 60 s (0.68–0.71 s and 170.6 MB of peak RSS
-    on a 2-vCPU x86-64 host, CPython 3.11: every node's batch is checked as
-    it is computed, and each glue's gather plan is built and kept on first
-    use; 0.58–0.59 s and 158.5 MB with neither)."""
-    child = run([sys.executable, "-c", EAR_DEPTH.format(limit=limit_as, depth=depth)], timeout=seconds)
-    problems = expect(child)
-    if child.seconds >= seconds:
-        problems = [f"level {depth} not reached within {seconds} s"]
-    elif not problems and child.out.split() != [str(depth).encode(), str(2 * depth).encode()]:
-        problems.append(f"{child.out[:200]!r}")
-    line = f"_ear_batches(4, {depth}): {child.seconds:.2f} s wall, peak RSS {child.rss_mb:.1f} MB, "
-    return report(line, problems, "exit 0")
+    Per (p, depth, every), one child under a 1 GiB address-space limit must,
+    within 60 s: reach level depth by `_ear_batches`, the deepest the
+    1,000-vertex grid bound admits (for p = 4 the children of the 998-gon,
+    for p = 6 those of the 994-gon); then walk the a = 0 spine and a seeded
+    random path per seed to a leaf there (`ear_path`), every batch passing
+    and every compared node's rows the kernel's.  The comparisons run in the
+    child, so the checker's RSS stays out of the next child's peak (see
+    `reap`).  The p = 4 spine is a fan at vertex 0, whose row 0 is 1 at
+    every odd column: a fault that moves row 0 alike in both families shows
+    on the random paths (`tests/test_ci.py`).  Measured on a 2-vCPU x86-64
+    host, CPython 3.11, three paths of 10 compared nodes each: p = 4
+    7.1–11.0 s and 198 MB of peak RSS, p = 6 9.8–12.5 s and 292 MB; the
+    reach alone takes 0.6 s and 1.0 s."""
+    ok = True
+    tools = str(ROOT / "tools")
+    for p, depth, every in depths:
+        code = EAR_DEPTH.format(limit=limit_as, tools=tools, p=p, depth=depth, every=every, seeds=tuple(seeds))
+        child = run([sys.executable, "-c", code], timeout=seconds)
+        problems = expect(child)
+        lines = child.out.decode().splitlines()
+        reached = [depth, (p - 2) * (depth - 1) + 2]  # the level, and its nodes' n
+        if child.seconds >= seconds:
+            problems = [f"not done within {seconds} s"]
+        elif not problems and (len(lines) != 2 + len(seeds) or json.loads(lines[0]) != reached):
+            problems.append(f"{child.out[:200]!r}")
+        elif not problems:
+            for line in lines[1:]:
+                seed, checked, compared, fault = json.loads(line)
+                path = "the a = 0 spine" if seed is None else f"the path of seed {seed}"
+                if fault is not None or checked != depth:
+                    problems.append(f"{path}: {fault or f'{checked} batches checked'}")
+                else:
+                    print(f"p = {p}, {path}: {checked} batches checked, {compared} nodes compared", flush=True)
+        line = f"_ear_batches({p}, {depth}) and its paths: {child.seconds:.2f} s wall, peak RSS {child.rss_mb:.1f} MB, "
+        ok &= report(line, problems, "exit 0, every batch passing, every compared row the kernel's")
+    return ok
 
 
 def enumerate_sorted(s=9, rss_mb=40) -> bool:

@@ -34,7 +34,7 @@ from .frieze import (
     InternalAssertionError,
     _ascii_rows,
     _csv_rows,
-    _grid_from_text,
+    _kernel_frieze,
     cc_frieze,
     lambda_frieze,
     validate,
@@ -160,11 +160,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     """Check a grid against the frieze laws: exit 0 with its report when it
-    holds them all, else 1.  The text `gen` and `cc` write is read directly,
-    by `frieze._grid_from_text`; any other JSON goes through `json.loads` and
-    `Frieze.from_json`, whose errors are the only ones reported."""
+    holds them all, else 1.  The text `gen` and `cc` write is matched against
+    the kernel grid of its row 2 by `frieze._kernel_frieze`, and `validate`
+    checks that grid's laws on its int rows; any other text goes through
+    `json.loads` and `Frieze.from_json`, whose errors are the only ones
+    reported."""
     text = _read_text(args.input)
-    report = validate(_grid_from_text(text) or Frieze.from_json(_loads(text)))
+    report = validate(_kernel_frieze(text) or Frieze.from_json(_loads(text)))
     print(json.dumps(report.to_json()))
     return 0 if report.ok else 1
 

@@ -34,10 +34,11 @@ the CSV and the ASCII rows, which the CLI's one writer joins into writes of
 up to 64 KiB as they come.  Each row's cells come from a memo per
 coefficient kind keyed by the int (or by the pair), so each distinct cell's
 text is made once; the checks in `verify` read their int rows from it too.
-`friezes validate` reads the writer's own text back directly, by
-`_grid_from_text`, to the pairs `from_json` would hold, without building an
-entry dict; any other JSON goes through `json.loads` and `from_json`.
-`validate` checks the diamonds only when row 0, row 1 or the recurrence
+`friezes validate` matches the writer's own text against the kernel grid of
+its row 2, by `_kernel_frieze`, which parses no other row; any other text
+goes through `json.loads` and `from_json`.  `validate` checks a built grid's
+laws on its int rows first, and the pairs only when those fail, to list the
+violations; it checks the diamonds only when row 0, row 1 or the recurrence
 fails: otherwise every row is a continuant and every diamond holds (the
 proof is in its docstring).  In a staggered rendering rows drift
 horizontally, so a single row matches a reference sequence only up to
@@ -251,8 +252,9 @@ class Frieze:
         accept and reject the same entries, with the same errors; an entry
         over another field than the header's raises the constructor's
         RadicandMismatchError.  `friezes validate` calls it on every text but
-        the JSON writer's own, which `_grid_from_text` reads directly to the
-        same grid, so every error a grid's reading reports comes from here.
+        the JSON writer's own text of a kernel grid, which `_kernel_frieze`
+        matches to the same grid, so every error a grid's reading reports
+        comes from here.
         """
         try:
             width, m = data["width"], data["m"]
@@ -303,64 +305,62 @@ def _parse_entry(data: object, m: int, seen: dict[tuple[str, str], tuple]) -> tu
     return (a, b) if em == m else None
 
 
-# the pieces of `_json_pieces`' text around and between the cells
-_GRID_HEAD = re.compile(r'\{"width": (0|[1-9][0-9]*), "m": ([123]), "rows": \[\[\{')
-_GRID_CELL = re.compile(r'"m": ([123]), "rat": "([-0-9/]*)", "rad": "([-0-9/]*)"')
-_ROW_SEP, _CELL_SEP, _GRID_TAIL = "}], [{", "}, {", "}]]}"
+# the writer's header and its rows 0, 1 and 2, row 2 captured: no cell it writes holds "]"
+_GRID_ROW_2 = re.compile(r'\{"width": (0|[1-9][0-9]*), "m": ([123]), "rows": \[\[[^\]]*\], \[[^\]]*\], (\[[^\]]*\])')
+_CELL_CHARS = len('{"m": 1, "rat": "0", "rad": "0"}')  # the shortest cell the writer spells
 
 
-def _grid_from_text(text: str) -> Frieze | None:
-    """The grid of a text `_json_pieces` writes, read without `json.loads`, or
-    None for any other text.
+def _kernel_frieze(text: str) -> Frieze | None:
+    """The built grid whose JSON text `_json_pieces` writes is exactly the text
+    (and at most one "\\n"), or None for any other text.
 
-    The text must be exactly the writer's: the header
-    `{"width": W, "m": M, "rows": [`, rows joined by ", ", each row's cells
-    joined by ", ", each cell `{"m": D, "rat": "S", "rad": "S"}` with D the
-    digit M and each S made of digits, "-" and "/" only, then "]}" and at most
-    one "\\n".  No separator can occur inside such a cell, so the rows are
-    found by `str.find` and each row's cells by one `str.split`, one row at a
-    time.  Each distinct cell text is read once, by `coefficients_from_json`
-    on the dict `json.loads` would build from it, so the pairs, ints or
-    Fractions, are those `from_json` holds.  Any deviation (another
-    spelling, a wrong row count or row length, a cell over another radicand,
-    or an error of `coefficients_from_json`) gives None, and the caller reads
-    the text by `json.loads` and `from_json`, whose errors are the only ones
-    reported.
+    Every entry of a frieze is a continuant of its row 2, so the writer's
+    text of a grid the kernel grows is fixed by its header and row 2.  Row
+    2's slice is read by `json.loads` and `coefficients_from_json` per cell
+    (no QuadNum is built): integral counts when every b is 0, else radical
+    ones when every a is 0 (over m = 1, √1 folds into a, so b is always 0
+    and a row 2 is read as integral or not at all).  `_grow` grows them, and
+    the grid's pieces are compared with the text in order; any kernel
+    failure, reading error or difference gives None, and the caller reads
+    the text by `json.loads` and `from_json`, whose errors are the only
+    ones reported.  A match holds the grid `from_json` reads from the text,
+    but only `validate`'s own arithmetic says whether it is a frieze: a
+    fault of the kernel would be in both.
+
+    Two guards keep a short text from making the kernel grow a large grid:
+    a text shorter than n + 4 rows of n + 3 of the writer's shortest cells
+    is no width-n grid, and row 2's counts must sum to at most 3(N - 2),
+    N = n + 3, as the face counts `gen` and `cc` write do (s faces of p
+    sides on the N-gon meet its vertices s·p = (N - 2)·p/(p - 2) times,
+    p ≥ 3).  So the kernel grows only for a text of 32·N·(N + 1) characters
+    or more, and its entries have at most N·log2(3m + 1) bits.
     """
-    head = _GRID_HEAD.match(text)
-    end = len(text) - text.endswith("\n") - len(_GRID_TAIL)
-    if head is None or not text.startswith(_GRID_TAIL, end):
+    head = _GRID_ROW_2.match(text)
+    if head is None:
         return None
-    m = int(head[2])
-    cell = _Memo(partial(_grid_cell, m)).__getitem__
-    rows: list[tuple] = []
-    start = head.end()
     try:
-        width = int(head[1])  # a ValueError past int's digit limit
-        while len(rows) <= width + 4:  # one row too many is enough to refuse
-            stop = text.find(_ROW_SEP, start, end)
-            row = tuple(map(cell, text[start : end if stop < 0 else stop].split(_CELL_SEP)))
-            if len(row) != width + 3:
-                return None
-            rows.append(row)
-            if stop < 0:
-                break
-            start = stop + len(_ROW_SEP)
-    except ValueError:
+        width, m, cells = int(head[1]), int(head[2]), json.loads(head[3])
+        period = width + 3
+        if len(cells) != period or len(text) < _CELL_CHARS * period * (period + 1):
+            return None
+        rat, rad = zip(*[coefficients_from_json(cell)[1:] for cell in cells])
+        if not any(rad) and all(type(a) is int for a in rat):
+            counts, radical = rat, False
+        elif not any(rat) and all(type(b) is int for b in rad):
+            counts, radical = rad, True
+        else:
+            return None
+        if sum(counts) > 3 * (period - 2):
+            return None
+        frieze = Frieze._of_ints(m, radical, _grow(counts, m, radical))
+    except (ValueError, RecursionError):  # FriezeError is a ValueError
         return None
-    return Frieze._of_cells(m, width, tuple(rows)) if len(rows) == width + 4 else None
-
-
-def _grid_cell(m: int, text: str) -> tuple:
-    """The pair (a, b) of one cell's text between its braces, or ValueError
-    unless it is the writer's cell over Q(√m)."""
-    cell = _GRID_CELL.fullmatch(text)
-    if cell is None:
-        raise ValueError("not a cell as the grid writer spells it")
-    em, a, b = coefficients_from_json({"m": int(cell[1]), "rat": cell[2], "rad": cell[3]})
-    if em != m:
-        raise ValueError("a cell over another radicand")
-    return a, b
+    pos = 0
+    for piece in frieze._json_pieces():
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return frieze if pos == len(text) - text.endswith("\n", pos) else None
 
 
 def from_quiddity(entries: Sequence[QuadNum]) -> Frieze:
@@ -552,6 +552,19 @@ def validate(frieze: Frieze) -> FriezeReport:
     under (a, b)·(c, d) = (ac + bdm, ad + bc), so the report is the one the
     full diamond pass gives.
 
+    A built grid is checked first on its int rows C, by C-level maps: rows
+    0 and n+3 all 0, rows 1 and n+2 all 1, min(row) > 0 on rows 2..n+1, and
+    the recurrence on C values, C(r+1, k) = c_{k+r-1}·f_r·C(r, k) - C(r-1, k)
+    for rows 2..n+2, with row 2 shifted as below, c_j = C(2, j), and
+    f_r = m on even r of a radical grid, else 1.  Entry e(r, k) is C, or
+    C·√m on the even rows of a radical grid, so each pair has a coefficient
+    0, and these are the pair laws on such pairs: on even r,
+    c√m·C√m - C' = c·m·C - C', on odd r, c√m·C - C'√m = (c·C - C')·√m;
+    C·√m is positive exactly when C is; and a radical grid of even width
+    fails at once, since its row n+2 is even, a surd, never 1.  So when all
+    hold, every diamond holds by the same matrix proof and the report is
+    empty; when one fails, the pair laws below list every violation.
+
     The laws read the coefficient pairs (a, b) of the entries a + b√m
     over the header's m (the constructor refuses other radicands), and
     multiply them out by hand (the constructors have checked the shape).
@@ -560,6 +573,8 @@ def validate(frieze: Frieze) -> FriezeReport:
     brings exact rational arithmetic, which reduces after every operation,
     so no denominator common to the grid is ever formed.
     """
+    if frieze._ints is not None and _holds_on_ints(frieze):
+        return FriezeReport(())
     n = frieze.width
     m, rows = frieze.m, frieze._pairs()
     bad: list[Violation] = []
@@ -595,6 +610,27 @@ def validate(frieze: Frieze) -> FriezeReport:
                 ):
                     bad.append(Violation("diamond", r, k))
     return FriezeReport(tuple(bad + recurrence))
+
+
+def _holds_on_ints(frieze: Frieze) -> bool:
+    """Whether a built grid's int rows hold the boundary, positivity and
+    recurrence laws that `validate` checks on pairs; see its docstring."""
+    rows, n, radical = frieze._ints, frieze.width, frieze._radical
+    period = n + 3
+    if radical and n % 2 == 0:  # row n + 2 is even: C·√m, never 1
+        return False
+    if any(rows[0]) or any(rows[n + 3]) or rows[1].count(1) != period or rows[n + 2].count(1) != period:
+        return False
+    if any(min(row) <= 0 for row in rows[2 : n + 2]):
+        return False
+    quiddity = rows[2]
+    scaled = [frieze.m * c for c in quiddity] if radical else quiddity
+    for r in range(2, n + 3):
+        q = scaled if r % 2 == 0 else quiddity
+        shifted = q[r - 1 :] + q[: r - 1]  # c_{k+r-1}, times m on even r of a radical grid
+        if list(map(sub, map(mul, shifted, rows[r]), rows[r - 1])) != rows[r + 1]:
+            return False
+    return True
 
 
 def _rendered(frieze: Frieze) -> Iterator[list[str]]:

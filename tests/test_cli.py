@@ -411,10 +411,10 @@ def validate_outcomes(capsys, monkeypatch, text):
 
 
 def test_validate_reads_every_other_text_as_the_json_path_does(capsys, monkeypatch):
-    # validate reads the text gen and cc write directly; every other text goes
-    # through json.loads + Frieze.from_json, and its outcome, errors included,
-    # must be the one that path gives when forced
-    from friezes.frieze import _grid_from_text
+    # validate matches the text gen and cc write against the kernel grid of its
+    # row 2; every other text goes through json.loads + Frieze.from_json, and its
+    # outcome, errors included, must be the one that path gives when forced
+    from friezes.frieze import Frieze, _kernel_frieze
 
     grid = run(capsys, "gen", "--p", "4", "--input", QUAD10, "--format", "json")[1]
     blob = json.loads(grid)
@@ -431,14 +431,15 @@ def test_validate_reads_every_other_text_as_the_json_path_does(capsys, monkeypat
     ones = {"m": 1, "rat": "1", "rad": "0"}
     rational = [[{**ones, "rat": "0"}] * 4, [ones] * 4, [{**ones, "rat": v} for v in ("3/2", "4/3") * 2], [ones] * 4,
                 [{**ones, "rat": "0"}] * 4]
-    read = {  # texts the reader takes
+    read = {  # texts the matcher takes
         "gen": grid,
         "cc": run(capsys, "cc", "--input", T_QUAD10, "--format", "json")[1],
         "no newline": grid.rstrip("\n"),
-        "rational width 1": json.dumps({"width": 1, "m": 1, "rows": rational}),
-        "a wrong entry": changed(4, 2, rat="100"),
     }
     refused = {  # texts it refuses
+        "rational width 1": json.dumps({"width": 1, "m": 1, "rows": rational}),
+        "a wrong entry": changed(4, 2, rat="100"),
+        "a wrong row 2 entry": changed(2, 1, rad="7"),
         "indent=1": json.dumps(blob, indent=1),
         "reordered keys": json.dumps({"m": blob["m"], "width": blob["width"], "rows": blob["rows"]}),
         "trailing space": grid.rstrip("\n") + " ",
@@ -463,13 +464,40 @@ def test_validate_reads_every_other_text_as_the_json_path_does(capsys, monkeypat
         "cut short": grid[: len(grid) // 2],
     }
     for name, text in {**read, **refused}.items():
-        assert (_grid_from_text(text) is None) is (name in refused), name
+        matched = _kernel_frieze(text)
+        assert (matched is None) is (name in refused), name
+        assert matched is None or matched == Frieze.from_json(json.loads(text)), name
         direct = validate_outcomes(capsys, monkeypatch, text)
         with monkeypatch.context() as patched:
-            patched.setattr(friezes.cli, "_grid_from_text", lambda text: None)
+            patched.setattr(friezes.cli, "_kernel_frieze", lambda text: None)
             assert validate_outcomes(capsys, monkeypatch, text) == direct, name
     assert validate_outcomes(capsys, monkeypatch, read["gen"])[0] == (0, '{"ok": true, "violations": []}\n', "")
     assert validate_outcomes(capsys, monkeypatch, refused["a row one cell short"])[0][0] == 1
+
+
+def test_validate_catches_a_kernel_fault_the_matcher_shares(capsys, monkeypatch):
+    # a kernel that adds 1 to one entry below the middle writes a grid that the
+    # matcher, growing with the same kernel, still matches: validate's own
+    # arithmetic must reject it, with the report of the forced JSON path
+    from friezes import frieze
+
+    grow = frieze._grow
+
+    def faulty(counts, m, radical):
+        rows = grow(counts, m, radical)
+        rows[len(rows) // 2 - 1][1] += 1
+        return rows
+
+    monkeypatch.setattr(frieze, "_grow", faulty)
+    grids = [run(capsys, "gen", "--p", "4", "--input", QUAD10, "--format", "json")[1],
+             run(capsys, "cc", "--input", T_QUAD10, "--format", "json")[1]]
+    for grid in grids:
+        assert frieze._kernel_frieze(grid) is not None
+        direct = validate_outcomes(capsys, monkeypatch, grid)
+        assert direct[0][0] == 1 and json.loads(direct[0][1])["violations"]
+        with monkeypatch.context() as patched:
+            patched.setattr(friezes.cli, "_kernel_frieze", lambda text: None)
+            assert validate_outcomes(capsys, monkeypatch, grid) == direct
 
 
 def test_input_from_file_and_stdin(tmp_path, capsys, monkeypatch):

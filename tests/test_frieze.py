@@ -423,6 +423,29 @@ def test_validate_never_uses_quadnum_arithmetic(monkeypatch, quad10):
     }
 
 
+def test_validate_checks_a_built_frieze_on_its_int_rows(monkeypatch):
+    # a built frieze's laws hold on its int rows, so validate derives no pairs;
+    # a grid they fail on is reported from its pairs
+    from friezes import associated_triangulation
+
+    built = [f for p in (4, 6) for f in (lambda_frieze(ladder(p), p), cc_frieze(associated_triangulation(ladder(p), p)))]
+    ints = [list(row) for row in built[0]._ints]
+    ints[3][1] -= 1
+    broken = [
+        Frieze._of_ints(2, True, ints),
+        # rows that close under the recurrence, but with a negative row 2, and
+        # (width 0) a row n + 2 of -1
+        Frieze._of_ints(1, False, [[0] * 4, [1] * 4, [-1, -2, -1, -2], [1] * 4, [0] * 4]),
+        Frieze._of_ints(1, False, [[0] * 3, [1] * 3, [-1] * 3, [0] * 3]),
+    ]
+    calls = []
+    pairs = Frieze._pairs
+    monkeypatch.setattr(Frieze, "_pairs", lambda self: calls.append(self) or pairs(self))
+    assert all(validate(f).ok for f in built) and calls == []
+    kinds = [{v.kind for v in validate(f).violations} for f in broken]
+    assert kinds == [{"diamond", "recurrence"}, {"positivity"}, {"boundary"}] and calls == broken
+
+
 def reference_violations(frieze):
     """The frieze laws checked entry by entry in QuadNum arithmetic."""
     n, period, entry = frieze.width, frieze.period, frieze.entry
@@ -708,48 +731,111 @@ def pairs_and_types(frieze):
     return frieze._pairs(), [type(c) for row in frieze._pairs() for pair in row for c in pair]
 
 
-def test_grid_from_text_reads_what_the_writer_writes():
-    # the reader of the writer's own text against json.loads + from_json, to
-    # the coefficient types: ints, and Fractions where the writer wrote n/d
-    from friezes.frieze import _grid_from_text
+def assert_matched_alike(text):
+    """The matcher gives None for the text, or the grid json.loads + from_json
+    give, to the coefficient types, with the same validate report; returns
+    what it gave."""
+    from friezes.frieze import _kernel_frieze
+
+    matched = _kernel_frieze(text)
+    if matched is not None:
+        expected = Frieze.from_json(json.loads(text))
+        assert matched == expected and pairs_and_types(matched) == pairs_and_types(expected), text[:200]
+        assert validate(matched) == validate(expected), text[:200]
+    return matched
+
+
+def test_kernel_frieze_matches_what_the_writer_writes(monkeypatch):
+    # the text of every grid gen and cc write is matched to the kernel grid of its
+    # row 2, the grid json.loads + from_json give; a rational grid is not matched
+    from friezes import frieze
 
     entry = lambda v: {"m": 1, "rat": v, "rad": "0"}  # noqa: E731
     zeros, ones = [entry("0")] * 4, [entry("1")] * 4
     quiddity = [entry(v) for v in ("3/2", "4/3", "3/2", "4/3")]
     rational = json.dumps({"width": 1, "m": 1, "rows": [zeros, ones, quiddity, ones, zeros]})
-    texts = [*written_grids(), rational, rational + "\n"]
-    assert len(texts) == 770 + 128 + 2
+    texts = list(written_grids())
+    assert len(texts) == 770 + 128
     for text in texts:
-        read, expected = _grid_from_text(text), Frieze.from_json(json.loads(text))
-        assert read is not None and read == expected, text[:200]
-        assert pairs_and_types(read) == pairs_and_types(expected)
-    assert Fraction in pairs_and_types(_grid_from_text(rational))[1]
+        assert assert_matched_alike(text) is not None, text[:200]
+    for text in (rational, rational + "\n"):
+        assert assert_matched_alike(text) is None
+    # a cc grid: integral counts over m = 1
+    cc = cc_frieze(associated_triangulation_p4(Dissection(10, [(1, 8), (2, 7), (3, 6)])))
+    matched = assert_matched_alike(cc._json_text())
+    assert (matched.m, matched._radical, validate(matched).ok) == (1, False, True)
+    # a given radical grid of even width: its top row is a surd, so the kernel refuses
+    # its row 2, and a built grid of the same int rows fails at once, with the JSON
+    # path's report
+    counts, period = (1, 2, 1, 2, 3), 5
+    ints = [[0] * period, [1] * period, list(counts)]
+    for r in range(2, period):
+        f = 2 if r % 2 == 0 else 1
+        ints.append([counts[(k + r - 1) % period] * ints[r][k] * f - ints[r - 1][k] for k in range(period)])
+    given = Frieze(2, 2, [[QuadNum(2, 0, c) if r % 2 == 0 else QuadNum(2, c) for c in row]
+                          for r, row in enumerate(ints)])
+    text = given._json_text()
+    assert assert_matched_alike(text) is None
+    built = Frieze._of_ints(2, True, ints)
+    assert built == given and validate(built) == validate(Frieze.from_json(json.loads(text)))
+    assert ("boundary", 4, 0) in validate(built).violations
+    # a built grid with one corrupted int: its text is no kernel grid's, and its
+    # report is the JSON path's
+    good = lambda_frieze(ladder(4), 4)
+    ints = [list(row) for row in good._ints]
+    ints[4][2] += 1
+    corrupted = Frieze._of_ints(2, True, ints)
+    text = corrupted._json_text()
+    assert assert_matched_alike(text) is None
+    report = validate(corrupted)
+    assert not report.ok and report == validate(Frieze.from_json(json.loads(text)))
+    # the 1,001-gon's grid: the one size check, `_require_grid`, refuses it
+    n = frieze._MAX_FRIEZE_N + 1
+    fan = Dissection(n, [(0, b) for b in range(2, n - 1)])
+    with monkeypatch.context() as larger:
+        larger.setattr(frieze, "_MAX_FRIEZE_N", n)
+        big = cc_frieze(fan)
+        text = big._json_text()
+        assert frieze._kernel_frieze(text)._ints == big._ints
+    assert frieze._kernel_frieze(text) is None
 
 
-def test_grid_from_text_refuses_every_other_text_or_reads_it_alike():
-    # single-character changes of a written grid: the reader gives None, or
-    # the grid json.loads + from_json give; it never reads a text json.loads
-    # refuses
+def test_kernel_frieze_grows_only_what_the_text_could_spell(monkeypatch):
+    # a text shorter than its width's grid, or a row 2 whose counts sum past
+    # 3(N - 2), is refused before the kernel grows anything
+    from friezes import frieze
+
+    def no_growth(*args):
+        raise AssertionError("the kernel grew a row 2 no writer's text holds")
+
+    cell = lambda a, m=1: {"m": m, "rat": str(a), "rad": "0"}  # noqa: E731
+    rows = [[cell(0)] * 1000, [cell(1)] * 1000, [cell(2)] * 1000]
+    short = json.dumps({"width": 997, "m": 1, "rows": rows}) + "\n"
+    data = cc_frieze(associated_triangulation_p4(Dissection(10, [(1, 8), (2, 7), (3, 6)]))).to_json()
+    data["rows"][2][0] = cell(100)
+    heavy = json.dumps(data)
+    monkeypatch.setattr(frieze, "_grow", no_growth)
+    assert frieze._kernel_frieze(short) is None and frieze._kernel_frieze(heavy) is None
+
+
+def test_kernel_frieze_refuses_every_other_text():
+    # single-character changes of a written grid: only the text itself, or the
+    # text without its newline, is matched
     import random
-
-    from friezes.frieze import _grid_from_text
 
     text = "".join(lambda_frieze(Dissection(6, [(0, 3)]), 4)._json_pieces()) + "\n"
     rng = random.Random(51)
     alphabet = '0123456789-/ ,:{}[]"\nmratdwhios'
-    read = refused = 0
+    matched = refused = 0
     for _ in range(4000):
         k = rng.randrange(len(text) + 1)
         c = rng.choice(alphabet)
         mutant = rng.choice((text[:k] + c + text[k + 1 :], text[:k] + text[k + 1 :], text[:k] + c + text[k:]))
-        got = _grid_from_text(mutant)
-        if got is None:
-            refused += 1
-            continue
-        read += 1
-        expected = Frieze.from_json(json.loads(mutant))  # raises if the reader took a text it must not
-        assert pairs_and_types(got) == pairs_and_types(expected) and got == expected, mutant
-    assert read > 100 and refused > 1000
+        got = assert_matched_alike(mutant)
+        assert (got is not None) is (mutant in (text, text[:-1])), mutant
+        matched += got is not None
+        refused += got is None
+    assert matched > 10 and refused > 3500
 
 
 def test_report_json(quad10):

@@ -597,29 +597,38 @@ def frieze_ladders(bounds=LADDER_RSS_MB) -> bool:
 
 
 def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
-    """`validate` reads the text `gen` writes directly (`frieze._grid_from_text`),
-    not through `json.loads` and `Frieze.from_json`: on the n-gon ladder's
-    radical frieze (97 MB of JSON at the 1,000-gon) it must exit 0 with the
-    report of a frieze, within seconds and under rss_mb of peak RSS.  `gen`
-    writes to a temporary file that `validate --input PATH` reads, so the
-    checker never holds the text when it starts the child (see `reap`).  On
-    the 1,000-gon, on a 2-vCPU x86-64 host with CPython 3.11, the reader took
-    0.79–1.03 s and 201 MB, most of it reading the file (its bytes and its
-    text at once); the JSON path took 1.65–1.83 s and 415 MB, past the bound."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "grid.json")
-        with open(path, "wb") as fh:
-            code, _ = reap(subprocess.Popen(cli("gen", "--p", 4, "--format", "json", "--input", json.dumps(ladder(n))),
-                                            stdout=fh))
-        size = os.path.getsize(path)
-        child = run(cli("validate", "--input", path), timeout=10 * seconds)
-    problems = [f"gen exit {code}"] if code else expect(child, 0, rss_mb)
-    if not problems and child.out != b'{"ok": true, "violations": []}\n':
-        problems.append(f"report {child.out[:200]!r}")
-    if child.seconds >= seconds:
-        problems.append(f"{child.seconds:.2f} s, expected under {seconds} s")
-    line = f"validate the {n}-gon ladder's grid ({size:,} bytes), {child.seconds:.2f} s, peak RSS {child.rss_mb:.1f} MB: "
-    return report(line, problems, "a frieze")
+    """`validate` matches the text `gen` and `cc` write against the kernel
+    grid of its row 2 (`frieze._kernel_frieze`) and checks that grid's laws
+    on its int rows, not through `json.loads` and `Frieze.from_json`: on the
+    n-gon ladder's radical frieze (97 MB of JSON at the 1,000-gon) and on
+    the integral frieze of its associated triangulation (m = 1), it must
+    exit 0 with the report of a frieze, each within seconds and under
+    rss_mb of peak RSS.  `gen` and `cc` write to a temporary file that
+    `validate --input PATH` reads, so the checker never holds the text when
+    it starts the child (see `reap`).  On the 1,000-gon's radical grid, on
+    a 2-vCPU x86-64 host with CPython 3.11, the matcher took 0.80 s at
+    200.9 MB, most of it reading the file (its bytes and its text at once);
+    the JSON path took 1.65–1.83 s and 415 MB, past the bound."""
+    quads = Dissection.from_json(ladder(n))
+    writers = {"radical": ("gen", "--p", 4, "--input", json.dumps(ladder(n))),
+               "cc": ("cc", "--input", json.dumps(associated_triangulation(quads, 4).to_json()))}
+    ok = True
+    for name, argv in writers.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.json")
+            with open(path, "wb") as fh:
+                code, _ = reap(subprocess.Popen(cli(*argv, "--format", "json"), stdout=fh))
+            size = os.path.getsize(path)
+            child = run(cli("validate", "--input", path), timeout=10 * seconds)
+        problems = [f"{argv[0]} exit {code}"] if code else expect(child, 0, rss_mb)
+        if not problems and child.out != b'{"ok": true, "violations": []}\n':
+            problems.append(f"report {child.out[:200]!r}")
+        if child.seconds >= seconds:
+            problems.append(f"{child.seconds:.2f} s, expected under {seconds} s")
+        line = (f"validate the {n}-gon ladder's {name} grid ({size:,} bytes), {child.seconds:.2f} s,"
+                f" peak RSS {child.rss_mb:.1f} MB: ")
+        ok &= report(line, problems, "a frieze")
+    return ok
 
 
 def width_one(quiddity: tuple[str, ...]) -> dict:

@@ -808,7 +808,7 @@ def test_kernel_frieze_grows_only_what_the_text_could_spell(monkeypatch):
     def no_growth(*args):
         raise AssertionError("the kernel grew a row 2 no writer's text holds")
 
-    cell = lambda a, m=1: {"m": m, "rat": str(a), "rad": "0"}  # noqa: E731
+    cell = lambda a: {"m": 1, "rat": str(a), "rad": "0"}  # noqa: E731
     rows = [[cell(0)] * 1000, [cell(1)] * 1000, [cell(2)] * 1000]
     short = json.dumps({"width": 997, "m": 1, "rows": rows}) + "\n"
     data = cc_frieze(associated_triangulation_p4(Dissection(10, [(1, 8), (2, 7), (3, 6)]))).to_json()

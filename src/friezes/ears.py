@@ -8,24 +8,92 @@ rows and news, by an `itemgetter` kept per shape (`_glued_rows`,
 `_glue_plan`).  (E) in the `verify` docstring proves why the entries the ear
 adds are all there is to compute and check.  Matrices hold C values: the
 int C of an entry C, or of C·√m at an even distance in a radical frieze.
+
+**Packed lanes.**  `_ears_pass` packs each family's rows first..last + 1
+of an n-gon node into bytes, entry (u, j) in lane u·n + j, each lane w
+bytes wide (`_lanes_wide`), lane 0 lowest (`_lane_bytes`).  Every child's
+row a + 1 is then one slice of those bytes, its row a another, and (E2)'s
+news for the whole run, all p − 2 inner corners at once, are α·ahead +
+β·behind on two ints that hold the slices once per corner.  A coefficient
+that varies with the corner and the parities of a and a − j is its least
+value times the int plus, per other value v, (v − least)·(int & mask_v),
+one mask-and-multiply per distinct value (`_lane_coef`, `_times`): two
+values for p = 4, three for p = 6.  The news leave `_ears_pass` packed, one
+int per family, and the tree unpacks them once per node whose children it
+glues (`_subtree`); a node whose children are leaves never unpacks them.
+
+**The lane width, from (E2).**  Let M(N) be the largest C value among both
+families' entries of any N-gon of the tree, N = (p − 2)s + 2.  The lone
+p-gon's entries are at most M(p) = max over both faces (2 for p = 4, 3 for
+p = 6).  A child keeps its node's entries ((E1)) and adds, at its new
+corner t, α·e(b, j) + β·e(a, j) ≤ (max α + max β)·M(N) in C values, so
+M(N + p − 2) ≤ G·M(N), G the largest max α + max β over the corners (3
+for p = 4, 5 for p = 6): every ear adds at most log2 G bits to the largest
+entry, and M(N) ≤ M(p)·G^(s − 1).  Every lane holds an entry of the
+children or a radical one times its dressing, at most p/2 times it, and
+every partial sum of `_times` is at most the lane's final value.  So the
+lanes of the news of N-gons get (p/2)·M(p)·G^(s − 1) in their low bits and
+one bit more, the guard bit, that no entry reaches: 8w bits for the least
+w of 1, 2, 4, 8 that has room, or the least w past 8 that does
+(`_lanes_wide`; p = 4: 1 byte to the 10-gon, 2 to the 20-gon, 8 to the
+80-gon, 100 at the 1,000-gon; p = 6: 73 at the 998-gon).  No lane then
+carries into the next or borrows from it, the int arithmetic is exact lane
+by lane, and one representation serves every N the grid admits.
+`tools/ci.py ear_depth` checks at every depth it reaches, and Tier-1 on
+every node of p = 4, s ≤ 7 and p = 6, s ≤ 5, that the largest entry times
+p/2 stays below the guard bit.
+
+**The checks on lanes.**
+* Row 2 at the centres: one gather reads the lanes of the changed counts
+  from the blocks of t = 1 and t = p − 2, compared as a list.  It sees any
+  wrong count or centre entry, and nothing else.
+* Positivity: with ones the lowest and highs the guard bit of every lane,
+  some lane of the radical news x is 0 exactly when
+  ((x − ones) & ~x & highs) ≠ 0: the lowest lane whose bit that sets was 0
+  (a borrow out of it can set more above).  It sees a 0, not a negative
+  entry, which the lanes cannot hold: the rows are packed from
+  non-negative ints (`_lane_bytes` refuses others), the coefficients are
+  positive, so no lane of the news is negative.
+* The dressed comparison: the integral int must equal the radical int
+  dressed by p/2 where the new corner is white and the distance even, one
+  masked multiply and one int comparison; with no carry between lanes the
+  ints are equal exactly when every lane is.
+What none of them can see is a fault that keeps (F) of the `verify`
+docstring between the two families, such as the same entries moved alike
+in both (ROADMAP item 13): every check compares the families with each
+other, and row 2 only at the centres.  `tools/ci.py ear_walk` and
+`ear_depth` compare glued rows with the kernel's for that.
+
+**Memos.**  `_EARS` (the tables), `_PLANS` (the gathers) and `_INDICES`
+(their index pool) keep what they hold for at most `_MEMO_SIZES` polygon
+sizes n; past that, the largest n is dropped first (`_kept`), so the sizes
+every sweep reads stay and a deep walk's 1,000-gon tables do not pile up.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bijection import _require_p, associated_triangulation
 from .exact import LAMBDA_RADICAND
 from .frieze import _require_grid, _rows
 from .polygon import Dissection, _glued, quiddity_counts
 
-# (p, n) -> `_ear_table(p, n, children)` for the longest run yet
+# the polygon sizes n each memo keeps; the largest n is dropped first
+_MEMO_SIZES = 16
+# (n, p) -> {(first, last): `_ear_run(p, n, first, last)`}
 _EARS: dict = {}
 # (n, a, p − 2) -> `_glue_plan(n, a, p − 2)`
 _PLANS: dict = {}
 # 0, 1, 2, ...: the one copy of every index the plans hold
 _INDICES: list = []
+# lane width in bytes -> the `array` type code of that item size
+_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_SWAP = sys.byteorder == "big"  # lanes are little-endian; an array's items are native
 
 
 def _faces(p: int) -> list[tuple[tuple[list[list[int]], list[int]], ...]]:
@@ -55,10 +123,48 @@ def _matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[rows[(j - i) % n][(i + 1) % n] for j in range(n)] for i in range(n)]
 
 
+def _coefficients(p: int) -> tuple[list, list]:
+    """The ear's coefficients by parity, [a & 1][(a − j) & 1] for child a and
+    old vertex j: per family and inner corner t = 1..p − 2, (α, β) of (E2)
+    in C values, ℓ_t and ℓ_{p−1−t} of the face of a's colour, times m where
+    both factors of a radical product are surds; and per t the dressing,
+    p/2 where x = a + t is white and x − j even, else 1.  Built once, at
+    import, as `_COEFFICIENTS[p]`."""
+    m, h = LAMBDA_RADICAND[p], p // 2
+    coefs = []
+    for f, scale in ((0, m), (1, 1)):
+        ear = [face[f][0] for face in _FACES[p]]  # per colour of a: the ear's matrix
+        coefs.append([])
+        # two surds meet in ℓ_t·e(b, j) at an even t, else in ℓ_{p−1−t}·e(a, j)
+        for t in range(1, p - 1):
+            at_b, at_a = (scale, 1) if t % 2 == 0 else (1, scale)
+            alpha = [[matrix[0][t] * at for at in (1, at_b)] for matrix in ear]
+            beta = [[matrix[t][-1] * at for at in (at_a, 1)] for matrix in ear]
+            coefs[f].append((alpha, beta))
+    dressed = [[[h if (a + t) % 2 == 0 == (d + t) % 2 else 1 for d in (0, 1)] for a in (0, 1)]
+               for t in range(1, p - 1)]
+    return coefs, dressed
+
+
+def _lanes_wide(p: int, n: int) -> int:
+    """The lane width in bytes for the entries of an n-gon of the tree, n ≥ p:
+    room for (p/2)·M(p)·G^(s − 1), s = (n − 2)/(p − 2), and a guard bit
+    above it (the module docstring proves the bound)."""
+    first, growth = _BOUNDS[p]
+    bits = (first * growth ** ((n - 2) // (p - 2) - 1)).bit_length() + 1  # + the guard bit
+    return next((w for w in sorted(_CODES) if 8 * w >= bits), -(-bits // 8))
+
+
 _FACES = {p: _faces(p) for p in (4, 6)}
 # per p and colour of a, per family: the ear's counts, and its entries among its inner corners, flat
 _EAR_PIECES = {p: [(tuple(c for _, c in face), tuple([e for r in m[1:-1] for e in r[1:-1]] for m, _ in face))
                    for face in faces] for p, faces in _FACES.items()}
+_COEFFICIENTS = {p: _coefficients(p) for p in _FACES}
+# per p: (p/2)·M(p), the lone p-gon's largest entry dressed, and G, the largest growth per ear
+_BOUNDS = {p: (p // 2 * max(e for face in faces for matrix, _ in face for row in matrix for e in row),
+               max(max(map(max, alpha)) + max(map(max, beta)) for family in _COEFFICIENTS[p][0]
+                   for alpha, beta in family))
+           for p, faces in _FACES.items()}
 
 
 def _faces_pass(p: int) -> bool:
@@ -74,118 +180,168 @@ def _faces_pass(p: int) -> bool:
     return True
 
 
-def _ear_table(p: int, n: int, children: int) -> tuple:
-    """What the children a = 0..children − 1 of any n-gon node share, built
-    once per (p, n) and rebuilt, longer, only for a run past its last child;
-    lists indexed by a, or by a·n + j for the old vertex j, which a run
-    first..last reads in place from child 0, or by one slice from child
-    first:
+def _kept(memo: dict, key: tuple, value):
+    """value, kept in memo under key, whose first item is a polygon size n: past
+    `_MEMO_SIZES` sizes, every entry of the largest n is dropped."""
+    memo[key] = value
+    sizes = {k[0] for k in memo}
+    if len(sizes) > _MEMO_SIZES:
+        largest = max(sizes)
+        for k in [k for k in memo if k[0] == largest]:
+            del memo[k]
+    return value
 
-    * per family and inner corner t = 1..p − 2, the coefficients (α, β) of
-      (E2) in C values: ℓ_t and ℓ_{p−1−t} of the face, times m where both
-      factors of a radical product are surds; a coefficient that is the same
-      for every entry is that int, and keeps no list (`_layout`);
-    * per t, the dressing: p/2 where x = a + t is white and x − j even, else 1;
-    * the flat indices, in the news of a run from child 0, of the row-2
-      entries at the centres a and b = a + p − 1 (between x = a + 1 and
-      a − 1, between x = a + p − 2 and the old a + 2);
-    * per family, the counts the ear adds at a and at b.
+
+def _ear_run(p: int, n: int, first: int, last: int) -> tuple:
+    """What a run of the children a = first..last of any n-gon node reads,
+    laid out over the lanes of its news, built on first use and kept in
+    `_EARS` per (n, p), by (first, last).  The news of one family are one
+    int of p − 2 blocks, one per inner corner t, each of R = (last + 1 −
+    first)·n lanes, child a's entry with the old vertex j in lane
+    (t − 1)·R + (a − first)·n + j (`_subtree` unpacks them by this layout,
+    as does `tools/ci.py`'s `child_news` for one child):
+
+    * w, the lane width in bytes: that of the entries of (n + p − 2)-gons;
+    * per family, the coefficients (α, β) of (E2), and the dressing, each
+      laid out by `_lane_coef` (`_coefficients` gives them by parity);
+    * ones and highs, the lowest and the guard bit of every lane;
+    * the lanes of the row-2 entries at the centres a and b = a + p − 1 of
+      each child, in block 1 (between x = a + 1 and a − 1) and then in
+      block p − 2 (between x = a + p − 2 and the old a + 2);
+    * per family, the counts the ear adds at those centres.
     """
-    table = _EARS.get((p, n))
-    if table is None or len(table[2]) < children:  # one at-a index per child
-        m, h = LAMBDA_RADICAND[p], p // 2
-        faces = _FACES[p]
-        inner = range(1, p - 1)
-        coefs, gains = [], []
-        for f, scale in ((0, m), (1, 1)):
-            ear = [face[f] for face in faces]  # per colour of a: the ear's (matrix, counts)
-            coefs.append([])
-            # two surds meet in ℓ_t·e(b, j) at an even t, else in ℓ_{p−1−t}·e(a, j)
-            for t in inner:
-                at_b, at_a = (scale, 1) if t % 2 == 0 else (1, scale)
-                alpha = [[matrix[0][t] * at for at in (1, at_b)] for matrix, _ in ear]
-                beta = [[matrix[t][-1] * at for at in (at_a, 1)] for matrix, _ in ear]
-                coefs[f].append((_layout(alpha, n, children), _layout(beta, n, children)))
-            counts = [ear[a & 1][1] for a in range(children)]
-            gains.append(([c[0] for c in counts], [c[-1] for c in counts]))
-        table = _EARS[p, n] = (
-            coefs,
-            [_layout([[h if (a + t) % 2 == 0 == (d + t) % 2 else 1 for d in (0, 1)]
-                      for a in (0, 1)], n, children) for t in inner],
-            [a * n + (a - 1) % n for a in range(children)],
-            [a * n + (a + 2) % n for a in range(children)],
-            gains,
+    runs = _EARS.get((n, p))
+    if runs is None:
+        runs = _kept(_EARS, (n, p), {})
+    run = runs.get((first, last))
+    if run is None:
+        k, children = p - 2, range(first, last + 1)
+        width, lanes = _lanes_wide(p, n + k), (last + 1 - first) * n
+        coefs, dressed = _COEFFICIENTS[p]
+        ears = [face for face, _ in _EAR_PIECES[p]]  # per colour of a, per family: the ear's counts
+        highs = int.from_bytes((bytes(width - 1) + b"\x80") * (k * lanes), "little")
+        masks: dict = {}  # shared by the coefficients that pick the same lanes
+        run = runs[first, last] = (
+            width,
+            [tuple(_lane_coef([c[i] for c in family], n, first, lanes, width, masks) for i in (0, 1))
+             for family in coefs],
+            _lane_coef(dressed, n, first, lanes, width, masks),
+            highs >> (8 * width - 1),
+            highs,
+            [(a - first) * n + (a - 1) % n for a in children]
+            + [(k - 1) * lanes + (a - first) * n + (a + 2) % n for a in children],
+            [[ears[a & 1][f][0] for a in children] + [ears[a & 1][f][-1] for a in children] for f in (0, 1)],
         )
-    return table
+    return run
 
 
-def _layout(by_parity: list[list[int]], n: int, children: int) -> "int | list[int]":
-    """A coefficient given per parity of a and of a − j, [a & 1][(a − j) & 1],
-    laid out at a·n + j for the children a = 0..children − 1 of an n-gon node:
-    the one int where all four parities agree, else the list."""
-    (even_even, even_odd), (odd_even, odd_odd) = by_parity
-    if even_even == even_odd == odd_even == odd_odd:
-        return even_even
-    half = n // 2  # every node has an even number of vertices
-    two = [even_even, even_odd] * half + [odd_odd, odd_even] * half  # children 0 and 1
-    return (two * (children // 2 + 1))[: children * n]
+def _lane_coef(by_corner: list[list[list[int]]], n: int, first: int, lanes: int, width: int, masks: dict) -> tuple:
+    """A coefficient given per inner corner t and per parity of a and of
+    a − j, [t − 1][a & 1][(a − j) & 1], laid out over the news of a run of
+    lanes lanes from child first of an n-gon node (`_ear_run`): (least,
+    terms), terms holding, per other value v, (v − least, the int with every
+    bit of the lanes where it is v), each such int built once in masks, by
+    the lanes it picks.  Its product with packed entries is `_times`."""
+    values = sorted({v for corner in by_corner for row in corner for v in row})
+    lane = {False: bytes(width), True: b"\xff" * width}
+    terms = []
+    for v in values[1:]:
+        picked = tuple(v == value for by_parity in by_corner for row in by_parity for value in row)
+        if picked not in masks:
+            blocks = b""
+            for by_parity in by_corner:
+                # children first and first + 1, each alternating with the parity of j
+                two = b"".join((lane[by_parity[a & 1][a & 1] == v] + lane[by_parity[a & 1][~a & 1] == v]) * (n // 2)
+                               for a in (first, first + 1))
+                blocks += (two * (lanes // (2 * n) + 1))[: lanes * width]
+            masks[picked] = int.from_bytes(blocks, "little")
+        terms.append((v - values[0], masks[picked]))
+    return values[0], terms
+
+
+def _times(coef: tuple, x: int) -> int:
+    """x, packed entries, times a coefficient laid out by `_lane_coef`: lane by
+    lane, as no lane carries into the next."""
+    least, terms = coef
+    product = x if least == 1 else least * x
+    for delta, mask in terms:
+        product += delta * (x & mask)
+    return product
+
+
+def _lane_bytes(entries: Sequence[int], width: int) -> bytes:
+    """The entries, non-negative, as width-byte little-endian lanes end to end;
+    OverflowError if one does not fit."""
+    code = _CODES.get(width)
+    if code is None:
+        return b"".join(map(int.to_bytes, entries, repeat(width), repeat("little")))
+    lanes = array(code, entries)
+    if _SWAP:
+        lanes.byteswap()
+    return lanes.tobytes()
+
+
+def _unpacked(x: int, count: int, width: int) -> Sequence[int]:
+    """The count lanes of x, width bytes each, lowest first (x has no more): an
+    `array`, or past 8 bytes a list."""
+    data = x.to_bytes(count * width, "little")
+    code = _CODES.get(width)
+    if code is None:
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    lanes = array(code, data)
+    if _SWAP:
+        lanes.byteswap()
+    return lanes
+
+
+def _gathered(x: int, count: int, width: int, indices: list[int]) -> list[int]:
+    """The lanes indices of x's first count lanes, width bytes each, read by
+    one gather; past 8 bytes, only those lanes are read."""
+    if width in _CODES:
+        return list(map(_unpacked(x, count, width).__getitem__, indices))
+    data = x.to_bytes(count * width, "little")
+    return [int.from_bytes(data[i * width : i * width + width], "little") for i in indices]
 
 
 def _ears_pass(p: int, first: int, last: int, counts: tuple, rows: tuple) -> tuple[list, bool]:
     """What the ear adds to the children a = first..last of an n-gon node with
     these counts and rows, and whether all three checks pass on it, every
-    ε = 0 ((E)): (news, passed), computed and checked in this one call.
+    ε = 0 ((E)): (news, passed), computed and checked in this one call on
+    packed lanes (the module docstring).
 
-    news holds, per family and inner corner t = 1..p − 2, one list with,
-    for every child a at (a − first)·n + j, the entry between its new corner
-    x = a + t and the old vertex j by (E2), α·(row a + 1) + β·(row a): one
-    slice of the rows a + 1 per family, and at most three C-level maps per
-    family and t for the whole run (`_scaled`); a run from child 0 reads the
-    rows a and the coefficients in place.  The news are whole whether the
-    run passes or not, as a node's children are glued from them.
+    news holds, per family, one int of lanes (`_ear_run`) with, for every
+    inner corner t = 1..p − 2 and child a, the entry between its new corner
+    x = a + t and each old vertex j by (E2), α·(row a + 1) + β·(row a):
+    the rows first..last + 1 are packed once per family, their rows a + 1
+    and rows a are two slices of those bytes, repeated once per t, and each
+    coefficient is `_times`.  The news are whole whether the run passes or
+    not, as a node's children are glued from them (`_subtree`).
 
     The checks: the changed counts, at the centres a and b, must be row 2 of
     their family's new entries, face counts radical and triangle counts
-    integral, one list comparison per family, so the comparison there is
-    the lemma on them; every radical entry must be positive, one `min` over
-    the lists; and each integral list must equal its radical one dressed by
-    p/2 where the new corner is white and the distance even, one comparison
-    for every child (equal on the odd rows, scaled with ε = 0 on the even
-    ones; the integral entries are then positive too).  The checks stop at
-    the first that fails; a run of no children passes.
+    integral, one gather and one list comparison per family, so the
+    comparison there is the lemma on them; no radical lane may be 0, one
+    zero-lane test; and the integral int must equal the radical one dressed
+    by p/2 where the new corner is white and the distance even, one masked
+    multiply and one int comparison (equal on the odd rows, scaled with
+    ε = 0 on the even ones; the integral entries are then positive too).
+    The checks stop at the first that fails; a run of no children passes.
     """
-    n, size = len(counts[0]), last + 1
-    coefs, dressed, at_a, at_b, gains = _ear_table(p, n, size)
-    lo, hi = first * n, size * n
-    at_a, at_b = at_a[first:size], at_b[first:size]
-    if first:  # the run's news start at child first
-        at_a, at_b = [i - lo for i in at_a], [i - lo for i in at_b]
+    n, size, k = len(counts[0]), last + 1, p - 2
+    width, coefs, dressing, ones, highs, centres, gains = _ear_run(p, n, first, last)
+    lanes = (size - first) * n
     news, passed = [], True
-    for flat, family, count, (gain_a, gain_b) in zip(rows, coefs, counts, gains):
-        ahead, behind = flat[lo + n : hi + n], flat[lo:hi] if lo else flat  # rows a + 1, rows a
-        new = [list(map(add, _scaled(alpha, ahead, lo, hi), _scaled(beta, behind, lo, hi)))
-               for alpha, beta in family]
+    for flat, (alpha, beta), count, gain in zip(rows, coefs, counts, gains):
+        packed = _lane_bytes(flat[first * n : (size + 1) * n], width)
+        ahead = int.from_bytes(packed[n * width :] * k, "little")  # rows a + 1, once per t
+        behind = int.from_bytes(packed[: lanes * width] * k, "little")  # rows a
+        new = _times(alpha, ahead) + _times(beta, behind)
         news.append(new)
         if passed:
-            centres = list(map(new[0].__getitem__, at_a))
-            centres += map(new[-1].__getitem__, at_b)
-            changed = list(map(add, count[first:size], gain_a[first:]))
-            changed += map(add, count[first + 1 : size + 1], gain_b[first:])
-            passed = centres == changed
+            changed = list(map(add, count[first:size] + count[first + 1 : size + 1], gain))
+            passed = _gathered(new, k * lanes, width, centres) == changed
     radical, integral = news
-    passed = passed and (first > last or min(map(min, radical)) > 0) and all(
-        ints == list(map(mul, rad, dressing[lo:hi] if lo else dressing))
-        for rad, ints, dressing in zip(radical, integral, dressed)
-    )
-    return news, passed
-
-
-def _scaled(coef: "int | list[int]", entries: list[int], lo: int, hi: int) -> Iterable[int]:
-    """The entries times a coefficient of `_ear_table`, its list read over
-    lo..hi: a constant 1 leaves them as they are."""
-    if type(coef) is int:
-        return entries if coef == 1 else map(coef.__mul__, entries)
-    return map(mul, coef[lo:hi] if lo else coef, entries)
+    return news, passed and ((radical - ones) & ~radical & highs) == 0 and integral == _times(dressing, radical)
 
 
 def _glue_plan(n: int, a: int, k: int) -> itemgetter:
@@ -217,21 +373,23 @@ def _glue_plan(n: int, a: int, k: int) -> itemgetter:
             order += at[u * n : u * n + a + 1]
             order += at[news + u : inner : n]  # its entries with the new corners
             order += at[u * n + a + 1 : u * n + n]
-        plan = _PLANS[n, a, k] = itemgetter(*order)
+        plan = _kept(_PLANS, (n, a, k), itemgetter(*order))
+        # the pool keeps what the kept plans read: (size, b, j) reads up to (b + 2 + j)·size + j²
+        del _INDICES[max(((b + 2 + j) * size + j * j for size, b, j in _PLANS), default=0) :]
     return plan
 
 
-def _glued_rows(rows: list[int], n: int, a: int, news: list[list[int]], inner: list[int]) -> list[int]:
+def _glued_rows(rows: list[int], n: int, a: int, news: list[Sequence[int]], inner: list[int]) -> list[int]:
     """Rows 0..a + p − 1 of child a's matrix in one family, flat: the node's rows
     0..a with the new corners' entries inserted after column a ((E1)), the
-    new rows (the child's entries in the batch's news around the ear's
-    entries among its inner corners, inner, flat), then the node's row a + 1,
-    now b's.  One C-level gather by `_glue_plan` from the node's rows 0..a + 1,
-    the child's slices of the news and inner, laid end to end."""
-    lo = a * n
-    source = rows[: lo + 2 * n]
+    new rows (the child's news, per new corner its n entries with the old
+    vertices, around the ear's entries among its inner corners, inner,
+    flat), then the node's row a + 1, now b's.  One C-level gather by
+    `_glue_plan` from the node's rows 0..a + 1, the child's news and inner,
+    laid end to end."""
+    source = rows[: (a + 2) * n]
     for new in news:
-        source += new[lo : lo + n]
+        source += new
     source += inner
     return list(_glue_plan(n, a, len(news))(source))
 
@@ -275,15 +433,20 @@ def _subtree(p: int, s_max: int, node: tuple) -> Iterator[tuple]:
         yield s + 1, last, counts, rows, None
         return
     rows = tuple(rows)
-    checked = _ears_pass(p, 0, last, counts, rows)
-    yield s + 1, last, counts, rows, checked
-    node, news = (s, last, counts, rows), checked[0]
-    for a in range(last + 1):
-        yield from _subtree(p, s_max, _child(p, node, news, a))
+    news, passed = _ears_pass(p, 0, last, counts, rows)
+    yield s + 1, last, counts, rows, (news, passed)
+    n = len(counts[0])
+    node, lanes = (s, last, counts, rows), (last + 1) * n
+    width = _ear_run(p, n, 0, last)[0]
+    news = [_unpacked(new, (p - 2) * lanes, width) for new in news]  # unpacked once; the packed news go
+    for lo in range(0, lanes, n):  # child a's news: its n lanes in each corner's block
+        yield from _subtree(p, s_max, _child(p, node, [[family[i : i + n] for i in range(lo, len(family), lanes)]
+                                                      for family in news], lo // n))
 
 
 def _child(p: int, node: tuple, news: list, a: int) -> tuple:
-    """Child a of node = (s, last, counts, rows) by its batch's news: (s + 1,
+    """Child a of node = (s, last, counts, rows) by its own news, per family
+    and inner corner t its n entries with the old vertices: (s + 1,
     a + p − 2, counts glued now, rows an iterator glued when read)."""
     s, _, counts, rows = node
     n = len(counts[0])

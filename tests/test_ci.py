@@ -1,9 +1,10 @@
 """Every CI check of `tools/ci.py` runs here at its smallest sizes, so a
 private name or signature a check uses that drifts fails Tier-1, not only CI;
 and its child helper reports each child's own peak RSS, kills a child past
-its time and reaps every child; and the ear walk's and the deep paths'
+its time and reaps every child; the ear walk's and the deep paths'
 comparisons with the kernel see a glue fault that the sweep's checks
-cannot.
+cannot; and the deep paths name the first node whose largest entry
+reaches its lanes' guard bit.
 
 The checks run in a fresh interpreter: a child's peak RSS counts the
 address space of the process that started it, and this one's is large.
@@ -128,3 +129,16 @@ def test_ear_paths_see_a_glue_fault_both_families_share(monkeypatch):
         [(6, 3, None), (4, 2, f"level 4, the 10-gon: {differ}"), (6, 3, None)],
         [(2, 1, f"level 2, the 10-gon: {differ}"), (4, 2, None), (2, 1, f"level 2, the 10-gon: {differ}")],
     ]
+
+
+def test_ear_paths_name_the_first_node_past_its_lanes_guard_bit(monkeypatch):
+    # ear_depth's width check, with every lane read as one byte wide: each
+    # path names its first compared node whose largest entry, times p/2,
+    # reaches the guard bit, and passes a path whose compared nodes stay
+    # below it
+    ci = load_ci()
+    monkeypatch.setattr(ci, "_lanes_wide", lambda p, n: 1)
+    past = "times p/2 reaches the guard bit of its 1-byte lanes"
+    assert [ci.ear_path(4, 6, 2, seed) for seed in (None, 2)] == [
+        (6, 3, None), (6, 3, f"level 6, the 14-gon: its largest entry 74 {past}")]
+    assert ci.ear_path(6, 4, 2, 1) == (4, 2, f"level 4, the 18-gon: its largest entry 144 {past}")

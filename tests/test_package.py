@@ -45,7 +45,7 @@ def test_traced_names_exist():
 
 # The standard modules the package's sources import.
 PACKAGE_STDLIB = (
-    "__future__", "argparse", "bisect", "fractions", "functools", "itertools", "json",
+    "__future__", "argparse", "array", "bisect", "fractions", "functools", "itertools", "json",
     "math", "operator", "os", "sys", "time", "typing",
 )
 

@@ -963,17 +963,31 @@ def test_a_run_of_children_computes_the_batchs_entries():
         compared = 0
         for s, last, counts, rows, checked in _ear_batches(p, s_max):
             n, rows = len(counts[0]), tuple(rows)
-            whole, passed = _ears_pass(p, 0, last, counts, rows)
-            assert passed and checked in (None, (whole, True))
+            packed, passed = _ears_pass(p, 0, last, counts, rows)
+            assert passed and checked in (None, (packed, True))
+            whole = unpacked_news(p, n, 0, last, packed)
             for first in range(last + 1):
                 for end in range(first, min(first + 2, last + 1)):  # runs of one and of two
                     run, passed = _ears_pass(p, first, end, counts, rows)
+                    run = unpacked_news(p, n, first, end, run)
                     for family_run, family_whole in zip(run, whole):
                         for got, want in zip(family_run, family_whole):
                             assert got == want[first * n : (end + 1) * n], (p, s, first, end)
                             compared += first == end
                     assert passed, (p, s, first, end)
         assert compared == lists
+
+
+def unpacked_news(p, n, first, last, news):
+    """The news `_ears_pass` returns for the children a = first..last of an
+    n-gon node, one int of lanes per family, as lists: per family and inner
+    corner t = 1..p − 2, child a's entry with the old vertex j at
+    (a − first)·n + j."""
+    from friezes.ears import _lanes_wide, _unpacked
+
+    lanes, width = (last + 1 - first) * n, _lanes_wide(p, n + p - 2)
+    unpacked = [list(_unpacked(new, (p - 2) * lanes, width)) for new in news]
+    return [[family[i : i + lanes] for i in range(0, len(family), lanes)] for family in unpacked]
 
 
 def e2_news(p, n, rows, first, last):
@@ -1003,10 +1017,10 @@ def e2_news(p, n, rows, first, last):
 
 @pytest.mark.parametrize("p, s_max", [(4, 6), (6, 4)])
 def test_ear_tables_grow_for_longer_runs(monkeypatch, p, s_max):
-    # a node's news from a fresh table: a short run, then a longer one (the
-    # table regrows), then one from an odd child past both (it regrows
-    # again); each is its slice of the news built with the longest run
-    # first, and (E2) entry by entry
+    # a node's news from a fresh memo: a short run, then a longer one, then
+    # one from an odd child past both, each laid out on first use (one
+    # table per run in the node's size); each is its slice of the news
+    # built with the longest run alone, and (E2) entry by entry
     import friezes.ears
     from friezes.ears import _ear_batches, _ears_pass
 
@@ -1015,15 +1029,15 @@ def test_ear_tables_grow_for_longer_runs(monkeypatch, p, s_max):
     monkeypatch.setattr(friezes.ears, "_EARS", {})
     runs, got, tables = [(0, 1), (0, last - 2), (3, last)], [], []
     for first, end in runs:
-        got.append(_ears_pass(p, first, end, counts, rows)[0])
-        tables.append(friezes.ears._EARS[p, n])
-    assert len(set(map(id, tables))) == 3  # built, then rebuilt for each longer run
+        got.append(unpacked_news(p, n, first, end, _ears_pass(p, first, end, counts, rows)[0]))
+        tables.append(friezes.ears._EARS[n, p][first, end])
+    assert len(set(map(id, tables))) == 3 and len(friezes.ears._EARS[n, p]) == 3  # one per run
     monkeypatch.setattr(friezes.ears, "_EARS", {})
-    whole = _ears_pass(p, 0, last, counts, rows)[0]
-    assert [list(family) for family in whole] == e2_news(p, n, rows, 0, last)
+    whole = unpacked_news(p, n, 0, last, _ears_pass(p, 0, last, counts, rows)[0])
+    assert whole == e2_news(p, n, rows, 0, last)
     for (first, end), run in zip(runs, got):
         want = [[new[first * n : (end + 1) * n] for new in family] for family in whole]
-        assert [list(family) for family in run] == want == e2_news(p, n, rows, first, end), (first, end)
+        assert run == want == e2_news(p, n, rows, first, end), (first, end)
 
 
 def test_even_row_offsets_are_pinned():
@@ -1113,7 +1127,7 @@ def test_ear_rows_and_new_entries_are_the_kernels():
             n = len(counts[0])
             assert (checked is None) is (s == s_max)
             rows = tuple(rows)
-            news = (checked or _ears_pass(p, 0, last, counts, rows))[0]
+            news = unpacked_news(p, n, 0, last, (checked or _ears_pass(p, 0, last, counts, rows))[0])
             if s > 1:  # past the 2-gon
                 nodes += 1
                 node_counts, node_grids = grids(counts[0])
@@ -1200,6 +1214,137 @@ def test_each_ear_check_refuses_its_own_fault(monkeypatch):
     with pytest.raises(InternalAssertionError, match="with 3 faces failed, but each passes alone"):
         sweep(4, 3)
     assert verify_dissection(leaf, 4).ok
+
+
+def same_as_the_reference(run):
+    """The lane kernel's verdict on a run of ear checks, `_ears_pass`'s
+    arguments, once its news, unpacked, and its verdict are found equal to
+    those of the list kernel in `ear_reference.py`."""
+    from ear_reference import ears_pass
+    from friezes.ears import _ears_pass
+
+    p, first, last, counts, _ = run
+    news, passed = _ears_pass(*run)
+    want, want_passed = ears_pass(*run)
+    assert unpacked_news(p, len(counts[0]), first, last, news) == want, run[:3]
+    assert passed == want_passed, run[:3]
+    return passed
+
+
+def test_lane_kernel_matches_the_list_reference():
+    # the news and verdicts of the lane kernel are those of the list kernel
+    # it replaced, kept in tests/ear_reference.py: on every batch of
+    # p = 4, s ≤ 7 and p = 6, s ≤ 5 (2,100 batches), whole and one child at
+    # a time, as the orbit sweep checks its representatives (12,380 runs of
+    # one child), and on the faulted runs of
+    # test_each_ear_check_refuses_its_own_fault, which both refuse
+    from friezes.ears import _ear_batches
+
+    batches = singles = 0
+    for p, s_max in ((4, 7), (6, 5)):
+        for batch in _ear_batches(p, s_max):
+            p, _, last, counts, rows = run = ear_run(p, batch)
+            assert same_as_the_reference(run)
+            for a in range(last + 1):
+                assert same_as_the_reference((p, a, a, counts, rows))
+            batches, singles = batches + 1, singles + last + 1
+    assert (batches, singles) == (2100, 12380)
+    run = ear_run(4, list(_ear_batches(4, 3))[1])  # the square's children, the 6-gons
+    p, first, last, counts, rows = run
+    for family in (0, 1):
+        for by in (1, -1):
+            assert not same_as_the_reference(bump(run, family, 1, by))
+        for v in (0, last + 1):
+            moved = [list(c) for c in counts]
+            moved[family][v] += 1
+            assert not same_as_the_reference((p, first, last, moved, rows))
+    for a in range(last + 1):
+        assert not same_as_the_reference(zeroed((p, a, a, counts, rows), a))
+
+
+def test_every_entry_fits_below_its_lanes_guard_bit():
+    # the lane width of the ears docstring: on every node of p = 4, s ≤ 7
+    # and p = 6, s ≤ 5, the largest entry of its children's news, both
+    # families, times p/2, stays below the guard bit of their lanes, and
+    # within the bound M(p)·G^(s − 1) on the largest entry of an s-face
+    # polygon; and for every polygon the grid admits, (p/2)·M(p)·G^(s − 1)
+    # does too, with M(p) the lone p-gon's largest entry and G the largest
+    # max α + max β of a corner, both read here from the list reference
+    from ear_reference import ear_table
+    from friezes.ears import _FACES, _ear_batches, _ears_pass, _lanes_wide
+    from friezes.frieze import _MAX_FRIEZE_N
+
+    for p, s_max, growth in ((4, 7, 3), (6, 5, 5)):
+        h, k = p // 2, p - 2
+        face = max(e for family in _FACES[p] for matrix, _ in family for row in matrix for e in row)
+        coefs = ear_table(p, 2 * p, 2)[0]
+        maxima = [max(c) if type(c) is list else c for family in coefs for pair in family for c in pair]
+        assert growth == max(a + b for a, b in zip(maxima[::2], maxima[1::2]))
+        for batch in _ear_batches(p, s_max):
+            p, _, last, counts, rows = run = ear_run(p, batch)
+            n = len(counts[0])
+            news = unpacked_news(p, n, 0, last, _ears_pass(*run)[0])
+            largest = max(max(map(max, family)) for family in news)
+            assert largest <= face * growth ** ((n - 2) // k), (p, n)
+            assert largest * h < 1 << (8 * _lanes_wide(p, n + k) - 1), (p, n)
+        for n in range(p, _MAX_FRIEZE_N + 1, k):
+            assert h * face * growth ** ((n - 2) // k - 1) < 1 << (8 * _lanes_wide(p, n) - 1), (p, n)
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 9, 16])
+def test_the_lane_kernel_at_any_width_that_holds_the_entries(monkeypatch, width):
+    # lanes of 2 to 16 bytes, packed through `array` up to 8 and by
+    # `int.to_bytes` past it, give the list reference's news and verdicts
+    # on every batch of p = 4, s ≤ 5 and p = 6, s ≤ 3, whole and one child
+    # at a time; an entry a lane cannot hold is refused, not wrapped
+    import friezes.ears
+    from friezes.ears import _ear_batches, _lane_bytes, _unpacked
+
+    monkeypatch.setattr(friezes.ears, "_EARS", {})
+    monkeypatch.setattr(friezes.ears, "_lanes_wide", lambda p, n: width)
+    for p, s_max in ((4, 5), (6, 3)):
+        for batch in _ear_batches(p, s_max):
+            p, _, last, counts, rows = run = ear_run(p, batch)
+            assert same_as_the_reference(run)
+            for a in range(last + 1):
+                assert same_as_the_reference((p, a, a, counts, rows))
+    entries = [0, 1, (1 << 8 * width) - 1, 7]
+    assert list(_unpacked(int.from_bytes(_lane_bytes(entries, width), "little"), 4, width)) == entries
+    for wrong in (1 << 8 * width, -1):
+        with pytest.raises(OverflowError):
+            _lane_bytes([1, wrong], width)
+
+
+def test_ear_memos_drop_the_largest_sizes_past_their_cap(monkeypatch):
+    # capped at three polygon sizes, the ear memos keep the three smallest
+    # they were asked for, the plans' index pool only what the kept plans
+    # read, and every sweep's outcome is the one with the memos uncapped;
+    # at the default cap, a walk down the a = 0 spine to the 82-gon drops
+    # none of the sizes up to 14, the bench's
+    import friezes.ears
+    from friezes.ears import _ear_batches, _ear_levels
+
+    runs = [(4, 6, False), (4, 6, True), (6, 4, False), (6, 4, True)]
+    want = [_ear_levels(*run) for run in runs]
+    for cap in (3, friezes.ears._MEMO_SIZES):
+        monkeypatch.setattr(friezes.ears, "_MEMO_SIZES", cap)
+        for memo in ("_EARS", "_PLANS"):
+            monkeypatch.setattr(friezes.ears, memo, {})
+        monkeypatch.setattr(friezes.ears, "_INDICES", [])
+        assert [_ear_levels(*run) for run in runs] == want
+        if cap == 3:
+            for memo in (friezes.ears._EARS, friezes.ears._PLANS):
+                assert {key[0] for key in memo} == {2, 4, 6}
+            need = max((a + 2 + k) * n + k * k for n, a, k in friezes.ears._PLANS)
+            assert friezes.ears._INDICES == list(range(need))
+    spine = _ear_batches(4, 41)
+    for _ in range(41):  # depth first: the a = 0 spine to the 82-gon's batch
+        s, last, counts, rows, checked = next(spine)
+        assert checked is None or checked[1]
+    assert len(counts[0]) == 82
+    for memo in (friezes.ears._EARS, friezes.ears._PLANS):
+        sizes = {key[0] for key in memo}
+        assert len(sizes) == cap and set(range(2, 16, 2)) <= sizes, sorted(sizes)
 
 
 # ---------------------------------------------------------------------------

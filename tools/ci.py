@@ -34,6 +34,7 @@ import xml.etree.ElementTree as ET
 from collections import namedtuple
 from itertools import chain, combinations
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from friezes import (
     Dissection,
@@ -49,7 +50,7 @@ from friezes import (
     quiddity_counts,
 )
 from friezes.bijection import _refine
-from friezes.ears import _FACES, _child, _ear_batches, _ears_pass, _matrix
+from friezes.ears import _FACES, _child, _ear_batches, _ear_run, _ears_pass, _lanes_wide, _matrix, _unpacked
 from friezes.exact import LAMBDA_RADICAND
 from friezes.frieze import _MAX_FRIEZE_N, _ascii_rows, _csv_rows, _rows
 from friezes.polygon import _canonical_parent, _ear_counts, _glued
@@ -252,12 +253,21 @@ def sweeps(runs=SWEEPS) -> bool:
     return ok
 
 
-def kernel_rows(p: int, counts: tuple, last: int) -> list[list[int]]:
-    """A node's rows 0..last + 1 of both families, flat, as the ear tree holds
-    them, grown by the kernel from its own counts: `_matrix(_rows(...))`."""
+def kernel_families(p: int, counts: tuple, last: int) -> Iterator[tuple[list[int], int]]:
+    """Per family, a node's rows 0..last + 1, flat, as the ear tree holds them,
+    and its largest entry, both from the frieze the kernel grows from the
+    node's own counts, `_matrix(_rows(...))`, in C values; one frieze is
+    held at a time."""
     m = LAMBDA_RADICAND[p]
-    return [[e for row in _matrix(_rows(tuple(c), scale, radical))[: last + 2] for e in row]
-            for c, scale, radical in zip(counts, (m, 1), (True, False))]
+    for c, scale, radical in zip(counts, (m, 1), (True, False)):
+        grid = _rows(tuple(c), scale, radical)
+        yield [e for row in _matrix(grid)[: last + 2] for e in row], max(map(max, grid))
+
+
+def kernel_rows(p: int, counts: tuple, last: int) -> list[list[int]]:
+    """A node's rows 0..last + 1 of both families, flat, grown by the kernel
+    from its own counts (`kernel_families`)."""
+    return [flat for flat, _ in kernel_families(p, counts, last)]
 
 
 def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
@@ -358,11 +368,14 @@ def ear_path(p: int, depth: int, every: int, seed: int | None = None) -> tuple[i
     from its node by the sweep's own `ears._child`: the a = 0 spine, or with
     a seed, each edge a drawn uniformly from 0..last by `random.Random(seed)`.
     Every node's batch on the path is computed and checked by `_ears_pass`,
-    as the sweep checks it, and the glued rows of both families of every
-    node at a level divisible by every, and of the leaf, are compared with
-    `kernel_rows` of the node's own counts: the sizes the kernel's
-    memos and tables reach (`_PLANS`, `_INDICES`, `_EARS`, `_layout`'s lanes)
-    are compared at every depth, where `ear_walk` stops at the 22-gon.
+    as the sweep checks it.  At every node at a level divisible by every,
+    and at the leaf, the glued rows of both families are compared with the
+    kernel's of the node's own counts (`kernel_families`), and the largest
+    entry of both kernel friezes, times p/2, must stay below the guard bit
+    of the n-gon's lanes (`ears._lanes_wide`): the sizes the kernel's
+    memos, tables and lane widths reach (`_PLANS`, `_INDICES`, `_EARS`,
+    `_lane_coef`'s masks) are compared at every depth, where `ear_walk`
+    stops at the 22-gon.
     Returns (batches checked, nodes compared, the first fault or None), the
     fault naming its node by level and size."""
     rng = random.Random(seed)
@@ -373,8 +386,14 @@ def ear_path(p: int, depth: int, every: int, seed: int | None = None) -> tuple[i
         n = len(counts[0])
         if s and (s % every == 0 or s == depth):
             compared += 1
-            if list(rows) != kernel_rows(p, counts, last):
-                return checked, compared, f"level {s}, the {n}-gon: glued rows differ from the kernel's"
+            largest = 0
+            for flat, (kernel, most) in zip(rows, kernel_families(p, counts, last)):
+                if flat != kernel:
+                    return checked, compared, f"level {s}, the {n}-gon: glued rows differ from the kernel's"
+                largest = max(largest, most)
+            if largest * (p // 2) >> (8 * _lanes_wide(p, n) - 1):
+                return checked, compared, (f"level {s}, the {n}-gon: its largest entry {largest} times p/2"
+                                           f" reaches the guard bit of its {_lanes_wide(p, n)}-byte lanes")
         if s == depth:
             return checked, compared, None
         news, passed = _ears_pass(p, 0, last, counts, rows)
@@ -382,8 +401,19 @@ def ear_path(p: int, depth: int, every: int, seed: int | None = None) -> tuple[i
         if not passed:
             return checked, compared, f"level {s}, the {n}-gon: its batch fails `_ears_pass`"
         a = 0 if seed is None else rng.randrange(last + 1)
-        s, last, counts, rows = _child(p, node, news, a)
+        s, last, counts, rows = _child(p, node, child_news(p, n, last, news, a), a)
         node = s, last, counts, tuple(rows)
+
+
+def child_news(p: int, n: int, last: int, news: list, a: int) -> list[list[Sequence[int]]]:
+    """Child a's news, per family and inner corner its n entries with the old
+    vertices, read alone from the packed news of the batch 0..last of an
+    n-gon node: the lanes the sweep's `ears._subtree` would slice out
+    for it, without unpacking its siblings'."""
+    lanes, width = (last + 1) * n, _ear_run(p, n, 0, last)[0]  # the width the kernel laid them out in
+    bits = 8 * width
+    row = (1 << n * bits) - 1
+    return [[_unpacked((new >> (t * lanes + a * n) * bits) & row, n, width) for t in range(p - 2)] for new in news]
 
 
 EAR_DEPTH = """
@@ -406,15 +436,20 @@ def ear_depth(depths=((4, 499, 50), (6, 249, 25)), seeds=(1, 2), limit_as=1 << 3
     within 60 s: reach level depth by `_ear_batches`, the deepest the
     1,000-vertex grid bound admits (for p = 4 the children of the 998-gon,
     for p = 6 those of the 994-gon); then walk the a = 0 spine and a seeded
-    random path per seed to a leaf there (`ear_path`), every batch passing
-    and every compared node's rows the kernel's.  The comparisons run in the
+    random path per seed to a leaf there (`ear_path`), every batch passing,
+    every compared node's rows the kernel's and its largest entry, times
+    p/2, below the guard bit of its lanes.  The comparisons run in the
     child, so the checker's RSS stays out of the next child's peak (see
     `reap`).  The p = 4 spine is a fan at vertex 0, whose row 0 is 1 at
     every odd column: a fault that moves row 0 alike in both families shows
     on the random paths (`tests/test_ci.py`).  Measured on a 2-vCPU x86-64
-    host, CPython 3.11, three paths of 10 compared nodes each: p = 4
-    7.1–11.0 s and 198 MB of peak RSS, p = 6 9.8–12.5 s and 292 MB; the
-    reach alone takes 0.6 s and 1.0 s."""
+    host, CPython 3.11, three paths of 10 compared nodes each, with the
+    kernel on packed lanes (100-byte lanes at the 1,000-gon for p = 4,
+    73-byte at the 998-gon for p = 6): p = 4 19.6 s and 141 MB of peak RSS,
+    p = 6 25.4 s and 220 MB; the reach alone takes 4.0 s and 6.7 s.  The
+    list kernel before it took 7.1–11.0 s and 198 MB, and 9.8–12.5 s and
+    292 MB: its ints had no fixed width, where every lane is as wide as the
+    bound of its level."""
     ok = True
     tools = str(ROOT / "tools")
     for p, depth, every in depths:
@@ -596,7 +631,7 @@ def frieze_ladders(bounds=LADDER_RSS_MB) -> bool:
     return ok
 
 
-def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
+def validate_ladder(n=1000, seconds=10, rss_mb=260, changed_seconds=10, changed_rss_mb=560) -> bool:
     """`validate` matches the text `gen` and `cc` write against the kernel
     grid of its row 2 (`frieze._kernel_frieze`) and checks that grid's laws
     on its int rows, not through `json.loads` and `Frieze.from_json`: on the
@@ -608,7 +643,14 @@ def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
     it starts the child (see `reap`).  On the 1,000-gon's radical grid, on
     a 2-vCPU x86-64 host with CPython 3.11, the matcher took 0.80 s at
     200.9 MB, most of it reading the file (its bytes and its text at once);
-    the JSON path took 1.65–1.83 s and 415 MB, past the bound."""
+    the JSON path took 1.65–1.83 s and 415 MB, past the bound.
+
+    The radical grid with its last 1, in row n − 1 near its top, changed
+    to 2 in place (`change_near_top`) fails the match, so `validate` reads
+    it by the JSON path and checks every law: it must exit 1 with a report
+    of violations, the first a boundary violation at row n − 1, within
+    changed_seconds and under changed_rss_mb of peak RSS.  On the same
+    host it took 2.5–3.1 s and 431 MB at the 1,000-gon."""
     quads = Dissection.from_json(ladder(n))
     writers = {"radical": ("gen", "--p", 4, "--input", json.dumps(ladder(n))),
                "cc": ("cc", "--input", json.dumps(associated_triangulation(quads, 4).to_json()))}
@@ -620,6 +662,9 @@ def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
                 code, _ = reap(subprocess.Popen(cli(*argv, "--format", "json"), stdout=fh))
             size = os.path.getsize(path)
             child = run(cli("validate", "--input", path), timeout=10 * seconds)
+            if name == "radical" and not code:
+                change_near_top(path)
+                changed = run(cli("validate", "--input", path), timeout=10 * changed_seconds)
         problems = [f"{argv[0]} exit {code}"] if code else expect(child, 0, rss_mb)
         if not problems and child.out != b'{"ok": true, "violations": []}\n':
             problems.append(f"report {child.out[:200]!r}")
@@ -628,7 +673,28 @@ def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
         line = (f"validate the {n}-gon ladder's {name} grid ({size:,} bytes), {child.seconds:.2f} s,"
                 f" peak RSS {child.rss_mb:.1f} MB: ")
         ok &= report(line, problems, "a frieze")
+        if name == "radical" and not code:
+            problems = expect(changed, 1, changed_rss_mb)
+            first = {"kind": "boundary", "row": n - 1, "col": n - 1}
+            if not problems and not changed.out.startswith(b'{"ok": false, "violations": [' + json.dumps(first).encode()):
+                problems.append(f"report {changed.out[:200]!r}")
+            if changed.seconds >= changed_seconds:
+                problems.append(f"{changed.seconds:.2f} s, expected under {changed_seconds} s")
+            line = (f"validate the {n}-gon ladder's radical grid, one entry near its top changed,"
+                    f" {changed.seconds:.2f} s, peak RSS {changed.rss_mb:.1f} MB: ")
+            ok &= report(line, problems, "exit 1, its violations reported")
     return ok
+
+
+def change_near_top(path: str) -> None:
+    """Change the last `"rat": "1"` of a written grid file, in its top rows, to
+    `"rat": "2"`, in place: only the file's last 64 KiB are read."""
+    with open(path, "r+b") as fh:
+        start = max(0, fh.seek(0, os.SEEK_END) - (64 << 10))
+        fh.seek(start)
+        at = fh.read().rindex(b'"rat": "1"') + len(b'"rat": "')
+        fh.seek(start + at)
+        fh.write(b"2")
 
 
 def width_one(quiddity: tuple[str, ...]) -> dict:

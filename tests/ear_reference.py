@@ -2,7 +2,7 @@
 
 `ears_pass(p, first, last, counts, rows)` computes and checks what the ear
 adds to the children a = first..last of an n-gon node of the sweep's ear
-tree, as the package did before its kernel moved to packed lanes: one list
+tree by the list kernel that the lane kernel replaced: one list
 per family and inner corner t = 1..p − 2, with child a's entry between its
 new corner x = a + t and the old vertex j at (a − first)·n + j, by (E2) of
 the `friezes.verify` docstring, α·(row a + 1) + β·(row a), and the three
@@ -99,7 +99,7 @@ def ears_pass(p: int, first: int, last: int, counts: tuple, rows: tuple) -> tupl
             passed = centres == changed
     radical, integral = news
     passed = passed and (first > last or min(map(min, radical)) > 0) and all(
-        ints == list(map(mul, rad, dressing[lo:hi] if type(dressing) is list else [dressing] * (hi - lo)))
+        ints == list(map(mul, rad, dressing[lo:hi]))
         for rad, ints, dressing in zip(radical, integral, dressed)
     )
     return news, passed

@@ -445,11 +445,11 @@ def ear_depth(depths=((4, 499, 50), (6, 249, 25)), seeds=(1, 2), limit_as=1 << 3
     on the random paths (`tests/test_ci.py`).  Measured on a 2-vCPU x86-64
     host, CPython 3.11, three paths of 10 compared nodes each, with the
     kernel on packed lanes (100-byte lanes at the 1,000-gon for p = 4,
-    73-byte at the 998-gon for p = 6): p = 4 19.6 s and 141 MB of peak RSS,
-    p = 6 25.4 s and 220 MB; the reach alone takes 4.0 s and 6.7 s.  The
-    list kernel before it took 7.1–11.0 s and 198 MB, and 9.8–12.5 s and
-    292 MB: its ints had no fixed width, where every lane is as wide as the
-    bound of its level."""
+    73-byte at the 998-gon for p = 6): p = 4 19.6–22.9 s and 142 MB of peak
+    RSS, p = 6 25.4–32.4 s and 220 MB; the reach alone takes 4.0–4.8 s and
+    6.7–7.5 s.  The list kernel before it took 7.1–11.0 s and 198 MB, and
+    9.8–12.5 s and 292 MB: its ints had no fixed width, where every lane is
+    as wide as the bound of its level."""
     ok = True
     tools = str(ROOT / "tools")
     for p, depth, every in depths:

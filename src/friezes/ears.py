@@ -437,7 +437,7 @@ def _subtree(p: int, s_max: int, node: tuple) -> Iterator[tuple]:
     yield s + 1, last, counts, rows, (news, passed)
     n = len(counts[0])
     node, lanes = (s, last, counts, rows), (last + 1) * n
-    width = _ear_run(p, n, 0, last)[0]
+    width = _lanes_wide(p, n + p - 2)  # the width `_ear_run` laid them out in
     news = [_unpacked(new, (p - 2) * lanes, width) for new in news]  # unpacked once; the packed news go
     for lo in range(0, lanes, n):  # child a's news: its n lanes in each corner's block
         yield from _subtree(p, s_max, _child(p, node, [[family[i : i + n] for i in range(lo, len(family), lanes)]

@@ -49,8 +49,9 @@ from friezes import (
     quad_to_tree,
     quiddity_counts,
 )
+import friezes.ears
 from friezes.bijection import _refine
-from friezes.ears import _FACES, _child, _ear_batches, _ear_run, _ears_pass, _lanes_wide, _matrix, _unpacked
+from friezes.ears import _FACES, _child, _ear_batches, _ears_pass, _lanes_wide, _matrix, _unpacked
 from friezes.exact import LAMBDA_RADICAND
 from friezes.frieze import _MAX_FRIEZE_N, _ascii_rows, _csv_rows, _rows
 from friezes.polygon import _canonical_parent, _ear_counts, _glued
@@ -264,12 +265,6 @@ def kernel_families(p: int, counts: tuple, last: int) -> Iterator[tuple[list[int
         yield [e for row in _matrix(grid)[: last + 2] for e in row], max(map(max, grid))
 
 
-def kernel_rows(p: int, counts: tuple, last: int) -> list[list[int]]:
-    """A node's rows 0..last + 1 of both families, flat, grown by the kernel
-    from its own counts (`kernel_families`)."""
-    return [flat for flat, _ in kernel_families(p, counts, last)]
-
-
 def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
     """One walk of the ear tree (`friezes.ears`) up to level s_max: per level s
     the face counts of the children it glues; the number of nodes past the
@@ -290,7 +285,7 @@ def ear_tree(p: int, s_max: int) -> tuple[dict, int, list, list]:
                 uncut.append((tuple(child), a))
         if s > 1:  # past the 2-gon
             nodes += 1
-            if list(rows) != kernel_rows(p, counts, last):
+            if list(rows) != [flat for flat, _ in kernel_families(p, counts, last)]:
                 off.append(tuple(counts[0]))
     return glued, nodes, off, uncut
 
@@ -410,7 +405,7 @@ def child_news(p: int, n: int, last: int, news: list, a: int) -> list[list[Seque
     vertices, read alone from the packed news of the batch 0..last of an
     n-gon node: the lanes the sweep's `ears._subtree` would slice out
     for it, without unpacking its siblings'."""
-    lanes, width = (last + 1) * n, _ear_run(p, n, 0, last)[0]  # the width the kernel laid them out in
+    lanes, width = (last + 1) * n, friezes.ears._lanes_wide(p, n + p - 2)  # the kernel's own width
     bits = 8 * width
     row = (1 << n * bits) - 1
     return [[_unpacked((new >> (t * lanes + a * n) * bits) & row, n, width) for t in range(p - 2)] for new in news]
@@ -445,9 +440,9 @@ def ear_depth(depths=((4, 499, 50), (6, 249, 25)), seeds=(1, 2), limit_as=1 << 3
     on the random paths (`tests/test_ci.py`).  Measured on a 2-vCPU x86-64
     host, CPython 3.11, three paths of 10 compared nodes each, with the
     kernel on packed lanes (100-byte lanes at the 1,000-gon for p = 4,
-    73-byte at the 998-gon for p = 6): p = 4 19.6–22.9 s and 142 MB of peak
-    RSS, p = 6 25.4–32.4 s and 220 MB; the reach alone takes 4.0–4.8 s and
-    6.7–7.5 s.  The list kernel before it took 7.1–11.0 s and 198 MB, and
+    73-byte at the 998-gon for p = 6): p = 4 18.7–21.9 s and 140 MB of peak
+    RSS, p = 6 27.4–28.8 s and 217 MB; the reach alone takes 3.1–3.6 s and
+    4.9–5.3 s.  The list kernel before it took 7.1–11.0 s and 198 MB, and
     9.8–12.5 s and 292 MB: its ints had no fixed width, where every lane is
     as wide as the bound of its level."""
     ok = True
@@ -631,7 +626,7 @@ def frieze_ladders(bounds=LADDER_RSS_MB) -> bool:
     return ok
 
 
-def validate_ladder(n=1000, seconds=10, rss_mb=260, changed_seconds=10, changed_rss_mb=560) -> bool:
+def validate_ladder(n=1000, seconds=10, rss_mb=260) -> bool:
     """`validate` matches the text `gen` and `cc` write against the kernel
     grid of its row 2 (`frieze._kernel_frieze`) and checks that grid's laws
     on its int rows, not through `json.loads` and `Frieze.from_json`: on the
@@ -649,8 +644,9 @@ def validate_ladder(n=1000, seconds=10, rss_mb=260, changed_seconds=10, changed_
     to 2 in place (`change_near_top`) fails the match, so `validate` reads
     it by the JSON path and checks every law: it must exit 1 with a report
     of violations, the first a boundary violation at row n − 1, within
-    changed_seconds and under changed_rss_mb of peak RSS.  On the same
-    host it took 2.5–3.1 s and 431 MB at the 1,000-gon."""
+    10 s and under 560 MB of peak RSS, whatever n.  On the same host it
+    took 2.5–3.1 s and 431 MB at the 1,000-gon."""
+    changed_seconds, changed_rss_mb = 10, 560
     quads = Dissection.from_json(ladder(n))
     writers = {"radical": ("gen", "--p", 4, "--input", json.dumps(ladder(n))),
                "cc": ("cc", "--input", json.dumps(associated_triangulation(quads, 4).to_json()))}
